@@ -39,6 +39,13 @@ import (
 	"repro/internal/serve"
 )
 
+// A client that stalls before finishing its request headers, or that parks
+// a keep-alive connection, must not hold that connection forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		snapshot = flag.String("snapshot", "", "serve this one snapshot file (pinned; no watching)")
@@ -97,7 +104,11 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Handler: serve.NewServer(reg)}
+	httpSrv := &http.Server{
+		Handler:           serve.NewServer(reg),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	if *bench > 0 {
 		go httpSrv.Serve(ln)
 		runBench(reg, "http://"+ln.Addr().String(), *clients, *bench, !*noProof)

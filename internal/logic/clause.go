@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"math"
-	"strings"
-)
+import "math"
 
 // Literal is a (possibly negated) callable term appearing in a clause body.
 // Negation is negation-as-failure.
@@ -19,11 +16,14 @@ func Lit(t Term) Literal { return Literal{Atom: t} }
 func NegLit(t Term) Literal { return Literal{Neg: true, Atom: t} }
 
 // String renders the literal in Prolog syntax.
-func (l Literal) String() string {
+func (l Literal) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the String rendering of l to dst.
+func (l Literal) AppendTo(dst []byte) []byte {
 	if l.Neg {
-		return "\\+" + l.Atom.String()
+		dst = append(dst, "\\+"...)
 	}
-	return l.Atom.String()
+	return l.Atom.AppendTo(dst)
 }
 
 // EqualLiteral reports structural equality of two literals.
@@ -164,19 +164,20 @@ func EqualClause(a, b *Clause) bool {
 func (c *Clause) Length() int { return 1 + len(c.Body) }
 
 // String renders the clause in Prolog syntax, without the trailing period.
-func (c Clause) String() string {
-	var b strings.Builder
-	b.WriteString(c.Head.String())
-	if len(c.Body) > 0 {
-		b.WriteString(" :- ")
-		for i := range c.Body {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c.Body[i].String())
+func (c Clause) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends the String rendering of c to dst.
+func (c *Clause) AppendTo(dst []byte) []byte {
+	dst = c.Head.AppendTo(dst)
+	for i := range c.Body {
+		if i == 0 {
+			dst = append(dst, " :- "...)
+		} else {
+			dst = append(dst, ", "...)
 		}
+		dst = c.Body[i].AppendTo(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Vars returns the set of variable indices used in the clause.

@@ -1,7 +1,7 @@
 package logic
 
 import (
-	"fmt"
+	"bytes"
 	"strconv"
 	"strings"
 )
@@ -209,17 +209,13 @@ func (t Term) RenameVars(ren map[int]int, next *int) Term {
 
 // String renders t in Prolog-ish syntax. Variables print as A, B, ...,
 // V26, V27, ... by index.
-func (t Term) String() string {
-	var b strings.Builder
-	t.write(&b)
-	return b.String()
-}
+func (t Term) String() string { return string(t.AppendTo(nil)) }
 
-func varName(i int) string {
+func appendVarName(dst []byte, i int) []byte {
 	if i >= 0 && i < 26 {
-		return string(rune('A' + i))
+		return append(dst, byte('A'+i))
 	}
-	return "V" + strconv.Itoa(i)
+	return strconv.AppendInt(append(dst, 'V'), int64(i), 10)
 }
 
 func needsQuote(name string) bool {
@@ -245,60 +241,61 @@ func needsQuote(name string) bool {
 	return false
 }
 
-func writeAtomName(b *strings.Builder, name string) {
-	if needsQuote(name) {
-		b.WriteByte('\'')
-		b.WriteString(strings.ReplaceAll(name, "'", "\\'"))
-		b.WriteByte('\'')
-		return
+func appendAtomName(dst []byte, name string) []byte {
+	if !needsQuote(name) {
+		return append(dst, name...)
 	}
-	b.WriteString(name)
+	dst = append(dst, '\'')
+	// ReplaceAll hands name back uncopied when it holds no quote.
+	dst = append(dst, strings.ReplaceAll(name, "'", "\\'")...)
+	return append(dst, '\'')
 }
 
 var infixOps = map[string]bool{
 	"=": true, "\\=": true, "<": true, "=<": true, ">": true, ">=": true, "is": true,
 }
 
-func (t Term) write(b *strings.Builder) {
+// AppendTo appends the String rendering of t to dst and returns the extended
+// buffer. It is the one term writer: String is AppendTo(nil).
+func (t Term) AppendTo(dst []byte) []byte {
 	switch t.Kind {
 	case Invalid:
-		b.WriteString("<invalid>")
+		dst = append(dst, "<invalid>"...)
 	case Var:
-		b.WriteString(varName(int(t.Sym)))
+		dst = appendVarName(dst, int(t.Sym))
 	case Atom:
-		writeAtomName(b, t.Sym.Name())
+		dst = appendAtomName(dst, t.Sym.Name())
 	case Int:
-		fmt.Fprintf(b, "%d", int64(t.Num))
+		dst = strconv.AppendInt(dst, int64(t.Num), 10)
 	case Float:
-		s := strconv.FormatFloat(t.Num, 'g', -1, 64)
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, t.Num, 'g', -1, 64)
 		// Keep the Float kind readable back: integral floats get a ".0".
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		if !bytes.ContainsAny(dst[start:], ".eE") {
+			dst = append(dst, ".0"...)
 		}
-		b.WriteString(s)
 	case Compound:
 		name := t.Sym.Name()
 		if len(t.Args) == 2 && infixOps[name] {
-			t.Args[0].write(b)
-			b.WriteByte(' ')
-			b.WriteString(name)
-			b.WriteByte(' ')
-			t.Args[1].write(b)
-			return
+			dst = t.Args[0].AppendTo(dst)
+			dst = append(dst, ' ')
+			dst = append(dst, name...)
+			dst = append(dst, ' ')
+			return t.Args[1].AppendTo(dst)
 		}
 		if len(t.Args) == 1 && (name == "+" || name == "-" || name == "#") {
-			b.WriteString(name)
-			t.Args[0].write(b)
-			return
+			dst = append(dst, name...)
+			return t.Args[0].AppendTo(dst)
 		}
-		writeAtomName(b, name)
-		b.WriteByte('(')
+		dst = appendAtomName(dst, name)
+		dst = append(dst, '(')
 		for i := range t.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			t.Args[i].write(b)
+			dst = t.Args[i].AppendTo(dst)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
+	return dst
 }

@@ -143,11 +143,42 @@ func TestTermString(t *testing.T) {
 		{Comp("f", A("a"), V(1)), "f(a, B)"},
 		{Comp("=<", V(0), IntTerm(3)), "A =< 3"},
 		{Comp("+", A("mol")), "+mol"},
+		{V(100), "V100"},
+		{A(""), "''"},
+		{A("it's"), `'it\'s'`},
+		{Comp("Big F", A("it's"), V(2)), `'Big F'('it\'s', C)`},
+		{IntTerm(-7), "-7"},
+		{FloatTerm(2), "2.0"},
+		{FloatTerm(-0.6), "-0.6"},
+		{FloatTerm(1e21), "1e+21"},
+		{Comp("-", V(0)), "-A"},
+		{Comp("#", A("carlen")), "#carlen"},
+		{Comp("-", V(0), V(1)), "-(A, B)"},
+		{Comp("\\=", V(0), A("b")), `A \= b`},
+		{Comp("is", V(0), Comp("+", V(1), IntTerm(1))), "A is +(B, 1)"},
+		{Comp("f", Comp("<", V(0), FloatTerm(3)), Comp("g", A("X y"))), "f(A < 3.0, g('X y'))"},
+		{Term{}, "<invalid>"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.t, got, c.want)
 		}
+	}
+}
+
+// TestAppendToExtends pins the append contract of the three writers: what is
+// already in the buffer stays, the rendering follows it.
+func TestAppendToExtends(t *testing.T) {
+	c := MustParseClause("p(X) :- \\+q(X, 'a b'), X =< 2.0.")
+	dst := []byte("goal: ")
+	dst = c.Head.AppendTo(dst)
+	dst = append(dst, " | "...)
+	dst = c.Body[0].AppendTo(dst)
+	dst = append(dst, " | "...)
+	dst = c.AppendTo(dst)
+	want := `goal: p(A) | \+q(A, 'a b') | p(A) :- \+q(A, 'a b'), A =< 2.0`
+	if string(dst) != want {
+		t.Fatalf("AppendTo chain = %q, want %q", dst, want)
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 const keepArtifacts = 8
 
 // Artifact is a snapshot compiled for serving: the indexed KB, the rule
-// strings, and a private machine pool. Artifacts are immutable once built —
-// hot-swap replaces the whole artifact pointer, and requests that already
-// hold the old one finish on it undisturbed, so every response is
-// internally consistent with exactly one snapshot version.
+// strings, the /classify response plan, and a private machine pool.
+// Artifacts are immutable once built — hot-swap replaces the whole artifact
+// pointer, and requests that already hold the old one finish on it
+// undisturbed, so every response is internally consistent with exactly one
+// snapshot version.
 type Artifact struct {
 	// ID is the registry-unique version name, "v<seq>".
 	ID string
@@ -34,11 +35,12 @@ type Artifact struct {
 
 	kb   *solve.KB
 	pool *solve.Pool
+	plan responsePlan
 }
 
 // Compile builds the serving artifact for a snapshot: index the KB once,
-// then build a pool of machines machines over it. machines ≤ 0 selects
-// GOMAXPROCS.
+// build a pool of machines machines over it, and precompute the constant
+// bytes of its /classify responses. machines ≤ 0 selects GOMAXPROCS.
 func Compile(s *Snapshot, seq uint64, machines int) *Artifact {
 	kb := s.KB()
 	a := &Artifact{
@@ -52,6 +54,7 @@ func Compile(s *Snapshot, seq uint64, machines int) *Artifact {
 	for i := range s.Theory {
 		a.Rules[i] = s.Theory[i].String()
 	}
+	a.plan = compilePlan(a)
 	return a
 }
 

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"repro/internal/logic"
 	"repro/internal/trace"
@@ -68,7 +70,9 @@ type ClassifyResult struct {
 }
 
 // ClassifyResponse stamps the results with the snapshot version that
-// produced all of them.
+// produced all of them. These types are the wire schema and what clients
+// decode into; the handler writes the identical bytes from the artifact's
+// response plan without building them.
 type ClassifyResponse struct {
 	Snapshot    string           `json:"snapshot"`
 	Epoch       int              `json:"epoch"`
@@ -84,8 +88,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	raw := req.Examples
@@ -111,37 +114,23 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	wantProof := req.Proof == nil || *req.Proof
 
-	resp := ClassifyResponse{
-		Snapshot:    art.ID,
-		Epoch:       art.Snap.Epoch,
-		Dataset:     art.Snap.Name,
-		Fingerprint: fmt.Sprintf("%016x", art.Snap.Fingerprint),
-		Results:     make([]ClassifyResult, len(examples)),
-	}
+	buf := responsePool.Get().(*responseBuf)
+	defer putResponseBuf(buf)
+	buf.body = append(buf.body[:0], art.plan.head...)
 	m := art.pool.Get()
 	defer art.pool.Put(m)
 	for i, ex := range examples {
-		res := ClassifyResult{Example: raw[i], Rules: make([]RuleAnswer, len(art.Snap.Theory))}
-		for ri := range art.Snap.Theory {
-			rule := &art.Snap.Theory[ri]
-			covered := m.CoversExample(rule, ex)
-			res.Rules[ri] = RuleAnswer{Rule: art.Rules[ri], Covered: covered}
-			if covered && !res.Covered {
-				res.Covered = true
-				if wantProof {
-					// The coverage bit is authoritative (same prover as
-					// learning); the recording prover supplies the
-					// explanation and agrees within budget.
-					if proof, ok := m.ProveExample(rule, ex); ok {
-						n := trace.NewProofNode(proof)
-						res.Proof = &n
-					}
-				}
-			}
-		}
-		resp.Results[i] = res
+		art.appendResult(buf, i, raw[i], ex, m, wantProof)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body := append(buf.body, responseTail...)
+	buf.body = body
+
+	// Content-Length and a single Write: a body over net/http's 2 kB buffer
+	// would otherwise go out chunked, in several writes.
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client is gone
 }
 
 // SnapshotInfo is one /snapshots row.
@@ -188,8 +177,7 @@ type ActivateRequest struct {
 
 func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 	var req ActivateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	a, err := s.reg.Activate(req.Snapshot)
@@ -210,6 +198,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, status)
 }
 
+// maxRequestBody bounds what a handler reads of a request body.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxRequestBody of it. On failure it answers 413 or 400 and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "bad request body: %v", err)
+	return false
+}
+
+// writeJSON answers the cold endpoints and errors; /classify responses are
+// written from the artifact's response plan instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,8 +16,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/logic"
 	"repro/internal/search"
 	"repro/internal/solve"
+	"repro/internal/trace"
 )
 
 func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Response, []byte) {
@@ -158,6 +163,18 @@ func TestClassifyErrors(t *testing.T) {
 	resp, _ = postJSON(t, ts.Client(), ts.URL+"/activate", ActivateRequest{Snapshot: "v999"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown activate: got %d, want 404", resp.StatusCode)
+	}
+	// A body over the limit is refused with the usual JSON error shape.
+	huge := strings.Repeat("x", maxRequestBody+1)
+	for path, req := range map[string]any{
+		"/classify": ClassifyRequest{Example: huge},
+		"/activate": ActivateRequest{Snapshot: huge},
+	} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+path, req)
+		var e map[string]string
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil || e["error"] == "" {
+			t.Fatalf("oversized %s: got %d %.80s, want 413 with a JSON error", path, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -333,4 +350,175 @@ func TestBenchSmoke(t *testing.T) {
 		t.Fatal("Bench accepted an empty example set")
 	}
 	t.Logf("bench smoke: %s", res)
+}
+
+// referenceBody is the encoder /classify had before response plans: build
+// the exported response structs and hand them to encoding/json, indented.
+// It survives only here, as what the served bytes are held against.
+func referenceBody(t *testing.T, art *Artifact, raw []string, wantProof bool) []byte {
+	t.Helper()
+	resp := ClassifyResponse{
+		Snapshot:    art.ID,
+		Epoch:       art.Snap.Epoch,
+		Dataset:     art.Snap.Name,
+		Fingerprint: fmt.Sprintf("%016x", art.Snap.Fingerprint),
+		Results:     make([]ClassifyResult, len(raw)),
+	}
+	m := art.pool.Get()
+	defer art.pool.Put(m)
+	for i, e := range raw {
+		ex, err := logic.ParseTerm(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := ClassifyResult{Example: e, Rules: make([]RuleAnswer, len(art.Snap.Theory))}
+		for ri := range art.Snap.Theory {
+			rule := &art.Snap.Theory[ri]
+			covered := m.CoversExample(rule, ex)
+			res.Rules[ri] = RuleAnswer{Rule: art.Rules[ri], Covered: covered}
+			if covered && !res.Covered {
+				res.Covered = true
+				if wantProof {
+					if proof, ok := m.ProveExample(rule, ex); ok {
+						n := trace.NewProofNode(proof)
+						res.Proof = &n
+					}
+				}
+			}
+		}
+		resp.Results[i] = res
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// classifyInMemory runs one /classify request through the handler on a
+// recorder and checks the framing every response must have.
+func classifyInMemory(t *testing.T, h http.Handler, req ClassifyRequest) []byte {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/classify", bytes.NewReader(b)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("classify %s: %d %s", b, rec.Code, rec.Body)
+	}
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Fatalf("Content-Length %q for a %s-byte body", got, want)
+	}
+	return rec.Body.Bytes()
+}
+
+// TestClassifyBytesMatchEncodingJSON is the differential test behind the
+// response plan: the bytes /classify serves are exactly what json.Encoder
+// with SetIndent("", "  ") writes for the exported response structs.
+func TestClassifyBytesMatchEncodingJSON(t *testing.T) {
+	type fixture struct {
+		name     string
+		snap     *Snapshot
+		examples []string
+	}
+	var fixtures []fixture
+	for _, ds := range datasets.PaperScaled(0.05, 1) {
+		fp := core.Fingerprint(ds.KB, ds.Pos, ds.Neg)
+		f := fixture{name: ds.Name, snap: NewSnapshot(ds.Name, fp, 3, ds.TrueConcept, ds.KB, ds.Budget, ds.Pos, ds.Neg)}
+		for _, e := range append(append([]logic.Term(nil), ds.Pos...), ds.Neg...) {
+			f.examples = append(f.examples, e.String())
+		}
+		fixtures = append(fixtures, f)
+	}
+	trains := []string{"eastbound(east1)", "eastbound(west8)", "eastbound( east2 )", "eastbound('a<b & \"c\" ')"}
+	empty := trainsSnapshot(t, 1, 0)
+	fixtures = append(fixtures, fixture{"empty-theory", empty, trains})
+	// A rule whose proof has a negation-as-failure node and a builtin, whose
+	// text needs the backslash and HTML escapes, under a dataset name that
+	// needs escaping too.
+	naf := trainsSnapshot(t, 2, 1)
+	naf.Name = "trains <naf>"
+	naf.Theory = []logic.Clause{logic.MustParseClause(
+		"eastbound(T) :- has_car(T, C), wheels(C, N), N < 3, \\+ open_car(C).")}
+	fixtures = append(fixtures, fixture{"naf-proof", naf, trains})
+
+	for _, f := range fixtures {
+		t.Run(f.name, func(t *testing.T) {
+			reg := NewRegistry(1)
+			art := reg.Add(f.snap, 7)
+			if _, err := reg.Activate(art.ID); err != nil {
+				t.Fatal(err)
+			}
+			h := NewServer(reg)
+			sawProof, sawNAF := false, false
+			for _, proof := range []bool{true, false} {
+				check := func(req ClassifyRequest, raw []string) {
+					req.Proof = &proof
+					got, want := classifyInMemory(t, h, req), referenceBody(t, art, raw, proof)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("proof=%v %v: served bytes differ from encoding/json.\nGot:\n%s\nWant:\n%s", proof, raw, got, want)
+					}
+					sawProof = sawProof || bytes.Contains(got, []byte(`"proof": {`))
+					sawNAF = sawNAF || bytes.Contains(got, []byte(`"kind": "naf"`))
+				}
+				for _, e := range f.examples {
+					check(ClassifyRequest{Example: e}, []string{e})
+				}
+				const chunk = 16
+				for lo := 0; lo < len(f.examples); lo += chunk {
+					raw := f.examples[lo:min(lo+chunk, len(f.examples))]
+					check(ClassifyRequest{Examples: raw}, raw)
+				}
+			}
+			if f.name != "empty-theory" && !sawProof {
+				t.Fatal("fixture never produced a proof")
+			}
+			if f.name == "naf-proof" && !sawNAF {
+				t.Fatal("fixture never produced a naf proof node")
+			}
+		})
+	}
+}
+
+// discardWriter is the cheapest http.ResponseWriter: what the handler itself
+// allocates is all that is left to count.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestClassifyAllocCeiling keeps the proof-off request path from sliding
+// back into per-rule or per-response-byte allocation: what remains is
+// request decoding, parsing the example and two response headers — 19
+// allocations, 21 under -race where sync.Pool drops items. Building and
+// reflecting over the response structs made 34 on the same request.
+func TestClassifyAllocCeiling(t *testing.T) {
+	reg := NewRegistry(1)
+	snap := trainsSnapshot(t, 1, 1)
+	for len(snap.Theory) < 32 {
+		snap.Theory = append(snap.Theory, snap.Theory[0])
+	}
+	art := reg.Add(snap, 1)
+	if _, err := reg.Activate(art.ID); err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(reg)
+	body := []byte(`{"example": "eastbound(east1)", "proof": false}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/classify", rd)
+	w := &discardWriter{h: http.Header{}}
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(body)
+		h.ServeHTTP(w, req)
+	})
+	const ceiling = 25
+	if allocs > ceiling {
+		t.Fatalf("proof-off /classify made %.0f allocations per request, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("proof-off /classify: %.0f allocs per request over %d rules", allocs, len(snap.Theory))
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -20,10 +19,10 @@ import (
 // corresponding golden update and changelog note.
 const ProofJSONVersion = 1
 
-// ProofNode is the JSON form of one proof step. Goal and Clause are
-// canonical logic syntax (the same strings the parser accepts); Kind is one
-// of "fact", "rule", "builtin", "naf". Children appear in clause-body
-// order.
+// ProofNode is the JSON schema of one proof step — what clients decode
+// into; the encoder is AppendProofJSON. Goal and Clause are canonical logic
+// syntax (the same strings the parser accepts); Kind is one of "fact",
+// "rule", "builtin", "naf". Children appear in clause-body order.
 type ProofNode struct {
 	Goal     string      `json:"goal"`
 	Neg      bool        `json:"neg,omitempty"`
@@ -44,9 +43,66 @@ func NewProofNode(p *solve.ProofStep) ProofNode {
 	return n
 }
 
-// ProofJSON renders a proof tree as its stable JSON encoding.
+// ProofJSON renders a proof tree as its stable JSON encoding. The error is
+// always nil; the signature predates the append encoder.
 func ProofJSON(p *solve.ProofStep) ([]byte, error) {
-	return json.MarshalIndent(NewProofNode(p), "", "  ")
+	return AppendProofJSON(nil, p, 0), nil
+}
+
+// AppendProofJSON appends the stable JSON encoding of p — byte for byte what
+// json.MarshalIndent(NewProofNode(p), "", "  ") produces — for an object
+// whose closing brace sits at indent level depth, so a caller can embed the
+// proof in a larger indented document. It walks the ProofStep tree directly:
+// goals and clauses are rendered into dst with no intermediate string.
+func AppendProofJSON(dst []byte, p *solve.ProofStep, depth int) []byte {
+	dst = append(dst, '{')
+	dst = appendNewline(dst, depth+1)
+	dst = append(dst, `"goal": "`...)
+	from := len(dst)
+	dst = escapeJSONTail(p.Goal.AppendTo(dst), from)
+	dst = append(dst, `",`...)
+	dst = appendNewline(dst, depth+1)
+	if p.Neg {
+		dst = append(dst, `"neg": true,`...)
+		dst = appendNewline(dst, depth+1)
+	}
+	dst = append(dst, `"kind": "`...)
+	dst = append(dst, p.Kind.String()...)
+	dst = append(dst, '"')
+	if p.Clause != nil {
+		dst = append(dst, ',')
+		dst = appendNewline(dst, depth+1)
+		dst = append(dst, `"clause": "`...)
+		from := len(dst)
+		dst = escapeJSONTail(p.Clause.AppendTo(dst), from)
+		dst = append(dst, '"')
+	}
+	if len(p.Children) > 0 {
+		dst = append(dst, ',')
+		dst = appendNewline(dst, depth+1)
+		dst = append(dst, `"children": [`...)
+		for i, c := range p.Children {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendNewline(dst, depth+2)
+			dst = AppendProofJSON(dst, c, depth+2)
+		}
+		dst = appendNewline(dst, depth+1)
+		dst = append(dst, ']')
+	}
+	dst = appendNewline(dst, depth)
+	return append(dst, '}')
+}
+
+// appendNewline starts a new line at indent level depth (two spaces each).
+func appendNewline(dst []byte, depth int) []byte {
+	const spaces = "                                "
+	dst = append(dst, '\n')
+	for n := 2 * depth; n > 0; n -= len(spaces) {
+		dst = append(dst, spaces[:min(n, len(spaces))]...)
+	}
+	return dst
 }
 
 // RenderProof writes the indented plain-text form: one line per node,

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,5 +87,22 @@ func TestProofText(t *testing.T) {
 	// subtree, two levels below the root.
 	if !strings.Contains(text, "\n    parent(ann, bob)") {
 		t.Fatalf("expected indented fact leaf:\n%s", text)
+	}
+}
+
+// TestAppendProofJSONEmbeds checks the depth parameter: a proof appended at
+// depth d inside a larger document is what json.MarshalIndent writes for the
+// schema struct with a prefix of d indents.
+func TestAppendProofJSONEmbeds(t *testing.T) {
+	proof := proofFixture(t)
+	for depth := 0; depth <= 20; depth += 5 {
+		want, err := json.MarshalIndent(NewProofNode(proof), strings.Repeat("  ", depth), "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AppendProofJSON([]byte(`"proof": `), proof, depth)
+		if string(got) != `"proof": `+string(want) {
+			t.Fatalf("depth %d:\ngot:\n%s\nwant:\n%s", depth, got, want)
+		}
 	}
 }
