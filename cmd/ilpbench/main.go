@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/harness"
 )
@@ -30,7 +29,7 @@ func main() {
 	var (
 		table    = flag.Int("table", 0, "paper table to regenerate (1-6); 0 with -all for everything")
 		all      = flag.Bool("all", false, "regenerate all tables")
-		ablation = flag.String("ablation", "", "run an ablation instead: 'width' or 'parcov'")
+		ablation = flag.String("ablation", "", "run an ablation instead: width, parcov, repartition, noise or balance")
 		scale    = flag.Float64("scale", 0.25, "dataset scale factor (1.0 = paper sizes of Table 1)")
 		folds    = flag.Int("folds", 5, "cross-validation folds (paper: 5)")
 		seed     = flag.Int64("seed", 1, "master seed")
@@ -40,9 +39,7 @@ func main() {
 		shape    = flag.Bool("shape", false, "print the qualitative shape checks after the tables")
 		chart    = flag.Bool("chart", false, "draw a text speedup-vs-processors chart after the tables")
 		coverPar = flag.Int("coverpar", 0, "shard coverage tests across N goroutines per learner (-1 = all cores, 0/1 = serial); results are identical, wall-clock drops")
-		noBatch  = flag.Bool("nobatch", false, "evaluate search candidates one Coverage call at a time instead of per-node batches (A/B baseline; results are identical)")
 		noVM     = flag.Bool("novm", false, "resolve clauses with the tree-walking interpreter instead of the compiled bytecode VM (A/B baseline; results are identical)")
-		wcodec   = flag.String("wirecodec", "wire", "protocol payload encoding for the simulated cluster: wire (compact symbol-interned frames) or gob (legacy stdlib frames); theories are identical, only the Table 4 byte columns change")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 		jsonOut  = flag.String("json", "", "also write the run's machine-readable per-dataset summary (fold means of the Table 2-6 quantities) to this file, or '-' for stdout")
@@ -80,21 +77,16 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	codec, err := cluster.ParseCodec(*wcodec)
-	if err != nil {
-		fail(err)
-	}
 	widths, err := parseWidths(*widthArg)
 	if err != nil {
 		fail(err)
 	}
 
 	dss := datasets.PaperScaled(*scale, *seed)
-	if *noBatch || *noVM {
+	if *noVM {
 		// Applied at the dataset level so the ablations inherit it too.
 		for _, ds := range dss {
-			ds.Search.NoBatchEval = ds.Search.NoBatchEval || *noBatch
-			ds.Search.NoVM = ds.Search.NoVM || *noVM
+			ds.Search.NoVM = true
 		}
 	}
 	if *only != "" {
@@ -122,7 +114,7 @@ func main() {
 		runRepartitionAblation(dss, *folds, *seed, *quiet)
 		return
 	case "noise":
-		runNoiseAblation(*scale, *folds, *seed, *noBatch, *quiet)
+		runNoiseAblation(*scale, *folds, *seed, *quiet)
 		return
 	case "balance":
 		runBalanceAblation(*scale, *folds, *seed, *quiet)
@@ -142,8 +134,6 @@ func main() {
 		Folds:            *folds,
 		Seed:             *seed,
 		CoverParallelism: *coverPar,
-		NoBatchEval:      *noBatch,
-		WireCodec:        codec,
 	}
 	progress := os.Stderr
 	if *quiet {
@@ -214,7 +204,7 @@ func runRepartitionAblation(dss []*datasets.Dataset, folds int, seed int64, quie
 	}
 }
 
-func runNoiseAblation(scale float64, folds int, seed int64, noBatch, quiet bool) {
+func runNoiseAblation(scale float64, folds int, seed int64, quiet bool) {
 	progress := os.Stderr
 	if quiet {
 		progress = nil
@@ -226,7 +216,7 @@ func runNoiseAblation(scale float64, folds int, seed int64, noBatch, quiet bool)
 		}
 		return v
 	}
-	ab, err := harness.RunNoiseAblation(n(848), n(764), 4, folds, nil, seed, noBatch, progress)
+	ab, err := harness.RunNoiseAblation(n(848), n(764), 4, folds, nil, seed, progress)
 	if err != nil {
 		fail(err)
 	}

@@ -174,9 +174,7 @@ func TestTrafficJSONGolden(t *testing.T) {
 	bin := binary(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	// The codec is pinned so an ILP_WIRECODEC=gob suite re-run does not
-	// diff gob frame sizes against the wire-codec golden.
-	out := run(t, ctx, bin, "-dataset", "trains", "-seed", "1", "-wirecodec", "wire",
+	out := run(t, ctx, bin, "-dataset", "trains", "-seed", "1",
 		"-workers", "2", "-width", "5", "-traffic", "json", "-q")
 	i := strings.Index(out, "{")
 	j := strings.LastIndex(out, "}")

@@ -19,8 +19,8 @@
 //	       -workers 127.0.0.1:7771,127.0.0.1:7772 -width 10 -v   # master
 //
 // The master ships each worker its example partition and the search
-// settings over the wire (kindLoad), so only the master's -width,
-// -strategy and -nobatch matter; -seed is part of the dataset identity
+// settings over the wire (kindLoad), so only the master's -width and
+// -strategy matter; -seed is part of the dataset identity
 // (it shapes the generated examples, and so the fingerprint) and must
 // match on every process, with the master's copy also driving the
 // partitioning; a worker's -coverpar stays local to that worker. With the
@@ -45,21 +45,11 @@ import (
 	"repro/internal/faultline"
 	"repro/internal/netcluster"
 	"repro/internal/search"
-	"repro/internal/shape"
 	srv "repro/internal/serve"
+	"repro/internal/shape"
 
 	ilp "repro"
 )
-
-// defaultCodec lets CI re-run whole test suites under the legacy codec
-// (ILP_WIRECODEC=gob) without threading a flag through every spawn, the
-// same pattern as solve's ILP_NOVM. An explicit -wirecodec still wins.
-func defaultCodec() string {
-	if v := os.Getenv("ILP_WIRECODEC"); v != "" {
-		return v
-	}
-	return "wire"
-}
 
 func main() {
 	var (
@@ -71,7 +61,6 @@ func main() {
 		width    = flag.Int("width", 10, "pipeline width W (0 = unlimited, the paper's 'nolimit')")
 		strategy = flag.String("strategy", "bfs", "search strategy: bfs (paper) or bestfirst")
 		coverPar = flag.Int("coverpar", 0, "shard coverage tests across N goroutines per learner (-1 = all cores, 0/1 = serial); with workers the pool is per worker, so total concurrency is workers*N; in -serve mode this applies to the local worker only")
-		noBatch  = flag.Bool("nobatch", false, "evaluate search candidates one Coverage call at a time instead of per-node batches (A/B baseline; results are identical)")
 		noVM     = flag.Bool("novm", false, "resolve clauses with the tree-walking interpreter instead of the compiled bytecode VM (A/B baseline; results are identical)")
 		serve    = flag.String("serve", "", "run as a TCP worker: listen on this address, join the master, receive a partition (use host:0 for an ephemeral port; the listen address and a final status line always print so orchestrators can scrape them)")
 		masterMd = flag.Bool("master", false, "run as the TCP master over the workers listed in -workers")
@@ -90,16 +79,11 @@ func main() {
 		recvTO   = flag.Duration("recvtimeout", 0, "bound every blocking protocol receive (core.Config.RecvTimeout); 0 = no deadline, rely on the transport's failure detection")
 		hbEvery  = flag.Duration("heartbeat", 0, "TCP per-link heartbeat period (netcluster HeartbeatEvery); 0 = default 500ms")
 		joinTO   = flag.Duration("jointimeout", 0, "TCP join timeout: a worker's wait for the master's welcome and the master's dial retries (netcluster JoinTimeout); 0 = default 60s")
-		wcodec   = flag.String("wirecodec", defaultCodec(), "protocol payload encoding: wire (compact symbol-interned binary, the default) or gob (the original encoding/gob framing, kept for A/B); the master's choice rules the cluster — TCP workers adopt it at join, and a build that does not speak it is refused (default also via ILP_WIRECODEC)")
 		shapeFl  = flag.String("shape", "", "throttle every TCP link in userspace (tc/netem-style, no root needed): comma-separated lat=<duration>,bw=<rate>, e.g. lat=5ms,bw=100mbit; pass the same value to every process for symmetric links. The master's shape also becomes the cluster's virtual-clock cost model, so sim-clock predictions can be checked against measured wall time")
 		verbose  = flag.Bool("v", false, "print the learned theory")
 		quiet    = flag.Bool("q", false, "suppress everything except the metrics line")
 	)
 	flag.Parse()
-	codec, err := cluster.ParseCodec(*wcodec)
-	if err != nil {
-		fail(err)
-	}
 	shp, err := shape.Parse(*shapeFl)
 	if err != nil {
 		fail(err)
@@ -122,14 +106,12 @@ func main() {
 	} else {
 		ds.Search.Strategy = st
 	}
-	ds.Search.NoBatchEval = *noBatch
 	ds.Search.NoVM = *noVM
 	if *traffic != "" && *traffic != "json" && *traffic != "text" {
 		fail(fmt.Errorf("unknown -traffic mode %q (want json or text)", *traffic))
 	}
 
 	opts := runOptions{
-		codec:         codec,
 		shape:         shp,
 		recover:       *recov,
 		recvTimeout:   *recvTO,
@@ -194,7 +176,6 @@ func main() {
 		met, err := ilp.LearnParallel(ds, workerCount, *width, ilp.ParallelOptions{
 			Seed:             *seed,
 			Cost:             shapeCostModel(shp),
-			WireCodec:        codec,
 			CoverParallelism: *coverPar,
 			Recover:          opts.recover,
 			RecvTimeout:      opts.recvTimeout,
@@ -220,7 +201,6 @@ func main() {
 // deployment modes (README "Timeouts and fault tolerance" documents the
 // defaults).
 type runOptions struct {
-	codec         cluster.Codec
 	shape         shape.Config
 	recover       bool
 	recvTimeout   time.Duration
@@ -236,8 +216,8 @@ type runOptions struct {
 	publishDir    string
 }
 
-// applyTransport stamps the codec and link-shaping options onto a
-// netcluster config. With -shape set, every conn (dialed or accepted) is
+// applyTransport stamps the link-shaping options onto a netcluster
+// config. With -shape set, every conn (dialed or accepted) is
 // wrapped in the userspace throttle, and on the master the cost model's
 // transfer terms are aligned to the shaped link — workers adopt the
 // master's model at join — so the virtual clock predicts exactly what the
@@ -245,7 +225,6 @@ type runOptions struct {
 // latency, ~unbounded bandwidth), matching the unthrottled loopback
 // underneath, rather than falling back to the Beowulf defaults.
 func applyTransport(ncfg netcluster.Config, opts runOptions) netcluster.Config {
-	ncfg.Codec = opts.codec
 	if opts.shape.Enabled() {
 		ncfg.ShapeConn = opts.shape.Wrap
 		ncfg.Model = shapeCostModel(opts.shape)

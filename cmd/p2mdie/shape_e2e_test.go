@@ -1,0 +1,64 @@
+package main
+
+import (
+	"context"
+	"os/exec"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestShapedLinkMatchesLoopback runs master + 2 workers through the
+// userspace link shaper (every process wrapped, symmetric links) and
+// requires the same theory as raw loopback: shaping stretches time, not
+// semantics.
+func TestShapedLinkMatchesLoopback(t *testing.T) {
+	bin := binary(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
+	defer cancel()
+	dsArgs := []string{"-dataset", "trains", "-seed", "1"}
+	shapeArg := []string{"-shape", "lat=1ms,bw=200mbit"}
+
+	w1 := startWorker(t, ctx, bin, dsArgs)
+	w2 := startWorker(t, ctx, bin, dsArgs)
+	plainOut := run(t, ctx, bin, append(append([]string{}, dsArgs...),
+		"-master", "-workers", w1.addr+","+w2.addr, "-width", "5", "-v", "-q")...)
+	w1.cmd.Wait()
+	w2.cmd.Wait()
+
+	s1 := startWorker(t, ctx, bin, append(append([]string{}, dsArgs...), shapeArg...))
+	s2 := startWorker(t, ctx, bin, append(append([]string{}, dsArgs...), shapeArg...))
+	shapedOut := run(t, ctx, bin, append(append(append([]string{}, dsArgs...), shapeArg...),
+		"-master", "-workers", s1.addr+","+s2.addr, "-width", "5", "-v", "-q")...)
+	if err := s1.cmd.Wait(); err != nil {
+		t.Fatalf("shaped worker 1: %v\n%s", err, s1.out.String())
+	}
+	if err := s2.cmd.Wait(); err != nil {
+		t.Fatalf("shaped worker 2: %v\n%s", err, s2.out.String())
+	}
+
+	if a, b := theorySection(t, plainOut), theorySection(t, shapedOut); a != b {
+		t.Fatalf("shaped link changed the theory:\n--- loopback ---\n%s--- shaped ---\n%s", a, b)
+	}
+	if a, b := shapeRe.FindString(plainOut), shapeRe.FindString(shapedOut); a == "" || a != b {
+		t.Fatalf("run shapes differ: loopback %q vs shaped %q", a, b)
+	}
+}
+
+// runErr runs the binary expecting a non-zero exit, returning combined
+// output and the exec error.
+func runErr(ctx context.Context, bin string, args ...string) (string, error) {
+	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+	return string(out), err
+}
+
+// TestShapeFlagRejectsJunk pins the CLI contract.
+func TestShapeFlagRejectsJunk(t *testing.T) {
+	bin := binary(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := runErr(ctx, bin, "-dataset", "trains", "-shape", "lat=fast", "-q")
+	if err == nil || !strings.Contains(out, "shape") {
+		t.Fatalf("bad -shape accepted: err=%v out=%s", err, out)
+	}
+}

@@ -204,12 +204,6 @@ type ParallelOptions struct {
 	// every epoch boundary and after the final epoch, for cmd/ilpserve to
 	// pick up with -watch. Wire traffic is unchanged.
 	PublishDir string
-	// WireCodec selects the payload encoding protocol messages travel in:
-	// the zero value is the compact symbol-interned wire codec,
-	// cluster.CodecGob the legacy gob framing (-wirecodec gob). Theories
-	// are byte-identical across codecs; bytes and virtual transfer times
-	// differ.
-	WireCodec cluster.Codec
 }
 
 // LearnParallel runs p²-mdie (the paper's pipelined data-parallel
@@ -245,7 +239,6 @@ func LearnParallel(ds *Dataset, workers, width int, opts ...ParallelOptions) (*P
 		RecvTimeout:          o.RecvTimeout,
 		CheckpointDir:        o.CheckpointDir,
 		Publish:              publish,
-		WireCodec:            o.WireCodec,
 	})
 }
 
@@ -260,13 +253,12 @@ func LearnParallelCoverage(ds *Dataset, workers int, opts ...ParallelOptions) (*
 		o.Seed = 1
 	}
 	return parcov.Learn(ds.KB, ds.Pos, ds.Neg, ds.Modes, parcov.Config{
-		Workers:   workers,
-		Seed:      o.Seed,
-		Search:    ds.Search,
-		Bottom:    ds.Bottom,
-		Budget:    ds.Budget,
-		Cost:      o.Cost,
-		WireCodec: o.WireCodec,
+		Workers: workers,
+		Seed:    o.Seed,
+		Search:  ds.Search,
+		Bottom:  ds.Bottom,
+		Budget:  ds.Budget,
+		Cost:    o.Cost,
 	})
 }
 

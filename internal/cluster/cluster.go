@@ -5,10 +5,10 @@
 //
 // Two things make the simulation quantitative rather than just structural:
 //
-//   - every payload is serialised (compact wire codec by default, gob
-//     behind -wirecodec gob), so per-message and per-link byte counts
-//     are real (Table 4 reproduces from these), and the receiver
-//     decodes its own deep copy, giving MPI-like value isolation;
+//   - every payload is serialised (the compact codec of internal/wire),
+//     so per-message and per-link byte counts are real (Table 4
+//     reproduces from these), and the receiver decodes its own deep
+//     copy, giving MPI-like value isolation;
 //
 //   - each node carries a virtual clock in the spirit of Lamport: Compute
 //     advances it by measured work (SLD inferences × a calibrated cost),
@@ -20,9 +20,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sync"
@@ -90,11 +88,8 @@ type Message struct {
 	From, To int
 	// Kind is an application-level tag used for dispatch.
 	Kind int
-	// Payload is the encoded body; Codec says which encoding.
+	// Payload is the encoded body (EncodePayload).
 	Payload []byte
-	// Codec is the encoding the payload was produced with. The transport
-	// that delivered the message stamps it, so Decode needs no guessing.
-	Codec Codec
 	// SendTime is the sender's virtual clock when the send happened.
 	SendTime VTime
 	// Arrive is the virtual arrival time at the receiver.
@@ -103,10 +98,9 @@ type Message struct {
 	Seq int64
 }
 
-// Decode unmarshals the payload into v (a pointer) using the codec the
-// message was delivered under.
+// Decode unmarshals the payload into v (a pointer).
 func (m *Message) Decode(v any) error {
-	return DecodePayload(m.Codec, m.Payload, v)
+	return DecodePayload(m.Payload, v)
 }
 
 // mailbox is an unbounded FIFO queue: sends never block (the paper's
@@ -182,10 +176,6 @@ func (mb *mailbox) close() {
 // cluster; it never shrinks — Kill marks nodes dead but keeps their ids.
 type Network struct {
 	model CostModel
-	// codec is the payload encoding every node on this network sends
-	// with. Set once via SetCodec before any node runs; read without
-	// synchronisation on the send path.
-	codec Codec
 	seq   atomic.Int64
 
 	// mu guards the growth state (nodes, per-link counter slices): Spawn
@@ -235,14 +225,6 @@ func (nw *Network) Node(i int) *Node {
 
 // Model returns the cost model in use.
 func (nw *Network) Model() CostModel { return nw.model }
-
-// SetCodec selects the payload encoding (default CodecWire). It must be
-// called before any node sends — the field is read unsynchronised on
-// the delivery hot path.
-func (nw *Network) SetCodec(c Codec) { nw.codec = c }
-
-// Codec returns the payload encoding in use.
-func (nw *Network) Codec() Codec { return nw.codec }
 
 // Spawn adds one fresh node to a running network — the simulated analogue
 // of a machine joining the cluster mid-run. The node starts with a zero
@@ -521,8 +503,7 @@ func (n *Node) ComputeDuration(d time.Duration) {
 	}
 }
 
-// Send encodes v under the network's codec and delivers it to node `to`
-// without blocking.
+// Send encodes v and delivers it to node `to` without blocking.
 // The sender is charged no compute time (sends are asynchronous); the
 // receiver cannot observe the message before its arrival time. A
 // failure-notifying sender (NotifyFailures) gets ErrPeerDown for a
@@ -534,7 +515,7 @@ func (n *Node) Send(to int, kind int, v any) error {
 	if n.notify.Load() && n.nw.isDead(to) {
 		return fmt.Errorf("cluster: send from %d to %d kind %d: %w", n.id, to, kind, ErrPeerDown)
 	}
-	payload, err := EncodePayload(n.nw.codec, v)
+	payload, err := EncodePayload(v)
 	if err != nil {
 		return fmt.Errorf("cluster: send from %d to %d kind %d: %w", n.id, to, kind, err)
 	}
@@ -546,7 +527,7 @@ func (n *Node) Send(to int, kind int, v any) error {
 // Send, a failure-notifying sender gets ErrPeerDown on the first dead
 // target (the live targets before it are delivered).
 func (n *Node) Broadcast(targets []int, kind int, v any) error {
-	payload, err := EncodePayload(n.nw.codec, v)
+	payload, err := EncodePayload(v)
 	if err != nil {
 		return fmt.Errorf("cluster: broadcast from %d kind %d: %w", n.id, kind, err)
 	}
@@ -575,7 +556,6 @@ func (n *Node) deliver(to int, kind int, payload []byte) {
 		To:       to,
 		Kind:     kind,
 		Payload:  payload,
-		Codec:    nw.codec,
 		SendTime: sendTime,
 		Arrive:   sendTime + nw.model.transferTime(len(payload)),
 		Seq:      seq,
@@ -616,19 +596,4 @@ func (n *Node) ReceiveCtx(ctx context.Context) (Message, error) {
 	n.advanceTo(msg.Arrive)
 	n.nw.emit(Event{Type: EvReceive, Node: n.id, Peer: msg.From, Kind: msg.Kind, Bytes: len(msg.Payload), Clock: n.Clock(), Seq: msg.Seq})
 	return msg, nil
-}
-
-// Encode gob-encodes a message payload exactly as Send does. netcluster
-// uses it so wire payloads — and therefore the per-link byte accounting —
-// are byte-identical to the simulation's for identical protocol messages.
-func Encode(v any) ([]byte, error) {
-	return encode(v)
-}
-
-func encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -13,9 +13,7 @@ type ping struct {
 	Text string
 }
 
-// ping speaks both codecs, like every real protocol message, so the
-// transport tests run under the default wire codec. Tests shipping bare
-// strings or ints (which have no wire encoding) pin CodecGob instead.
+// ping has a wire encoding, like every real protocol message.
 func (p ping) AppendWire(w *wire.Writer) {
 	w.Int(p.N)
 	w.String(p.Text)
@@ -320,7 +318,6 @@ func TestRingTokenStress(t *testing.T) {
 // and nodes that did not opt in hear nothing.
 func TestSpawnDeliversPeerUpAndGrowsAccounting(t *testing.T) {
 	nw := NewNetwork(2, CostModel{})
-	nw.SetCodec(CodecGob)           // bare string payloads below have no wire encoding
 	nw.Node(0).NotifyFailures(true) // the master opts in; node 1 does not
 
 	joiner := nw.Spawn()
@@ -332,13 +329,13 @@ func TestSpawnDeliversPeerUpAndGrowsAccounting(t *testing.T) {
 		t.Fatalf("master got %+v, want KindPeerUp from 2", msg)
 	}
 	// Traffic to and from the joiner is accounted like any other link.
-	if err := nw.Node(0).Send(2, 7, "welcome"); err != nil {
+	if err := nw.Node(0).Send(2, 7, ping{Text: "welcome"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := joiner.Receive(); !ok {
 		t.Fatal("joiner did not receive")
 	}
-	if err := joiner.Send(0, 8, "ack"); err != nil {
+	if err := joiner.Send(0, 8, ping{Text: "ack"}); err != nil {
 		t.Fatal(err)
 	}
 	tr := nw.Traffic()
@@ -346,7 +343,7 @@ func TestSpawnDeliversPeerUpAndGrowsAccounting(t *testing.T) {
 		t.Fatalf("joiner links not accounted: %v", tr.Links())
 	}
 	// Node 1 never opted in: its mailbox holds no membership event.
-	if err := nw.Node(0).Send(1, 9, "x"); err != nil {
+	if err := nw.Node(0).Send(1, 9, ping{Text: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, ok := nw.Node(1).Receive(); !ok || msg.Kind != 9 {

@@ -1,87 +1,33 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/wire"
 )
 
-// Codec selects the encoding protocol payloads travel in — on the
-// simulated transport and on TCP alike, so the per-link byte accounting
-// (and therefore the virtual-clock cost model) measures the same frames
-// both ways.
-type Codec uint8
-
-const (
-	// CodecWire is the compact symbol-interned binary codec
-	// (internal/wire): varint integers, interned symbol indices, flate
-	// compression over bulk shipments. The zero value, and the default.
-	CodecWire Codec = iota
-	// CodecGob is the original encoding/gob framing, retained for A/B
-	// comparison behind -wirecodec gob.
-	CodecGob
-)
-
-// String returns the flag spelling of the codec.
-func (c Codec) String() string {
-	switch c {
-	case CodecWire:
-		return "wire"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
+// EncodePayload encodes v exactly as Send does: the compact
+// symbol-interned encoding of internal/wire (varint integers, interned
+// symbol indices, flate over bulk shipments). Both transports call it,
+// so identical protocol messages produce identical payload bytes — and
+// therefore identical per-link byte accounting and virtual-clock
+// charges — regardless of how they travel.
+func EncodePayload(v any) ([]byte, error) {
+	m, ok := v.(wire.Marshaler)
+	if !ok {
+		return nil, fmt.Errorf("cluster: %T has no wire encoding (does not implement wire.Marshaler)", v)
 	}
+	return wire.Seal(m), nil
 }
 
-// ParseCodec parses a -wirecodec flag value. The empty string means the
-// default (wire).
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "wire":
-		return CodecWire, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown wire codec %q (want \"wire\" or \"gob\")", s)
+// DecodePayload decodes a payload produced by EncodePayload into v (a
+// pointer).
+func DecodePayload(payload []byte, v any) error {
+	u, ok := v.(wire.Unmarshaler)
+	if !ok {
+		return fmt.Errorf("cluster: %T has no wire decoding (does not implement wire.Unmarshaler)", v)
 	}
-}
-
-// EncodePayload encodes v under codec c, exactly as Send does. Both
-// transports call it, so identical protocol messages produce identical
-// payload bytes regardless of how they travel.
-func EncodePayload(c Codec, v any) ([]byte, error) {
-	switch c {
-	case CodecGob:
-		return encode(v)
-	case CodecWire:
-		m, ok := v.(wire.Marshaler)
-		if !ok {
-			return nil, fmt.Errorf("cluster: %T has no wire encoding (does not implement wire.Marshaler)", v)
-		}
-		return wire.Seal(m), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown codec %d", uint8(c))
-	}
-}
-
-// DecodePayload decodes a payload produced by EncodePayload(c, ...)
-// into v (a pointer).
-func DecodePayload(c Codec, payload []byte, v any) error {
-	switch c {
-	case CodecGob:
-		return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
-	case CodecWire:
-		u, ok := v.(wire.Unmarshaler)
-		if !ok {
-			return fmt.Errorf("cluster: %T has no wire decoding (does not implement wire.Unmarshaler)", v)
-		}
-		return wire.Unseal(payload, u)
-	default:
-		return fmt.Errorf("cluster: unknown codec %d", uint8(c))
-	}
+	return wire.Unseal(payload, u)
 }
 
 // AppendWire encodes the traffic table: node count, then the flattened

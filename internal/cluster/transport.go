@@ -48,7 +48,7 @@ type Transport interface {
 	ID() int
 	// Size is the total number of nodes, p+1.
 	Size() int
-	// Send gob-encodes v and delivers it to node to without blocking.
+	// Send encodes v (EncodePayload) and delivers it to node to without blocking.
 	Send(to int, kind int, v any) error
 	// Broadcast sends v to every node in targets (encoded once).
 	Broadcast(targets []int, kind int, v any) error
@@ -116,7 +116,7 @@ type Link struct {
 }
 
 // Traffic is a per-link snapshot of protocol traffic over an n-node
-// cluster. Counts cover protocol payload bytes only (the gob-encoded
+// cluster. Counts cover protocol payload bytes only (the encoded
 // message bodies), exactly as the simulated Network counts them; transport
 // framing and heartbeats are excluded so both transports report through
 // the same accounting.

@@ -12,8 +12,7 @@ import (
 
 func TestReceiveCtxDeliversAndAdvancesClock(t *testing.T) {
 	nw := NewNetwork(2, CostModel{})
-	nw.SetCodec(CodecGob) // bare string payloads have no wire encoding
-	if err := nw.Node(0).Send(1, 3, "hello"); err != nil {
+	if err := nw.Node(0).Send(1, 3, ping{Text: "hello"}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := nw.Node(1).ReceiveCtx(context.Background())
@@ -59,8 +58,7 @@ func TestReceiveCtxShutdown(t *testing.T) {
 
 func TestReceiveCtxPrefersQueuedMessageOverExpiredContext(t *testing.T) {
 	nw := NewNetwork(2, CostModel{})
-	nw.SetCodec(CodecGob) // bare int payloads have no wire encoding
-	if err := nw.Node(0).Send(1, 1, 42); err != nil {
+	if err := nw.Node(0).Send(1, 1, ping{N: 42}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -69,18 +67,17 @@ func TestReceiveCtxPrefersQueuedMessageOverExpiredContext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queued message lost to expired context: %v", err)
 	}
-	var v int
-	if err := msg.Decode(&v); err != nil || v != 42 {
-		t.Fatalf("decode: %v %d", err, v)
+	var v ping
+	if err := msg.Decode(&v); err != nil || v.N != 42 {
+		t.Fatalf("decode: %v %+v", err, v)
 	}
 }
 
 func TestTrafficTable(t *testing.T) {
 	nw := NewNetwork(3, CostModel{})
-	nw.SetCodec(CodecGob) // bare string payloads have no wire encoding
-	nw.Node(0).Send(1, 0, "x")
-	nw.Node(0).Send(1, 0, "x")
-	nw.Node(1).Send(2, 0, "longer payload")
+	nw.Node(0).Send(1, 0, ping{Text: "x"})
+	nw.Node(0).Send(1, 0, ping{Text: "x"})
+	nw.Node(1).Send(2, 0, ping{Text: "longer payload"})
 	tr := nw.Traffic()
 	if tr.LinkMsgs(0, 1) != 2 || tr.LinkMsgs(1, 2) != 1 || tr.LinkMsgs(2, 0) != 0 {
 		t.Fatalf("per-link msgs wrong: %v", tr.Links())

@@ -4,39 +4,56 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/logic"
+	"repro/internal/search"
 )
 
-// TestP2BatchedMatchesUnbatched pins batching as a pure performance change
+// perRule turns both of the evaluator's batch entry points back into
+// per-rule loops: search.FullCoverer declares no CoverageBatch, so
+// search.CoverageBatchOf calls Coverage once per candidate, and the
+// evaluate_rules bag is scored one CoverageFull at a time.
+type perRule struct{ search.FullCoverer }
+
+func (p perRule) CoverageFullBatch(rules []*logic.Clause) []search.CoverResult {
+	out := make([]search.CoverResult, len(rules))
+	for i, r := range rules {
+		out[i].Pos, out[i].Neg = p.CoverageFull(r)
+	}
+	return out
+}
+
+// TestP2BatchedMatchesUnbatched pins batching as a pure performance choice
 // in the full pipelined algorithm: per-node frontier batches in the stage
 // searches plus whole-bag batches in evaluate_rules must leave every
 // simulated observable — theory, epochs, virtual time, communication,
-// generated-rule and inference totals — bit-for-bit identical, with the
-// evaluator serial or pooled.
+// generated-rule and inference totals — bit-for-bit identical to the
+// perRule run, with the evaluator serial or pooled.
 func TestP2BatchedMatchesUnbatched(t *testing.T) {
 	ds := datasets.CarcinogenesisSized(24, 20, 1)
-	run := func(noBatch bool, parallelism int) *Metrics {
+	run := func(unbatched bool, parallelism int) *Metrics {
 		cfg := Config{
 			Workers: 4, Width: 10, Seed: 1,
 			Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
 			CoverParallelism: parallelism,
 		}
-		cfg.Search.NoBatchEval = noBatch
+		if unbatched {
+			cfg.wrapCoverer = func(ev search.FullCoverer) search.FullCoverer { return perRule{ev} }
+		}
 		met, err := Learn(ds.KB, ds.Pos, ds.Neg, ds.Modes, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return met
 	}
-	want := run(true, 0) // the pre-batch reference path
+	want := run(true, 0) // the per-candidate reference
 	for _, c := range []struct {
 		name        string
-		noBatch     bool
 		parallelism int
 	}{
-		{"batched-serial", false, 0},
-		{"batched-pool", false, 2},
+		{"batched-serial", 0},
+		{"batched-pool", 2},
 	} {
-		got := run(c.noBatch, c.parallelism)
+		got := run(false, c.parallelism)
 		if len(got.Theory) != len(want.Theory) {
 			t.Fatalf("%s: theory size %d, want %d", c.name, len(got.Theory), len(want.Theory))
 		}

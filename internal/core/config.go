@@ -117,12 +117,6 @@ type Config struct {
 	// machine with few cores keep the product near GOMAXPROCS or
 	// oversubscription eats the gain.
 	CoverParallelism int
-	// WireCodec selects the payload encoding for protocol messages (the
-	// zero value is the compact wire codec; cluster.CodecGob keeps the
-	// legacy gob framing for A/B). Learned theories are byte-identical
-	// either way — only frame sizes, and therefore the byte accounting
-	// and the virtual transfer times, change.
-	WireCodec cluster.Codec
 	// Trace, when set, observes every simulated cluster event.
 	Trace func(cluster.Event)
 	// Publish, when set, is called by the master at every completed-epoch
@@ -134,6 +128,10 @@ type Config struct {
 	// live. Publishing is master-local and never touches the wire: runs
 	// are byte-identical with it on or off. An error aborts the run.
 	Publish func(epochsDone int, theory []logic.Clause) error
+	// wrapCoverer, set only by in-package tests, interposes on the coverage
+	// evaluator — the batch ≡ per-rule tests hide its batch methods to get
+	// the per-rule reference run.
+	wrapCoverer func(search.FullCoverer) search.FullCoverer
 }
 
 func (c Config) withDefaults() Config {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
 // The master's event-dispatch loop (nextReply) is the heart of the
@@ -14,6 +15,13 @@ import (
 // simulated network where the test plays the workers, covering the error
 // paths — kind mismatch, stale-epoch drops, truncated/garbled payloads,
 // duplicates, future epochs and membership events.
+
+// junk is a payload with a wire envelope but no protocol shape: its bytes
+// are written verbatim, so decoding it as any message struct fails the way
+// a truncated or corrupt frame does. junk{0x80} is a varint cut mid-value.
+type junk []byte
+
+func (j junk) AppendWire(w *wire.Writer) { w.B = append(w.B, j...) }
 
 // dispatchRig is a master mid-epoch over p fake workers driven by the test.
 type dispatchRig struct {
@@ -92,20 +100,14 @@ func TestDispatchErrorPaths(t *testing.T) {
 		{
 			name: "truncated stream",
 			inject: func(t *testing.T, r *dispatchRig) {
-				// A payload that is not a protocol struct at all: the decode
-				// fails exactly as it would on a truncated/corrupt frame.
-				// Injected under the gob codec — bare strings have no wire
-				// encoding, and a mis-typed gob payload garbles the same way.
-				r.nw.SetCodec(cluster.CodecGob)
-				r.sendAs(t, 1, kindRules, "not a rules message")
+				r.sendAs(t, 1, kindRules, junk{0x80})
 			},
 			wantErr: "truncated or garbled",
 		},
 		{
 			name: "garbled foreign kind",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.nw.SetCodec(cluster.CodecGob)
-				r.sendAs(t, 1, kindAdopted, 12345)
+				r.sendAs(t, 1, kindAdopted, junk{0x80})
 			},
 			wantErr: "garbled",
 		},

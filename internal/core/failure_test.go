@@ -16,8 +16,7 @@ func TestWorkerRejectsUnknownMessageKind(t *testing.T) {
 	kb, pos, neg, ms := makeTask(t)
 	nw := cluster.NewNetwork(2, cluster.CostModel{})
 	w := newWorker(1, 1, nw.Node(1), kb, search.NewExamples(pos[:4], neg[:4]), ms, Config{Workers: 1}.withDefaults())
-	nw.SetCodec(cluster.CodecGob) // bare struct{} payloads have no wire encoding
-	if err := nw.Node(0).Send(1, 999, struct{}{}); err != nil {
+	if err := nw.Node(0).Send(1, 999, junk{}); err != nil {
 		t.Fatal(err)
 	}
 	err := w.run()
@@ -30,10 +29,8 @@ func TestWorkerRejectsMalformedPayload(t *testing.T) {
 	kb, pos, neg, ms := makeTask(t)
 	nw := cluster.NewNetwork(2, cluster.CostModel{})
 	w := newWorker(1, 1, nw.Node(1), kb, search.NewExamples(pos[:4], neg[:4]), ms, Config{Workers: 1}.withDefaults())
-	// A stage message whose payload is a completely different shape,
-	// injected under the gob codec (bare strings have no wire encoding).
-	nw.SetCodec(cluster.CodecGob)
-	if err := nw.Node(0).Send(1, kindStage, "not a stage message"); err != nil {
+	// A stage message whose payload is not a stage message at all.
+	if err := nw.Node(0).Send(1, kindStage, junk("not a stage message")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.run(); err == nil {

@@ -76,11 +76,10 @@ type master struct {
 	// logical message; broadcast copies share it).
 	seq int64
 	// gen is this master's generation (DESIGN.md §9): zero for a fresh
-	// master (gob then omits the Gen field everywhere — the wire bytes of
-	// an ordinary run are unchanged), checkpointed generation + 1 for a
-	// crash-restarted one. Stamped on every outbound frame; workers fence
-	// off frames below their observed generation, and a master that
-	// learns of a higher generation fails with ErrSuperseded.
+	// master, checkpointed generation + 1 for a crash-restarted one.
+	// Stamped on every outbound frame; workers fence off frames below
+	// their observed generation, and a master that learns of a higher
+	// generation fails with ErrSuperseded.
 	gen int
 
 	// assignedPos/assignedNeg track, per worker id (1-indexed), the
@@ -1256,7 +1255,6 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 	posParts, negParts := splitExamples(pos, neg, p, cfg.Seed)
 
 	nw := cluster.NewNetwork(p+1, cfg.Cost)
-	nw.SetCodec(cfg.WireCodec)
 	if cfg.Trace != nil {
 		nw.SetTrace(cfg.Trace)
 	}

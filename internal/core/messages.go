@@ -11,10 +11,9 @@ import (
 )
 
 // Message kinds of the p²-mdie protocol. Master is node 0; workers are
-// nodes 1..p. All payloads are encoded by the cluster substrate under the
-// codec in force — the compact wire codec by default, gob behind
-// -wirecodec gob (wiremsg.go holds the wire encoders) — so message sizes
-// in the traffic accounting reflect real serialised content.
+// nodes 1..p. All payloads are encoded by the cluster substrate with the
+// compact wire codec (wiremsg.go holds the encoders), so message sizes in
+// the traffic accounting reflect real serialised content.
 //
 // Since the event-driven master (see DESIGN.md §6), every protocol message
 // after the initial load carries an Epoch tag — the master's re-issue
@@ -152,8 +151,8 @@ type loadMsg struct {
 // message, together with every setting that affects search semantics —
 // a worker whose knobs diverged from the master's would silently learn a
 // different theory. Local-only knobs (CoverParallelism, cost model) stay
-// with the worker. Gob decodes a loadMsg payload into this struct too
-// (fields match by name), but the simulation never takes that path.
+// with the worker. A loadMsg payload is just this struct's leading Round
+// varint, so it does not decode as one (TestSimLoadMsgDecodesAsLoadData).
 type loadDataMsg struct {
 	Round   int
 	HasData bool
@@ -161,9 +160,8 @@ type loadDataMsg struct {
 	Neg     []logic.Term
 
 	// Gen is the master generation (see kindFenced): zero for a master
-	// that never crash-restarted — and gob omits zero, so the wire bytes
-	// of an ordinary run are unchanged by the fencing layer. Every
-	// post-load message struct carries the same field.
+	// that never crash-restarted. Every post-load message struct carries
+	// the same field.
 	Gen int
 
 	Width          int
@@ -183,8 +181,7 @@ type loadDataMsg struct {
 	// Checkpoint mirrors whether the master writes durable checkpoints:
 	// workers keep in-memory epoch-boundary snapshots (for crash-restart
 	// rollback, kindReassign.RollbackBelow) exactly when there are
-	// checkpoints they could be rolled back to. False is omitted by gob,
-	// keeping checkpoint-off wire bytes unchanged.
+	// checkpoints they could be rolled back to.
 	Checkpoint bool
 	// OrphanTimeout mirrors the master's Config.OrphanTimeout: non-zero
 	// switches workers to the orphan regime on master death (hold state,
@@ -314,8 +311,8 @@ type gatherMsg struct {
 // Config.Balance the worker also reports its cumulative work totals —
 // Inferences over BusyNs is its measured throughput (compute speed net of
 // idle waiting), which sched.Balancer turns into proportional shares. The
-// fields stay zero when balance is off, so gob omits them and the wire
-// bytes of a repartition-only run are unchanged.
+// fields stay zero when balance is off, so the wire bytes of a
+// repartition-only run are unchanged.
 type gatheredMsg struct {
 	Epoch  int
 	Seq    int64
@@ -379,9 +376,8 @@ type reassignMsg struct {
 	// shares. Sent by a resumed master whose checkpoint predates work the
 	// surviving workers already did; each worker rolls back at most once
 	// per resume (re-issued barriers merge on top of the restored state,
-	// matching the master's assignment bookkeeping). Zero — the value in
-	// every failure-free and plain-recovery run — is omitted by gob, so
-	// checkpoint-off wire bytes are unchanged.
+	// matching the master's assignment bookkeeping). Zero in every
+	// failure-free and plain-recovery run.
 	RollbackBelow int
 }
 
@@ -510,9 +506,8 @@ func (m *fencedMsg) gen() int      { return m.Gen }
 // epochOnly decodes just the Epoch tag of a payload — used by the
 // dispatch loop to distinguish a stale out-of-phase message (dropped) from
 // a same-epoch protocol violation (fatal) without paying for a full
-// decode. Gob matches fields by name and ignores the rest, so this works
-// against every tagged payload; untagged payloads (loadMsg) decode as
-// epoch 0, which is never current once the protocol is running.
+// decode. Every worker→master reply leads with its Epoch varint, so
+// reading that and discarding the rest works against all of them.
 type epochOnly struct {
 	Epoch int
 }

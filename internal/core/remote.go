@@ -25,7 +25,7 @@ func receiveWithTimeout(t cluster.Transport, timeout time.Duration) (cluster.Mes
 }
 
 // Fingerprint summarises the loaded task for the netcluster join
-// handshake. Gob payloads reference interned symbol indices, so master and
+// handshake. Payloads reference interned symbol indices, so master and
 // workers must have built identical symbol tables — which they do exactly
 // when they loaded the same dataset the same way. The fingerprint hashes
 // the symbol table in intern order plus the examples and the background

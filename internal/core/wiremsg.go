@@ -35,7 +35,7 @@ func appendSettings(w *wire.Writer, s search.Settings) {
 	w.Byte(byte(s.Strategy))
 	w.F64(s.MEstimateM)
 	w.F64(s.PosPrior)
-	w.Bool(s.NoBatchEval)
+	w.Bool(false) // reserved (held the deleted per-candidate-evaluation setting): bench/golden.json pins kindLoad's bytes
 	w.Bool(s.NoVM)
 }
 
@@ -50,7 +50,7 @@ func readSettings(r *wire.Reader) search.Settings {
 	s.Strategy = search.Strategy(r.Byte())
 	s.MEstimateM = r.F64()
 	s.PosPrior = r.F64()
-	s.NoBatchEval = r.Bool()
+	r.Bool() // reserved, see appendSettings
 	s.NoVM = r.Bool()
 	return s
 }
@@ -511,8 +511,8 @@ func (m *fencedMsg) DecodeWire(r *wire.Reader) {
 }
 
 // epochOnly reads just the leading Epoch varint every worker→master
-// reply starts with, then discards the rest — the wire analogue of
-// gob's name-matching partial decode the epoch fence relies on.
+// reply starts with, then discards the rest — the partial decode the
+// epoch fence relies on.
 func (m *epochOnly) DecodeWire(r *wire.Reader) {
 	m.Epoch = r.Int()
 	r.DiscardRest()

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +17,106 @@ import (
 	"repro/internal/search"
 	"repro/internal/solve"
 )
+
+// testPayloads builds one representative payload per message kind, keyed
+// by the kind that carries it, so adding a kind without extending this
+// table fails the kind-count check in the round-trip test. The round-trip,
+// robustness, fuzz and golden-frame tests and the per-kind encode/decode
+// benchmarks share it.
+func testPayloads() map[int]any {
+	mustTerm := logic.MustParseTerm
+	rule := logic.Clause{
+		Head: mustTerm("active(X)"),
+		Body: []logic.Literal{
+			logic.Lit(mustTerm("atm(X, Y, oxygen)")),
+			logic.NegLit(mustTerm("charged(Y)")),
+		},
+	}
+	bot := bottom.Bottom{
+		Example:  mustTerm("active(m1)"),
+		Head:     mustTerm("active(A)"),
+		Lits:     []logic.Literal{logic.Lit(mustTerm("atm(A, B, oxygen)"))},
+		Info:     []bottom.LitInfo{{InVars: []int32{0}, OutVars: []int32{1}, Depth: 1}},
+		HeadVars: []int32{0},
+		NumVars:  2,
+	}
+	return map[int]any{
+		kindLoad: loadDataMsg{
+			Round:   1,
+			HasData: true,
+			Pos:     []logic.Term{mustTerm("active(m1)"), mustTerm("active(m2)")},
+			Neg:     []logic.Term{mustTerm("active(m3)")},
+			Width:   10,
+			Search:  search.Settings{MaxClauseLen: 3, NodesLimit: 500, MinPos: 1, MinPrec: 0.7, W: 10, MEstimateM: 2, PosPrior: 0.5}.WithDefaults(),
+			Bottom:  bottom.Options{VarDepth: 2, MaxLiterals: 64, MaxRecall: 32},
+			Budget:  solve.Budget{MaxDepth: 32, MaxInferences: 1 << 16},
+
+			Checkpoint:    true,
+			OrphanTimeout: 30 * time.Second,
+		},
+		kindStartPipeline: startMsg{Gen: 1, Width: 10},
+		kindStage: stageMsg{
+			Origin: 2,
+			Step:   3,
+			Bottom: bot,
+			Seeds:  []wireRule{{Indices: []int32{0}}, {Indices: []int32{0, 0}}},
+		},
+		kindRules:       rulesMsg{Origin: 1, Rules: []logic.Clause{rule}},
+		kindEvaluate:    evaluateMsg{Rules: []logic.Clause{rule}},
+		kindEvalResult:  evalResultMsg{Worker: 2, Pos: []int32{3, 0}, Neg: []int32{1, 2}},
+		kindMarkCovered: markCoveredMsg{Rule: rule},
+		kindAdopt:       adoptMsg{},
+		kindAdopted:     adoptedMsg{Worker: 1, Ok: true, Example: mustTerm("active(m9)")},
+		kindStop:        stopMsg{Gen: 1},
+		kindGather:      gatherMsg{},
+		kindGathered:    gatheredMsg{Worker: 2, Pos: []logic.Term{mustTerm("active(m4)")}, Costs: []int64{7}, Inferences: 4242, BusyNs: 991100},
+		kindRepartition: repartitionMsg{Pos: []logic.Term{mustTerm("active(m5)")}},
+		kindFinal: finalMsg{
+			Worker:     2,
+			Inferences: 12345,
+			Generated:  67,
+			Clock:      987654321,
+			Traffic: cluster.Traffic{
+				N:     3,
+				Bytes: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8},
+				Msgs:  []int64{0, 0, 1, 1, 0, 2, 2, 0, 3},
+			},
+		},
+		kindReassign: reassignMsg{
+			Epoch:         7,
+			Seq:           42,
+			Members:       []int{1, 3},
+			Pos:           []logic.Term{mustTerm("active(m6)")},
+			Neg:           []logic.Term{mustTerm("active(m7)")},
+			RollbackBelow: 6,
+		},
+		kindReassignAck: reassignAckMsg{Epoch: 7, Seq: 9, Worker: 3, Alive: 5},
+		kindSuspect:     suspectMsg{Epoch: 7, Seq: 10, Worker: 1, Peer: 2},
+		kindWelcome: welcomeMsg{
+			Epoch:   8,
+			Seq:     11,
+			Members: []int{1, 2, 3},
+			Load: loadDataMsg{
+				HasData: true,
+				Width:   10,
+				Search:  search.Settings{MaxClauseLen: 3, NodesLimit: 500, MinPos: 1, MinPrec: 0.7, W: 10, MEstimateM: 2, PosPrior: 0.5}.WithDefaults(),
+				Bottom:  bottom.Options{VarDepth: 2, MaxLiterals: 64, MaxRecall: 32},
+				Budget:  solve.Budget{MaxDepth: 32, MaxInferences: 1 << 16},
+				Balance: true,
+			},
+		},
+		kindRebalance: rebalanceMsg{
+			Epoch:   8,
+			Seq:     12,
+			Members: []int{1, 2, 3},
+			Pos:     []logic.Term{mustTerm("active(m8)")},
+		},
+		kindRebalanceAck: rebalanceAckMsg{Epoch: 8, Seq: 13, Worker: 3, Alive: 4},
+		kindResumeQuery:  resumeQueryMsg{Epoch: 9, Seq: 14, Gen: 2},
+		kindResumeInfo:   resumeInfoMsg{Epoch: 11, Seq: 15, Gen: 2, Worker: 2, Loaded: true, Reconnects: 1},
+		kindFenced:       fencedMsg{Epoch: 12, Seq: 16, Gen: 3, Worker: 1},
+	}
+}
 
 // sortedKinds returns the payload table's kinds in protocol order so
 // subtests and benchmarks enumerate deterministically.
@@ -26,11 +129,42 @@ func sortedKinds(payloads map[int]any) []int {
 	return kinds
 }
 
-// TestMessageWireRoundTrip is the wire-codec twin of the gob round-trip
-// test: every payload type of every message kind must survive the compact
-// encoding unchanged, and — since both tests share testPayloads — decode
-// to exactly the value the gob codec yields. That equivalence is what
-// makes -wirecodec a pure transport choice with no semantic footprint.
+// mustSeal encodes v exactly as Send does.
+func mustSeal(t testing.TB, v any) []byte {
+	t.Helper()
+	enc, err := cluster.EncodePayload(v)
+	if err != nil {
+		t.Fatalf("%T: encode: %v", v, err)
+	}
+	return enc
+}
+
+// gobEncode is the test-only reference encoder: encoding/gob carried the
+// protocol payloads before internal/wire did, and the wire format was
+// pinned value-for-value against it. No shipped path encodes a payload
+// this way.
+func gobEncode(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatalf("%T: gob encode: %v", v, err)
+	}
+	return buf.Bytes()
+}
+
+// gobRoundTrip ships v through the reference encoder and back.
+func gobRoundTrip(t testing.TB, v any) any {
+	t.Helper()
+	out := reflect.New(reflect.TypeOf(v))
+	if err := gob.NewDecoder(bytes.NewReader(gobEncode(t, v))).Decode(out.Interface()); err != nil {
+		t.Fatalf("%T: gob decode: %v", v, err)
+	}
+	return out.Elem().Interface()
+}
+
+// TestMessageWireRoundTrip pins the payload encoding: every payload type
+// of every message kind must survive it unchanged, and decode to exactly
+// the value the gob reference yields for the same input.
 func TestMessageWireRoundTrip(t *testing.T) {
 	payloads := testPayloads()
 	if got, want := len(payloads), kindFenced+1; got != want {
@@ -39,11 +173,7 @@ func TestMessageWireRoundTrip(t *testing.T) {
 
 	for _, kind := range sortedKinds(payloads) {
 		v := payloads[kind]
-		enc, err := cluster.EncodePayload(cluster.CodecWire, v)
-		if err != nil {
-			t.Fatalf("kind %d: encode: %v", kind, err)
-		}
-		msg := cluster.Message{Kind: kind, Payload: enc, Codec: cluster.CodecWire}
+		msg := cluster.Message{Kind: kind, Payload: mustSeal(t, v)}
 		out := reflect.New(reflect.TypeOf(v))
 		if err := msg.Decode(out.Interface()); err != nil {
 			t.Fatalf("kind %d: decode: %v", kind, err)
@@ -51,6 +181,48 @@ func TestMessageWireRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(out.Elem().Interface(), v) {
 			t.Errorf("kind %d round trip mismatch:\n got: %#v\nwant: %#v", kind, out.Elem().Interface(), v)
 		}
+		if ref := gobRoundTrip(t, v); !reflect.DeepEqual(out.Elem().Interface(), ref) {
+			t.Errorf("kind %d: wire decode differs from the gob reference:\n got: %#v\nwant: %#v", kind, out.Elem().Interface(), ref)
+		}
+	}
+}
+
+// goldenFrames seals every test payload at package initialisation, before
+// any test has interned a symbol: payload bytes carry interned symbol
+// indices, so only frames built on the start-up symbol table come out the
+// same whichever tests ran first. One "kindNN hex" line per message kind.
+var goldenFrames = func() string {
+	var b strings.Builder
+	payloads := testPayloads()
+	for _, kind := range sortedKinds(payloads) {
+		enc, err := cluster.EncodePayload(payloads[kind])
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(&b, "kind%02d %x\n", kind, enc)
+	}
+	return b.String()
+}()
+
+// TestWireGoldenFrames pins the payload bytes of every message kind
+// against a committed corpus (bench/golden.json only pins run totals), so
+// a format drift fails here; with TestMessageWireRoundTrip it follows that
+// the committed frames still decode. Regenerate with UPDATE_GOLDEN=1 after
+// an intentional format change — which is also a protocolVersion bump in
+// netcluster.
+func TestWireGoldenFrames(t *testing.T) {
+	const golden = "testdata/wire_frames.golden"
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(goldenFrames), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goldenFrames != string(want) {
+		t.Fatalf("payload bytes drifted from %s.\nGot:\n%sWant:\n%sIf intentional, regenerate with UPDATE_GOLDEN=1.", golden, goldenFrames, want)
 	}
 }
 
@@ -64,12 +236,8 @@ func TestEpochOnlyPartialDecode(t *testing.T) {
 		gatheredMsg{Epoch: 23, Worker: 2, Inferences: 42},
 		reassignAckMsg{Epoch: 31, Seq: 9, Worker: 3},
 	} {
-		enc, err := cluster.EncodePayload(cluster.CodecWire, v)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var eo epochOnly
-		if err := cluster.DecodePayload(cluster.CodecWire, enc, &eo); err != nil {
+		if err := cluster.DecodePayload(mustSeal(t, v), &eo); err != nil {
 			t.Fatalf("%T: epoch peek: %v", v, err)
 		}
 		want := reflect.ValueOf(v).FieldByName("Epoch").Int()
@@ -86,10 +254,7 @@ func TestEpochOnlyPartialDecode(t *testing.T) {
 func TestWireDecodeRobustness(t *testing.T) {
 	for _, kind := range sortedKinds(testPayloads()) {
 		v := testPayloads()[kind]
-		enc, err := cluster.EncodePayload(cluster.CodecWire, v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := mustSeal(t, v)
 		typ := reflect.TypeOf(v)
 		decode := func(data []byte) {
 			defer func() {
@@ -97,7 +262,7 @@ func TestWireDecodeRobustness(t *testing.T) {
 					t.Fatalf("kind %d: decode panicked on damaged frame: %v", kind, p)
 				}
 			}()
-			_ = cluster.DecodePayload(cluster.CodecWire, data, reflect.New(typ).Interface())
+			_ = cluster.DecodePayload(data, reflect.New(typ).Interface())
 		}
 		for cut := 0; cut < len(enc); cut++ {
 			decode(enc[:cut])
@@ -112,20 +277,16 @@ func TestWireDecodeRobustness(t *testing.T) {
 	}
 }
 
-// FuzzWireRoundTrip pins the wire codec against gob at the byte level for
-// every message kind: any frame the wire decoder accepts must re-encode
-// to a fixed point, and a gob round trip of the decoded value must
-// re-encode to the same wire bytes. Comparing encodings rather than
-// values keeps NaN-carrying floats (DeepEqual-hostile, bit-preserved by
-// both codecs) honest.
+// FuzzWireRoundTrip pins the wire codec against the gob reference at the
+// byte level for every message kind: any frame the wire decoder accepts
+// must re-encode to a fixed point, and a gob round trip of the decoded
+// value must re-encode to the same wire bytes. Comparing encodings rather
+// than values keeps NaN-carrying floats (DeepEqual-hostile, bit-preserved
+// by both encoders) honest.
 func FuzzWireRoundTrip(f *testing.F) {
 	payloads := testPayloads()
 	for _, kind := range sortedKinds(payloads) {
-		enc, err := cluster.EncodePayload(cluster.CodecWire, payloads[kind])
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(kind, enc)
+		f.Add(kind, mustSeal(f, payloads[kind]))
 	}
 	f.Fuzz(func(t *testing.T, kind int, data []byte) {
 		proto, ok := payloads[kind]
@@ -134,40 +295,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		typ := reflect.TypeOf(proto)
 		out := reflect.New(typ)
-		if err := cluster.DecodePayload(cluster.CodecWire, data, out.Interface()); err != nil {
+		if err := cluster.DecodePayload(data, out.Interface()); err != nil {
 			return
 		}
 		v := out.Elem().Interface()
-		enc1, err := cluster.EncodePayload(cluster.CodecWire, v)
-		if err != nil {
-			t.Fatalf("re-encode of accepted value: %v", err)
-		}
+		enc1 := mustSeal(t, v)
 		out2 := reflect.New(typ)
-		if err := cluster.DecodePayload(cluster.CodecWire, enc1, out2.Interface()); err != nil {
+		if err := cluster.DecodePayload(enc1, out2.Interface()); err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		enc2, err := cluster.EncodePayload(cluster.CodecWire, out2.Elem().Interface())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc1, enc2) {
+		if !bytes.Equal(enc1, mustSeal(t, out2.Elem().Interface())) {
 			t.Fatalf("wire encoding is not a fixed point for kind %d", kind)
 		}
-		// Cross-codec: ship the same value through gob and back; it must
-		// carry the identical information, i.e. re-encode to enc1.
-		gobEnc, err := cluster.EncodePayload(cluster.CodecGob, v)
-		if err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		out3 := reflect.New(typ)
-		if err := cluster.DecodePayload(cluster.CodecGob, gobEnc, out3.Interface()); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		enc3, err := cluster.EncodePayload(cluster.CodecWire, out3.Elem().Interface())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc1, enc3) {
+		// Ship the same value through the reference encoder and back; it
+		// must carry the identical information, i.e. re-encode to enc1.
+		if !bytes.Equal(enc1, mustSeal(t, gobRoundTrip(t, v))) {
 			t.Fatalf("gob round trip changed the value for kind %d", kind)
 		}
 	})
@@ -199,18 +341,12 @@ func bulkLoadMsg(n int) loadDataMsg {
 }
 
 // TestWireLoadFrameShrinks pins the headline win the codec was built
-// for: a kindLoad-class bulk shipment must be at least 3x smaller on the
-// wire codec (varints + interned symbols + flate) than under gob.
+// for: a kindLoad-class bulk shipment must be at least 3x smaller (varints
+// + interned symbols + flate) than the gob reference encodes it.
 func TestWireLoadFrameShrinks(t *testing.T) {
 	lm := bulkLoadMsg(500)
-	gobEnc, err := cluster.EncodePayload(cluster.CodecGob, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireEnc, err := cluster.EncodePayload(cluster.CodecWire, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gobEnc := gobEncode(t, lm)
+	wireEnc := mustSeal(t, lm)
 	t.Logf("kindLoad %d examples: gob=%d bytes, wire=%d bytes (%.1fx)",
 		len(lm.Pos)+len(lm.Neg), len(gobEnc), len(wireEnc), float64(len(gobEnc))/float64(len(wireEnc)))
 	if len(gobEnc) < 3*len(wireEnc) {
@@ -218,7 +354,7 @@ func TestWireLoadFrameShrinks(t *testing.T) {
 	}
 	// And it still round-trips exactly.
 	var out loadDataMsg
-	if err := cluster.DecodePayload(cluster.CodecWire, wireEnc, &out); err != nil {
+	if err := cluster.DecodePayload(wireEnc, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out, lm) {
@@ -226,51 +362,72 @@ func TestWireLoadFrameShrinks(t *testing.T) {
 	}
 }
 
-// BenchmarkEncode measures per-kind encode cost under both codecs; the
-// bytes/op metric doubles as the size comparison CI's bench-smoke logs.
-func BenchmarkEncode(b *testing.B) {
-	payloads := testPayloads()
-	payloads[kindLoad] = bulkLoadMsg(500) // bench the bulk shipment at scale
-	for _, codec := range []cluster.Codec{cluster.CodecWire, cluster.CodecGob} {
-		for _, kind := range sortedKinds(payloads) {
-			v := payloads[kind]
-			b.Run(fmt.Sprintf("%s/kind%02d", codec, kind), func(b *testing.B) {
-				b.ReportAllocs()
-				var n int
-				for i := 0; i < b.N; i++ {
-					enc, err := cluster.EncodePayload(codec, v)
-					if err != nil {
-						b.Fatal(err)
-					}
-					n = len(enc)
-				}
-				b.ReportMetric(float64(n), "bytes/op")
-			})
-		}
+// TestSimLoadMsgDecodesAsLoadData pins the cross-shape compatibility the
+// remote worker relies on being ABSENT: the simulation's loadMsg and the
+// network loadDataMsg share the kindLoad tag, distinguished by the
+// worker's remote flag. A sim-shaped load reaching a remote worker must
+// not be taken for a partition: it either fails to decode or decodes
+// without HasData, which loadRemote rejects.
+func TestSimLoadMsgDecodesAsLoadData(t *testing.T) {
+	msg := cluster.Message{Kind: kindLoad, Payload: mustSeal(t, loadMsg{Round: 3})}
+	var ld loadDataMsg
+	if err := msg.Decode(&ld); err != nil {
+		return
+	}
+	if ld.HasData {
+		t.Fatalf("decoded %+v from a partitionless load", ld)
+	}
+	w := &worker{id: 1, remote: true}
+	if err := w.loadRemote(&ld); err == nil {
+		t.Fatal("loadRemote accepted a partitionless load")
 	}
 }
 
-// BenchmarkDecode measures per-kind decode cost under both codecs.
+// TestSimLoadMessageShapeUnchanged pins the simulated transport's kindLoad
+// shape: adding a field to loadMsg — rather than to the network-only
+// loadDataMsg — would grow every simulated run's kindLoad bytes and shift
+// its byte and virtual-time accounting, which are part of the reproduced
+// results.
+func TestSimLoadMessageShapeUnchanged(t *testing.T) {
+	typ := reflect.TypeOf(loadMsg{})
+	if typ.NumField() != 1 || typ.Field(0).Name != "Round" || typ.Field(0).Type.Kind() != reflect.Int {
+		t.Fatalf("loadMsg shape changed (%d fields) — partition shipping belongs in loadDataMsg", typ.NumField())
+	}
+}
+
+// BenchmarkEncode measures per-kind encode cost; the bytes/op metric is
+// the sealed payload size.
+func BenchmarkEncode(b *testing.B) {
+	payloads := testPayloads()
+	payloads[kindLoad] = bulkLoadMsg(500) // bench the bulk shipment at scale
+	for _, kind := range sortedKinds(payloads) {
+		v := payloads[kind]
+		b.Run(fmt.Sprintf("kind%02d", kind), func(b *testing.B) {
+			b.ReportAllocs()
+			var n int
+			for i := 0; i < b.N; i++ {
+				n = len(mustSeal(b, v))
+			}
+			b.ReportMetric(float64(n), "bytes/op")
+		})
+	}
+}
+
+// BenchmarkDecode measures per-kind decode cost.
 func BenchmarkDecode(b *testing.B) {
 	payloads := testPayloads()
 	payloads[kindLoad] = bulkLoadMsg(500)
-	for _, codec := range []cluster.Codec{cluster.CodecWire, cluster.CodecGob} {
-		for _, kind := range sortedKinds(payloads) {
-			v := payloads[kind]
-			enc, err := cluster.EncodePayload(codec, v)
-			if err != nil {
-				b.Fatal(err)
-			}
-			typ := reflect.TypeOf(v)
-			b.Run(fmt.Sprintf("%s/kind%02d", codec, kind), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ReportMetric(float64(len(enc)), "bytes/op")
-				for i := 0; i < b.N; i++ {
-					if err := cluster.DecodePayload(codec, enc, reflect.New(typ).Interface()); err != nil {
-						b.Fatal(err)
-					}
+	for _, kind := range sortedKinds(payloads) {
+		enc := mustSeal(b, payloads[kind])
+		typ := reflect.TypeOf(payloads[kind])
+		b.Run(fmt.Sprintf("kind%02d", kind), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(enc)), "bytes/op")
+			for i := 0; i < b.N; i++ {
+				if err := cluster.DecodePayload(enc, reflect.New(typ).Interface()); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -249,7 +249,11 @@ func (w *worker) sendFinal() error {
 // example partition: serial on the worker's own machine, or sharded over
 // CoverParallelism goroutines with private machines on the same KB.
 func (w *worker) newEvaluator() search.FullCoverer {
-	return search.NewFullCoverer(w.m, w.ex, w.cfg.Budget, w.cfg.CoverParallelism)
+	ev := search.NewFullCoverer(w.m, w.ex, w.cfg.Budget, w.cfg.CoverParallelism)
+	if w.cfg.wrapCoverer != nil {
+		ev = w.cfg.wrapCoverer(ev)
+	}
+	return ev
 }
 
 func (w *worker) nextSeq() int64 {
@@ -877,11 +881,7 @@ func (w *worker) forwardEmpty(st *stageMsg) error {
 // the re-evaluations of the consumption loop only recount bitset
 // intersections with the current alive mask.
 func (w *worker) evaluateBag(em *evaluateMsg) error {
-	if !w.cfg.Search.NoBatchEval {
-		// One pool synchronisation for the whole bag; the NoBatchEval A/B
-		// baseline falls through to rule-at-a-time evaluation below.
-		w.primeCoverage(em.Rules)
-	}
+	w.primeCoverage(em.Rules) // one pool synchronisation for the whole bag
 	out := evalResultMsg{
 		Epoch:  em.Epoch,
 		Seq:    w.nextSeq(),

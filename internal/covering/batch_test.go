@@ -7,24 +7,31 @@ import (
 	"repro/internal/search"
 )
 
-// TestBatchedSearchMatchesUnbatchedOnPaperDatasets pins the PR's acceptance
-// invariant at the covering level: whole-frontier batched candidate
-// evaluation must be a pure performance change. The full covering loop runs
-// on each paper dataset with batching on and off, serial and pooled, and
-// every observable — theory, rule/fact counts, generated-rule counts, total
-// inference charge — must be bit-for-bit identical.
+// perRule hides the evaluator's batch entry point — search.FullCoverer
+// declares no CoverageBatch — so search.CoverageBatchOf takes its per-rule
+// loop: one Coverage call per candidate.
+type perRule struct{ search.FullCoverer }
+
+// TestBatchedSearchMatchesUnbatchedOnPaperDatasets pins that
+// whole-frontier batched candidate evaluation is a pure performance
+// choice. The full covering loop runs on each paper dataset batched,
+// serial and pooled, and once through perRule, and every observable —
+// theory, rule/fact counts, generated-rule counts, total inference
+// charge — must be bit-for-bit identical.
 func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
 	for _, ds := range datasets.PaperScaled(0.1, 7) {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
-			run := func(noBatch bool, parallelism int) *Result {
+			run := func(unbatched bool, parallelism int) *Result {
 				cfg := Config{
 					Search:           ds.Search,
 					Bottom:           ds.Bottom,
 					Budget:           ds.Budget,
 					CoverParallelism: parallelism,
 				}
-				cfg.Search.NoBatchEval = noBatch
+				if unbatched {
+					cfg.wrapCoverer = func(ev search.FullCoverer) search.FullCoverer { return perRule{ev} }
+				}
 				ex := search.NewExamples(ds.Pos, ds.Neg)
 				res, err := Learn(ds.KB, ex, ds.Modes, cfg)
 				if err != nil {
@@ -32,16 +39,15 @@ func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
 				}
 				return res
 			}
-			want := run(true, 0) // the pre-batch reference path
+			want := run(true, 0) // the per-candidate reference
 			for _, c := range []struct {
 				name        string
-				noBatch     bool
 				parallelism int
 			}{
-				{"batched-serial", false, 0},
-				{"batched-pool", false, 4},
+				{"batched-serial", 0},
+				{"batched-pool", 4},
 			} {
-				got := run(c.noBatch, c.parallelism)
+				got := run(false, c.parallelism)
 				if len(got.Theory) != len(want.Theory) {
 					t.Fatalf("%s: theory size %d, want %d", c.name, len(got.Theory), len(want.Theory))
 				}

@@ -161,7 +161,7 @@ type NoiseAblation struct {
 
 // RunNoiseAblation runs the sweep on noise-parameterised pyrimidines
 // tasks of the given size.
-func RunNoiseAblation(nPos, nNeg, procs, folds int, noises []float64, seed int64, noBatch bool, progress io.Writer) (*NoiseAblation, error) {
+func RunNoiseAblation(nPos, nNeg, procs, folds int, noises []float64, seed int64, progress io.Writer) (*NoiseAblation, error) {
 	if len(noises) == 0 {
 		noises = []float64{0, 0.1, 0.2, 0.3}
 	}
@@ -174,7 +174,6 @@ func RunNoiseAblation(nPos, nNeg, procs, folds int, noises []float64, seed int64
 	}
 	for _, noise := range noises {
 		ds := datasets.PyrimidinesNoisy(nPos, nNeg, noise, seed)
-		ds.Search.NoBatchEval = ds.Search.NoBatchEval || noBatch
 		kfolds, err := xval.KFold(ds.Pos, ds.Neg, folds, seed)
 		if err != nil {
 			return nil, err

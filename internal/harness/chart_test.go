@@ -43,7 +43,7 @@ func itoa(n int) string {
 }
 
 func TestNoiseAblation(t *testing.T) {
-	ab, err := RunNoiseAblation(36, 30, 2, 2, []float64{0, 0.25}, 3, false, nil)
+	ab, err := RunNoiseAblation(36, 30, 2, 2, []float64{0, 0.25}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

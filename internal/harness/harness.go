@@ -46,15 +46,6 @@ type Config struct {
 	// many goroutines (<0 = GOMAXPROCS, ≤1 = serial). Results are
 	// identical; only wall-clock changes.
 	CoverParallelism int
-	// NoBatchEval disables whole-frontier batched candidate evaluation in
-	// every learner (see search.Settings.NoBatchEval); results are
-	// identical, only per-node synchronisation cost changes. Kept for A/B
-	// measurement of the batch path.
-	NoBatchEval bool
-	// WireCodec selects the protocol payload encoding (zero value = the
-	// compact wire codec, cluster.CodecGob = the legacy stdlib frames).
-	// Theories are byte-identical either way; only Comm/Links change.
-	WireCodec cluster.Codec
 }
 
 // WithDefaults fills the paper's protocol values.
@@ -157,15 +148,13 @@ func Run(cfg Config, progress io.Writer) (*Results, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", ds.Name, err)
 		}
-		searchCfg := ds.Search
-		searchCfg.NoBatchEval = searchCfg.NoBatchEval || cfg.NoBatchEval
 		for fi, fold := range folds {
 			foldSeed := cfg.Seed + int64(100*fi+7)
 			// Sequential baseline (Fig. 1). Virtual time for one CPU is
 			// total work × the cost model's per-inference cost.
 			ex := search.NewExamples(fold.TrainPos, fold.TrainNeg)
 			seq, err := covering.Learn(ds.KB, ex, ds.Modes, covering.Config{
-				Search: searchCfg, Bottom: ds.Bottom, Budget: ds.Budget,
+				Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
 				CoverParallelism: cfg.CoverParallelism,
 			})
 			if err != nil {
@@ -184,12 +173,11 @@ func Run(cfg Config, progress io.Writer) (*Results, error) {
 						Workers: p,
 						Width:   w,
 						Seed:    foldSeed,
-						Search:  searchCfg,
+						Search:  ds.Search,
 						Bottom:  ds.Bottom,
 						Budget:  ds.Budget,
 						Cost:    cfg.Cost,
 
-						WireCodec:        cfg.WireCodec,
 						CoverParallelism: cfg.CoverParallelism,
 					})
 					if err != nil {

@@ -69,7 +69,7 @@ func connect(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error) {
 			Fingerprint: cfg.Fingerprint,
 			Model:       cfg.Model,
 			Session:     sess.sid,
-			Codec:       codecByte(cfg.Codec),
+			Codec:       protocolVersion,
 		}
 		if err := writeFrame(conn, welcome); err != nil {
 			conn.Close()
@@ -100,11 +100,11 @@ func connect(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("netcluster: worker %d fingerprint %x does not match master %x (different dataset or settings loaded)",
 				k, ack.Fingerprint, cfg.Fingerprint)
 		}
-		if ack.Codec != codecByte(cfg.Codec) {
+		if ack.Codec != protocolVersion {
 			conn.Close()
 			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d did not confirm codec %q (negotiation byte %d, want %d) — mixed-version cluster refused; rebuild the worker or run the master with -wirecodec gob",
-				k, cfg.Codec, ack.Codec, codecByte(cfg.Codec))
+			return nil, fmt.Errorf("netcluster: worker %d confirmed protocol version byte %d, want %d — mixed-version cluster refused; rebuild the worker",
+				k, ack.Codec, protocolVersion)
 		}
 		if _, err := n.registerLink(k, conn, true, sess); err != nil {
 			conn.Close()
@@ -237,22 +237,20 @@ func ServeOn(ln net.Listener, cfg Config) (*Node, error) {
 			ln.Close()
 			return nil, fmt.Errorf("netcluster: master fingerprint %x does not match ours %x", f.Fingerprint, cfg.Fingerprint)
 		}
-		codec, ok := codecFromByte(f.Codec)
-		if !ok {
+		if f.Codec != protocolVersion {
 			reject := &frame{Ctrl: ctrlWelcomeAck, Err: fmt.Sprintf(
-				"codec negotiation byte %d not understood (master speaks a codec this build does not)", f.Codec)}
+				"protocol version byte %d not understood (this build speaks %d)", f.Codec, protocolVersion)}
 			writeFrame(conn, reject)
 			conn.Close()
 			ln.Close()
-			return nil, fmt.Errorf("netcluster: master offered codec byte %d this build does not speak — mixed-version cluster refused", f.Codec)
+			return nil, fmt.Errorf("netcluster: master offered protocol version byte %d, this build speaks %d — mixed-version cluster refused", f.Codec, protocolVersion)
 		}
 		n.id = int(f.NodeID)
 		n.size = int(f.Nodes)
 		n.peers = f.Peers
 		n.cfg.Model = f.Model.WithDefaults()
-		n.cfg.Codec = codec // the master's codec rules cluster-wide, like Model
 		n.tr = cluster.NewTraffic(n.size)
-		if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: cfg.Fingerprint, Codec: codecByte(codec)}); err != nil {
+		if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: cfg.Fingerprint, Codec: protocolVersion}); err != nil {
 			conn.Close()
 			ln.Close()
 			return nil, fmt.Errorf("netcluster: join ack: %w", err)
@@ -366,13 +364,12 @@ func (n *Node) acceptPeer(conn net.Conn, f *frame) {
 			n.id, f.From, f.Fingerprint, n.cfg.Fingerprint))
 		return
 	}
-	if f.Codec != codecByte(n.cfg.Codec) {
-		// Every member adopted the master's codec at join, so a mismatched
-		// hello is a build that negotiated nothing (byte 0) or a different
+	if f.Codec != protocolVersion {
+		// A build that predates the version byte (0) or a different
 		// cluster — either way its payloads would be undecodable.
 		conn.Close()
-		n.inbox.fail(fmt.Errorf("netcluster: node %d: peer %d codec byte %d does not match negotiated %q (byte %d) — mixed-version cluster refused",
-			n.id, f.From, f.Codec, n.cfg.Codec, codecByte(n.cfg.Codec)))
+		n.inbox.fail(fmt.Errorf("netcluster: node %d: peer %d offered protocol version byte %d, want %d — mixed-version cluster refused",
+			n.id, f.From, f.Codec, protocolVersion))
 		return
 	}
 	// Receive-only: data to this peer goes out on a link we dial ourselves.
@@ -448,7 +445,7 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 		Peers:       peers,
 		Fingerprint: n.cfg.Fingerprint,
 		Model:       n.cfg.Model,
-		Codec:       codecByte(n.cfg.Codec),
+		Codec:       protocolVersion,
 	}
 	if err := writeFrame(conn, welcome); err != nil {
 		conn.Close()
@@ -457,7 +454,7 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 	conn.SetReadDeadline(time.Now().Add(n.cfg.JoinTimeout))
 	ack, err := readFrame(conn, n.cfg.MaxFrameBytes)
 	conn.SetReadDeadline(time.Time{})
-	if err != nil || ack.Ctrl != ctrlWelcomeAck || ack.Err != "" || ack.Fingerprint != n.cfg.Fingerprint || ack.Codec != codecByte(n.cfg.Codec) {
+	if err != nil || ack.Ctrl != ctrlWelcomeAck || ack.Err != "" || ack.Fingerprint != n.cfg.Fingerprint || ack.Codec != protocolVersion {
 		conn.Close()
 		return
 	}
@@ -562,10 +559,9 @@ func JoinOn(ln net.Listener, masterAddr string, cfg Config) (*Node, error) {
 		return fail(fmt.Errorf("netcluster: master fingerprint %x does not match ours %x (different dataset or settings loaded)",
 			f.Fingerprint, cfg.Fingerprint))
 	}
-	codec, ok := codecFromByte(f.Codec)
-	if !ok {
+	if f.Codec != protocolVersion {
 		conn.Close()
-		return fail(fmt.Errorf("netcluster: master offered codec byte %d this build does not speak — mixed-version cluster refused", f.Codec))
+		return fail(fmt.Errorf("netcluster: master offered protocol version byte %d, this build speaks %d — mixed-version cluster refused", f.Codec, protocolVersion))
 	}
 	n := &Node{
 		id:      int(f.NodeID),
@@ -580,8 +576,7 @@ func JoinOn(ln net.Listener, masterAddr string, cfg Config) (*Node, error) {
 		done:    make(chan struct{}),
 	}
 	n.cfg.Model = f.Model.WithDefaults()
-	n.cfg.Codec = codec // adopt the running cluster's codec
-	if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: cfg.Fingerprint, Codec: codecByte(codec)}); err != nil {
+	if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: cfg.Fingerprint, Codec: protocolVersion}); err != nil {
 		conn.Close()
 		return fail(fmt.Errorf("netcluster: join ack: %w", err))
 	}

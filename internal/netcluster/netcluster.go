@@ -12,11 +12,10 @@
 // dataset fingerprints, so a worker loaded with different data — which
 // would silently desynchronise the interned symbol tables the payloads
 // reference — is rejected at join time instead of corrupting the run.
-// The welcome also negotiates the payload codec (compact wire encoding
-// by default, gob behind -wirecodec gob): the master offers its codec,
-// the worker adopts and echoes it, and a build that does not speak the
-// offered codec is refused at join time rather than desynchronising
-// mid-run.
+// The welcome also carries a protocol-version byte naming the payload
+// encoding (internal/wire): the master offers it, the worker echoes it,
+// and a build that speaks another version is refused at join time rather
+// than desynchronising mid-run.
 //
 // Accounting matches the simulation exactly: payloads are encoded with the
 // same cluster.EncodePayload, per-link byte/message counters cover payload bytes
@@ -77,11 +76,6 @@ type Config struct {
 	// longer than the window the ring covers — escalates like a link
 	// failure. Default 4096.
 	MaxRetainedFrames int
-	// Codec is the payload encoding (default cluster.CodecWire). Like
-	// Model, the master's choice rules: it is offered in the welcome
-	// handshake, workers adopt it, and a build that does not speak it is
-	// refused at join time rather than desynchronising mid-run.
-	Codec cluster.Codec
 	// ShapeConn, when non-nil, wraps every TCP connection this node
 	// creates or accepts — the hook the shaped-link harness
 	// (internal/shape) uses to impose latency/bandwidth without root.
@@ -379,11 +373,11 @@ func (n *Node) applyPeerUpdate(f *frame) {
 	n.trMu.Unlock()
 }
 
-// Send encodes v under the negotiated codec and ships it to node to.
+// Send encodes v (cluster.EncodePayload) and ships it to node to.
 // Sends to self loop through the inbox without touching the network, as
 // in the simulation.
 func (n *Node) Send(to int, kind int, v any) error {
-	payload, err := cluster.EncodePayload(n.cfg.Codec, v)
+	payload, err := cluster.EncodePayload(v)
 	if err != nil {
 		return fmt.Errorf("netcluster: send from %d to %d kind %d: %w", n.id, to, kind, err)
 	}
@@ -392,7 +386,7 @@ func (n *Node) Send(to int, kind int, v any) error {
 
 // Broadcast sends v to every node in targets, encoding once.
 func (n *Node) Broadcast(targets []int, kind int, v any) error {
-	payload, err := cluster.EncodePayload(n.cfg.Codec, v)
+	payload, err := cluster.EncodePayload(v)
 	if err != nil {
 		return fmt.Errorf("netcluster: broadcast from %d kind %d: %w", n.id, kind, err)
 	}
@@ -418,7 +412,7 @@ func (n *Node) sendPayload(to, kind int, payload []byte) error {
 	n.account(to, len(payload))
 	if to == n.id {
 		n.inbox.put(cluster.Message{
-			From: n.id, To: to, Kind: kind, Payload: payload, Codec: n.cfg.Codec,
+			From: n.id, To: to, Kind: kind, Payload: payload,
 			SendTime: sendTime, Arrive: sendTime + n.cfg.Model.TransferTime(len(payload)),
 		})
 		return nil
@@ -586,7 +580,7 @@ func (n *Node) linkTo(peer int) (*link, error) {
 	}
 	conn = n.cfg.wrapConn(conn)
 	sess := n.newSession(addr)
-	hello := &frame{Ctrl: ctrlHello, From: int32(n.id), Fingerprint: n.cfg.Fingerprint, Session: sess.sid, Codec: codecByte(n.cfg.Codec)}
+	hello := &frame{Ctrl: ctrlHello, From: int32(n.id), Fingerprint: n.cfg.Fingerprint, Session: sess.sid, Codec: protocolVersion}
 	if err := writeFrame(conn, hello); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netcluster: hello to node %d: %w", peer, err)
@@ -621,7 +615,7 @@ func (n *Node) readLoop(l *link, conn net.Conn) {
 			}
 			sendTime := cluster.VTime(f.SendTime)
 			n.inbox.put(cluster.Message{
-				From: int(f.From), To: int(f.To), Kind: int(f.Kind), Payload: f.Payload, Codec: n.cfg.Codec,
+				From: int(f.From), To: int(f.To), Kind: int(f.Kind), Payload: f.Payload,
 				SendTime: sendTime, Arrive: sendTime + n.cfg.Model.TransferTime(len(f.Payload)),
 			})
 		case ctrlHeartbeat:

@@ -17,10 +17,7 @@ type payload struct {
 	S string
 }
 
-// The test payload speaks both codecs, like every real protocol message:
-// gob via reflection, wire via the Marshaler/Unmarshaler pair below. The
-// transport tests run under the default wire codec unless a test pins
-// Config.Codec.
+// The test payload has a wire encoding, like every real protocol message.
 func (p payload) AppendWire(w *wire.Writer) {
 	w.Int(p.N)
 	w.String(p.S)
@@ -144,9 +141,8 @@ func TestExchangeAndAccounting(t *testing.T) {
 	if w1.LinkMsgs(1, 2) != 1 || w1.TotalMsgs() != 1 {
 		t.Fatalf("worker 1 traffic: %v", w1.Links())
 	}
-	// The payload must be byte-identical to the simulation's encoding
-	// under the codec in force (the default wire codec here).
-	enc, err := cluster.EncodePayload(cluster.CodecWire, payload{N: 2})
+	// The payload must be byte-identical to the simulation's encoding.
+	enc, err := cluster.EncodePayload(payload{N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func (n *Node) acceptRejoin(conn net.Conn, f *frame) {
 		Peers:       append([]string(nil), n.peers...),
 		Fingerprint: n.cfg.Fingerprint,
 		Model:       n.cfg.Model,
-		Codec:       codecByte(n.cfg.Codec),
+		Codec:       protocolVersion,
 	}
 	n.mu.Unlock()
 	if err := writeFrame(conn, welcome); err != nil {
@@ -116,7 +116,7 @@ func (n *Node) acceptRejoin(conn net.Conn, f *frame) {
 	conn.SetReadDeadline(time.Now().Add(n.cfg.JoinTimeout))
 	ack, err := readFrame(conn, n.cfg.MaxFrameBytes)
 	conn.SetReadDeadline(time.Time{})
-	if err != nil || ack.Ctrl != ctrlWelcomeAck || ack.Err != "" || ack.Fingerprint != n.cfg.Fingerprint || ack.Codec != codecByte(n.cfg.Codec) {
+	if err != nil || ack.Ctrl != ctrlWelcomeAck || ack.Err != "" || ack.Fingerprint != n.cfg.Fingerprint || ack.Codec != protocolVersion {
 		conn.Close()
 		return
 	}
@@ -215,13 +215,11 @@ func (n *Node) tryRejoin(addr string) (bool, error) {
 		conn.Close()
 		return true, fmt.Errorf("master fingerprint %x does not match ours %x", f.Fingerprint, n.cfg.Fingerprint)
 	}
-	codec, ok := codecFromByte(f.Codec)
-	if !ok {
+	if f.Codec != protocolVersion {
 		conn.Close()
-		return true, fmt.Errorf("restarted master offered codec byte %d this build does not speak — mixed-version cluster refused", f.Codec)
+		return true, fmt.Errorf("restarted master offered protocol version byte %d, this build speaks %d — mixed-version cluster refused", f.Codec, protocolVersion)
 	}
-	n.cfg.Codec = codec // re-adopt: the (possibly re-flagged) master rules
-	if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: int32(n.id), Fingerprint: n.cfg.Fingerprint, Codec: codecByte(codec)}); err != nil {
+	if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: int32(n.id), Fingerprint: n.cfg.Fingerprint, Codec: protocolVersion}); err != nil {
 		conn.Close()
 		return false, err
 	}

@@ -99,30 +99,20 @@ type frame struct {
 	Model       cluster.CostModel
 	Err         string
 
-	// Codec negotiates the payload encoding: cluster.Codec value + 1, so
-	// zero — the gob default for a frame from a binary that predates
-	// negotiation — is distinguishable from an explicit choice and the
-	// handshake can refuse mixed-version clusters outright. Carried on
-	// ctrlWelcome (offer), ctrlWelcomeAck (echo) and ctrlHello (peer
-	// dials assert the cluster-wide codec).
+	// Codec is the protocol-version byte: the payload encoding this build
+	// speaks, carried on ctrlWelcome (offer), ctrlWelcomeAck (echo) and
+	// ctrlHello (peer dials assert it). The only accepted value is
+	// protocolVersion; the field keeps the name it was first shipped
+	// under because gob puts field names on the wire.
 	Codec uint8
 }
 
-// codecByte maps a codec onto its negotiation byte (value + 1; 0 is
-// reserved for "absent").
-func codecByte(c cluster.Codec) uint8 { return uint8(c) + 1 }
-
-// codecFromByte inverts codecByte, reporting whether the byte names a
-// codec this build speaks.
-func codecFromByte(b uint8) (cluster.Codec, bool) {
-	switch b {
-	case codecByte(cluster.CodecWire):
-		return cluster.CodecWire, true
-	case codecByte(cluster.CodecGob):
-		return cluster.CodecGob, true
-	}
-	return 0, false
-}
+// protocolVersion is the one value of frame.Codec this build accepts:
+// payloads sealed by internal/wire. 0 is what a binary that predates the
+// byte sends (gob omits the zero field) and 2 named the retired gob
+// payload encoding; a peer offering either would exchange undecodable
+// payloads, so every handshake refuses it by name.
+const protocolVersion uint8 = 1
 
 const lenPrefixSize = 4
 

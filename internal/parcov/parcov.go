@@ -39,11 +39,12 @@ type Config struct {
 	Budget solve.Budget
 	// Cost is the simulated cluster cost model.
 	Cost cluster.CostModel
-	// WireCodec selects the payload encoding (zero = compact wire codec,
-	// cluster.CodecGob = legacy gob), as in core.Config.
-	WireCodec cluster.Codec
 	// MaxRules bounds the covering loop. ≤0 means 1000.
 	MaxRules int
+	// wrapCoverer, set only by in-package tests, interposes on the distributed
+	// coverer — the batch ≡ per-rule tests hide its batch methods to get
+	// the per-rule reference run.
+	wrapCoverer func(search.Coverer) search.Coverer
 }
 
 // Metrics summarises a run.
@@ -64,9 +65,10 @@ type Metrics struct {
 
 // Protocol kinds.
 const (
-	kindEval = iota
-	kindEvalResult
-	kindRetractRule
+	// Kinds 0 and 1 were the per-rule coverage query and reply, retired
+	// for one-rule batches; the numbers are not reused, so a build that
+	// still sends them fails on "unknown kind" instead of misdecoding.
+	kindRetractRule = iota + 2
 	kindRetractOne
 	kindStop
 	// kindLoad (master→worker) ships a remote worker its partition; the
@@ -89,30 +91,14 @@ const (
 	kindEvalBatchResult
 )
 
-// evalMsg carries one rule plus optional per-worker candidate masks (local
-// index space) so workers keep the incremental-evaluation shortcut the
-// sequential learner enjoys: only examples the parent rule covered are
-// re-tested. Nil masks mean "test everything". Seq numbers the
-// coordinator's queries; workers echo it, and the coordinator's dispatch
-// loop drops replies to superseded queries instead of misfolding them.
-type evalMsg struct {
-	Seq     int64
-	Rule    logic.Clause
-	PosCand []uint64
-	NegCand []uint64
-	HasCand bool
-}
-
-type evalResultMsg struct {
-	Seq    int64
-	Worker int
-	Pos    []uint64 // bitset words over the worker's local positives (alive only)
-	Neg    []uint64
-}
-
 // evalBatchMsg carries one whole frontier (see kindEvalBatch): rule i is
-// evaluated under PosCands[i]/NegCands[i] when HasCand[i], over everything
-// otherwise — exactly the per-rule evalMsg semantics, batched.
+// evaluated under PosCands[i]/NegCands[i] (per-worker candidate masks in
+// the local index space) when HasCand[i], over everything otherwise — so
+// workers keep the incremental-evaluation shortcut the sequential learner
+// enjoys: only examples the parent rule covered are re-tested. Seq numbers
+// the coordinator's queries; workers echo it, and the coordinator's
+// dispatch loop drops replies to superseded queries instead of misfolding
+// them.
 type evalBatchMsg struct {
 	Seq      int64
 	Rules    []logic.Clause
@@ -121,8 +107,9 @@ type evalBatchMsg struct {
 	HasCand  []bool
 }
 
-// evalBatchResultMsg returns one worker's local bitsets for every rule of
-// a kindEvalBatch query, in rule order.
+// evalBatchResultMsg returns one worker's local bitsets (words over its
+// alive local examples) for every rule of a kindEvalBatch query, in rule
+// order.
 type evalBatchResultMsg struct {
 	Seq    int64
 	Worker int
@@ -189,22 +176,6 @@ func (w *pcWorker) run() error {
 			w.ex = search.NewExamples(lm.Pos, lm.Neg)
 			w.ev = search.NewEvaluator(w.m, w.ex)
 			w.node.Compute(int64(len(lm.Pos) + len(lm.Neg)))
-		case kindEval:
-			var em evalMsg
-			if err := msg.Decode(&em); err != nil {
-				return err
-			}
-			before := w.m.TotalInferences()
-			var posCand, negCand search.Bitset
-			if em.HasCand {
-				posCand = search.Bitset(em.PosCand)
-				negCand = search.Bitset(em.NegCand)
-			}
-			pos, neg := w.ev.Coverage(&em.Rule, posCand, negCand)
-			w.node.Compute(w.m.TotalInferences() - before)
-			if err := w.node.Send(0, kindEvalResult, evalResultMsg{Seq: em.Seq, Worker: w.id, Pos: pos, Neg: neg}); err != nil {
-				return err
-			}
 		case kindEvalBatch:
 			var bm evalBatchMsg
 			if err := msg.Decode(&bm); err != nil {
@@ -402,70 +373,12 @@ func (d *distCoverer) CoverageBatch(rules []*logic.Clause, posCands, negCands []
 	return out
 }
 
+// Coverage is a one-rule CoverageBatch: still one message per worker each
+// way, so per-rule callers pay the fine-grained round trip the baseline is
+// about.
 func (d *distCoverer) Coverage(rule *logic.Clause, posCand, negCand search.Bitset) (search.Bitset, search.Bitset) {
-	pos := search.NewBitset(d.nPos)
-	neg := search.NewBitset(d.nNeg)
-	if d.err != nil {
-		return pos, neg
-	}
-	d.seq++
-	for k := 0; k < d.p; k++ {
-		em := evalMsg{Seq: d.seq, Rule: *rule}
-		if posCand != nil && negCand != nil {
-			em.HasCand = true
-			em.PosCand = localize(posCand, d.posMap[k])
-			em.NegCand = localize(negCand, d.negMap[k])
-		}
-		if err := d.node.Send(d.targets[k], kindEval, em); err != nil {
-			d.err = err
-			return pos, neg
-		}
-	}
-	pending := make(map[int]bool, d.p)
-	for _, t := range d.targets {
-		pending[t] = true
-	}
-	for len(pending) > 0 {
-		msg, err := d.node.ReceiveCtx(context.Background())
-		if err != nil {
-			d.err = fmt.Errorf("parcov: master: waiting for evaluation reply: %w", err)
-			return pos, neg
-		}
-		if msg.Kind == cluster.KindPeerDown {
-			// The coverage-farming baseline keeps the paper's fail-stop
-			// contract: it cannot redistribute state, so a dead worker
-			// fails the run (p²-mdie is the recovering engine).
-			d.err = fmt.Errorf("parcov: master: worker %d failed", msg.From)
-			return pos, neg
-		}
-		if msg.Kind != kindEvalResult {
-			d.err = fmt.Errorf("parcov: master: bad evaluation reply (kind=%d)", msg.Kind)
-			return pos, neg
-		}
-		var er evalResultMsg
-		if err := msg.Decode(&er); err != nil {
-			d.err = err
-			return pos, neg
-		}
-		if er.Seq < d.seq {
-			continue // reply to a superseded query
-		}
-		if er.Seq > d.seq || er.Worker < 1 || er.Worker > d.p || !pending[er.Worker] {
-			d.err = fmt.Errorf("parcov: master: unexpected evaluation reply (seq=%d worker=%d, current seq=%d)", er.Seq, er.Worker, d.seq)
-			return pos, neg
-		}
-		delete(pending, er.Worker)
-		w := er.Worker - 1
-		scatter(search.Bitset(er.Pos), d.posMap[w], pos)
-		scatter(search.Bitset(er.Neg), d.negMap[w], neg)
-	}
-	if posCand != nil {
-		pos.AndWith(posCand)
-	}
-	if negCand != nil {
-		neg.AndWith(negCand)
-	}
-	return pos, neg
+	r := d.CoverageBatch([]*logic.Clause{rule}, []search.Bitset{posCand}, []search.Bitset{negCand})[0]
+	return r.Pos, r.Neg
 }
 
 // scatter maps local bitset positions through idxMap into the global set.
@@ -502,7 +415,6 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 	}
 	p := cfg.Workers
 	nw := cluster.NewNetwork(p+1, cfg.Cost)
-	nw.SetCodec(cfg.WireCodec)
 
 	// Partition examples (same seeded scheme as p²-mdie).
 	posParts := dealOut(len(pos), p, cfg.Seed)
@@ -593,6 +505,10 @@ func runMaster(node cluster.Transport, kb *solve.KB, pos []logic.Term, ms *mode.
 	m.SetNoVM(cfg.Search.NoVM)
 	alive := search.FullBitset(len(pos))
 	targets := dc.targets
+	var ev search.Coverer = dc
+	if cfg.wrapCoverer != nil {
+		ev = cfg.wrapCoverer(dc)
+	}
 
 	for !alive.Empty() && len(met.Theory) < cfg.MaxRules {
 		if dc.err != nil {
@@ -606,7 +522,7 @@ func runMaster(node cluster.Transport, kb *solve.KB, pos []logic.Term, ms *mode.
 		if err != nil {
 			return err
 		}
-		sr := search.LearnRule(dc, bot, nil, cfg.Search)
+		sr := search.LearnRule(ev, bot, nil, cfg.Search)
 		met.Searches++
 		met.GeneratedRules += sr.Generated
 		best := sr.Best()

@@ -73,13 +73,14 @@ func TestMetricsRecorded(t *testing.T) {
 	// The coverage queries are batched per search frontier (one message
 	// per worker per node expansion), so the message count must come in
 	// well under the historical one-round-trip-per-generated-rule bill.
-	// The NoBatchEval A/B path keeps the per-rule wire protocol: same
-	// theory, same inference totals, strictly more messages.
+	// Hiding CoverageBatch from the search makes every candidate its own
+	// one-rule query: same theory, same inference totals, strictly more
+	// messages.
 	ds2 := smallTask(t)
-	ds2.Search.NoBatchEval = true
 	perRule, err := Learn(ds2.KB, ds2.Pos, ds2.Neg, ds2.Modes, Config{
 		Workers: 4, Seed: 5,
 		Search: ds2.Search, Bottom: ds2.Bottom, Budget: ds2.Budget,
+		wrapCoverer: func(dc search.Coverer) search.Coverer { return struct{ search.Coverer }{dc} },
 	})
 	if err != nil {
 		t.Fatal(err)

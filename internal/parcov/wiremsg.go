@@ -42,36 +42,6 @@ func readBudget(r *wire.Reader) solve.Budget {
 	return b
 }
 
-func (m evalMsg) AppendWire(w *wire.Writer) {
-	w.Varint(m.Seq)
-	w.Clause(m.Rule)
-	w.U64sFixed(m.PosCand)
-	w.U64sFixed(m.NegCand)
-	w.Bool(m.HasCand)
-}
-
-func (m *evalMsg) DecodeWire(r *wire.Reader) {
-	m.Seq = r.Varint()
-	m.Rule = r.Clause()
-	m.PosCand = r.U64sFixed()
-	m.NegCand = r.U64sFixed()
-	m.HasCand = r.Bool()
-}
-
-func (m evalResultMsg) AppendWire(w *wire.Writer) {
-	w.Varint(m.Seq)
-	w.Int(m.Worker)
-	w.U64sFixed(m.Pos)
-	w.U64sFixed(m.Neg)
-}
-
-func (m *evalResultMsg) DecodeWire(r *wire.Reader) {
-	m.Seq = r.Varint()
-	m.Worker = r.Int()
-	m.Pos = r.U64sFixed()
-	m.Neg = r.U64sFixed()
-}
-
 func (m evalBatchMsg) AppendWire(w *wire.Writer) {
 	w.Varint(m.Seq)
 	w.Clauses(m.Rules)

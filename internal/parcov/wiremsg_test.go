@@ -1,8 +1,12 @@
 package parcov
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"os"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -20,8 +24,6 @@ func parcovPayloads() map[int]any {
 		Body: []logic.Literal{logic.Lit(mustTerm("atm(X, Y, oxygen)"))},
 	}
 	return map[int]any{
-		kindEval:        evalMsg{Seq: 3, Rule: rule, PosCand: []uint64{0xff, 0}, NegCand: []uint64{1}, HasCand: true},
-		kindEvalResult:  evalResultMsg{Seq: 3, Worker: 2, Pos: []uint64{0x0f}, Neg: []uint64{0}},
 		kindRetractRule: retractRuleMsg{Rule: rule},
 		kindRetractOne:  retractOneMsg{Example: mustTerm("active(m7)")},
 		kindStop:        stopMsg{},
@@ -53,33 +55,75 @@ func parcovPayloads() map[int]any {
 	}
 }
 
-// TestParcovWireRoundTrip pins every parcov message kind under both
-// codecs: the wire decode must reproduce exactly the value gob produces.
+// TestParcovWireRoundTrip pins every parcov message kind: the wire decode
+// must reproduce the value exactly, and exactly what the test-only gob
+// reference (the payload encoding before internal/wire) yields for it.
 func TestParcovWireRoundTrip(t *testing.T) {
 	payloads := parcovPayloads()
-	if got, want := len(payloads), kindEvalBatchResult+1; got != want {
-		t.Fatalf("payload table covers %d kinds, protocol has %d — extend the table", got, want)
-	}
-	kinds := make([]int, 0, len(payloads))
-	for k := range payloads {
-		kinds = append(kinds, k)
-	}
-	sort.Ints(kinds)
-	for _, kind := range kinds {
-		v := payloads[kind]
-		for _, codec := range []cluster.Codec{cluster.CodecWire, cluster.CodecGob} {
-			enc, err := cluster.EncodePayload(codec, v)
-			if err != nil {
-				t.Fatalf("kind %d %v: encode: %v", kind, codec, err)
-			}
-			out := reflect.New(reflect.TypeOf(v))
-			msg := cluster.Message{Kind: kind, Payload: enc, Codec: codec}
-			if err := msg.Decode(out.Interface()); err != nil {
-				t.Fatalf("kind %d %v: decode: %v", kind, codec, err)
-			}
-			if !reflect.DeepEqual(out.Elem().Interface(), v) {
-				t.Errorf("kind %d %v round trip mismatch:\n got: %#v\nwant: %#v", kind, codec, out.Elem().Interface(), v)
-			}
+	for kind := kindRetractRule; kind <= kindEvalBatchResult; kind++ {
+		v, ok := payloads[kind]
+		if !ok {
+			t.Fatalf("payload table has no kind %d — extend the table", kind)
 		}
+		enc, err := cluster.EncodePayload(v)
+		if err != nil {
+			t.Fatalf("kind %d: encode: %v", kind, err)
+		}
+		out := reflect.New(reflect.TypeOf(v))
+		msg := cluster.Message{Kind: kind, Payload: enc}
+		if err := msg.Decode(out.Interface()); err != nil {
+			t.Fatalf("kind %d: decode: %v", kind, err)
+		}
+		if !reflect.DeepEqual(out.Elem().Interface(), v) {
+			t.Errorf("kind %d round trip mismatch:\n got: %#v\nwant: %#v", kind, out.Elem().Interface(), v)
+		}
+		var buf bytes.Buffer
+		ref := reflect.New(reflect.TypeOf(v))
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatalf("kind %d: gob encode: %v", kind, err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(ref.Interface()); err != nil {
+			t.Fatalf("kind %d: gob decode: %v", kind, err)
+		}
+		if !reflect.DeepEqual(out.Elem().Interface(), ref.Elem().Interface()) {
+			t.Errorf("kind %d: wire decode differs from the gob reference:\n got: %#v\nwant: %#v", kind, out.Elem().Interface(), ref.Elem().Interface())
+		}
+	}
+}
+
+// goldenFrames seals every test payload at package initialisation, before
+// any test has interned a symbol: payload bytes carry interned symbol
+// indices, so only frames built on the start-up symbol table come out the
+// same whichever tests ran first. One "kindNN hex" line per message kind.
+var goldenFrames = func() string {
+	var b strings.Builder
+	payloads := parcovPayloads()
+	for kind := kindRetractRule; kind <= kindEvalBatchResult; kind++ {
+		enc, err := cluster.EncodePayload(payloads[kind])
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(&b, "kind%02d %x\n", kind, enc)
+	}
+	return b.String()
+}()
+
+// TestWireGoldenFrames pins the payload bytes of every parcov message kind
+// against a committed corpus; with TestParcovWireRoundTrip it follows that
+// the committed frames still decode. Regenerate with UPDATE_GOLDEN=1 after
+// an intentional format change.
+func TestWireGoldenFrames(t *testing.T) {
+	const golden = "testdata/wire_frames.golden"
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(goldenFrames), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goldenFrames != string(want) {
+		t.Fatalf("payload bytes drifted from %s.\nGot:\n%sWant:\n%sIf intentional, regenerate with UPDATE_GOLDEN=1.", golden, goldenFrames, want)
 	}
 }

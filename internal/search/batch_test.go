@@ -97,26 +97,25 @@ func TestCoverageFullBatchMatchesPerRule(t *testing.T) {
 	}
 }
 
-// plainCoverer hides everything but the base Coverer interface, standing in
-// for coverers that cannot batch (parcov's distributed coverer).
+// plainCoverer hides everything but the base Coverer interface, so
+// CoverageBatchOf takes its per-rule loop: the per-candidate reference the
+// batch ≡ per-rule tests compare against.
 type plainCoverer struct {
-	ev    *Evaluator
+	Coverer
 	calls int
 }
 
 func (p *plainCoverer) Coverage(rule *logic.Clause, posCand, negCand Bitset) (Bitset, Bitset) {
 	p.calls++
-	return p.ev.Coverage(rule, posCand, negCand)
+	return p.Coverer.Coverage(rule, posCand, negCand)
 }
-func (p *plainCoverer) PosLen() int { return p.ev.PosLen() }
-func (p *plainCoverer) NegLen() int { return p.ev.NegLen() }
 
 // TestCoverageBatchOfFallsBackToLoop pins the adapter: a Coverer without
 // CoverageBatch gets one Coverage call per rule and identical results, so
 // LearnRule keeps working against non-batching coverers.
 func TestCoverageBatchOfFallsBackToLoop(t *testing.T) {
 	fx := newFixture(t)
-	pc := &plainCoverer{ev: fx.ev}
+	pc := &plainCoverer{Coverer: fx.ev}
 	rules := []*logic.Clause{}
 	var clauses []logic.Clause
 	for _, ix := range [][]int32{nil, {0}, {0, 1}} {
@@ -169,10 +168,8 @@ func TestLearnRuleBatchedMatchesUnbatched(t *testing.T) {
 						seeds = [][]int32{{0}, {1}}
 					}
 					st := Settings{MaxClauseLen: 3, MinPrec: 0.75, NodesLimit: limit, Strategy: strategy}
-					stNo := st
-					stNo.NoBatchEval = true
 					batched := LearnRule(evA, fxA.bot, seeds, st)
-					unbatched := LearnRule(evB, fxB.bot, seeds, stNo)
+					unbatched := LearnRule(&plainCoverer{Coverer: evB}, fxB.bot, seeds, st)
 					if batched.Generated != unbatched.Generated || batched.ExhaustedNodes != unbatched.ExhaustedNodes {
 						t.Fatalf("w=%d strat=%v limit=%d seeded=%v: generated %d/%v vs %d/%v",
 							workers, strategy, limit, seeded,
@@ -301,8 +298,8 @@ func TestBatchPoolStress(t *testing.T) {
 
 // TestLearnRuleOnePoolSyncPerNode pins the acceptance criterion of the
 // batch path: a batched search issues one batch evaluation per expanded
-// node (plus one per initial seed), not one per generated candidate; the
-// per-candidate path issues one per candidate. The rich task expands many
+// node (plus one per initial seed), not one per generated candidate; a
+// per-rule coverer is called once per candidate. The rich task expands many
 // candidates per node, so the two counts separate by the mean branching
 // factor.
 func TestLearnRuleOnePoolSyncPerNode(t *testing.T) {
@@ -327,9 +324,7 @@ func TestLearnRuleOnePoolSyncPerNode(t *testing.T) {
 
 	peNo := NewParallelEvaluator(kb, ex, solve.DefaultBudget, 4)
 	defer peNo.Close()
-	stNo := st
-	stNo.NoBatchEval = true
-	resNo := LearnRule(peNo, bot, nil, stNo)
+	resNo := LearnRule(&plainCoverer{Coverer: peNo}, bot, nil, st)
 	batchesNo, _ := peNo.Stats()
 	if batchesNo != int64(resNo.Generated) {
 		t.Fatalf("per-candidate path issued %d evaluations for %d candidates", batchesNo, resNo.Generated)

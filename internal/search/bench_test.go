@@ -184,13 +184,13 @@ func benchRichExamples(b testing.TB, n int) (*solve.KB, *Examples, *bottom.Botto
 // BenchmarkLearnRule is the end-to-end search benchmark the batch path is
 // judged on: a full LearnRule over a wide example set, batched (one pool
 // synchronisation per expanded node) versus per-candidate evaluation (one
-// per generated rule), on the serial evaluator and on a 4-shard pool. The
-// ns/node metric is search time per generated rule.
+// per generated rule, through plainCoverer), on the serial evaluator and
+// on a 4-shard pool. The ns/node metric is search time per generated rule.
 func BenchmarkLearnRule(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		workers int
-		noBatch bool
+		perCand bool
 	}{
 		{"batched/serial", 0, false},
 		{"percand/serial", 0, true},
@@ -206,7 +206,10 @@ func BenchmarkLearnRule(b *testing.B) {
 				defer pe.Close()
 				ev = pe
 			}
-			st := Settings{MaxClauseLen: 3, MinPrec: 0.9, NoBatchEval: bc.noBatch}
+			if bc.perCand {
+				ev = &plainCoverer{Coverer: ev}
+			}
+			st := Settings{MaxClauseLen: 3, MinPrec: 0.9}
 			generated := 0
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -199,8 +199,7 @@ func (r *Result) Best() *Candidate {
 // CoverageBatch call, so a batching Coverer pays one synchronisation per
 // expanded node rather than one per candidate. Candidate ordering,
 // Generated counts and NodesLimit semantics are identical to per-candidate
-// evaluation (Settings.NoBatchEval selects the per-candidate path for A/B
-// comparison).
+// evaluation (what CoverageBatchOf falls back to for a plain Coverer).
 func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Result {
 	st = st.WithDefaults()
 	res := &Result{}
@@ -303,7 +302,7 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 
 // frontierBufs holds the per-search scratch slices of batched frontier
 // evaluation, reused across node expansions so the batch path adds no
-// steady-state allocations over the per-candidate one.
+// steady-state allocations.
 type frontierBufs struct {
 	cands    []*Candidate
 	clauses  []logic.Clause
@@ -312,12 +311,10 @@ type frontierBufs struct {
 	negCands []Bitset
 }
 
-// evaluateFrontier scores all children of one expanded node. The batched
-// path issues a single CoverageBatch call (every child re-tests only the
-// examples the shared parent covered); the NoBatchEval path evaluates each
-// child with its own Coverage call. Both return candidates in child order
-// with identical coverage bitsets and scores. The returned slice is valid
-// until the next call.
+// evaluateFrontier scores all children of one expanded node in a single
+// CoverageBatch call (every child re-tests only the examples the shared
+// parent covered), returning candidates in child order. The returned
+// slice is valid until the next call.
 func (fe *frontierBufs) evaluateFrontier(ev Coverer, bot *bottom.Bottom, children [][]int32, parent *Candidate, st Settings) []*Candidate {
 	if len(children) == 0 {
 		return nil
@@ -331,12 +328,6 @@ func (fe *frontierBufs) evaluateFrontier(ev Coverer, bot *bottom.Bottom, childre
 		fe.negCands = make([]Bitset, 0, n)
 	}
 	fe.cands = fe.cands[:len(children)]
-	if st.NoBatchEval {
-		for i, ix := range children {
-			fe.cands[i] = evaluate(ev, bot, ix, parent.posCov, parent.negCov, st)
-		}
-		return fe.cands
-	}
 	fe.clauses = fe.clauses[:len(children)]
 	fe.rules = fe.rules[:len(children)]
 	fe.posCands = fe.posCands[:len(children)]

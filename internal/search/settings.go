@@ -109,11 +109,6 @@ type Settings struct {
 	// PosPrior is the positive class prior for HeurMEstimate; set by the
 	// caller from the dataset. ≤0 means 0.5.
 	PosPrior float64
-	// NoBatchEval disables whole-frontier batched candidate evaluation and
-	// reverts LearnRule to one Coverage call per candidate (the pre-batch
-	// hot path, kept for A/B benchmarking). Search results are identical
-	// either way; only synchronisation cost changes.
-	NoBatchEval bool
 	// NoVM pins clause resolution to the tree-walking interpreter instead of
 	// the compiled bytecode VM (see internal/solve). The two engines are
 	// bit-identical in solution order, inference counts and budget cutoffs;

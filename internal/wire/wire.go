@@ -1,10 +1,9 @@
 // Package wire is the compact binary codec protocol frames travel in.
 //
 // Every payload the cluster ships — p²-mdie control and data messages,
-// parcov's coverage protocol, bulk example shipments — can be encoded
-// either with encoding/gob (the original transport encoding, retained
-// for A/B comparison) or with this hand-rolled format. The wire format
-// wins on size for three reasons:
+// parcov's coverage protocol, bulk example shipments — is encoded with
+// this hand-rolled format. It replaced gob as the payload encoding
+// (PERF.md, PR 10) and wins on size for three reasons:
 //
 //   - no per-message type metadata: gob re-emits struct descriptors in
 //     every payload because each message gets a fresh encoder (stream
@@ -54,10 +53,11 @@ var ErrCorrupt = errors.New("wire: corrupt payload")
 const CompressMin = 1 << 10
 
 // maxInflate bounds how far Decompress will inflate a frame, so a
-// garbled length field cannot balloon into unbounded allocation. It is
-// far above any real shipment (the transport already caps compressed
-// frames at MaxFrameBytes).
-const maxInflate = 1 << 31
+// garbled or hostile frame cannot balloon into unbounded allocation. It
+// is sized against netcluster's 256 MiB MaxFrameBytes default — the cap
+// on the compressed frame, which no real shipment's inflated body comes
+// near — and fits an int on 32-bit platforms.
+const maxInflate = 1 << 30
 
 // Envelope flags: the first byte of every sealed payload.
 const (
@@ -285,8 +285,9 @@ func (r *Reader) sliceLen(elemSize int) int {
 //
 // Empty slices encode as length 0 and decode as nil. That asymmetry is
 // deliberate: gob omits empty slices entirely, so a gob round trip of a
-// struct with an empty slice yields nil — matching it keeps the two
-// codecs DeepEqual-interchangeable, which the fuzz harness pins.
+// struct with an empty slice yields nil — matching it keeps decoded
+// values DeepEqual to what the gob reference in the fuzz harness yields,
+// and to what gob-encoded checkpoints restore.
 
 // I32s appends a length-prefixed []int32 of varints.
 func (w *Writer) I32s(xs []int32) {
@@ -608,6 +609,12 @@ func Compress(payload []byte) []byte {
 // Decompress strips the envelope and returns the raw body. It is the
 // inverse of Compress.
 func Decompress(payload []byte) ([]byte, error) {
+	return decompress(payload, maxInflate)
+}
+
+// decompress is Decompress with the inflate bound as a parameter, so a
+// test can exercise the bound without a gigabyte frame.
+func decompress(payload []byte, limit int) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("%w: empty frame", ErrTruncated)
 	}
@@ -616,12 +623,12 @@ func Decompress(payload []byte) ([]byte, error) {
 		return payload[1:], nil
 	case flagFlate:
 		fr := flate.NewReader(bytes.NewReader(payload[1:]))
-		body, err := io.ReadAll(io.LimitReader(fr, maxInflate))
+		body, err := io.ReadAll(io.LimitReader(fr, int64(limit)))
 		if err != nil {
 			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 		}
-		if len(body) >= maxInflate {
-			return nil, fmt.Errorf("%w: frame inflates past %d bytes", ErrCorrupt, maxInflate)
+		if len(body) >= limit {
+			return nil, fmt.Errorf("%w: frame inflates past %d bytes", ErrCorrupt, limit)
 		}
 		return body, nil
 	default:

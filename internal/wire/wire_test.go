@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -211,6 +213,43 @@ func TestEnvelopeErrors(t *testing.T) {
 	var out testMsg
 	if err := Unseal(payload, &out); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing bytes: %v", err)
+	}
+}
+
+// TestInflateBound pins the decompression-bomb guard: a flate frame that
+// inflates past the bound is rejected as corrupt after reading at most the
+// bound — never inflated whole — and one under it still opens.
+func TestInflateBound(t *testing.T) {
+	const limit, inflated = 1 << 20, 32 << 20
+	var buf bytes.Buffer
+	buf.WriteByte(flagFlate)
+	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(make([]byte, inflated)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bomb := buf.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decompress(bomb, limit)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "inflates past") {
+		t.Fatalf("frame inflating to %d bytes under a %d bound: %v", inflated, limit, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > inflated/4 {
+		t.Fatalf("rejecting the frame allocated %d bytes — it was inflated, not bounded", got)
+	}
+	if body, err := decompress(bomb, inflated+1); err != nil || len(body) != inflated {
+		t.Fatalf("frame under the bound: %d bytes, %v", len(body), err)
+	}
+	if maxInflate <= 256<<20 {
+		t.Fatalf("maxInflate %d does not exceed netcluster's 256 MiB MaxFrameBytes default", maxInflate)
 	}
 }
 
