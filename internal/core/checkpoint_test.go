@@ -84,10 +84,13 @@ func TestLearnRejectsCheckpointWithAddLearnedToBK(t *testing.T) {
 	}
 }
 
-// TestCheckpointingDoesNotTouchTheWire pins the zero-overhead contract:
-// a checkpointed run exchanges exactly the same bytes, messages and
-// virtual time as an unchckpointed one, and learns the same theory — the
-// durability layer lives entirely beside the protocol.
+// TestCheckpointingDoesNotTouchTheWire pins the wire contract: a
+// checkpointed run exchanges exactly the same bytes and messages as an
+// uncheckpointed one and learns the same theory — the durability layer
+// lives entirely beside the protocol. What it may cost is time: a snapshot
+// must name a settled theory, so a checkpointing master waits out every
+// adoption barrier that an idle boundary overlaps with the next epoch
+// (DESIGN.md §8), and its makespan can only be the longer one.
 func TestCheckpointingDoesNotTouchTheWire(t *testing.T) {
 	kb, pos, neg, ms := makeTask(t)
 	base, err := Learn(kb, pos, neg, ms, testConfig(4, 0))
@@ -107,8 +110,8 @@ func TestCheckpointingDoesNotTouchTheWire(t *testing.T) {
 		t.Errorf("traffic changed under checkpointing: got %d bytes/%d msgs, want %d/%d",
 			ck.CommBytes, ck.CommMessages, base.CommBytes, base.CommMessages)
 	}
-	if ck.VirtualTime != base.VirtualTime {
-		t.Errorf("virtual time changed under checkpointing: got %v, want %v", ck.VirtualTime, base.VirtualTime)
+	if ck.VirtualTime < base.VirtualTime {
+		t.Errorf("checkpointed run finished earlier than the overlapped one: got %v, want ≥ %v", ck.VirtualTime, base.VirtualTime)
 	}
 	if ck, err := LoadCheckpoint(cfg.CheckpointDir); err != nil {
 		t.Fatalf("no checkpoint written: %v", err)

@@ -159,7 +159,7 @@ func TestDispatchErrorPaths(t *testing.T) {
 				r.ma.cfg.RecvTimeout = 50 * time.Millisecond
 				r.nw.Kill(2)
 			},
-			wantErr: "waiting for kind",
+			wantErr: "gather after 0 completed epochs, wire epoch 3: waiting for rules from origins [1 2]",
 		},
 	}
 	for _, tc := range cases {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -149,9 +150,27 @@ type master struct {
 	// finals collects the workers' kindFinal reports of a remote run.
 	finals []finalMsg
 
+	// adopting is the open adoption ledger (nil between fallbacks): the
+	// kindAdopt broadcast is out and not every kindAdopted is in yet. See
+	// adoptLedger.
+	adopting *adoptLedger
+
 	theory    []logic.Clause
 	metrics   *Metrics
 	remaining int
+}
+
+// adoptLedger is the adoption barrier as data: which workers still owe a
+// kindAdopted for the fallback broadcast at wire epoch `epoch`, and what
+// the others answered. Keeping it on the master rather than on a phase's
+// stack is what lets the wait move — when nothing observes the epoch
+// boundary the next pipeline starts while the ledger is still open, and
+// nextReply files the replies under whatever phase is running (DESIGN.md
+// §6) — and what lets a phase abort keep the adoptions it already holds.
+type adoptLedger struct {
+	epoch   int
+	pending map[int]bool
+	replies []adoptedMsg
 }
 
 func (ma *master) nextSeq() int64 {
@@ -302,6 +321,9 @@ func (ma *master) acceptStale(msg cluster.Message) error {
 //   - converts KindPeerDown membership events into a workerLostError
 //     (after updating the membership), so the caller's phase aborts and
 //     the epoch loop can recover;
+//   - files kindAdopted replies of an open adoption ledger into it under
+//     the ledger's own epoch and pending set, whatever the caller waits
+//     for (a caller waiting for kindAdopted gets them returned as well);
 //   - silently drops stale-epoch traffic of any kind — the residue of an
 //     abandoned epoch attempt (counted in Metrics.StaleDropped);
 //   - fails on same-epoch protocol violations: unexpected kinds,
@@ -310,7 +332,7 @@ func (ma *master) nextReply(want int, pending map[int]bool, newDst func() replyH
 	for {
 		msg, err := receiveWithTimeout(ma.node, ma.cfg.RecvTimeout)
 		if err != nil {
-			return nil, fmt.Errorf("core: master: waiting for kind %d: %w", want, err)
+			return nil, fmt.Errorf("core: master: %s: %w", ma.waitingFor(want, pending), err)
 		}
 		if msg.Kind == cluster.KindPeerUp {
 			// A worker joined at the transport level. Admission waits for
@@ -372,7 +394,17 @@ func (ma *master) nextReply(want int, pending map[int]bool, newDst func() replyH
 			}
 			continue
 		}
-		if msg.Kind != want {
+		// What a reply is checked against: the caller's phase, or — for a
+		// kindAdopted while the ledger is open — the ledger, whose epoch
+		// may be one behind the wire epoch by now.
+		epochWant, owed, mk := ma.epoch, pending, newDst
+		var led *adoptLedger
+		if msg.Kind == kindAdopted {
+			led = ma.adopting
+		}
+		if led != nil {
+			epochWant, owed, mk = led.epoch, led.pending, func() replyHdr { return new(adoptedMsg) }
+		} else if msg.Kind != want {
 			var eo epochOnly
 			if err := msg.Decode(&eo); err != nil {
 				return nil, fmt.Errorf("core: master: garbled kind-%d payload from node %d: %w", msg.Kind, msg.From, err)
@@ -385,7 +417,7 @@ func (ma *master) nextReply(want int, pending map[int]bool, newDst func() replyH
 			}
 			return nil, fmt.Errorf("core: master: expected kind %d, got kind %d from node %d (epoch %d)", want, msg.Kind, msg.From, eo.Epoch)
 		}
-		dst := newDst()
+		dst := mk()
 		if err := msg.Decode(dst); err != nil {
 			return nil, fmt.Errorf("core: master: truncated or garbled kind-%d payload from node %d: %w", msg.Kind, msg.From, err)
 		}
@@ -397,16 +429,16 @@ func (ma *master) nextReply(want int, pending map[int]bool, newDst func() replyH
 				ma.gen, gc.gen(), msg.From, ErrSuperseded)
 		}
 		epoch, key := dst.hdr()
-		if epoch < ma.epoch {
+		if epoch < epochWant {
 			if err := ma.acceptStale(msg); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if epoch > ma.epoch {
-			return nil, fmt.Errorf("core: master: kind-%d reply from future epoch %d (current %d) from node %d", msg.Kind, epoch, ma.epoch, msg.From)
+		if epoch > epochWant {
+			return nil, fmt.Errorf("core: master: kind-%d reply from future epoch %d (current %d) from node %d", msg.Kind, epoch, epochWant, msg.From)
 		}
-		if !pending[key] {
+		if !owed[key] {
 			if ma.draining {
 				// A reply from a member excluded mid-drain: its death
 				// event can win the race into the inbox against its last
@@ -419,13 +451,64 @@ func (ma *master) nextReply(want int, pending map[int]bool, newDst func() replyH
 			}
 			return nil, fmt.Errorf("core: master: duplicate or unexpected kind-%d reply for member %d from node %d", msg.Kind, key, msg.From)
 		}
-		delete(pending, key)
+		delete(owed, key)
+		if led != nil {
+			led.replies = append(led.replies, *dst.(*adoptedMsg))
+			if want != kindAdopted {
+				continue
+			}
+		}
 		return dst, nil
 	}
 }
 
+// waitingFor names what a blocked receive is owed, for the error a
+// deadline or a link failure surfaces: the phase, how far the run is, and
+// which members still owe which reply — an open adoption ledger included,
+// since its replies are collected under other phases.
+func (ma *master) waitingFor(want int, pending map[int]bool) string {
+	phase, what := "drain", "final reports from workers"
+	switch want {
+	case kindRules:
+		phase, what = "gather", "rules from origins"
+	case kindEvalResult:
+		phase, what = "evaluate", "counts from workers"
+	case kindGathered:
+		phase, what = "redeal", "alive positives from workers"
+	case kindReassignAck:
+		phase, what = "reassign", "acks from workers"
+	case kindRebalanceAck:
+		phase, what = "rebalance", "acks from workers"
+	case kindAdopted:
+		phase, what = "adopt", ""
+	}
+	var owed []string
+	if what != "" && len(pending) > 0 {
+		owed = append(owed, fmt.Sprintf("%s %v", what, sortedKeys(pending)))
+	}
+	if led := ma.adopting; led != nil && len(led.pending) > 0 {
+		owed = append(owed, fmt.Sprintf("adoptions(epoch %d) from %v", led.epoch, sortedKeys(led.pending)))
+	}
+	return fmt.Sprintf("%s after %d completed epochs, wire epoch %d: waiting for %s",
+		phase, ma.metrics.Epochs, ma.epoch, strings.Join(owed, ", "))
+}
+
+func sortedKeys(set map[int]bool) []int {
+	keys := make([]int, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
 // gatherBag collects the live pipelines' results and assembles the
-// deduplicated rules bag in deterministic (origin, position) order.
+// deduplicated rules bag in deterministic (origin, position) order. When
+// the previous epoch's adoption ledger is still open (the boundary was
+// idle, so the pipelines were started over it) the gather is not complete
+// until the ledger is: the adoptions are settled here, before the bag is
+// consumed, which puts them in the theory — and off `remaining` — exactly
+// where the barrier would have.
 func (ma *master) gatherBag() ([]bagEntry, error) {
 	pending := ma.pendingLive()
 	byOrigin := make(map[int][]logic.Clause, len(pending))
@@ -436,6 +519,9 @@ func (ma *master) gatherBag() ([]bagEntry, error) {
 		}
 		rm := r.(*rulesMsg)
 		byOrigin[rm.Origin] = rm.Rules
+	}
+	if err := ma.collectAdoptions(); err != nil {
+		return nil, err
 	}
 	seen := make(map[string]bool)
 	var bag []bagEntry
@@ -568,35 +654,91 @@ func (ma *master) consumeBag(bag []bagEntry) (int, error) {
 }
 
 // adoptFallback retires one uncovered positive per worker when an epoch
-// yields no acceptable rule, guaranteeing progress.
+// yields no acceptable rule, guaranteeing progress. It broadcasts the
+// request and opens the ledger; the replies are waited for here only when
+// something observes the epoch boundary. Otherwise the next epoch's gather
+// collects them, and the round trip overlaps the pipelines' first stage
+// instead of idling the whole cluster (DESIGN.md §6).
 func (ma *master) adoptFallback() error {
 	if err := ma.bcastLive(kindAdopt, adoptMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
 		return err
 	}
-	pending := ma.pendingLive()
-	var adopted []adoptedMsg
-	for len(pending) > 0 {
-		r, err := ma.nextReply(kindAdopted, pending, func() replyHdr { return new(adoptedMsg) })
-		if err != nil {
-			return err
-		}
-		am := r.(*adoptedMsg)
-		if am.Ok {
-			adopted = append(adopted, *am)
+	ma.adopting = &adoptLedger{epoch: ma.epoch, pending: ma.pendingLive()}
+	if ma.boundaryIdle() {
+		return nil
+	}
+	return ma.collectAdoptions()
+}
+
+// boundaryIdle reports whether the coming epoch boundary can be skipped
+// over with the adoption ledger open: another epoch certainly follows —
+// the adoptions retire at most one positive per worker and the epoch cap
+// is not next — and nothing reads or reshapes the cluster at the boundary:
+// no checkpoint or published snapshot (both must name a settled theory),
+// no joiner to admit, no redeal.
+func (ma *master) boundaryIdle() bool {
+	cfg := &ma.cfg
+	if ma.remaining <= len(ma.targets) || ma.metrics.Epochs+1 >= cfg.MaxEpochs {
+		return false
+	}
+	if cfg.CheckpointDir != "" || cfg.Publish != nil || cfg.Balance || cfg.RepartitionEachEpoch || len(ma.pendingJoin) > 0 {
+		return false
+	}
+	if ma.spawn != nil {
+		for i, e := range cfg.JoinEpochs {
+			if ma.metrics.Epochs+1 >= e && (ma.spawnFired == nil || !ma.spawnFired[i]) {
+				return false // maybeSpawn fires it at this boundary
+			}
 		}
 	}
+	return true
+}
+
+// collectAdoptions waits until every worker the open ledger names has
+// answered, then settles it. A no-op with the ledger closed.
+func (ma *master) collectAdoptions() error {
+	led := ma.adopting
+	if led == nil {
+		return nil
+	}
+	for len(led.pending) > 0 {
+		// The ledger supplies the pending set and the payload type.
+		if _, err := ma.nextReply(kindAdopted, nil, nil); err != nil {
+			return err
+		}
+	}
+	ma.settleAdoptions()
+	return nil
+}
+
+// settleAdoptions moves the open ledger's adoptions into the theory, in
+// worker order so the theory is deterministic, and closes it. It is also
+// what a phase abort calls with replies still owed: an adoption in the
+// ledger has already retracted its example on the worker, so it counts
+// whether or not the barrier completes — the missing ones arrive stale
+// and take acceptStale, and recovery rebases `remaining` from the acks.
+func (ma *master) settleAdoptions() {
+	led := ma.adopting
+	if led == nil {
+		return
+	}
+	ma.adopting = nil
 	// Sort by worker for deterministic theory order.
-	sort.Slice(adopted, func(i, j int) bool { return adopted[i].Worker < adopted[j].Worker })
-	for _, am := range adopted {
+	sort.Slice(led.replies, func(i, j int) bool { return led.replies[i].Worker < led.replies[j].Worker })
+	adopted := 0
+	for _, am := range led.replies {
+		if !am.Ok {
+			continue
+		}
 		ma.theory = append(ma.theory, logic.Fact(am.Example))
 		ma.metrics.GroundFactsAdopted++
 		ma.remaining--
+		adopted++
 	}
-	if len(adopted) == 0 {
+	if adopted == 0 && len(led.pending) == 0 {
 		// Defensive: nothing left anywhere despite remaining > 0.
 		ma.remaining = 0
 	}
-	return nil
 }
 
 // gatherAllAlive runs the kindGather half of any redeal: it collects every
@@ -1169,6 +1311,7 @@ func (ma *master) run() error {
 		if asWorkerLost(err) == nil {
 			return err
 		}
+		ma.settleAdoptions()
 		if err := ma.recoverMembership(); err != nil {
 			return err
 		}

@@ -166,21 +166,7 @@ func TestRecoverSurvivesTwoDeaths(t *testing.T) {
 // them into the theory (acceptStale), or those positives would end up
 // neither covered nor adopted.
 func TestRecoverDeathDuringAdoptFallbackLosesNothing(t *testing.T) {
-	// An unlearnable task: every epoch's bag is empty, so progress comes
-	// from adoption alone (same construction as
-	// TestFallbackAdoptsUnlearnablePositive, sized for three workers).
-	kb := solve.NewKB()
-	var pos, neg []logic.Term
-	for i := 1; i <= 6; i++ {
-		kb.AddFact(logic.MustParseTerm(fmt.Sprintf("atm(p%d, a%d, carbon)", i, i)))
-		kb.AddFact(logic.MustParseTerm(fmt.Sprintf("atm(n%d, b%d, carbon)", i, i)))
-		pos = append(pos, logic.MustParseTerm(fmt.Sprintf("active(p%d)", i)))
-		neg = append(neg, logic.MustParseTerm(fmt.Sprintf("active(n%d)", i)))
-	}
-	ms := mode.MustParseSet(`
-		modeh(1, active(+mol)).
-		modeb('*', atm(+mol, -atomid, #element)).
-	`)
+	kb, pos, neg, ms := makeUnlearnableTask()
 	cfg := testConfig(3, 10)
 	cfg.Search.MinPrec = 0.95
 	cfg.Recover = true
@@ -200,6 +186,64 @@ func TestRecoverDeathDuringAdoptFallbackLosesNothing(t *testing.T) {
 	theoryCoversAll(t, kb, met.Theory, pos)
 	if met.GroundFactsAdopted < len(pos) {
 		t.Fatalf("GroundFactsAdopted = %d, want ≥ %d", met.GroundFactsAdopted, len(pos))
+	}
+}
+
+// makeUnlearnableTask: every epoch's bag is empty, so progress comes from
+// adoption alone (same construction as
+// TestFallbackAdoptsUnlearnablePositive, sized for three workers).
+func makeUnlearnableTask() (*solve.KB, []logic.Term, []logic.Term, *mode.Set) {
+	kb := solve.NewKB()
+	var pos, neg []logic.Term
+	for i := 1; i <= 6; i++ {
+		kb.AddFact(logic.MustParseTerm(fmt.Sprintf("atm(p%d, a%d, carbon)", i, i)))
+		kb.AddFact(logic.MustParseTerm(fmt.Sprintf("atm(n%d, b%d, carbon)", i, i)))
+		pos = append(pos, logic.MustParseTerm(fmt.Sprintf("active(p%d)", i)))
+		neg = append(neg, logic.MustParseTerm(fmt.Sprintf("active(n%d)", i)))
+	}
+	ms := mode.MustParseSet(`
+		modeh(1, active(+mol)).
+		modeb('*', atm(+mol, -atomid, #element)).
+	`)
+	return kb, pos, neg, ms
+}
+
+// TestRecoverDeathAfterFirstAdoptionReplyLosesNothing is the other half of
+// the late-adoption rule: a worker dies after the master has already taken
+// a sibling's kindAdopted off the wire. That reply is neither late nor
+// stale — it sits in the adoption ledger when the wait aborts — and its
+// example is retracted on its worker, so the abort must settle it into
+// the theory rather than drop it with the phase. Both placements of the
+// wait are covered: overlapped with the next epoch's gather (boundary
+// idle) and at the barrier (a Publish hook observes the boundary).
+func TestRecoverDeathAfterFirstAdoptionReplyLosesNothing(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		t.Run(fmt.Sprintf("barrier=%v", barrier), func(t *testing.T) {
+			kb, pos, neg, ms := makeUnlearnableTask()
+			cfg := testConfig(3, 10)
+			cfg.Search.MinPrec = 0.95
+			cfg.Recover = true
+			cfg.RecvTimeout = 30 * time.Second
+			if barrier {
+				cfg.Publish = noopPublish
+			}
+			var once sync.Once
+			met, err := learnTaskWithChaos(t, kb, pos, neg, ms, 3, cfg, func(nw *cluster.Network, e cluster.Event) {
+				if e.Type == cluster.EvReceive && e.Node == 0 && e.Kind == kindAdopted {
+					once.Do(func() { nw.Kill(1 + e.Peer%3) }) // not the one that just answered
+				}
+			})
+			if err != nil {
+				t.Fatalf("recovery run failed: %v", err)
+			}
+			if met.Recoveries < 1 || met.LostWorkers != 1 {
+				t.Fatalf("Recoveries = %d LostWorkers = %d", met.Recoveries, met.LostWorkers)
+			}
+			theoryCoversAll(t, kb, met.Theory, pos)
+			if met.GroundFactsAdopted < len(pos) {
+				t.Fatalf("GroundFactsAdopted = %d, want ≥ %d", met.GroundFactsAdopted, len(pos))
+			}
+		})
 	}
 }
 

@@ -92,6 +92,17 @@ type worker struct {
 
 	generated int64 // rules evaluated by this worker's searches
 
+	// held is the causal fence on ring frames (DESIGN.md §6): kindStage
+	// messages of an epoch the master link has not opened here yet, in
+	// arrival order. Links are FIFO one by one but nothing orders two of
+	// them, so a neighbour's stage can overtake the master frames that
+	// precede its epoch on the master link — the load, an accepted rule's
+	// retraction, an adoption request. Such a stage waits until the worker
+	// has handled the master frame that raises its epoch to the stage's,
+	// which per-link FIFO puts after all of those. All entries share one
+	// epoch (a newer one supersedes them), one per pipeline at most.
+	held []stageMsg
+
 	// covCache memoises intrinsic rule coverage over the local partition
 	// (coverage over a fixed example set never changes; only the alive
 	// mask does). It makes the repeated rules-bag evaluations of Fig. 5's
@@ -476,11 +487,20 @@ func (w *worker) run() error {
 		}
 	}()
 	for {
+		// The frame just handled may have opened the epoch held stages
+		// were fenced behind.
+		if err := w.releaseHeld(); err != nil {
+			return err
+		}
 		msg, err := receiveWithTimeout(w.node, w.cfg.RecvTimeout)
 		if errors.Is(err, cluster.ErrClosed) {
 			return nil
 		}
 		if err != nil {
+			if len(w.held) > 0 {
+				return fmt.Errorf("core: worker %d at epoch %d: receive, holding %d stage(s) of epoch %d for the master frame that opens it: %w",
+					w.id, w.epoch, len(w.held), w.held[0].Epoch, err)
+			}
 			return fmt.Errorf("core: worker %d: receive: %w", w.id, err)
 		}
 		if msg.Kind == cluster.KindPeerUp {
@@ -521,7 +541,9 @@ func (w *worker) run() error {
 			}
 			continue
 		}
-		if w.ex == nil && msg.Kind != kindLoad && msg.Kind != kindWelcome && msg.Kind != kindStop && msg.Kind != kindResumeQuery {
+		if w.ex == nil && msg.Kind != kindLoad && msg.Kind != kindWelcome && msg.Kind != kindStop && msg.Kind != kindResumeQuery && msg.Kind != kindStage {
+			// Ring frames are exempt: a neighbour's stage racing the load
+			// on another link is fenced below, not fatal.
 			return fmt.Errorf("core: worker %d got kind %d before its partition was loaded", w.id, msg.Kind)
 		}
 		switch msg.Kind {
@@ -578,6 +600,15 @@ func (w *worker) run() error {
 			}
 			if st.Epoch < w.epoch {
 				continue // residue of an abandoned epoch attempt
+			}
+			if st.Epoch > w.epoch {
+				if err := w.hold(st); err != nil {
+					return err
+				}
+				continue
+			}
+			if w.ex == nil {
+				return fmt.Errorf("core: worker %d got a stage of its own epoch %d before its partition was loaded", w.id, w.epoch)
 			}
 			if err := w.runStage(&st); err != nil {
 				return err
@@ -770,6 +801,47 @@ func (w *worker) run() error {
 			return fmt.Errorf("core: worker %d got unknown message kind %d", w.id, msg.Kind)
 		}
 	}
+}
+
+// hold fences a stage of an epoch this worker has not been moved to yet.
+// A stage newer than the ones already held supersedes them (its epoch's
+// start is on the master link, so theirs was abandoned); an older one is
+// itself superseded. One epoch sends a worker at most one stage per other
+// pipeline, so more entries than nodes is a protocol violation, not load.
+func (w *worker) hold(st stageMsg) error {
+	if len(w.held) > 0 {
+		switch at := w.held[0].Epoch; {
+		case st.Epoch < at:
+			return nil
+		case st.Epoch > at:
+			w.held = w.held[:0]
+		}
+	}
+	if len(w.held) >= w.node.Size() {
+		return fmt.Errorf("core: worker %d at epoch %d: %d stages of epoch %d held, more than the ring can send", w.id, w.epoch, len(w.held), st.Epoch)
+	}
+	w.held = append(w.held, st)
+	return nil
+}
+
+// releaseHeld runs, in arrival order, the held stages whose epoch the
+// worker has reached, and drops them if it has moved past. Only master
+// frames move the epoch, so this is a no-op except right after one did.
+func (w *worker) releaseHeld() error {
+	if len(w.held) == 0 || w.held[0].Epoch > w.epoch {
+		return nil
+	}
+	held := w.held
+	w.held = nil
+	if held[0].Epoch < w.epoch {
+		return nil
+	}
+	for i := range held {
+		if err := w.runStage(&held[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // startPipeline runs stage 1 of this worker's pipeline (Fig. 6
