@@ -210,25 +210,3 @@ func TestLearnThenServeE2E(t *testing.T) {
 		t.Fatalf("after activate, served %s, want v1", cr.Snapshot)
 	}
 }
-
-// TestBenchModeE2E pins the -bench flag: the process load-tests itself and
-// prints a one-line summary.
-func TestBenchModeE2E(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes")
-	}
-	p2mdie, ilpserve := binaries(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	pub := t.TempDir()
-	learn(t, ctx, p2mdie, pub)
-	out, err := exec.CommandContext(ctx, ilpserve,
-		"-snapshot", filepath.Join(pub, "snap-0000000000000001.isnap"),
-		"-addr", "127.0.0.1:0", "-bench", "200ms", "-clients", "2").CombinedOutput()
-	if err != nil {
-		t.Fatalf("bench run: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "qps=") || strings.Contains(string(out), "errors=0 ") == false {
-		t.Fatalf("bench output missing qps/errors: %s", out)
-	}
-}

@@ -21,9 +21,8 @@
 // The first stdout line is always "ilpserve: listening on <addr>" so
 // orchestrators can scrape the actual address when -addr uses port 0.
 //
-// With -bench the process instead drives sustained load against its own
-// endpoint (cycling through the snapshot's training examples) and prints a
-// QPS/latency summary, then exits — the measurement published in PERF.md.
+// Load numbers come from the repository benchmark, which drives this same
+// handler over loopback HTTP: bash bench/run.sh --workload serve-classify.
 package main
 
 import (
@@ -53,9 +52,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8080", "HTTP listen address (use host:0 for an ephemeral port)")
 		machines = flag.Int("machines", 0, "solver machines per snapshot — the max classify requests answered concurrently (0 = GOMAXPROCS)")
 		poll     = flag.Duration("poll", 200*time.Millisecond, "with -watch: directory poll interval")
-		bench    = flag.Duration("bench", 0, "instead of serving forever, load-test the endpoint for this long, print QPS and latency percentiles, and exit")
-		clients  = flag.Int("clients", 4, "with -bench: concurrent load-generator connections")
-		noProof  = flag.Bool("noproof", false, "with -bench: request coverage bits only, no proof traces")
 		quiet    = flag.Bool("q", false, "suppress per-swap log lines")
 	)
 	flag.Parse()
@@ -109,11 +105,6 @@ func main() {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	if *bench > 0 {
-		go httpSrv.Serve(ln)
-		runBench(reg, "http://"+ln.Addr().String(), *clients, *bench, !*noProof)
-		return
-	}
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fail(err)
 	}
@@ -124,36 +115,6 @@ func main() {
 func logSwap(a *serve.Artifact) {
 	fmt.Printf("ilpserve: serving %s — %s epoch %d, %d rules, fingerprint %016x\n",
 		a.ID, a.Snap.Name, a.Snap.Epoch, len(a.Rules), a.Snap.Fingerprint)
-}
-
-// runBench waits for an active snapshot (a -watch run may still be waiting
-// on its first publish), then drives the load generator against the
-// in-process endpoint using the snapshot's own training examples.
-func runBench(reg *serve.Registry, baseURL string, clients int, d time.Duration, withProof bool) {
-	var active *serve.Artifact
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		if active = reg.Active(); active != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			fail(errors.New("bench: no snapshot became active within 30s"))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	snap := active.Snap
-	examples := make([]string, 0, len(snap.Pos)+len(snap.Neg))
-	for _, e := range snap.Pos {
-		examples = append(examples, e.String())
-	}
-	for _, e := range snap.Neg {
-		examples = append(examples, e.String())
-	}
-	res, err := serve.Bench(baseURL, examples, clients, d, withProof)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("ilpserve bench [%s %s, %d rules, %d machines, proof=%v]: %s\n",
-		snap.Name, active.ID, len(active.Rules), active.Pool().Size(), withProof, res)
 }
 
 func fail(err error) {

@@ -182,7 +182,8 @@ type ParallelOptions struct {
 	// Balance enables throughput-aware load rebalancing between epochs:
 	// the master deals uncovered positives proportionally to each worker's
 	// measured throughput instead of evenly (supersedes Repartition when
-	// both are set). Metrics.Rebalances counts the barriers.
+	// both are set). Metrics.Rebalances counts the barriers — Repartition's
+	// too.
 	Balance bool
 	// CoverParallelism shards each worker's coverage tests across this
 	// many goroutines (<0 = all cores, ≤1 = serial); real multicore

@@ -48,7 +48,9 @@ type Config struct {
 	// workers before every epoch after the first — the design alternative
 	// the paper declined for its communication cost (§4.1). Implemented
 	// for the repartitioning ablation: expect balanced partitions but a
-	// large jump in exchanged bytes.
+	// large jump in exchanged bytes. It is the redeal barrier with an even
+	// deal, so each repartition also costs the install acks and counts in
+	// Metrics.Rebalances.
 	RepartitionEachEpoch bool
 	// Balance enables throughput-aware load rebalancing: between epochs
 	// the master gathers every worker's uncovered positives together with
@@ -64,8 +66,8 @@ type Config struct {
 	// JoinEpochs schedules mid-run worker joins on the simulated cluster:
 	// each entry e spawns one fresh worker once e epochs have completed
 	// (0 = before the first). The joiner is welcomed into the ring and
-	// receives a share at the next rebalance barrier; with Balance off the
-	// pool is redealt evenly on admission. Simulation-only — on a TCP run
+	// receives a share at the redeal barrier that follows; with Balance off
+	// the pool is redealt evenly on admission. Simulation-only — on a TCP run
 	// joiners attach themselves via `p2mdie -join` instead.
 	JoinEpochs []int
 	// RecvTimeout bounds every blocking protocol receive (master and
@@ -78,7 +80,7 @@ type Config struct {
 	// Recover enables worker-failure recovery: the transport delivers
 	// peer deaths as membership events, and the master — instead of
 	// aborting the run — excludes the dead worker, redistributes its
-	// assigned examples over the survivors (kindReassign), re-issues the
+	// assigned examples over the survivors (a merge redeal), re-issues the
 	// in-flight epoch and continues on p−1 pipelines. Off, a worker
 	// failure fails the run (the original fail-stop contract). Failure-
 	// free runs are byte-identical with either setting. See DESIGN.md §6.
@@ -177,14 +179,16 @@ type Metrics struct {
 	Recoveries int
 	// LostWorkers counts workers that died during the run.
 	LostWorkers int
-	// Rebalances counts completed rebalance barriers: join admissions and
-	// Balance's between-epoch proportional redeals.
+	// Rebalances counts completed replace redeals — barriers that pooled
+	// the alive positives and dealt them back out: one per epoch boundary
+	// that admitted joiners, ran under Balance, or ran under
+	// RepartitionEachEpoch (however many of the three applied at once).
 	Rebalances int
 	// JoinedWorkers counts workers admitted mid-run (Network.Spawn or
 	// `p2mdie -join`).
 	JoinedWorkers int
 	// JoinShares records, per admitted joiner in admission order, how many
-	// positives its first completed rebalance barrier handed it. An
+	// positives its first completed redeal barrier handed it. An
 	// admission aborted by a concurrent worker death records nothing (the
 	// joiner is provisioned by the recovery path instead), so the list can
 	// be shorter than JoinedWorkers.

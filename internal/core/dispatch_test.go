@@ -252,3 +252,17 @@ func TestAllWorkersLostIsFatal(t *testing.T) {
 		t.Fatalf("err = %v, want no-survivors error", err)
 	}
 }
+
+// TestWaitingForNamesTheRedeal: both waits of the redeal barrier — the pool
+// and the install acks — report as one phase, told apart by what is owed.
+func TestWaitingForNamesTheRedeal(t *testing.T) {
+	r := newDispatchRig(t, 2, false)
+	for want, text := range map[int]string{
+		kindGathered:    "redeal after 0 completed epochs, wire epoch 3: waiting for alive positives from workers [1 2]",
+		kindReassignAck: "redeal after 0 completed epochs, wire epoch 3: waiting for install acks from workers [1 2]",
+	} {
+		if got := r.ma.waitingFor(want, r.ma.pendingLive()); got != text {
+			t.Errorf("waitingFor(kind %d) = %q, want %q", want, got, text)
+		}
+	}
+}

@@ -251,3 +251,83 @@ func TestAsymmetricPartitionOneGenerationSurvives(t *testing.T) {
 		t.Errorf("workers fenced %d frames, want exactly %d (one stale resume query each)", fenced, p)
 	}
 }
+
+// TestEpochCheckedFramesFencedAndDropped feeds a worker at epoch 5,
+// generation 2, one frame of every kind that goes through worker.open —
+// first from a superseded generation (with an epoch far ahead: the fence
+// must run before the epoch means anything), then from an abandoned epoch
+// of the live generation. The first is refused with one kindFenced naming
+// the worker's generation, the second is dropped in silence, and neither
+// moves the worker's clock, ring, partition or reply sequence.
+func TestEpochCheckedFramesFencedAndDropped(t *testing.T) {
+	kb, pos, neg, ms := makeTask(t)
+	ring := []int{1, 2, 3}
+	frames := []struct {
+		kind int
+		mk   func(epoch, gen int) any
+	}{
+		{kindStartPipeline, func(e, g int) any { return startMsg{Epoch: e, Gen: g, Width: 10} }},
+		{kindEvaluate, func(e, g int) any { return evaluateMsg{Epoch: e, Gen: g} }},
+		{kindAdopt, func(e, g int) any { return adoptMsg{Epoch: e, Gen: g} }},
+		{kindGather, func(e, g int) any { return gatherMsg{Epoch: e, Gen: g} }},
+		{kindReassign, func(e, g int) any { return reassignMsg{Epoch: e, Gen: g, Members: ring, Replace: true} }},
+		{kindWelcome, func(e, g int) any { return welcomeMsg{Epoch: e, Gen: g, Members: ring} }},
+	}
+	for _, fr := range frames {
+		kind := fr.kind
+		for _, staleGen := range []bool{true, false} {
+			t.Run(fmt.Sprintf("kind%d/staleGen=%v", kind, staleGen), func(t *testing.T) {
+				nw := cluster.NewNetwork(3, cluster.CostModel{})
+				w := newWorker(1, 2, nw.Node(1), kb, search.NewExamples(pos[:6], neg[:6]), ms, testConfig(2, 10).withDefaults())
+				w.epoch, w.gen = 5, 2
+				frame := fr.mk(4, 2)
+				if staleGen {
+					frame = fr.mk(9, 1)
+				}
+				const sentinel = 999
+				for _, m := range []struct {
+					kind int
+					v    any
+				}{{kind, frame}, {kindStop, stopMsg{Gen: 2}}} {
+					if err := nw.Node(0).Send(1, m.kind, m.v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.run(); err != nil {
+					t.Fatal(err)
+				}
+				// Whatever the worker sent the master is queued ahead of this.
+				if err := nw.Node(2).Send(0, sentinel, junk{}); err != nil {
+					t.Fatal(err)
+				}
+				var got []cluster.Message
+				for {
+					msg, err := receiveWithTimeout(nw.Node(0), 5*time.Second)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if msg.Kind == sentinel {
+						break
+					}
+					got = append(got, msg)
+				}
+				if w.epoch != 5 || w.gen != 2 || len(w.ring) != 2 || w.ex.PosAlive.Count() != 6 {
+					t.Fatalf("the frame moved the worker: epoch %d gen %d ring %v alive %d", w.epoch, w.gen, w.ring, w.ex.PosAlive.Count())
+				}
+				if !staleGen {
+					if len(got) != 0 || w.fenced != 0 || w.seq != 0 {
+						t.Fatalf("stale-epoch frame answered: %d replies, fenced %d, seq %d", len(got), w.fenced, w.seq)
+					}
+					return
+				}
+				var fm fencedMsg
+				if len(got) != 1 || got[0].Kind != kindFenced || got[0].Decode(&fm) != nil || fm.Gen != 2 || fm.Worker != 1 || fm.Epoch != 5 {
+					t.Fatalf("stale-generation frame: replies %+v (decoded %+v), want one kindFenced from worker 1 at generation 2, epoch 5", got, fm)
+				}
+				if w.fenced != 1 {
+					t.Fatalf("fenced = %d, want 1", w.fenced)
+				}
+			})
+		}
+	}
+}

@@ -84,8 +84,8 @@ type master struct {
 	gen int
 
 	// assignedPos/assignedNeg track, per worker id (1-indexed), the
-	// examples the master has handed that worker — initial partition,
-	// repartitions and recovery shares. The sets are pairwise disjoint.
+	// examples the master has handed that worker — initial partition and
+	// every redeal's share. The sets are pairwise disjoint.
 	// When a worker dies this is what gets redistributed; it may include
 	// already-covered positives (the master cannot know local coverage),
 	// which survivors simply re-cover.
@@ -106,9 +106,8 @@ type master struct {
 	// them) but that are not yet protocol members; admission — welcome,
 	// ring install, first share — happens between epochs (prepEpoch).
 	pendingJoin []int
-	// bal turns per-worker measured throughput into partition shares;
-	// every share-dealing path (repartition, recovery, rebalance) routes
-	// through the sched package it fronts.
+	// bal turns per-worker measured throughput into partition shares; the
+	// redeal barrier deals through the sched package it fronts.
 	bal *sched.Balancer
 	// spawn, when non-nil (simulated runs), creates and starts one fresh
 	// worker on the network and returns its node id; cfg.JoinEpochs
@@ -476,9 +475,7 @@ func (ma *master) waitingFor(want int, pending map[int]bool) string {
 	case kindGathered:
 		phase, what = "redeal", "alive positives from workers"
 	case kindReassignAck:
-		phase, what = "reassign", "acks from workers"
-	case kindRebalanceAck:
-		phase, what = "rebalance", "acks from workers"
+		phase, what = "redeal", "install acks from workers"
 	case kindAdopted:
 		phase, what = "adopt", ""
 	}
@@ -741,20 +738,15 @@ func (ma *master) settleAdoptions() {
 	}
 }
 
-// gatherAllAlive runs the kindGather half of any redeal: it collects every
-// live worker's uncovered positives (pooled in membership order, which
-// keeps the deal deterministic) with their cost estimates, and feeds any
-// attached throughput reports to the balancer. Both repartition and
-// rebalance start here; the repartition path ignores the costs.
+// gatherAllAlive runs the kindGather half of a replace redeal: it collects
+// every live worker's uncovered positives (pooled in membership order,
+// which keeps the deal deterministic) with their cost estimates, and feeds
+// any attached throughput reports to the balancer.
 func (ma *master) gatherAllAlive() ([]logic.Term, []int64, error) {
 	if err := ma.bcastLive(kindGather, gatherMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
 		return nil, nil, err
 	}
-	type gathered struct {
-		pos   []logic.Term
-		costs []int64
-	}
-	byWorker := make(map[int]gathered, len(ma.targets))
+	byWorker := make(map[int]*gatheredMsg, len(ma.targets))
 	pending := ma.pendingLive()
 	for len(pending) > 0 {
 		r, err := ma.nextReply(kindGathered, pending, func() replyHdr { return new(gatheredMsg) })
@@ -762,7 +754,7 @@ func (ma *master) gatherAllAlive() ([]logic.Term, []int64, error) {
 			return nil, nil, err
 		}
 		gm := r.(*gatheredMsg)
-		byWorker[gm.Worker] = gathered{pos: gm.Pos, costs: gm.Costs}
+		byWorker[gm.Worker] = gm
 		if gm.BusyNs > 0 && gm.Inferences > 0 {
 			ma.bal.Observe(gm.Worker, gm.Inferences, gm.BusyNs)
 		}
@@ -770,65 +762,75 @@ func (ma *master) gatherAllAlive() ([]logic.Term, []int64, error) {
 	var all []logic.Term
 	var costs []int64
 	for _, k := range ma.targets {
-		all = append(all, byWorker[k].pos...)
-		costs = append(costs, byWorker[k].costs...)
+		all = append(all, byWorker[k].Pos...)
+		costs = append(costs, byWorker[k].Costs...)
 	}
 	return all, costs, nil
 }
 
-// repartition collects every worker's uncovered positives and deals them
-// back out evenly (the §4.1 alternative, used only when configured). The
-// examples make two network trips, which is exactly the communication cost
-// the paper avoided.
-func (ma *master) repartition() error {
-	all, _, err := ma.gatherAllAlive()
-	if err != nil {
-		return err
-	}
-	parts := sched.DealEven(all, len(ma.targets))
-	for i, k := range ma.targets {
-		if err := ma.send(k, kindRepartition, repartitionMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Pos: parts[i]}); err != nil {
+// redeal is the one barrier through which examples change hands between
+// pipelines (DESIGN.md §6): bump the wire epoch, so everything in flight
+// from the old membership and shares is recognisably stale; deal; send
+// every live member the ring and its share in one kindReassign; collect
+// every ack, rebasing `remaining` from the reported alive counts. Only
+// when it returns does the caller start pipelines, so no worker can see
+// new-epoch ring traffic before it runs on the new membership and shares.
+//
+// What is dealt is the caller's one decision. A merge (replace false)
+// deals the dead workers' queued assignments evenly and the survivors add
+// them to their partitions. A replace first pools every alive positive
+// (kindGather) and deals the pool — by cost and measured throughput under
+// Balance, evenly otherwise (the §4.1 alternative: the examples make two
+// network trips, exactly the communication cost the paper avoided) — as
+// the workers' new positive partitions; negatives never move.
+//
+// A pending rollback order (ma.rollbackTo, set by a crash-restart resume)
+// rides on every install until a barrier completes; each worker applies it
+// at most once, so a re-issued barrier merges on top of already-rolled-back
+// survivors, matching the append-only bookkeeping here. A death mid-barrier
+// is the ordinary workerLostError: noteLost has queued what was tracked for
+// the casualty, this barrier's share included, and per-link FIFO puts this
+// install ahead of the recovery's on every survivor.
+func (ma *master) redeal(replace bool) error {
+	ma.epoch++
+	pool, n := ma.lostPos, len(ma.targets)
+	var costs []int64
+	if replace {
+		var err error
+		if pool, costs, err = ma.gatherAllAlive(); err != nil {
 			return err
 		}
-		// The dealt set replaces the worker's positive assignment (its
-		// negatives never move); covered positives were gathered out, so
-		// the tracked assignment tightens to the alive set here.
-		ma.assignedPos[k] = parts[i]
 	}
-	return nil
-}
-
-// reassignBarrier runs one kindReassign barrier: bump the epoch, deal the
-// queued lost assignments over the live membership, and collect every
-// survivor's ack, rebasing the global remaining counter from the reported
-// alive counts. It reports lostAgain=true when a further death aborted
-// the collection, so the caller can re-issue with the new casualty folded
-// in. A pending rollback order (ma.rollbackTo, set by a crash-restart
-// resume) rides on every reassign until some barrier completes; each
-// worker applies it at most once, so re-issued barriers merge their
-// shares on top of already-rolled-back survivors — exactly matching the
-// master's append-only assignment bookkeeping.
-func (ma *master) reassignBarrier() (lostAgain bool, err error) {
-	ma.epoch++
-	members := append([]int(nil), ma.targets...)
-	posShares := sched.DealEven(ma.lostPos, len(ma.targets))
-	negShares := sched.DealEven(ma.lostNeg, len(ma.targets))
+	var pos [][]logic.Term
+	if replace && ma.cfg.Balance {
+		pos = sched.DealByCost(pool, costs, ma.bal.Weights(ma.targets))
+	} else {
+		pos = sched.DealEven(pool, n)
+	}
+	neg := sched.DealEven(ma.lostNeg, n) // nothing is lost when a replace runs
 	ma.lostPos, ma.lostNeg = nil, nil
+	dealt := 0
+	for _, share := range pos {
+		dealt += len(share)
+	}
+	if dealt != len(pool) {
+		return fmt.Errorf("core: master: redeal at epoch %d dealt %d of %d pooled positives", ma.epoch, dealt, len(pool))
+	}
+	members := append([]int(nil), ma.targets...)
 	seq := ma.nextSeq()
 	for i, k := range ma.targets {
-		rm := reassignMsg{
-			Epoch:         ma.epoch,
-			Seq:           seq,
-			Gen:           ma.gen,
-			Members:       members,
-			Pos:           posShares[i],
-			Neg:           negShares[i],
-			RollbackBelow: ma.rollbackTo,
+		if replace {
+			// Covered positives were gathered out, so the tracked
+			// assignment tightens to the dealt share.
+			ma.assignedPos[k] = pos[i]
+		} else {
+			ma.assignedPos[k] = append(ma.assignedPos[k], pos[i]...)
+			ma.assignedNeg[k] = append(ma.assignedNeg[k], neg[i]...)
 		}
-		ma.assignedPos[k] = append(ma.assignedPos[k], posShares[i]...)
-		ma.assignedNeg[k] = append(ma.assignedNeg[k], negShares[i]...)
+		rm := reassignMsg{Epoch: ma.epoch, Seq: seq, Gen: ma.gen, Members: members,
+			Pos: pos[i], Neg: neg[i], Replace: replace, RollbackBelow: ma.rollbackTo}
 		if err := ma.send(k, kindReassign, rm); err != nil {
-			return false, err
+			return err
 		}
 	}
 	pending := ma.pendingLive()
@@ -836,38 +838,31 @@ func (ma *master) reassignBarrier() (lostAgain bool, err error) {
 	for len(pending) > 0 {
 		r, err := ma.nextReply(kindReassignAck, pending, func() replyHdr { return new(reassignAckMsg) })
 		if err != nil {
-			if asWorkerLost(err) != nil {
-				return true, nil
-			}
-			return false, err
+			return err
 		}
-		alive += r.(*reassignAckMsg).Alive
+		// The ledger: a worker holds nothing the master did not hand it,
+		// and right after a replace exactly its share, all of it alive.
+		ack := r.(*reassignAckMsg)
+		if held := len(ma.assignedPos[ack.Worker]); ack.Alive > held || replace && ack.Alive != held {
+			return fmt.Errorf("core: master: worker %d acked %d alive positives at epoch %d, the ledger tracks %d (replace=%v)",
+				ack.Worker, ack.Alive, ma.epoch, held, replace)
+		}
+		alive += ack.Alive
 	}
 	ma.remaining = alive
 	ma.rollbackTo = 0
-	return false, nil
+	return nil
 }
 
-// recoverMembership redistributes dead workers' assignments over the
-// survivors and installs the new membership through the kindReassign
-// barrier: every survivor merges its share, adopts the new ring and acks;
-// only when every ack is in does the caller re-issue the epoch, so no
-// survivor can see new-epoch pipeline traffic before it runs on the new
-// membership. Survivor acks carry alive counts, from which the global
-// remaining counter is rebased (a dead partition's share may contain
-// already-covered positives the master cannot identify). Failures during
-// recovery simply restart it with the additional casualties folded in.
+// recoverMembership installs the surviving membership: a merge redeal of
+// whatever the dead workers held — nothing, for the rollback barrier of a
+// resume. A failure during the barrier re-issues it with the additional
+// casualty folded in.
 func (ma *master) recoverMembership() error {
 	for {
-		again, err := ma.reassignBarrier()
-		if err != nil {
+		if err := ma.redeal(false); asWorkerLost(err) == nil {
 			return err
 		}
-		if again {
-			continue
-		}
-		ma.metrics.Recoveries++
-		return nil
 	}
 }
 
@@ -1035,7 +1030,7 @@ func (ma *master) resumeCluster() error {
 	}
 	if ma.parts != nil {
 		// A crash during the initial load leaves remote workers without a
-		// partition; re-ship it (the load precedes the rollback reassign on
+		// partition; re-ship it (the load precedes the rollback install on
 		// the same ordered link, so ordering holds).
 		for _, k := range ma.targets {
 			if im := infos[k]; im == nil || im.Loaded {
@@ -1053,15 +1048,7 @@ func (ma *master) resumeCluster() error {
 	ma.epoch = maxEpoch
 	ma.rollbackTo = boundary + 1
 	ma.resumeFloor = maxEpoch + 1
-	for {
-		again, err := ma.reassignBarrier()
-		if err != nil {
-			return err
-		}
-		if !again {
-			return nil
-		}
-	}
+	return ma.recoverMembership()
 }
 
 // maybeSpawn fires the cfg.JoinEpochs schedule (simulated runs): each
@@ -1083,28 +1070,16 @@ func (ma *master) maybeSpawn() {
 	}
 }
 
-// welcomeLoad builds the settings payload a joiner needs. On a remote run
-// it is everything kindLoad would have carried minus the partition (the
-// share arrives in the rebalance that follows on the same ordered link);
-// in the simulation joiners are constructed with their configuration and
-// the zero Load goes unused.
-func (ma *master) welcomeLoad() loadDataMsg {
-	if ma.parts == nil {
-		return loadDataMsg{}
-	}
-	return ma.cfg.loadSettings()
-}
-
-// admitJoiners grows the membership by every pending joiner and gives the
-// new ring its first shares: each joiner gets a kindWelcome (ring +
-// settings), then one rebalance barrier sheds examples from the loaded
-// workers onto the joiners (and, with Balance, skews shares toward
-// measured throughput). The epoch bump makes any in-flight traffic from
-// the old membership recognisably stale, exactly as recovery does.
-func (ma *master) admitJoiners() error {
+// admitJoiners grows the membership by every pending joiner and sends each
+// its kindWelcome: the ring and, on a remote run, everything kindLoad would
+// have carried minus the partition (simulated joiners are constructed with
+// their configuration). It returns the admitted ids, ascending; their first
+// shares arrive in the redeal the caller runs next, on the same ordered
+// link.
+func (ma *master) admitJoiners() ([]int, error) {
 	joiners := ma.pendingJoin
 	ma.pendingJoin = nil
-	ma.epoch++
+	sort.Ints(joiners)
 	for _, id := range joiners {
 		for id >= len(ma.assignedPos) {
 			ma.assignedPos = append(ma.assignedPos, nil)
@@ -1115,88 +1090,45 @@ func (ma *master) admitJoiners() error {
 	}
 	sort.Ints(ma.targets)
 	members := append([]int(nil), ma.targets...)
-	seq := ma.nextSeq()
+	var load loadDataMsg
+	if ma.parts != nil {
+		load = ma.cfg.loadSettings()
+	}
 	for _, id := range joiners {
-		wm := welcomeMsg{Epoch: ma.epoch, Seq: seq, Gen: ma.gen, Members: members, Load: ma.welcomeLoad()}
+		wm := welcomeMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Members: members, Load: load}
 		if err := ma.send(id, kindWelcome, wm); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return ma.rebalance(joiners)
-}
-
-// rebalance pools every live worker's uncovered positives and deals them
-// back out — proportionally to measured throughput when Balance is on,
-// evenly otherwise — then installs the membership and shares through the
-// kindRebalance+ack barrier (the kindReassign barrier's shape), rebasing
-// `remaining` from the acks. joiners, when non-nil, names freshly admitted
-// members whose first share sizes are recorded in Metrics.JoinShares. The
-// caller has already bumped the epoch.
-func (ma *master) rebalance(joiners []int) error {
-	all, costs, err := ma.gatherAllAlive()
-	if err != nil {
-		return err
-	}
-	var parts [][]logic.Term
-	if ma.cfg.Balance {
-		// Cost- and speed-aware: each worker's share of the pooled
-		// per-example cost is proportional to its measured throughput.
-		parts = sched.DealByCost(all, costs, ma.bal.Weights(ma.targets))
-	} else {
-		parts = sched.DealEven(all, len(ma.targets))
-	}
-	isJoiner := make(map[int]bool, len(joiners))
-	for _, id := range joiners {
-		isJoiner[id] = true
-	}
-	members := append([]int(nil), ma.targets...)
-	seq := ma.nextSeq()
-	var joinShares []int
-	for i, k := range ma.targets {
-		rm := rebalanceMsg{Epoch: ma.epoch, Seq: seq, Gen: ma.gen, Members: members, Pos: parts[i]}
-		// Covered positives were gathered out, so the tracked assignment
-		// tightens to the dealt share (negatives never move).
-		ma.assignedPos[k] = parts[i]
-		if err := ma.send(k, kindRebalance, rm); err != nil {
-			return err
-		}
-		if isJoiner[k] {
-			joinShares = append(joinShares, len(parts[i]))
-		}
-	}
-	pending := ma.pendingLive()
-	alive := 0
-	for len(pending) > 0 {
-		r, err := ma.nextReply(kindRebalanceAck, pending, func() replyHdr { return new(rebalanceAckMsg) })
-		if err != nil {
-			return err
-		}
-		alive += r.(*rebalanceAckMsg).Alive
-	}
-	ma.remaining = alive
-	// Only a completed barrier records its deals: an admission aborted by
-	// a concurrent death falls into recovery, whose kindReassign
-	// supersedes the shares sent above — recording them at send time
-	// would report sizes nobody installed.
-	ma.metrics.JoinShares = append(ma.metrics.JoinShares, joinShares...)
-	ma.metrics.Rebalances++
-	return nil
+	return joiners, nil
 }
 
 // prepEpoch runs the between-epoch membership work: spawn scheduled
-// simulated joiners, admit pending joiners, and — with Balance on — skew
-// shares toward measured throughput. Default-off runs with no joiners do
-// nothing here, which is what keeps them byte-identical to the
-// pre-elastic engine.
+// simulated joiners, admit pending joiners, and run the one replace redeal
+// the boundary calls for — to shed examples onto joiners, to skew shares
+// toward measured throughput (Balance), or because per-epoch repartition
+// is configured. Default-off runs with no joiners do nothing here, which
+// is what keeps them byte-identical to the pre-elastic engine.
 func (ma *master) prepEpoch() error {
 	ma.maybeSpawn()
-	if len(ma.pendingJoin) > 0 {
-		return ma.admitJoiners()
+	joiners, err := ma.admitJoiners()
+	if err != nil {
+		return err
 	}
-	if ma.cfg.Balance && ma.metrics.Epochs > 0 {
-		ma.epoch++
-		return ma.rebalance(nil)
+	if len(joiners) == 0 && (ma.metrics.Epochs == 0 || !ma.cfg.Balance && !ma.cfg.RepartitionEachEpoch) {
+		return nil
 	}
+	if err := ma.redeal(true); err != nil {
+		return err
+	}
+	// Only a completed barrier records its deals: an admission aborted by
+	// a concurrent death falls into recovery, whose install merges on top
+	// of the shares sent above — recording them at send time would report
+	// sizes the joiner no longer holds.
+	for _, id := range joiners {
+		ma.metrics.JoinShares = append(ma.metrics.JoinShares, len(ma.assignedPos[id]))
+	}
+	ma.metrics.Rebalances++
 	return nil
 }
 
@@ -1211,16 +1143,11 @@ func (ma *master) stopJoiners() {
 	ma.pendingJoin = nil
 }
 
-// runEpoch runs one logical epoch on the current membership: optional
-// repartitioning, one pipeline per live worker, bag consumption, and the
-// progress fallback. A workerLostError from any phase aborts the attempt
-// before Metrics.Epochs is counted; run() then recovers and re-issues.
+// runEpoch runs one logical epoch on the current membership: one pipeline
+// per live worker, bag consumption, and the progress fallback. A
+// workerLostError from any phase aborts the attempt before Metrics.Epochs
+// is counted; run() then recovers and re-issues.
 func (ma *master) runEpoch() error {
-	if ma.cfg.RepartitionEachEpoch && !ma.cfg.Balance && ma.metrics.Epochs > 0 {
-		if err := ma.repartition(); err != nil {
-			return err
-		}
-	}
 	ma.epoch++
 	if err := ma.bcastLive(kindStartPipeline, startMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Width: ma.cfg.Width}); err != nil {
 		return err
@@ -1315,6 +1242,7 @@ func (ma *master) run() error {
 		if err := ma.recoverMembership(); err != nil {
 			return err
 		}
+		ma.metrics.Recoveries++
 	}
 	// The final theory completed after the last boundary the loop top saw;
 	// publish it before the cluster is told to stop.
@@ -1446,7 +1374,7 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 	if len(cfg.JoinEpochs) > 0 {
 		// The cfg.JoinEpochs schedule: spawn a fresh node on the running
 		// network, start its worker with an empty partition (the share
-		// arrives through the rebalance barrier), and hand the id to the
+		// arrives through the redeal barrier), and hand the id to the
 		// master. Called from the master's own goroutine, so appending to
 		// workers is race-free and the totals below see every joiner.
 		ma.spawn = func() int {

@@ -58,30 +58,38 @@ const (
 	// kindStop (master→workers) ends the run.
 	kindStop
 	// kindGather (master→workers) requests the worker's uncovered
-	// positives, the first half of the optional per-epoch repartitioning
-	// (the alternative the paper declined in §4.1 for its communication
-	// cost; implemented here as an ablation).
+	// positives: the pooling half of a replace redeal — join admission,
+	// Config.Balance, and the per-epoch repartitioning the paper declined
+	// in §4.1 for its communication cost (implemented here as an
+	// ablation). The dealt shares come back in kindReassign.
 	kindGather
 	// kindGathered (worker→master) returns the uncovered positives.
 	kindGathered
-	// kindRepartition (master→worker) installs a fresh positive partition.
-	kindRepartition
+	// 12: retired (was kindRepartition, an ack-less install of a fresh
+	// positive partition; kindReassign with Replace carries it now). The
+	// number is not reused, so no later kind renumbers.
+	_
 	// kindFinal (worker→master) closes a remote run: after kindStop a
 	// network worker reports its work totals, clock and outgoing traffic so
 	// the master can assemble the same Metrics the simulation reads off the
 	// worker structs directly. Never sent on the simulated transport.
 	kindFinal
-	// kindReassign (master→survivor) recovers from a worker failure: it
-	// carries the new membership (the surviving ring) and this survivor's
-	// share of the dead worker's examples. The worker merges the share
-	// into its partition, installs the ring, and acknowledges. The master
-	// gathers every ack before re-issuing the epoch, so no survivor can
-	// observe new-epoch pipeline traffic before it has installed the new
-	// membership (see DESIGN.md §6).
+	// kindReassign (master→worker) is the one install message of the
+	// redeal barrier (master.redeal): the membership (the pipeline ring)
+	// plus this worker's share of whatever was dealt. A merge deal —
+	// recovery from a worker failure, and the rollback of a resumed master
+	// — carries a share of the dead workers' examples, which the worker
+	// adds to its partition; a replace deal (Replace set: join admission,
+	// Config.Balance, per-epoch repartition) carries a share of the pooled
+	// alive positives, which becomes the worker's positive partition
+	// outright. Negatives never move except with a dead worker's share.
+	// The master gathers every ack before it starts the next pipelines,
+	// so no worker can observe new-epoch pipeline traffic before it runs
+	// on the new membership and shares (see DESIGN.md §6).
 	kindReassign
-	// kindReassignAck (survivor→master) confirms a reassignment and
-	// reports the survivor's uncovered-positive count, from which the
-	// master rebases its global remaining counter.
+	// kindReassignAck (worker→master) confirms an install and reports the
+	// worker's uncovered-positive count, from which the master rebases its
+	// global remaining counter.
 	kindReassignAck
 	// kindSuspect (worker→master) reports a sibling the worker's
 	// transport has declared dead. Failure detection is per-link, so it
@@ -97,23 +105,14 @@ const (
 	// mid-run (the transport delivered a KindPeerUp event): it carries the
 	// new pipeline ring and, on a remote run, the semantics-bearing
 	// settings a kindLoad would have carried — with an empty partition,
-	// because the joiner's share arrives in the rebalance that follows on
-	// the same link. See DESIGN.md §7.
+	// because the joiner's share arrives in the kindReassign that follows
+	// on the same link. See DESIGN.md §7.
 	kindWelcome
-	// kindRebalance (master→worker) installs a fresh membership and a
-	// replacement positive partition: the master has gathered every live
-	// worker's uncovered positives (kindGather) and dealt them back out —
-	// evenly for a plain join, proportionally to measured throughput with
-	// Config.Balance. Unlike kindReassign (which merges a dead sibling's
-	// share into the survivor's partition), kindRebalance replaces the
-	// positive partition outright; negatives never move. The ack barrier
-	// below mirrors kindReassign's, so no worker can see the next epoch's
-	// pipeline traffic before it runs on the new membership and shares.
-	kindRebalance
-	// kindRebalanceAck (worker→master) confirms a rebalance and reports
-	// the worker's uncovered-positive count, from which the master rebases
-	// its global remaining counter (same rebase as kindReassignAck).
-	kindRebalanceAck
+	// 18, 19: retired (were kindRebalance / kindRebalanceAck, the replace
+	// install and its ack; kindReassign / kindReassignAck carry both deals
+	// now). Not reused.
+	_
+	_
 	// kindResumeQuery (master→workers) opens a crash-restart resume: a
 	// master rebuilt from a durable checkpoint asks every member where it
 	// stands. Epoch-INDEPENDENT on the worker (like kindSuspect): worker
@@ -180,7 +179,7 @@ type loadDataMsg struct {
 	Balance bool
 	// Checkpoint mirrors whether the master writes durable checkpoints:
 	// workers keep in-memory epoch-boundary snapshots (for crash-restart
-	// rollback, kindReassign.RollbackBelow) exactly when there are
+	// rollback, reassignMsg.RollbackBelow) exactly when there are
 	// checkpoints they could be rolled back to.
 	Checkpoint bool
 	// OrphanTimeout mirrors the master's Config.OrphanTimeout: non-zero
@@ -331,15 +330,6 @@ type gatheredMsg struct {
 	BusyNs     int64
 }
 
-// repartitionMsg replaces the worker's positive partition (negatives never
-// move: they are never retracted, so their initial split stays balanced).
-type repartitionMsg struct {
-	Epoch int
-	Seq   int64
-	Gen   int
-	Pos   []logic.Term
-}
-
 // finalMsg is a network worker's end-of-run report (see kindFinal).
 type finalMsg struct {
 	Epoch      int
@@ -359,17 +349,25 @@ type finalMsg struct {
 	Replayed int64
 }
 
-// reassignMsg recovers from a worker failure (see kindReassign). Pos/Neg
-// are this survivor's share of the dead worker's assignment; shares dealt
-// to different survivors are disjoint, and disjoint from every survivor's
-// own assignment, so the merge needs no deduplication.
+// reassignMsg installs a membership and a share (see kindReassign). In a
+// merge deal Pos/Neg are this survivor's share of the dead workers'
+// assignments; shares dealt to different survivors are disjoint, and
+// disjoint from every survivor's own assignment, so the merge needs no
+// deduplication.
 type reassignMsg struct {
 	Epoch   int
 	Seq     int64
 	Gen     int
-	Members []int // surviving worker ids, ascending — the new pipeline ring
+	Members []int // live worker ids, ascending — the new pipeline ring
 	Pos     []logic.Term
 	Neg     []logic.Term
+	// Replace makes Pos the worker's whole positive partition instead of
+	// an addition to it: the master pooled every alive positive first, so
+	// everything the worker should now hold is in Pos. Neg is empty then —
+	// negatives are never retracted, so their initial split stays
+	// balanced, and a joiner simply holds none (negative coverage still
+	// aggregates correctly because the original holders keep theirs).
+	Replace bool
 	// RollbackBelow, when non-zero, orders the worker to discard the
 	// effects of every epoch ≥ RollbackBelow — restoring its in-memory
 	// boundary snapshot for epoch RollbackBelow−1 — before merging the
@@ -381,15 +379,15 @@ type reassignMsg struct {
 	RollbackBelow int
 }
 
-// reassignAckMsg confirms a reassignment (see kindReassignAck).
+// reassignAckMsg confirms an install (see kindReassignAck).
 type reassignAckMsg struct {
 	Epoch  int
 	Seq    int64
 	Gen    int
 	Worker int
-	// Alive is the worker's uncovered-positive count after the merge; the
-	// master sums these to rebase `remaining` (the dead worker's share may
-	// contain positives that were already covered — the master cannot
+	// Alive is the worker's uncovered-positive count after the install;
+	// the master sums these to rebase `remaining` (a dead worker's share
+	// may contain positives that were already covered — the master cannot
 	// know which, so the survivors recount).
 	Alive int
 }
@@ -397,7 +395,7 @@ type reassignAckMsg struct {
 // welcomeMsg admits a mid-run joiner (see kindWelcome). Members is the new
 // pipeline ring including the joiner; Load carries the settings of a
 // remote run (HasData with an empty partition — the share follows in the
-// kindRebalance on the same ordered link) and is zero on the simulation,
+// kindReassign on the same ordered link) and is zero on the simulation,
 // whose joiners are constructed with their configuration.
 type welcomeMsg struct {
 	Epoch   int
@@ -406,23 +404,6 @@ type welcomeMsg struct {
 	Members []int
 	Load    loadDataMsg
 }
-
-// rebalanceMsg replaces a worker's positive partition and installs a new
-// ring (see kindRebalance). Unlike reassignMsg there is no Neg share:
-// negatives never move (they are never retracted, so their initial split
-// stays balanced), and a joiner simply holds none — negative coverage
-// still aggregates correctly because the original holders keep theirs.
-type rebalanceMsg struct {
-	Epoch   int
-	Seq     int64
-	Gen     int
-	Members []int // live worker ids, ascending — the new pipeline ring
-	Pos     []logic.Term
-}
-
-// rebalanceAckMsg confirms a rebalance (see kindRebalanceAck); it is the
-// same shape as a reassign ack and reuses its dispatch header.
-type rebalanceAckMsg = reassignAckMsg
 
 // resumeQueryMsg opens a crash-restart resume (see kindResumeQuery). The
 // Epoch tag is the resumed master's checkpointed clock — informational
@@ -486,6 +467,20 @@ func (m *finalMsg) hdr() (int, int)       { return m.Epoch, m.Worker }
 func (m *reassignAckMsg) hdr() (int, int) { return m.Epoch, m.Worker }
 func (m *resumeInfoMsg) hdr() (int, int)  { return m.Epoch, m.Worker }
 func (m *fencedMsg) hdr() (int, int)      { return m.Epoch, m.Worker }
+
+// masterFrame is the header shared by the epoch-checked master→worker
+// payloads: worker.open reads it to fence and staleness-check a frame
+// before the worker acts on it.
+type masterFrame interface {
+	tags() (epoch, gen int)
+}
+
+func (m *startMsg) tags() (int, int)    { return m.Epoch, m.Gen }
+func (m *evaluateMsg) tags() (int, int) { return m.Epoch, m.Gen }
+func (m *adoptMsg) tags() (int, int)    { return m.Epoch, m.Gen }
+func (m *gatherMsg) tags() (int, int)   { return m.Epoch, m.Gen }
+func (m *reassignMsg) tags() (int, int) { return m.Epoch, m.Gen }
+func (m *welcomeMsg) tags() (int, int)  { return m.Epoch, m.Gen }
 
 // genCarrier exposes the generation a worker stamped on its reply, so
 // the master can notice it has been superseded (see kindFenced) no

@@ -311,8 +311,8 @@ func TestRecoverPanickingWorkerViaLearn(t *testing.T) {
 }
 
 // TestRecoverDuringRepartition kills a worker in the same epoch as a
-// per-epoch repartition, at each protocol point of the gather/redeal
-// exchange. The repartition moves every worker's uncovered positives
+// per-epoch repartition, at each protocol point of the redeal barrier:
+// gather, gathered, install, install ack. The repartition moves every worker's uncovered positives
 // through the master, so the tracked assignedPos/Neg bookkeeping — what
 // recovery redistributes — must stay consistent across the abort: no
 // positive may end up unowned (covered by nobody, adopted by nobody).
@@ -324,7 +324,8 @@ func TestRecoverDuringRepartition(t *testing.T) {
 	}{
 		{"on gather broadcast", kindGather, 0},
 		{"on gathered reply", kindGathered, -1},
-		{"on repartition deal", kindRepartition, 0},
+		{"on repartition deal", kindReassign, 0},
+		{"on repartition deal ack", kindReassignAck, -1},
 	}
 	for _, k := range kills {
 		k := k
@@ -373,7 +374,7 @@ func TestRecoverDuringRepartitionConsecutiveEpochs(t *testing.T) {
 		if e.Kind == kindGather && kills.CompareAndSwap(0, 1) {
 			nw.Kill(2)
 		}
-		if e.Kind == kindRepartition && kills.Load() == 1 && kills.CompareAndSwap(1, 2) {
+		if e.Kind == kindReassign && kills.Load() == 1 && kills.CompareAndSwap(1, 2) {
 			nw.Kill(4)
 		}
 	})

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/datasets"
 )
 
 func TestRepartitionStillCoversAll(t *testing.T) {
@@ -56,6 +61,45 @@ func TestRepartitionDeterministic(t *testing.T) {
 	for i := range m1.Theory {
 		if m1.Theory[i].String() != m2.Theory[i].String() {
 			t.Fatalf("rule %d differs", i)
+		}
+	}
+}
+
+// TestRepartitionTheoriesPinned holds the §4.1 ablation to the theories it
+// learned when per-epoch repartition had a path of its own (SHA-256 of the
+// rules, one per line, generated at the commit before the redeal barrier
+// took it over): the barrier deals the same pool with the same DealEven,
+// so they must not move.
+func TestRepartitionTheoriesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		ds     *datasets.Dataset
+		p      int
+		epochs int
+		sha    string
+	}{
+		{datasets.TrainsSkewed(200, 7, 0.25), 4, 2, "4542e0898cdf50a7aa1dfd9d5c1c4f317caf7c88865f7bd5c6cb8bad903fd02d"},
+		{datasets.MeshSized(120, 24, 1), 3, 8, "0238988273bdcc765cffecfbd7bcc468e9a4e4141370eb25a2cb8201eb0e6b81"},
+		{datasets.CarcinogenesisSized(24, 20, 1), 4, 3, "32a0e8e6f865aaf714013b62e64498a4bb1eda8376c67cd43120aa98deab81ff"},
+	} {
+		ds := tc.ds
+		met, err := Learn(ds.KB, ds.Pos, ds.Neg, ds.Modes, Config{
+			Workers: tc.p, Width: 10, Seed: 1,
+			Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
+			RepartitionEachEpoch: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, c := range met.Theory {
+			sb.WriteString(c.String())
+			sb.WriteByte('\n')
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); got != tc.sha || met.Epochs != tc.epochs {
+			t.Errorf("%s p=%d: theory %s after %d epochs, pinned %s after %d", ds.Name, tc.p, got, met.Epochs, tc.sha, tc.epochs)
+		}
+		if met.Rebalances != met.Epochs-1 {
+			t.Errorf("%s p=%d: %d redeals over %d epochs, want one per boundary", ds.Name, tc.p, met.Rebalances, met.Epochs)
 		}
 	}
 }

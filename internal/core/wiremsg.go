@@ -340,20 +340,6 @@ func (m *gatheredMsg) DecodeWire(r *wire.Reader) {
 	m.BusyNs = r.Varint()
 }
 
-func (m repartitionMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
-	w.Terms(m.Pos)
-}
-
-func (m *repartitionMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
-	m.Pos = r.Terms()
-}
-
 func (m finalMsg) AppendWire(w *wire.Writer) {
 	w.Int(m.Epoch)
 	w.Varint(m.Seq)
@@ -389,6 +375,7 @@ func (m reassignMsg) AppendWire(w *wire.Writer) {
 	w.Ints(m.Members)
 	w.Terms(m.Pos)
 	w.Terms(m.Neg)
+	w.Bool(m.Replace)
 	w.Int(m.RollbackBelow)
 }
 
@@ -399,6 +386,7 @@ func (m *reassignMsg) DecodeWire(r *wire.Reader) {
 	m.Members = r.Ints()
 	m.Pos = r.Terms()
 	m.Neg = r.Terms()
+	m.Replace = r.Bool()
 	m.RollbackBelow = r.Int()
 }
 
@@ -432,22 +420,6 @@ func (m *welcomeMsg) DecodeWire(r *wire.Reader) {
 	m.Gen = r.Int()
 	m.Members = r.Ints()
 	m.Load.DecodeWire(r)
-}
-
-func (m rebalanceMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
-	w.Ints(m.Members)
-	w.Terms(m.Pos)
-}
-
-func (m *rebalanceMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
-	m.Members = r.Ints()
-	m.Pos = r.Terms()
 }
 
 func (m resumeQueryMsg) AppendWire(w *wire.Writer) {

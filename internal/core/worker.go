@@ -44,7 +44,7 @@ type worker struct {
 	fenced int
 
 	// ring is the live pipeline membership, ascending worker ids.
-	// Initially 1..p; replaced by kindReassign after a failure.
+	// Initially 1..p; replaced by every kindReassign.
 	ring []int
 	// deadPeers marks siblings reported dead by the transport; stage
 	// forwards to them are dropped (the master re-issues the epoch).
@@ -60,8 +60,8 @@ type worker struct {
 	ex *search.Examples
 	ev search.FullCoverer
 
-	// retiredInf preserves inference totals of evaluators discarded on
-	// repartition, so the worker's work accounting stays monotonic.
+	// retiredInf preserves inference totals of evaluators discarded on a
+	// redeal, so the worker's work accounting stays monotonic.
 	retiredInf int64
 
 	// snapsOn enables epoch-boundary snapshots (set when the master runs
@@ -128,8 +128,8 @@ type covCacheEntry struct {
 
 // boundarySnap is one epoch-boundary rollback point. The example set is
 // held by reference — Pos and Neg are immutable once built, only the alive
-// mask mutates — with the mask cloned; if a later reassign or rebalance
-// replaced the Examples object itself, the snapshot still pins the old one.
+// mask mutates — with the mask cloned; if a later redeal replaced the
+// Examples object itself, the snapshot still pins the old one.
 type boundarySnap struct {
 	ex    *search.Examples
 	alive search.Bitset
@@ -352,6 +352,27 @@ func (w *worker) fenceDrop(gen, from int) (drop bool, err error) {
 	return false, nil
 }
 
+// open is the prologue of every epoch-checked master frame — start,
+// evaluate, adopt, gather, welcome and the install — written once: decode
+// into dst, apply the generation fence, drop a frame of an abandoned epoch
+// attempt (nobody reads its reply), otherwise move the epoch clock to the
+// frame's and run then with the clock's previous value. kindStage,
+// kindMarkCovered, kindLoad, kindResumeQuery and kindStop have their own,
+// different, rules.
+func (w *worker) open(msg cluster.Message, dst masterFrame, then func(prev int) error) error {
+	if err := msg.Decode(dst); err != nil {
+		return err
+	}
+	epoch, gen := dst.tags()
+	if drop, err := w.fenceDrop(gen, msg.From); drop || err != nil {
+		return err
+	}
+	if epoch < w.epoch {
+		return nil
+	}
+	return then(w.bumpEpoch(epoch))
+}
+
 // sendMaster ships a protocol message to the master, swallowing the
 // dead-master send error under the orphan regime: the message belongs to
 // an epoch the restarted master will roll back anyway, and the KindPeerDown
@@ -366,7 +387,7 @@ func (w *worker) sendMaster(kind int, v any) error {
 }
 
 // totalInf is the worker's total SLD work: its own machine plus any
-// evaluator-owned shard machines, plus totals retired on repartition.
+// evaluator-owned shard machines, plus totals retired on a redeal.
 func (w *worker) totalInf() int64 {
 	if w.m == nil { // remote worker stopped before its first load
 		return w.retiredInf
@@ -505,7 +526,7 @@ func (w *worker) run() error {
 		}
 		if msg.Kind == cluster.KindPeerUp {
 			// A machine joined the cluster. The master drives admission;
-			// this worker learns the new ring from the kindRebalance that
+			// this worker learns the new ring from the kindReassign that
 			// follows, so the transport event itself needs no action.
 			continue
 		}
@@ -573,19 +594,7 @@ func (w *worker) run() error {
 			w.compute(int64(w.ex.NumPos() + w.ex.NumNeg()))
 		case kindStartPipeline:
 			var sm startMsg
-			if err := msg.Decode(&sm); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(sm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if sm.Epoch < w.epoch {
-				continue // stale re-issued epoch; nobody reads the result
-			}
-			w.bumpEpoch(sm.Epoch)
-			if err := w.startPipeline(); err != nil {
+			if err := w.open(msg, &sm, func(int) error { return w.startPipeline() }); err != nil {
 				return err
 			}
 		case kindStage:
@@ -615,19 +624,7 @@ func (w *worker) run() error {
 			}
 		case kindEvaluate:
 			var em evaluateMsg
-			if err := msg.Decode(&em); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(em.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if em.Epoch < w.epoch {
-				continue
-			}
-			w.bumpEpoch(em.Epoch)
-			if err := w.evaluateBag(&em); err != nil {
+			if err := w.open(msg, &em, func(int) error { return w.evaluateBag(&em) }); err != nil {
 				return err
 			}
 		case kindMarkCovered:
@@ -647,112 +644,36 @@ func (w *worker) run() error {
 			// theory even when its epoch is re-issued (see messages.go).
 			w.markCovered(&mm)
 		case kindAdopt:
+			// Unlike markCovered, a stale adoption must NOT run: it would
+			// retire a positive whose reply nobody reads, and the example
+			// would end up neither covered nor adopted.
 			var am adoptMsg
-			if err := msg.Decode(&am); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(am.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if am.Epoch < w.epoch {
-				// Unlike markCovered, a stale adoption must NOT run: it
-				// would retire a positive whose reply nobody reads, and
-				// the example would end up neither covered nor adopted.
-				continue
-			}
-			w.bumpEpoch(am.Epoch)
-			if err := w.adoptOne(); err != nil {
+			if err := w.open(msg, &am, func(int) error { return w.adoptOne() }); err != nil {
 				return err
 			}
 		case kindGather:
 			var gm gatherMsg
-			if err := msg.Decode(&gm); err != nil {
+			if err := w.open(msg, &gm, func(int) error { return w.gatherAlive() }); err != nil {
 				return err
 			}
-			if drop, err := w.fenceDrop(gm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if gm.Epoch < w.epoch {
-				continue
-			}
-			w.bumpEpoch(gm.Epoch)
-			if err := w.gatherAlive(); err != nil {
-				return err
-			}
-		case kindRepartition:
-			var rm repartitionMsg
-			if err := msg.Decode(&rm); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(rm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if rm.Epoch < w.epoch {
-				continue
-			}
-			w.bumpEpoch(rm.Epoch)
-			w.installExamples(rm.Pos, w.ex.Neg)
 		case kindReassign:
 			var rm reassignMsg
-			if err := msg.Decode(&rm); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(rm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if rm.Epoch < w.epoch {
-				continue
-			}
-			prev := w.bumpEpoch(rm.Epoch)
-			if err := w.reassign(&rm, prev); err != nil {
+			if err := w.open(msg, &rm, func(prev int) error { return w.reassign(&rm, prev) }); err != nil {
 				return err
 			}
 		case kindWelcome:
 			// This worker joined mid-run: install the ring (and, remote,
 			// the settings a kindLoad would have carried — the partition
-			// share follows in the kindRebalance on this same link).
+			// share follows in the kindReassign on this same link).
 			var wm welcomeMsg
-			if err := msg.Decode(&wm); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(wm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if wm.Epoch < w.epoch {
-				continue
-			}
-			w.bumpEpoch(wm.Epoch)
-			if w.remote {
-				if err := w.loadRemote(&wm.Load); err != nil {
-					return err
+			err := w.open(msg, &wm, func(int) error {
+				w.ring = wm.Members
+				if w.remote {
+					return w.loadRemote(&wm.Load)
 				}
-			}
-			w.ring = wm.Members
-		case kindRebalance:
-			var rm rebalanceMsg
-			if err := msg.Decode(&rm); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(rm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			if rm.Epoch < w.epoch {
-				continue
-			}
-			w.bumpEpoch(rm.Epoch)
-			if err := w.rebalance(&rm); err != nil {
+				return nil
+			})
+			if err != nil {
 				return err
 			}
 		case kindResumeQuery:
@@ -980,10 +901,10 @@ func (w *worker) markCovered(mm *markCoveredMsg) {
 	}
 }
 
-// gatherAlive ships the worker's uncovered positives to the master for
-// redealing (repartition or rebalance). Under Balance it also reports the
-// cumulative work totals the master's balancer measures throughput from;
-// off, the fields stay zero and the message bytes are unchanged.
+// gatherAlive ships the worker's uncovered positives to the master for a
+// replace redeal. Under Balance it also reports the cumulative work totals
+// the master's balancer measures throughput from; off, the fields stay
+// zero and the message bytes are unchanged.
 func (w *worker) gatherAlive() error {
 	out := gatheredMsg{Epoch: w.epoch, Seq: w.nextSeq(), Gen: w.gen, Worker: w.id}
 	w.ex.PosAlive.ForEach(func(i int) bool {
@@ -1025,15 +946,19 @@ func (w *worker) installExamples(pos, neg []logic.Term) {
 	w.compute(int64(len(pos)))
 }
 
-// reassign recovers from a sibling's failure: install the surviving ring,
-// merge this worker's share of the dead worker's examples (shares are
-// disjoint from everything already here), and acknowledge with the local
-// uncovered count so the master can rebase its remaining counter. After a
-// master crash-restart the barrier additionally carries a rollback order,
-// applied at most once (see worker.rolledBack) and only when this
-// worker's pre-message epoch (prev) had actually advanced past the
-// checkpoint boundary — a worker already sitting at the boundary has
-// nothing to discard.
+// reassign installs one redeal: adopt the ring the master sent (it may
+// have shrunk after a failure or grown by mid-run joiners), take the share
+// — merged into the alive partition, or, for a replace deal, as the whole
+// positive partition: the master pooled every alive positive first, so
+// everything this worker should now hold is in rm.Pos — and acknowledge
+// with the local uncovered count so the master can rebase its remaining
+// counter. Merged shares are disjoint from everything already here.
+// Negatives stay put unless a dead sibling's arrive. After a master
+// crash-restart the install additionally carries a rollback order, applied
+// at most once (see worker.rolledBack) and only when this worker's
+// pre-message epoch (prev) had actually advanced past the checkpoint
+// boundary — a worker already sitting at the boundary has nothing to
+// discard.
 func (w *worker) reassign(rm *reassignMsg, prev int) error {
 	if rm.RollbackBelow > 0 && rm.RollbackBelow > w.rolledBack {
 		if prev >= rm.RollbackBelow {
@@ -1047,40 +972,21 @@ func (w *worker) reassign(rm *reassignMsg, prev int) error {
 	for _, k := range rm.Members {
 		delete(w.deadPeers, k)
 	}
-	pos := make([]logic.Term, 0, w.ex.PosAlive.Count()+len(rm.Pos))
-	w.ex.PosAlive.ForEach(func(i int) bool {
-		pos = append(pos, w.ex.Pos[i])
-		return true
-	})
-	pos = append(pos, rm.Pos...)
+	pos := rm.Pos
+	if !rm.Replace {
+		pos = make([]logic.Term, 0, w.ex.PosAlive.Count()+len(rm.Pos))
+		w.ex.PosAlive.ForEach(func(i int) bool {
+			pos = append(pos, w.ex.Pos[i])
+			return true
+		})
+		pos = append(pos, rm.Pos...)
+	}
 	neg := w.ex.Neg
 	if len(rm.Neg) > 0 {
 		neg = append(append(make([]logic.Term, 0, len(neg)+len(rm.Neg)), neg...), rm.Neg...)
 	}
 	w.installExamples(pos, neg)
 	return w.sendMaster(kindReassignAck, reassignAckMsg{
-		Epoch:  w.epoch,
-		Seq:    w.nextSeq(),
-		Gen:    w.gen,
-		Worker: w.id,
-		Alive:  w.ex.PosAlive.Count(),
-	})
-}
-
-// rebalance installs a rebalanced membership: adopt the new ring (which
-// may have grown — mid-run joiners arrive this way) and replace the
-// positive partition with the master's freshly dealt share. Unlike
-// reassign this is a replacement, not a merge: the master gathered the
-// complete alive pool first, so everything this worker should now hold is
-// in rm.Pos. Negatives stay put. The ack carries the local uncovered count
-// for the master's remaining rebase.
-func (w *worker) rebalance(rm *rebalanceMsg) error {
-	w.ring = rm.Members
-	for _, k := range rm.Members {
-		delete(w.deadPeers, k)
-	}
-	w.installExamples(rm.Pos, w.ex.Neg)
-	return w.sendMaster(kindRebalanceAck, rebalanceAckMsg{
 		Epoch:  w.epoch,
 		Seq:    w.nextSeq(),
 		Gen:    w.gen,

@@ -59,10 +59,11 @@ var refusalCfg = Config{Fingerprint: 7, JoinTimeout: 60 * time.Second}
 const prompt = 5 * time.Second
 
 // eachRefusedVersion runs fn for the bytes a real mismatched peer sends: 0
-// from a build that predates the byte, 2 from one speaking the retired gob
-// payload encoding.
+// from a build that predates the byte (gob omits the zero field), and the
+// neighbours of protocolVersion — a build one payload-format change
+// behind, and one ahead.
 func eachRefusedVersion(t *testing.T, fn func(t *testing.T, offered uint8)) {
-	for _, offered := range []uint8{0, 2} {
+	for _, offered := range []uint8{0, protocolVersion - 1, protocolVersion + 1} {
 		offered := offered
 		t.Run(fmt.Sprintf("byte%d", offered), func(t *testing.T) { fn(t, offered) })
 	}

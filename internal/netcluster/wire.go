@@ -43,7 +43,7 @@ const (
 	// workers after a late join: Nodes is the new cluster size and Peers
 	// the extended address list. Transport-level only — the protocol
 	// learns of the joiner through the master's in-band KindPeerUp event,
-	// and workers learn the new ring from the master's rebalance.
+	// and workers learn the new ring from the master's redeal.
 	ctrlPeerUpdate
 	// ctrlRejoinReq asks a (restarted) master to re-admit a worker that
 	// already holds a node id: From is the worker's existing id, Addr its
@@ -107,12 +107,15 @@ type frame struct {
 	Codec uint8
 }
 
-// protocolVersion is the one value of frame.Codec this build accepts:
-// payloads sealed by internal/wire. 0 is what a binary that predates the
-// byte sends (gob omits the zero field) and 2 named the retired gob
-// payload encoding; a peer offering either would exchange undecodable
-// payloads, so every handshake refuses it by name.
-const protocolVersion uint8 = 1
+// protocolVersion is the one value of frame.Codec this build accepts. It
+// names the payload format — internal/wire's sealing plus the message
+// kinds and field layouts of the protocols above — and is bumped whenever
+// a payload changes shape; a peer offering any other byte (0 is what a
+// binary that predates the byte sends: gob omits the zero field) would
+// mis-decode payloads, so every handshake refuses it by name. History: 1,
+// the first internal/wire payloads; 2, core's install message gained
+// Replace and kinds 12, 18 and 19 were retired.
+const protocolVersion uint8 = 2
 
 const lenPrefixSize = 4
 

@@ -318,40 +318,6 @@ func TestWatchFollowsPublishes(t *testing.T) {
 	}
 }
 
-// TestBenchSmoke drives the load generator briefly against a real server.
-func TestBenchSmoke(t *testing.T) {
-	reg := NewRegistry(2)
-	snap := trainsSnapshot(t, 1, 99)
-	a := reg.Add(snap, 1)
-	if _, err := reg.Activate(a.ID); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(reg))
-	defer ts.Close()
-
-	examples := make([]string, 0, len(snap.Pos)+len(snap.Neg))
-	for _, e := range snap.Pos {
-		examples = append(examples, e.String())
-	}
-	for _, e := range snap.Neg {
-		examples = append(examples, e.String())
-	}
-	res, err := Bench(ts.URL, examples, 2, 150*time.Millisecond, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("bench saw %d errors: %s", res.Errors, res)
-	}
-	if res.Requests == 0 || res.QPS <= 0 || res.P99 < res.P50 {
-		t.Fatalf("implausible bench result: %s", res)
-	}
-	if _, err := Bench(ts.URL, nil, 1, time.Millisecond, false); err == nil {
-		t.Fatal("Bench accepted an empty example set")
-	}
-	t.Logf("bench smoke: %s", res)
-}
-
 // referenceBody is the encoder /classify had before response plans: build
 // the exported response structs and hand them to encoding/json, indented.
 // It survives only here, as what the served bytes are held against.

@@ -22,7 +22,7 @@
 // Payloads are wrapped in a one-byte envelope (Seal/Open): flag 0 is a
 // raw body, flag 1 a DEFLATE-compressed body. Seal compresses when the
 // body reaches CompressMin and compression actually helps, which in
-// practice catches the bulk shipments (kindLoad, kindRebalance,
+// practice catches the bulk shipments (kindLoad, kindReassign,
 // kindWelcome, snapshot publish) while leaving small control frames
 // untouched.
 package wire
