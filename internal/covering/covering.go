@@ -126,15 +126,15 @@ func Accuracy(kb *solve.KB, theory []logic.Clause, pos, neg []logic.Term, budget
 	if len(pos)+len(neg) == 0 {
 		return 0
 	}
-	m := solve.NewMachine(kb, budget)
+	t := search.CompileTheory(solve.NewMachine(kb, budget), theory)
 	correct := 0
 	for _, e := range pos {
-		if search.TheoryCovers(m, theory, e) {
+		if t.Covers(e) {
 			correct++
 		}
 	}
 	for _, e := range neg {
-		if !search.TheoryCovers(m, theory, e) {
+		if !t.Covers(e) {
 			correct++
 		}
 	}

@@ -97,7 +97,8 @@ type Evaluator struct {
 	M  *solve.Machine
 	Ex *Examples
 
-	scratch Bitset // reused candidate-mask buffer; never escapes Coverage
+	scratch Bitset      // reused candidate-mask buffer; never escapes Coverage
+	query   solve.Query // the rule under evaluation, recompiled in place per rule
 }
 
 var _ FullCoverer = (*Evaluator)(nil)
@@ -125,6 +126,7 @@ func NewEvaluator(m *solve.Machine, ex *Examples) *Evaluator {
 func (ev *Evaluator) Coverage(rule *logic.Clause, posCand, negCand Bitset) (pos, neg Bitset) {
 	pos = NewBitset(len(ev.Ex.Pos))
 	neg = NewBitset(len(ev.Ex.Neg))
+	q := ev.compile(rule)
 	testPos := ev.Ex.PosAlive
 	if posCand != nil {
 		// Intersect into a scratch buffer owned by the evaluator instead of
@@ -133,14 +135,14 @@ func (ev *Evaluator) Coverage(rule *logic.Clause, posCand, negCand Bitset) (pos,
 		testPos = ev.scratch
 	}
 	testPos.ForEach(func(i int) bool {
-		if ev.M.CoversExample(rule, ev.Ex.Pos[i]) {
+		if ev.M.CoversQuery(q, ev.Ex.Pos[i]) {
 			pos.Set(i)
 		}
 		return true
 	})
 	if negCand != nil {
 		negCand.ForEach(func(i int) bool {
-			if ev.M.CoversExample(rule, ev.Ex.Neg[i]) {
+			if ev.M.CoversQuery(q, ev.Ex.Neg[i]) {
 				neg.Set(i)
 			}
 			return true
@@ -148,11 +150,18 @@ func (ev *Evaluator) Coverage(rule *logic.Clause, posCand, negCand Bitset) (pos,
 		return pos, neg
 	}
 	for i := range ev.Ex.Neg {
-		if ev.M.CoversExample(rule, ev.Ex.Neg[i]) {
+		if ev.M.CoversQuery(q, ev.Ex.Neg[i]) {
 			neg.Set(i)
 		}
 	}
 	return pos, neg
+}
+
+// compile compiles rule once for the whole call into the evaluator's query
+// buffer: what is constant per rule is derived here, not per example.
+func (ev *Evaluator) compile(rule *logic.Clause) *solve.Query {
+	ev.M.CompileQuery(&ev.query, rule)
+	return &ev.query
 }
 
 // CoverageBatch evaluates a batch of rules serially, one Coverage call per
@@ -188,21 +197,44 @@ func (ev *Evaluator) CoverageCounts(rule *logic.Clause) (pos, neg int) {
 func (ev *Evaluator) CoverageFull(rule *logic.Clause) (pos, neg Bitset) {
 	pos = NewBitset(len(ev.Ex.Pos))
 	neg = NewBitset(len(ev.Ex.Neg))
+	q := ev.compile(rule)
 	for i := range ev.Ex.Pos {
-		if ev.M.CoversExample(rule, ev.Ex.Pos[i]) {
+		if ev.M.CoversQuery(q, ev.Ex.Pos[i]) {
 			pos.Set(i)
 		}
 	}
 	for i := range ev.Ex.Neg {
-		if ev.M.CoversExample(rule, ev.Ex.Neg[i]) {
+		if ev.M.CoversQuery(q, ev.Ex.Neg[i]) {
 			neg.Set(i)
 		}
 	}
 	return pos, neg
 }
 
-// TheoryCovers reports whether any rule of the theory covers the ground
-// example atom (used for prediction on test data).
+// Theory is a theory compiled once for prediction over many examples on one
+// machine.
+type Theory struct {
+	m       *solve.Machine
+	queries []solve.Query
+}
+
+// CompileTheory compiles every rule of theory for m.
+func CompileTheory(m *solve.Machine, theory []logic.Clause) *Theory {
+	return &Theory{m: m, queries: m.CompileQueries(theory)}
+}
+
+// Covers reports whether any rule of the theory covers the ground example
+// atom.
+func (t *Theory) Covers(example logic.Term) bool {
+	for i := range t.queries {
+		if t.m.CoversQuery(&t.queries[i], example) {
+			return true
+		}
+	}
+	return false
+}
+
+// TheoryCovers is the one-shot form of Theory.Covers, for a single example.
 func TheoryCovers(m *solve.Machine, theory []logic.Clause, example logic.Term) bool {
 	for i := range theory {
 		if m.CoversExample(&theory[i], example) {

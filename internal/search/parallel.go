@@ -23,14 +23,15 @@ const parallelThreshold = 64
 const taskChunkFactor = 8
 
 // coverTask is one unit of pool work: test the examples under mask words
-// [lo, hi) against rule, writing hits into the same words of out. Tasks own
-// disjoint word ranges of their output bitsets, so no locking is needed and
-// the merged result is bit-for-bit identical to a serial evaluation. The SLD
-// work of a task is fixed by (rule, mask range) alone — independent of which
-// shard machine runs it — so total inference accounting stays deterministic
-// under dynamic scheduling.
+// [lo, hi) against the compiled rule q — compiled once when the rule is
+// staged and shared read-only by every shard — writing hits into the same
+// words of out. Tasks own disjoint word ranges of their output bitsets, so no
+// locking is needed and the merged result is bit-for-bit identical to a
+// serial evaluation. The SLD work of a task is fixed by (rule, mask range)
+// alone — independent of which shard machine runs it — so total inference
+// accounting stays deterministic under dynamic scheduling.
 type coverTask struct {
-	rule   *logic.Clause
+	q      *solve.Query
 	ex     []logic.Term
 	mask   Bitset
 	out    Bitset
@@ -66,7 +67,11 @@ type ParallelEvaluator struct {
 
 	staged []coverTask // whole-bitset tasks, one or two per rule
 	tasks  []coverTask // word-range chunks the pool drains
-	cursor atomic.Int64
+	// queries holds the batch's compiled rules, queries[:nQueries] in use;
+	// the buffers are reused across batches.
+	queries  []*solve.Query
+	nQueries int
+	cursor   atomic.Int64
 
 	statBatches int64         // batch evaluations issued
 	statWakes   int64         // batches large enough to wake the pool
@@ -207,7 +212,7 @@ func (pe *ParallelEvaluator) Coverage(rule *logic.Clause, posCand, negCand Bitse
 	}
 	pos = NewBitset(len(pe.Ex.Pos))
 	neg = NewBitset(len(pe.Ex.Neg))
-	pe.staged = pe.staged[:0]
+	pe.resetStage()
 	pe.stageRule(rule, testPos, testNeg, pos, neg)
 	pe.runStagedTasks(testPos.Count() + testNeg.Count())
 	return pos, neg
@@ -222,7 +227,7 @@ func (pe *ParallelEvaluator) CoverageBatch(rules []*logic.Clause, posCands, negC
 	if len(rules) == 0 {
 		return out
 	}
-	pe.staged = pe.staged[:0]
+	pe.resetStage()
 	tests := 0
 	aliveCount := -1
 	var lastCand, lastMask Bitset
@@ -291,7 +296,7 @@ func (pe *ParallelEvaluator) CoverageFull(rule *logic.Clause) (pos, neg Bitset) 
 	}
 	pos = NewBitset(len(pe.Ex.Pos))
 	neg = NewBitset(len(pe.Ex.Neg))
-	pe.staged = pe.staged[:0]
+	pe.resetStage()
 	pe.stageRule(rule, pe.fullPos, pe.allNeg(), pos, neg)
 	pe.runStagedTasks(len(pe.Ex.Pos) + len(pe.Ex.Neg))
 	return pos, neg
@@ -307,7 +312,7 @@ func (pe *ParallelEvaluator) CoverageFullBatch(rules []*logic.Clause) []CoverRes
 	if len(pe.fullPos) == 0 && len(pe.Ex.Pos) > 0 {
 		pe.fullPos = FullBitset(len(pe.Ex.Pos))
 	}
-	pe.staged = pe.staged[:0]
+	pe.resetStage()
 	tests := 0
 	for i, rule := range rules {
 		out[i].Pos = NewBitset(len(pe.Ex.Pos))
@@ -346,12 +351,29 @@ func sameBitset(a, b Bitset) bool {
 // Word ranges are chunked later, at runStagedTasks time, when the batch's
 // total size is known.
 func (pe *ParallelEvaluator) stageRule(rule *logic.Clause, testPos, testNeg, pos, neg Bitset) {
+	if len(testPos) == 0 && len(testNeg) == 0 {
+		return
+	}
+	if pe.nQueries == len(pe.queries) {
+		pe.queries = append(pe.queries, new(solve.Query))
+	}
+	q := pe.queries[pe.nQueries]
+	pe.nQueries++
+	// Every shard machine shares machines[0]'s KB and engine choice, so one
+	// compilation serves them all.
+	pe.machines[0].CompileQuery(q, rule)
 	if len(testPos) > 0 {
-		pe.staged = append(pe.staged, coverTask{rule: rule, ex: pe.Ex.Pos, mask: testPos, out: pos, lo: 0, hi: len(testPos)})
+		pe.staged = append(pe.staged, coverTask{q: q, ex: pe.Ex.Pos, mask: testPos, out: pos, lo: 0, hi: len(testPos)})
 	}
 	if len(testNeg) > 0 {
-		pe.staged = append(pe.staged, coverTask{rule: rule, ex: pe.Ex.Neg, mask: testNeg, out: neg, lo: 0, hi: len(testNeg)})
+		pe.staged = append(pe.staged, coverTask{q: q, ex: pe.Ex.Neg, mask: testNeg, out: neg, lo: 0, hi: len(testNeg)})
 	}
+}
+
+// resetStage starts a new batch.
+func (pe *ParallelEvaluator) resetStage() {
+	pe.staged = pe.staged[:0]
+	pe.nQueries = 0
 }
 
 // runStagedTasks executes the staged batch: serially on machines[0] when the
@@ -404,7 +426,7 @@ func (pe *ParallelEvaluator) chunkTasks() {
 			if maskEmpty(t.mask, lo, hi) {
 				continue
 			}
-			pe.tasks = append(pe.tasks, coverTask{rule: t.rule, ex: t.ex, mask: t.mask, out: t.out, lo: lo, hi: hi})
+			pe.tasks = append(pe.tasks, coverTask{q: t.q, ex: t.ex, mask: t.mask, out: t.out, lo: lo, hi: hi})
 		}
 	}
 }
@@ -428,7 +450,7 @@ func runCoverTask(m *solve.Machine, t *coverTask) {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &= word - 1
-			if i := wi*64 + b; m.CoversExample(t.rule, t.ex[i]) {
+			if i := wi*64 + b; m.CoversQuery(t.q, t.ex[i]) {
 				t.out[wi] |= 1 << b
 			}
 		}

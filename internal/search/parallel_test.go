@@ -1,8 +1,10 @@
 package search
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/logic"
 	"repro/internal/solve"
 )
 
@@ -145,5 +147,86 @@ func assertSameBits(t *testing.T, what string, want, got Bitset) {
 		if want[i] != got[i] {
 			t.Fatalf("%s: word %d differs: %064b vs %064b", what, i, want[i], got[i])
 		}
+	}
+}
+
+// TestCoverageCompilesOncePerRule pins the batch contract of the compiled
+// query: every coverage entry point, serial and parallel, compiles each rule
+// exactly once per call however many examples it tests — on the wide task
+// the parallel batches cross parallelThreshold, so all shards run the one
+// shared Query — and a per-example CoversExample left behind would show up
+// as one compilation per test.
+func TestCoverageCompilesOncePerRule(t *testing.T) {
+	kb, ex, wide := benchWideExamples(t, 512)
+	narrow := logic.MustParseClause("active(M) :- atm(M, A, oxygen).")
+	rules := []*logic.Clause{&wide, &narrow, &wide}
+	masks := []Bitset{nil, FullBitset(len(ex.Pos)), nil}
+
+	type call struct {
+		name  string
+		rules int64
+		run   func()
+	}
+	calls := func(ev interface {
+		BatchCoverer
+		FullCoverer
+	}) []call {
+		return []call{
+			{"Coverage", 1, func() { ev.Coverage(&wide, nil, nil) }},
+			{"Coverage masked", 1, func() { ev.Coverage(&wide, masks[1], nil) }},
+			{"CoverageFull", 1, func() { ev.CoverageFull(&wide) }},
+			{"CoverageBatch", 3, func() { ev.CoverageBatch(rules, masks, nil) }},
+			{"CoverageFullBatch", 3, func() { ev.CoverageFullBatch(rules) }},
+		}
+	}
+
+	m := solve.NewMachine(kb, solve.DefaultBudget)
+	for _, c := range calls(NewEvaluator(m, ex)) {
+		before := m.QueryCompilations()
+		c.run()
+		if got := m.QueryCompilations() - before; got != c.rules {
+			t.Errorf("serial %s: %d compilations, want %d", c.name, got, c.rules)
+		}
+	}
+
+	pe := NewParallelEvaluator(kb, ex, solve.DefaultBudget, 4)
+	defer pe.Close()
+	compilations := func() (n int64) {
+		for _, sm := range pe.machines {
+			n += sm.QueryCompilations()
+		}
+		return n
+	}
+	for _, c := range calls(pe) {
+		before, wakesBefore := compilations(), pe.statWakes
+		c.run()
+		if got := compilations() - before; got != c.rules {
+			t.Errorf("parallel %s: %d compilations across shards, want %d", c.name, got, c.rules)
+		}
+		if pe.statWakes == wakesBefore {
+			t.Errorf("parallel %s did not wake the pool", c.name)
+		}
+	}
+}
+
+// TestEvaluatorRecompileAllocFree: the evaluator's query buffer is reused
+// from rule to rule, so compiling the next candidate allocates nothing.
+func TestEvaluatorRecompileAllocFree(t *testing.T) {
+	fx := newFixture(t)
+	rng := rand.New(rand.NewSource(5))
+	rules := make([]logic.Clause, 16)
+	for i := range rules {
+		rules[i] = randomRuleFrom(fx, rng)
+	}
+	for i := range rules {
+		fx.ev.compile(&rules[i]) // size the buffers for the longest rule
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		q := fx.ev.compile(&rules[i%len(rules)])
+		fx.m.CoversQuery(q, fx.ex.Pos[0])
+		i++
+	}); n != 0 {
+		t.Fatalf("compiling the next rule allocates %v per rule", n)
 	}
 }

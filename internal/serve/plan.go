@@ -24,6 +24,9 @@ type responsePlan struct {
 	// rules[i][0] and rules[i][1] are rule i's complete RuleAnswer object
 	// with covered false and true, led by the separator from its predecessor.
 	rules [][2][]byte
+	// queries[i] is theory rule i compiled for the artifact's KB, shared
+	// read-only by every pool machine.
+	queries []solve.Query
 }
 
 func compilePlan(a *Artifact) responsePlan {
@@ -52,6 +55,8 @@ func compilePlan(a *Artifact) responsePlan {
 			p.rules[i][bit] = append(f, "\n        }"...)
 		}
 	}
+	// Nothing is checked out of the pool yet, so the shard view is free.
+	p.queries = a.pool.Machines()[0].CompileQueries(a.Snap.Theory)
 	return p
 }
 
@@ -67,7 +72,7 @@ func (a *Artifact) appendResult(buf *responseBuf, i int, raw string, ex logic.Te
 	// "covered" precedes "rules" in the object, so the bits come first.
 	first := -1
 	for ri := range theory {
-		buf.covered[ri] = m.CoversExample(&theory[ri], ex)
+		buf.covered[ri] = m.CoversQuery(&a.plan.queries[ri], ex)
 		if buf.covered[ri] && first < 0 {
 			first = ri
 		}

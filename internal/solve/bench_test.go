@@ -44,27 +44,47 @@ func BenchmarkProveFailUnknownConstant(b *testing.B) {
 	}
 }
 
-func benchCoversExample(b *testing.B, novm bool) {
-	kb := benchKB(2000)
+// benchCovers times one coverage check of rule against active(m7): through
+// CoversExample (the rule compiled into the machine's scratch query on every
+// call) or, with held set, through a Query compiled once outside the loop.
+func benchCovers(b *testing.B, kb *KB, ruleSrc string, novm, held bool) {
 	m := NewMachine(kb, DefaultBudget)
 	m.SetNoVM(novm)
-	rule := logic.MustParseClause("active(M) :- atm(M, A, carbon, T, C), bond(M, A, B, 1).")
+	rule := logic.MustParseClause(ruleSrc)
 	example := logic.MustParseTerm("active(m7)")
+	var q Query
+	m.CompileQuery(&q, &rule)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !m.CoversExample(&rule, example) {
+		var ok bool
+		if held {
+			ok = m.CoversQuery(&q, example)
+		} else {
+			ok = m.CoversExample(&rule, example)
+		}
+		if !ok {
 			b.Fatal("not covered")
 		}
 	}
 }
 
+const benchFactsRule = "active(M) :- atm(M, A, carbon, T, C), bond(M, A, B, 1)."
+
 // BenchmarkCoversExample is the coverage-check kernel on the default engine
 // (the compiled VM); BenchmarkCoversExampleInterp is the same workload
-// pinned to the tree-walking interpreter, so one bench run reports the
-// interpreter-vs-VM delta.
-func BenchmarkCoversExample(b *testing.B)       { benchCoversExample(b, false) }
-func BenchmarkCoversExampleInterp(b *testing.B) { benchCoversExample(b, true) }
+// pinned to the tree-walking interpreter and BenchmarkCoversQuery the same
+// with the rule compiled once, so one bench run reports tree /
+// scratch-compiled / held-query ns/op.
+func BenchmarkCoversExample(b *testing.B) {
+	benchCovers(b, benchKB(2000), benchFactsRule, false, false)
+}
+func BenchmarkCoversExampleInterp(b *testing.B) {
+	benchCovers(b, benchKB(2000), benchFactsRule, true, false)
+}
+func BenchmarkCoversQuery(b *testing.B) {
+	benchCovers(b, benchKB(2000), benchFactsRule, false, true)
+}
 
 func BenchmarkSolveEnumerate(b *testing.B) {
 	kb := benchKB(2000)
@@ -103,23 +123,17 @@ func benchRuleKB(n int) *KB {
 	return kb
 }
 
-func benchCoversExampleRules(b *testing.B, novm bool) {
-	kb := benchRuleKB(2000)
-	m := NewMachine(kb, DefaultBudget)
-	m.SetNoVM(novm)
-	rule := logic.MustParseClause("active(M) :- heavy(M), linked(M, A, B).")
-	example := logic.MustParseTerm("active(m7)")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !m.CoversExample(&rule, example) {
-			b.Fatal("not covered")
-		}
-	}
-}
+const benchRulesRule = "active(M) :- heavy(M), linked(M, A, B)."
 
-func BenchmarkCoversExampleRules(b *testing.B)       { benchCoversExampleRules(b, false) }
-func BenchmarkCoversExampleRulesInterp(b *testing.B) { benchCoversExampleRules(b, true) }
+func BenchmarkCoversExampleRules(b *testing.B) {
+	benchCovers(b, benchRuleKB(2000), benchRulesRule, false, false)
+}
+func BenchmarkCoversExampleRulesInterp(b *testing.B) {
+	benchCovers(b, benchRuleKB(2000), benchRulesRule, true, false)
+}
+func BenchmarkCoversQueryRules(b *testing.B) {
+	benchCovers(b, benchRuleKB(2000), benchRulesRule, false, true)
+}
 
 func BenchmarkProveRecursiveRules(b *testing.B) {
 	kb := benchRuleKB(2000)

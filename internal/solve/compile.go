@@ -222,21 +222,25 @@ func compileKB(kb *KB) *program {
 	}
 	for _, cc := range c.clauses {
 		for i := range cc.frames {
-			fr := &cc.frames[i]
-			a := fr.lit.Atom
-			// Only positive, callable, non-builtin goals dispatch statically;
-			// everything else keeps the interpreter's dynamic checks.
-			if fr.lit.Neg || (a.Kind != logic.Atom && a.Kind != logic.Compound) || builtinFor(a) != nil {
-				continue
-			}
-			if cp := pr.predFor(a); cp != nil {
-				fr.cp = cp
-			} else {
-				fr.cp = unknownPred
-			}
+			cc.frames[i].cp = pr.staticPred(cc.frames[i].lit)
 		}
 	}
 	return pr
+}
+
+// staticPred is the compile-time dispatch of one goal literal, for clause
+// bodies and compiled queries alike: a positive, callable, non-builtin goal
+// resolves to its compiled predicate (unknownPred when the KB has none);
+// everything else returns nil and keeps the interpreter's dynamic checks.
+func (pr *program) staticPred(lit logic.Literal) *compiledPred {
+	a := lit.Atom
+	if lit.Neg || (a.Kind != logic.Atom && a.Kind != logic.Compound) || builtinFor(a) != nil {
+		return nil
+	}
+	if cp := pr.predFor(a); cp != nil {
+		return cp
+	}
+	return unknownPred
 }
 
 func compilePred(c *compiler, p *pred, arity int32) *compiledPred {
@@ -355,21 +359,26 @@ func compileClause(c *compiler, sc *storedClause) *compiledClause {
 	return cc
 }
 
-// compileHead emits one instruction per head argument (minus the skipped
-// position). A head variable compiles to opGetVar only at its first executed
-// occurrence — counting occurrences inside earlier compound arguments, since
-// unifying those may already have bound its slot — and to the general
-// unifier afterwards.
+// compileHead builds the head-matching stream of a stored clause.
 func compileHead(sc *storedClause, skip int) []instr {
 	head := &sc.clause.Head
 	if len(head.Args) == 0 {
 		return nil
 	}
-	out := make([]instr, 0, len(head.Args))
-	var seen map[int32]bool
+	var seen []bool
 	if sc.numVars > 0 {
-		seen = make(map[int32]bool, sc.numVars)
+		seen = make([]bool, sc.numVars)
 	}
+	return appendHead(make([]instr, 0, len(head.Args)), head, skip, seen)
+}
+
+// appendHead appends one instruction per head argument (minus the skipped
+// position). A head variable compiles to opGetVar only at its first executed
+// occurrence — counting occurrences inside earlier compound arguments, since
+// unifying those may already have bound its slot — and to the general
+// unifier afterwards. seen is all-false scratch indexed by variable, at least
+// as long as the clause has variables.
+func appendHead(dst []instr, head *logic.Term, skip int, seen []bool) []instr {
 	for i := range head.Args {
 		if i == skip {
 			continue
@@ -382,7 +391,7 @@ func compileHead(sc *storedClause, skip int) []instr {
 		case logic.Int, logic.Float:
 			ins.op, ins.num = opGetNum, a.Num
 		case logic.Var:
-			if seen[int32(a.Sym)] {
+			if seen[a.Sym] {
 				ins.op = opUnify
 			} else {
 				ins.op, ins.v = opGetVar, int32(a.Sym)
@@ -391,15 +400,15 @@ func compileHead(sc *storedClause, skip int) []instr {
 			ins.op = opUnify
 		}
 		markVars(*a, seen)
-		out = append(out, ins)
+		dst = append(dst, ins)
 	}
-	return out
+	return dst
 }
 
-func markVars(t logic.Term, seen map[int32]bool) {
+func markVars(t logic.Term, seen []bool) {
 	switch t.Kind {
 	case logic.Var:
-		seen[int32(t.Sym)] = true
+		seen[t.Sym] = true
 	case logic.Compound:
 		for i := range t.Args {
 			markVars(t.Args[i], seen)

@@ -68,6 +68,27 @@ func (m *refMachine) solveQuery(goals []logic.Literal, nVars int, yield func(*lo
 	}
 }
 
+// coversExample is the reference form of Machine.CoversExample: the head
+// unified as a tree, the body proved by the reference engine.
+func (m *refMachine) coversExample(rule *logic.Clause, example logic.Term) bool {
+	m.bs.Undo(0)
+	m.nextVar = rule.NumVars()
+	m.queryInf = 0
+	m.budgetHit = false
+	found := false
+	if m.bs.Unify(rule.Head, example) {
+		m.solve(refPush(rule.Body, 0, nil), func() bool {
+			found = true
+			return false
+		})
+	}
+	m.totalInf += m.queryInf
+	if m.budgetHit {
+		m.cutoffs++
+	}
+	return found
+}
+
 func (m *refMachine) solve(goals *refGoals, k func() bool) bool {
 	if goals == nil {
 		return k()
@@ -230,6 +251,115 @@ func genGoal(rng *rand.Rand) ([]logic.Literal, int) {
 	return lits, nVars
 }
 
+// genRule builds a random candidate rule for h: a head drawn from the shapes
+// a query head can take — distinct variables, a repeated variable, compound
+// and constant arguments, a variable first met inside a compound, zero arity
+// — over a genGoal body (sharing the head's variables) that is sometimes
+// empty and sometimes ends in a builtin or a predicate the KB does not have.
+func genRule(rng *rand.Rand) logic.Clause {
+	x, y := logic.V(0), logic.V(1)
+	heads := []logic.Term{
+		logic.Comp("h", x, y),
+		logic.Comp("h", x, x),
+		logic.Comp("h", logic.Comp("f", x), y),
+		logic.Comp("h", logic.A("a"), x),
+		logic.Comp("h", logic.IntTerm(2), x),
+		logic.Comp("h", x, logic.Comp("g", x, y)),
+		logic.Comp("h", logic.Comp("f", x), x),
+		logic.A("h"),
+	}
+	rule := logic.Clause{Head: heads[rng.Intn(len(heads))]}
+	if rng.Intn(6) == 0 {
+		return rule
+	}
+	rule.Body, _ = genGoal(rng)
+	switch rng.Intn(6) {
+	case 0:
+		rule.Body = append(rule.Body, logic.Lit(logic.Comp("\\=", x, y)))
+	case 1:
+		rule.Body = append(rule.Body, logic.Lit(logic.Comp("nosuch", x)))
+	}
+	return rule
+}
+
+// genExample builds a ground example for a genRule head: half the time an
+// instance of the head itself, otherwise an independent draw that is now and
+// then of the wrong arity, functor or kind.
+func genExample(rng *rand.Rand, head logic.Term) logic.Term {
+	consts := []string{"a", "b", "c", "d", "e", "f"}
+	arg := func() logic.Term {
+		c := logic.A(consts[rng.Intn(len(consts))])
+		switch rng.Intn(6) {
+		case 0:
+			return logic.IntTerm(int64(rng.Intn(4)))
+		case 1:
+			return logic.Comp("f", c)
+		case 2:
+			return logic.Comp("g", c, logic.A(consts[rng.Intn(len(consts))]))
+		}
+		return c
+	}
+	if rng.Intn(2) == 0 {
+		bs := logic.NewBindings(2)
+		bs.Bind(0, arg())
+		bs.Bind(1, arg())
+		return bs.Resolve(head)
+	}
+	switch rng.Intn(12) {
+	case 0:
+		return logic.Comp("h", arg())
+	case 1:
+		return logic.Comp("k", arg(), arg())
+	case 2:
+		return logic.A("h")
+	}
+	return logic.Comp("h", arg(), arg())
+}
+
+// checkQueriesAgree runs random rules over random examples three ways — the
+// seed reference, an interpreter-pinned machine and a default machine, each
+// of the two holding one Query across all the rule's examples — and requires
+// the same answer, the same inferences charged and the same cutoff on every
+// single query.
+func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rules int) {
+	t.Helper()
+	ref := newRefMachine(kb, budget)
+	interp := NewMachine(kb, budget)
+	interp.SetNoVM(true)
+	vm := NewMachine(kb, budget)
+	for r := 0; r < rules; r++ {
+		rule := genRule(rng)
+		var qi, qv Query
+		interp.CompileQuery(&qi, &rule)
+		vm.CompileQuery(&qv, &rule)
+		for e := 0; e < 12; e++ {
+			ex := genExample(rng, rule.Head)
+			refInf, refCut := ref.totalInf, ref.cutoffs
+			intInf, intCut := interp.TotalInferences(), interp.CutoffQueries()
+			vmInf, vmCut := vm.TotalInferences(), vm.CutoffQueries()
+			want := ref.coversExample(&rule, ex)
+			gotI := interp.CoversQuery(&qi, ex)
+			gotV := vm.CoversQuery(&qv, ex)
+			if gotI != want || gotV != want {
+				t.Fatalf("%s on %s: reference %v, interpreter query %v, compiled query %v", rule.String(), ex, want, gotI, gotV)
+			}
+			refInf, refCut = ref.totalInf-refInf, ref.cutoffs-refCut
+			if d := interp.TotalInferences() - intInf; d != refInf {
+				t.Fatalf("%s on %s: interpreter query charged %d, reference %d", rule.String(), ex, d, refInf)
+			}
+			if d := vm.TotalInferences() - vmInf; d != refInf {
+				t.Fatalf("%s on %s: compiled query charged %d, reference %d", rule.String(), ex, d, refInf)
+			}
+			if d := interp.CutoffQueries() - intCut; d != refCut {
+				t.Fatalf("%s on %s: interpreter query cutoffs %d, reference %d", rule.String(), ex, d, refCut)
+			}
+			if d := vm.CutoffQueries() - vmCut; d != refCut {
+				t.Fatalf("%s on %s: compiled query cutoffs %d, reference %d", rule.String(), ex, d, refCut)
+			}
+		}
+	}
+}
+
 func solutionString(bs *logic.Bindings, nVars int) string {
 	var b strings.Builder
 	for v := 0; v < nVars; v++ {
@@ -285,6 +415,7 @@ func TestDifferentialGoalStackVsReference(t *testing.T) {
 					seed, q, goalsStr(), m.CutoffQueries(), ref.cutoffs)
 			}
 		}
+		checkQueriesAgree(t, rng, kb, budget, 12)
 	}
 }
 

@@ -90,6 +90,11 @@ type Machine struct {
 	// per-step zeroing or allocation happens.
 	wbuf []walked
 	wtop int
+
+	// scratch is the machine-owned compiled query (query.go) behind the
+	// entry points that take their rule or goals uncompiled.
+	scratch       Query
+	queryCompiles int64
 }
 
 // NewMachine returns a machine over kb with the given budget.
@@ -118,14 +123,19 @@ func (m *Machine) CutoffQueries() int64 { return m.anyCutoffs }
 // ResetCounters zeroes the accumulated inference statistics.
 func (m *Machine) ResetCounters() { m.totalInf = 0; m.anyCutoffs = 0 }
 
+// currentProgram is the compiled program queries resolve against right now:
+// the KB's, or nil on the interpreter path.
+func (m *Machine) currentProgram() *program {
+	if m.novm || m.kb == nil {
+		return nil
+	}
+	return m.kb.program()
+}
+
 // beginQuery prepares per-query state; vars [0, nVars) are reserved for the
 // caller's goal variables.
 func (m *Machine) beginQuery(nVars int) {
-	if m.novm || m.kb == nil {
-		m.prog = nil
-	} else {
-		m.prog = m.kb.program()
-	}
+	m.prog = m.currentProgram()
 	m.bs.Undo(0)
 	m.nextVar = nVars
 	m.queryInf = 0
@@ -165,12 +175,11 @@ func (m *Machine) pushGoals(body []logic.Literal, ground []bool, off, depth int3
 	}
 }
 
-// pushQueryGoals pushes caller-supplied goals, computing their static
-// groundness once per query.
-func (m *Machine) pushQueryGoals(goals []logic.Literal) {
-	for i := len(goals) - 1; i >= 0; i-- {
-		m.stack = append(m.stack, goalFrame{lit: goals[i], ground: goals[i].Atom.IsGround()})
-	}
+// pushQuery compiles the caller-supplied goals into the scratch query and
+// pushes its frames (query.go: static groundness and dispatch derived once).
+func (m *Machine) pushQuery(goals []logic.Literal) {
+	m.scratch.compileBody(m.prog, goals)
+	m.stack = append(m.stack, m.scratch.frames...)
 }
 
 // Solve enumerates solutions of the conjunction goals, whose variables are
@@ -180,7 +189,7 @@ func (m *Machine) pushQueryGoals(goals []logic.Literal) {
 func (m *Machine) Solve(goals []logic.Literal, nVars int, yield func(*logic.Bindings) bool) bool {
 	m.beginQuery(nVars)
 	defer m.endQuery()
-	m.pushQueryGoals(goals)
+	m.pushQuery(goals)
 	found := false
 	m.solve(func() bool {
 		found = true
@@ -193,13 +202,8 @@ func (m *Machine) Solve(goals []logic.Literal, nVars int, yield func(*logic.Bind
 func (m *Machine) Prove(goals []logic.Literal, nVars int) bool {
 	m.beginQuery(nVars)
 	defer m.endQuery()
-	m.pushQueryGoals(goals)
-	found := false
-	m.solve(func() bool {
-		found = true
-		return false
-	})
-	return found
+	m.pushQuery(goals)
+	return !m.solve(stopAtFirst)
 }
 
 // ProveAtom proves a single positive goal.
@@ -209,21 +213,12 @@ func (m *Machine) ProveAtom(goal logic.Term) bool {
 
 // CoversExample reports whether rule covers the ground example atom: the
 // rule head must unify with the example and the body must then be provable
-// from the KB.
+// from the KB. It compiles rule into the machine's scratch query on every
+// call; callers testing one rule against many examples hold a Query
+// (CompileQuery) and call CoversQuery instead.
 func (m *Machine) CoversExample(rule *logic.Clause, example logic.Term) bool {
-	nv := rule.NumVars()
-	m.beginQuery(nv)
-	defer m.endQuery()
-	if !m.bs.Unify(rule.Head, example) {
-		return false
-	}
-	m.pushQueryGoals(rule.Body)
-	found := false
-	m.solve(func() bool {
-		found = true
-		return false
-	})
-	return found
+	m.CompileQuery(&m.scratch, rule)
+	return m.CoversQuery(&m.scratch, example)
 }
 
 // solve runs the SLD search over the pending goal stack. The continuation k

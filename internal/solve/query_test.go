@@ -1,0 +1,140 @@
+package solve
+
+import (
+	"testing"
+
+	"repro/internal/logic"
+)
+
+// coverRun is one coverage query's observable outcome.
+type coverRun struct {
+	covered    bool
+	inferences int64
+	cutoffs    int64
+}
+
+func runCovers(m *Machine, cover func() bool) coverRun {
+	inf, cut := m.TotalInferences(), m.CutoffQueries()
+	ok := cover()
+	return coverRun{ok, m.TotalInferences() - inf, m.CutoffQueries() - cut}
+}
+
+// TestQueryRecompilesOnProgramChange pins the program-identity check: a
+// held Query whose machine has since moved to another compiled program — the
+// KB grew, was swapped, or the engine was toggled — must answer and charge
+// exactly as a fresh CoversExample does, never run its stale dispatch.
+func TestQueryRecompilesOnProgramChange(t *testing.T) {
+	const src = `
+		edge(a, b). edge(b, c).
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- edge(X, Z), path(Z, Y).
+	`
+	rule := logic.MustParseClause("linked(X, Y) :- path(X, Y), marked(Y).")
+	ex := logic.MustParseTerm("linked(a, d)")
+
+	// fresh is the oracle: a new machine over kb in the same engine mode.
+	fresh := func(kb *KB, novm bool) coverRun {
+		m := NewMachine(kb, DefaultBudget)
+		m.SetNoVM(novm)
+		return runCovers(m, func() bool { return m.CoversExample(&rule, ex) })
+	}
+	check := func(what string, m *Machine, q *Query, want coverRun) {
+		t.Helper()
+		for i := 0; i < 2; i++ { // the second run re-detects the stale query
+			if got := runCovers(m, func() bool { return m.CoversQuery(q, ex) }); got != want {
+				t.Fatalf("%s: held query %+v, fresh CoversExample %+v", what, got, want)
+			}
+		}
+	}
+
+	kb := kbFrom(t, src)
+	m := NewMachine(kb, DefaultBudget)
+	var q Query
+	m.CompileQuery(&q, &rule)
+	// marked/1 does not exist yet: the compiled form dispatches it to
+	// unknownPred, and nothing is covered.
+	if want := fresh(kb, false); want.covered {
+		t.Fatal("covered before marked/1 exists")
+	} else {
+		check("initial", m, &q, want)
+	}
+
+	// KB.Add: new facts make the example covered and add a predicate the
+	// stale frames know nothing about.
+	kb.Add(logic.MustParseClause("edge(c, d)."))
+	kb.Add(logic.MustParseClause("marked(d)."))
+	want := fresh(kb, false)
+	if !want.covered {
+		t.Fatal("not covered after KB.Add")
+	}
+	check("after KB.Add", m, &q, want)
+
+	// SetKB to a clone that diverges: the clone's program is another
+	// object even before it changes, and then it loses nothing but gains a
+	// shortcut that changes the inference count.
+	clone := kb.Clone()
+	clone.Add(logic.MustParseClause("path(a, d)."))
+	m.SetKB(clone)
+	want = fresh(clone, false)
+	if !want.covered || want == fresh(kb, false) {
+		t.Fatalf("clone should change the charge: %+v", want)
+	}
+	check("after SetKB", m, &q, want)
+
+	// Engine toggle: the compiled query on an interpreter machine, and an
+	// interpreter-form query back on the VM.
+	m.SetNoVM(true)
+	check("after SetNoVM(true)", m, &q, fresh(clone, true))
+	var qi Query
+	m.CompileQuery(&qi, &rule)
+	m.SetNoVM(false)
+	check("interpreter-form query on the VM", m, &qi, fresh(clone, false))
+
+	if envNoVM {
+		return
+	}
+	// Recompiling queries never recompiles a KB: one build per KB version
+	// (kb was compiled before and after its Adds, the clone once).
+	if n := kb.Compilations(); n != 2 {
+		t.Fatalf("kb compiled %d times, want 2", n)
+	}
+	if n := clone.Compilations(); n != 1 {
+		t.Fatalf("clone compiled %d times, want 1", n)
+	}
+}
+
+// TestCoversQueryAllocFree pins the steady-state allocation contract: a held
+// query, CoversExample through the machine's scratch query, and recompiling
+// one Query buffer per rule all allocate nothing.
+func TestCoversQueryAllocFree(t *testing.T) {
+	kb := benchRuleKB(200)
+	rules := []logic.Clause{
+		logic.MustParseClause("active(M) :- heavy(M), linked(M, A, B)."),
+		logic.MustParseClause("active(M) :- atm(M, A, carbon, T, C), bond(M, A, B, 1), \\+ring3(M)."),
+		logic.MustParseClause("active(m7)."),
+	}
+	ex := logic.MustParseTerm("active(m7)")
+	for _, novm := range []bool{false, true} {
+		m := NewMachine(kb, DefaultBudget)
+		m.SetNoVM(novm)
+		var q Query
+		m.CompileQuery(&q, &rules[0])
+		if !m.CoversQuery(&q, ex) {
+			t.Fatal("not covered")
+		}
+		if n := testing.AllocsPerRun(50, func() { m.CoversQuery(&q, ex) }); n != 0 {
+			t.Errorf("novm=%v: CoversQuery allocates %v per call", novm, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { m.CoversExample(&rules[0], ex) }); n != 0 {
+			t.Errorf("novm=%v: CoversExample allocates %v per call", novm, n)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(50, func() {
+			m.CompileQuery(&q, &rules[i%len(rules)])
+			m.CoversQuery(&q, ex)
+			i++
+		}); n != 0 {
+			t.Errorf("novm=%v: recompiling per rule allocates %v per rule", novm, n)
+		}
+	}
+}

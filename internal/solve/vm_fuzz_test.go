@@ -11,7 +11,9 @@ import (
 // on a random program and query stream (the differential test's generators,
 // driven by the fuzzed seed), the compiled VM and the tree-walking
 // interpreter must produce the same solutions in the same order, charge the
-// same inference counts and hit the same budget cutoffs. Run with
+// same inference counts and hit the same budget cutoffs; and on a random
+// rule × example stream, held interpreter-form and compiled queries must
+// match the seed reference query for query (checkQueriesAgree). Run with
 // `go test -fuzz=FuzzVMMatchesInterpreter ./internal/solve` to explore
 // beyond the seed corpus.
 func FuzzVMMatchesInterpreter(f *testing.F) {
@@ -57,5 +59,6 @@ func FuzzVMMatchesInterpreter(f *testing.F) {
 					seed, q, vm.CutoffQueries(), interp.CutoffQueries())
 			}
 		}
+		checkQueriesAgree(t, rng, kb, budget, 6)
 	})
 }

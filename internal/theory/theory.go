@@ -120,17 +120,17 @@ type Confusion struct {
 
 // Evaluate scores theory on the labelled examples against kb.
 func Evaluate(kb *solve.KB, theory []logic.Clause, pos, neg []logic.Term, budget solve.Budget) Confusion {
-	m := solve.NewMachine(kb, budget)
+	t := search.CompileTheory(solve.NewMachine(kb, budget), theory)
 	var c Confusion
 	for _, e := range pos {
-		if search.TheoryCovers(m, theory, e) {
+		if t.Covers(e) {
 			c.TP++
 		} else {
 			c.FN++
 		}
 	}
 	for _, e := range neg {
-		if search.TheoryCovers(m, theory, e) {
+		if t.Covers(e) {
 			c.FP++
 		} else {
 			c.TN++
