@@ -141,3 +141,80 @@ func TestRemoteRecoverCrashDuringPipelines(t *testing.T) {
 	}
 	theoryCoversAll(t, kb, met.Theory, pos)
 }
+
+// loadAfterPeerDown wraps a worker's transport and holds back everything it
+// receives — its kindLoad first — until the transport has reported a
+// sibling's death, then hands the backlog over in order, the death last. It
+// is a worker too slow to have reached its kindLoad when the crash happens:
+// the cluster-wide failure regime travels in that message, so whatever the
+// transport does with the death, it does before the worker knows the regime.
+// The hold also ends when the master sends anything but the load and the
+// pipeline start — its recovery is already waiting on this worker, which
+// happens when the sibling crashed before it ever dialed here.
+type loadAfterPeerDown struct {
+	cluster.Transport
+	backlog  []cluster.Message
+	released bool
+}
+
+func (l *loadAfterPeerDown) ReceiveCtx(ctx context.Context) (cluster.Message, error) {
+	for !l.released {
+		msg, err := l.Transport.ReceiveCtx(ctx)
+		if err != nil {
+			return msg, err // a transport poisoned by the death
+		}
+		l.backlog = append(l.backlog, msg)
+		l.released = msg.Kind == cluster.KindPeerDown ||
+			msg.From == 0 && msg.Kind != kindLoad && msg.Kind != kindStartPipeline
+	}
+	if len(l.backlog) > 0 {
+		msg := l.backlog[0]
+		l.backlog = l.backlog[1:]
+		return msg, nil
+	}
+	return l.Transport.ReceiveCtx(ctx)
+}
+
+func (l *loadAfterPeerDown) Traffic() cluster.Traffic {
+	return l.Transport.(cluster.TrafficReporter).Traffic()
+}
+func (l *loadAfterPeerDown) Inner() cluster.Transport { return l.Transport }
+
+// TestRemoteRecoverCrashBeforeSiblingLoaded holds still the interleaving
+// behind TestRemoteRecoverCrashDuringPipelines' rare "LostWorkers = 2"
+// (ROADMAP item 1(f)): worker 3 loads, forwards its first stage to worker 1
+// and crashes on the stage it receives, all before worker 1 has processed
+// its own kindLoad. Worker 1 is healthy and must survive to take its share
+// of the redistribution.
+func TestRemoteRecoverCrashBeforeSiblingLoaded(t *testing.T) {
+	kb, pos, neg, ms := makeTask(t)
+	cfg := testConfig(3, 10)
+	cfg.Recover = true
+	cfg.RecvTimeout = 60 * time.Second
+	ncfg := netcluster.Config{
+		Fingerprint:    Fingerprint(kb, pos, neg),
+		HeartbeatEvery: 20 * time.Millisecond,
+		PeerTimeout:    500 * time.Millisecond,
+	}
+	master, errCh := startNetCluster(t, 3, ncfg, func(node *netcluster.Node) error {
+		switch node.ID() {
+		case 1:
+			return RunWorker(&loadAfterPeerDown{Transport: node}, kb, ms, Config{})
+		case 3:
+			return RunWorker(&crashOn{Node: node, kind: kindStage}, kb, ms, Config{})
+		}
+		return RunWorker(node, kb, ms, Config{})
+	})
+	met, err := RunMaster(master, pos, neg, cfg)
+	if err != nil {
+		t.Fatalf("RunMaster failed despite recovery: %v", err)
+	}
+	master.Close()
+	for k := 0; k < 3; k++ {
+		<-errCh
+	}
+	if met.Recoveries < 1 || met.LostWorkers != 1 {
+		t.Fatalf("Recoveries = %d LostWorkers = %d", met.Recoveries, met.LostWorkers)
+	}
+	theoryCoversAll(t, kb, met.Theory, pos)
+}

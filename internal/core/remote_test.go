@@ -37,8 +37,14 @@ func startNetCluster(t *testing.T, p int, ncfg netcluster.Config, runWorker func
 				errCh <- err
 				return
 			}
-			defer node.Close()
-			errCh <- runWorker(node)
+			err = runWorker(node)
+			if err != nil {
+				// As p2mdie does: peers must see a failure, not an orderly
+				// departure they would wait out a whole RecvTimeout on.
+				node.Abort()
+			}
+			node.Close()
+			errCh <- err
 		}()
 	}
 	master, err := netcluster.Connect(addrs, ncfg)

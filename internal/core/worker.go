@@ -179,6 +179,13 @@ func newWorker(id, p int, node cluster.Transport, kb *solve.KB, ex *search.Examp
 // master, so only the background knowledge and the language bias (the
 // paper's shared-filesystem data) are needed up front.
 func newRemoteWorker(node cluster.Transport, kb *solve.KB, ms *mode.Set, cfg Config) *worker {
+	// Until kindLoad says which failure regime the master runs (loadRemote
+	// installs it), a sibling's death must not poison this transport: the
+	// sibling may have loaded, forwarded a stage here and crashed before
+	// this worker got to its own kindLoad, and under recovery that worker
+	// is one the run has to keep. Without recovery the event costs nothing
+	// — the master's own link to the dead peer fails the run.
+	node.NotifyFailures(true)
 	return &worker{
 		id:       node.ID(),
 		ring:     fullRing(node.Size() - 1),

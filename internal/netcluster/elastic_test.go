@@ -99,6 +99,47 @@ func TestLateJoinAdmitsWorker(t *testing.T) {
 	}
 }
 
+// TestLateJoinVisibleOnPeerUpDelivery pins what Size and Members mean on a
+// master with late joins: the membership the protocol has been told about.
+// The handshake's commit runs on the accept goroutine whenever the kernel
+// lets it; a protocol about to size itself off Size() (core.RunMaster) must
+// not find the joiner there before its KindPeerUp has been received — that
+// race dealt the joiner in as an initial worker (ROADMAP item 1(b)).
+func TestLateJoinVisibleOnPeerUpDelivery(t *testing.T) {
+	cfg := Config{Fingerprint: 42}
+	master, workers := startCluster(t, 2, cfg)
+	joinLate(t, master, cfg)
+	// A worker that has seen the ctrlPeerUpdate proves the master's commit
+	// is behind us: the update is written after it.
+	waitForSize(t, workers[1], 4)
+	if got := master.Size(); got != 3 {
+		t.Fatalf("master Size() = %d after the commit but before the KindPeerUp was received, want 3", got)
+	}
+	if got := master.Members(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("master Members() = %v before the KindPeerUp was received, want [1 2]", got)
+	}
+	// The commit itself is complete: the joiner is reachable.
+	if err := master.Send(3, 7, payload{N: 1}); err != nil {
+		t.Fatalf("send to the committed joiner: %v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	msg, err := master.ReceiveCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Kind != cluster.KindPeerUp || msg.From != 3 {
+		t.Fatalf("master got %+v, want KindPeerUp from 3", msg)
+	}
+	if got := master.Size(); got != 4 {
+		t.Fatalf("master Size() = %d once the KindPeerUp was received, want 4", got)
+	}
+	if got := master.Members(); len(got) != 3 || got[2] != 3 {
+		t.Fatalf("master Members() = %v once the KindPeerUp was received, want [1 2 3]", got)
+	}
+}
+
 // waitForSize polls until the node has observed the grown cluster (the
 // ctrlPeerUpdate travels asynchronously on the master link).
 func waitForSize(t *testing.T, n *Node, want int) {

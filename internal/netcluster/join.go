@@ -464,7 +464,11 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 	// KindPeerUp event is enqueued, and the master's protocol only
 	// references the joiner after consuming that event — so on TCP's
 	// ordered links every worker knows the joiner's address before any
-	// ring traffic could target it.
+	// ring traffic could target it. Until ReceiveCtx has returned that
+	// event the joiner stays out of Size and Members: this goroutine runs
+	// whenever the kernel lets it, and a protocol that sized itself off a
+	// commit it was never told about would deal the joiner in as an
+	// initial worker.
 	n.mu.Lock()
 	if n.closing {
 		n.mu.Unlock()
@@ -472,6 +476,7 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 		return
 	}
 	n.size = id + 1
+	n.unannounced++
 	n.peers = peers
 	var workerLinks []*link
 	for peer, l := range n.links {

@@ -211,6 +211,13 @@ type Node struct {
 	// the next begins, so concurrent joiners cannot be offered the same
 	// node id.
 	joinMu sync.Mutex
+	// unannounced counts the late joiners committed on the master — size,
+	// links, address book and traffic table grown, sends to them work —
+	// whose KindPeerUp ReceiveCtx has not returned yet. They are the
+	// highest ids, and Size and Members leave them out: the protocol sees
+	// the membership it has been told about, not what the accept goroutine
+	// has got to (guarded by mu).
+	unannounced int
 
 	// notify switches peer-failure handling from poisoning the inbox to
 	// delivering in-band KindPeerDown events (see Transport.NotifyFailures).
@@ -234,22 +241,26 @@ var _ cluster.TrafficReporter = (*Node)(nil)
 // ID returns the node id (0 = master).
 func (n *Node) ID() int { return n.id }
 
-// Size returns the cluster size p+1 (late joins grow it).
+// Size returns the cluster size p+1 as announced to the protocol: on the
+// master a late joiner counts from the moment ReceiveCtx returns its
+// KindPeerUp, not from the handshake's commit on the accept goroutine.
 func (n *Node) Size() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.size
+	return n.size - n.unannounced
 }
 
 // Clock returns the node's virtual time.
 func (n *Node) Clock() cluster.VTime { return cluster.VTime(n.clock.Load()) }
 
-// Members returns the nodes not declared dead (self excluded), ascending.
+// Members returns the announced nodes (see Size) not declared dead, self
+// excluded, ascending.
 func (n *Node) Members() []int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]int, 0, n.size-1)
-	for id := 0; id < n.size; id++ {
+	size := n.size - n.unannounced
+	out := make([]int, 0, size-1)
+	for id := 0; id < size; id++ {
 		if id != n.id && !n.down[id] {
 			out = append(out, id)
 		}
@@ -448,6 +459,16 @@ func (n *Node) ReceiveCtx(ctx context.Context) (cluster.Message, error) {
 	msg, err := n.inbox.take(ctx)
 	if err != nil {
 		return cluster.Message{}, err
+	}
+	if msg.Kind == cluster.KindPeerUp {
+		// Announce a late joiner (ids are admitted and queued in order, so
+		// it is the lowest unannounced one); a rejoining member's event
+		// names an id already inside the announced range.
+		n.mu.Lock()
+		if msg.From >= n.size-n.unannounced {
+			n.unannounced--
+		}
+		n.mu.Unlock()
 	}
 	n.advanceTo(msg.Arrive)
 	return msg, nil

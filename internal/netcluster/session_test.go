@@ -21,18 +21,18 @@ func TestConfigValidation(t *testing.T) {
 		wantErr string // substring; empty = must validate
 	}{
 		{
-			name: "heartbeat must fit inside peer timeout",
-			cfg:  Config{HeartbeatEvery: time.Second, PeerTimeout: 500 * time.Millisecond},
+			name:    "heartbeat must fit inside peer timeout",
+			cfg:     Config{HeartbeatEvery: time.Second, PeerTimeout: 500 * time.Millisecond},
 			wantErr: "HeartbeatEvery",
 		},
 		{
-			name: "heartbeat equal to peer timeout rejected",
-			cfg:  Config{HeartbeatEvery: time.Second, PeerTimeout: time.Second},
+			name:    "heartbeat equal to peer timeout rejected",
+			cfg:     Config{HeartbeatEvery: time.Second, PeerTimeout: time.Second},
 			wantErr: "HeartbeatEvery",
 		},
 		{
-			name: "negative grace window rejected",
-			cfg:  Config{LinkGrace: -time.Second},
+			name:    "negative grace window rejected",
+			cfg:     Config{LinkGrace: -time.Second},
 			wantErr: "LinkGrace",
 		},
 		{

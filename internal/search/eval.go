@@ -56,16 +56,17 @@ func CoverageBatchOf(ev Coverer, rules []*logic.Clause, posCands, negCands []Bit
 func coverageLoop(ev Coverer, rules []*logic.Clause, posCands, negCands []Bitset) []CoverResult {
 	out := make([]CoverResult, len(rules))
 	for i, r := range rules {
-		var pc, nc Bitset
-		if posCands != nil {
-			pc = posCands[i]
-		}
-		if negCands != nil {
-			nc = negCands[i]
-		}
-		out[i].Pos, out[i].Neg = ev.Coverage(r, pc, nc)
+		out[i].Pos, out[i].Neg = ev.Coverage(r, maskAt(posCands, i), maskAt(negCands, i))
 	}
 	return out
+}
+
+// maskAt is rule i's candidate mask; a nil slice means all-nil.
+func maskAt(masks []Bitset, i int) Bitset {
+	if masks == nil {
+		return nil
+	}
+	return masks[i]
 }
 
 // FullCoverer extends Coverer with whole-set evaluation and inference
@@ -99,6 +100,16 @@ type Evaluator struct {
 
 	scratch Bitset      // reused candidate-mask buffer; never escapes Coverage
 	query   solve.Query // the rule under evaluation, recompiled in place per rule
+
+	// Scratch of CoverageBatch, reused from batch to batch: the group being
+	// collected (indices into the batch and the rules themselves), which
+	// rules an earlier group already took, the compiled pack and its
+	// per-example answers.
+	members []int
+	fan     []*logic.Clause
+	taken   []bool
+	pack    solve.QueryPack
+	hit     []bool
 }
 
 var _ FullCoverer = (*Evaluator)(nil)
@@ -127,34 +138,44 @@ func (ev *Evaluator) Coverage(rule *logic.Clause, posCand, negCand Bitset) (pos,
 	pos = NewBitset(len(ev.Ex.Pos))
 	neg = NewBitset(len(ev.Ex.Neg))
 	q := ev.compile(rule)
-	testPos := ev.Ex.PosAlive
-	if posCand != nil {
-		// Intersect into a scratch buffer owned by the evaluator instead of
-		// cloning the candidate mask on every call.
-		ev.scratch = IntersectInto(ev.scratch, posCand, ev.Ex.PosAlive)
-		testPos = ev.scratch
-	}
-	testPos.ForEach(func(i int) bool {
+	ev.testedPos(posCand).ForEach(func(i int) bool {
 		if ev.M.CoversQuery(q, ev.Ex.Pos[i]) {
 			pos.Set(i)
 		}
 		return true
 	})
-	if negCand != nil {
-		negCand.ForEach(func(i int) bool {
-			if ev.M.CoversQuery(q, ev.Ex.Neg[i]) {
-				neg.Set(i)
-			}
-			return true
-		})
-		return pos, neg
-	}
-	for i := range ev.Ex.Neg {
+	ev.eachTestedNeg(negCand, func(i int) bool {
 		if ev.M.CoversQuery(q, ev.Ex.Neg[i]) {
 			neg.Set(i)
 		}
-	}
+		return true
+	})
 	return pos, neg
+}
+
+// testedPos is the set of positives a coverage call tests under posCand:
+// the alive ones, within the mask if there is one. The result may be the
+// evaluator's scratch buffer, valid until the next call.
+func (ev *Evaluator) testedPos(posCand Bitset) Bitset {
+	if posCand == nil {
+		return ev.Ex.PosAlive
+	}
+	// Intersect into a scratch buffer owned by the evaluator instead of
+	// cloning the candidate mask on every call.
+	ev.scratch = IntersectInto(ev.scratch, posCand, ev.Ex.PosAlive)
+	return ev.scratch
+}
+
+// eachTestedNeg visits the negatives a coverage call tests under negCand:
+// the mask's, or all of them without one.
+func (ev *Evaluator) eachTestedNeg(negCand Bitset, visit func(i int) bool) {
+	if negCand != nil {
+		negCand.ForEach(visit)
+		return
+	}
+	for i := range ev.Ex.Neg {
+		visit(i)
+	}
 }
 
 // compile compiles rule once for the whole call into the evaluator's query
@@ -164,11 +185,114 @@ func (ev *Evaluator) compile(rule *logic.Clause) *solve.Query {
 	return &ev.query
 }
 
-// CoverageBatch evaluates a batch of rules serially, one Coverage call per
-// rule. The serial evaluator gains nothing from batching; the method exists
-// so the search layer can issue whole-frontier calls against any FullCoverer.
+// CoverageBatch evaluates a batch of rules, sharing what the rules share. A
+// search frontier is mostly "parent body + one appended literal" under the
+// parent's masks (LearnRule's evaluateFrontier), so the batch is grouped
+// from the clauses themselves — same head, same candidate masks, same body
+// up to the last literal — and every group of two or more runs as one
+// solve.QueryPack: per example the shared body is proved once and each
+// member only adds its own literal. Each member is still charged its
+// stand-alone proof, so bits, TotalInferences and CutoffQueries are those of
+// len(rules) Coverage calls; only StepsExecuted falls. Rules with no sibling
+// in the batch take the Coverage path as they are.
 func (ev *Evaluator) CoverageBatch(rules []*logic.Clause, posCands, negCands []Bitset) []CoverResult {
-	return coverageLoop(ev, rules, posCands, negCands)
+	out := make([]CoverResult, len(rules))
+	if cap(ev.taken) < len(rules) {
+		ev.taken = make([]bool, len(rules))
+		ev.hit = make([]bool, len(rules))
+	}
+	taken := ev.taken[:len(rules)]
+	clear(taken)
+	for i, r := range rules {
+		if taken[i] {
+			continue
+		}
+		pc, nc := maskAt(posCands, i), maskAt(negCands, i)
+		ev.members, ev.fan = append(ev.members[:0], i), append(ev.fan[:0], r)
+		if len(r.Body) >= 2 {
+			for j := i + 1; j < len(rules); j++ {
+				if !taken[j] && sameMask(pc, maskAt(posCands, j)) && sameMask(nc, maskAt(negCands, j)) && sameFan(r, rules[j]) {
+					taken[j] = true
+					ev.members, ev.fan = append(ev.members, j), append(ev.fan, rules[j])
+				}
+			}
+		}
+		if len(ev.members) == 1 {
+			out[i].Pos, out[i].Neg = ev.Coverage(r, pc, nc)
+			continue
+		}
+		ev.coverFan(out, pc, nc)
+	}
+	return out
+}
+
+// coverFan evaluates the collected group ev.members/ev.fan as one pack over
+// the examples Coverage would test, writing each member's result into out.
+func (ev *Evaluator) coverFan(out []CoverResult, posCand, negCand Bitset) {
+	for _, i := range ev.members {
+		out[i].Pos = NewBitset(len(ev.Ex.Pos))
+		out[i].Neg = NewBitset(len(ev.Ex.Neg))
+	}
+	ev.M.CompilePack(&ev.pack, ev.fan, len(ev.fan[0].Body)-1)
+	hit := ev.hit[:len(ev.members)]
+	ev.testedPos(posCand).ForEach(func(e int) bool {
+		ev.M.CoversPack(&ev.pack, ev.Ex.Pos[e], hit)
+		for c, h := range hit {
+			if h {
+				out[ev.members[c]].Pos.Set(e)
+			}
+		}
+		return true
+	})
+	ev.eachTestedNeg(negCand, func(e int) bool {
+		ev.M.CoversPack(&ev.pack, ev.Ex.Neg[e], hit)
+		for c, h := range hit {
+			if h {
+				out[ev.members[c]].Neg.Set(e)
+			}
+		}
+		return true
+	})
+}
+
+// sameMask reports whether two candidate masks are one and the same: both
+// nil, or the same backing array. Equal contents in different arrays do not
+// count — a frontier hands every child its parent's own bitsets, and
+// comparing words would cost what it saves on batches that are not one.
+func sameMask(a, b Bitset) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0]
+}
+
+// sameFan reports whether a and b are siblings a query pack can run
+// together: equal heads, equally long bodies, equal literals up to the last.
+// The comparison runs from the back because that is where a frontier's
+// mid-insert children (parent literal last, inserted literal before it)
+// differ from its appended ones.
+func sameFan(a, b *logic.Clause) bool {
+	if len(a.Body) != len(b.Body) || !sameTerm(a.Head, b.Head) {
+		return false
+	}
+	for i := len(a.Body) - 2; i >= 0; i-- {
+		if a.Body[i].Neg != b.Body[i].Neg || !sameTerm(a.Body[i].Atom, b.Body[i].Atom) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameTerm is logic.Equal with a fast path for the common case: literals
+// materialized from one bottom clause share their argument arrays.
+func sameTerm(a, b logic.Term) bool {
+	if a.Kind != b.Kind || a.Sym != b.Sym || len(a.Args) != len(b.Args) {
+		return false
+	}
+	if len(a.Args) > 0 && &a.Args[0] == &b.Args[0] {
+		return true
+	}
+	return logic.Equal(a, b)
 }
 
 // CoverageFullBatch evaluates a rules bag serially (see CoverageFull).

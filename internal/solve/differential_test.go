@@ -320,7 +320,9 @@ func genExample(rng *rand.Rand, head logic.Term) logic.Term {
 // seed reference, an interpreter-pinned machine and a default machine, each
 // of the two holding one Query across all the rule's examples — and requires
 // the same answer, the same inferences charged and the same cutoff on every
-// single query.
+// single query. Its pack leg (checkPacksAgree, pack_test.go) then does the
+// same for random fans run as QueryPacks, under the caller's budget and under
+// a drawn tight one where most proofs are cut off somewhere.
 func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rules int) {
 	t.Helper()
 	ref := newRefMachine(kb, budget)
@@ -358,6 +360,12 @@ func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rule
 			}
 		}
 	}
+	tight := Budget{
+		MaxDepth:      []int{1, 2, 3, 12}[rng.Intn(4)],
+		MaxInferences: []int64{3, 5, 8, 13, 21, 40, 80, 200}[rng.Intn(8)],
+	}
+	checkPacksAgree(t, rng, kb, budget, rules/2)
+	checkPacksAgree(t, rng, kb, tight, rules/2)
 }
 
 func solutionString(bs *logic.Bindings, nVars int) string {

@@ -80,6 +80,12 @@ type Machine struct {
 	totalInf   int64 // inferences spent since construction/reset
 	budgetHit  bool  // current query hit its budget
 	anyCutoffs int64 // queries that hit a budget since construction
+	// steps counts the resolution steps actually executed, where totalInf
+	// counts the ones charged: a query pack (pack.go) charges every member
+	// its stand-alone proof but executes the shared prefix once. packRedos
+	// counts pack members a budget event sent back to CoversQuery.
+	steps     int64
+	packRedos int64
 
 	stack   []goalFrame  // pending goals; the top is the last element
 	base    int          // stack bottom of the current (sub)proof
@@ -112,16 +118,22 @@ func (m *Machine) SetKB(kb *KB) { m.kb = kb }
 // TotalInferences reports inferences accumulated over all queries.
 func (m *Machine) TotalInferences() int64 { return m.totalInf }
 
+// StepsExecuted reports the resolution steps the machine actually ran over
+// all queries: equal to TotalInferences as long as every rule is proved on
+// its own, lower once query packs prove shared prefixes once. It is updated
+// when a query or pack ends, not per step.
+func (m *Machine) StepsExecuted() int64 { return m.steps }
+
 // AddInferences charges extra work units to the machine (used by callers to
 // account for non-deductive work, e.g. clause construction, in the same
 // currency as proofs).
-func (m *Machine) AddInferences(n int64) { m.totalInf += n }
+func (m *Machine) AddInferences(n int64) { m.totalInf += n; m.steps += n }
 
 // CutoffQueries reports how many queries were truncated by the budget.
 func (m *Machine) CutoffQueries() int64 { return m.anyCutoffs }
 
 // ResetCounters zeroes the accumulated inference statistics.
-func (m *Machine) ResetCounters() { m.totalInf = 0; m.anyCutoffs = 0 }
+func (m *Machine) ResetCounters() { m.totalInf, m.steps, m.anyCutoffs, m.packRedos = 0, 0, 0, 0 }
 
 // currentProgram is the compiled program queries resolve against right now:
 // the KB's, or nil on the interpreter path.
@@ -147,6 +159,7 @@ func (m *Machine) beginQuery(nVars int) {
 
 func (m *Machine) endQuery() {
 	m.totalInf += m.queryInf
+	m.steps += m.queryInf
 	if m.budgetHit {
 		m.anyCutoffs++
 	}

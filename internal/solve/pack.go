@@ -1,0 +1,205 @@
+package solve
+
+import (
+	"repro/internal/logic"
+)
+
+// This file runs a fan of compiled queries — rules sharing their head and
+// their first k body literals, as the children "parent body + one appended
+// literal" of an expanded search node do — against one example in a single
+// pass: the shared prefix's solutions are enumerated once, and at each of
+// them every still-unsatisfied member's own suffix runs as an existence
+// sub-proof. A member is retired at its first success; the enumeration stops
+// when none is left.
+//
+// Every member is charged what its stand-alone CoversQuery would have been,
+// by construction rather than by estimate. The prefix's search does not
+// depend on what consumes its solutions, so when the enumeration stands at a
+// prefix solution having charged P, member c's stand-alone counter would
+// read P plus whatever c's suffix charged under the earlier solutions
+// (suffix[c]). The pack's continuation sets queryInf to exactly that before
+// c's sub-proof — charge()'s budget test then *is* the stand-alone test —
+// reads suffix[c] back afterwards and restores P.
+//
+// A budget event is never approximated: past one, the stand-alone proof's
+// charges include how its own goal stack unwinds, which the pack has no
+// business reconstructing. The member is re-proved with CoversQuery instead
+// (redo), which reproduces charge and cutoff count bit for bit. There are
+// three triggers. The member's suffix sub-proof flags the budget — which is
+// also how a running sum that crossed MaxInferences somewhere in the prefix
+// search since the last solution is caught, at the sub-proof's first charge.
+// The member's running sum P + suffix[c] has reached MaxInferences when the
+// prefix runs dry. Or the prefix itself flags the budget while the member is
+// still unsatisfied: that covers MaxDepth as well as MaxInferences, because
+// a depth hit abandons one branch but lets the enumeration go on, so a
+// member can still succeed afterwards — and must then count as a cutoff
+// query, exactly as it does stand-alone.
+
+// QueryPack is a set of rules sharing head and leading body literals,
+// compiled for evaluation against one example at a time (CompilePack,
+// CoversPack). Unlike a Query it carries per-example scratch and so belongs
+// to one machine at a time; the zero value is ready to compile into, and a
+// compiled pack must not be copied (its continuation is bound to it).
+type QueryPack struct {
+	queries []Query // one per member; buffers reused across compilations
+	prefix  int     // shared leading body literals, ≥ 1
+	numVars int     // the largest member's
+
+	// State of the example under evaluation. live lists the members not yet
+	// satisfied, in member order; suffix[c] is what c's suffix sub-proofs
+	// have charged so far; charged[c] is c's stand-alone total once settled;
+	// redo lists the members a budget event sends back to CoversQuery.
+	live    []int32
+	suffix  []int64
+	charged []int64
+	redo    []int32
+	m       *Machine
+	hit     []bool
+	// atSolution is the prefix enumeration's continuation, bound to the
+	// pack once so that running an example allocates nothing.
+	atSolution func() bool
+}
+
+// Charged reports what member c was charged for the example most recently
+// run: the inferences its stand-alone CoversQuery would have added to
+// TotalInferences.
+func (p *QueryPack) Charged(c int) int64 { return p.charged[c] }
+
+// CompilePack compiles rules into p, each exactly once, reusing p's buffers.
+// The caller vouches that the rules share their head and their first prefix
+// body literals (prefix ≥ 1) — CoversPack runs the first member's frames for
+// that part on everyone's behalf.
+func (m *Machine) CompilePack(p *QueryPack, rules []*logic.Clause, prefix int) {
+	n := len(rules)
+	if prefix < 1 {
+		panic("solve: query pack without a shared prefix")
+	}
+	if have := cap(p.queries); have < n {
+		// Keep the compiled buffers of the queries already there.
+		p.queries = append(p.queries[:have], make([]Query, n-have)...)
+	}
+	if cap(p.suffix) < n {
+		p.live = make([]int32, 0, n)
+		p.redo = make([]int32, 0, n)
+		p.suffix = make([]int64, n)
+		p.charged = make([]int64, n)
+	}
+	p.queries = p.queries[:n]
+	p.suffix = p.suffix[:n]
+	p.charged = p.charged[:n]
+	p.prefix = prefix
+	p.numVars = 0
+	for c, r := range rules {
+		if len(r.Body) < prefix {
+			panic("solve: query pack member shorter than the shared prefix")
+		}
+		q := &p.queries[c]
+		m.CompileQuery(q, r)
+		if q.numVars > p.numVars {
+			p.numVars = q.numVars
+		}
+	}
+	if p.atSolution == nil {
+		p.atSolution = p.runSuffixes
+	}
+}
+
+// CoversPack sets hit[c] to whether member c of the pack covers the ground
+// example atom, for every member: len(p.queries) CoversQuery calls — same
+// answers, same TotalInferences, same CutoffQueries — with the shared prefix
+// proved once.
+func (m *Machine) CoversPack(p *QueryPack, example logic.Term, hit []bool) {
+	qs := p.queries
+	hit = hit[:len(qs)]
+	m.beginQuery(p.numVars)
+	if len(qs) == 0 {
+		return
+	}
+	if qs[0].prog != m.prog {
+		// Compiled for another program (see CoversQuery). Each member
+		// recompiles into the machine's scratch as it would stand-alone; a
+		// pack that outlives its program is not worth a second code path.
+		for c := range qs {
+			hit[c] = m.CoversQuery(&qs[c], example)
+			p.charged[c] = m.queryInf
+		}
+		return
+	}
+	clear(hit)
+	clear(p.charged)
+	if !m.matchQueryHead(&qs[0], example) {
+		return // head matching is never charged
+	}
+	p.live, p.redo = p.live[:0], p.redo[:0]
+	for c := range qs {
+		p.live = append(p.live, int32(c))
+	}
+	clear(p.suffix)
+	p.m, p.hit = m, hit
+	frames := qs[0].frames
+	m.stack = append(m.stack, frames[len(frames)-p.prefix:]...)
+	m.solve(p.atSolution)
+
+	// The prefix ran dry, or nobody was left to want its next solution.
+	// What was executed is the prefix once plus every suffix sub-proof;
+	// what is charged is each member's stand-alone total.
+	prefix := m.queryInf
+	for _, c := range p.live {
+		if total := prefix + p.suffix[c]; m.budgetHit || total >= m.budget.MaxInferences {
+			p.redo = append(p.redo, c)
+		} else {
+			p.charged[c] = total
+		}
+	}
+	m.steps += prefix
+	for c := range qs {
+		m.steps += p.suffix[c]
+		m.totalInf += p.charged[c]
+	}
+	for _, c := range p.redo {
+		m.packRedos++
+		hit[c] = m.CoversQuery(&qs[c], example)
+		p.charged[c] = m.queryInf
+	}
+}
+
+// runSuffixes is the continuation of the prefix enumeration: invoked at each
+// prefix solution with the goal stack empty and the solution in the bindings.
+// It reports whether any member still wants another solution.
+func (p *QueryPack) runSuffixes() bool {
+	m := p.m
+	if m.budgetHit {
+		// The prefix was cut (MaxDepth or MaxInferences) on the way here:
+		// every member still unsatisfied saw that cut stand-alone.
+		p.redo = append(p.redo, p.live...)
+		p.live = p.live[:0]
+		return false
+	}
+	prefix := m.queryInf
+	mark, nextVar, top := m.bs.Mark(), m.nextVar, len(m.stack)
+	live := p.live[:0]
+	for _, c := range p.live {
+		q := &p.queries[c]
+		m.queryInf = prefix + p.suffix[c]
+		m.stack = append(m.stack, q.frames[:len(q.frames)-p.prefix]...)
+		found := !m.solve(stopAtFirst)
+		// An early stop leaves builtin and ground-fact steps un-undone.
+		m.stack = m.stack[:top]
+		m.bs.Undo(mark)
+		m.nextVar = nextVar
+		p.suffix[c] = m.queryInf - prefix
+		switch {
+		case m.budgetHit:
+			m.budgetHit = false
+			p.redo = append(p.redo, c)
+		case found:
+			p.hit[c] = true
+			p.charged[c] = m.queryInf
+		default:
+			live = append(live, c)
+		}
+	}
+	p.live = live
+	m.queryInf = prefix
+	return len(live) > 0
+}
