@@ -79,6 +79,9 @@ func (b *Bottom) ToClause() logic.Clause {
 // literal indices, preserving bottom-clause variable numbering.
 func (b *Bottom) Materialize(indices []int32) logic.Clause {
 	c := logic.Clause{Head: b.Head}
+	if len(indices) > 0 { // the head-only rule keeps its nil body
+		c.Body = make([]logic.Literal, 0, len(indices))
+	}
 	for _, i := range indices {
 		c.Body = append(c.Body, b.Lits[i])
 	}

@@ -186,15 +186,18 @@ func (ev *Evaluator) compile(rule *logic.Clause) *solve.Query {
 }
 
 // CoverageBatch evaluates a batch of rules, sharing what the rules share. A
-// search frontier is mostly "parent body + one appended literal" under the
-// parent's masks (LearnRule's evaluateFrontier), so the batch is grouped
-// from the clauses themselves — same head, same candidate masks, same body
-// up to the last literal — and every group of two or more runs as one
-// solve.QueryPack: per example the shared body is proved once and each
-// member only adds its own literal. Each member is still charged its
-// stand-alone proof, so bits, TotalInferences and CutoffQueries are those of
-// len(rules) Coverage calls; only StepsExecuted falls. Rules with no sibling
-// in the batch take the Coverage path as they are.
+// search frontier is mostly "parent body + one new literal" under the
+// parent's masks (LearnRule's evaluateFrontier) — appended when the search
+// grew the parent itself, inserted mid-body when a ring stage resumed from
+// seeds whose parents it never expanded — so the batch is grouped from the
+// clauses themselves: same head, same candidate masks, equally long bodies
+// that differ at exactly one position d ≥ 1. The group's first two members
+// fix d, and every group of two or more runs as one solve.QueryPack: per
+// example the d shared literals are proved once and each member only adds
+// its own suffix. Each member is still charged its stand-alone proof, so
+// bits, TotalInferences and CutoffQueries are those of len(rules) Coverage
+// calls; only StepsExecuted falls. Rules with no sibling in the batch —
+// root children, position-0 inserts — take the Coverage path as they are.
 func (ev *Evaluator) CoverageBatch(rules []*logic.Clause, posCands, negCands []Bitset) []CoverResult {
 	out := make([]CoverResult, len(rules))
 	if cap(ev.taken) < len(rules) {
@@ -209,9 +212,14 @@ func (ev *Evaluator) CoverageBatch(rules []*logic.Clause, posCands, negCands []B
 		}
 		pc, nc := maskAt(posCands, i), maskAt(negCands, i)
 		ev.members, ev.fan = append(ev.members[:0], i), append(ev.fan[:0], r)
+		d := 0 // where the group's bodies differ; 0 until a sibling fixes it
 		if len(r.Body) >= 2 {
 			for j := i + 1; j < len(rules); j++ {
-				if !taken[j] && sameMask(pc, maskAt(posCands, j)) && sameMask(nc, maskAt(negCands, j)) && sameFan(r, rules[j]) {
+				if taken[j] || !sameMask(pc, maskAt(posCands, j)) || !sameMask(nc, maskAt(negCands, j)) {
+					continue
+				}
+				if at := fanPos(r, rules[j]); at >= 1 && (d == 0 || at == d) {
+					d = at
 					taken[j] = true
 					ev.members, ev.fan = append(ev.members, j), append(ev.fan, rules[j])
 				}
@@ -221,19 +229,20 @@ func (ev *Evaluator) CoverageBatch(rules []*logic.Clause, posCands, negCands []B
 			out[i].Pos, out[i].Neg = ev.Coverage(r, pc, nc)
 			continue
 		}
-		ev.coverFan(out, pc, nc)
+		ev.coverFan(out, pc, nc, d)
 	}
 	return out
 }
 
-// coverFan evaluates the collected group ev.members/ev.fan as one pack over
-// the examples Coverage would test, writing each member's result into out.
-func (ev *Evaluator) coverFan(out []CoverResult, posCand, negCand Bitset) {
+// coverFan evaluates the collected group ev.members/ev.fan, whose bodies
+// share their first d literals, as one pack over the examples Coverage would
+// test, writing each member's result into out.
+func (ev *Evaluator) coverFan(out []CoverResult, posCand, negCand Bitset, d int) {
 	for _, i := range ev.members {
 		out[i].Pos = NewBitset(len(ev.Ex.Pos))
 		out[i].Neg = NewBitset(len(ev.Ex.Neg))
 	}
-	ev.M.CompilePack(&ev.pack, ev.fan, len(ev.fan[0].Body)-1)
+	ev.M.CompilePack(&ev.pack, ev.fan, d)
 	hit := ev.hit[:len(ev.members)]
 	ev.testedPos(posCand).ForEach(func(e int) bool {
 		ev.M.CoversPack(&ev.pack, ev.Ex.Pos[e], hit)
@@ -266,21 +275,25 @@ func sameMask(a, b Bitset) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-// sameFan reports whether a and b are siblings a query pack can run
-// together: equal heads, equally long bodies, equal literals up to the last.
-// The comparison runs from the back because that is where a frontier's
-// mid-insert children (parent literal last, inserted literal before it)
-// differ from its appended ones.
-func sameFan(a, b *logic.Clause) bool {
+// fanPos returns the one body position at which siblings a and b differ, or
+// -1 when a query pack cannot run them together: different heads, different
+// body lengths, or bodies that differ at several positions or at none. The
+// comparison runs from the back because an appended child differs there and
+// two rules of different parents usually do too.
+func fanPos(a, b *logic.Clause) int {
 	if len(a.Body) != len(b.Body) || !sameTerm(a.Head, b.Head) {
-		return false
+		return -1
 	}
-	for i := len(a.Body) - 2; i >= 0; i-- {
+	at := -1
+	for i := len(a.Body) - 1; i >= 0; i-- {
 		if a.Body[i].Neg != b.Body[i].Neg || !sameTerm(a.Body[i].Atom, b.Body[i].Atom) {
-			return false
+			if at >= 0 {
+				return -1
+			}
+			at = i
 		}
 	}
-	return true
+	return at
 }
 
 // sameTerm is logic.Equal with a fast path for the common case: literals

@@ -96,6 +96,16 @@ func TestCoverageBatchShapes(t *testing.T) {
 		[]int32{2, 5, 6}, []int32{2, 5, 7}, []int32{2, 5, 8}) // appended after it
 	twoParents := frontierOf(bot, []int32{0, 2, 3}, []int32{1, 4, 5}, []int32{0, 2, 6}, []int32{1, 4, 7}, []int32{0, 2, 8})
 	duplicated := []*logic.Clause{appended[0], appended[1], appended[0]}
+	// What a ring stage's frontier looks like when its search resumed from
+	// a seed: the new literal lands inside the body, the tail is shared.
+	inserted := frontierOf(bot, []int32{0, 3, 8}, []int32{0, 4, 8}, []int32{0, 5, 8}, []int32{0, 6, 8})
+	insertedDeep := frontierOf(bot, []int32{0, 1, 6, 7, 8}, []int32{0, 2, 6, 7, 8}, []int32{0, 3, 6, 7, 8}, []int32{0, 4, 6, 7, 8})
+	// The leader's first sibling fixes the position: {0,3,7} joins {0,3,8}
+	// at position 2, so {0,4,8} and {0,5,8} (position 1 against the leader)
+	// form a group of their own.
+	twoPositions := frontierOf(bot, []int32{0, 3, 8}, []int32{0, 3, 7}, []int32{0, 4, 8}, []int32{0, 5, 8})
+	headInserts := frontierOf(bot, []int32{0, 5, 8}, []int32{1, 5, 8}, []int32{2, 5, 8})
+	twoApart := frontierOf(bot, []int32{0, 3, 7}, []int32{0, 4, 8}, []int32{1, 3, 8})
 	var roots [][]int32
 	for j := range bot.Lits {
 		roots = append(roots, []int32{int32(j)})
@@ -113,6 +123,11 @@ func TestCoverageBatchShapes(t *testing.T) {
 		{"nil mask slices", appended, nil, nil, true},
 		{"nil mask entries", appended, make([]Bitset, 6), make([]Bitset, 6), true},
 		{"duplicated rule", duplicated, repeatMask(pPos, 3), repeatMask(pNeg, 3), true},
+		{"inserted at one position", inserted, repeatMask(pPos, 4), repeatMask(pNeg, 4), true},
+		{"inserted at one position, long tail", insertedDeep, nil, nil, true},
+		{"two positions against one leader", twoPositions, repeatMask(pPos, 4), repeatMask(pNeg, 4), true},
+		{"inserted at position 0", headInserts, repeatMask(pPos, 3), repeatMask(pNeg, 3), false},
+		{"two positions apart", twoApart, repeatMask(pPos, 3), repeatMask(pNeg, 3), false},
 		{"single rule", appended[:1], repeatMask(pPos, 1), repeatMask(pNeg, 1), false},
 		{"empty prefix", frontierOf(bot, roots...), nil, nil, false},
 		{"empty batch", nil, nil, nil, false},
@@ -145,6 +160,38 @@ func TestCoverageBatchShapes(t *testing.T) {
 	for _, b := range budgets {
 		checkShape(t, kb, ex, b, batchShape{"retracted positives", appended, repeatMask(pPos, 6), repeatMask(pNeg, 6), true})
 		checkShape(t, kb, ex, b, batchShape{"retracted positives, nil masks", appended, nil, nil, true})
+	}
+}
+
+// TestFanPos pins the grouping predicate on its own: the one position two
+// siblings differ at, -1 for anything a pack cannot run.
+func TestFanPos(t *testing.T) {
+	_, _, bot := benchRichExamples(t, 24)
+	mat := func(ix ...int32) *logic.Clause { c := bot.Materialize(ix); return &c }
+	otherHead := mat(0, 3, 8)
+	otherHead.Head = logic.MustParseTerm("elsewhere(A)")
+	negated := mat(0, 3, 8)
+	negated.Body[1].Neg = true
+	for _, tc := range []struct {
+		name string
+		a, b *logic.Clause
+		want int
+	}{
+		{"appended", mat(0, 3, 7), mat(0, 3, 8), 2},
+		{"inserted mid-body", mat(0, 3, 8), mat(0, 4, 8), 1},
+		{"inserted at the front", mat(0, 5, 8), mat(1, 5, 8), 0},
+		{"sign only", mat(0, 3, 8), negated, 1},
+		{"identical", mat(0, 3, 8), mat(0, 3, 8), -1},
+		{"two positions", mat(0, 3, 7), mat(0, 4, 8), -1},
+		{"lengths differ", mat(0, 3), mat(0, 3, 8), -1},
+		{"heads differ", mat(0, 4, 8), otherHead, -1},
+	} {
+		if got := fanPos(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: fanPos = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := fanPos(tc.b, tc.a); got != tc.want {
+			t.Errorf("%s, swapped: fanPos = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

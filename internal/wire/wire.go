@@ -21,10 +21,12 @@
 //
 // Payloads are wrapped in a one-byte envelope (Seal/Open): flag 0 is a
 // raw body, flag 1 a DEFLATE-compressed body. Seal compresses when the
-// body reaches CompressMin and compression actually helps, which in
-// practice catches the bulk shipments (kindLoad, kindReassign,
-// kindWelcome, snapshot publish) while leaving small control frames
-// untouched.
+// body reaches CompressMin and compression actually helps, which
+// catches the bulk shipments (kindLoad, kindReassign, kindWelcome,
+// snapshot publish) and every stage or evaluate frame that carries a
+// full width of rules — a few hundred frames per learn — while leaving
+// small control frames untouched. The codec state behind the envelope is
+// pooled, so those frames cost a Reset, not a new compressor.
 package wire
 
 import (
@@ -35,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/logic"
 )
@@ -87,7 +90,9 @@ type Writer struct {
 
 // A Reader consumes an encoded body. The first failed read latches an
 // error; every subsequent read returns a zero value, so decoders can
-// run straight through and check Err once at the end.
+// run straight through and check Err once at the end. No read returns a
+// slice of the body (String copies): Unseal recycles the body of a
+// compressed frame as soon as DecodeWire returns.
 type Reader struct {
 	b   []byte
 	off int
@@ -563,6 +568,55 @@ func (r *Reader) Clauses() []logic.Clause {
 }
 
 // --- envelope ---
+//
+// Sealing and unsealing reuse their codec state through two sync.Pools
+// (DESIGN.md §12, "Envelope state is pooled"): a flate.Writer is ~800 KB
+// of tables and an inflater ~45 KB, and a p²-mdie run seals hundreds of
+// stage and evaluate frames past CompressMin. Pools rather than per-node
+// encoders because netcluster seals from several goroutines at once.
+// The ownership rule is one line: pooled scratch never escapes — every
+// slice a caller receives is either its own input or a fresh exact-size
+// copy.
+
+// A deflater is the state one Seal or Compress call borrows.
+type deflater struct {
+	raw []byte        // Seal's encode scratch: flag byte + body
+	zb  bytes.Buffer  // the flate frame being built
+	zw  *flate.Writer // nil until the first body of CompressMin bytes
+}
+
+var deflaters = sync.Pool{New: func() any { return new(deflater) }}
+
+// deflate returns payload's flate frame as a fresh slice, or nil when
+// the envelope policy ships payload raw. (*flate.Writer).Reset is
+// documented as equivalent to NewWriter at the same level, so a recycled
+// writer emits the bytes a fresh one would.
+func (d *deflater) deflate(payload []byte) []byte {
+	if len(payload)-1 < CompressMin {
+		return nil
+	}
+	d.zb.Reset()
+	d.zb.WriteByte(flagFlate)
+	if d.zw == nil {
+		zw, err := flate.NewWriter(&d.zb, flate.DefaultCompression)
+		if err != nil {
+			return nil // impossible for a valid level; ship raw
+		}
+		d.zw = zw
+	} else {
+		d.zw.Reset(&d.zb)
+	}
+	if _, err := d.zw.Write(payload[1:]); err != nil {
+		return nil
+	}
+	if err := d.zw.Close(); err != nil {
+		return nil
+	}
+	if d.zb.Len() >= len(payload) {
+		return nil // incompressible body: raw is smaller
+	}
+	return bytes.Clone(d.zb.Bytes())
+}
 
 // Seal encodes m and wraps it in the compression envelope: a flag byte
 // of 0 (raw) or 1 (flate), then the body. Bodies of CompressMin bytes
@@ -570,43 +624,78 @@ func (r *Reader) Clauses() []logic.Clause {
 // Flate with a fixed input and level is deterministic, so sealed frames
 // stay byte-stable — the virtual clock's byte accounting depends on it.
 func Seal(m Marshaler) []byte {
-	w := Writer{B: make([]byte, 1, 128)} // B[0] is already flagRaw
+	d := deflaters.Get().(*deflater)
+	w := Writer{B: append(d.raw[:0], flagRaw)}
 	m.AppendWire(&w)
-	return Compress(w.B)
+	d.raw = w.B
+	out := d.deflate(w.B)
+	if out == nil {
+		out = bytes.Clone(w.B)
+	}
+	deflaters.Put(d)
+	return out
 }
 
 // Compress applies the envelope's compression policy to an
-// already-flag-prefixed payload (payload[0] must be flagRaw). It is
-// split out of Seal so non-message blobs — snapshot publishes — share
-// the exact threshold and framing.
+// already-flag-prefixed payload (payload[0] must be flagRaw) and returns
+// either payload itself or a fresh flate frame. It is split out of Seal
+// so non-message blobs — snapshot publishes — share the exact threshold
+// and framing.
 func Compress(payload []byte) []byte {
-	if len(payload) == 0 {
+	d := deflaters.Get().(*deflater)
+	out := d.deflate(payload)
+	deflaters.Put(d)
+	if out == nil {
 		return payload
 	}
-	body := payload[1:]
-	if len(body) < CompressMin {
-		return payload
-	}
-	var zb bytes.Buffer
-	zb.Grow(len(body) / 2)
-	zb.WriteByte(flagFlate)
-	zw, err := flate.NewWriter(&zb, flate.DefaultCompression)
-	if err != nil {
-		return payload // impossible for a valid level; ship raw
-	}
-	if _, err := zw.Write(body); err != nil {
-		return payload
-	}
-	if err := zw.Close(); err != nil {
-		return payload
-	}
-	if zb.Len() >= len(payload) {
-		return payload // incompressible body: raw is smaller
-	}
-	return zb.Bytes()
+	return out
 }
 
-// Decompress strips the envelope and returns the raw body. It is the
+// An inflater is the state one Decompress or Unseal call borrows.
+type inflater struct {
+	src bytes.Reader
+	lim io.LimitedReader
+	fr  io.ReadCloser // a flate reader; also a flate.Resetter
+	out []byte        // the inflated body
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.fr = flate.NewReader(&f.src)
+	return f
+}}
+
+// inflate returns z's inflated body in f's scratch: valid until f goes
+// back to the pool. Reset discards whatever a previous, possibly failed,
+// stream left behind.
+func (f *inflater) inflate(z []byte, limit int) ([]byte, error) {
+	f.src.Reset(z)
+	if err := f.fr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+	}
+	f.lim = io.LimitedReader{R: f.fr, N: int64(limit)}
+	body := f.out[:0]
+	var err error
+	for err == nil { // io.ReadAll's loop, over a buffer that outlives the call
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		var n int
+		n, err = f.lim.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+	}
+	f.out = body
+	if err != io.EOF {
+		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+	}
+	if len(body) >= limit {
+		return nil, fmt.Errorf("%w: frame inflates past %d bytes", ErrCorrupt, limit)
+	}
+	return body, nil
+}
+
+// Decompress strips the envelope and returns the raw body: a slice of
+// payload for a raw frame, a fresh slice for a flate one. It is the
 // inverse of Compress.
 func Decompress(payload []byte) ([]byte, error) {
 	return decompress(payload, maxInflate)
@@ -615,28 +704,40 @@ func Decompress(payload []byte) ([]byte, error) {
 // decompress is Decompress with the inflate bound as a parameter, so a
 // test can exercise the bound without a gigabyte frame.
 func decompress(payload []byte, limit int) ([]byte, error) {
+	f, body, err := open(payload, limit)
+	if f != nil {
+		body = bytes.Clone(body)
+		inflaters.Put(f)
+	}
+	return body, err
+}
+
+// open strips the envelope. A flate frame comes back in the scratch of
+// the inflater returned with it, which the caller puts back once it is
+// done with the body; a raw frame's body aliases payload and the
+// inflater is nil.
+func open(payload []byte, limit int) (*inflater, []byte, error) {
 	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty frame", ErrTruncated)
+		return nil, nil, fmt.Errorf("%w: empty frame", ErrTruncated)
 	}
 	switch payload[0] {
 	case flagRaw:
-		return payload[1:], nil
+		return nil, payload[1:], nil
 	case flagFlate:
-		fr := flate.NewReader(bytes.NewReader(payload[1:]))
-		body, err := io.ReadAll(io.LimitReader(fr, int64(limit)))
+		f := inflaters.Get().(*inflater)
+		body, err := f.inflate(payload[1:], limit)
 		if err != nil {
-			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+			inflaters.Put(f)
+			return nil, nil, err
 		}
-		if len(body) >= limit {
-			return nil, fmt.Errorf("%w: frame inflates past %d bytes", ErrCorrupt, limit)
-		}
-		return body, nil
+		return f, body, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown envelope flag %#x", ErrCorrupt, payload[0])
+		return nil, nil, fmt.Errorf("%w: unknown envelope flag %#x", ErrCorrupt, payload[0])
 	}
 }
 
-// Open strips the envelope and returns a Reader over the body.
+// Open strips the envelope and returns a Reader over the body. The
+// Reader owns its body, so it may outlive the call.
 func Open(payload []byte) (*Reader, error) {
 	body, err := Decompress(payload)
 	if err != nil {
@@ -648,12 +749,20 @@ func Open(payload []byte) (*Reader, error) {
 // Unseal decodes a sealed payload into u. A decode that errors, or one
 // that leaves unconsumed bytes (a garbled or mis-typed frame), fails.
 // Partial decoders that intend to skip the tail call DiscardRest.
+//
+// A flate frame is inflated into pooled scratch that is recycled when
+// Unseal returns. That is safe because no Reader method hands out a
+// slice of the body (String copies); DecodeWire must not retain r.
 func Unseal(payload []byte, u Unmarshaler) error {
-	r, err := Open(payload)
+	f, body, err := open(payload, maxInflate)
 	if err != nil {
 		return err
 	}
-	u.DecodeWire(r)
+	if f != nil {
+		defer inflaters.Put(f)
+	}
+	r := Reader{b: body}
+	u.DecodeWire(&r)
 	if r.err != nil {
 		return r.err
 	}

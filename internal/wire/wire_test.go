@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/logic"
@@ -327,23 +330,292 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-func BenchmarkSealWire(b *testing.B) {
-	m := sampleMsg()
-	b.ReportAllocs()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(Seal(m))
+// largeMsg is shaped like a realistic kindStage: a bottom clause of a
+// few dozen literals plus W = 10 candidate rules drawn from it, well over
+// CompressMin once encoded — the frame a pipeline hands on every stage.
+func largeMsg() testMsg {
+	mustTerm := logic.MustParseTerm
+	bottom := logic.Clause{Head: mustTerm("active(A)")}
+	for i := 0; i < 48; i++ {
+		bottom.Body = append(bottom.Body,
+			logic.Lit(mustTerm(fmt.Sprintf("atm(A, V%d, e%d, %d, %d.5)", i, i%7, 20+i%9, i-24))),
+			logic.Lit(mustTerm(fmt.Sprintf("bond(A, V%d, V%d, %d)", i, (i+1)%48, 1+i%3))))
 	}
-	b.ReportMetric(float64(n), "bytes/op")
+	m := sampleMsg()
+	m.C = bottom
+	m.CS = nil
+	for w := 0; w < 10; w++ {
+		rule := logic.Clause{Head: bottom.Head}
+		for j := 0; j < 3+w%3; j++ {
+			rule.Body = append(rule.Body, bottom.Body[(7*w+5*j)%len(bottom.Body)])
+		}
+		m.CS = append(m.CS, rule)
+		m.W = append(m.W, uint64(w)*0x9e3779b97f4a7c15, ^uint64(w))
+	}
+	return m
+}
+
+// rawPayload is m encoded behind a raw flag byte: what Seal hands to the
+// envelope policy.
+func rawPayload(m testMsg) []byte {
+	w := Writer{B: []byte{flagRaw}}
+	m.AppendWire(&w)
+	return w.B
+}
+
+// freshFrame is the envelope policy on a flate.Writer built for this one
+// frame: the reference the pooled writer must match byte for byte.
+func freshFrame(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	if len(payload)-1 < CompressMin {
+		return payload
+	}
+	var zb bytes.Buffer
+	zb.WriteByte(flagFlate)
+	zw, err := flate.NewWriter(&zb, flate.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(payload[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if zb.Len() >= len(payload) {
+		return payload
+	}
+	return zb.Bytes()
+}
+
+// TestCompressMatchesFreshWriter pins what lets the pool exist at all: a
+// recycled flate.Writer emits exactly the frame a new one does, so no
+// wire byte — and nothing the virtual clock derives from bytes — moves.
+// The bodies alternate between compressible, incompressible and
+// sub-threshold, and the sweep runs several times, so a writer that has
+// already compressed something else is certainly the one in use.
+func TestCompressMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var corpus [][]byte
+	for _, m := range []testMsg{sampleMsg(), largeMsg()} {
+		corpus = append(corpus, rawPayload(m))
+	}
+	for _, n := range []int{CompressMin - 1, CompressMin, CompressMin + 1, 3 * CompressMin, 64 * CompressMin} {
+		noise := make([]byte, 1+n)
+		rng.Read(noise[1:])
+		text := make([]byte, 1+n)
+		for i := 1; i < len(text); i++ {
+			text[i] = "abcdefgh"[rng.Intn(3+i%5)]
+		}
+		corpus = append(corpus, noise, text)
+	}
+	for round := 0; round < 4; round++ {
+		for i, payload := range corpus {
+			want := freshFrame(t, payload)
+			got := Compress(payload)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d body %d (%d bytes): pooled frame differs from a fresh writer's (%d vs %d bytes)",
+					round, i, len(payload)-1, len(got), len(want))
+			}
+			body, err := Decompress(got)
+			if err != nil || !bytes.Equal(body, payload[1:]) {
+				t.Fatalf("round %d body %d: round trip: %v", round, i, err)
+			}
+		}
+	}
+	// Seal goes through the same state plus the pooled encode scratch.
+	for round := 0; round < 3; round++ {
+		for _, m := range []testMsg{largeMsg(), sampleMsg(), {}} {
+			if got, want := Seal(m), freshFrame(t, rawPayload(m)); !bytes.Equal(got, want) {
+				t.Fatalf("round %d: Seal differs from a fresh writer's frame (%d vs %d bytes)", round, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestPooledInflaterSurvivesBadInput runs frames that fail mid-stream —
+// the over-limit bomb of TestInflateBound, a truncated stream, a corrupt
+// one — and after each a valid frame: whichever inflater the pool hands
+// out next, Reset must have cleared the failed stream's state.
+func TestPooledInflaterSurvivesBadInput(t *testing.T) {
+	in := largeMsg()
+	good := Seal(in)
+	if good[0] != flagFlate {
+		t.Fatalf("large message sealed with flag %#x, want flate", good[0])
+	}
+	bomb := Compress(make([]byte, 1+(4<<20)))
+	corrupt := bytes.Clone(good)
+	for i := len(corrupt) / 2; i < len(corrupt)/2+8; i++ {
+		corrupt[i] ^= 0x5a
+	}
+	bad := []struct {
+		name   string
+		frame  []byte
+		limit  int
+		accept bool // a flipped stream may still inflate; the valid frame after it is the point
+	}{
+		{"over the bound", bomb, 1 << 20, false},
+		{"truncated", good[:len(good)/2], maxInflate, false},
+		{"corrupt", corrupt, maxInflate, true},
+	}
+	for round := 0; round < 3; round++ {
+		for _, tc := range bad {
+			body, err := decompress(tc.frame, tc.limit)
+			if err == nil && !tc.accept {
+				t.Fatalf("%s frame inflated to %d bytes without error", tc.name, len(body))
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s frame: %v, want ErrCorrupt", tc.name, err)
+			}
+			var junk testMsg
+			if err := Unseal(tc.frame, &junk); err == nil && !tc.accept {
+				t.Fatalf("%s frame unsealed without error", tc.name)
+			}
+			var out testMsg
+			if err := Unseal(good, &out); err != nil {
+				t.Fatalf("valid frame after the %s one: %v", tc.name, err)
+			}
+			if !reflect.DeepEqual(in, out) {
+				t.Fatalf("valid frame after the %s one decoded to a different value", tc.name)
+			}
+		}
+	}
+}
+
+// TestSealConcurrent seals and unseals distinct large messages from many
+// goroutines at once, as netcluster's senders do; every frame must equal
+// the one the same message sealed to single-threaded. Run under -race in
+// CI.
+func TestSealConcurrent(t *testing.T) {
+	const workers, rounds = 8, 40
+	msgs := make([]testMsg, workers)
+	want := make([][]byte, workers)
+	for i := range msgs {
+		m := largeMsg()
+		m.A = i
+		for j := 0; j < 512+64*i; j++ {
+			m.I6 = append(m.I6, int64(j*(i+1))*2654435761)
+		}
+		msgs[i] = m
+		want[i] = Seal(m)
+		if want[i][0] != flagFlate {
+			t.Fatalf("message %d sealed with flag %#x, want flate", i, want[i][0])
+		}
+		if n := len(rawPayload(m)); n < 4<<10 {
+			t.Fatalf("message %d encodes to %d bytes, want at least 4 KiB", i, n)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got := Seal(msgs[i])
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("goroutine %d round %d: concurrent seal differs from the single-threaded one", i, r)
+					return
+				}
+				var out testMsg
+				if err := Unseal(got, &out); err != nil {
+					t.Errorf("goroutine %d round %d: unseal: %v", i, r, err)
+					return
+				}
+				if !reflect.DeepEqual(out, msgs[i]) {
+					t.Errorf("goroutine %d round %d: round trip returned another message", i, r)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// TestSealLargeAllocBudget pins the bytes a steady-state Seal of a
+// compressed frame allocates. With pooled codec state that is the
+// returned frame and little else; a flate.Writer per frame is ~800 KB,
+// some 400 bodies' worth, and fails this by two orders of magnitude.
+func TestSealLargeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	m := largeMsg()
+	body := len(rawPayload(m)) - 1
+	Seal(m) // the pool's first writer is not steady state
+	const seals = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < seals; i++ {
+		sealSink = Seal(m)
+	}
+	runtime.ReadMemStats(&after)
+	perSeal := (after.TotalAlloc - before.TotalAlloc) / seals
+	if budget := uint64(8 * body); perSeal > budget {
+		t.Fatalf("a steady-state Seal of a %d-byte body allocates %d bytes, budget %d (8× body): is codec state being rebuilt per frame?",
+			body, perSeal, budget)
+	}
+}
+
+var sealSink []byte
+
+// benchMsgs are the two envelope regimes: a control frame that ships raw
+// and a stage-sized one that is deflated.
+func benchMsgs() []benchMsg {
+	return []benchMsg{{"small", sampleMsg()}, {"large", largeMsg()}}
+}
+
+type benchMsg struct {
+	name string
+	msg  testMsg
+}
+
+func BenchmarkSealWire(b *testing.B) {
+	for _, bc := range benchMsgs() {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sealSink = Seal(bc.msg)
+			}
+			b.ReportMetric(float64(len(sealSink)), "bytes/op")
+		})
+	}
 }
 
 func BenchmarkUnsealWire(b *testing.B) {
-	payload := Seal(sampleMsg())
+	for _, bc := range benchMsgs() {
+		b.Run(bc.name, func(b *testing.B) {
+			payload := Seal(bc.msg)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var m testMsg
+				if err := Unseal(payload, &m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompress and BenchmarkDecompress time the envelope alone on the
+// large message's body: what pooling the codec state changes, without the
+// message encoder or decoder around it.
+func BenchmarkCompress(b *testing.B) {
+	payload := rawPayload(largeMsg())
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload) - 1))
+	for i := 0; i < b.N; i++ {
+		sealSink = Compress(payload)
+	}
+}
+
+func BenchmarkDecompress(b *testing.B) {
+	frame := Seal(largeMsg())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var m testMsg
-		if err := Unseal(payload, &m); err != nil {
+		body, err := Decompress(frame)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sealSink = body
 	}
 }
