@@ -155,3 +155,42 @@ func BenchmarkCoverageBatchFrontier(b *testing.B) {
 		})
 	}
 }
+
+// TestCandidateFilterOnTrueConcept pins what the VM's candidate filter does
+// on the workload it was built for: the carcinogenesis target rules walk the
+// per-drug atm/5 and bond/4 buckets with an element or bond-type constant in
+// the goal, so most of the candidates they are charged for cannot match and
+// are never run — while bits, charges and cutoffs stay the interpreter's.
+func TestCandidateFilterOnTrueConcept(t *testing.T) {
+	ds := datasets.Carcinogenesis(1)
+	ex := search.NewExamples(ds.Pos, ds.Neg)
+	if n := len(ds.Pos) + len(ds.Neg); n != 298 {
+		t.Fatalf("carcinogenesis has %d examples, want 298", n)
+	}
+	vm, interp := solve.NewMachine(ds.KB, ds.Budget), solve.NewMachine(ds.KB, ds.Budget)
+	interp.SetNoVM(true)
+	evVM, evInterp := search.NewEvaluator(vm, ex), search.NewEvaluator(interp, ex)
+	for i := range ds.TrueConcept {
+		rule := &ds.TrueConcept[i]
+		gotPos, gotNeg := evVM.CoverageFull(rule)
+		wantPos, wantNeg := evInterp.CoverageFull(rule)
+		if fmt.Sprint(gotPos, gotNeg) != fmt.Sprint(wantPos, wantNeg) {
+			t.Fatalf("%s: VM covers %v / %v, interpreter %v / %v", rule.String(), gotPos, gotNeg, wantPos, wantNeg)
+		}
+	}
+	if vm.TotalInferences() != interp.TotalInferences() || vm.CutoffQueries() != interp.CutoffQueries() {
+		t.Fatalf("VM charged %d inferences with %d cutoffs, interpreter %d with %d",
+			vm.TotalInferences(), vm.CutoffQueries(), interp.TotalInferences(), interp.CutoffQueries())
+	}
+	if interp.FilteredCandidates() != 0 {
+		t.Fatalf("the interpreter reports %d filtered candidates", interp.FilteredCandidates())
+	}
+	if vm.NoVM() {
+		return // ILP_NOVM: both machines are the interpreter
+	}
+	// Every candidate visit is a charged inference (the rest are goal
+	// steps), so half of the charge is more than half of the visits.
+	if filtered, charged := vm.FilteredCandidates(), vm.TotalInferences(); 2*filtered <= charged {
+		t.Errorf("%d of %d charged inferences were filtered candidates, expected more than half", filtered, charged)
+	}
+}

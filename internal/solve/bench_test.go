@@ -86,6 +86,29 @@ func BenchmarkCoversQuery(b *testing.B) {
 	benchCovers(b, benchKB(2000), benchFactsRule, false, true)
 }
 
+// benchBucketKB is the shape the candidate filter is for: 50 molecules of 24
+// atoms over six elements, so that a goal atm(m7, A, n, T, C) selects m7's
+// 24-fact bucket by its first argument and five candidates in six disagree
+// with it on the element.
+func benchBucketKB() *KB {
+	kb := NewKB()
+	elems := []string{"c", "h", "o", "cl", "n", "s"}
+	for m := 0; m < 50; m++ {
+		for i := 0; i < 24; i++ {
+			kb.AddFact(logic.MustParseTerm(fmt.Sprintf("atm(m%d, a%d_%d, %s, %d, 0.%d)", m, m, i, elems[i%6], 20+i%5, i%7)))
+			kb.AddFact(logic.MustParseTerm(fmt.Sprintf("bond(m%d, a%d_%d, a%d_%d, %d)", m, m, i, m, (i+1)%24, 1+i%4)))
+		}
+	}
+	return kb
+}
+
+// BenchmarkCoversBucketScan is BenchmarkCoversQuery on that shape: every body
+// literal scans a first-argument bucket end to end for the few candidates
+// whose constants agree with the goal's (PERF.md "PR 24").
+func BenchmarkCoversBucketScan(b *testing.B) {
+	benchCovers(b, benchBucketKB(), "active(M) :- atm(M, A, n, T, C), bond(M, A, B, 3), atm(M, B, s, 21, D).", false, true)
+}
+
 func BenchmarkSolveEnumerate(b *testing.B) {
 	kb := benchKB(2000)
 	m := NewMachine(kb, DefaultBudget)

@@ -1,6 +1,8 @@
 package solve
 
 import (
+	"math"
+
 	"repro/internal/logic"
 )
 
@@ -110,6 +112,75 @@ type vmCand struct {
 type candList struct {
 	cands  []vmCand
 	nFacts int
+	// keys is the constant signature of the candidates' head arguments, one
+	// column of len(cands) keys per argument position other than skip (the
+	// position the index lookup already proved equal, -1 for none), columns
+	// in position order: what Machine.runCands reads to tell, without
+	// running it, that a candidate's head stream must fail. nil on lists
+	// shorter than filterMinCands, wider than maxCachedArity or without a
+	// single constant to compare.
+	keys []uint32
+	skip int8
+}
+
+// filterMinCands is the shortest candidate list that carries keys: below it
+// setting the filter up costs more than the head streams it could skip.
+const filterMinCands = 3
+
+// A key is 0 (the wildcard: a variable or compound head argument, which only
+// the head stream can decide), even for an atom, odd for a number. Equal
+// constants have equal keys — Int 1 and Float 1.0, -0.0 and 0.0: head
+// matching compares Num — and an atom's key never equals a number's, so two
+// unequal non-wildcard keys prove the head stream would fail there. Two
+// different numbers may share a key (31 bits of hash); that candidate is run
+// and fails on its own.
+func atomKey(s logic.Symbol) uint32 { return uint32(s)<<1 + 2 }
+
+func numKey(f float64) uint32 {
+	if f == 0 {
+		f = 0 // -0.0 == 0.0, but their bits differ
+	}
+	return uint32(math.Float64bits(f)*0x9E3779B97F4A7C15>>33)<<1 | 1
+}
+
+// buildKeys derives the list's keys from the head streams its candidates
+// will run (a stream has no instruction for the position it skips; a full
+// stream's instruction there is not needed, see candList.keys).
+func (l *candList) buildKeys() {
+	n, skip := len(l.cands), int(l.skip)
+	if n < filterMinCands {
+		return
+	}
+	arity := len(l.cands[0].cc.head[0])
+	cols := arity
+	if skip >= 0 {
+		cols--
+	}
+	if arity > maxCachedArity || cols == 0 {
+		return
+	}
+	keys := make([]uint32, cols*n)
+	constant := false
+	for i := range l.cands {
+		for _, ins := range l.cands[i].head {
+			col := int(ins.arg)
+			if col == skip {
+				continue
+			}
+			if skip >= 0 && col > skip {
+				col--
+			}
+			switch ins.op {
+			case opGetAtom:
+				keys[col*n+i], constant = atomKey(ins.sym), true
+			case opGetNum:
+				keys[col*n+i], constant = numKey(ins.num), true
+			}
+		}
+	}
+	if constant {
+		l.keys = keys
+	}
 }
 
 // vmSwitch is the compiled form of an argIndex: constant → merged candidate
@@ -298,7 +369,7 @@ func compileSwitch(facts []*compiledClause, rules []vmCand, ix *argIndex, skip i
 // variant (the index proved that argument equal); unindexed entries and
 // rules must match in full.
 func mergeList(facts []*compiledClause, rules []vmCand, idx, un []int32, skip int) *candList {
-	l := &candList{nFacts: len(idx) + len(un)}
+	l := &candList{nFacts: len(idx) + len(un), skip: int8(skip)}
 	if l.nFacts+len(rules) == 0 {
 		return l
 	}
@@ -314,6 +385,7 @@ func mergeList(facts []*compiledClause, rules []vmCand, idx, un []int32, skip in
 		}
 	}
 	l.cands = append(l.cands, rules...)
+	l.buildKeys()
 	return l
 }
 

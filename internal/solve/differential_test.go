@@ -177,7 +177,8 @@ func fn2ref(fn builtinFn) func(*refMachine, logic.Term) bool {
 }
 
 // genProgram builds a random definite program with ground facts, var-headed
-// facts, chain rules, recursion and negation.
+// facts, chain rules, recursion and negation, and one arity-4 predicate whose
+// first-argument buckets are long enough to carry filter keys (genWide).
 func genProgram(rng *rand.Rand) *KB {
 	kb := NewKB()
 	consts := []string{"a", "b", "c", "d", "e", "f"}
@@ -213,7 +214,37 @@ func genProgram(rng *rand.Rand) *KB {
 	// Negation and builtins.
 	kb.Add(logic.MustParseClause("lone(X) :- r(X), \\+p(X, X)."))
 	kb.Add(logic.MustParseClause("gt(X, Y) :- p(X, Y), X \\= Y."))
+	genWide(rng, kb, randConst)
 	return kb
+}
+
+// genWide adds w/4: some thirty facts over two first arguments, so either
+// bucket is a keyed candidate list, whose other columns mix everything a key
+// has to tell apart or let through — Int 1 beside Float 1.0 beside the atom
+// one, the genGoal constants, a compound, a variable (once shared between
+// two columns) — plus rules with constant head arguments, which sit at the
+// tail of every list with their first argument unproved.
+func genWide(rng *rand.Rand, kb *KB, randConst func() logic.Term) {
+	col := func() logic.Term {
+		switch rng.Intn(10) {
+		case 0:
+			return logic.IntTerm(1)
+		case 1:
+			return logic.FloatTerm(1.0)
+		case 2:
+			return logic.A("one")
+		case 3:
+			return logic.Comp("f", randConst())
+		case 4:
+			return logic.V(rng.Intn(2))
+		}
+		return randConst()
+	}
+	for i := 0; i < 24+rng.Intn(16); i++ {
+		kb.Add(logic.Clause{Head: logic.Comp("w", logic.A([]string{"a", "b"}[rng.Intn(2)]), col(), col(), col())})
+	}
+	kb.Add(logic.MustParseClause("w(a, X, 1, Y) :- p(X, Y)."))
+	kb.Add(logic.MustParseClause("w(X, b, Y, Y) :- r(X), q(X, Y)."))
 }
 
 // genGoal builds a random query (conjunction) over the program's predicates.
@@ -221,7 +252,7 @@ func genGoal(rng *rand.Rand) ([]logic.Literal, int) {
 	preds := []struct {
 		name  string
 		arity int
-	}{{"p", 2}, {"q", 2}, {"r", 1}, {"s", 2}, {"t", 1}, {"reach", 2}, {"lone", 1}, {"gt", 2}}
+	}{{"p", 2}, {"q", 2}, {"r", 1}, {"s", 2}, {"t", 1}, {"reach", 2}, {"lone", 1}, {"gt", 2}, {"w", 4}, {"w", 4}}
 	consts := []string{"a", "b", "c", "d", "e", "f", "zz"}
 	nVars := 0
 	var lits []logic.Literal

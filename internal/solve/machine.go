@@ -86,6 +86,8 @@ type Machine struct {
 	// counts pack members a budget event sent back to CoversQuery.
 	steps     int64
 	packRedos int64
+	// filtered counts the candidates charged without being run (chargeN).
+	filtered int64
 
 	stack   []goalFrame  // pending goals; the top is the last element
 	base    int          // stack bottom of the current (sub)proof
@@ -96,6 +98,9 @@ type Machine struct {
 	// per-step zeroing or allocation happens.
 	wbuf []walked
 	wtop int
+	// fbuf/ftop are the same for the per-step candidate filters.
+	fbuf []colKey
+	ftop int
 
 	// scratch is the machine-owned compiled query (query.go) behind the
 	// entry points that take their rule or goals uncompiled.
@@ -124,6 +129,12 @@ func (m *Machine) TotalInferences() int64 { return m.totalInf }
 // when a query or pack ends, not per step.
 func (m *Machine) StepsExecuted() int64 { return m.steps }
 
+// FilteredCandidates reports the candidate visits that were charged but not
+// run, because the VM's candidate filter (vm.go) proved from the constants
+// alone that their head could not match; they are part of TotalInferences
+// and of StepsExecuted. Always 0 on the interpreter.
+func (m *Machine) FilteredCandidates() int64 { return m.filtered }
+
 // AddInferences charges extra work units to the machine (used by callers to
 // account for non-deductive work, e.g. clause construction, in the same
 // currency as proofs).
@@ -133,7 +144,9 @@ func (m *Machine) AddInferences(n int64) { m.totalInf += n; m.steps += n }
 func (m *Machine) CutoffQueries() int64 { return m.anyCutoffs }
 
 // ResetCounters zeroes the accumulated inference statistics.
-func (m *Machine) ResetCounters() { m.totalInf, m.steps, m.anyCutoffs, m.packRedos = 0, 0, 0, 0 }
+func (m *Machine) ResetCounters() {
+	m.totalInf, m.steps, m.anyCutoffs, m.packRedos, m.filtered = 0, 0, 0, 0, 0
+}
 
 // currentProgram is the compiled program queries resolve against right now:
 // the KB's, or nil on the interpreter path.
@@ -154,7 +167,7 @@ func (m *Machine) beginQuery(nVars int) {
 	m.budgetHit = false
 	m.stack = m.stack[:0]
 	m.base = 0
-	m.wtop = 0
+	m.wtop, m.ftop = 0, 0
 }
 
 func (m *Machine) endQuery() {
@@ -174,6 +187,24 @@ func (m *Machine) charge() bool {
 		return false
 	}
 	return true
+}
+
+// chargeN is n ≥ 1 consecutive charge() calls with nothing observable in
+// between, stopping like them at the first that fails: the one that takes
+// queryInf to the bound or — a branch abandoned earlier in this query
+// already took it there, and every charge since fails but still counts — the
+// very next one.
+func (m *Machine) chargeN(n int64) bool {
+	q := m.queryInf
+	if q+n < m.budget.MaxInferences {
+		m.queryInf = q + n
+		m.filtered += n
+		return true
+	}
+	m.queryInf = max(q+1, m.budget.MaxInferences)
+	m.filtered += m.queryInf - q
+	m.budgetHit = true
+	return false
 }
 
 // pushGoals pushes body in reverse so the leftmost literal is popped first.

@@ -20,7 +20,14 @@ import (
 // can be dereferenced once per step instead of once per argument per
 // candidate. Because existence queries usually stop at the first matching
 // candidate, the cache is filled lazily — the first candidate walks live,
-// and the cache is built only when a second candidate is actually visited.
+// and the cache is built only when a second candidate is actually run.
+//
+// The one place the VM executes less than the interpreter is the candidate
+// filter: on a list long enough to carry constant keys (candList.keys), a
+// candidate whose head constants disagree with the goal's is charged like
+// any other but its head stream — which could only fail and undo itself —
+// is not run (runCands, Machine.chargeN). The charge sequence, and with it
+// every cutoff, is still the interpreter's.
 
 // envNoVM force-disables the VM process-wide (the CI toggle for running the
 // whole suite on the interpreter reference path).
@@ -45,14 +52,56 @@ type walked struct {
 // (none exist in the bundled datasets) fall back to live walks.
 const maxCachedArity = 8
 
-// stepState is the per-resolution-step walk cache. cache points into the
-// machine's walk arena (Machine.wbuf): nested resolution steps each carve
-// their own window, so the state cannot live as a fixed machine field, and
-// the arena avoids zeroing a fixed-size buffer on every step.
+// stepState is the per-resolution-step walk cache and candidate filter.
+// cache points into the machine's walk arena (Machine.wbuf), filt into its
+// filter arena (Machine.fbuf): nested resolution steps each carve their own
+// window, so the state cannot live as a fixed machine field, and the arenas
+// avoid zeroing a fixed-size buffer on every step.
 type stepState struct {
 	cache  []walked
-	filled int8  // prefix of cache already walked (by index selection)
-	mode   uint8 // 0 = cache not yet attempted, 1 = active, 2 = disabled
+	filt   []colKey // empty: every candidate runs
+	filled int8     // prefix of cache already walked (by index selection)
+	mode   uint8    // 0 = cache not yet attempted, 1 = active, 2 = disabled
+}
+
+// colKey is one active column of a step's candidate filter: the goal
+// argument at the column's position dereferenced to the constant with this
+// key, so a candidate whose key there (candList.keys[base+i]) is neither
+// equal nor the wildcard has a head stream that must fail.
+type colKey struct {
+	base int32
+	key  uint32
+}
+
+// filterFor sets up the step's candidate filter over a keyed list: it walks
+// the goal's arguments once, through pointers, and keeps the columns whose
+// argument is a constant now. Such an argument stays that constant for the
+// whole step — bindings only ever add — whereas one that is still a variable
+// (twice the same one, even) may be bound by any candidate and is left to
+// the head streams.
+func (m *Machine) filterFor(st *stepState, l *candList, goal logic.Term, off int) {
+	need := m.ftop + len(goal.Args)
+	if cap(m.fbuf) < need {
+		// Outer steps keep their windows of the old array.
+		m.fbuf = make([]colKey, need+4*maxCachedArity)
+	}
+	filt := m.fbuf[m.ftop:m.ftop:need]
+	var scratch logic.Term
+	n, base := int32(len(l.cands)), int32(0)
+	for p := range goal.Args {
+		if p == int(l.skip) {
+			continue
+		}
+		switch t, _ := m.bs.WalkRef(&goal.Args[p], off, &scratch); t.Kind {
+		case logic.Atom:
+			filt = append(filt, colKey{base: base, key: atomKey(t.Sym)})
+		case logic.Int, logic.Float:
+			filt = append(filt, colKey{base: base, key: numKey(t.Num)})
+		}
+		base += n
+	}
+	m.ftop += len(filt)
+	st.filt = filt
 }
 
 // fillWalkCache completes the walk cache (arguments [filled, n) — the index
@@ -115,7 +164,7 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 	n := len(atom.Args)
 	if n == 0 {
 		st.mode = 2
-		return m.runCands(list.cands, atom, off, fr, &st, k)
+		return m.runCands(list, atom, off, fr, &st, k)
 	}
 	// Index selection, replicating pred.selectIndex over the compiled
 	// switches: prefer the smaller of the two applicable buckets, probing the
@@ -146,7 +195,7 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 	}
 	if n > maxCachedArity {
 		st.mode = 2
-		return m.runCands(list.cands, atom, off, fr, &st, k)
+		return m.runCands(list, atom, off, fr, &st, k)
 	}
 	wsave := m.wtop
 	need := wsave + n
@@ -161,17 +210,44 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 	}
 	st.cache = cache
 	st.filled = int8(filled)
-	r := m.runCands(list.cands, atom, off, fr, &st, k)
-	m.wtop = wsave
+	fsave := m.ftop
+	if list.keys != nil && !fr.ground {
+		m.filterFor(&st, list, atom, off)
+	}
+	r := m.runCands(list, atom, off, fr, &st, k)
+	m.wtop, m.ftop = wsave, fsave
 	return r
 }
 
 // runCands scans a candidate list (facts in scan order, then rules),
 // returning the value the resolution step reports to solve: false only when
 // the continuation asked to stop the whole enumeration.
-func (m *Machine) runCands(cands []vmCand, atom logic.Term, off int, fr goalFrame, st *stepState, k func() bool) bool {
+//
+// A candidate the step's filter rejects is not run: its head stream would
+// fail and leave no trace (nothing stays bound, nextVar is restored), so all
+// the interpreter does for it that anyone can observe is charge(). Those
+// charges are owed in candidate order, and chargeN pays a run of them at
+// once right before the next candidate that does run — which is where the
+// next observable thing happens — and at the end of the list.
+func (m *Machine) runCands(l *candList, atom logic.Term, off int, fr goalFrame, st *stepState, k func() bool) bool {
 	restTop := len(m.stack)
+	cands, keys, filt := l.cands, l.keys, st.filt
+	skipped := int64(0)
+	first := true // no head stream has run in this step yet
+scan:
 	for i := range cands {
+		for _, f := range filt {
+			if key := keys[int(f.base)+i]; key != f.key && key != 0 {
+				skipped++
+				continue scan
+			}
+		}
+		if skipped > 0 {
+			if !m.chargeN(skipped) {
+				return true
+			}
+			skipped = 0
+		}
 		c := &cands[i]
 		if !m.charge() {
 			return true // budget: abandon this branch
@@ -192,8 +268,8 @@ func (m *Machine) runCands(cands []vmCand, atom logic.Term, off int, fr goalFram
 		var matched bool
 		if st.mode == 1 {
 			matched = m.runHeadCached(c.head, base, st.cache)
-		} else if st.mode == 0 && i > 0 {
-			// Second visited candidate: the walk cache will pay for itself
+		} else if st.mode == 0 && !first {
+			// Second candidate to run: the walk cache will pay for itself
 			// now. The bindings are back to their step-entry state here, so
 			// the cache fills to exactly the walks the first candidate saw.
 			if m.fillWalkCache(st, atom, off) {
@@ -204,15 +280,16 @@ func (m *Machine) runCands(cands []vmCand, atom logic.Term, off int, fr goalFram
 				matched = m.runHead(c.head, atom, off, base, nil, 0)
 			}
 		} else {
-			// First candidate of the step (or cache disabled): live walks.
-			// The index-selection walks are still untouched for the first
+			// First candidate to run (or cache disabled): live walks. The
+			// index-selection walks are still untouched for the first
 			// candidate, so its first instruction can reuse them.
 			var pf int32
-			if i == 0 {
+			if first {
 				pf = int32(st.filled)
 			}
 			matched = m.runHead(c.head, atom, off, base, st.cache, pf)
 		}
+		first = false
 		if matched {
 			m.pushFrames(c.cc.frames, int32(base), fr.depth+1)
 			if !m.solve(k) {
@@ -225,6 +302,9 @@ func (m *Machine) runCands(cands []vmCand, atom logic.Term, off int, fr goalFram
 		}
 		m.bs.Undo(mark)
 		m.nextVar = base
+	}
+	if skipped > 0 {
+		m.chargeN(skipped)
 	}
 	return true
 }
