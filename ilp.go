@@ -29,6 +29,7 @@ package ilp
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"repro/internal/bottom"
@@ -244,11 +245,19 @@ func LearnParallel(ds *Dataset, workers, width int, opts ...ParallelOptions) (*P
 }
 
 // LearnParallelCoverage runs the related-work baseline (§6): a serial MDIE
-// search whose coverage tests are distributed over the workers.
+// search whose coverage tests are distributed over the workers of a
+// fail-stop simulated cluster. It reads only ParallelOptions.Seed and Cost
+// and returns an error naming the first other option that is set.
 func LearnParallelCoverage(ds *Dataset, workers int, opts ...ParallelOptions) (*ParallelCoverageMetrics, error) {
 	var o ParallelOptions
 	if len(opts) > 0 {
 		o = opts[0]
+	}
+	v := reflect.ValueOf(o)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Seed" && name != "Cost" && !v.Field(i).IsZero() {
+			return nil, fmt.Errorf("ilp: LearnParallelCoverage does not support ParallelOptions.%s", name)
+		}
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

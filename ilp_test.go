@@ -3,6 +3,9 @@ package ilp
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/cluster"
 )
 
 func TestDatasetByName(t *testing.T) {
@@ -46,6 +49,41 @@ func TestLearnParallelOnTrains(t *testing.T) {
 	}
 	if met.Epochs < 1 || met.CommBytes <= 0 {
 		t.Fatalf("metrics: %+v", met)
+	}
+}
+
+// TestLearnParallelCoverageRefusesUnusedOptions: the coverage baseline reads
+// only Seed and Cost, so every other option must be refused by name rather
+// than silently ignored.
+func TestLearnParallelCoverageRefusesUnusedOptions(t *testing.T) {
+	ds, err := DatasetByName("trains", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string // "" = accepted
+		opts  ParallelOptions
+	}{
+		{"", ParallelOptions{Seed: 3, Cost: DefaultCostModel}},
+		{"Trace", ParallelOptions{Trace: func(cluster.Event) {}}},
+		{"Repartition", ParallelOptions{Repartition: true}},
+		{"Balance", ParallelOptions{Balance: true}},
+		{"CoverParallelism", ParallelOptions{CoverParallelism: 2}},
+		{"Recover", ParallelOptions{Recover: true}},
+		{"RecvTimeout", ParallelOptions{RecvTimeout: time.Second}},
+		{"CheckpointDir", ParallelOptions{CheckpointDir: t.TempDir()}},
+		{"PublishDir", ParallelOptions{PublishDir: t.TempDir()}},
+	} {
+		met, err := LearnParallelCoverage(ds, 2, tc.opts)
+		if tc.field == "" {
+			if err != nil || len(met.Theory) == 0 {
+				t.Errorf("Seed and Cost: got %v, %v; want a learned theory", met, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "ParallelOptions."+tc.field) {
+			t.Errorf("%s set: got error %v, want one naming ParallelOptions.%s", tc.field, err, tc.field)
+		}
 	}
 }
 

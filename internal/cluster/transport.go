@@ -41,8 +41,9 @@ const KindPeerUp = -2
 // Two implementations exist: *cluster.Node (the in-process simulated
 // machine, one goroutine per node, virtual clocks) and *netcluster.Node
 // (real TCP between processes, same virtual-clock and per-link byte
-// accounting). The p²-mdie protocol in internal/core and the
-// coverage-farming baseline in internal/parcov run unchanged on either.
+// accounting). The p²-mdie protocol in internal/core runs unchanged on
+// either; the coverage-farming baseline in internal/parcov runs on the
+// simulated machine only.
 type Transport interface {
 	// ID is this node's id: 0 is the master, workers are 1..p.
 	ID() int

@@ -16,8 +16,8 @@ import (
 // — its outbound frames keep accumulating in the retained ring — while
 // the side that originally dialed the connection re-dials with backoff.
 // The ctrlLinkResume handshake exchanges the two ends' last-delivered
-// sequences, both replay their retained tails, and the protocol layers
-// above (core, parcov) observe nothing at all: exactly-once in-order
+// sequences, both replay their retained tails, and the protocol layer
+// above (core) observes nothing at all: exactly-once in-order
 // delivery holds across the flap. Only a grace window that expires
 // without a successful resume escalates to the PR 4/6 failure machinery
 // (KindPeerDown, recovery, orphan regime), which remains the backstop for

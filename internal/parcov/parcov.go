@@ -71,12 +71,11 @@ const (
 	kindRetractRule = iota + 2
 	kindRetractOne
 	kindStop
-	// kindLoad (master→worker) ships a remote worker its partition; the
-	// simulation hands partitions at construction and never sends it.
-	kindLoad
-	// kindFinal (worker→master) reports work totals after kindStop on a
-	// remote run.
-	kindFinal
+	// 5, 6: retired (were kindLoad / kindFinal, a multi-process worker's
+	// partition shipment and end-of-run report; simulated workers are built
+	// with their partition). Not reused.
+	_
+	_
 	// kindEvalBatch (master→workers) carries a whole search frontier —
 	// every candidate rule of one node expansion — in one message per
 	// worker, with per-rule candidate masks. One kindEvalBatchResult comes
@@ -123,34 +122,14 @@ type retractOneMsg struct{ Example logic.Term }
 
 type stopMsg struct{}
 
-// loadMsg is the remote-transport partition shipment (see kindLoad).
-type loadMsg struct {
-	Pos, Neg []logic.Term
-	Budget   solve.Budget
-	// NoVM pins the worker's prover to the interpreter; it travels with the
-	// load because parcov's wire protocol ships no other search settings.
-	NoVM bool
-}
-
-// finalMsg is a remote worker's end-of-run report (see kindFinal).
-type finalMsg struct {
-	Worker     int
-	Inferences int64
-	Clock      int64
-	Traffic    cluster.Traffic
-}
-
-// pcWorker owns one example partition and answers coverage queries. Like
-// core's worker it is transport-agnostic: remote workers receive their
-// partition via kindLoad and answer kindStop with a final report.
+// pcWorker owns one example partition, handed to it at construction, and
+// answers coverage queries until kindStop.
 type pcWorker struct {
-	id     int
-	node   cluster.Transport
-	remote bool
-	kb     *solve.KB
-	m      *solve.Machine
-	ex     *search.Examples
-	ev     *search.Evaluator
+	id   int
+	node *cluster.Node
+	m    *solve.Machine
+	ex   *search.Examples
+	ev   *search.Evaluator
 }
 
 func (w *pcWorker) run() error {
@@ -162,20 +141,7 @@ func (w *pcWorker) run() error {
 		if err != nil {
 			return fmt.Errorf("parcov: worker %d: receive: %w", w.id, err)
 		}
-		if w.ex == nil && msg.Kind != kindLoad && msg.Kind != kindStop {
-			return fmt.Errorf("parcov: worker %d got kind %d before its partition was loaded", w.id, msg.Kind)
-		}
 		switch msg.Kind {
-		case kindLoad:
-			var lm loadMsg
-			if err := msg.Decode(&lm); err != nil {
-				return err
-			}
-			w.m = solve.NewMachine(w.kb, lm.Budget)
-			w.m.SetNoVM(lm.NoVM)
-			w.ex = search.NewExamples(lm.Pos, lm.Neg)
-			w.ev = search.NewEvaluator(w.m, w.ex)
-			w.node.Compute(int64(len(lm.Pos) + len(lm.Neg)))
 		case kindEvalBatch:
 			var bm evalBatchMsg
 			if err := msg.Decode(&bm); err != nil {
@@ -227,16 +193,6 @@ func (w *pcWorker) run() error {
 			}
 			w.node.Compute(1)
 		case kindStop:
-			if w.remote {
-				fm := finalMsg{Worker: w.id, Clock: int64(w.node.Clock())}
-				if w.m != nil {
-					fm.Inferences = w.m.TotalInferences()
-				}
-				if tr, ok := w.node.(cluster.TrafficReporter); ok {
-					fm.Traffic = tr.Traffic()
-				}
-				return w.node.Send(0, kindFinal, fm)
-			}
 			return nil
 		default:
 			return fmt.Errorf("parcov: worker %d: unknown kind %d", w.id, msg.Kind)
@@ -253,7 +209,7 @@ func (w *pcWorker) run() error {
 // robust to out-of-order and leftover traffic, not just to the strict
 // request/response interleaving of the failure-free path.
 type distCoverer struct {
-	node    cluster.Transport
+	node    *cluster.Node
 	p       int
 	targets []int
 	posMap  [][]int // worker (0-based) → local index → global index
@@ -416,26 +372,25 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 	p := cfg.Workers
 	nw := cluster.NewNetwork(p+1, cfg.Cost)
 
-	// Partition examples (same seeded scheme as p²-mdie).
-	posParts := dealOut(len(pos), p, cfg.Seed)
-	negParts := dealOut(len(neg), p, cfg.Seed+1)
+	// Partition examples. Positives are dealt exactly as core.splitExamples
+	// deals them, but negatives come from a second generator seeded Seed+1
+	// where core continues the first, so the negative partitions differ.
+	// Changing that would move every Ablation B cell.
+	posMap := dealOut(len(pos), p, cfg.Seed) // worker → local index → global index
+	negMap := dealOut(len(neg), p, cfg.Seed+1)
 	workers := make([]*pcWorker, p)
-	posMap := make([][]int, p)
-	negMap := make([][]int, p)
 	for k := 0; k < p; k++ {
 		var wpos, wneg []logic.Term
-		for _, gi := range posParts[k] {
-			posMap[k] = append(posMap[k], gi)
+		for _, gi := range posMap[k] {
 			wpos = append(wpos, pos[gi])
 		}
-		for _, gi := range negParts[k] {
-			negMap[k] = append(negMap[k], gi)
+		for _, gi := range negMap[k] {
 			wneg = append(wneg, neg[gi])
 		}
 		m := solve.NewMachine(kb, cfg.Budget)
 		m.SetNoVM(cfg.Search.NoVM)
 		ex := search.NewExamples(wpos, wneg)
-		workers[k] = &pcWorker{id: k + 1, node: nw.Node(k + 1), kb: kb, m: m, ex: ex, ev: search.NewEvaluator(m, ex)}
+		workers[k] = &pcWorker{id: k + 1, node: nw.Node(k + 1), m: m, ex: ex, ev: search.NewEvaluator(m, ex)}
 	}
 
 	masterNode := nw.Node(0)
@@ -500,7 +455,7 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 }
 
 // runMaster is the serial covering loop with distributed coverage tests.
-func runMaster(node cluster.Transport, kb *solve.KB, pos []logic.Term, ms *mode.Set, cfg Config, dc *distCoverer, met *Metrics) error {
+func runMaster(node *cluster.Node, kb *solve.KB, pos []logic.Term, ms *mode.Set, cfg Config, dc *distCoverer, met *Metrics) error {
 	m := solve.NewMachine(kb, cfg.Budget) // master machine: saturation only
 	m.SetNoVM(cfg.Search.NoVM)
 	alive := search.FullBitset(len(pos))

@@ -1,7 +1,9 @@
 package parcov
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/covering"
 	"repro/internal/datasets"
@@ -179,5 +181,28 @@ func TestMoreWorkersSameTheory(t *testing.T) {
 			}
 		}
 		prev = met.Theory
+	}
+}
+
+// TestLearnLeavesNoGoroutines: Learn starts nothing but its simulated
+// worker nodes and waits for them, so the goroutine count must come back to
+// its pre-call value once it returns.
+func TestLearnLeavesNoGoroutines(t *testing.T) {
+	ds := smallTask(t)
+	for _, p := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		if _, err := Learn(ds.KB, ds.Pos, ds.Neg, ds.Modes, Config{
+			Workers: p, Seed: 5, Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
+		}); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200 && n > before; i++ {
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > before {
+			t.Errorf("p=%d: %d goroutines before Learn, still %d a second after it returned", p, before, n)
+		}
 	}
 }

@@ -6,10 +6,7 @@ package parcov
 // fixed 8-byte words — their high bits are as populated as their low
 // ones, so varints would only inflate them.
 
-import (
-	"repro/internal/solve"
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 func appendMasks(w *wire.Writer, xs [][]uint64) {
 	w.Uvarint(uint64(len(xs)))
@@ -28,18 +25,6 @@ func readMasks(r *wire.Reader) [][]uint64 {
 		out[i] = r.U64sFixed()
 	}
 	return out
-}
-
-func appendBudget(w *wire.Writer, b solve.Budget) {
-	w.Int(b.MaxDepth)
-	w.Varint(b.MaxInferences)
-}
-
-func readBudget(r *wire.Reader) solve.Budget {
-	var b solve.Budget
-	b.MaxDepth = r.Int()
-	b.MaxInferences = r.Varint()
-	return b
 }
 
 func (m evalBatchMsg) AppendWire(w *wire.Writer) {
@@ -84,31 +69,3 @@ func (m *retractOneMsg) DecodeWire(r *wire.Reader) {
 
 func (m stopMsg) AppendWire(w *wire.Writer)  {}
 func (m *stopMsg) DecodeWire(r *wire.Reader) {}
-
-func (m loadMsg) AppendWire(w *wire.Writer) {
-	w.Terms(m.Pos)
-	w.Terms(m.Neg)
-	appendBudget(w, m.Budget)
-	w.Bool(m.NoVM)
-}
-
-func (m *loadMsg) DecodeWire(r *wire.Reader) {
-	m.Pos = r.Terms()
-	m.Neg = r.Terms()
-	m.Budget = readBudget(r)
-	m.NoVM = r.Bool()
-}
-
-func (m finalMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Worker)
-	w.Varint(m.Inferences)
-	w.Varint(m.Clock)
-	m.Traffic.AppendWire(w)
-}
-
-func (m *finalMsg) DecodeWire(r *wire.Reader) {
-	m.Worker = r.Int()
-	m.Inferences = r.Varint()
-	m.Clock = r.Varint()
-	m.Traffic.DecodeWire(r)
-}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/logic"
+	"repro/internal/search"
 	"repro/internal/solve"
 )
 
@@ -27,18 +28,6 @@ func parcovPayloads() map[int]any {
 		kindRetractRule: retractRuleMsg{Rule: rule},
 		kindRetractOne:  retractOneMsg{Example: mustTerm("active(m7)")},
 		kindStop:        stopMsg{},
-		kindLoad: loadMsg{
-			Pos:    []logic.Term{mustTerm("active(m1)"), mustTerm("active(m2)")},
-			Neg:    []logic.Term{mustTerm("active(m3)")},
-			Budget: solve.Budget{MaxDepth: 32, MaxInferences: 1 << 16},
-			NoVM:   true,
-		},
-		kindFinal: finalMsg{
-			Worker:     1,
-			Inferences: 4242,
-			Clock:      987654321,
-			Traffic:    cluster.Traffic{N: 2, Bytes: []int64{0, 1, 2, 3}, Msgs: []int64{0, 1, 1, 0}},
-		},
 		kindEvalBatch: evalBatchMsg{
 			Seq:      9,
 			Rules:    []logic.Clause{rule, {Head: mustTerm("active(Y)")}},
@@ -55,12 +44,19 @@ func parcovPayloads() map[int]any {
 	}
 }
 
+// retiredKinds are the `_` placeholders in parcov.go's kind list: they have
+// no payload and no golden frame, and a worker refuses them.
+var retiredKinds = map[int]bool{5: true, 6: true}
+
 // TestParcovWireRoundTrip pins every parcov message kind: the wire decode
 // must reproduce the value exactly, and exactly what the test-only gob
 // reference (the payload encoding before internal/wire) yields for it.
 func TestParcovWireRoundTrip(t *testing.T) {
 	payloads := parcovPayloads()
 	for kind := kindRetractRule; kind <= kindEvalBatchResult; kind++ {
+		if retiredKinds[kind] {
+			continue
+		}
 		v, ok := payloads[kind]
 		if !ok {
 			t.Fatalf("payload table has no kind %d — extend the table", kind)
@@ -99,6 +95,9 @@ var goldenFrames = func() string {
 	var b strings.Builder
 	payloads := parcovPayloads()
 	for kind := kindRetractRule; kind <= kindEvalBatchResult; kind++ {
+		if retiredKinds[kind] {
+			continue
+		}
 		enc, err := cluster.EncodePayload(payloads[kind])
 		if err != nil {
 			panic(err)
@@ -125,5 +124,28 @@ func TestWireGoldenFrames(t *testing.T) {
 	}
 	if goldenFrames != string(want) {
 		t.Fatalf("payload bytes drifted from %s.\nGot:\n%sWant:\n%sIf intentional, regenerate with UPDATE_GOLDEN=1.", golden, goldenFrames, want)
+	}
+}
+
+// TestRetiredKindsRefused hands a worker built with its partition each
+// retired kind: it must fail on "unknown kind", never decode the frame as
+// what the number used to carry.
+func TestRetiredKindsRefused(t *testing.T) {
+	for kind := range retiredKinds {
+		nw := cluster.NewNetwork(2, cluster.CostModel{})
+		m := solve.NewMachine(solve.NewKB(), solve.Budget{})
+		ex := search.NewExamples(nil, nil)
+		w := &pcWorker{id: 1, node: nw.Node(1), m: m, ex: ex, ev: search.NewEvaluator(m, ex)}
+		// The trailing stop makes a worker that accepts the frame return nil
+		// instead of blocking.
+		if err := nw.Node(0).Send(1, kind, stopMsg{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Node(0).Send(1, kindStop, stopMsg{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.run(); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("kind %d: worker returned %v, want an unknown-kind error", kind, err)
+		}
 	}
 }
