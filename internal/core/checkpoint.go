@@ -103,74 +103,19 @@ type linkGracer interface {
 	LinkGrace() time.Duration
 }
 
-// innerTransport lets the capability probes below see through transport
-// wrappers (faultline.Transport exposes its wrapped node this way).
-type innerTransport interface {
-	Inner() cluster.Transport
-}
-
-func asAddressBooker(t cluster.Transport) (addressBooker, bool) {
+// as finds capability T on t or on a transport it wraps: wrappers
+// (faultline.Transport) expose the wrapped node through Inner.
+func as[T any](t cluster.Transport) (T, bool) {
 	for {
-		if ab, ok := t.(addressBooker); ok {
-			return ab, true
+		if c, ok := t.(T); ok {
+			return c, true
 		}
-		iw, ok := t.(innerTransport)
+		w, ok := t.(interface{ Inner() cluster.Transport })
 		if !ok {
-			return nil, false
+			var none T
+			return none, false
 		}
-		t = iw.Inner()
-	}
-}
-
-func asLinkProber(t cluster.Transport) (linkProber, bool) {
-	for {
-		if lp, ok := t.(linkProber); ok {
-			return lp, true
-		}
-		iw, ok := t.(innerTransport)
-		if !ok {
-			return nil, false
-		}
-		t = iw.Inner()
-	}
-}
-
-func asMasterRejoiner(t cluster.Transport) (masterRejoiner, bool) {
-	for {
-		if mr, ok := t.(masterRejoiner); ok {
-			return mr, true
-		}
-		iw, ok := t.(innerTransport)
-		if !ok {
-			return nil, false
-		}
-		t = iw.Inner()
-	}
-}
-
-func asLinkStatser(t cluster.Transport) (linkStatser, bool) {
-	for {
-		if ls, ok := t.(linkStatser); ok {
-			return ls, true
-		}
-		iw, ok := t.(innerTransport)
-		if !ok {
-			return nil, false
-		}
-		t = iw.Inner()
-	}
-}
-
-func asLinkGracer(t cluster.Transport) (linkGracer, bool) {
-	for {
-		if lg, ok := t.(linkGracer); ok {
-			return lg, true
-		}
-		iw, ok := t.(innerTransport)
-		if !ok {
-			return nil, false
-		}
-		t = iw.Inner()
+		t = w.Inner()
 	}
 }
 
@@ -201,7 +146,7 @@ func (ma *master) record() *checkpointRecord {
 		MasterRestarts:     ma.metrics.MasterRestarts,
 		OrphanReconnects:   ma.metrics.OrphanReconnects,
 	}
-	if ab, ok := asAddressBooker(ma.node); ok {
+	if ab, ok := as[addressBooker](ma.node); ok {
 		rec.Peers, rec.Size = ab.AddressBook()
 	} else {
 		rec.Size = ma.node.Size()
@@ -390,7 +335,7 @@ func ResumeMaster(t cluster.Transport, ck *Checkpoint, cfg Config) (*Metrics, er
 		}
 		traffic.Merge(fm.Traffic)
 	}
-	if ls, ok := asLinkStatser(t); ok {
+	if ls, ok := as[linkStatser](t); ok {
 		flaps, replayed := ls.LinkStats()
 		metrics.LinkFlaps += flaps
 		metrics.ReplayedFrames += replayed

@@ -874,7 +874,7 @@ func (ma *master) recoverMembership() error {
 // per-peer links (the simulated machine, where the restarted master takes
 // over the same always-connected node) there is nothing to wait for.
 func (ma *master) awaitRejoins() error {
-	lp, ok := asLinkProber(ma.node)
+	lp, ok := as[linkProber](ma.node)
 	if !ok {
 		return nil
 	}

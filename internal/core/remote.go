@@ -53,12 +53,13 @@ func Fingerprint(kb *solve.KB, pos, neg []logic.Term) uint64 {
 }
 
 // RunWorker drives one multi-process p²-mdie worker over an established
-// transport (normally a netcluster node joined via Serve): it waits for
-// its partition and settings in kindLoad, serves the pipeline protocol,
-// and reports its totals on kindStop. The background knowledge and mode
-// set are the worker's share of the paper's shared filesystem; everything
-// else comes from the master. Panics are converted to errors so a bug in
-// one worker surfaces at the master as a link failure, not a hang.
+// transport (normally a netcluster node joined via ServeOn or Join): it
+// waits for its partition and settings in kindLoad, serves the pipeline
+// protocol, and reports its totals on kindStop. The background knowledge
+// and mode set are the worker's share of the paper's shared filesystem;
+// everything else comes from the master. Panics are converted to errors so
+// a bug in one worker surfaces at the master as a link failure, not a
+// hang.
 func RunWorker(t cluster.Transport, kb *solve.KB, ms *mode.Set, cfg Config) (err error) {
 	if t.ID() < 1 {
 		return fmt.Errorf("core: RunWorker needs a worker node id (≥ 1), got %d", t.ID())
@@ -82,7 +83,7 @@ func RunWorker(t cluster.Transport, kb *solve.KB, ms *mode.Set, cfg Config) (err
 // so one that can outlast the wait guarantees a spurious protocol timeout
 // on every flap instead of a seamless replay.
 func checkLinkGrace(t cluster.Transport, cfg Config) error {
-	lg, ok := asLinkGracer(t)
+	lg, ok := as[linkGracer](t)
 	if !ok {
 		return nil
 	}
@@ -163,7 +164,7 @@ func RunMaster(t cluster.Transport, pos, neg []logic.Term, cfg Config) (*Metrics
 		}
 		traffic.Merge(fm.Traffic)
 	}
-	if ls, ok := asLinkStatser(t); ok {
+	if ls, ok := as[linkStatser](t); ok {
 		flaps, replayed := ls.LinkStats()
 		metrics.LinkFlaps += flaps
 		metrics.ReplayedFrames += replayed

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -63,14 +64,15 @@ func startJoinCluster(t *testing.T, kb *solve.KB, pos, neg []logic.Term, ms *mod
 	t.Helper()
 	c := &joinCluster{workers: make(chan *netcluster.Node, 2), errs: make(chan error, 3)}
 	ncfg := netcluster.Config{Fingerprint: Fingerprint(kb, pos, neg)}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var errCh chan error
-	c.master, errCh = startNetCluster(t, 2, ncfg, func(node *netcluster.Node) error {
+	c.master, errCh = startNetClusterOn(t, ln, 2, ncfg, func(node *netcluster.Node) error {
 		c.workers <- node
 		return RunWorker(node, kb, ms, Config{})
 	})
-	if err := c.master.ListenForJoins("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	jnode, err := netcluster.Join(c.master.Addr(), "127.0.0.1:0", ncfg)
 	if err != nil {
 		t.Fatalf("Join: %v", err)

@@ -15,6 +15,13 @@ import (
 // and returns the connected master node. Worker errors surface on errCh.
 func startNetCluster(t *testing.T, p int, ncfg netcluster.Config, runWorker func(*netcluster.Node) error) (*netcluster.Node, chan error) {
 	t.Helper()
+	return startNetClusterOn(t, nil, p, ncfg, runWorker)
+}
+
+// startNetClusterOn is startNetCluster with the master listening on ln for
+// joins (netcluster.ConnectOn; nil listens on nothing, as Connect).
+func startNetClusterOn(t *testing.T, ln net.Listener, p int, ncfg netcluster.Config, runWorker func(*netcluster.Node) error) (*netcluster.Node, chan error) {
+	t.Helper()
 	addrs := make([]string, p)
 	lns := make([]net.Listener, p)
 	for k := 0; k < p; k++ {
@@ -47,7 +54,7 @@ func startNetCluster(t *testing.T, p int, ncfg netcluster.Config, runWorker func
 			errCh <- err
 		}()
 	}
-	master, err := netcluster.Connect(addrs, ncfg)
+	master, err := netcluster.ConnectOn(ln, addrs, ncfg)
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}

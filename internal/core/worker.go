@@ -251,7 +251,7 @@ func (w *worker) sendFinal() error {
 		Clock:      int64(w.node.Clock()),
 		Fenced:     w.fenced,
 	}
-	if ls, ok := asLinkStatser(w.node); ok {
+	if ls, ok := as[linkStatser](w.node); ok {
 		fm.Flaps, fm.Replayed = ls.LinkStats()
 	}
 	if tr, ok := w.node.(cluster.TrafficReporter); ok {
@@ -540,7 +540,7 @@ func (w *worker) run() error {
 		if msg.Kind == cluster.KindPeerDown {
 			if msg.From == 0 {
 				if w.cfg.OrphanTimeout > 0 {
-					if rj, ok := asMasterRejoiner(w.node); ok {
+					if rj, ok := as[masterRejoiner](w.node); ok {
 						// Orphan regime: hold all state and redial the
 						// master's stable address with backoff until a
 						// restarted master re-admits this worker (its

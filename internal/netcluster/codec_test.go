@@ -81,21 +81,29 @@ func listen(t *testing.T) net.Listener {
 
 // answer scripts the accepting side of one handshake: it accepts one
 // connection on ln, reads the opening frame (which must be ctrl) and
-// writes back reply(f).
-func answer(t *testing.T, ln net.Listener, ctrl uint8, reply func(f *frame) *frame) {
+// writes back reply(f). The returned channel yields the frame the peer
+// sends after the reply, or nil if it hangs up without one.
+func answer(t *testing.T, ln net.Listener, ctrl uint8, reply func(f *frame) *frame) <-chan *frame {
+	heard := make(chan *frame, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
+			heard <- nil
 			return
 		}
 		defer conn.Close()
 		f, err := readFrame(conn, 1<<20)
 		if err != nil || f.Ctrl != ctrl {
 			t.Errorf("scripted peer got %+v, %v; want ctrl %d", f, err, ctrl)
+			heard <- nil
 			return
 		}
 		writeFrame(conn, reply(f))
+		conn.SetReadDeadline(time.Now().Add(prompt))
+		next, _ := readFrame(conn, 1<<20)
+		heard <- next
 	}()
+	return heard
 }
 
 // open scripts the dialing side: it sends req to addr and returns the
@@ -211,7 +219,7 @@ func TestHelloVersionRefused(t *testing.T) {
 
 // TestLateJoinVersionRefused pins both ends of the late join: Join
 // refuses a master welcoming it with another version, and a
-// ListenForJoins master drops a joiner that acks another version without
+// ConnectOn master drops a joiner that acks another version without
 // growing the cluster.
 func TestLateJoinVersionRefused(t *testing.T) {
 	eachRefusedVersion(t, func(t *testing.T, offered uint8) {
@@ -223,10 +231,7 @@ func TestLateJoinVersionRefused(t *testing.T) {
 		_, err := Join(ln.Addr().String(), "127.0.0.1:0", refusalCfg)
 		wantRefusal(t, err, offered, start)
 
-		master, _ := startCluster(t, 1, refusalCfg)
-		if err := master.ListenForJoins("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+		master, _ := startClusterOn(t, listen(t), 1, refusalCfg)
 		conn, welcome := open(t, master.Addr(), &frame{Ctrl: ctrlJoinReq, Addr: "127.0.0.1:1", Fingerprint: 7})
 		wantAckDropped(t, conn, welcome, offered)
 		if master.Size() != 2 {
@@ -284,4 +289,216 @@ func TestResumeVersionRefused(t *testing.T) {
 			t.Fatalf("resumed master re-admitted a version-%d worker: %+v, %v", offered, msg, err)
 		}
 	})
+}
+
+// The fingerprint variant of the refusal suite: a peer loaded with another
+// dataset (or settings) is refused at every handshake — by name, and
+// without waiting out a timeout. The initial join and the master's side of
+// the late join are pinned by TestFingerprintMismatchRejectsJoin and
+// TestLateJoinFingerprintMismatchRefused.
+
+// eachRefusedFingerprint runs fn for the fingerprints a real mismatched
+// peer sends: 0 from one that sets none (gob omits the zero field), and a
+// neighbour of refusalCfg's.
+func eachRefusedFingerprint(t *testing.T, fn func(t *testing.T, offered uint64)) {
+	for _, offered := range []uint64{0, refusalCfg.Fingerprint + 1} {
+		offered := offered
+		t.Run(fmt.Sprintf("fp%x", offered), func(t *testing.T) { fn(t, offered) })
+	}
+}
+
+// wantFingerprintRefusal requires a refusal naming the fingerprint,
+// promptly.
+func wantFingerprintRefusal(t *testing.T, reason string, start time.Time) {
+	t.Helper()
+	if !strings.Contains(reason, "fingerprint") {
+		t.Fatalf("refusal %q, want one naming the fingerprint", reason)
+	}
+	if d := time.Since(start); d > prompt {
+		t.Fatalf("refusal took %v — waited for a timeout instead of refusing", d)
+	}
+}
+
+// errText is err's message, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// orphanable is a worker joined, by a scripted master's welcome, to a
+// cluster whose address book names masterAddr as the master's stable
+// address — what RejoinMaster redials.
+func orphanable(t *testing.T, cfg Config, masterAddr string) *Node {
+	t.Helper()
+	ln := listen(t)
+	joined := make(chan *Node, 1)
+	go func() {
+		w, err := ServeOn(ln, cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		joined <- w
+	}()
+	welcome := &frame{Ctrl: ctrlWelcome, NodeID: 1, Nodes: 2, Peers: []string{masterAddr, ln.Addr().String()},
+		Fingerprint: cfg.Fingerprint, Codec: protocolVersion}
+	if _, ack := open(t, ln.Addr().String(), welcome); ack.Err != "" {
+		t.Fatalf("matching welcome not accepted: %+v", ack)
+	}
+	w := <-joined
+	if w == nil {
+		t.FailNow()
+	}
+	t.Cleanup(func() { w.Abort() })
+	return w
+}
+
+// TestRejoinFingerprintRefused pins both ends of the master-restart rejoin:
+// an orphaned worker refuses a restarted master loaded with another
+// dataset — permanently, long before its rejoin timeout, and saying so to
+// the master — and a Resume'd master refuses a rejoin request carrying
+// another fingerprint without re-admitting the worker.
+func TestRejoinFingerprintRefused(t *testing.T) {
+	eachRefusedFingerprint(t, func(t *testing.T, offered uint64) {
+		masterLn := listen(t)
+		worker := orphanable(t, refusalCfg, masterLn.Addr().String())
+		heard := answer(t, masterLn, ctrlRejoinReq, func(f *frame) *frame {
+			return &frame{Ctrl: ctrlWelcome, NodeID: f.From, Nodes: 2, Peers: []string{masterLn.Addr().String(), f.Addr},
+				Fingerprint: offered, Codec: protocolVersion}
+		})
+		start := time.Now()
+		_, err := worker.RejoinMaster(60 * time.Second)
+		wantFingerprintRefusal(t, errText(err), start)
+		if ack := <-heard; ack == nil || ack.Ctrl != ctrlWelcomeAck || !strings.Contains(ack.Err, "fingerprint") {
+			t.Fatalf("scripted master heard %+v after its welcome, want a refusal naming the fingerprint", ack)
+		}
+
+		master, err := Resume("127.0.0.1:0", 2, []string{"", "127.0.0.1:1"}, refusalCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { master.Abort() })
+		start = time.Now()
+		_, ack := open(t, master.Addr(), &frame{Ctrl: ctrlRejoinReq, From: 1, Addr: "127.0.0.1:1", Fingerprint: offered})
+		if ack.Ctrl != ctrlWelcomeAck {
+			t.Fatalf("resumed master answered %+v, want a refusal", ack)
+		}
+		wantFingerprintRefusal(t, ack.Err, start)
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		if msg, err := master.ReceiveCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("resumed master re-admitted a worker with fingerprint %x: %+v, %v", offered, msg, err)
+		}
+	})
+}
+
+// TestLinkResumeFingerprintRefused pins the acceptor side of a link
+// resume: a ctrlLinkResume naming a live session but another fingerprint
+// is refused, and the session it named carries on untouched.
+func TestLinkResumeFingerprintRefused(t *testing.T) {
+	eachRefusedFingerprint(t, func(t *testing.T, offered uint64) {
+		cfg := refusalCfg
+		cfg.LinkGrace = 5 * time.Second
+		master, workers := startCluster(t, 1, cfg)
+		master.mu.Lock()
+		sid := master.links[1].sess.sid
+		master.mu.Unlock()
+		start := time.Now()
+		_, ack := open(t, workers[1].Addr(), &frame{Ctrl: ctrlLinkResume, From: 0, Session: sid, Fingerprint: offered})
+		if ack.Ctrl != ctrlLinkResumeAck {
+			t.Fatalf("worker answered %+v, want a resume refusal", ack)
+		}
+		wantFingerprintRefusal(t, ack.Err, start)
+		if err := master.Send(1, 7, payload{N: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if msg := receiveKind(t, workers[1], prompt); msg.Kind != 7 {
+			t.Fatalf("worker got %+v over the session a refused resume named", msg)
+		}
+		if flaps, _ := workers[1].LinkStats(); flaps != 0 {
+			t.Fatalf("a refused resume suspended the live session: %d flaps", flaps)
+		}
+	})
+}
+
+// TestHelloFingerprintRefused pins the ring: a peer dialing a worker with a
+// ctrlHello carrying another fingerprint fails that worker's inbox.
+func TestHelloFingerprintRefused(t *testing.T) {
+	eachRefusedFingerprint(t, func(t *testing.T, offered uint64) {
+		_, workers := startCluster(t, 2, refusalCfg)
+		start := time.Now()
+		conn, err := net.Dial("tcp", workers[2].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, &frame{Ctrl: ctrlHello, From: 1, Fingerprint: offered, Codec: protocolVersion}); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*prompt)
+		defer cancel()
+		_, err = workers[2].ReceiveCtx(ctx)
+		wantFingerprintRefusal(t, errText(err), start)
+	})
+}
+
+// TestLateJoinFingerprintRefusedByJoiner pins the worker side of a late
+// join: Join refuses a master welcoming it with another fingerprint,
+// promptly, and tells the master why.
+func TestLateJoinFingerprintRefusedByJoiner(t *testing.T) {
+	eachRefusedFingerprint(t, func(t *testing.T, offered uint64) {
+		ln := listen(t)
+		heard := answer(t, ln, ctrlJoinReq, func(f *frame) *frame {
+			return &frame{Ctrl: ctrlWelcome, NodeID: 2, Nodes: 3, Peers: []string{"", "", f.Addr}, Fingerprint: offered, Codec: protocolVersion}
+		})
+		start := time.Now()
+		_, err := Join(ln.Addr().String(), "127.0.0.1:0", refusalCfg)
+		wantFingerprintRefusal(t, errText(err), start)
+		if ack := <-heard; ack == nil || ack.Ctrl != ctrlWelcomeAck || !strings.Contains(ack.Err, "fingerprint") {
+			t.Fatalf("scripted master heard %+v after its welcome, want a refusal naming the fingerprint", ack)
+		}
+	})
+}
+
+// hung is a listener on addr that accepts connections and never writes.
+func hung(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		var conns []net.Conn
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	return ln
+}
+
+// TestRejoinMasterBoundedByTimeout pins the orphan regime's window: a
+// master address that accepts and never answers costs RejoinMaster its
+// timeout, not a JoinTimeout-long handshake read per try.
+func TestRejoinMasterBoundedByTimeout(t *testing.T) {
+	cfg := Config{Fingerprint: 7, JoinTimeout: 3 * time.Second}
+	master := hung(t, "127.0.0.1:0")
+	worker := orphanable(t, cfg, master.Addr().String())
+	start := time.Now()
+	if _, err := worker.RejoinMaster(300 * time.Millisecond); err == nil {
+		t.Fatal("rejoined a master that never answered")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("RejoinMaster(300ms) took %v against a hung master: a try outlived the window", d)
+	}
 }

@@ -13,12 +13,10 @@ import (
 // address book propagates, and the joiner becomes a first-class peer —
 // reachable from the master, from the ring, and in the traffic accounting.
 
-// joinLate attaches one extra worker to a running master.
+// joinLate attaches one extra worker to a running master that listens
+// for joins (startClusterOn).
 func joinLate(t *testing.T, master *Node, cfg Config) *Node {
 	t.Helper()
-	if err := master.ListenForJoins("127.0.0.1:0"); err != nil {
-		t.Fatalf("ListenForJoins: %v", err)
-	}
 	j, err := Join(master.Addr(), "127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatalf("Join: %v", err)
@@ -29,7 +27,7 @@ func joinLate(t *testing.T, master *Node, cfg Config) *Node {
 
 func TestLateJoinAdmitsWorker(t *testing.T) {
 	cfg := Config{Fingerprint: 42}
-	master, workers := startCluster(t, 2, cfg)
+	master, workers := startClusterOn(t, listen(t), 2, cfg)
 	joiner := joinLate(t, master, cfg)
 
 	if joiner.ID() != 3 || joiner.Size() != 4 {
@@ -107,7 +105,7 @@ func TestLateJoinAdmitsWorker(t *testing.T) {
 // race dealt the joiner in as an initial worker (ROADMAP item 1(b)).
 func TestLateJoinVisibleOnPeerUpDelivery(t *testing.T) {
 	cfg := Config{Fingerprint: 42}
-	master, workers := startCluster(t, 2, cfg)
+	master, workers := startClusterOn(t, listen(t), 2, cfg)
 	joinLate(t, master, cfg)
 	// A worker that has seen the ctrlPeerUpdate proves the master's commit
 	// is behind us: the update is written after it.
@@ -156,10 +154,7 @@ func waitForSize(t *testing.T, n *Node, want int) {
 
 func TestLateJoinFingerprintMismatchRefused(t *testing.T) {
 	cfg := Config{Fingerprint: 42}
-	master, _ := startCluster(t, 1, cfg)
-	if err := master.ListenForJoins("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	master, _ := startClusterOn(t, listen(t), 1, cfg)
 	j, err := Join(master.Addr(), "127.0.0.1:0", Config{Fingerprint: 7, JoinTimeout: 5 * time.Second})
 	if err == nil {
 		j.Close()
@@ -186,10 +181,7 @@ func TestLateJoinRefusedByWorker(t *testing.T) {
 func TestLateJoinSequential(t *testing.T) {
 	// Two joiners one after the other get distinct ids and both work.
 	cfg := Config{Fingerprint: 42}
-	master, _ := startCluster(t, 1, cfg)
-	if err := master.ListenForJoins("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	master, _ := startClusterOn(t, listen(t), 1, cfg)
 	j1, err := Join(master.Addr(), "127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +217,7 @@ func TestLateJoinSequential(t *testing.T) {
 }
 
 func TestLateJoinWithoutListenerRefused(t *testing.T) {
-	// A master that never called ListenForJoins simply has no join
+	// A master started without a listener (Connect) simply has no join
 	// endpoint; Join against a worker-less ephemeral port fails fast.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,6 +1,7 @@
 package netcluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -11,11 +12,11 @@ import (
 
 // Connect dials the given worker addresses and assembles the cluster: the
 // caller becomes the master (node 0) and workerAddrs[k-1] becomes node k.
-// Each dial is retried until JoinTimeout so workers may still be starting.
-// The welcome exchange assigns ids, distributes the address book and the
-// cost model, and cross-checks dataset fingerprints.
+// Each worker is redialed until JoinTimeout so workers may still be
+// starting. The welcome exchange assigns ids, distributes the address book
+// and the cost model, and cross-checks dataset fingerprints.
 func Connect(workerAddrs []string, cfg Config) (*Node, error) {
-	return connect(nil, workerAddrs, cfg)
+	return ConnectOn(nil, workerAddrs, cfg)
 }
 
 // ConnectOn is Connect with a pre-bound master listener: joins and worker
@@ -25,14 +26,6 @@ func Connect(workerAddrs []string, cfg Config) (*Node, error) {
 // master. A master run with checkpointing must use a stable listen address
 // for the orphan-reconnect loop to work.
 func ConnectOn(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error) {
-	return connect(ln, workerAddrs, cfg)
-}
-
-func connect(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	p := len(workerAddrs)
 	if p < 1 {
 		return nil, fmt.Errorf("netcluster: no worker addresses")
@@ -41,75 +34,23 @@ func connect(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error) {
 	if ln != nil {
 		masterAddr = ln.Addr().String()
 	}
-	n := &Node{
-		id:      0,
-		size:    p + 1,
-		cfg:     cfg,
-		inbox:   newInbox(),
-		links:   make(map[int]*link),
-		peers:   append([]string{masterAddr}, workerAddrs...),
-		ln:      ln,
-		tr:      cluster.NewTraffic(p + 1),
-		pending: make(map[net.Conn]struct{}),
-		done:    make(chan struct{}),
+	n, err := newNode(0, p+1, append([]string{masterAddr}, workerAddrs...), ln, cfg)
+	if err != nil {
+		return nil, err
 	}
 	for k := 1; k <= p; k++ {
-		conn, err := dialRetry(workerAddrs[k-1], cfg.JoinTimeout)
+		addr := workerAddrs[k-1]
+		_, err := n.redial(addr, n.cfg.JoinTimeout, func(conn net.Conn) error {
+			sess := n.newSession(addr)
+			if err := n.offerWelcome(conn, k, p+1, n.peers, sess.sid); err != nil {
+				return err
+			}
+			_, err := n.registerLink(k, conn, true, sess)
+			return err
+		})
 		if err != nil {
 			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d at %s: %w", k, workerAddrs[k-1], err)
-		}
-		conn = cfg.wrapConn(conn)
-		sess := n.newSession(workerAddrs[k-1])
-		welcome := &frame{
-			Ctrl:        ctrlWelcome,
-			NodeID:      int32(k),
-			Nodes:       int32(p + 1),
-			Peers:       n.peers,
-			Fingerprint: cfg.Fingerprint,
-			Model:       cfg.Model,
-			Session:     sess.sid,
-			Codec:       protocolVersion,
-		}
-		if err := writeFrame(conn, welcome); err != nil {
-			conn.Close()
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: welcome to worker %d: %w", k, err)
-		}
-		conn.SetReadDeadline(time.Now().Add(cfg.JoinTimeout))
-		ack, err := readFrame(conn, cfg.MaxFrameBytes)
-		conn.SetReadDeadline(time.Time{})
-		if err != nil {
-			conn.Close()
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d join ack: %w", k, err)
-		}
-		if ack.Ctrl != ctrlWelcomeAck {
-			conn.Close()
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d: unexpected join reply ctrl %d", k, ack.Ctrl)
-		}
-		if ack.Err != "" {
-			conn.Close()
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d rejected join: %s", k, ack.Err)
-		}
-		if ack.Fingerprint != cfg.Fingerprint {
-			conn.Close()
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d fingerprint %x does not match master %x (different dataset or settings loaded)",
-				k, ack.Fingerprint, cfg.Fingerprint)
-		}
-		if ack.Codec != protocolVersion {
-			conn.Close()
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d confirmed protocol version byte %d, want %d — mixed-version cluster refused; rebuild the worker",
-				k, ack.Codec, protocolVersion)
-		}
-		if _, err := n.registerLink(k, conn, true, sess); err != nil {
-			conn.Close()
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, err
+			return nil, fmt.Errorf("netcluster: worker %d at %s: %w", k, addr, err)
 		}
 	}
 	if ln != nil {
@@ -119,78 +60,17 @@ func connect(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for attempt := 0; ; attempt++ {
-		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		d := backoffDelay(attempt, dialBackoffBase, dialBackoffCap, rng)
-		if until := time.Until(deadline); d > until {
-			d = until
-		}
-		time.Sleep(d)
-	}
-}
-
-// Retry pacing for dialRetry and the orphaned worker's rejoin loop: start
-// fast (a restarting peer is usually back quickly), back off exponentially
-// so a long outage doesn't hammer the address, and jitter so a fleet of
-// workers orphaned by the same master crash doesn't reconnect in lockstep.
-const (
-	dialBackoffBase = 50 * time.Millisecond
-	dialBackoffCap  = 2 * time.Second
-)
-
-// backoffDelay returns the pause before retry attempt (0-based):
-// exponential doubling from base, capped at max, with equal jitter — the
-// delay lands uniformly in [d/2, d), never zero, so retries spread out
-// without ever busy-spinning.
-func backoffDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
-}
-
-// Serve listens on addr, waits for the master's welcome (learning this
-// node's id, the cluster size, the address book and the cost model), and
-// returns the joined node. A fingerprint mismatch rejects the join on both
-// sides. After joining, the listener keeps accepting the lazily-dialed
-// worker-to-worker pipeline links.
-func Serve(addr string, cfg Config) (*Node, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netcluster: listen %s: %w", addr, err)
-	}
-	return ServeOn(ln, cfg)
-}
-
-// ServeOn is Serve over an already-bound listener, letting the caller bind
-// ":0" and publish the real address before the blocking join.
+// ServeOn waits on the bound listener for the master's welcome (learning
+// this node's id, the cluster size, the address book and the cost model)
+// and returns the joined node. Binding is the caller's, so it can bind
+// ":0" and publish the real address before the blocking join. A
+// fingerprint or version mismatch rejects the join on both sides. After
+// joining, the listener keeps accepting the lazily-dialed worker-to-worker
+// pipeline links.
 func ServeOn(ln net.Listener, cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		ln.Close()
+	n, err := newNode(0, 0, nil, ln, cfg)
+	if err != nil {
 		return nil, err
-	}
-	n := &Node{
-		cfg:     cfg,
-		inbox:   newInbox(),
-		links:   make(map[int]*link),
-		pending: make(map[net.Conn]struct{}),
-		ln:      ln,
-		done:    make(chan struct{}),
 	}
 
 	// Join phase: accept until the master's welcome arrives. Peer hellos
@@ -202,61 +82,35 @@ func ServeOn(ln net.Listener, cfg Config) (*Node, error) {
 		f    *frame
 	}
 	var early []parked
-	joinDeadline := time.Now().Add(cfg.JoinTimeout)
+	joinDeadline := time.Now().Add(n.cfg.JoinTimeout)
+	if dl, ok := ln.(*net.TCPListener); ok {
+		dl.SetDeadline(joinDeadline)
+	}
 	for {
-		if dl, ok := ln.(*net.TCPListener); ok {
-			dl.SetDeadline(joinDeadline)
-		}
 		conn, err := ln.Accept()
 		if err != nil {
-			ln.Close()
+			n.Abort()
 			return nil, fmt.Errorf("netcluster: waiting for master on %s: %w", ln.Addr(), err)
 		}
-		conn = cfg.wrapConn(conn)
+		conn = n.cfg.wrapConn(conn)
 		conn.SetReadDeadline(joinDeadline)
-		f, err := readFrame(conn, cfg.MaxFrameBytes)
-		conn.SetReadDeadline(time.Time{})
-		if err != nil {
-			conn.Close()
-			continue // a port scan or a dead dial; keep waiting for the master
-		}
-		if f.Ctrl == ctrlHello {
+		f, err := readFrame(conn, n.cfg.MaxFrameBytes)
+		if err == nil && f.Ctrl == ctrlHello {
 			early = append(early, parked{conn, f})
 			continue
 		}
-		if f.Ctrl != ctrlWelcome {
-			conn.Close()
+		if err != nil || f.Ctrl != ctrlWelcome {
+			conn.Close() // a port scan or a dead dial; keep waiting for the master
 			continue
 		}
-		if f.Fingerprint != cfg.Fingerprint {
-			reject := &frame{Ctrl: ctrlWelcomeAck, Err: fmt.Sprintf(
-				"fingerprint %x does not match master %x (different dataset or settings loaded)",
-				cfg.Fingerprint, f.Fingerprint)}
-			writeFrame(conn, reject)
+		if err := n.takeWelcome(conn, f); err != nil {
 			conn.Close()
-			ln.Close()
-			return nil, fmt.Errorf("netcluster: master fingerprint %x does not match ours %x", f.Fingerprint, cfg.Fingerprint)
+			n.Abort()
+			return nil, fmt.Errorf("netcluster: joining on %s: %w", ln.Addr(), err)
 		}
-		if f.Codec != protocolVersion {
-			reject := &frame{Ctrl: ctrlWelcomeAck, Err: fmt.Sprintf(
-				"protocol version byte %d not understood (this build speaks %d)", f.Codec, protocolVersion)}
-			writeFrame(conn, reject)
-			conn.Close()
-			ln.Close()
-			return nil, fmt.Errorf("netcluster: master offered protocol version byte %d, this build speaks %d — mixed-version cluster refused", f.Codec, protocolVersion)
-		}
-		n.id = int(f.NodeID)
-		n.size = int(f.Nodes)
-		n.peers = f.Peers
-		n.cfg.Model = f.Model.WithDefaults()
-		n.tr = cluster.NewTraffic(n.size)
-		if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: cfg.Fingerprint, Codec: protocolVersion}); err != nil {
-			conn.Close()
-			ln.Close()
-			return nil, fmt.Errorf("netcluster: join ack: %w", err)
-		}
+		n.install(f)
 		if _, err := n.registerLink(0, conn, true, n.acceptedSession(f)); err != nil {
-			ln.Close()
+			n.Abort()
 			return nil, err
 		}
 		break
@@ -266,6 +120,48 @@ func ServeOn(ln net.Listener, cfg Config) (*Node, error) {
 	}
 	for _, e := range early {
 		n.acceptPeer(e.conn, e.f)
+	}
+	n.wg.Add(1)
+	go n.acceptLoop()
+	return n, nil
+}
+
+// Join attaches a late worker to a running master — one whose listener
+// admits joins (ConnectOn, `p2mdie -listen`): listen on listenAddr for the
+// ring's lazy peer dials, request admission at masterAddr, and return the
+// joined node. The master assigns the next node id, broadcasts the grown
+// address book to the existing workers, and its protocol layer learns of
+// the newcomer through an in-band cluster.KindPeerUp event — the symmetric
+// counterpart of the KindPeerDown failure surface. The protocol-level
+// welcome — ring membership, settings, the first example share — arrives
+// from the master through the normal message surface afterwards. A
+// fingerprint or version mismatch refuses the join.
+func Join(masterAddr, listenAddr string, cfg Config) (*Node, error) {
+	ln, err := net.Listen("tcp", listenAddr)
+	if err != nil {
+		return nil, fmt.Errorf("netcluster: listen %s: %w", listenAddr, err)
+	}
+	n, err := newNode(0, 0, nil, ln, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sess := n.newSession(masterAddr)
+	req := &frame{Ctrl: ctrlJoinReq, Addr: ln.Addr().String(), Fingerprint: n.cfg.Fingerprint, Session: sess.sid}
+	_, err = n.redial(masterAddr, n.cfg.JoinTimeout, func(conn net.Conn) error {
+		f, err := n.ask(conn, req)
+		if err == nil {
+			err = n.takeWelcome(conn, f)
+		}
+		if err != nil {
+			return err
+		}
+		n.install(f)
+		_, err = n.registerLink(0, conn, true, sess)
+		return err
+	})
+	if err != nil {
+		n.Abort()
+		return nil, fmt.Errorf("netcluster: join master at %s: %w", masterAddr, err)
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -291,33 +187,26 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return // listener closed by Close
 		}
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
+		conn = n.cfg.wrapConn(conn)
+		if !n.track(conn) {
 			conn.Close()
 			return
 		}
-		conn = n.cfg.wrapConn(conn)
-		n.pending[conn] = struct{}{}
-		n.mu.Unlock()
 		n.wg.Add(1)
 		go n.handshake(conn)
 	}
 }
 
-// handshake reads an accepted connection's first frame and registers the
-// peer. Shutdown closes pending connections, so the bounded read unblocks
-// promptly rather than holding Close for the full JoinTimeout.
+// handshake reads an accepted connection's first frame and admits the
+// peer, all under one JoinTimeout read deadline. The conn stays tracked
+// for the whole admission, so shutdown cuts off a peer that stalls
+// mid-handshake rather than waiting out the deadline.
 func (n *Node) handshake(conn net.Conn) {
 	defer n.wg.Done()
+	defer n.untrack(conn)
 	conn.SetReadDeadline(time.Now().Add(n.cfg.JoinTimeout))
 	f, err := readFrame(conn, n.cfg.MaxFrameBytes)
-	conn.SetReadDeadline(time.Time{})
-	n.mu.Lock()
-	delete(n.pending, conn)
-	closing := n.closing
-	n.mu.Unlock()
-	if err != nil || closing {
+	if err != nil || n.isClosing() {
 		conn.Close()
 		return
 	}
@@ -325,136 +214,57 @@ func (n *Node) handshake(conn net.Conn) {
 }
 
 func (n *Node) acceptPeer(conn net.Conn, f *frame) {
-	if f.Ctrl == ctrlLinkResume {
+	switch f.Ctrl {
+	case ctrlLinkResume:
 		n.acceptLinkResume(conn, f)
-		return
-	}
-	if f.Ctrl == ctrlJoinReq {
-		if n.id == 0 {
+	case ctrlJoinReq, ctrlRejoinReq:
+		if n.id != 0 {
+			refuse(conn, ctrlWelcomeAck, fmt.Sprintf("node %d is a worker; only the master admits workers", n.id))
+		} else if err := n.check(f); err != nil {
+			refuse(conn, ctrlWelcomeAck, err.Error())
+		} else if f.Ctrl == ctrlJoinReq {
 			n.acceptJoin(conn, f)
 		} else {
-			conn.Close() // only the master admits joiners
-		}
-		return
-	}
-	if f.Ctrl == ctrlRejoinReq {
-		if n.id == 0 {
 			n.acceptRejoin(conn, f)
-		} else {
-			conn.Close() // only the master re-admits workers
 		}
-		return
-	}
-	n.mu.Lock()
-	size := n.size
-	n.mu.Unlock()
-	if f.Ctrl != ctrlHello || int(f.From) <= 0 || int(f.From) >= size {
+	case ctrlHello:
+		n.mu.Lock()
+		size := n.size
+		n.mu.Unlock()
+		if int(f.From) <= 0 || int(f.From) >= size || n.isDown(int(f.From)) {
+			// Out of range, or declared dead: membership recovery has
+			// already redistributed its work, so a late reconnect is refused.
+			conn.Close()
+			return
+		}
+		if err := n.check(f); err != nil {
+			conn.Close()
+			n.inbox.fail(fmt.Errorf("netcluster: node %d: peer %d: %w", n.id, f.From, err))
+			return
+		}
+		// Receive-only: data to this peer goes out on a link we dial ourselves.
+		n.registerLink(int(f.From), conn, false, n.acceptedSession(f))
+	default:
 		conn.Close()
-		return
 	}
-	if n.isDown(int(f.From)) {
-		// Once declared dead a peer stays dead: membership recovery has
-		// already redistributed its work, so a late reconnect is refused.
-		conn.Close()
-		return
-	}
-	if f.Fingerprint != n.cfg.Fingerprint {
-		conn.Close()
-		n.inbox.fail(fmt.Errorf("netcluster: node %d: peer %d fingerprint %x does not match ours %x",
-			n.id, f.From, f.Fingerprint, n.cfg.Fingerprint))
-		return
-	}
-	if f.Codec != protocolVersion {
-		// A build that predates the version byte (0) or a different
-		// cluster — either way its payloads would be undecodable.
-		conn.Close()
-		n.inbox.fail(fmt.Errorf("netcluster: node %d: peer %d offered protocol version byte %d, want %d — mixed-version cluster refused",
-			n.id, f.From, f.Codec, protocolVersion))
-		return
-	}
-	// Receive-only: data to this peer goes out on a link we dial ourselves.
-	n.registerLink(int(f.From), conn, false, n.acceptedSession(f))
 }
 
-// ListenForJoins opens a join listener on a running master, so late
-// workers can attach themselves to the cluster mid-run (`p2mdie -join`).
-// Each admitted joiner is assigned the next node id, the address book is
-// broadcast to the existing workers, and the protocol layer learns of the
-// newcomer through an in-band cluster.KindPeerUp event — the symmetric
-// counterpart of the KindPeerDown failure surface.
-func (n *Node) ListenForJoins(addr string) error {
-	if n.id != 0 {
-		return fmt.Errorf("netcluster: only the master (node 0) accepts joins, this is node %d", n.id)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("netcluster: join listener on %s: %w", addr, err)
-	}
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		ln.Close()
-		return cluster.ErrClosed
-	}
-	if n.ln != nil {
-		n.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("netcluster: node already listening on %s", n.ln.Addr())
-	}
-	n.ln = ln
-	n.mu.Unlock()
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return nil
-}
-
-// acceptJoin admits one late worker on the master (see ListenForJoins).
-// Nothing is committed until the joiner has acknowledged the welcome, so a
-// joiner that vanishes mid-handshake leaves no trace; joinMu serialises
+// acceptJoin admits one late worker on the master (see Join). Nothing is
+// committed until the joiner has acknowledged the welcome, so a joiner
+// that vanishes mid-handshake leaves no trace; joinMu serialises
 // admissions so concurrent joiners get distinct ids.
 func (n *Node) acceptJoin(conn net.Conn, f *frame) {
-	reject := func(reason string) {
-		writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, Err: reason})
-		conn.Close()
-	}
-	if f.Fingerprint != n.cfg.Fingerprint {
-		reject(fmt.Sprintf("fingerprint %x does not match master %x (different dataset or settings loaded)",
-			f.Fingerprint, n.cfg.Fingerprint))
-		return
-	}
 	if f.Addr == "" {
-		reject("join request carries no listen address")
+		refuse(conn, ctrlWelcomeAck, "join request carries no listen address")
 		return
 	}
 	n.joinMu.Lock()
 	defer n.joinMu.Unlock()
 	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		conn.Close()
-		return
-	}
 	id := n.size
 	peers := append(append([]string(nil), n.peers...), f.Addr)
 	n.mu.Unlock()
-
-	welcome := &frame{
-		Ctrl:        ctrlWelcome,
-		NodeID:      int32(id),
-		Nodes:       int32(id + 1),
-		Peers:       peers,
-		Fingerprint: n.cfg.Fingerprint,
-		Model:       n.cfg.Model,
-		Codec:       protocolVersion,
-	}
-	if err := writeFrame(conn, welcome); err != nil {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Now().Add(n.cfg.JoinTimeout))
-	ack, err := readFrame(conn, n.cfg.MaxFrameBytes)
-	conn.SetReadDeadline(time.Time{})
-	if err != nil || ack.Ctrl != ctrlWelcomeAck || ack.Err != "" || ack.Fingerprint != n.cfg.Fingerprint || ack.Codec != protocolVersion {
+	if n.offerWelcome(conn, id, id+1, peers, 0) != nil {
 		conn.Close()
 		return
 	}
@@ -489,7 +299,6 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 	n.tr.Grow(id + 1)
 	n.trMu.Unlock()
 	if _, err := n.registerLink(id, conn, true, n.acceptedSession(f)); err != nil {
-		conn.Close()
 		return
 	}
 	for _, l := range workerLinks {
@@ -504,91 +313,184 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 	n.inbox.put(cluster.Message{From: id, To: n.id, Kind: cluster.KindPeerUp})
 }
 
-// Join attaches a late worker to a running master (the counterpart of
-// ListenForJoins): listen on listenAddr for the ring's lazy peer dials,
-// request admission at masterAddr, and return the joined node. The
-// protocol-level welcome — ring membership, settings, the first example
-// share — arrives from the master through the normal message surface
-// afterwards. A fingerprint mismatch or a master without a join listener
-// refuses the join.
-func Join(masterAddr, listenAddr string, cfg Config) (*Node, error) {
-	ln, err := net.Listen("tcp", listenAddr)
+// The admission exchange. Initial join, late join and rejoin differ only
+// in the request that opens them and in what the master commits after:
+// the master's side of all three is offerWelcome, the worker's is
+// takeWelcome, and every handshake frame passes check.
+
+// offerWelcome welcomes a worker as node id of a size-node cluster with
+// the address book peers (and, on an initial join with a grace window,
+// the link session sid), then reads its ack under the conn's read
+// deadline. A refused or mismatched ack is a refusal.
+func (n *Node) offerWelcome(conn net.Conn, id, size int, peers []string, sid uint64) error {
+	err := writeFrame(conn, &frame{
+		Ctrl: ctrlWelcome, NodeID: int32(id), Nodes: int32(size), Peers: peers,
+		Fingerprint: n.cfg.Fingerprint, Model: n.cfg.Model, Session: sid, Codec: protocolVersion,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("netcluster: listen %s: %w", listenAddr, err)
+		return err
 	}
-	return JoinOn(ln, masterAddr, cfg)
+	ack, err := readFrame(conn, n.cfg.MaxFrameBytes)
+	switch {
+	case err != nil:
+		return err
+	case ack.Ctrl != ctrlWelcomeAck:
+		return fmt.Errorf("unexpected welcome reply ctrl %d", ack.Ctrl)
+	case ack.Err != "":
+		return refusal{fmt.Errorf("worker refused the welcome: %s", ack.Err)}
+	}
+	if err := n.check(ack); err != nil {
+		return refusal{fmt.Errorf("worker's ack: %w", err)}
+	}
+	return nil
 }
 
-// JoinOn is Join over an already-bound listener, letting the caller bind
-// ":0" and publish the real address before the blocking join.
-func JoinOn(ln net.Listener, masterAddr string, cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
-	fail := func(err error) (*Node, error) {
-		ln.Close()
+// takeWelcome answers the master's reply f to an admission request: a
+// refusal comes back as one; a welcome that fails check is refused back
+// with the reason (and the conn closed); any other welcome is acked. The
+// caller commits what the welcome assigns.
+func (n *Node) takeWelcome(conn net.Conn, f *frame) error {
+	switch {
+	case f.Ctrl == ctrlWelcomeAck && f.Err != "":
+		return refusal{fmt.Errorf("master refused: %s", f.Err)}
+	case f.Ctrl != ctrlWelcome:
+		return fmt.Errorf("unexpected admission reply ctrl %d", f.Ctrl)
+	}
+	if err := n.check(f); err != nil {
+		refuse(conn, ctrlWelcomeAck, err.Error())
+		return refusal{fmt.Errorf("master's welcome: %w", err)}
+	}
+	return writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: n.cfg.Fingerprint, Codec: protocolVersion})
+}
+
+// install adopts what a welcome assigns into a node ServeOn or Join built
+// blank: its id, the cluster size and address book, the master's model.
+func (n *Node) install(f *frame) {
+	n.id = int(f.NodeID)
+	n.cfg.Model = f.Model.WithDefaults()
+	n.applyPeerUpdate(f)
+}
+
+// check is the one frame check every handshake runs: the peer's dataset
+// fingerprint must be ours — payloads reference interned symbol indices,
+// so a peer loaded with other data would corrupt the run — and a frame
+// that carries the protocol-version byte (ctrlHello, ctrlWelcome,
+// ctrlWelcomeAck) must carry this build's. Requests carry no version
+// byte: the welcome exchange they open checks it both ways, and a link
+// resume reopens a session admitted under it.
+func (n *Node) check(f *frame) error {
+	if f.Fingerprint != n.cfg.Fingerprint {
+		return fmt.Errorf("fingerprint %x does not match this node's %x (different dataset or settings loaded)",
+			f.Fingerprint, n.cfg.Fingerprint)
+	}
+	switch f.Ctrl {
+	case ctrlHello, ctrlWelcome, ctrlWelcomeAck:
+		if f.Codec != protocolVersion {
+			return fmt.Errorf("protocol version byte %d offered, this build speaks %d — mixed-version cluster refused",
+				f.Codec, protocolVersion)
+		}
+	}
+	return nil
+}
+
+// refusal marks a handshake outcome no retry can change — the peer's
+// refusal, or ours of its offer — so redial stops at it.
+type refusal struct{ error }
+
+// refuse answers a handshake request with an ack frame of kind ack
+// carrying the reason, and hangs up.
+func refuse(conn net.Conn, ack uint8, reason string) {
+	writeFrame(conn, &frame{Ctrl: ack, Err: reason})
+	conn.Close()
+}
+
+// ask writes a handshake request and reads the answer under the conn's
+// read deadline.
+func (n *Node) ask(conn net.Conn, req *frame) (*frame, error) {
+	if err := writeFrame(conn, req); err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
-		return fail(err)
-	}
-	conn, err := dialRetry(masterAddr, cfg.JoinTimeout)
+	return readFrame(conn, n.cfg.MaxFrameBytes)
+}
+
+// dial opens a TCP conn to addr through the ShapeConn hook.
+func (n *Node) dial(addr string, timeout time.Duration) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return fail(fmt.Errorf("netcluster: join master at %s: %w", masterAddr, err))
+		return nil, err
 	}
-	conn = cfg.wrapConn(conn)
-	sess := linkSession{}
-	if cfg.LinkGrace > 0 {
-		sess = linkSession{sid: newSessionID(), dialer: true, addr: masterAddr}
-	}
-	req := &frame{Ctrl: ctrlJoinReq, Addr: ln.Addr().String(), Fingerprint: cfg.Fingerprint, Session: sess.sid}
-	if err := writeFrame(conn, req); err != nil {
+	return n.cfg.wrapConn(conn), nil
+}
+
+// redial is every retried admission — the master's initial dials, a
+// joiner's, an orphan's rejoin, a suspended link's resume: dial addr and
+// run try over the fresh conn until try succeeds, the window closes, try
+// returns a refusal or the node closes. Each try's dial and handshake
+// reads are bounded by min(JoinTimeout, the window's end), so a peer that
+// accepts and never answers costs at most the window, and its conn is
+// tracked so Close cuts it off. It returns the number of tries made.
+func (n *Node) redial(addr string, window time.Duration, try func(net.Conn) error) (int, error) {
+	end := time.Now().Add(window)
+	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(n.id)))
+	err := errors.New("timed out")
+	for tries := 0; ; tries++ {
+		if tries > 0 {
+			select {
+			case <-n.done:
+				return tries, cluster.ErrClosed
+			case <-time.After(min(backoffDelay(tries-1, dialBackoffBase, dialBackoffCap, rng), time.Until(end))):
+			}
+		}
+		stop := time.Now().Add(n.cfg.JoinTimeout)
+		if end.Before(stop) {
+			stop = end
+		}
+		if !time.Now().Before(stop) {
+			return tries, err
+		}
+		conn, derr := n.dial(addr, time.Until(stop))
+		if derr != nil {
+			err = derr
+			continue
+		}
+		if !n.track(conn) {
+			conn.Close()
+			return tries + 1, cluster.ErrClosed
+		}
+		conn.SetReadDeadline(stop)
+		err = try(conn)
+		n.untrack(conn)
+		if err == nil {
+			return tries + 1, nil
+		}
 		conn.Close()
-		return fail(fmt.Errorf("netcluster: join request: %w", err))
+		if errors.As(err, new(refusal)) || errors.Is(err, cluster.ErrClosed) {
+			return tries + 1, err
+		}
 	}
-	conn.SetReadDeadline(time.Now().Add(cfg.JoinTimeout))
-	f, err := readFrame(conn, cfg.MaxFrameBytes)
-	conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		conn.Close()
-		return fail(fmt.Errorf("netcluster: waiting for join welcome: %w", err))
+}
+
+// Redial pacing: start fast (a restarting peer is usually back quickly),
+// back off exponentially so a long outage doesn't hammer the address, and
+// jitter so a fleet of workers orphaned by the same master crash doesn't
+// reconnect in lockstep.
+const (
+	dialBackoffBase = 50 * time.Millisecond
+	dialBackoffCap  = 2 * time.Second
+)
+
+// backoffDelay returns the pause before retry attempt (0-based):
+// exponential doubling from base, capped at max, with equal jitter — the
+// delay lands uniformly in [d/2, d), never zero, so retries spread out
+// without ever busy-spinning.
+func backoffDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < max; i++ {
+		d *= 2
 	}
-	if f.Ctrl == ctrlWelcomeAck && f.Err != "" {
-		conn.Close()
-		return fail(fmt.Errorf("netcluster: master refused join: %s", f.Err))
+	if d > max {
+		d = max
 	}
-	if f.Ctrl != ctrlWelcome {
-		conn.Close()
-		return fail(fmt.Errorf("netcluster: unexpected join reply ctrl %d", f.Ctrl))
-	}
-	if f.Fingerprint != cfg.Fingerprint {
-		conn.Close()
-		return fail(fmt.Errorf("netcluster: master fingerprint %x does not match ours %x (different dataset or settings loaded)",
-			f.Fingerprint, cfg.Fingerprint))
-	}
-	if f.Codec != protocolVersion {
-		conn.Close()
-		return fail(fmt.Errorf("netcluster: master offered protocol version byte %d, this build speaks %d — mixed-version cluster refused", f.Codec, protocolVersion))
-	}
-	n := &Node{
-		id:      int(f.NodeID),
-		size:    int(f.Nodes),
-		cfg:     cfg,
-		inbox:   newInbox(),
-		links:   make(map[int]*link),
-		pending: make(map[net.Conn]struct{}),
-		peers:   f.Peers,
-		ln:      ln,
-		tr:      cluster.NewTraffic(int(f.Nodes)),
-		done:    make(chan struct{}),
-	}
-	n.cfg.Model = f.Model.WithDefaults()
-	if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: cfg.Fingerprint, Codec: protocolVersion}); err != nil {
-		conn.Close()
-		return fail(fmt.Errorf("netcluster: join ack: %w", err))
-	}
-	if _, err := n.registerLink(0, conn, true, sess); err != nil {
-		return fail(err)
-	}
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return n, nil
+	half := d / 2
+	return half + time.Duration(rng.Int63n(int64(half)+1))
 }

@@ -4,18 +4,27 @@
 // exchanging the same encoded protocol messages the simulation
 // exchanges in memory (the paper's LAM/MPI Beowulf run, §5).
 //
-// Topology and handshake: every worker listens (`p2mdie -serve`); the
-// master dials each worker and sends a welcome frame assigning its node id
-// (1..p), the cluster size, the worker address book and the cost model.
-// Worker-to-worker pipeline links (the kindStage ring) are dialed lazily on
-// first send using the address book. Both ends of the join exchange
-// dataset fingerprints, so a worker loaded with different data — which
-// would silently desynchronise the interned symbol tables the payloads
-// reference — is rejected at join time instead of corrupting the run.
-// The welcome also carries a protocol-version byte naming the payload
-// encoding (internal/wire): the master offers it, the worker echoes it,
-// and a build that speaks another version is refused at join time rather
-// than desynchronising mid-run.
+// Topology and admission: every worker listens (`p2mdie -serve`); the
+// master dials each worker and welcomes it with its node id (1..p), the
+// cluster size, the worker address book and the cost model. A late joiner
+// (Join, against a master started with ConnectOn) and an orphaned worker
+// rejoining a restarted master (RejoinMaster, against Resume) run the same
+// exchange: whatever request opens it, the master's side is one function
+// (offerWelcome) and the worker's another (takeWelcome). Every handshake
+// frame — welcome, ack, the ring's hello, a link resume — passes one
+// check: the dataset fingerprint, since a worker loaded with different
+// data would silently desynchronise the interned symbol tables the
+// payloads reference, and the protocol-version byte naming the payload
+// encoding (internal/wire). A mismatch is refused by name at admission
+// instead of corrupting the run. Worker-to-worker pipeline links (the
+// kindStage ring) are dialed lazily on first send using the address book.
+//
+// Redials: every dial that may meet a peer not up yet — the master's
+// initial dials, a joiner's, an orphan's rejoin, a suspended link's
+// resume — runs in one loop with jittered exponential backoff that stops
+// at a refusal, at Close, or when its window (JoinTimeout, the orphan
+// timeout, LinkGrace) closes; no single try's dial or handshake read
+// outlives the window.
 //
 // Accounting matches the simulation exactly: payloads are encoded with the
 // same cluster.EncodePayload, per-link byte/message counters cover payload bytes
@@ -61,7 +70,8 @@ type Config struct {
 	// healthy peers look dead.
 	PeerTimeout time.Duration
 	// JoinTimeout bounds a worker's wait for the master's welcome and the
-	// master's dial retries. Default 60s.
+	// master's and a joiner's redials, and caps every single redial try
+	// inside a shorter window (a rejoin, a link resume). Default 60s.
 	JoinTimeout time.Duration
 	// MaxFrameBytes bounds one frame. Default 256 MiB.
 	MaxFrameBytes int
@@ -194,7 +204,7 @@ type Node struct {
 	cfg   Config
 	clock atomic.Int64 // cluster.VTime
 
-	ln    net.Listener // workers: accepts master + peer dials
+	ln    net.Listener // accepts peer dials, joins, rejoins and link resumes
 	inbox *inbox
 
 	mu       sync.Mutex
@@ -237,6 +247,31 @@ type Node struct {
 
 var _ cluster.Transport = (*Node)(nil)
 var _ cluster.TrafficReporter = (*Node)(nil)
+
+// newNode validates cfg and builds a node of size nodes over ln (closing
+// ln when cfg is invalid). ServeOn and Join build it blank — id 0, size 0
+// — and install what the master's welcome assigns.
+func newNode(id, size int, peers []string, ln net.Listener, cfg Config) (*Node, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		if ln != nil {
+			ln.Close()
+		}
+		return nil, err
+	}
+	return &Node{
+		id:      id,
+		size:    size,
+		cfg:     cfg,
+		ln:      ln,
+		inbox:   newInbox(),
+		links:   make(map[int]*link),
+		pending: make(map[net.Conn]struct{}),
+		peers:   peers,
+		tr:      cluster.NewTraffic(size),
+		done:    make(chan struct{}),
+	}, nil
+}
 
 // ID returns the node id (0 = master).
 func (n *Node) ID() int { return n.id }
@@ -526,6 +561,24 @@ func (n *Node) isClosing() bool {
 	return n.closing
 }
 
+// track records a conn mid-handshake so shutdown can cut it off; false
+// once the node is closing.
+func (n *Node) track(conn net.Conn) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closing {
+		return false
+	}
+	n.pending[conn] = struct{}{}
+	return true
+}
+
+func (n *Node) untrack(conn net.Conn) {
+	n.mu.Lock()
+	delete(n.pending, conn)
+	n.mu.Unlock()
+}
+
 // noteDeparture records an orderly goodbye from peer and reports whether
 // this node's run is thereby over: for a worker, when the master departs;
 // for the master, when every worker has.
@@ -572,8 +625,10 @@ func (n *Node) registerLink(peer int, conn net.Conn, sendable bool, sess linkSes
 
 // startLinkLoops launches the reader and heartbeater bound to one conn
 // incarnation; a resume swaps the conn and starts fresh loops, and the
-// old ones recognise the swap and exit.
+// old ones recognise the swap and exit. It lifts the read deadline the
+// conn's handshake ran under: from here on, liveness is the heartbeater's.
 func (n *Node) startLinkLoops(l *link, conn net.Conn) {
+	conn.SetReadDeadline(time.Time{})
 	n.wg.Add(2)
 	go n.readLoop(l, conn)
 	go n.heartbeatLoop(l, conn)
@@ -595,11 +650,10 @@ func (n *Node) linkTo(peer int) (*link, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("netcluster: no address for node %d", peer)
 	}
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.JoinTimeout)
+	conn, err := n.dial(addr, n.cfg.JoinTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("netcluster: dial node %d at %s: %w", peer, addr, err)
 	}
-	conn = n.cfg.wrapConn(conn)
 	sess := n.newSession(addr)
 	hello := &frame{Ctrl: ctrlHello, From: int32(n.id), Fingerprint: n.cfg.Fingerprint, Session: sess.sid, Codec: protocolVersion}
 	if err := writeFrame(conn, hello); err != nil {

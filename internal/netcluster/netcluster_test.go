@@ -3,7 +3,9 @@ package netcluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +34,13 @@ func (p *payload) DecodeWire(r *wire.Reader) {
 // in-process. Returns the master and the workers indexed 1..p.
 func startCluster(t *testing.T, p int, cfg Config) (*Node, []*Node) {
 	t.Helper()
+	return startClusterOn(t, nil, p, cfg)
+}
+
+// startClusterOn is startCluster with the master listening on ln for
+// joins and rejoins (ConnectOn; nil listens on nothing, as Connect).
+func startClusterOn(t *testing.T, ln net.Listener, p int, cfg Config) (*Node, []*Node) {
+	t.Helper()
 	workers := make([]*Node, p+1)
 	addrs := make([]string, p)
 	var wg sync.WaitGroup
@@ -50,7 +59,7 @@ func startCluster(t *testing.T, p int, cfg Config) (*Node, []*Node) {
 			workers[k], errs[k] = ServeOn(ln, cfg)
 		}()
 	}
-	master, err := Connect(addrs, cfg)
+	master, err := ConnectOn(ln, addrs, cfg)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
@@ -264,5 +273,74 @@ func TestSilentPeerNeedsWrongSize(t *testing.T) {
 	_, rerr := workers[1].ReceiveCtx(ctx)
 	if !errors.Is(rerr, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded (stray conn ignored)", rerr)
+	}
+}
+
+// TestNoGoroutineLeakAfterClose is the teardown leak check: nodes built by
+// every entry point — ConnectOn, ServeOn, Join, and Resume with a worker
+// rejoining it — taken through a healed link flap and then closed, with
+// Close or with Abort, leave no goroutine behind.
+func TestNoGoroutineLeakAfterClose(t *testing.T) {
+	for _, orderly := range []bool{true, false} {
+		t.Run(fmt.Sprintf("orderly=%v", orderly), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			stop := func(n *Node) {
+				if orderly {
+					n.Close()
+				} else {
+					n.Abort()
+				}
+			}
+			// A grace window far beyond the settle loop: a watcher or redial
+			// that ignored Close would be counted.
+			cfg := Config{Fingerprint: 7, LinkGrace: 30 * time.Second, JoinTimeout: 5 * time.Second}
+			wln := listen(t)
+			served := make(chan *Node, 1)
+			go func() {
+				w, err := ServeOn(wln, cfg)
+				if err != nil {
+					t.Error(err)
+				}
+				served <- w
+			}()
+			master, err := ConnectOn(listen(t), []string{wln.Addr().String()}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worker := <-served
+			joiner, err := Join(master.Addr(), "127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			master.DropLinks()
+			if err := master.Send(1, 7, payload{N: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if msg := receiveKind(t, worker, 5*time.Second); msg.Kind != 7 {
+				t.Fatalf("worker got %+v after the flap", msg)
+			}
+
+			addr := master.Addr()
+			book, size := master.AddressBook()
+			stop(master)
+			resumed, err := Resume(addr, size, book, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := worker.RejoinMaster(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []*Node{resumed, worker, joiner} {
+				stop(n)
+			}
+
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines outlive the nodes (%d before):\n%s",
+						runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
 	}
 }

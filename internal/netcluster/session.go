@@ -2,12 +2,9 @@ package netcluster
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/cluster"
 )
 
 // Link-resilience layer: sequenced link sessions with a reconnect grace
@@ -131,7 +128,7 @@ func (n *Node) sendSequenced(l *link, f *frame) error {
 		// The frame is retained: suspend and let the replay deliver it.
 		// Only a refused suspension (node closing, peer already down,
 		// grace exhausted elsewhere) leaves a failure for the caller.
-		if n.suspendLink(l, conn, err) {
+		if n.suspendLink(l, conn) {
 			return nil
 		}
 		if n.isClosing() || l.isClosed() {
@@ -150,7 +147,7 @@ func (n *Node) linkTrouble(l *link, conn net.Conn, err error) bool {
 		n.linkFailed(l.peer, err)
 		return false
 	}
-	return n.suspendLink(l, conn, err)
+	return n.suspendLink(l, conn)
 }
 
 // suspendLink moves a link into the reconnect grace window: the dead
@@ -158,7 +155,7 @@ func (n *Node) linkTrouble(l *link, conn net.Conn, err error) bool {
 // dialer's reconnect loop or the acceptor's grace watcher takes over.
 // Idempotent per conn incarnation: late reports against an already
 // replaced or suspended conn are absorbed silently.
-func (n *Node) suspendLink(l *link, conn net.Conn, cause error) bool {
+func (n *Node) suspendLink(l *link, conn net.Conn) bool {
 	if n.isClosing() || n.isDown(l.peer) {
 		return false
 	}
@@ -179,7 +176,7 @@ func (n *Node) suspendLink(l *link, conn net.Conn, cause error) bool {
 	n.linkFlaps.Add(1)
 	n.wg.Add(1)
 	if l.sess.dialer {
-		go n.reconnectLoop(l, flap, cause)
+		go n.reconnectLoop(l, flap)
 	} else {
 		go n.graceWatch(l, flap)
 	}
@@ -197,52 +194,18 @@ func (n *Node) escalateLink(l *link, err error) {
 	n.linkFailed(l.peer, err)
 }
 
-// reconnectLoop is the dialer side of a suspended link: re-dial the
-// peer's listen address with the join path's exponential backoff until
-// the resume handshake succeeds or the grace window expires.
-func (n *Node) reconnectLoop(l *link, flap int, cause error) {
+// reconnectLoop is the dialer side of a suspended link: redial the peer's
+// listen address until the resume handshake succeeds or the grace window
+// closes, and escalate unless the suspension ended some other way (the
+// link closed, the node shut down).
+func (n *Node) reconnectLoop(l *link, flap int) {
 	defer n.wg.Done()
-	deadline := time.Now().Add(n.cfg.LinkGrace)
-	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(l.peer)<<20 ^ int64(n.id)))
-	lastErr := cause
-	for attempt := 0; ; attempt++ {
-		if n.isClosing() || l.isClosed() || n.isDown(l.peer) || !n.stillSuspended(l, flap) {
-			return
-		}
-		if attempt > 0 {
-			d := backoffDelay(attempt-1, dialBackoffBase, dialBackoffCap, rng)
-			if until := time.Until(deadline); d > until {
-				d = until
-			}
-			if d > 0 {
-				select {
-				case <-n.done:
-					return
-				case <-time.After(d):
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			n.escalateLink(l, fmt.Errorf("netcluster: node %d: link to node %d did not recover within LinkGrace %s: %w",
-				n.id, l.peer, n.cfg.LinkGrace, lastErr))
-			return
-		}
-		conn, err := net.DialTimeout("tcp", l.sess.addr, dialBackoffCap)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		conn = n.cfg.wrapConn(conn)
-		perm, err := n.tryLinkResume(l, flap, conn)
-		if err == nil {
-			return
-		}
-		conn.Close()
-		if perm {
-			n.escalateLink(l, fmt.Errorf("netcluster: node %d: link to node %d cannot resume: %w", n.id, l.peer, err))
-			return
-		}
-		lastErr = err
+	_, err := n.redial(l.sess.addr, n.cfg.LinkGrace, func(conn net.Conn) error {
+		return n.tryLinkResume(l, flap, conn)
+	})
+	if err != nil && n.stillSuspended(l, flap) {
+		n.escalateLink(l, fmt.Errorf("netcluster: node %d: link to node %d not resumed within LinkGrace %s: %w",
+			n.id, l.peer, n.cfg.LinkGrace, err))
 	}
 }
 
@@ -269,48 +232,25 @@ func (n *Node) graceWatch(l *link, flap int) {
 }
 
 // tryLinkResume runs one dialer-side resume handshake over a fresh conn
-// and, on success, commits it: swap the conn in, replay the unacked
-// tail, restart the link loops. The returned bool marks a permanent
-// refusal (retrying cannot help).
-func (n *Node) tryLinkResume(l *link, flap int, conn net.Conn) (bool, error) {
-	// Track the conn so shutdown can sever a handshake blocked on a hung
-	// peer rather than waiting out the read deadline.
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		return true, cluster.ErrClosed
+// and, on success, commits it (resumeLink). A suspension that has already
+// ended, or the peer's refusal, is a refusal.
+func (n *Node) tryLinkResume(l *link, flap int, conn net.Conn) error {
+	if !n.stillSuspended(l, flap) {
+		return refusal{fmt.Errorf("link to node %d no longer suspended", l.peer)}
 	}
-	n.pending[conn] = struct{}{}
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.pending, conn)
-		n.mu.Unlock()
-	}()
-
-	req := &frame{
+	f, err := n.ask(conn, &frame{
 		Ctrl: ctrlLinkResume, From: int32(n.id),
 		Session: l.sess.sid, Ack: l.loadRecvSeq(), Fingerprint: n.cfg.Fingerprint,
+	})
+	switch {
+	case err != nil:
+		return err
+	case f.Ctrl != ctrlLinkResumeAck:
+		return fmt.Errorf("unexpected resume reply ctrl %d", f.Ctrl)
+	case f.Err != "":
+		return refusal{fmt.Errorf("peer refused link resume: %s", f.Err)}
 	}
-	if err := writeFrame(conn, req); err != nil {
-		return false, err
-	}
-	conn.SetReadDeadline(time.Now().Add(n.cfg.JoinTimeout))
-	f, err := readFrame(conn, n.cfg.MaxFrameBytes)
-	conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		return false, err
-	}
-	if f.Ctrl != ctrlLinkResumeAck {
-		return false, fmt.Errorf("unexpected resume reply ctrl %d", f.Ctrl)
-	}
-	if f.Err != "" {
-		return true, fmt.Errorf("peer refused link resume: %s", f.Err)
-	}
-	if err := n.resumeLink(l, flap, conn, f.Ack); err != nil {
-		return false, err
-	}
-	return false, nil
+	return n.resumeLink(l, flap, conn, f.Ack)
 }
 
 // resumeLink commits a completed resume handshake on either side: under
@@ -379,26 +319,21 @@ func (n *Node) findSession(peer int, sid uint64) *link {
 // burning its grace window on a peer that has forgotten the link (e.g. a
 // crash-restarted process, which must go through the rejoin path).
 func (n *Node) acceptLinkResume(conn net.Conn, f *frame) {
-	reject := func(reason string) {
-		writeFrame(conn, &frame{Ctrl: ctrlLinkResumeAck, Err: reason})
-		conn.Close()
-	}
-	if !n.graceOn() {
-		reject("link grace window disabled on this node")
-		return
-	}
-	if f.Fingerprint != n.cfg.Fingerprint {
-		reject(fmt.Sprintf("fingerprint %x does not match ours %x", f.Fingerprint, n.cfg.Fingerprint))
-		return
-	}
 	peer := int(f.From)
-	if n.isDown(peer) {
-		reject(fmt.Sprintf("node %d was declared dead", peer))
-		return
-	}
 	l := n.findSession(peer, f.Session)
-	if l == nil || f.Session == 0 {
-		reject(fmt.Sprintf("unknown link session %x from node %d", f.Session, peer))
+	reason := ""
+	switch err := n.check(f); {
+	case !n.graceOn():
+		reason = "link grace window disabled on this node"
+	case err != nil:
+		reason = err.Error()
+	case n.isDown(peer):
+		reason = fmt.Sprintf("node %d was declared dead", peer)
+	case l == nil || f.Session == 0:
+		reason = fmt.Sprintf("unknown link session %x from node %d", f.Session, peer)
+	}
+	if reason != "" {
+		refuse(conn, ctrlLinkResumeAck, reason)
 		return
 	}
 	// If we have not yet noticed the drop ourselves, suspend the stale
@@ -406,7 +341,7 @@ func (n *Node) acceptLinkResume(conn net.Conn, f *frame) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		reject("link closed")
+		refuse(conn, ctrlLinkResumeAck, "link closed")
 		return
 	}
 	if !l.suspended {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // TestConfigValidation pins the config-time rejection of knob combinations
@@ -231,5 +233,28 @@ func TestGraceExpiryEscalatesToPeerDown(t *testing.T) {
 	}
 	if msg.Kind != -1 || msg.From != 1 { // cluster.KindPeerDown
 		t.Fatalf("got kind %d from %d, want KindPeerDown from worker 1", msg.Kind, msg.From)
+	}
+}
+
+// TestLinkGraceBoundedWhenPeerHangs pins the grace window as an upper
+// bound: when the suspended link's peer address accepts and never answers
+// the resume, the dialer escalates once LinkGrace is spent — not after a
+// JoinTimeout-long handshake read — so a flap still heals or fails inside
+// one protocol receive wait.
+func TestLinkGraceBoundedWhenPeerHangs(t *testing.T) {
+	cfg := Config{Fingerprint: 7, LinkGrace: 300 * time.Millisecond, JoinTimeout: 3 * time.Second}
+	master, workers := startCluster(t, 1, cfg)
+	master.NotifyFailures(true)
+	addr := workers[1].Addr()
+	workers[1].ln.Close()
+	hung(t, addr)
+	start := time.Now()
+	master.DropLinks()
+	msg := receiveKind(t, master, 5*time.Second)
+	if msg.Kind != cluster.KindPeerDown || msg.From != 1 {
+		t.Fatalf("got kind %d from %d, want KindPeerDown from worker 1", msg.Kind, msg.From)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("a 300ms grace window escalated after %v against a hung peer", d)
 	}
 }

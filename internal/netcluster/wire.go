@@ -24,7 +24,9 @@ const (
 	// ctrlWelcome is the master's join offer: node-id assignment, cluster
 	// size, the worker address book and the cost model every node must use.
 	ctrlWelcome
-	// ctrlWelcomeAck confirms (or, with Err set, rejects) a welcome.
+	// ctrlWelcomeAck confirms a welcome. With Err set it is a refusal:
+	// the worker's of a welcome it cannot accept, or the master's (or a
+	// worker's, which admits no one) of a join or rejoin request.
 	ctrlWelcomeAck
 	// ctrlHeartbeat keeps a link observably alive while no data flows.
 	ctrlHeartbeat
@@ -90,20 +92,20 @@ type frame struct {
 	Ack     uint64
 
 	// Handshake fields (ctrlHello / ctrlWelcome / ctrlWelcomeAck /
-	// ctrlJoinReq / ctrlPeerUpdate).
+	// ctrlJoinReq / ctrlRejoinReq / ctrlPeerUpdate / ctrlLinkResume).
 	NodeID      int32
 	Nodes       int32
 	Peers       []string
-	Addr        string // ctrlJoinReq: the joiner's listen address
+	Addr        string // ctrlJoinReq / ctrlRejoinReq: the worker's listen address
 	Fingerprint uint64
 	Model       cluster.CostModel
 	Err         string
 
 	// Codec is the protocol-version byte: the payload encoding this build
 	// speaks, carried on ctrlWelcome (offer), ctrlWelcomeAck (echo) and
-	// ctrlHello (peer dials assert it). The only accepted value is
-	// protocolVersion; the field keeps the name it was first shipped
-	// under because gob puts field names on the wire.
+	// ctrlHello (peer dials assert it); requests carry none. The only
+	// accepted value is protocolVersion; the field keeps the name it was
+	// first shipped under because gob puts field names on the wire.
 	Codec uint8
 }
 
