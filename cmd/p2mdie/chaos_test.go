@@ -23,8 +23,7 @@ import (
 // fault-tolerant epoch engine.
 
 // chaosWorker is a -serve process whose output is captured with
-// synchronised access (the shared syncBuffer), so the test can watch for
-// the join before killing.
+// synchronised access (the shared syncBuffer), for the failure messages.
 type chaosWorker struct {
 	cmd  *exec.Cmd
 	addr string
@@ -69,17 +68,15 @@ func startChaosWorker(t *testing.T, ctx context.Context, bin string, datasetArgs
 	return w
 }
 
-// waitForOutput polls the worker's captured output for a marker.
-func (w *chaosWorker) waitForOutput(t *testing.T, marker string, timeout time.Duration) {
+// waitForFile polls until a file matching the glob pattern exists.
+func waitForFile(t *testing.T, pattern string, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if strings.Contains(w.output(), marker) {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if m, _ := filepath.Glob(pattern); len(m) > 0 {
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("worker never printed %q; output:\n%s", marker, w.output())
+	t.Fatalf("no file matching %s after %v", pattern, timeout)
 }
 
 var recoveriesRe = regexp.MustCompile(`recoveries=(\d+) lost=(\d+)`)
@@ -98,9 +95,12 @@ func TestChaosKillWorkerMidEpoch(t *testing.T) {
 	w2 := startChaosWorker(t, ctx, bin, dsArgs)
 	w3 := startChaosWorker(t, ctx, bin, dsArgs)
 
+	// -publish makes the master's epoch boundaries observable from here: it
+	// writes a snapshot at each one, before it starts the next epoch.
+	pub := t.TempDir()
 	masterArgs := append(append([]string{}, dsArgs...),
 		"-master", "-workers", w1.addr+","+w2.addr+","+w3.addr,
-		"-width", "10", "-recover", "-v", "-q")
+		"-width", "10", "-recover", "-publish", pub, "-v", "-q")
 	master := exec.CommandContext(ctx, bin, masterArgs...)
 	out, err := master.StdoutPipe()
 	if err != nil {
@@ -111,10 +111,9 @@ func TestChaosKillWorkerMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill once the victim is provably inside the protocol (joined, so the
-	// master is running epochs against it), but long before the run ends.
-	w2.waitForOutput(t, "joined as node", 60*time.Second)
-	time.Sleep(700 * time.Millisecond)
+	// Kill at the first epoch boundary: the victim has served a whole epoch,
+	// and the run has some twenty more to go — however fast the box learns.
+	waitForFile(t, filepath.Join(pub, "snap-*.isnap"), 60*time.Second)
 	if err := w2.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/covering"
@@ -92,6 +94,32 @@ func TestLearnSingleWorker(t *testing.T) {
 	}
 	if met.RulesLearned == 0 {
 		t.Fatal("no rules learned")
+	}
+}
+
+// TestLearnLeavesNoGoroutines is the teardown leak check for Learn on the
+// simulated cluster: once it returns, with or without recovery armed, no
+// worker, master or network goroutine of the run — nor any shard of a
+// worker's parallel coverer — may still be running.
+func TestLearnLeavesNoGoroutines(t *testing.T) {
+	kb, pos, neg, ms := makeTask(t)
+	for _, p := range []int{1, 4} {
+		for _, rec := range []bool{false, true} {
+			before := runtime.NumGoroutine()
+			cfg := testConfig(p, 10)
+			cfg.Recover = rec
+			cfg.CoverParallelism = 2
+			if _, err := Learn(kb, pos, neg, ms, cfg); err != nil {
+				t.Fatalf("p=%d recover=%v: %v", p, rec, err)
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("p=%d recover=%v: %d goroutines before Learn, still %d a second after it returned:\n%s",
+						p, rec, before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+			}
+		}
 	}
 }
 

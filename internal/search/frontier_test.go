@@ -156,6 +156,43 @@ func BenchmarkCoverageBatchFrontier(b *testing.B) {
 	}
 }
 
+// TestGroundCallMemoOnFrontier pins what the ground-call memo does on the
+// workload it was built for: the children of a pyrimidines search node end
+// in threshold tests such as polar_gte(G, 3) on groups every drug shares, so
+// a large share of what their coverage is charged is replayed rather than
+// run — while bits, charges and cutoffs stay the interpreter's.
+func TestGroundCallMemoOnFrontier(t *testing.T) {
+	ds := datasets.PyrimidinesSized(212, 191, 1)
+	ex, fs := realFrontiers(t, ds, 400)
+	vm, interp := solve.NewMachine(ds.KB, ds.Budget), solve.NewMachine(ds.KB, ds.Budget)
+	interp.SetNoVM(true)
+	evVM, evInterp := search.NewEvaluator(vm, ex), search.NewEvaluator(interp, ex)
+	for _, f := range fs {
+		got := evVM.CoverageBatch(f.rules(), f.pos, f.neg)
+		want := evInterp.CoverageBatch(f.rules(), f.pos, f.neg)
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("%s: VM %v, interpreter %v", f.clauses[i].String(), got[i], want[i])
+			}
+		}
+	}
+	if vm.TotalInferences() != interp.TotalInferences() || vm.CutoffQueries() != interp.CutoffQueries() {
+		t.Fatalf("VM charged %d inferences with %d cutoffs, interpreter %d with %d",
+			vm.TotalInferences(), vm.CutoffQueries(), interp.TotalInferences(), interp.CutoffQueries())
+	}
+	if interp.ReplayedInferences() != 0 {
+		t.Fatalf("the interpreter reports %d replayed inferences", interp.ReplayedInferences())
+	}
+	if vm.NoVM() {
+		return // ILP_NOVM: both machines are the interpreter
+	}
+	replayed, charged := vm.ReplayedInferences(), vm.TotalInferences()
+	if 10*replayed < 3*charged {
+		t.Errorf("%d of %d charged inferences were replayed over %d frontiers, expected at least 30 %%", replayed, charged, len(fs))
+	}
+	t.Logf("%d of %d charged inferences replayed (%.1f %%) over %d frontiers", replayed, charged, 100*float64(replayed)/float64(charged), len(fs))
+}
+
 // TestCandidateFilterOnTrueConcept pins what the VM's candidate filter does
 // on the workload it was built for: the carcinogenesis target rules walk the
 // per-drug atm/5 and bond/4 buckets with an element or bond-type constant in

@@ -20,9 +20,10 @@ type batchShape struct {
 // checkShape evaluates the batch on two fresh machines — through
 // Evaluator.CoverageBatch, and through the plainCoverer wrapper that hides it
 // and so proves rule by rule — and requires the same bits, the same
-// TotalInferences and the same CutoffQueries. StepsExecuted must equal the
-// charge on the per-rule side, and undercut it on the batch side exactly when
-// the shape holds a pack.
+// TotalInferences and the same CutoffQueries. On the per-rule side what was
+// executed plus what ground-call replays paid must be the charge; on the
+// batch side the same holds exactly when the shape holds no pack, and the
+// sum undercuts the charge when it does.
 func checkShape(t *testing.T, kb *solve.KB, ex *Examples, budget solve.Budget, s batchShape) {
 	t.Helper()
 	mb, mr := solve.NewMachine(kb, budget), solve.NewMachine(kb, budget)
@@ -39,17 +40,18 @@ func checkShape(t *testing.T, kb *solve.KB, ex *Examples, budget solve.Budget, s
 		t.Fatalf("%s budget %+v: batch charged %d inferences with %d cutoffs, per rule %d with %d", s.name, budget,
 			mb.TotalInferences(), mb.CutoffQueries(), mr.TotalInferences(), mr.CutoffQueries())
 	}
-	if mr.StepsExecuted() != mr.TotalInferences() {
-		t.Fatalf("%s: per-rule path executed %d steps for %d charged", s.name, mr.StepsExecuted(), mr.TotalInferences())
+	if steps := mr.StepsExecuted() + mr.ReplayedInferences(); steps != mr.TotalInferences() {
+		t.Fatalf("%s: per-rule path executed and replayed %d steps for %d charged", s.name, steps, mr.TotalInferences())
 	}
 	if budget != solve.DefaultBudget {
 		return // fallbacks re-run what the pack already ran: steps may exceed the charge
 	}
-	if s.packed && mb.StepsExecuted() >= mb.TotalInferences() {
-		t.Fatalf("%s: batch executed %d steps for %d charged — no pack found", s.name, mb.StepsExecuted(), mb.TotalInferences())
+	steps := mb.StepsExecuted() + mb.ReplayedInferences()
+	if s.packed && steps >= mb.TotalInferences() {
+		t.Fatalf("%s: batch executed and replayed %d steps for %d charged — no pack found", s.name, steps, mb.TotalInferences())
 	}
-	if !s.packed && mb.StepsExecuted() != mb.TotalInferences() {
-		t.Fatalf("%s: batch executed %d steps for %d charged with nothing to share", s.name, mb.StepsExecuted(), mb.TotalInferences())
+	if !s.packed && steps != mb.TotalInferences() {
+		t.Fatalf("%s: batch executed and replayed %d steps for %d charged with nothing to share", s.name, steps, mb.TotalInferences())
 	}
 }
 
@@ -213,9 +215,10 @@ func TestEvaluatorBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestStepsExecuted pins the counter that makes a pack's saving visible: it
-// equals TotalInferences as long as rules are proved one by one, falls
-// strictly below it on a packed frontier, and is the same from run to run.
+// TestStepsExecuted pins the counter that makes a pack's saving visible:
+// with ReplayedInferences it adds up to TotalInferences as long as rules are
+// proved one by one, falls strictly below it on a packed frontier, and is the
+// same from run to run.
 func TestStepsExecuted(t *testing.T) {
 	kb, ex, bot := benchRichExamples(t, 24)
 	rules := frontierOf(bot, []int32{0, 2, 3}, []int32{0, 2, 4}, []int32{0, 2, 5}, []int32{0, 2, 6})
@@ -226,8 +229,8 @@ func TestStepsExecuted(t *testing.T) {
 		ev.CoverageFull(r)
 	}
 	ev.CoverageFullBatch(rules)
-	if m.TotalInferences() == 0 || m.StepsExecuted() != m.TotalInferences() {
-		t.Fatalf("per rule: %d steps executed, %d inferences charged", m.StepsExecuted(), m.TotalInferences())
+	if m.TotalInferences() == 0 || m.StepsExecuted()+m.ReplayedInferences() != m.TotalInferences() {
+		t.Fatalf("per rule: %d steps executed, %d replayed, %d inferences charged", m.StepsExecuted(), m.ReplayedInferences(), m.TotalInferences())
 	}
 	perRule := m.TotalInferences()
 
@@ -245,8 +248,8 @@ func TestStepsExecuted(t *testing.T) {
 			t.Fatalf("packed: %d steps executed, %d inferences charged", runs[i], m.TotalInferences())
 		}
 		m.ResetCounters()
-		if m.StepsExecuted() != 0 {
-			t.Fatalf("ResetCounters left %d steps", m.StepsExecuted())
+		if m.StepsExecuted() != 0 || m.ReplayedInferences() != 0 {
+			t.Fatalf("ResetCounters left %d steps, %d replayed", m.StepsExecuted(), m.ReplayedInferences())
 		}
 	}
 	if runs[0] != runs[1] {

@@ -2,6 +2,7 @@ package solve
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -107,6 +108,38 @@ func benchBucketKB() *KB {
 // whose constants agree with the goal's (PERF.md "PR 24").
 func BenchmarkCoversBucketScan(b *testing.B) {
 	benchCovers(b, benchBucketKB(), "active(M) :- atm(M, A, n, T, C), bond(M, A, B, 3), atm(M, B, s, 21, D).", false, true)
+}
+
+// benchGroundKB is pyrimidines' shape: 50 drugs with three substituent
+// groups each, drawn from 20 groups, and a rule-defined threshold test on a
+// group's polarity — so a rule body reaches the same few ground calls to
+// polar_gte/2 from every example.
+func benchGroundKB() *KB {
+	kb := NewKB()
+	var src strings.Builder
+	src.WriteString("polar_gte(G, L) :- polar(G, V), level(L), V >= L.\n")
+	for l := 1; l <= 5; l++ {
+		fmt.Fprintf(&src, "level(%d).\n", l)
+	}
+	for g := 0; g < 20; g++ {
+		fmt.Fprintf(&src, "polar(g%d, %d).\n", g, 1+g%5)
+	}
+	for d := 0; d < 50; d++ {
+		for p := 0; p < 3; p++ {
+			fmt.Fprintf(&src, "subst(m%d, p%d, g%d).\n", d, p, (d+7*p)%20)
+		}
+	}
+	if err := kb.AddSource(src.String()); err != nil {
+		panic(err)
+	}
+	return kb
+}
+
+// BenchmarkCoversGroundCall is the ground-call memo's hit path: with the
+// memo warm, each example's polar_gte calls replay their recorded charges
+// instead of running the rule, its two fact lookups and the builtin.
+func BenchmarkCoversGroundCall(b *testing.B) {
+	benchCovers(b, benchGroundKB(), "active(M) :- subst(M, P, G), polar_gte(G, 3), polar_gte(G, 5).", false, true)
 }
 
 func BenchmarkSolveEnumerate(b *testing.B) {

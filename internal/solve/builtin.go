@@ -85,6 +85,46 @@ func IsBuiltin(key logic.PredKey) bool {
 	return ok
 }
 
+// arithOp is what a functor symbol names in an arithmetic expression.
+type arithOp uint8
+
+const (
+	arithUnseen arithOp = iota // not looked up yet
+	arithNone
+	arithAdd
+	arithSub
+	arithMul
+	arithDiv
+)
+
+// arithFor returns the operator functor symbol s names in an arithmetic
+// expression. Reading a name out of the symbol table takes its lock, which
+// every machine shares, so each machine reads a symbol's name once and keeps
+// the answer. Interning the four names at start-up instead would shift every
+// symbol interned after this package's initialisation, and with them the
+// wire goldens.
+func (m *Machine) arithFor(s logic.Symbol) arithOp {
+	if int(s) < len(m.arith) && m.arith[s] != arithUnseen {
+		return m.arith[s]
+	}
+	op := arithNone
+	switch s.Name() {
+	case "+":
+		op = arithAdd
+	case "-":
+		op = arithSub
+	case "*":
+		op = arithMul
+	case "/":
+		op = arithDiv
+	}
+	if int(s) >= len(m.arith) {
+		m.arith = append(m.arith, make([]arithOp, int(s)+1-len(m.arith))...)
+	}
+	m.arith[s] = op
+	return op
+}
+
 // evalArith evaluates t as an arithmetic expression under current bindings.
 // Supported: numeric constants, +, -, *, / (binary), - (unary).
 func (m *Machine) evalArith(t logic.Term) (float64, bool) {
@@ -93,8 +133,8 @@ func (m *Machine) evalArith(t logic.Term) (float64, bool) {
 	case logic.Int, logic.Float:
 		return t.Num, true
 	case logic.Compound:
-		name := t.Sym.Name()
-		if len(t.Args) == 1 && name == "-" {
+		op := m.arithFor(t.Sym)
+		if len(t.Args) == 1 && op == arithSub {
 			v, ok := m.evalArith(t.Args[0])
 			return -v, ok
 		}
@@ -106,14 +146,14 @@ func (m *Machine) evalArith(t logic.Term) (float64, bool) {
 		if !okA || !okB {
 			return 0, false
 		}
-		switch name {
-		case "+":
+		switch op {
+		case arithAdd:
 			return a + b, true
-		case "-":
+		case arithSub:
 			return a - b, true
-		case "*":
+		case arithMul:
 			return a * b, true
-		case "/":
+		case arithDiv:
 			if b == 0 {
 				return 0, false
 			}

@@ -39,6 +39,42 @@ func TestArithmeticEdgeCases(t *testing.T) {
 	}
 }
 
+// TestArithmeticNested drives every arithmetic functor through nested
+// expressions — bound variables, unary minus over variables and over other
+// unary minuses, left-associative chains — under is and on both sides of
+// each comparison, and pins what is not arithmetic: unary plus, unknown
+// functors, atoms and a division by zero deep inside.
+func TestArithmeticNested(t *testing.T) {
+	kb := NewKB()
+	for _, c := range []struct {
+		goal string
+		want bool
+	}{
+		{"ok :- Y = 3, X is Y * 2 - 10 / 4 + -Y, X > 0.4, X < 0.6.", true}, // 6 - 2.5 - 3
+		{"ok :- Y = 5, X is -Y * 2, X = -10.", true},
+		{"ok :- Y = 5, X is - -Y, X = 5.", true},
+		{"ok :- Y = 5, X is -Y - -Y, X = 0.", true},
+		{"ok :- X is 10 - 3 - 2, X = 5.", true}, // left-associative
+		{"ok :- X is 8 / 2 / 2, X = 2.", true},
+		{"ok :- X is 2 * 3 + 4 * 5 - 6 / 3, X = 24.", true},
+		{"ok :- Y = 2, Y * Y - 1 > Y + 0.5, 8 / Y =< -Y * -Y.", true},
+		{"ok :- Y = 2, Y * Y >= 2 + Y, Y - 3 < -Y / 4.", true}, // 4 >= 4, -1 < -0.5
+		{"ok :- Y = 2, Y * Y < 2 + Y.", false},
+		{"ok :- Y = 2, -Y > -Y / 4.", false},
+		{"ok :- Y = 2, 1 + Y * 3 =< 6.", false},
+		{"ok :- Y = 2, 3 >= Y * Y.", false},
+		{"ok :- Y = 2, Z is Y - Y, X is 1 + 4 / Z.", false}, // nested division by zero
+		{"ok :- X is +3 + 1.", false},                       // unary plus is not arithmetic
+		{"ok :- X is 1 + foo(2, 3).", false},
+		{"ok :- X is 1 + a.", false},
+		{"ok :- Y = a, X is -Y.", false},
+	} {
+		if got := proveBody(t, kb, c.goal); got != c.want {
+			t.Errorf("%s: got %v, want %v", c.goal, got, c.want)
+		}
+	}
+}
+
 func TestNegationInteractsWithBindings(t *testing.T) {
 	kb := NewKB()
 	if err := kb.AddSource(`

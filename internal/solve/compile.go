@@ -221,6 +221,11 @@ type compiledPred struct {
 	all   *candList
 	arg1  vmSwitch
 	arg2  vmSwitch
+	// memo marks a predicate whose ground calls the memo may record and
+	// replay (memo.go): it has a rule and 1–memoMaxArity arguments. id
+	// numbers the program's predicates, for the memo's hash.
+	memo bool
+	id   int32
 }
 
 // program is an immutable compiled KB. It is built once per KB and shared
@@ -271,6 +276,7 @@ var unknownPred = &compiledPred{
 // can patch cross-predicate references into the body frames.
 type compiler struct {
 	clauses []*compiledClause
+	preds   int32
 }
 
 // compileKB translates every predicate of kb into compiled form. It runs in
@@ -324,7 +330,8 @@ func compilePred(c *compiler, p *pred, arity int32) *compiledPred {
 		cc := compileClause(c, &p.rules[i])
 		rules[i] = vmCand{cc: cc, head: cc.head[0]}
 	}
-	cp := &compiledPred{arity: arity}
+	cp := &compiledPred{arity: arity, memo: len(rules) > 0 && arity >= 1 && arity <= memoMaxArity, id: c.preds}
+	c.preds++
 	var allIdx []int32
 	if len(facts) > 0 {
 		allIdx = make([]int32, len(facts))

@@ -177,8 +177,9 @@ func fn2ref(fn builtinFn) func(*refMachine, logic.Term) bool {
 }
 
 // genProgram builds a random definite program with ground facts, var-headed
-// facts, chain rules, recursion and negation, and one arity-4 predicate whose
-// first-argument buckets are long enough to carry filter keys (genWide).
+// facts, chain rules, recursion, negation, rules that call other rules on
+// ground arguments, and one arity-4 predicate whose first-argument buckets
+// are long enough to carry filter keys (genWide).
 func genProgram(rng *rand.Rand) *KB {
 	kb := NewKB()
 	consts := []string{"a", "b", "c", "d", "e", "f"}
@@ -214,6 +215,12 @@ func genProgram(rng *rand.Rand) *KB {
 	// Negation and builtins.
 	kb.Add(logic.MustParseClause("lone(X) :- r(X), \\+p(X, X)."))
 	kb.Add(logic.MustParseClause("gt(X, Y) :- p(X, Y), X \\= Y."))
+	// Ground calls into rules, which the memo records and replays: v(X)
+	// calls s/2 — several solutions a call — on a runtime-ground argument
+	// pair and t/1 on a statically ground one; rc(X) is reach(X, X), which
+	// recurses through every cycle of p that X lies on.
+	kb.Add(logic.MustParseClause("v(X) :- r(X), s(X, a), t(b)."))
+	kb.Add(logic.MustParseClause("rc(X) :- reach(X, X)."))
 	genWide(rng, kb, randConst)
 	return kb
 }
@@ -286,7 +293,9 @@ func genGoal(rng *rand.Rand) ([]logic.Literal, int) {
 // a query head can take — distinct variables, a repeated variable, compound
 // and constant arguments, a variable first met inside a compound, zero arity
 // — over a genGoal body (sharing the head's variables) that is sometimes
-// empty and sometimes ends in a builtin or a predicate the KB does not have.
+// empty and sometimes ends in a builtin, a predicate the KB does not have or
+// a call into v/1 or rc/1 on a head variable — ground once the example is
+// matched, in most head shapes.
 func genRule(rng *rand.Rand) logic.Clause {
 	x, y := logic.V(0), logic.V(1)
 	heads := []logic.Term{
@@ -309,6 +318,10 @@ func genRule(rng *rand.Rand) logic.Clause {
 		rule.Body = append(rule.Body, logic.Lit(logic.Comp("\\=", x, y)))
 	case 1:
 		rule.Body = append(rule.Body, logic.Lit(logic.Comp("nosuch", x)))
+	case 2:
+		rule.Body = append(rule.Body, logic.Lit(logic.Comp("v", x)))
+	case 3:
+		rule.Body = append(rule.Body, logic.Lit(logic.Comp("rc", y)))
 	}
 	return rule
 }
@@ -353,8 +366,9 @@ func genExample(rng *rand.Rand, head logic.Term) logic.Term {
 // the same answer, the same inferences charged and the same cutoff on every
 // single query. Its pack leg (checkPacksAgree, pack_test.go) then does the
 // same for random fans run as QueryPacks, under the caller's budget and under
-// a drawn tight one where most proofs are cut off somewhere.
-func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rules int) {
+// a drawn tight one where most proofs are cut off somewhere. It reports how
+// much the compiled machines used the ground-call memo.
+func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rules int) memoUse {
 	t.Helper()
 	ref := newRefMachine(kb, budget)
 	interp := NewMachine(kb, budget)
@@ -395,9 +409,17 @@ func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rule
 		MaxDepth:      []int{1, 2, 3, 12}[rng.Intn(4)],
 		MaxInferences: []int64{3, 5, 8, 13, 21, 40, 80, 200}[rng.Intn(8)],
 	}
-	checkPacksAgree(t, rng, kb, budget, rules/2)
-	checkPacksAgree(t, rng, kb, tight, rules/2)
+	use := memoUse{vm.ReplayedInferences(), vm.memoRedos}
+	use.add(checkPacksAgree(t, rng, kb, budget, rules/2))
+	use.add(checkPacksAgree(t, rng, kb, tight, rules/2))
+	return use
 }
+
+// memoUse is what a compiled machine replayed and how many of its queries a
+// budget event past a replay sent back to a live proof.
+type memoUse struct{ replayed, redos int64 }
+
+func (u *memoUse) add(v memoUse) { u.replayed, u.redos = u.replayed+v.replayed, u.redos+v.redos }
 
 func solutionString(bs *logic.Bindings, nVars int) string {
 	var b strings.Builder
@@ -412,6 +434,7 @@ func solutionString(bs *logic.Bindings, nVars int) string {
 
 func TestDifferentialGoalStackVsReference(t *testing.T) {
 	budget := Budget{MaxDepth: 12, MaxInferences: 4000}
+	var use memoUse
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		kb := genProgram(rng)
@@ -454,7 +477,10 @@ func TestDifferentialGoalStackVsReference(t *testing.T) {
 					seed, q, goalsStr(), m.CutoffQueries(), ref.cutoffs)
 			}
 		}
-		checkQueriesAgree(t, rng, kb, budget, 12)
+		use.add(checkQueriesAgree(t, rng, kb, budget, 12))
+	}
+	if !envNoVM && (use.replayed == 0 || use.redos == 0) {
+		t.Errorf("held queries replayed %d inferences, %d were proved again live: the ground-call memo is not exercised", use.replayed, use.redos)
 	}
 }
 

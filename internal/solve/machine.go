@@ -88,10 +88,24 @@ type Machine struct {
 	packRedos int64
 	// filtered counts the candidates charged without being run (chargeN).
 	filtered int64
+	// replayed counts the charges paid by ground-call replays (memo.go),
+	// replayMark its value when the current query began; memoRedos counts
+	// the queries a budget event past a replay sent back to a live proof.
+	replayed   int64
+	replayMark int64
+	memoRedos  int64
+
+	// memo is the ground-call memo, consulted only while memoOn — inside
+	// CoversQuery and CoversPack. deepest is the deepest frame depth pushed
+	// so far, which a recording reads back.
+	memo    memoTable
+	memoOn  bool
+	deepest int32
 
 	stack   []goalFrame  // pending goals; the top is the last element
 	base    int          // stack bottom of the current (sub)proof
 	binArgs []logic.Term // scratch for builtin argument materialization
+	arith   []arithOp    // operator named by each functor symbol (builtin.go)
 
 	// wbuf/wtop form the arena for the VM's per-step goal-argument walk
 	// caches: nested resolution steps carve disjoint windows off wbuf so no
@@ -124,10 +138,15 @@ func (m *Machine) SetKB(kb *KB) { m.kb = kb }
 func (m *Machine) TotalInferences() int64 { return m.totalInf }
 
 // StepsExecuted reports the resolution steps the machine actually ran over
-// all queries: equal to TotalInferences as long as every rule is proved on
-// its own, lower once query packs prove shared prefixes once. It is updated
-// when a query or pack ends, not per step.
+// all queries: TotalInferences less ReplayedInferences as long as every rule
+// is proved on its own, lower once query packs prove shared prefixes once.
+// It is updated when a query or pack ends, not per step.
 func (m *Machine) StepsExecuted() int64 { return m.steps }
+
+// ReplayedInferences reports the charges paid by replaying a recorded ground
+// call (memo.go) instead of executing it. They are part of TotalInferences,
+// not of StepsExecuted. Always 0 on the interpreter.
+func (m *Machine) ReplayedInferences() int64 { return m.replayed }
 
 // FilteredCandidates reports the candidate visits that were charged but not
 // run, because the VM's candidate filter (vm.go) proved from the constants
@@ -146,6 +165,7 @@ func (m *Machine) CutoffQueries() int64 { return m.anyCutoffs }
 // ResetCounters zeroes the accumulated inference statistics.
 func (m *Machine) ResetCounters() {
 	m.totalInf, m.steps, m.anyCutoffs, m.packRedos, m.filtered = 0, 0, 0, 0, 0
+	m.replayed, m.memoRedos = 0, 0
 }
 
 // currentProgram is the compiled program queries resolve against right now:
@@ -161,10 +181,14 @@ func (m *Machine) currentProgram() *program {
 // caller's goal variables.
 func (m *Machine) beginQuery(nVars int) {
 	m.prog = m.currentProgram()
+	if m.prog != m.memo.prog {
+		m.memo.reset(m.prog)
+	}
 	m.bs.Undo(0)
 	m.nextVar = nVars
 	m.queryInf = 0
 	m.budgetHit = false
+	m.replayMark = m.replayed
 	m.stack = m.stack[:0]
 	m.base = 0
 	m.wtop, m.ftop = 0, 0
@@ -172,7 +196,7 @@ func (m *Machine) beginQuery(nVars int) {
 
 func (m *Machine) endQuery() {
 	m.totalInf += m.queryInf
-	m.steps += m.queryInf
+	m.steps += m.queryInf - (m.replayed - m.replayMark)
 	if m.budgetHit {
 		m.anyCutoffs++
 	}
@@ -294,6 +318,11 @@ func (m *Machine) step(fr goalFrame, k func() bool) bool {
 		if fr.depth >= int32(m.budget.MaxDepth) {
 			m.budgetHit = true
 			return true
+		}
+		if m.memoOn && fr.cp.memo {
+			if cont, ok := m.callMemo(&fr, k); ok {
+				return cont
+			}
 		}
 		return m.resolveVM(fr.cp, fr.lit.Atom, int(fr.off), fr, k)
 	}
@@ -461,6 +490,7 @@ func (m *Machine) subProve(atom logic.Term, off, depth int32, ground bool) bool 
 	savedBase := m.base
 	m.base = len(m.stack)
 	m.stack = append(m.stack, goalFrame{lit: logic.Lit(atom), off: off, depth: depth, ground: ground})
+	m.deepest = max(m.deepest, depth)
 	proved := false
 	m.solve(func() bool {
 		proved = true

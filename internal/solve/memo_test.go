@@ -1,0 +1,353 @@
+package solve
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/logic"
+)
+
+// The tests here pin the ground-call memo (memo.go): that a replayed call is
+// charged exactly what the interpreter charges for proving it, at every
+// budget, depth and program change, and that what the memo keeps is bounded.
+// Each compares a default machine against one pinned to the interpreter,
+// which never memoizes.
+
+// memoCase proves rules over examples on a compiled and an interpreter-pinned
+// machine, query by query, and requires the same answer, charge and cutoff.
+// It returns the compiled machine.
+func memoCase(t *testing.T, kb *KB, budget Budget, rules []string, examples ...string) *Machine {
+	t.Helper()
+	vm, interp := NewMachine(kb, budget), NewMachine(kb, budget)
+	interp.SetNoVM(true)
+	for _, src := range rules {
+		rule := logic.MustParseClause(src)
+		var qv, qi Query
+		vm.CompileQuery(&qv, &rule)
+		interp.CompileQuery(&qi, &rule)
+		for _, e := range examples {
+			ex := logic.MustParseTerm(e)
+			got := runCovers(vm, func() bool { return vm.CoversQuery(&qv, ex) })
+			want := runCovers(interp, func() bool { return interp.CoversQuery(&qi, ex) })
+			if got != want {
+				t.Fatalf("budget %+v, %s on %s: compiled %+v, interpreter %+v", budget, src, e, got, want)
+			}
+		}
+	}
+	if interp.ReplayedInferences() != 0 {
+		t.Fatalf("the interpreter reports %d replayed inferences", interp.ReplayedInferences())
+	}
+	if vm.StepsExecuted()+vm.ReplayedInferences() != vm.TotalInferences() {
+		t.Fatalf("budget %+v: %d steps executed and %d replayed for %d charged", budget,
+			vm.StepsExecuted(), vm.ReplayedInferences(), vm.TotalInferences())
+	}
+	return vm
+}
+
+// memoKB has ground calls to rules with one solution (polar_gte), with one
+// solution per level at or below the group's polarity (polar_any), and
+// nested (both, through strong), reached from subst/3 with every group more
+// than once per drug.
+func memoKB(t *testing.T) *KB {
+	return kbFrom(t, `
+		level(1). level(2). level(3).
+		polar(g1, 3). polar(g2, 1). polar(g3, 2).
+		subst(d1, p1, g1). subst(d1, p2, g2). subst(d1, p3, g1). subst(d1, p4, g2).
+		subst(d2, p1, g3). subst(d2, p2, g3). subst(d2, p3, g2). subst(d2, p4, g1).
+		polar_gte(G, L) :- polar(G, V), level(L), V >= L.
+		polar_any(G) :- polar(G, V), level(L), V >= L.
+		strong(G) :- polar_any(G), polar_gte(G, 3).
+		marked(d2, g1).
+	`)
+}
+
+var memoRules = []string{
+	"h(D) :- subst(D, P, G), polar_gte(G, 2), marked(D, G).",
+	"h(D) :- subst(D, P, G), polar_any(G), marked(D, G).",
+	"h(D) :- subst(D, P, G), polar_any(G), polar_gte(G, 3).",
+	"h(D) :- subst(D, P, G), strong(G), G \\= g1.",
+	"h(D) :- subst(D, P, G), polar_gte(G, 1), strong(G), marked(D, G).",
+}
+
+// TestMemoBudgetSweep sweeps MaxInferences over every value from 1 to past
+// the longest proof, so that a cutoff lands on every charge once — inside
+// replayed segments, on a replayed tail, between replays, before anything
+// was recorded — with each rule proved stand-alone over a stream of examples
+// that repeats every ground call, and as a member of one QueryPack. Answer,
+// TotalInferences and CutoffQueries must be the interpreter's throughout;
+// the budget events past a replay are what send queries back to a live
+// proof.
+func TestMemoBudgetSweep(t *testing.T) {
+	kb := memoKB(t)
+	examples := []string{"h(d1)", "h(d2)", "h(d1)", "h(d2)"}
+	free := memoCase(t, kb, DefaultBudget, memoRules, examples...)
+	longest := int64(0)
+	for _, src := range memoRules {
+		rule := logic.MustParseClause(src)
+		for _, e := range examples {
+			m := NewMachine(kb, DefaultBudget)
+			ex := logic.MustParseTerm(e)
+			longest = max(longest, runCovers(m, func() bool { return m.CoversExample(&rule, ex) }).inferences)
+		}
+	}
+	if !envNoVM && free.ReplayedInferences()*3 < free.TotalInferences() {
+		t.Fatalf("unbounded, %d of %d charges replayed: the sweep would test no replay", free.ReplayedInferences(), free.TotalInferences())
+	}
+
+	ptrs := make([]*logic.Clause, len(memoRules))
+	for i, src := range memoRules {
+		r := logic.MustParseClause(src)
+		ptrs[i] = &r
+	}
+	var redos, packRedos int64
+	for maxInf := int64(1); maxInf <= longest+3; maxInf++ {
+		budget := Budget{MaxInferences: maxInf}
+		redos += memoCase(t, kb, budget, memoRules, examples...).memoRedos
+
+		vm, interp := NewMachine(kb, budget), NewMachine(kb, budget)
+		interp.SetNoVM(true)
+		var pack QueryPack
+		vm.CompilePack(&pack, ptrs, 1)
+		hit := make([]bool, len(ptrs))
+		for _, e := range examples {
+			ex := logic.MustParseTerm(e)
+			var sum coverRun
+			want := make([]coverRun, len(ptrs))
+			for c, r := range ptrs {
+				want[c] = runCovers(interp, func() bool { return interp.CoversExample(r, ex) })
+				sum.inferences += want[c].inferences
+				sum.cutoffs += want[c].cutoffs
+			}
+			got := runCovers(vm, func() bool { vm.CoversPack(&pack, ex, hit); return false })
+			for c := range ptrs {
+				if hit[c] != want[c].covered || pack.Charged(c) != want[c].inferences {
+					t.Fatalf("MaxInferences %d, pack member %d (%s) on %s: covered %v charged %d, interpreter %+v",
+						maxInf, c, memoRules[c], e, hit[c], pack.Charged(c), want[c])
+				}
+			}
+			if got != sum {
+				t.Fatalf("MaxInferences %d, pack on %s: machine counters moved by %+v, interpreter %+v", maxInf, e, got, sum)
+			}
+		}
+		packRedos += vm.memoRedos
+	}
+	if !envNoVM && (redos == 0 || packRedos == 0) {
+		t.Errorf("over the sweep %d stand-alone and %d packed queries were proved again live: the re-proof is not exercised", redos, packRedos)
+	}
+}
+
+// TestMemoDepthGuard: g(a) is recorded at depth 0, where its subtree reaches
+// three levels below it, and is then called again at depth 3 through three
+// wrappers. Under MaxDepth 6 its fact lookup at depth 6 is cut off — the
+// call must run live, a cutoff query with no proof — and under MaxDepth 7
+// it may replay. The same for a subtree whose deepest frame is a negation's
+// sub-proof.
+func TestMemoDepthGuard(t *testing.T) {
+	kb := kbFrom(t, `
+		g(X) :- g1(X).
+		g1(X) :- g2(X).
+		g2(X) :- ok(X).
+		ok(a).
+		w1(X) :- w2(X).
+		w2(X) :- w3(X).
+		w3(X) :- g(X).
+	`)
+	rules := []string{"h(X) :- g(X).", "h(X) :- w1(X)."}
+	m := memoCase(t, kb, Budget{MaxDepth: 6}, rules, "h(a)", "h(a)")
+	if m.CutoffQueries() != 2 {
+		t.Fatalf("MaxDepth 6: %d cutoff queries, want the two through the wrappers", m.CutoffQueries())
+	}
+	if !envNoVM && m.ReplayedInferences() == 0 {
+		t.Fatal("MaxDepth 6: g(a) was never replayed at depth 0")
+	}
+	m = memoCase(t, kb, Budget{MaxDepth: 7}, rules, "h(a)", "h(a)")
+	if m.CutoffQueries() != 0 {
+		t.Fatalf("MaxDepth 7: %d cutoff queries", m.CutoffQueries())
+	}
+
+	// The deepest frame can be a negation's sub-proof: n(a)'s \+ bad(a)
+	// proves bad(a) a level below the negation itself. Called at depth 2
+	// under MaxDepth 4 that proof is cut, and the cut lets the negation,
+	// and so n(a), succeed — in a cutoff query.
+	kb = kbFrom(t, `
+		n(X) :- \+ bad(X).
+		bad(zz).
+		v1(X) :- v2(X).
+		v2(X) :- n(X).
+	`)
+	m = memoCase(t, kb, Budget{MaxDepth: 4}, []string{"h(X) :- n(X).", "h(X) :- v1(X)."}, "h(a)", "h(a)")
+	if m.CutoffQueries() != 2 {
+		t.Fatalf("MaxDepth 4: %d cutoff queries, want the two through the wrappers", m.CutoffQueries())
+	}
+}
+
+// TestMemoCyclicGroundRecursion: reach(a, a) recurses through the cycle
+// a → b → a until MaxDepth cuts it, so its recording hits the budget and the
+// entry — like that of every ground reach call beneath it — is disabled:
+// nothing is replayed, and the charges are the interpreter's whether the
+// continuation stops at the first solution or exhausts the cycle.
+func TestMemoCyclicGroundRecursion(t *testing.T) {
+	kb := kbFrom(t, `
+		edge(a, b). edge(b, a). edge(b, c).
+		reach(X, Y) :- edge(X, Y).
+		reach(X, Y) :- edge(X, Z), reach(Z, Y).
+		never(zz).
+	`)
+	m := memoCase(t, kb, Budget{MaxDepth: 12}, []string{"h(X) :- reach(a, a).", "h(X) :- reach(a, a), never(X)."}, "h(q)", "h(q)")
+	if envNoVM {
+		return
+	}
+	if m.ReplayedInferences() != 0 {
+		t.Fatalf("%d inferences replayed from a cyclic call", m.ReplayedInferences())
+	}
+	for _, call := range []string{"reach(a, a)", "reach(b, a)"} {
+		if e, ok := recorded(m, call); !ok || !e.off {
+			t.Fatalf("%s: recorded %v, entry %+v — want a disabled entry", call, ok, e)
+		}
+	}
+}
+
+// recorded returns the memo entry of a ground call written as source.
+func recorded(m *Machine, src string) (memoEntry, bool) {
+	call := logic.MustParseTerm(src)
+	key := memoKey{cp: m.prog.predFor(call)}
+	for i, a := range call.Args {
+		key.kinds[i] = a.Kind
+		if a.Kind == logic.Atom {
+			key.vals[i] = uint64(a.Sym)
+		} else {
+			key.vals[i] = math.Float64bits(a.Num)
+		}
+	}
+	return m.memo.lookup(&key)
+}
+
+// memoEntries lists what a machine's memo holds.
+func memoEntries(m *Machine) map[memoKey]memoEntry {
+	out := map[memoKey]memoEntry{}
+	for _, s := range m.memo.slots {
+		if s.key.cp != nil {
+			out[s.key] = s.memoEntry
+		}
+	}
+	return out
+}
+
+// programPreds lists every compiled predicate of a program.
+func programPreds(pr *program) map[*compiledPred]bool {
+	out := map[*compiledPred]bool{}
+	for _, cp := range pr.direct {
+		if cp != nil {
+			out[cp] = true
+		}
+	}
+	for _, entries := range pr.bySym {
+		for _, e := range entries {
+			out[e.cp] = true
+		}
+	}
+	return out
+}
+
+// TestMemoAfterKBAdd: a KB.Add between two queries changes what a recorded
+// ground call charges. The next query must match a fresh machine's, and the
+// table must hold nothing recorded against the program the Add replaced.
+func TestMemoAfterKBAdd(t *testing.T) {
+	kb := memoKB(t)
+	rule := logic.MustParseClause("h(D) :- subst(D, P, G), polar_gte(G, 2), marked(D, G).")
+	ex := logic.MustParseTerm("h(d1)")
+	m := NewMachine(kb, DefaultBudget)
+	var q Query
+	m.CompileQuery(&q, &rule)
+	check := func(what string) {
+		t.Helper()
+		fresh := NewMachine(kb, DefaultBudget)
+		fresh.SetNoVM(true)
+		want := runCovers(fresh, func() bool { return fresh.CoversExample(&rule, ex) })
+		for i := 0; i < 2; i++ {
+			if got := runCovers(m, func() bool { return m.CoversQuery(&q, ex) }); got != want {
+				t.Fatalf("%s: held query %+v, fresh interpreter %+v", what, got, want)
+			}
+		}
+		if envNoVM {
+			return
+		}
+		live := programPreds(kb.program())
+		for k := range memoEntries(m) {
+			if !live[k.cp] {
+				t.Fatalf("%s: the table holds a call recorded against a replaced program", what)
+			}
+		}
+	}
+	check("initial")
+	if !envNoVM && m.ReplayedInferences() == 0 {
+		t.Fatal("nothing replayed before the Add")
+	}
+	kb.Add(logic.MustParseClause("polar(g1, 0)."))
+	kb.Add(logic.MustParseClause("polar_gte(G, L) :- marked(d1, G)."))
+	kb.Add(logic.MustParseClause("marked(d1, g1)."))
+	check("after KB.Add")
+}
+
+// TestMemoCaps: the table never holds more than memoMaxEntries calls, a
+// subtree past memoMaxRecord charges and a call with more than
+// memoMaxSolutions solutions are disabled rather than replayed — and the
+// charges stay the interpreter's through all three.
+func TestMemoCaps(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(`
+		g(X) :- X >= 0.
+		big(X) :- num(N), N < 0.
+		many(X) :- few(N).
+	`)
+	for i := 0; i < memoMaxRecord/2+50; i++ {
+		fmt.Fprintf(&src, "num(%d).\n", i)
+	}
+	for i := 0; i < memoMaxSolutions+36; i++ {
+		fmt.Fprintf(&src, "few(%d).\n", i)
+	}
+	kb := kbFrom(t, src.String())
+
+	// One distinct ground call per example, past the table cap.
+	vm, interp := NewMachine(kb, DefaultBudget), NewMachine(kb, DefaultBudget)
+	interp.SetNoVM(true)
+	rule := logic.MustParseClause("h(X) :- g(X).")
+	var qv, qi Query
+	vm.CompileQuery(&qv, &rule)
+	interp.CompileQuery(&qi, &rule)
+	for i := 0; i < memoMaxEntries+100; i++ {
+		ex := logic.Comp("h", logic.IntTerm(int64(i)))
+		if vm.CoversQuery(&qv, ex) != interp.CoversQuery(&qi, ex) {
+			t.Fatalf("h(%d): answers differ", i)
+		}
+		if n := vm.memo.used; n > memoMaxEntries {
+			t.Fatalf("after h(%d) the table holds %d calls, cap %d", i, n, memoMaxEntries)
+		}
+	}
+	if n := len(memoEntries(vm)); n != vm.memo.used || 2*n > len(vm.memo.slots) {
+		t.Fatalf("the table counts %d calls and holds %d in %d slots", vm.memo.used, n, len(vm.memo.slots))
+	}
+	if vm.TotalInferences() != interp.TotalInferences() {
+		t.Fatalf("past the table cap: %d charged, interpreter %d", vm.TotalInferences(), interp.TotalInferences())
+	}
+
+	// A recording too long to keep, and one with too many solutions (the
+	// continuation fails, so every one of them is asked for).
+	for _, tc := range []struct{ rule, call string }{
+		{"h(X) :- big(X).", "big(a)"},
+		{"h(X) :- many(X), nope(X).", "many(a)"},
+	} {
+		m := memoCase(t, kb, DefaultBudget, []string{tc.rule}, "h(a)", "h(a)", "h(a)")
+		if envNoVM {
+			continue
+		}
+		if m.ReplayedInferences() != 0 || m.CutoffQueries() != 0 {
+			t.Fatalf("%s: %d replayed, %d cutoff queries", tc.rule, m.ReplayedInferences(), m.CutoffQueries())
+		}
+		if e, ok := recorded(m, tc.call); !ok || !e.off {
+			t.Fatalf("%s: %s recorded %v, entry %+v — want a disabled entry", tc.rule, tc.call, ok, e)
+		}
+	}
+}

@@ -138,11 +138,14 @@ func (m *Machine) CoversPack(p *QueryPack, example logic.Term, hit []bool) {
 	p.m, p.hit = m, hit
 	frames := qs[0].frames
 	m.stack = append(m.stack, frames[len(frames)-p.prefix:]...)
+	m.memoOn = true
 	m.solve(p.atSolution)
+	m.memoOn = false
 
 	// The prefix ran dry, or nobody was left to want its next solution.
-	// What was executed is the prefix once plus every suffix sub-proof;
-	// what is charged is each member's stand-alone total.
+	// What was executed is the prefix once plus every suffix sub-proof, less
+	// what ground-call replays paid; what is charged is each member's
+	// stand-alone total.
 	prefix := m.queryInf
 	for _, c := range p.live {
 		if total := prefix + p.suffix[c]; m.budgetHit || total >= m.budget.MaxInferences {
@@ -151,7 +154,7 @@ func (m *Machine) CoversPack(p *QueryPack, example logic.Term, hit []bool) {
 			p.charged[c] = total
 		}
 	}
-	m.steps += prefix
+	m.steps += prefix - (m.replayed - m.replayMark)
 	for c := range qs {
 		m.steps += p.suffix[c]
 		m.totalInf += p.charged[c]

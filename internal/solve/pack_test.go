@@ -43,8 +43,9 @@ func genFan(rng *rand.Rand) (rules []logic.Clause, prefix int) {
 // random examples, each fan run as one QueryPack on a compiled and on an
 // interpreter-pinned machine, against the seed reference proving every
 // member on its own. Per member the answer and the charge must agree; per
-// example so must the machines' TotalInferences and CutoffQueries.
-func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans int) {
+// example so must the machines' TotalInferences and CutoffQueries. It
+// reports the compiled machine's use of the ground-call memo.
+func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans int) memoUse {
 	t.Helper()
 	ref := newRefMachine(kb, budget)
 	interp := NewMachine(kb, budget)
@@ -91,6 +92,7 @@ func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans i
 			}
 		}
 	}
+	return memoUse{machines[0].m.ReplayedInferences(), machines[0].m.memoRedos}
 }
 
 // packCase runs rules (sharing head and prefix leading literals) against ex

@@ -123,13 +123,28 @@ func (m *Machine) CoversQuery(q *Query, example logic.Term) bool {
 		m.scratch.compile(m.prog, &q.rule)
 		q = &m.scratch
 	}
-	found := false
-	if m.matchQueryHead(q, example) {
-		m.stack = append(m.stack, q.frames...)
-		found = !m.solve(stopAtFirst)
+	m.memoOn = true
+	found := m.proveQuery(q, example)
+	m.memoOn = false
+	if m.budgetHit && m.replayed != m.replayMark {
+		// A budget event past a replay (memo.go): prove it again live.
+		m.memoRedos++
+		m.replayed = m.replayMark
+		m.beginQuery(q.numVars)
+		found = m.proveQuery(q, example)
 	}
 	m.endQuery()
 	return found
+}
+
+// proveQuery runs one existence proof of q's body under its head matched
+// against example, on the state beginQuery prepared.
+func (m *Machine) proveQuery(q *Query, example logic.Term) bool {
+	if !m.matchQueryHead(q, example) {
+		return false
+	}
+	m.stack = append(m.stack, q.frames...)
+	return !m.solve(stopAtFirst)
 }
 
 // stopAtFirst is the existence-query continuation. solve reports false only

@@ -104,8 +104,9 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 }
 
 // TestCoversQueryAllocFree pins the steady-state allocation contract: a held
-// query, CoversExample through the machine's scratch query, and recompiling
-// one Query buffer per rule all allocate nothing.
+// query — its ground call replayed from the memo — CoversExample through the
+// machine's scratch query, and recompiling one Query buffer per rule all
+// allocate nothing.
 func TestCoversQueryAllocFree(t *testing.T) {
 	kb := benchRuleKB(200)
 	rules := []logic.Clause{
@@ -122,8 +123,14 @@ func TestCoversQueryAllocFree(t *testing.T) {
 		if !m.CoversQuery(&q, ex) {
 			t.Fatal("not covered")
 		}
+		replayed := m.ReplayedInferences()
 		if n := testing.AllocsPerRun(50, func() { m.CoversQuery(&q, ex) }); n != 0 {
 			t.Errorf("novm=%v: CoversQuery allocates %v per call", novm, n)
+		}
+		// heavy(m7) is a ground call to a rule: with the memo warm, every
+		// measured run replays it.
+		if !m.NoVM() && m.ReplayedInferences()-replayed < 50 {
+			t.Errorf("novm=%v: the measured runs replayed %d inferences", novm, m.ReplayedInferences()-replayed)
 		}
 		if n := testing.AllocsPerRun(50, func() { m.CoversExample(&rules[0], ex) }); n != 0 {
 			t.Errorf("novm=%v: CoversExample allocates %v per call", novm, n)

@@ -455,12 +455,17 @@ func (m *Machine) runEq(code []instr, goal logic.Term, off int) bool {
 // pushFrames block-copies a clause's precompiled body frames onto the goal
 // stack, patching in the renaming offset and depth. The frames are already
 // in push (reverse) order with static groundness flags baked in, so this is
-// the compiled equivalent of pushGoals.
+// the compiled equivalent of pushGoals. It also keeps Machine.deepest, which a
+// ground-call recording (memo.go) reads back.
 func (m *Machine) pushFrames(frames []goalFrame, off, depth int32) {
+	if len(frames) == 0 {
+		return
+	}
 	for i := range frames {
 		fr := frames[i]
 		fr.off = off
 		fr.depth = depth
 		m.stack = append(m.stack, fr)
 	}
+	m.deepest = max(m.deepest, depth)
 }

@@ -16,7 +16,10 @@ import (
 // match the seed reference query for query (checkQueriesAgree). Every drawn
 // program has genWide's keyed w/4 buckets, so the VM's candidate filter and
 // its bulk charge run under the 4000-inference budget here and under the
-// tight budgets checkQueriesAgree draws for its packs. Run with
+// tight budgets checkQueriesAgree draws for its packs; and rules that call
+// rules on ground arguments (v/1, rc/1), so held queries and packs record and
+// replay ground calls, disable cyclic ones, and are proved again live when a
+// budget event follows a replay. Run with
 // `go test -fuzz=FuzzVMMatchesInterpreter ./internal/solve` to explore
 // beyond the seed corpus.
 func FuzzVMMatchesInterpreter(f *testing.F) {
