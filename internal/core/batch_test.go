@@ -1,51 +1,45 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/logic"
-	"repro/internal/search"
 )
 
-// perRule turns both of the evaluator's batch entry points back into
-// per-rule loops: search.FullCoverer declares no CoverageBatch, so
-// search.CoverageBatchOf calls Coverage once per candidate, and the
-// evaluate_rules bag is scored one CoverageFull at a time.
-type perRule struct{ search.FullCoverer }
-
-func (p perRule) CoverageFullBatch(rules []*logic.Clause) []search.CoverResult {
-	out := make([]search.CoverResult, len(rules))
-	for i, r := range rules {
-		out[i].Pos, out[i].Neg = p.CoverageFull(r)
+// theorySHA is the SHA-256 of a theory's rules, one per line: what the
+// pinned-theory tests compare.
+func theorySHA(theory []logic.Clause) string {
+	var sb strings.Builder
+	for _, c := range theory {
+		sb.WriteString(c.String())
+		sb.WriteByte('\n')
 	}
-	return out
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
 }
 
 // TestP2BatchedMatchesUnbatched pins batching as a pure performance choice
 // in the full pipelined algorithm: per-node frontier batches in the stage
-// searches plus whole-bag batches in evaluate_rules must leave every
-// simulated observable — theory, epochs, virtual time, communication,
-// generated-rule and inference totals — bit-for-bit identical to the
-// perRule run, with the evaluator serial or pooled.
+// searches plus whole-bag batches in evaluate_rules, with the evaluator
+// serial or pooled, must leave theory, epochs, communication, generated-rule
+// and inference totals what the per-candidate reference produced — a run
+// whose workers scored every candidate and every bag rule with its own
+// Coverage call — pinned as it read when workers could still be built that
+// way. The virtual time is not pinned: it depends on the order in which the
+// simulated nodes' goroutines deliver (ROADMAP item 14).
 func TestP2BatchedMatchesUnbatched(t *testing.T) {
+	const (
+		sha        = "20d0df9876d1f1387c12bcd1ef3cff0aa3869bd245bb1738348e0868897876b1"
+		epochs     = 4
+		bytes      = 25171
+		messages   = 129
+		generated  = 5370
+		inferences = 680868
+	)
 	ds := datasets.CarcinogenesisSized(24, 20, 1)
-	run := func(unbatched bool, parallelism int) *Metrics {
-		cfg := Config{
-			Workers: 4, Width: 10, Seed: 1,
-			Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
-			CoverParallelism: parallelism,
-		}
-		if unbatched {
-			cfg.wrapCoverer = func(ev search.FullCoverer) search.FullCoverer { return perRule{ev} }
-		}
-		met, err := Learn(ds.KB, ds.Pos, ds.Neg, ds.Modes, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return met
-	}
-	want := run(true, 0) // the per-candidate reference
 	for _, c := range []struct {
 		name        string
 		parallelism int
@@ -53,24 +47,24 @@ func TestP2BatchedMatchesUnbatched(t *testing.T) {
 		{"batched-serial", 0},
 		{"batched-pool", 2},
 	} {
-		got := run(false, c.parallelism)
-		if len(got.Theory) != len(want.Theory) {
-			t.Fatalf("%s: theory size %d, want %d", c.name, len(got.Theory), len(want.Theory))
+		got, err := Learn(ds.KB, ds.Pos, ds.Neg, ds.Modes, Config{
+			Workers: 4, Width: 10, Seed: 1,
+			Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
+			CoverParallelism: c.parallelism,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Theory {
-			if got.Theory[i].String() != want.Theory[i].String() {
-				t.Fatalf("%s: rule %d: %s, want %s", c.name, i, got.Theory[i], want.Theory[i])
-			}
+		if sum := theorySHA(got.Theory); sum != sha {
+			t.Fatalf("%s: theory %s, pinned %s", c.name, sum, sha)
 		}
-		if got.Epochs != want.Epochs || got.VirtualTime != want.VirtualTime ||
-			got.CommBytes != want.CommBytes || got.CommMessages != want.CommMessages {
-			t.Fatalf("%s: simulation diverged: epochs %d/%d, virtual %v/%v, bytes %d/%d, msgs %d/%d",
-				c.name, got.Epochs, want.Epochs, got.VirtualTime, want.VirtualTime,
-				got.CommBytes, want.CommBytes, got.CommMessages, want.CommMessages)
+		if got.Epochs != epochs || got.CommBytes != bytes || got.CommMessages != messages {
+			t.Fatalf("%s: simulation diverged: epochs %d, bytes %d, msgs %d; pinned %d, %d, %d",
+				c.name, got.Epochs, got.CommBytes, got.CommMessages, epochs, bytes, messages)
 		}
-		if got.GeneratedRules != want.GeneratedRules || got.TotalInferences != want.TotalInferences {
-			t.Fatalf("%s: work diverged: generated %d/%d, inferences %d/%d",
-				c.name, got.GeneratedRules, want.GeneratedRules, got.TotalInferences, want.TotalInferences)
+		if got.GeneratedRules != generated || got.TotalInferences != inferences {
+			t.Fatalf("%s: work diverged: generated %d, inferences %d; pinned %d, %d",
+				c.name, got.GeneratedRules, got.TotalInferences, generated, inferences)
 		}
 	}
 }

@@ -130,10 +130,6 @@ type Config struct {
 	// live. Publishing is master-local and never touches the wire: runs
 	// are byte-identical with it on or off. An error aborts the run.
 	Publish func(epochsDone int, theory []logic.Clause) error
-	// wrapCoverer, set only by in-package tests, interposes on the coverage
-	// evaluator — the batch ≡ per-rule tests hide its batch methods to get
-	// the per-rule reference run.
-	wrapCoverer func(search.FullCoverer) search.FullCoverer
 }
 
 func (c Config) withDefaults() Config {

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -90,12 +87,7 @@ func TestRepartitionTheoriesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		for _, c := range met.Theory {
-			sb.WriteString(c.String())
-			sb.WriteByte('\n')
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); got != tc.sha || met.Epochs != tc.epochs {
+		if got := theorySHA(met.Theory); got != tc.sha || met.Epochs != tc.epochs {
 			t.Errorf("%s p=%d: theory %s after %d epochs, pinned %s after %d", ds.Name, tc.p, got, met.Epochs, tc.sha, tc.epochs)
 		}
 		if met.Rebalances != met.Epochs-1 {

@@ -267,11 +267,7 @@ func (w *worker) sendFinal() error {
 // example partition: serial on the worker's own machine, or sharded over
 // CoverParallelism goroutines with private machines on the same KB.
 func (w *worker) newEvaluator() search.FullCoverer {
-	ev := search.NewFullCoverer(w.m, w.ex, w.cfg.Budget, w.cfg.CoverParallelism)
-	if w.cfg.wrapCoverer != nil {
-		ev = w.cfg.wrapCoverer(ev)
-	}
-	return ev
+	return search.NewFullCoverer(w.m, w.ex, w.cfg.Budget, w.cfg.CoverParallelism)
 }
 
 func (w *worker) nextSeq() int64 {

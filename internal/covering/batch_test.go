@@ -1,45 +1,41 @@
 package covering
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/search"
 )
 
-// perRule hides the evaluator's batch entry point — search.FullCoverer
-// declares no CoverageBatch — so search.CoverageBatchOf takes its per-rule
-// loop: one Coverage call per candidate.
-type perRule struct{ search.FullCoverer }
-
 // TestBatchedSearchMatchesUnbatchedOnPaperDatasets pins that
 // whole-frontier batched candidate evaluation is a pure performance
 // choice. The full covering loop runs on each paper dataset batched,
-// serial and pooled, and once through perRule, and every observable —
-// theory, rule/fact counts, generated-rule counts, total inference
-// charge — must be bit-for-bit identical.
+// serial and pooled, and every observable — theory, rule/fact counts,
+// search and generated-rule counts, total inference charge — must be what
+// the per-candidate reference produced: a run that hid CoverageBatch from
+// the search, one Coverage call per candidate, pinned as it read when
+// covering could still be built that way (theory as the SHA-256 of its
+// rules, one per line).
 func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
+	pinned := map[string]struct {
+		sha                               string
+		rules, facts, searches, generated int
+		inferences                        int64
+	}{
+		"carcinogenesis": {"21cefc78b9efa0c5c1cb71a0e5ad9c305a5642fc6249b311179293aebc3d4c15", 2, 3, 5, 1802, 349172},
+		"mesh":           {"1cc9de6000586d2b76ebe1c5f387dbcd02dcffdaeec571c94b22cc1481c28fcd", 11, 22, 33, 1192, 301902},
+		"pyrimidines":    {"e86f31cdca58d8970ec73e0eeccdf7f978571fe85da388860291d53ebdbd0901", 2, 23, 25, 18398, 22085529},
+	}
 	for _, ds := range datasets.PaperScaled(0.1, 7) {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
-			run := func(unbatched bool, parallelism int) *Result {
-				cfg := Config{
-					Search:           ds.Search,
-					Bottom:           ds.Bottom,
-					Budget:           ds.Budget,
-					CoverParallelism: parallelism,
-				}
-				if unbatched {
-					cfg.wrapCoverer = func(ev search.FullCoverer) search.FullCoverer { return perRule{ev} }
-				}
-				ex := search.NewExamples(ds.Pos, ds.Neg)
-				res, err := Learn(ds.KB, ex, ds.Modes, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+			want, ok := pinned[ds.Name]
+			if !ok {
+				t.Fatalf("no pin for %s", ds.Name)
 			}
-			want := run(true, 0) // the per-candidate reference
 			for _, c := range []struct {
 				name        string
 				parallelism int
@@ -47,23 +43,28 @@ func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
 				{"batched-serial", 0},
 				{"batched-pool", 4},
 			} {
-				got := run(false, c.parallelism)
-				if len(got.Theory) != len(want.Theory) {
-					t.Fatalf("%s: theory size %d, want %d", c.name, len(got.Theory), len(want.Theory))
+				got, err := Learn(ds.KB, search.NewExamples(ds.Pos, ds.Neg), ds.Modes, Config{
+					Search:           ds.Search,
+					Bottom:           ds.Bottom,
+					Budget:           ds.Budget,
+					CoverParallelism: c.parallelism,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range want.Theory {
-					if got.Theory[i].String() != want.Theory[i].String() {
-						t.Fatalf("%s: rule %d: %s, want %s", c.name, i, got.Theory[i], want.Theory[i])
-					}
+				var sb strings.Builder
+				for _, r := range got.Theory {
+					sb.WriteString(r.String())
+					sb.WriteByte('\n')
 				}
-				if got.RulesLearned != want.RulesLearned || got.GroundFactsAdopted != want.GroundFactsAdopted ||
-					got.Searches != want.Searches || got.GeneratedRules != want.GeneratedRules {
-					t.Fatalf("%s: counts (%d,%d,%d,%d), want (%d,%d,%d,%d)", c.name,
-						got.RulesLearned, got.GroundFactsAdopted, got.Searches, got.GeneratedRules,
-						want.RulesLearned, want.GroundFactsAdopted, want.Searches, want.GeneratedRules)
+				if sha := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); sha != want.sha {
+					t.Fatalf("%s: theory %s, pinned %s:\n%s", c.name, sha, want.sha, sb.String())
 				}
-				if got.Inferences != want.Inferences {
-					t.Fatalf("%s: inferences %d, want %d", c.name, got.Inferences, want.Inferences)
+				if got.RulesLearned != want.rules || got.GroundFactsAdopted != want.facts ||
+					got.Searches != want.searches || got.GeneratedRules != want.generated || got.Inferences != want.inferences {
+					t.Fatalf("%s: counts (%d,%d,%d,%d) and %d inferences, pinned (%d,%d,%d,%d) and %d", c.name,
+						got.RulesLearned, got.GroundFactsAdopted, got.Searches, got.GeneratedRules, got.Inferences,
+						want.rules, want.facts, want.searches, want.generated, want.inferences)
 				}
 			}
 		})

@@ -38,10 +38,6 @@ type Config struct {
 	// across n goroutines, and a negative value selects GOMAXPROCS. The
 	// learned theory is identical in all cases; only wall-clock changes.
 	CoverParallelism int
-	// wrapCoverer, set only by in-package tests, interposes on the coverage
-	// evaluator — the batch ≡ per-rule tests hide its batch methods to get
-	// the per-rule reference run.
-	wrapCoverer func(search.FullCoverer) search.FullCoverer
 }
 
 func (c Config) withDefaults() Config {
@@ -79,9 +75,6 @@ func Learn(kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) (*Result
 	m.SetNoVM(cfg.Search.NoVM)
 	ev := search.NewFullCoverer(m, ex, cfg.Budget, cfg.CoverParallelism)
 	defer ev.Close()
-	if cfg.wrapCoverer != nil {
-		ev = cfg.wrapCoverer(ev)
-	}
 	res := &Result{}
 
 	for ex.NumPosAlive() > 0 && len(res.Theory) < cfg.MaxRules {

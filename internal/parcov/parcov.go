@@ -41,10 +41,6 @@ type Config struct {
 	Cost cluster.CostModel
 	// MaxRules bounds the covering loop. ≤0 means 1000.
 	MaxRules int
-	// wrapCoverer, set only by in-package tests, interposes on the distributed
-	// coverer — the batch ≡ per-rule tests hide its batch methods to get
-	// the per-rule reference run.
-	wrapCoverer func(search.Coverer) search.Coverer
 }
 
 // Metrics summarises a run.
@@ -460,10 +456,6 @@ func runMaster(node *cluster.Node, kb *solve.KB, pos []logic.Term, ms *mode.Set,
 	m.SetNoVM(cfg.Search.NoVM)
 	alive := search.FullBitset(len(pos))
 	targets := dc.targets
-	var ev search.Coverer = dc
-	if cfg.wrapCoverer != nil {
-		ev = cfg.wrapCoverer(dc)
-	}
 
 	for !alive.Empty() && len(met.Theory) < cfg.MaxRules {
 		if dc.err != nil {
@@ -477,7 +469,7 @@ func runMaster(node *cluster.Node, kb *solve.KB, pos []logic.Term, ms *mode.Set,
 		if err != nil {
 			return err
 		}
-		sr := search.LearnRule(ev, bot, nil, cfg.Search)
+		sr := search.LearnRule(dc, bot, nil, cfg.Search)
 		met.Searches++
 		met.GeneratedRules += sr.Generated
 		best := sr.Best()

@@ -82,8 +82,8 @@ type perRule struct{ search.Coverer }
 // TestPackedFrontierBudgets runs real pyrimidines and carcinogenesis
 // frontiers, packed and rule by rule, under budgets from "nearly every proof
 // is cut off" to "none is": bits, TotalInferences and CutoffQueries must
-// agree at every setting. Together the settings send thousands of members
-// through each fallback.
+// agree at every setting. Together the settings send thousands of queries
+// and pack members to exact mode.
 func TestPackedFrontierBudgets(t *testing.T) {
 	for _, ds := range []*datasets.Dataset{datasets.PyrimidinesSized(120, 100, 1), datasets.CarcinogenesisSized(80, 70, 1)} {
 		ex, fs := realFrontiers(t, ds, 400)

@@ -367,8 +367,8 @@ func genExample(rng *rand.Rand, head logic.Term) logic.Term {
 // single query. Its pack leg (checkPacksAgree, pack_test.go) then does the
 // same for random fans run as QueryPacks, under the caller's budget and under
 // a drawn tight one where most proofs are cut off somewhere. It reports how
-// much the compiled machines used the ground-call memo.
-func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rules int) memoUse {
+// much the compiled machines used the fast paths.
+func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rules int) fastUse {
 	t.Helper()
 	ref := newRefMachine(kb, budget)
 	interp := NewMachine(kb, budget)
@@ -409,17 +409,19 @@ func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rule
 		MaxDepth:      []int{1, 2, 3, 12}[rng.Intn(4)],
 		MaxInferences: []int64{3, 5, 8, 13, 21, 40, 80, 200}[rng.Intn(8)],
 	}
-	use := memoUse{vm.ReplayedInferences(), vm.memoRedos}
+	use := fastUse{vm.ReplayedInferences(), vm.reproofs}
 	use.add(checkPacksAgree(t, rng, kb, budget, rules/2))
 	use.add(checkPacksAgree(t, rng, kb, tight, rules/2))
 	return use
 }
 
-// memoUse is what a compiled machine replayed and how many of its queries a
-// budget event past a replay sent back to a live proof.
-type memoUse struct{ replayed, redos int64 }
+// fastUse is what a compiled machine replayed from the ground-call memo and
+// how many exact re-proofs budget events sent it to.
+type fastUse struct{ replayed, reproofs int64 }
 
-func (u *memoUse) add(v memoUse) { u.replayed, u.redos = u.replayed+v.replayed, u.redos+v.redos }
+func (u *fastUse) add(v fastUse) {
+	u.replayed, u.reproofs = u.replayed+v.replayed, u.reproofs+v.reproofs
+}
 
 func solutionString(bs *logic.Bindings, nVars int) string {
 	var b strings.Builder
@@ -434,7 +436,7 @@ func solutionString(bs *logic.Bindings, nVars int) string {
 
 func TestDifferentialGoalStackVsReference(t *testing.T) {
 	budget := Budget{MaxDepth: 12, MaxInferences: 4000}
-	var use memoUse
+	var use fastUse
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		kb := genProgram(rng)
@@ -479,8 +481,8 @@ func TestDifferentialGoalStackVsReference(t *testing.T) {
 		}
 		use.add(checkQueriesAgree(t, rng, kb, budget, 12))
 	}
-	if !envNoVM && (use.replayed == 0 || use.redos == 0) {
-		t.Errorf("held queries replayed %d inferences, %d were proved again live: the ground-call memo is not exercised", use.replayed, use.redos)
+	if !envNoVM && (use.replayed == 0 || use.reproofs == 0) {
+		t.Errorf("held queries replayed %d inferences, %d were proved again in exact mode: the fast paths are not exercised", use.replayed, use.reproofs)
 	}
 }
 

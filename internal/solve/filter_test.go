@@ -10,9 +10,10 @@ import (
 )
 
 // The tests here pin the VM's candidate filter (candList.keys, runCands):
-// what a key may and may not tell apart, what the keys cost, and that a run
-// of skipped candidates charged in one chargeN is indistinguishable from the
-// interpreter charging them one by one — at every possible cutoff point.
+// what a key may and may not tell apart and what the keys cost. That a run of
+// skipped candidates charged in one chargeN is indistinguishable from the
+// interpreter charging them one by one, at every cutoff point, is
+// TestExactModeSweep's (exact_test.go).
 
 // eachList visits every candidate list of a compiled program with its
 // predicate's arity.
@@ -177,6 +178,11 @@ func TestFilterKeyEncoding(t *testing.T) {
 				sols = append(sols, solutionString(bs, nv))
 				return true
 			})
+			// Solve runs in exact mode. The filter runs in existence queries,
+			// so it counts over a query that fails after every solution.
+			var q Query
+			m.CompileQuery(&q, &logic.Clause{Head: logic.A("f"), Body: append(goals, logic.Lit(logic.A("nosuch")))})
+			m.CoversQuery(&q, logic.A("f"))
 			return sols, m.TotalInferences(), m.FilteredCandidates()
 		}
 		want, wantInf, interpFiltered := run(true)
@@ -193,139 +199,5 @@ func TestFilterKeyEncoding(t *testing.T) {
 		if !envNoVM && filtered != tc.filtered {
 			t.Errorf("%s: %d candidates filtered, expected %d", goal, filtered, tc.filtered)
 		}
-	}
-}
-
-// bulkKB is TestBulkChargeMatchesPerCandidate's program: one 20-fact
-// first-argument bucket of w/4 in which the goal w(k, X, red, 1) matches
-// facts 4, 5 and 12 — a rejected run of four at the head of the bucket, of
-// six in the middle, of seven at the tail — with enough below each match for
-// a budget to run out there as well.
-func bulkKB(t *testing.T) *KB {
-	var src strings.Builder
-	for i := 0; i < 20; i++ {
-		col, n := []string{"blue", "green", "red"}[i%3], 2
-		if i == 4 || i == 5 || i == 12 {
-			col, n = "red", 1
-		} else if i%3 == 2 {
-			n = 3 // red, but not 1
-		}
-		fmt.Fprintf(&src, "w(k, a%d, %s, %d).\n", i, col, n)
-	}
-	src.WriteString(`
-		w(j, b0, red, 1).
-		good(a12). fine(a5). fine(a12).
-		twin(X) :- w(k, X, C, N), w(k, Y, blue, 2), fine(X), last(Y).
-		last(a18).
-	`)
-	return kbFrom(t, src.String())
-}
-
-// TestBulkChargeMatchesPerCandidate sweeps MaxInferences over every value
-// from 1 to past the longest proof, so that the cutoff lands on every charge
-// of every query once: inside each skipped run, on the candidate after it,
-// below a matched candidate — after which the rest of the bucket is scanned
-// with the budget already spent, where each charge fails and still counts.
-// VM and interpreter must agree on answers, solution order, TotalInferences
-// and CutoffQueries, query by query and as members of one QueryPack whose
-// prefix and suffixes both scan the bucket.
-func TestBulkChargeMatchesPerCandidate(t *testing.T) {
-	kb := bulkKB(t)
-	ex := logic.MustParseTerm("h(e)")
-	var rules []*logic.Clause
-	for _, src := range []string{
-		"h(E) :- w(k, X, red, 1), good(X).",
-		"h(E) :- w(k, X, red, 1), w(k, Y, blue, 2), last(Y), good(X).",
-		"h(E) :- w(k, X, red, 1), twin(X), good(X).",
-		"h(E) :- w(k, X, red, 1), w(k, X, green, N).",
-		"h(E) :- w(k, X, red, 1), w(k, Y, C, 1), Y \\= X, nosuch(Y).",
-	} {
-		r := logic.MustParseClause(src)
-		rules = append(rules, &r)
-	}
-	enum := logic.MustParseClause("all(X, Y) :- w(k, X, red, N), w(k, Y, C, 3), twin(X).")
-
-	type outcome struct {
-		runs      []coverRun
-		solutions []string
-		enumInf   int64
-		enumCut   int64
-	}
-	// alone proves every rule by itself and enumerates enum's body.
-	alone := func(budget Budget, novm bool) (o outcome, filtered int64) {
-		m := NewMachine(kb, budget)
-		m.SetNoVM(novm)
-		for _, r := range rules {
-			var q Query
-			m.CompileQuery(&q, r)
-			o.runs = append(o.runs, runCovers(m, func() bool { return m.CoversQuery(&q, ex) }))
-		}
-		inf, cut := m.TotalInferences(), m.CutoffQueries()
-		m.Solve(enum.Body, enum.NumVars(), func(bs *logic.Bindings) bool {
-			o.solutions = append(o.solutions, solutionString(bs, 2))
-			return true
-		})
-		o.enumInf, o.enumCut = m.TotalInferences()-inf, m.CutoffQueries()-cut
-		return o, m.FilteredCandidates()
-	}
-	// packed runs the rules as one pack over their shared first literal.
-	packed := func(budget Budget, novm bool) []coverRun {
-		m := NewMachine(kb, budget)
-		m.SetNoVM(novm)
-		var pack QueryPack
-		m.CompilePack(&pack, rules, 1)
-		hit := make([]bool, len(rules))
-		total := runCovers(m, func() bool { m.CoversPack(&pack, ex, hit); return false })
-		runs := make([]coverRun, len(rules))
-		var sum int64
-		for c := range rules {
-			runs[c] = coverRun{covered: hit[c], inferences: pack.Charged(c)}
-			sum += pack.Charged(c)
-		}
-		if sum != total.inferences {
-			t.Fatalf("budget %d novm=%v: pack members charged %d, the machine %d", budget.MaxInferences, novm, sum, total.inferences)
-		}
-		runs = append(runs, coverRun{cutoffs: total.cutoffs}) // cutoffs are per pack, not per member
-		return runs
-	}
-
-	free, filtered := alone(DefaultBudget, false)
-	if !envNoVM && filtered == 0 {
-		t.Fatal("the VM filtered nothing: the bucket is not keyed")
-	}
-	if _, f := alone(DefaultBudget, true); f != 0 {
-		t.Fatalf("the interpreter reports %d filtered candidates", f)
-	}
-	longest := free.enumInf
-	for _, r := range free.runs {
-		longest = max(longest, r.inferences)
-	}
-	if !free.runs[0].covered || !free.runs[1].covered || !free.runs[2].covered || free.runs[3].covered || free.runs[4].covered || len(free.solutions) == 0 {
-		t.Fatalf("unbounded outcomes are not what the sweep was built around: %+v", free)
-	}
-	cutoffs := int64(0)
-	for maxInf := int64(1); maxInf <= longest+3; maxInf++ {
-		budget := Budget{MaxInferences: maxInf}
-		want, _ := alone(budget, true)
-		got, _ := alone(budget, false)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("MaxInferences %d, stand-alone:\n       VM %+v\ninterpreter %+v", maxInf, got, want)
-		}
-		wantPack := packed(budget, true)
-		for c, r := range want.runs {
-			if wantPack[c].covered != r.covered || wantPack[c].inferences != r.inferences {
-				t.Fatalf("MaxInferences %d: interpreter pack member %d %+v, stand-alone %+v", maxInf, c, wantPack[c], r)
-			}
-		}
-		if gotPack := packed(budget, false); fmt.Sprint(gotPack) != fmt.Sprint(wantPack) {
-			t.Fatalf("MaxInferences %d, packed:\n       VM %+v\ninterpreter %+v", maxInf, gotPack, wantPack)
-		}
-		cutoffs += want.enumCut
-		for _, r := range want.runs {
-			cutoffs += r.cutoffs
-		}
-	}
-	if cutoffs < longest {
-		t.Errorf("only %d cutoff queries over a sweep of %d budgets", cutoffs, longest+3)
 	}
 }

@@ -80,24 +80,16 @@ type Machine struct {
 	totalInf   int64 // inferences spent since construction/reset
 	budgetHit  bool  // current query hit its budget
 	anyCutoffs int64 // queries that hit a budget since construction
-	// steps counts the resolution steps actually executed, where totalInf
-	// counts the ones charged: a query pack (pack.go) charges every member
-	// its stand-alone proof but executes the shared prefix once. packRedos
-	// counts pack members a budget event sent back to CoversQuery.
-	steps     int64
-	packRedos int64
-	// filtered counts the candidates charged without being run (chargeN).
-	filtered int64
-	// replayed counts the charges paid by ground-call replays (memo.go),
-	// replayMark its value when the current query began; memoRedos counts
-	// the queries a budget event past a replay sent back to a live proof.
-	replayed   int64
-	replayMark int64
-	memoRedos  int64
+	// work counts what was executed, where totalInf counts what was charged;
+	// mark is its value when the current query began, which a fast proof
+	// replaced by exact re-proofs (query.go, counted in reproofs) rolls back to.
+	work, mark counters
+	reproofs   int64
 
-	// memo is the ground-call memo, consulted only while memoOn — inside
-	// CoversQuery and CoversPack. deepest is the deepest frame depth pushed
-	// so far, which a recording reads back.
+	// memoOn switches on the fast paths — the candidate filter (vm.go) and
+	// the ground-call memo — inside CoversQuery and CoversPack; with it off
+	// the VM runs in exact mode. deepest is the deepest frame depth pushed so
+	// far, which a memo recording reads back.
 	memo    memoTable
 	memoOn  bool
 	deepest int32
@@ -122,6 +114,10 @@ type Machine struct {
 	queryCompiles int64
 }
 
+// counters are what StepsExecuted, FilteredCandidates and ReplayedInferences
+// report; a re-proof rolls all three back at once.
+type counters struct{ steps, filtered, replayed int64 }
+
 // NewMachine returns a machine over kb with the given budget.
 func NewMachine(kb *KB, budget Budget) *Machine {
 	return &Machine{kb: kb, bs: logic.NewBindings(64), budget: budget.withDefaults(), novm: envNoVM}
@@ -137,35 +133,39 @@ func (m *Machine) SetKB(kb *KB) { m.kb = kb }
 // TotalInferences reports inferences accumulated over all queries.
 func (m *Machine) TotalInferences() int64 { return m.totalInf }
 
-// StepsExecuted reports the resolution steps the machine actually ran over
-// all queries: TotalInferences less ReplayedInferences as long as every rule
-// is proved on its own, lower once query packs prove shared prefixes once.
-// It is updated when a query or pack ends, not per step.
-func (m *Machine) StepsExecuted() int64 { return m.steps }
+// StepsExecuted reports the resolution steps the machine executed over all
+// queries whose answers it reported: TotalInferences less ReplayedInferences
+// as long as every rule is proved on its own, lower once query packs prove
+// shared prefixes once. Under a re-proof, executed means the exact proof's
+// steps: the fast proof it replaces — a CoversQuery's, or a pack pass that
+// left any member to exact mode — counts neither here nor in
+// FilteredCandidates or ReplayedInferences. It is updated when a query or
+// pack ends, not per step.
+func (m *Machine) StepsExecuted() int64 { return m.work.steps }
 
 // ReplayedInferences reports the charges paid by replaying a recorded ground
 // call (memo.go) instead of executing it. They are part of TotalInferences,
 // not of StepsExecuted. Always 0 on the interpreter.
-func (m *Machine) ReplayedInferences() int64 { return m.replayed }
+func (m *Machine) ReplayedInferences() int64 { return m.work.replayed }
 
 // FilteredCandidates reports the candidate visits that were charged but not
 // run, because the VM's candidate filter (vm.go) proved from the constants
 // alone that their head could not match; they are part of TotalInferences
 // and of StepsExecuted. Always 0 on the interpreter.
-func (m *Machine) FilteredCandidates() int64 { return m.filtered }
+func (m *Machine) FilteredCandidates() int64 { return m.work.filtered }
 
 // AddInferences charges extra work units to the machine (used by callers to
 // account for non-deductive work, e.g. clause construction, in the same
 // currency as proofs).
-func (m *Machine) AddInferences(n int64) { m.totalInf += n; m.steps += n }
+func (m *Machine) AddInferences(n int64) { m.totalInf += n; m.work.steps += n }
 
 // CutoffQueries reports how many queries were truncated by the budget.
 func (m *Machine) CutoffQueries() int64 { return m.anyCutoffs }
 
 // ResetCounters zeroes the accumulated inference statistics.
 func (m *Machine) ResetCounters() {
-	m.totalInf, m.steps, m.anyCutoffs, m.packRedos, m.filtered = 0, 0, 0, 0, 0
-	m.replayed, m.memoRedos = 0, 0
+	m.totalInf, m.anyCutoffs, m.reproofs = 0, 0, 0
+	m.work = counters{}
 }
 
 // currentProgram is the compiled program queries resolve against right now:
@@ -188,7 +188,7 @@ func (m *Machine) beginQuery(nVars int) {
 	m.nextVar = nVars
 	m.queryInf = 0
 	m.budgetHit = false
-	m.replayMark = m.replayed
+	m.mark = m.work
 	m.stack = m.stack[:0]
 	m.base = 0
 	m.wtop, m.ftop = 0, 0
@@ -196,7 +196,7 @@ func (m *Machine) beginQuery(nVars int) {
 
 func (m *Machine) endQuery() {
 	m.totalInf += m.queryInf
-	m.steps += m.queryInf - (m.replayed - m.replayMark)
+	m.work.steps += m.queryInf - (m.work.replayed - m.mark.replayed)
 	if m.budgetHit {
 		m.anyCutoffs++
 	}
@@ -213,22 +213,19 @@ func (m *Machine) charge() bool {
 	return true
 }
 
-// chargeN is n ≥ 1 consecutive charge() calls with nothing observable in
-// between, stopping like them at the first that fails: the one that takes
-// queryInf to the bound or — a branch abandoned earlier in this query
-// already took it there, and every charge since fails but still counts — the
-// very next one.
-func (m *Machine) chargeN(n int64) bool {
-	q := m.queryInf
-	if q+n < m.budget.MaxInferences {
-		m.queryInf = q + n
-		m.filtered += n
-		return true
+// chargeN is n consecutive charge() calls with nothing observable in
+// between, for work a fast path pays without running — filtered candidates,
+// a replayed segment — which it adds to *paid. If one of them would fail it
+// only flags the budget: a fast proof that sees a budget event is replaced by
+// an exact one (query.go), so what it charged past the event never counts.
+func (m *Machine) chargeN(n int64, paid *int64) bool {
+	if m.queryInf+n >= m.budget.MaxInferences {
+		m.budgetHit = true
+		return false
 	}
-	m.queryInf = max(q+1, m.budget.MaxInferences)
-	m.filtered += m.queryInf - q
-	m.budgetHit = true
-	return false
+	m.queryInf += n
+	*paid += n
+	return true
 }
 
 // pushGoals pushes body in reverse so the leftmost literal is popped first.
@@ -253,7 +250,9 @@ func (m *Machine) pushQuery(goals []logic.Literal) {
 // Solve enumerates solutions of the conjunction goals, whose variables are
 // numbered below nVars. For each solution it calls yield with the machine's
 // bindings (valid only during the call); yield returns false to stop the
-// enumeration. Solve reports whether at least one solution was found.
+// enumeration. Solve reports whether at least one solution was found. Like
+// Prove it runs in exact mode: what yield did cannot be undone for a
+// re-proof, so no fast path may need one.
 func (m *Machine) Solve(goals []logic.Literal, nVars int, yield func(*logic.Bindings) bool) bool {
 	m.beginQuery(nVars)
 	defer m.endQuery()

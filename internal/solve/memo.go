@@ -27,13 +27,9 @@ import (
 // subtree would have left it; fresh-variable numbering and the trail differ,
 // and no charge looks at either.
 //
-// A budget event is never approximated. A replay whose charges would cross
-// MaxInferences flags the budget instead of paying them, and one that would
-// reach MaxDepth is not replayed at all; a CoversQuery that replayed anything
-// and saw a budget event anywhere is proved again with the memo off
-// (memoRedos), the way packs send such members back to CoversQuery. Past a
-// cutoff the interpreter's charges include how its goal stack unwinds, which
-// a replay cannot reconstruct.
+// It is a fast path (query.go): a segment that would cross MaxInferences, or
+// an entry whose recorded depth would reach MaxDepth from the call, flags the
+// budget, and the query is proved again in exact mode.
 
 const (
 	// memoMaxArity is the widest call the memo keys.
@@ -152,8 +148,8 @@ func (t *memoTable) reset(prog *program) {
 
 // callMemo is step's hook for a statically dispatched call to a memoizable
 // predicate while the memo is on, after the call's own charge and depth
-// check. ok = false sends the call live: an argument is not a constant, the
-// entry is disabled, or its recorded depth would reach MaxDepth from here.
+// check. ok = false sends the call live: an argument is not a constant, or
+// the entry is disabled.
 func (m *Machine) callMemo(fr *goalFrame, k func() bool) (cont, ok bool) {
 	atom := fr.lit.Atom
 	key := memoKey{cp: fr.cp}
@@ -174,42 +170,29 @@ func (m *Machine) callMemo(fr *goalFrame, k func() bool) (cont, ok bool) {
 	if !hit {
 		e = m.record(fr, &key)
 	}
-	if e.off || fr.depth+e.depth >= int32(m.budget.MaxDepth) {
+	if e.off {
 		return false, false
 	}
+	if fr.depth+e.depth >= int32(m.budget.MaxDepth) {
+		m.budgetHit = true // the live call might be cut: abandon this branch
+		return true, true
+	}
 	for _, seg := range m.memo.segs[e.at : e.at+e.n] {
-		if !m.replayCharge(seg) {
+		if !m.chargeN(seg, &m.work.replayed) {
 			return true, true // budget: abandon this branch
 		}
 		if !m.solve(k) {
 			return false, true
 		}
 	}
-	m.replayCharge(e.tail)
+	m.chargeN(e.tail, &m.work.replayed)
 	return true, true
 }
 
-// replayCharge pays n recorded charges at once when none of them would
-// fail; otherwise it stops at the first that fails, as chargeN does, and the
-// query — which has now replayed something and seen a budget event — is
-// proved again live.
-func (m *Machine) replayCharge(n int64) bool {
-	q := m.queryInf
-	if q+n < m.budget.MaxInferences {
-		m.queryInf = q + n
-		m.replayed += n
-		return true
-	}
-	m.queryInf = max(q+1, m.budget.MaxInferences)
-	m.replayed += m.queryInf - q
-	m.budgetHit = true
-	return false
-}
-
 // record runs the call's whole subtree once, in isolation — above a raised
-// stack base, from queryInf 0, with the memo off and a continuation that only
-// notes the charge at each solution — stores what it charged, and restores
-// everything the run touched.
+// stack base, from queryInf 0, in exact mode and with a continuation that
+// only notes the charge at each solution — stores what it charged, and
+// restores everything the run touched.
 func (m *Machine) record(fr *goalFrame, key *memoKey) memoEntry {
 	t := &m.memo
 	if t.note == nil {
@@ -218,7 +201,7 @@ func (m *Machine) record(fr *goalFrame, key *memoKey) memoEntry {
 	if t.used >= memoMaxEntries {
 		t.reset(t.prog)
 	}
-	base, inf, hit, next, filtered, maxInf := m.base, m.queryInf, m.budgetHit, m.nextVar, m.filtered, m.budget.MaxInferences
+	base, inf, hit, next, maxInf := m.base, m.queryInf, m.budgetHit, m.nextVar, m.budget.MaxInferences
 	mark := m.bs.Mark()
 	m.base = len(m.stack)
 	m.queryInf, m.budgetHit = 0, false
@@ -244,7 +227,7 @@ func (m *Machine) record(fr *goalFrame, key *memoKey) memoEntry {
 	// An early stop leaves builtin and ground-fact steps un-undone.
 	m.bs.Undo(mark)
 	m.stack = m.stack[:m.base]
-	m.base, m.queryInf, m.budgetHit, m.nextVar, m.filtered = base, inf, hit, next, filtered
+	m.base, m.queryInf, m.budgetHit, m.nextVar = base, inf, hit, next
 	m.budget.MaxInferences = maxInf
 	m.memoOn = true
 	return e

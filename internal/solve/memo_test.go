@@ -10,10 +10,11 @@ import (
 )
 
 // The tests here pin the ground-call memo (memo.go): that a replayed call is
-// charged exactly what the interpreter charges for proving it, at every
-// budget, depth and program change, and that what the memo keeps is bounded.
+// charged exactly what the interpreter charges for proving it, through cyclic
+// recursion and program changes, and that what the memo keeps is bounded.
 // Each compares a default machine against one pinned to the interpreter,
-// which never memoizes.
+// which never memoizes. Every budget and depth is TestExactModeSweep's
+// (exact_test.go).
 
 // memoCase proves rules over examples on a compiled and an interpreter-pinned
 // machine, query by query, and requires the same answer, charge and cutoff.
@@ -61,126 +62,6 @@ func memoKB(t *testing.T) *KB {
 		strong(G) :- polar_any(G), polar_gte(G, 3).
 		marked(d2, g1).
 	`)
-}
-
-var memoRules = []string{
-	"h(D) :- subst(D, P, G), polar_gte(G, 2), marked(D, G).",
-	"h(D) :- subst(D, P, G), polar_any(G), marked(D, G).",
-	"h(D) :- subst(D, P, G), polar_any(G), polar_gte(G, 3).",
-	"h(D) :- subst(D, P, G), strong(G), G \\= g1.",
-	"h(D) :- subst(D, P, G), polar_gte(G, 1), strong(G), marked(D, G).",
-}
-
-// TestMemoBudgetSweep sweeps MaxInferences over every value from 1 to past
-// the longest proof, so that a cutoff lands on every charge once — inside
-// replayed segments, on a replayed tail, between replays, before anything
-// was recorded — with each rule proved stand-alone over a stream of examples
-// that repeats every ground call, and as a member of one QueryPack. Answer,
-// TotalInferences and CutoffQueries must be the interpreter's throughout;
-// the budget events past a replay are what send queries back to a live
-// proof.
-func TestMemoBudgetSweep(t *testing.T) {
-	kb := memoKB(t)
-	examples := []string{"h(d1)", "h(d2)", "h(d1)", "h(d2)"}
-	free := memoCase(t, kb, DefaultBudget, memoRules, examples...)
-	longest := int64(0)
-	for _, src := range memoRules {
-		rule := logic.MustParseClause(src)
-		for _, e := range examples {
-			m := NewMachine(kb, DefaultBudget)
-			ex := logic.MustParseTerm(e)
-			longest = max(longest, runCovers(m, func() bool { return m.CoversExample(&rule, ex) }).inferences)
-		}
-	}
-	if !envNoVM && free.ReplayedInferences()*3 < free.TotalInferences() {
-		t.Fatalf("unbounded, %d of %d charges replayed: the sweep would test no replay", free.ReplayedInferences(), free.TotalInferences())
-	}
-
-	ptrs := make([]*logic.Clause, len(memoRules))
-	for i, src := range memoRules {
-		r := logic.MustParseClause(src)
-		ptrs[i] = &r
-	}
-	var redos, packRedos int64
-	for maxInf := int64(1); maxInf <= longest+3; maxInf++ {
-		budget := Budget{MaxInferences: maxInf}
-		redos += memoCase(t, kb, budget, memoRules, examples...).memoRedos
-
-		vm, interp := NewMachine(kb, budget), NewMachine(kb, budget)
-		interp.SetNoVM(true)
-		var pack QueryPack
-		vm.CompilePack(&pack, ptrs, 1)
-		hit := make([]bool, len(ptrs))
-		for _, e := range examples {
-			ex := logic.MustParseTerm(e)
-			var sum coverRun
-			want := make([]coverRun, len(ptrs))
-			for c, r := range ptrs {
-				want[c] = runCovers(interp, func() bool { return interp.CoversExample(r, ex) })
-				sum.inferences += want[c].inferences
-				sum.cutoffs += want[c].cutoffs
-			}
-			got := runCovers(vm, func() bool { vm.CoversPack(&pack, ex, hit); return false })
-			for c := range ptrs {
-				if hit[c] != want[c].covered || pack.Charged(c) != want[c].inferences {
-					t.Fatalf("MaxInferences %d, pack member %d (%s) on %s: covered %v charged %d, interpreter %+v",
-						maxInf, c, memoRules[c], e, hit[c], pack.Charged(c), want[c])
-				}
-			}
-			if got != sum {
-				t.Fatalf("MaxInferences %d, pack on %s: machine counters moved by %+v, interpreter %+v", maxInf, e, got, sum)
-			}
-		}
-		packRedos += vm.memoRedos
-	}
-	if !envNoVM && (redos == 0 || packRedos == 0) {
-		t.Errorf("over the sweep %d stand-alone and %d packed queries were proved again live: the re-proof is not exercised", redos, packRedos)
-	}
-}
-
-// TestMemoDepthGuard: g(a) is recorded at depth 0, where its subtree reaches
-// three levels below it, and is then called again at depth 3 through three
-// wrappers. Under MaxDepth 6 its fact lookup at depth 6 is cut off — the
-// call must run live, a cutoff query with no proof — and under MaxDepth 7
-// it may replay. The same for a subtree whose deepest frame is a negation's
-// sub-proof.
-func TestMemoDepthGuard(t *testing.T) {
-	kb := kbFrom(t, `
-		g(X) :- g1(X).
-		g1(X) :- g2(X).
-		g2(X) :- ok(X).
-		ok(a).
-		w1(X) :- w2(X).
-		w2(X) :- w3(X).
-		w3(X) :- g(X).
-	`)
-	rules := []string{"h(X) :- g(X).", "h(X) :- w1(X)."}
-	m := memoCase(t, kb, Budget{MaxDepth: 6}, rules, "h(a)", "h(a)")
-	if m.CutoffQueries() != 2 {
-		t.Fatalf("MaxDepth 6: %d cutoff queries, want the two through the wrappers", m.CutoffQueries())
-	}
-	if !envNoVM && m.ReplayedInferences() == 0 {
-		t.Fatal("MaxDepth 6: g(a) was never replayed at depth 0")
-	}
-	m = memoCase(t, kb, Budget{MaxDepth: 7}, rules, "h(a)", "h(a)")
-	if m.CutoffQueries() != 0 {
-		t.Fatalf("MaxDepth 7: %d cutoff queries", m.CutoffQueries())
-	}
-
-	// The deepest frame can be a negation's sub-proof: n(a)'s \+ bad(a)
-	// proves bad(a) a level below the negation itself. Called at depth 2
-	// under MaxDepth 4 that proof is cut, and the cut lets the negation,
-	// and so n(a), succeed — in a cutoff query.
-	kb = kbFrom(t, `
-		n(X) :- \+ bad(X).
-		bad(zz).
-		v1(X) :- v2(X).
-		v2(X) :- n(X).
-	`)
-	m = memoCase(t, kb, Budget{MaxDepth: 4}, []string{"h(X) :- n(X).", "h(X) :- v1(X)."}, "h(a)", "h(a)")
-	if m.CutoffQueries() != 2 {
-		t.Fatalf("MaxDepth 4: %d cutoff queries, want the two through the wrappers", m.CutoffQueries())
-	}
 }
 
 // TestMemoCyclicGroundRecursion: reach(a, a) recurses through the cycle

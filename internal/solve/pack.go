@@ -21,19 +21,11 @@ import (
 // c's sub-proof — charge()'s budget test then *is* the stand-alone test —
 // reads suffix[c] back afterwards and restores P.
 //
-// A budget event is never approximated: past one, the stand-alone proof's
-// charges include how its own goal stack unwinds, which the pack has no
-// business reconstructing. The member is re-proved with CoversQuery instead
-// (redo), which reproduces charge and cutoff count bit for bit. There are
-// three triggers. The member's suffix sub-proof flags the budget — which is
-// also how a running sum that crossed MaxInferences somewhere in the prefix
-// search since the last solution is caught, at the sub-proof's first charge.
-// The member's running sum P + suffix[c] has reached MaxInferences when the
-// prefix runs dry. Or the prefix itself flags the budget while the member is
-// still unsatisfied: that covers MaxDepth as well as MaxInferences, because
-// a depth hit abandons one branch but lets the enumeration go on, so a
-// member can still succeed afterwards — and must then count as a cutoff
-// query, exactly as it does stand-alone.
+// A pack is a fast path (query.go): it stops at its first budget event — in
+// the prefix or a suffix, where a running sum that crossed MaxInferences since
+// the last prefix solution trips at the first charge — and every member not
+// yet satisfied is proved again in exact mode; so is one whose running sum
+// has reached MaxInferences when the prefix runs dry.
 
 // QueryPack is a set of rules sharing head and leading body literals,
 // compiled for evaluation against one example at a time (CompilePack,
@@ -46,13 +38,12 @@ type QueryPack struct {
 	numVars int     // the largest member's
 
 	// State of the example under evaluation. live lists the members not yet
-	// satisfied, in member order; suffix[c] is what c's suffix sub-proofs
-	// have charged so far; charged[c] is c's stand-alone total once settled;
-	// redo lists the members a budget event sends back to CoversQuery.
+	// satisfied, in member order — after the pass, the ones left to exact
+	// mode; suffix[c] is what c's suffix sub-proofs have charged so far;
+	// charged[c] is c's stand-alone total once settled.
 	live    []int32
 	suffix  []int64
 	charged []int64
-	redo    []int32
 	m       *Machine
 	hit     []bool
 	// atSolution is the prefix enumeration's continuation, bound to the
@@ -80,7 +71,6 @@ func (m *Machine) CompilePack(p *QueryPack, rules []*logic.Clause, prefix int) {
 	}
 	if cap(p.suffix) < n {
 		p.live = make([]int32, 0, n)
-		p.redo = make([]int32, 0, n)
 		p.suffix = make([]int64, n)
 		p.charged = make([]int64, n)
 	}
@@ -130,7 +120,7 @@ func (m *Machine) CoversPack(p *QueryPack, example logic.Term, hit []bool) {
 	if !m.matchQueryHead(&qs[0], example) {
 		return // head matching is never charged
 	}
-	p.live, p.redo = p.live[:0], p.redo[:0]
+	p.live = p.live[:0]
 	for c := range qs {
 		p.live = append(p.live, int32(c))
 	}
@@ -142,46 +132,50 @@ func (m *Machine) CoversPack(p *QueryPack, example logic.Term, hit []bool) {
 	m.solve(p.atSolution)
 	m.memoOn = false
 
-	// The prefix ran dry, or nobody was left to want its next solution.
-	// What was executed is the prefix once plus every suffix sub-proof, less
-	// what ground-call replays paid; what is charged is each member's
-	// stand-alone total.
+	// The prefix ran dry, nobody was left to want its next solution, or the
+	// pass stopped at a budget event. A member still unsatisfied is charged
+	// its running sum, unless the event or that sum reaching MaxInferences
+	// leaves it to exact mode.
 	prefix := m.queryInf
+	exact := p.live[:0]
 	for _, c := range p.live {
 		if total := prefix + p.suffix[c]; m.budgetHit || total >= m.budget.MaxInferences {
-			p.redo = append(p.redo, c)
+			exact = append(exact, c)
 		} else {
 			p.charged[c] = total
 		}
 	}
-	m.steps += prefix - (m.replayed - m.replayMark)
+	p.live = exact
+	// What was executed is the prefix once plus every suffix sub-proof, less
+	// what ground-call replays paid — unless re-proofs replace the pass.
+	steps := prefix - (m.work.replayed - m.mark.replayed)
 	for c := range qs {
-		m.steps += p.suffix[c]
+		steps += p.suffix[c]
 		m.totalInf += p.charged[c]
 	}
-	for _, c := range p.redo {
-		m.packRedos++
-		hit[c] = m.CoversQuery(&qs[c], example)
+	m.work.steps += steps
+	if len(exact) > 0 {
+		m.work = m.mark
+	}
+	for _, c := range exact {
+		hit[c] = m.proveExact(&qs[c], example)
 		p.charged[c] = m.queryInf
 	}
 }
 
 // runSuffixes is the continuation of the prefix enumeration: invoked at each
 // prefix solution with the goal stack empty and the solution in the bindings.
-// It reports whether any member still wants another solution.
+// It reports whether any member still wants another solution; none does once
+// the budget is flagged, by the prefix on the way here or by a suffix.
 func (p *QueryPack) runSuffixes() bool {
 	m := p.m
 	if m.budgetHit {
-		// The prefix was cut (MaxDepth or MaxInferences) on the way here:
-		// every member still unsatisfied saw that cut stand-alone.
-		p.redo = append(p.redo, p.live...)
-		p.live = p.live[:0]
 		return false
 	}
 	prefix := m.queryInf
 	mark, nextVar, top := m.bs.Mark(), m.nextVar, len(m.stack)
 	live := p.live[:0]
-	for _, c := range p.live {
+	for i, c := range p.live {
 		q := &p.queries[c]
 		m.queryInf = prefix + p.suffix[c]
 		m.stack = append(m.stack, q.frames[:len(q.frames)-p.prefix]...)
@@ -191,18 +185,18 @@ func (p *QueryPack) runSuffixes() bool {
 		m.bs.Undo(mark)
 		m.nextVar = nextVar
 		p.suffix[c] = m.queryInf - prefix
-		switch {
-		case m.budgetHit:
-			m.budgetHit = false
-			p.redo = append(p.redo, c)
-		case found:
+		if m.budgetHit {
+			live = append(live, p.live[i:]...) // c and everyone after it
+			break
+		}
+		if found {
 			p.hit[c] = true
 			p.charged[c] = m.queryInf
-		default:
+		} else {
 			live = append(live, c)
 		}
 	}
 	p.live = live
 	m.queryInf = prefix
-	return len(live) > 0
+	return len(live) > 0 && !m.budgetHit
 }

@@ -44,8 +44,8 @@ func genFan(rng *rand.Rand) (rules []logic.Clause, prefix int) {
 // interpreter-pinned machine, against the seed reference proving every
 // member on its own. Per member the answer and the charge must agree; per
 // example so must the machines' TotalInferences and CutoffQueries. It
-// reports the compiled machine's use of the ground-call memo.
-func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans int) memoUse {
+// reports the compiled machine's use of the fast paths.
+func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans int) fastUse {
 	t.Helper()
 	ref := newRefMachine(kb, budget)
 	interp := NewMachine(kb, budget)
@@ -92,14 +92,13 @@ func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans i
 			}
 		}
 	}
-	return memoUse{machines[0].m.ReplayedInferences(), machines[0].m.memoRedos}
+	return fastUse{machines[0].m.ReplayedInferences(), machines[0].m.reproofs}
 }
 
 // packCase runs rules (sharing head and prefix leading literals) against ex
 // both ways on fresh machines — one CoversQuery per member, one CoversPack —
-// and requires every observable to agree. It returns the stand-alone outcomes
-// and how many members the pack sent back to CoversQuery.
-func packCase(t *testing.T, kb *KB, budget Budget, novm bool, prefix int, ex string, src ...string) ([]coverRun, int64) {
+// and requires every observable to agree.
+func packCase(t *testing.T, kb *KB, budget Budget, novm bool, prefix int, ex string, src ...string) {
 	t.Helper()
 	example := logic.MustParseTerm(ex)
 	rules := make([]*logic.Clause, len(src))
@@ -131,104 +130,6 @@ func packCase(t *testing.T, kb *KB, budget Budget, novm bool, prefix int, ex str
 		if packed.TotalInferences() != alone.TotalInferences() || packed.CutoffQueries() != alone.CutoffQueries() {
 			t.Fatalf("novm=%v: pack total %d inferences %d cutoffs, stand-alone %d and %d", novm,
 				packed.TotalInferences(), packed.CutoffQueries(), alone.TotalInferences(), alone.CutoffQueries())
-		}
-	}
-	return want, packed.packRedos
-}
-
-// TestPackBudgetFallbacks drives each way a budget event can reach a pack
-// member through a hand-built program, and pins besides exactness how many
-// members fell back to CoversQuery: one too few means a trigger was missed
-// and another happened to mask it, one too many that a cut leaked from one
-// member to its siblings.
-func TestPackBudgetFallbacks(t *testing.T) {
-	kb := kbFrom(t, `
-		p(1). p(2). p(3). p(4). p(5). p(6).
-		first(1). last(6). ends(1). ends(6).
-		q(1, a). q(1, b). q(1, c). q(1, d). q(1, e). q(1, f). q(1, g). q(1, h).
-		slow(X) :- q(X, W), r(W).
-		r(zz).
-		ok(1). ok(6). yes(6).
-
-		edge(a, b). edge(b, c). edge(c, d).
-		deep(X, Y) :- edge(X, Z), deep(Z, Y).
-		deep(X, Y) :- edge(X, Y).
-		shallow(X, Y) :- edge(X, Y).
-		shallow(X, Y) :- edge(X, Z), shallow(Z, Y).
-		at(b). on(b). off(zz).
-	`)
-	for _, novm := range []bool{false, true} {
-		// No budget event: nothing falls back, and the pack really did share
-		// the prefix.
-		want, redos := packCase(t, kb, DefaultBudget, novm, 1, "h(x)",
-			"h(X) :- p(Y), ok(Y).", "h(X) :- p(Y), yes(Y).", "h(X) :- p(Y), slow(Y).")
-		if redos != 0 || !want[0].covered || !want[1].covered || want[2].covered {
-			t.Fatalf("novm=%v unbounded: %d fallbacks, stand-alone %+v", novm, redos, want)
-		}
-
-		// The prefix is cut off before its first solution: p(Y), last(Y)
-		// needs 6 + 6 + 1 charges to get there, the budget allows 8.
-		want, redos = packCase(t, kb, Budget{MaxInferences: 8}, novm, 2, "h(x)",
-			"h(X) :- p(Y), last(Y), ok(Y).", "h(X) :- p(Y), last(Y), yes(Y).")
-		if redos != 2 || want[0].covered || want[0].cutoffs != 1 || want[1].cutoffs != 1 {
-			t.Fatalf("novm=%v prefix cut before its first solution: %d fallbacks, stand-alone %+v", novm, redos, want)
-		}
-
-		// The running sum crosses the budget between two prefix solutions:
-		// slow(1) fails after some 20 charges at the first solution of
-		// p(Y), ends(Y); the prefix alone reaches its second solution (Y = 6)
-		// well inside the budget, slow's member does not. Its siblings —
-		// one done at the first solution, one at the second — never notice.
-		want, redos = packCase(t, kb, Budget{MaxInferences: 30}, novm, 2, "h(x)",
-			"h(X) :- p(Y), ends(Y), slow(Y).", "h(X) :- p(Y), ends(Y), ok(Y).", "h(X) :- p(Y), ends(Y), yes(Y).")
-		if redos != 1 || want[0].cutoffs != 1 || !want[1].covered || !want[2].covered || want[1].cutoffs+want[2].cutoffs != 0 {
-			t.Fatalf("novm=%v sum crossing between solutions: %d fallbacks, stand-alone %+v", novm, redos, want)
-		}
-
-		// The same crossing with no second solution to notice it at: the
-		// prefix p(Y), first(Y) runs dry inside the budget, slow's member's
-		// sum is past it by then.
-		want, redos = packCase(t, kb, Budget{MaxInferences: 30}, novm, 2, "h(x)",
-			"h(X) :- p(Y), first(Y), slow(Y).", "h(X) :- p(Y), first(Y), yes(Y).")
-		if redos != 1 || want[0].cutoffs != 1 || want[1].covered || want[1].cutoffs != 0 {
-			t.Fatalf("novm=%v sum past the budget at exhaustion: %d fallbacks, stand-alone %+v", novm, redos, want)
-		}
-
-		// A suffix is cut off: by MaxInferences inside slow(1), and by
-		// MaxDepth inside deep(a, Z) — which goes on to succeed, a covered
-		// example that still counts as a cutoff query. The sibling tried
-		// after it under the same prefix solution must not inherit the flag.
-		want, redos = packCase(t, kb, Budget{MaxInferences: 12}, novm, 1, "h(x)",
-			"h(X) :- first(Y), slow(Y).", "h(X) :- first(Y), ok(Y).")
-		if redos != 1 || want[0].cutoffs != 1 || !want[1].covered || want[1].cutoffs != 0 {
-			t.Fatalf("novm=%v suffix cut by MaxInferences: %d fallbacks, stand-alone %+v", novm, redos, want)
-		}
-		want, redos = packCase(t, kb, Budget{MaxDepth: 2}, novm, 1, "h(a)",
-			"h(X) :- edge(X, Y), deep(X, Z).", "h(X) :- edge(X, Y), at(Y).")
-		if redos != 1 || !want[0].covered || want[0].cutoffs != 1 || !want[1].covered || want[1].cutoffs != 0 {
-			t.Fatalf("novm=%v suffix cut by MaxDepth: %d fallbacks, stand-alone %+v", novm, redos, want)
-		}
-
-		// MaxDepth in the prefix, before its first solution: deep(a, Y)
-		// abandons the recursive branch at depth 2 and then finds Y = b by
-		// its second clause. Both members that succeed there are cutoff
-		// queries stand-alone and must be in the pack; so is the one that
-		// fails.
-		want, redos = packCase(t, kb, Budget{MaxDepth: 2}, novm, 1, "h(a)",
-			"h(X) :- deep(X, Y), at(Y).", "h(X) :- deep(X, Y), on(Y).", "h(X) :- deep(X, Y), off(Y).")
-		if redos != 3 || !want[0].covered || !want[1].covered || want[2].covered ||
-			want[0].cutoffs != 1 || want[1].cutoffs != 1 || want[2].cutoffs != 1 {
-			t.Fatalf("novm=%v MaxDepth in the prefix before a solution: %d fallbacks, stand-alone %+v", novm, redos, want)
-		}
-
-		// MaxDepth in the prefix after its last solution: shallow(a, Y)
-		// yields Y = b first and only then descends into the cut. The member
-		// satisfied at b stopped before the cut and is not a cutoff query;
-		// the unsatisfied one saw it.
-		want, redos = packCase(t, kb, Budget{MaxDepth: 2}, novm, 1, "h(a)",
-			"h(X) :- shallow(X, Y), at(Y).", "h(X) :- shallow(X, Y), off(Y).")
-		if redos != 1 || !want[0].covered || want[0].cutoffs != 0 || want[1].covered || want[1].cutoffs != 1 {
-			t.Fatalf("novm=%v MaxDepth in the prefix after its last solution: %d fallbacks, stand-alone %+v", novm, redos, want)
 		}
 	}
 }
@@ -300,7 +201,7 @@ func TestPackOutlivesItsProgram(t *testing.T) {
 
 // TestCoversPackAllocFree pins the steady-state allocation contract of the
 // pack path: the continuation is bound once per pack and every scratch slice
-// lives on it, so running an example allocates nothing — budget fallbacks
+// lives on it, so running an example allocates nothing — exact re-proofs
 // included — and neither does recompiling the pack for the next frontier.
 func TestCoversPackAllocFree(t *testing.T) {
 	kb := benchRuleKB(200)
@@ -331,12 +232,12 @@ func TestCoversPackAllocFree(t *testing.T) {
 			var pack QueryPack
 			m.CompilePack(&pack, wide, 1)
 			m.CoversPack(&pack, ex, hit)
-			if budget == DefaultBudget && (m.packRedos != 0 || m.StepsExecuted() >= m.TotalInferences()) {
-				t.Fatalf("novm=%v: %d fallbacks, %d steps for %d charged — the pack shares nothing", novm,
-					m.packRedos, m.StepsExecuted(), m.TotalInferences())
+			if budget == DefaultBudget && (m.reproofs != 0 || m.StepsExecuted() >= m.TotalInferences()) {
+				t.Fatalf("novm=%v: %d re-proofs, %d steps for %d charged — the pack shares nothing", novm,
+					m.reproofs, m.StepsExecuted(), m.TotalInferences())
 			}
-			if budget != DefaultBudget && m.packRedos == 0 {
-				t.Fatalf("novm=%v budget %+v: no fallback exercised", novm, budget)
+			if budget != DefaultBudget && m.reproofs == 0 {
+				t.Fatalf("novm=%v budget %+v: no re-proof exercised", novm, budget)
 			}
 			if n := testing.AllocsPerRun(50, func() { m.CoversPack(&pack, ex, hit) }); n != 0 {
 				t.Errorf("novm=%v budget %+v: CoversPack allocates %v per example", novm, budget, n)

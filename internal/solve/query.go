@@ -111,6 +111,15 @@ func (q *Query) compileBody(prog *program, body []logic.Literal) int {
 	return numVars
 }
 
+// Existence queries take fast paths that charge work they do not run: the
+// candidate filter (vm.go), the ground-call memo (memo.go) and query packs
+// (pack.go). Each is exact up to the first budget event — an inference or
+// depth cut anywhere — and none tries past it: past a cutoff the interpreter's
+// charges include how its goal stack unwinds. So a fast proof that sees one
+// is proved once more in exact mode, the compiled VM with no filter, no memo
+// and no pack (proveExact). Solve and Prove, memo recordings and re-proofs
+// always run exact; the interpreter has no fast path and nothing to re-prove.
+
 // CoversQuery reports whether the compiled rule covers the ground example
 // atom: CoversExample with the per-rule work already done.
 func (m *Machine) CoversQuery(q *Query, example logic.Term) bool {
@@ -123,16 +132,27 @@ func (m *Machine) CoversQuery(q *Query, example logic.Term) bool {
 		m.scratch.compile(m.prog, &q.rule)
 		q = &m.scratch
 	}
-	m.memoOn = true
+	fast := m.prog != nil
+	m.memoOn = fast
 	found := m.proveQuery(q, example)
 	m.memoOn = false
-	if m.budgetHit && m.replayed != m.replayMark {
-		// A budget event past a replay (memo.go): prove it again live.
-		m.memoRedos++
-		m.replayed = m.replayMark
-		m.beginQuery(q.numVars)
-		found = m.proveQuery(q, example)
+	if fast && m.budgetHit {
+		m.work = m.mark // the fast proof is not reported, so not counted
+		return m.proveExact(q, example)
 	}
+	m.endQuery()
+	return found
+}
+
+// proveExact is the slow path of every fast one: it proves q on example in
+// exact mode and reports that proof as the query — its answer, and its
+// charge and cutoff added to the machine's counters (queryInf holds the
+// charge afterwards). The caller has rolled the executed-work counters back
+// past the fast proof it replaces.
+func (m *Machine) proveExact(q *Query, example logic.Term) bool {
+	m.reproofs++
+	m.beginQuery(q.numVars)
+	found := m.proveQuery(q, example)
 	m.endQuery()
 	return found
 }

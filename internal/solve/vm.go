@@ -23,11 +23,12 @@ import (
 // and the cache is built only when a second candidate is actually run.
 //
 // The one place the VM executes less than the interpreter is the candidate
-// filter: on a list long enough to carry constant keys (candList.keys), a
-// candidate whose head constants disagree with the goal's is charged like
-// any other but its head stream — which could only fail and undo itself —
-// is not run (runCands, Machine.chargeN). The charge sequence, and with it
-// every cutoff, is still the interpreter's.
+// filter, a fast path on only while Machine.memoOn: on a list long enough to
+// carry constant keys (candList.keys), a candidate whose head constants
+// disagree with the goal's is charged like any other but its head stream —
+// which could only fail and undo itself — is not run (runCands,
+// Machine.chargeN). Up to the first budget event the charge sequence is the
+// interpreter's; past one, the query is proved again in exact mode.
 
 // envNoVM force-disables the VM process-wide (the CI toggle for running the
 // whole suite on the interpreter reference path).
@@ -211,7 +212,7 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 	st.cache = cache
 	st.filled = int8(filled)
 	fsave := m.ftop
-	if list.keys != nil && !fr.ground {
+	if m.memoOn && list.keys != nil && !fr.ground {
 		m.filterFor(&st, list, atom, off)
 	}
 	r := m.runCands(list, atom, off, fr, &st, k)
@@ -228,7 +229,8 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 // the interpreter does for it that anyone can observe is charge(). Those
 // charges are owed in candidate order, and chargeN pays a run of them at
 // once right before the next candidate that does run — which is where the
-// next observable thing happens — and at the end of the list.
+// next observable thing happens — and at the end of the list; one that
+// would cross the budget flags it, and the query is proved again exactly.
 func (m *Machine) runCands(l *candList, atom logic.Term, off int, fr goalFrame, st *stepState, k func() bool) bool {
 	restTop := len(m.stack)
 	cands, keys, filt := l.cands, l.keys, st.filt
@@ -243,7 +245,7 @@ scan:
 			}
 		}
 		if skipped > 0 {
-			if !m.chargeN(skipped) {
+			if !m.chargeN(skipped, &m.work.filtered) {
 				return true
 			}
 			skipped = 0
@@ -304,7 +306,7 @@ scan:
 		m.nextVar = base
 	}
 	if skipped > 0 {
-		m.chargeN(skipped)
+		m.chargeN(skipped, &m.work.filtered)
 	}
 	return true
 }

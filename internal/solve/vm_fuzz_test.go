@@ -18,8 +18,8 @@ import (
 // its bulk charge run under the 4000-inference budget here and under the
 // tight budgets checkQueriesAgree draws for its packs; and rules that call
 // rules on ground arguments (v/1, rc/1), so held queries and packs record and
-// replay ground calls, disable cyclic ones, and are proved again live when a
-// budget event follows a replay. Run with
+// replay ground calls, disable cyclic ones, and are proved again in exact
+// mode after a budget event. Run with
 // `go test -fuzz=FuzzVMMatchesInterpreter ./internal/solve` to explore
 // beyond the seed corpus.
 func FuzzVMMatchesInterpreter(f *testing.F) {
