@@ -9,12 +9,13 @@ import (
 	"repro/internal/logic"
 )
 
-// The test here pins exact mode (query.go): each fast path — the candidate
+// The tests here pin exact mode (query.go): each fast path — the candidate
 // filter, the ground-call memo, the query pack — is exact only up to the
 // first budget event, and past one the machine must report what an exact
-// proof reports. So the sweep cuts every proof at every charge and at every
+// proof reports. So one sweep cuts every proof at every charge and at every
 // depth, and requires the fast machine, the exact re-proof and the
-// interpreter to agree query by query and pack member by pack member.
+// interpreter to agree query by query and pack member by pack member; each
+// test runs it over its own programs.
 
 // sweepDepths are the MaxDepth values of the sweep: the cuts right below and
 // at the hand-built programs' deepest frames, and the default.
@@ -49,14 +50,12 @@ func group(prefix int, examples string, rules ...string) sweepGroup {
 	return g
 }
 
-// handBuilt are programs that put a budget event at each place a fast path
-// can meet one.
-func handBuilt(t *testing.T) []sweepInput {
-	// Packs: a prefix cut before its first solution, a running sum crossing
-	// the budget between two prefix solutions and at prefix exhaustion, a
-	// suffix cut by MaxInferences and by MaxDepth, a prefix cut by MaxDepth
-	// before its first solution and after its last.
-	packs := sweepInput{name: "packs", kb: kbFrom(t, `
+// The hand-built programs put a budget event at each place a fast path can
+// meet one; each is swept by the test named after what it drives.
+
+// packKB is TestPackBudgetFallbacks's program.
+func packKB(t *testing.T) *KB {
+	return kbFrom(t, `
 		p(1). p(2). p(3). p(4). p(5). p(6).
 		first(1). last(6). ends(1). ends(6).
 		q(1, a). q(1, b). q(1, c). q(1, d). q(1, e). q(1, f). q(1, g). q(1, h).
@@ -70,7 +69,15 @@ func handBuilt(t *testing.T) []sweepInput {
 		shallow(X, Y) :- edge(X, Y).
 		shallow(X, Y) :- edge(X, Z), shallow(Z, Y).
 		at(b). on(b). off(zz).
-	`), groups: []sweepGroup{
+	`)
+}
+
+// packInput: a prefix cut before its first solution, a running sum crossing
+// the budget between two prefix solutions and at prefix exhaustion, a suffix
+// cut by MaxInferences and by MaxDepth, a prefix cut by MaxDepth before its
+// first solution and after its last.
+func packInput(t *testing.T) sweepInput {
+	return sweepInput{name: "packs", kb: packKB(t), groups: []sweepGroup{
 		group(1, "h(x)", "h(X) :- p(Y), ok(Y).", "h(X) :- p(Y), yes(Y).", "h(X) :- p(Y), slow(Y)."),
 		group(2, "h(x)", "h(X) :- p(Y), last(Y), ok(Y).", "h(X) :- p(Y), last(Y), yes(Y)."),
 		group(2, "h(x)", "h(X) :- p(Y), ends(Y), slow(Y).", "h(X) :- p(Y), ends(Y), ok(Y).", "h(X) :- p(Y), ends(Y), yes(Y)."),
@@ -80,21 +87,27 @@ func handBuilt(t *testing.T) []sweepInput {
 		group(1, "h(a)", "h(X) :- deep(X, Y), at(Y).", "h(X) :- deep(X, Y), on(Y).", "h(X) :- deep(X, Y), off(Y)."),
 		group(1, "h(a)", "h(X) :- shallow(X, Y), at(Y).", "h(X) :- shallow(X, Y), off(Y)."),
 	}}
+}
 
-	// Memo: ground calls to rules with one solution, with several, nested,
-	// each repeated across examples so that later calls replay.
-	memo := sweepInput{name: "memo", kb: memoKB(t), groups: []sweepGroup{group(1, "h(d1) h(d2) h(d1)",
-		"h(D) :- subst(D, P, G), polar_gte(G, 2), marked(D, G).",
-		"h(D) :- subst(D, P, G), polar_any(G), marked(D, G).",
-		"h(D) :- subst(D, P, G), polar_any(G), polar_gte(G, 3).",
-		"h(D) :- subst(D, P, G), strong(G), G \\= g1.",
-		"h(D) :- subst(D, P, G), polar_gte(G, 1), strong(G), marked(D, G).",
-	)}}
+// memoRules make ground calls to rules with one solution, with several,
+// nested; memoInput repeats each across examples so that later calls replay.
+var memoRules = []string{
+	"h(D) :- subst(D, P, G), polar_gte(G, 2), marked(D, G).",
+	"h(D) :- subst(D, P, G), polar_any(G), marked(D, G).",
+	"h(D) :- subst(D, P, G), polar_any(G), polar_gte(G, 3).",
+	"h(D) :- subst(D, P, G), strong(G), G \\= g1.",
+	"h(D) :- subst(D, P, G), polar_gte(G, 1), strong(G), marked(D, G).",
+}
 
-	// Memo depth: g(a) is recorded at depth 0, where its subtree reaches
-	// three levels below it, then called at depth 3 through three wrappers;
-	// n(a)'s deepest frame is its negation's sub-proof.
-	depth := sweepInput{name: "memo depth", kb: kbFrom(t, `
+func memoInput(t *testing.T) sweepInput {
+	return sweepInput{name: "memo", kb: memoKB(t), groups: []sweepGroup{group(1, "h(d1) h(d2) h(d1)", memoRules...)}}
+}
+
+// depthKB: g(a) is recorded at depth 0, where its subtree reaches three
+// levels below it, then called at depth 3 through three wrappers; n(a)'s
+// deepest frame is its negation's sub-proof.
+func depthKB(t *testing.T) *KB {
+	return kbFrom(t, `
 		g(X) :- g1(X).
 		g1(X) :- g2(X).
 		g2(X) :- ok(X).
@@ -106,17 +119,23 @@ func handBuilt(t *testing.T) []sweepInput {
 		bad(zz).
 		v1(X) :- v2(X).
 		v2(X) :- n(X).
-	`), groups: []sweepGroup{
+	`)
+}
+
+func depthInput(t *testing.T) sweepInput {
+	return sweepInput{name: "memo depth", kb: depthKB(t), groups: []sweepGroup{
 		group(1, "h(a) h(a)", "h(X) :- g(X)."),
 		group(1, "h(a) h(a)", "h(X) :- w1(X)."),
 		group(1, "h(a) h(a)", "h(X) :- n(X)."),
 		group(1, "h(a) h(a)", "h(X) :- v1(X)."),
 	}}
+}
 
-	// Filter: one 20-fact first-argument bucket of w/4 in which the goal
-	// w(k, X, red, 1) matches facts 4, 5 and 12 — a rejected run of four at
-	// the head of the bucket, of six in the middle, of seven at the tail —
-	// with enough below each match for a budget to run out there as well.
+// bulkInput: one 20-fact first-argument bucket of w/4 in which the goal
+// w(k, X, red, 1) matches facts 4, 5 and 12 — a rejected run of four at the
+// head of the bucket, of six in the middle, of seven at the tail — with
+// enough below each match for a budget to run out there as well.
+func bulkInput(t *testing.T) sweepInput {
 	var src strings.Builder
 	for i := 0; i < 20; i++ {
 		col, n := []string{"blue", "green", "red"}[i%3], 2
@@ -133,15 +152,13 @@ func handBuilt(t *testing.T) []sweepInput {
 		twin(X) :- w(k, X, C, N), w(k, Y, blue, 2), fine(X), last(Y).
 		last(a18).
 	`)
-	filter := sweepInput{name: "filter", kb: kbFrom(t, src.String()), groups: []sweepGroup{group(1, "h(e)",
+	return sweepInput{name: "filter", kb: kbFrom(t, src.String()), groups: []sweepGroup{group(1, "h(e)",
 		"h(E) :- w(k, X, red, 1), good(X).",
 		"h(E) :- w(k, X, red, 1), w(k, Y, blue, 2), last(Y), good(X).",
 		"h(E) :- w(k, X, red, 1), twin(X), good(X).",
 		"h(E) :- w(k, X, red, 1), w(k, X, green, N).",
 		"h(E) :- w(k, X, red, 1), w(k, Y, C, 1), Y \\= X, nosuch(Y).",
 	)}, enums: [][]logic.Literal{logic.MustParseClause("all(X, Y) :- w(k, X, red, N), w(k, Y, C, 3), fine(X).").Body}}
-
-	return []sweepInput{packs, memo, depth, filter}
 }
 
 // genInput draws an input from the differential suite's generators: rules,
@@ -313,35 +330,214 @@ func sweepBudget(t *testing.T, in *sweepInput, b Budget) (alone, packed int64) {
 	return fast.reproofs, pm.reproofs
 }
 
-// TestExactModeSweep sweeps every MaxInferences from 1 to 3 past the
-// longest proof, times every MaxDepth of sweepDepths, over the hand-built
-// programs and generated ones — so that a cut lands on every charge once:
-// inside a filtered run and on the candidate after it, inside a replayed
-// segment and on its tail, in a pack's prefix and in its suffixes, before
-// anything was recorded and after. Fast, exact and interpreter must agree everywhere; at
-// DefaultBudget nothing is re-proved, and over the sweep something is, both
-// rule by rule and packed.
-func TestExactModeSweep(t *testing.T) {
-	inputs := handBuilt(t)
-	for _, seed := range []int64{1, 2, 3} {
-		inputs = append(inputs, genInput(seed, 120))
+// sweep runs in at every MaxInferences from 1 to 3 past its longest proof,
+// times every MaxDepth of sweepDepths — so that a cut lands on every charge
+// once: inside a filtered run and on the candidate after it, inside a
+// replayed segment and on its tail, in a pack's prefix and in its suffixes,
+// before anything was recorded and after. Fast, exact and interpreter must
+// agree everywhere, and at DefaultBudget nothing is re-proved. It returns the
+// re-proofs over the sweep, rule by rule and packed.
+func sweep(t *testing.T, in *sweepInput) (alone, packed int64) {
+	t.Helper()
+	if a, p := sweepBudget(t, in, DefaultBudget); a+p != 0 {
+		t.Fatalf("%s, DefaultBudget: %d queries and %d pack members re-proved", in.name, a, p)
 	}
+	longest := in.longest()
+	for maxInf := int64(1); maxInf <= longest+3; maxInf++ {
+		for _, d := range sweepDepths {
+			a, p := sweepBudget(t, in, Budget{MaxInferences: maxInf, MaxDepth: d})
+			alone, packed = alone+a, packed+p
+		}
+	}
+	t.Logf("%s: longest proof %d, %d re-proofs alone, %d packed", in.name, longest, alone, packed)
+	return alone, packed
+}
+
+// TestExactModeSweep sweeps programs drawn from the differential suite's
+// generators; over the sweep something is re-proved, both rule by rule and
+// packed.
+func TestExactModeSweep(t *testing.T) {
 	var alone, packed int64
-	for i := range inputs {
-		in := &inputs[i]
-		if a, p := sweepBudget(t, in, DefaultBudget); a+p != 0 {
-			t.Fatalf("%s, DefaultBudget: %d queries and %d pack members re-proved", in.name, a, p)
-		}
-		longest, before := in.longest(), alone+packed
-		for maxInf := int64(1); maxInf <= longest+3; maxInf++ {
-			for _, d := range sweepDepths {
-				a, p := sweepBudget(t, in, Budget{MaxInferences: maxInf, MaxDepth: d})
-				alone, packed = alone+a, packed+p
-			}
-		}
-		t.Logf("%s: longest proof %d, %d re-proofs", in.name, longest, alone+packed-before)
+	for _, seed := range []int64{1, 2, 3} {
+		in := genInput(seed, 120)
+		a, p := sweep(t, &in)
+		alone, packed = alone+a, packed+p
 	}
 	if !envNoVM && (alone == 0 || packed == 0) {
 		t.Errorf("over the sweep %d queries and %d pack members were re-proved: exact mode is not exercised", alone, packed)
+	}
+}
+
+// TestPackBudgetFallbacks drives each way a budget event can reach a pack
+// member through a hand-built program, and pins besides exactness how many
+// members went to exact mode: every member still unsatisfied at the pass's
+// first budget event, and any whose running sum reached MaxInferences when
+// the prefix ran dry. One too few means an event was missed and another
+// happened to mask it, one too many that a settled member was proved again.
+// Then it sweeps the program.
+func TestPackBudgetFallbacks(t *testing.T) {
+	kb := packKB(t)
+	for _, novm := range []bool{false, true} {
+		// No budget event: nothing is re-proved, and the pack really did
+		// share the prefix.
+		want, reproofs := packCase(t, kb, DefaultBudget, novm, 1, "h(x)",
+			"h(X) :- p(Y), ok(Y).", "h(X) :- p(Y), yes(Y).", "h(X) :- p(Y), slow(Y).")
+		if reproofs != 0 || !want[0].covered || !want[1].covered || want[2].covered {
+			t.Fatalf("novm=%v unbounded: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+
+		// The prefix is cut off before its first solution: p(Y), last(Y)
+		// needs 6 + 6 + 1 charges to get there, the budget allows 8.
+		want, reproofs = packCase(t, kb, Budget{MaxInferences: 8}, novm, 2, "h(x)",
+			"h(X) :- p(Y), last(Y), ok(Y).", "h(X) :- p(Y), last(Y), yes(Y).")
+		if reproofs != 2 || want[0].covered || want[0].cutoffs != 1 || want[1].cutoffs != 1 {
+			t.Fatalf("novm=%v prefix cut before its first solution: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+
+		// The running sum crosses the budget between two prefix solutions:
+		// slow(1) fails after some 20 charges at the first solution of
+		// p(Y), ends(Y); the prefix alone reaches its second solution (Y = 6)
+		// well inside the budget, slow's member does not. Its sibling done at
+		// the first solution is settled; the one after slow is not yet, and
+		// goes to exact mode with it.
+		want, reproofs = packCase(t, kb, Budget{MaxInferences: 30}, novm, 2, "h(x)",
+			"h(X) :- p(Y), ends(Y), slow(Y).", "h(X) :- p(Y), ends(Y), ok(Y).", "h(X) :- p(Y), ends(Y), yes(Y).")
+		if reproofs != 2 || want[0].cutoffs != 1 || !want[1].covered || !want[2].covered || want[1].cutoffs+want[2].cutoffs != 0 {
+			t.Fatalf("novm=%v sum crossing between solutions: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+
+		// The same crossing with no second solution to notice it at: the
+		// prefix p(Y), first(Y) runs dry inside the budget, slow's member's
+		// sum is past it by then; its sibling's is not.
+		want, reproofs = packCase(t, kb, Budget{MaxInferences: 30}, novm, 2, "h(x)",
+			"h(X) :- p(Y), first(Y), slow(Y).", "h(X) :- p(Y), first(Y), yes(Y).")
+		if reproofs != 1 || want[0].cutoffs != 1 || want[1].covered || want[1].cutoffs != 0 {
+			t.Fatalf("novm=%v sum past the budget at exhaustion: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+
+		// A suffix is cut off: by MaxInferences inside slow(1), and by
+		// MaxDepth inside deep(a, Z) — which goes on to succeed, a covered
+		// example that still counts as a cutoff query. The sibling tried
+		// after it under the same prefix solution is re-proved too, and must
+		// not inherit the flag.
+		want, reproofs = packCase(t, kb, Budget{MaxInferences: 12}, novm, 1, "h(x)",
+			"h(X) :- first(Y), slow(Y).", "h(X) :- first(Y), ok(Y).")
+		if reproofs != 2 || want[0].cutoffs != 1 || !want[1].covered || want[1].cutoffs != 0 {
+			t.Fatalf("novm=%v suffix cut by MaxInferences: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+		want, reproofs = packCase(t, kb, Budget{MaxDepth: 2}, novm, 1, "h(a)",
+			"h(X) :- edge(X, Y), deep(X, Z).", "h(X) :- edge(X, Y), at(Y).")
+		if reproofs != 2 || !want[0].covered || want[0].cutoffs != 1 || !want[1].covered || want[1].cutoffs != 0 {
+			t.Fatalf("novm=%v suffix cut by MaxDepth: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+
+		// MaxDepth in the prefix, before its first solution: deep(a, Y)
+		// abandons the recursive branch at depth 2 and then finds Y = b by
+		// its second clause. Both members that succeed there are cutoff
+		// queries stand-alone and must be in the pack; so is the one that
+		// fails.
+		want, reproofs = packCase(t, kb, Budget{MaxDepth: 2}, novm, 1, "h(a)",
+			"h(X) :- deep(X, Y), at(Y).", "h(X) :- deep(X, Y), on(Y).", "h(X) :- deep(X, Y), off(Y).")
+		if reproofs != 3 || !want[0].covered || !want[1].covered || want[2].covered ||
+			want[0].cutoffs != 1 || want[1].cutoffs != 1 || want[2].cutoffs != 1 {
+			t.Fatalf("novm=%v MaxDepth in the prefix before a solution: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+
+		// MaxDepth in the prefix after its last solution: shallow(a, Y)
+		// yields Y = b first and only then descends into the cut. The member
+		// satisfied at b stopped before the cut and is not a cutoff query;
+		// the unsatisfied one saw it.
+		want, reproofs = packCase(t, kb, Budget{MaxDepth: 2}, novm, 1, "h(a)",
+			"h(X) :- shallow(X, Y), at(Y).", "h(X) :- shallow(X, Y), off(Y).")
+		if reproofs != 1 || !want[0].covered || want[0].cutoffs != 0 || want[1].covered || want[1].cutoffs != 1 {
+			t.Fatalf("novm=%v MaxDepth in the prefix after its last solution: %d re-proofs, stand-alone %+v", novm, reproofs, want)
+		}
+	}
+
+	in := packInput(t)
+	if _, packed := sweep(t, &in); packed == 0 {
+		t.Error("over the sweep no pack member was re-proved")
+	}
+}
+
+// TestMemoBudgetSweep sweeps memoRules over a stream of examples that
+// repeats every ground call, so that cuts land inside replayed segments and
+// on their tails; at DefaultBudget a good share of the charges must be
+// replays, or the sweep would test none.
+func TestMemoBudgetSweep(t *testing.T) {
+	free := memoCase(t, memoKB(t), DefaultBudget, memoRules, "h(d1)", "h(d2)", "h(d1)", "h(d2)")
+	if !envNoVM && free.ReplayedInferences()*3 < free.TotalInferences() {
+		t.Fatalf("unbounded, %d of %d charges replayed: the sweep would test no replay", free.ReplayedInferences(), free.TotalInferences())
+	}
+	in := memoInput(t)
+	if alone, packed := sweep(t, &in); !envNoVM && (alone == 0 || packed == 0) {
+		t.Errorf("over the sweep %d stand-alone and %d packed queries were re-proved: exact mode is not exercised", alone, packed)
+	}
+}
+
+// TestMemoDepthGuard: g(a) is recorded at depth 0 and then called again at
+// depth 3 through three wrappers. Under MaxDepth 6 its fact lookup at depth
+// 6 is cut off — the guard flags the budget, and the exact re-proof reports
+// a cutoff query with no proof — and under MaxDepth 7 it may replay. The same
+// for a subtree whose deepest frame is a negation's sub-proof. Then it sweeps
+// the program over every depth of the sweep.
+func TestMemoDepthGuard(t *testing.T) {
+	kb := depthKB(t)
+	rules := []string{"h(X) :- g(X).", "h(X) :- w1(X)."}
+	m := memoCase(t, kb, Budget{MaxDepth: 6}, rules, "h(a)", "h(a)")
+	if m.CutoffQueries() != 2 {
+		t.Fatalf("MaxDepth 6: %d cutoff queries, want the two through the wrappers", m.CutoffQueries())
+	}
+	if !envNoVM && m.ReplayedInferences() == 0 {
+		t.Fatal("MaxDepth 6: g(a) was never replayed at depth 0")
+	}
+	m = memoCase(t, kb, Budget{MaxDepth: 7}, rules, "h(a)", "h(a)")
+	if m.CutoffQueries() != 0 {
+		t.Fatalf("MaxDepth 7: %d cutoff queries", m.CutoffQueries())
+	}
+
+	// n(a)'s \+ bad(a) proves bad(a) a level below the negation itself.
+	// Called at depth 2 under MaxDepth 4 that proof is cut, and the cut lets
+	// the negation, and so n(a), succeed — in a cutoff query.
+	m = memoCase(t, kb, Budget{MaxDepth: 4}, []string{"h(X) :- n(X).", "h(X) :- v1(X)."}, "h(a)", "h(a)")
+	if m.CutoffQueries() != 2 {
+		t.Fatalf("MaxDepth 4: %d cutoff queries, want the two through the wrappers", m.CutoffQueries())
+	}
+
+	in := depthInput(t)
+	if alone, _ := sweep(t, &in); !envNoVM && alone == 0 {
+		t.Error("over the sweep no query was re-proved")
+	}
+}
+
+// TestBulkChargeMatchesPerCandidate sweeps the bucket program, whose cuts
+// land inside each skipped run, on the candidate after it and below a
+// matched candidate, with each rule proved alone and in one QueryPack whose
+// prefix and suffixes both scan the bucket, and the bucket enumerated by
+// Solve. Unbounded, the VM must filter and the interpreter must not.
+func TestBulkChargeMatchesPerCandidate(t *testing.T) {
+	in := bulkInput(t)
+	for _, novm := range []bool{false, true} {
+		m := NewMachine(in.kb, DefaultBudget)
+		m.SetNoVM(novm)
+		var covered []bool
+		for _, r := range in.groups[0].rules {
+			var q Query
+			m.CompileQuery(&q, r)
+			covered = append(covered, m.CoversQuery(&q, in.groups[0].examples[0]))
+		}
+		if fmt.Sprint(covered) != "[true true true false false]" {
+			t.Fatalf("novm=%v: unbounded outcomes %v are not what the sweep was built around", novm, covered)
+		}
+		f := m.FilteredCandidates()
+		if novm && f != 0 {
+			t.Fatalf("the interpreter reports %d filtered candidates", f)
+		}
+		if !novm && !envNoVM && f == 0 {
+			t.Fatal("the VM filtered nothing: the bucket is not keyed")
+		}
+	}
+	if alone, packed := sweep(t, &in); !envNoVM && (alone == 0 || packed == 0) {
+		t.Errorf("over the sweep %d stand-alone and %d packed queries were re-proved: exact mode is not exercised", alone, packed)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // what a key may and may not tell apart and what the keys cost. That a run of
 // skipped candidates charged in one chargeN is indistinguishable from the
 // interpreter charging them one by one, at every cutoff point, is
-// TestExactModeSweep's (exact_test.go).
+// TestBulkChargeMatchesPerCandidate's (exact_test.go).
 
 // eachList visits every candidate list of a compiled program with its
 // predicate's arity.

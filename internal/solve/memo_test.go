@@ -13,8 +13,8 @@ import (
 // charged exactly what the interpreter charges for proving it, through cyclic
 // recursion and program changes, and that what the memo keeps is bounded.
 // Each compares a default machine against one pinned to the interpreter,
-// which never memoizes. Every budget and depth is TestExactModeSweep's
-// (exact_test.go).
+// which never memoizes. Every budget and depth is TestMemoBudgetSweep's and
+// TestMemoDepthGuard's (exact_test.go).
 
 // memoCase proves rules over examples on a compiled and an interpreter-pinned
 // machine, query by query, and requires the same answer, charge and cutoff.

@@ -97,8 +97,9 @@ func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans i
 
 // packCase runs rules (sharing head and prefix leading literals) against ex
 // both ways on fresh machines — one CoversQuery per member, one CoversPack —
-// and requires every observable to agree.
-func packCase(t *testing.T, kb *KB, budget Budget, novm bool, prefix int, ex string, src ...string) {
+// and requires every observable to agree. It returns the stand-alone outcomes
+// and how many members the pack's last run proved again in exact mode.
+func packCase(t *testing.T, kb *KB, budget Budget, novm bool, prefix int, ex string, src ...string) ([]coverRun, int64) {
 	t.Helper()
 	example := logic.MustParseTerm(ex)
 	rules := make([]*logic.Clause, len(src))
@@ -132,6 +133,7 @@ func packCase(t *testing.T, kb *KB, budget Budget, novm bool, prefix int, ex str
 				packed.TotalInferences(), packed.CutoffQueries(), alone.TotalInferences(), alone.CutoffQueries())
 		}
 	}
+	return want, packed.reproofs
 }
 
 // TestPackDegenerateShapes covers what a search frontier never builds but
