@@ -98,9 +98,9 @@ func (a *Artifact) appendResult(buf *responseBuf, i int, raw string, ex logic.Te
 	}
 	dst = append(dst, ']')
 	if first >= 0 && wantProof {
-		// The coverage bit is authoritative (same prover as learning); the
-		// recording prover supplies the explanation and agrees within budget.
-		if proof, ok := m.ProveExample(&theory[first], ex); ok {
+		// The proof is the exact proof of the rule's coverage answer, kept
+		// as a tree, from the query already held: nothing is compiled.
+		if proof, ok := m.ProveQuery(&a.plan.queries[first], ex); ok {
 			dst = append(dst, ",\n      \"proof\": "...)
 			dst = trace.AppendProofJSON(dst, proof, 3) // a result's fields sit at indent 3
 		}

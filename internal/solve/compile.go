@@ -85,6 +85,7 @@ type instr struct {
 // position's instruction (which also re-derives first-occurrence status for
 // head variables under the executed order).
 type compiledClause struct {
+	src     *logic.Clause // the stored clause, for ProofStep.Clause
 	numVars int
 	// head[skip+1] is the head-matching stream for that skip variant.
 	head [3][]instr
@@ -401,7 +402,7 @@ func candFor(cc *compiledClause, skip int) vmCand {
 }
 
 func compileClause(c *compiler, sc *storedClause) *compiledClause {
-	cc := &compiledClause{numVars: sc.numVars}
+	cc := &compiledClause{src: &sc.clause, numVars: sc.numVars}
 	c.clauses = append(c.clauses, cc)
 	body := sc.clause.Body
 	if len(body) > 0 {

@@ -252,15 +252,19 @@ func enumerate(m *Machine, goals []logic.Literal) enumeration {
 
 // sweepBudget runs in at one budget. Every rule is proved on every example
 // of its group on a fast machine (CoversQuery), by the exact re-proof on
-// its own (proveExact) and on the interpreter; every pack runs on the VM and
-// on the interpreter; every conjunction is enumerated on the fast machine and
-// on the interpreter. Answers, charges and cutoffs must agree throughout, and
-// the executed-work counters must add up. It returns the re-proofs of the
-// fast rule-by-rule machine and of the VM pack machine.
+// its own (proveExact), on the interpreter and, with its proof tree, by
+// ProveExample on a VM and a NoVM machine; every pack runs on the VM and on
+// the interpreter; every conjunction is enumerated on the fast machine and on
+// the interpreter. Answers, charges and cutoffs must agree throughout, a
+// proof's root must be the example, and the executed-work counters must add
+// up. It returns the re-proofs of the fast rule-by-rule machine and of the VM
+// pack machine.
 func sweepBudget(t *testing.T, in *sweepInput, b Budget) (alone, packed int64) {
 	t.Helper()
 	fast, exact, interp := NewMachine(in.kb, b), NewMachine(in.kb, b), NewMachine(in.kb, b)
 	interp.SetNoVM(true)
+	provers := []*Machine{NewMachine(in.kb, b), NewMachine(in.kb, b)}
+	provers[1].SetNoVM(true)
 	packers := []*Machine{NewMachine(in.kb, b), NewMachine(in.kb, b)}
 	packers[1].SetNoVM(true)
 	for _, g := range in.groups {
@@ -286,6 +290,14 @@ func sweepBudget(t *testing.T, in *sweepInput, b Budget) (alone, packed int64) {
 				e := runCovers(exact, func() bool { return exact.proveExact(&qs[c][1], ex) })
 				if f != want[c] || e != want[c] {
 					t.Fatalf("%s, budget %+v, %s on %s: fast %+v, exact %+v, interpreter %+v", in.name, b, r.String(), ex, f, e, want[c])
+				}
+				for _, pm := range provers {
+					var proof *ProofStep
+					p := runCovers(pm, func() (ok bool) { proof, ok = pm.ProveExample(r, ex); return ok })
+					if p != want[c] || p.covered && !logic.Equal(proof.Goal, ex) {
+						t.Fatalf("%s, budget %+v, novm=%v %s on %s: ProveExample %+v with root %v, interpreter %+v",
+							in.name, b, pm.NoVM(), r.String(), ex, p, proof, want[c])
+					}
 				}
 				sum.inferences += want[c].inferences
 				sum.cutoffs += want[c].cutoffs

@@ -94,6 +94,11 @@ type Machine struct {
 	memoOn  bool
 	deepest int32
 
+	// proving is on inside ProveQuery: the VM then keeps proof, one record
+	// per goal discharged on the current branch (proof.go).
+	proving bool
+	proof   []proofRec
+
 	stack   []goalFrame  // pending goals; the top is the last element
 	base    int          // stack bottom of the current (sub)proof
 	binArgs []logic.Term // scratch for builtin argument materialization
@@ -331,7 +336,15 @@ func (m *Machine) step(fr goalFrame, k func() bool) bool {
 		if m.subProve(g.Atom, fr.off, fr.depth+1, fr.ground) {
 			return true
 		}
-		return m.solve(k)
+		top := len(m.proof)
+		if m.proving {
+			m.proof = append(m.proof, proofRec{goal: g.Atom, off: fr.off, depth: fr.depth, kind: ProofNAF})
+		}
+		if !m.solve(k) {
+			return false
+		}
+		m.proof = m.proof[:top]
+		return true
 	}
 	atom := g.Atom
 	off := int(fr.off)
@@ -349,9 +362,14 @@ func (m *Machine) step(fr goalFrame, k func() bool) bool {
 		goal := m.builtinGoal(atom, off)
 		mark := m.bs.Mark()
 		if fn(m, goal) {
+			top := len(m.proof)
+			if m.proving {
+				m.proof = append(m.proof, proofRec{goal: atom, off: int32(off), depth: fr.depth, kind: ProofBuiltin})
+			}
 			if !m.solve(k) {
 				return false
 			}
+			m.proof = m.proof[:top]
 		}
 		m.bs.Undo(mark)
 		return true
@@ -484,9 +502,10 @@ func (m *Machine) groundMatch(goal logic.Term, off int, head *logic.Term, skip i
 
 // subProve runs an isolated subproof of a single goal (used for negation as
 // failure): the goals pending below the current stack top must not be
-// touched, so the proof runs above a raised stack base.
+// touched, so the proof runs above a raised stack base, and it leaves no
+// proof records.
 func (m *Machine) subProve(atom logic.Term, off, depth int32, ground bool) bool {
-	savedBase := m.base
+	savedBase, top := m.base, len(m.proof)
 	m.base = len(m.stack)
 	m.stack = append(m.stack, goalFrame{lit: logic.Lit(atom), off: off, depth: depth, ground: ground})
 	m.deepest = max(m.deepest, depth)
@@ -497,6 +516,7 @@ func (m *Machine) subProve(atom logic.Term, off, depth int32, ground bool) bool 
 	})
 	m.stack = m.stack[:m.base]
 	m.base = savedBase
+	m.proof = m.proof[:top]
 	return proved
 }
 

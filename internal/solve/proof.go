@@ -4,17 +4,19 @@ import (
 	"repro/internal/logic"
 )
 
-// This file adds a *recording* prover next to the hot engine in machine.go:
-// the serving layer wants the proof tree behind a positive coverage answer
-// (the explanation artifact a classification API returns), but the engine's
-// CPS loop deliberately keeps nothing a tree could be built from. Rather
-// than thread recording hooks through step() — and tax the path every
-// coverage test in learning takes — the recorder is a separate recursive
-// SLD prover over the same KB, bindings, builtins and budget. It explores
-// goals in the same order as the engine (clause candidates exactly as
-// kb.lookup yields them), so it succeeds iff CoversExample succeeds within
-// budget, and it records the first proof found — the same proof the engine
-// commits to.
+// This file gives a positive coverage answer its proof tree — the
+// explanation artifact a classification API returns — from the one search
+// that answered it. While ProveQuery runs, the VM keeps a flat stack of the
+// goals discharged on the current branch (Machine.proof): runCands pushes a
+// record for each matched candidate, step one for each builtin and each
+// negation that succeeds, and each is popped when the search backtracks past
+// it; a negation's sub-proof leaves none. SLD resolution discharges goals
+// left to right, depth first, so at a solution the records are the proof's
+// nodes in preorder, and their depths fix the tree's shape.
+//
+// Records are popped only on the way back to a choice point: a search that
+// stops at a solution leaves them to whoever stopped it — ProveQuery, which
+// has built its tree by then, or subProve, which drops them.
 
 // ProofKind classifies how one proof node was discharged.
 type ProofKind uint8
@@ -55,158 +57,85 @@ type ProofStep struct {
 	Kind     ProofKind
 	Clause   *logic.Clause
 	Children []*ProofStep
-
-	raw logic.Term // goal as posed, before final resolution
-	off int32      // renaming offset of raw's variables
 }
 
-// proofGoal is one pending goal of the recording prover. out points at the
-// Children slice of the proof node the goal's own node belongs under, so the
-// flat backtracking recursion builds the right tree shape without a barrier
-// between a clause body and the continuation.
-type proofGoal struct {
-	lit   logic.Literal
-	off   int32
-	depth int32
-	out   *[]*ProofStep
+// proofRec is one discharged goal: the goal as posed with the renaming
+// offset of its variables, its resolution depth (a query body goal is at 0),
+// how it was discharged and, for a fact or rule, the clause.
+type proofRec struct {
+	goal   logic.Term
+	off    int32
+	depth  int32
+	kind   ProofKind
+	clause *logic.Clause
+}
+
+// noteClause records a goal that matched clause.
+func (m *Machine) noteClause(goal logic.Term, off int, clause *logic.Clause, depth int32) {
+	m.proof = append(m.proof, proofRec{goal: goal, off: int32(off), depth: depth, kind: clauseKind(clause), clause: clause})
+}
+
+func clauseKind(c *logic.Clause) ProofKind {
+	if c.IsFact() {
+		return ProofFact
+	}
+	return ProofRule
 }
 
 // ProveExample is CoversExample with a proof: it reports whether rule covers
 // the ground example atom and, when it does, returns the proof tree rooted
 // at the example (root Clause is rule, children prove the rule body against
-// the KB). The recorder shares the machine's budget; a proof attempt that
-// exhausts it fails, exactly like the non-recording engine.
+// the KB). It compiles rule into the machine's scratch query on every call;
+// callers holding a Query call ProveQuery.
 func (m *Machine) ProveExample(rule *logic.Clause, example logic.Term) (*ProofStep, bool) {
-	nv := rule.NumVars()
-	m.beginQuery(nv)
-	defer m.endQuery()
-	if !m.bs.Unify(rule.Head, example) {
-		return nil, false
-	}
-	root := &ProofStep{raw: example, Kind: ProofRule, Clause: rule}
-	if len(rule.Body) == 0 {
-		root.Kind = ProofFact
-	}
-	goals := make([]proofGoal, len(rule.Body))
-	for i, l := range rule.Body {
-		goals[i] = proofGoal{lit: l, depth: 1, out: &root.Children}
-	}
-	if !m.proveTrace(goals) {
-		return nil, false
-	}
-	m.resolveProof(root)
-	return root, true
+	m.CompileQuery(&m.scratch, rule)
+	return m.ProveQuery(&m.scratch, example)
 }
 
-// TraceProve proves a single positive goal atom and returns its proof tree.
-func (m *Machine) TraceProve(goal logic.Term) (*ProofStep, bool) {
-	m.beginQuery(goal.MaxVar() + 1)
+// ProveQuery is CoversQuery with a proof: the same answer, charge and cutoff
+// as the exact proof CoversQuery reports, and, when the example is covered,
+// the tree of that proof. It runs on the compiled program even on a NoVM
+// machine.
+func (m *Machine) ProveQuery(q *Query, example logic.Term) (*ProofStep, bool) {
+	m.beginQuery(q.numVars)
 	defer m.endQuery()
-	var out []*ProofStep
-	if !m.proveTrace([]proofGoal{{lit: logic.Lit(goal), out: &out}}) {
-		return nil, false
-	}
-	m.resolveProof(out[0])
-	return out[0], true
-}
-
-// proveTrace proves the goal list with full SLD backtracking, appending one
-// proof node per discharged goal to that goal's out slice (and removing it
-// again when the branch fails). It returns on the first complete proof,
-// leaving the bindings in place for resolveProof.
-func (m *Machine) proveTrace(goals []proofGoal) bool {
-	if len(goals) == 0 {
-		return true
-	}
-	if !m.charge() {
+	m.prog = m.kb.program()
+	q = m.current(q)
+	var root *ProofStep
+	m.proof = m.proof[:0]
+	m.proving = true
+	m.proveQuery(q, example, func() bool {
+		root = m.proofTree(q.rule, example)
 		return false
-	}
-	g := goals[0]
-	rest := goals[1:]
-	atom := g.lit.Atom
-	off := int(g.off)
-	if atom.Kind == logic.Var {
-		t, _ := m.bs.WalkOff(atom, off)
-		if t.Kind == logic.Var {
-			return false // unbound goal is not callable
-		}
-		atom, off = t, 0
-	}
-	if g.lit.Neg {
-		// Negation as failure, same isolation as the engine's subProve.
-		if m.subProve(atom, int32(off), g.depth+1, atom.IsGround()) {
-			return false
-		}
-		node := &ProofStep{raw: atom, off: int32(off), Neg: true, Kind: ProofNAF}
-		*g.out = append(*g.out, node)
-		if m.proveTrace(rest) {
-			return true
-		}
-		*g.out = (*g.out)[:len(*g.out)-1]
-		return false
-	}
-	if fn := builtinFor(atom); fn != nil {
-		goal := m.builtinGoal(atom, off)
-		mark := m.bs.Mark()
-		if fn(m, goal) {
-			node := &ProofStep{raw: atom, off: int32(off), Kind: ProofBuiltin}
-			*g.out = append(*g.out, node)
-			if m.proveTrace(rest) {
-				return true
-			}
-			*g.out = (*g.out)[:len(*g.out)-1]
-		}
-		m.bs.Undo(mark)
-		return false
-	}
-	if g.depth >= int32(m.budget.MaxDepth) {
-		m.budgetHit = true
-		return false
-	}
-	// Collect the candidates first: kb.lookup's visitor must not re-enter
-	// the prover, and after indexing candidate sets are small.
-	var cands []*storedClause
-	m.kb.lookup(m.bs, atom, off, func(sc *storedClause, _ int) bool {
-		cands = append(cands, sc)
-		return true
 	})
-	for _, sc := range cands {
-		if !m.charge() {
-			return false
-		}
-		base := m.nextVar
-		m.nextVar += sc.numVars
-		mark := m.bs.Mark()
-		if m.unifyHead(atom, off, &sc.clause.Head, base, -1) {
-			kind := ProofRule
-			if sc.clause.IsFact() {
-				kind = ProofFact
-			}
-			node := &ProofStep{raw: atom, off: int32(off), Kind: kind, Clause: &sc.clause}
-			*g.out = append(*g.out, node)
-			sub := make([]proofGoal, 0, len(sc.clause.Body)+len(rest))
-			for _, bl := range sc.clause.Body {
-				sub = append(sub, proofGoal{lit: bl, off: int32(base), depth: g.depth + 1, out: &node.Children})
-			}
-			sub = append(sub, rest...)
-			if m.proveTrace(sub) {
-				return true
-			}
-			*g.out = (*g.out)[:len(*g.out)-1]
-		}
-		m.bs.Undo(mark)
-		m.nextVar = base
-	}
-	return false
+	m.proving = false
+	return root, root != nil
 }
 
-// resolveProof rewrites every node's raw goal into its final resolved form
-// under the machine's (still live) bindings.
-func (m *Machine) resolveProof(n *ProofStep) {
-	n.Goal = m.resolveOff(n.raw, int(n.off))
-	for _, c := range n.Children {
-		m.resolveProof(c)
+// proofTree builds the proof of rule's head matched against example from the
+// records of the solution the machine stands at, resolving every goal under
+// the live bindings. All nodes share one array, and all child lists another
+// (every node but the root is one child), so nodes and child lists cost two
+// allocations whatever the tree's size.
+func (m *Machine) proofTree(rule logic.Clause, example logic.Term) *ProofStep {
+	nodes := make([]ProofStep, len(m.proof)+1)
+	kids := make([]*ProofStep, len(m.proof))
+	root := &nodes[0]
+	*root = ProofStep{Goal: m.resolveOff(example, 0), Kind: clauseKind(&rule), Clause: &rule}
+	root.Children, kids = kids[:0:len(rule.Body)], kids[len(rule.Body):]
+	path := []*ProofStep{root} // path[d] is the latest node at depth d-1
+	for i, r := range m.proof {
+		n := &nodes[i+1]
+		*n = ProofStep{Goal: m.resolveOff(r.goal, int(r.off)), Neg: r.kind == ProofNAF, Kind: r.kind, Clause: r.clause}
+		if r.kind == ProofRule {
+			body := len(r.clause.Body)
+			n.Children, kids = kids[:0:body], kids[body:]
+		}
+		parent := path[r.depth]
+		parent.Children = append(parent.Children, n)
+		path = append(path[:r.depth+1], n)
 	}
+	return root
 }
 
 // resolveOff deep-dereferences t whose variables are shifted by off. Unlike

@@ -95,6 +95,37 @@ func TestProveExampleBacktracking(t *testing.T) {
 	}
 }
 
+// TestProveExampleAtMaxDepth: a covered example whose proof needs exactly
+// MaxDepth levels has a proof — the rule body starts at depth 0 in both
+// provers — and ProveExample charges what CoversExample does.
+func TestProveExampleAtMaxDepth(t *testing.T) {
+	kb := solve.NewKB()
+	if err := kb.AddSource(`q(a). r(X) :- q(X).`); err != nil {
+		t.Fatal(err)
+	}
+	ex := logic.MustParseTerm("p(a)")
+	for _, c := range []struct {
+		rule  string
+		depth int
+		want  int64
+	}{{"p(X) :- q(X).", 1, 2}, {"p(X) :- r(X).", 2, 4}} {
+		rule := logic.MustParseClause(c.rule)
+		for _, novm := range []bool{false, true} {
+			m := solve.NewMachine(kb, solve.Budget{MaxDepth: c.depth})
+			m.SetNoVM(novm)
+			covered := m.CoversExample(&rule, ex)
+			covers := m.TotalInferences()
+			proof, ok := m.ProveExample(&rule, ex)
+			proves := m.TotalInferences() - covers
+			if !covered || !ok || covers != c.want || proves != c.want {
+				t.Fatalf("%s at MaxDepth %d, novm=%v: covers %v (%d inferences), proves %v (%d), want true (%d)",
+					c.rule, c.depth, novm, covered, covers, ok, proves, c.want)
+			}
+			checkProof(t, kb, proof)
+		}
+	}
+}
+
 // TestProveExampleAgreesOnDatasets pins recorder/engine agreement across
 // every (true-concept rule, example) pair of the bundled paper datasets at
 // small scale — the bit-for-bit guarantee the serving layer's proofs rely on.

@@ -117,24 +117,18 @@ func (q *Query) compileBody(prog *program, body []logic.Literal) int {
 // depth cut anywhere — and none tries past it: past a cutoff the interpreter's
 // charges include how its goal stack unwinds. So a fast proof that sees one
 // is proved once more in exact mode, the compiled VM with no filter, no memo
-// and no pack (proveExact). Solve and Prove, memo recordings and re-proofs
-// always run exact; the interpreter has no fast path and nothing to re-prove.
+// and no pack (proveExact). Solve and Prove, ProveQuery, memo recordings and
+// re-proofs always run exact; the interpreter has no fast path and nothing to
+// re-prove.
 
 // CoversQuery reports whether the compiled rule covers the ground example
 // atom: CoversExample with the per-rule work already done.
 func (m *Machine) CoversQuery(q *Query, example logic.Term) bool {
 	m.beginQuery(q.numVars)
-	if q.prog != m.prog {
-		// Compiled for another program — the KB was extended or swapped, or
-		// the engine toggled — so its cp pointers are stale. Recompile into
-		// the machine's own scratch; q may be shared and stays untouched.
-		m.queryCompiles++
-		m.scratch.compile(m.prog, &q.rule)
-		q = &m.scratch
-	}
+	q = m.current(q)
 	fast := m.prog != nil
 	m.memoOn = fast
-	found := m.proveQuery(q, example)
+	found := m.proveQuery(q, example, stopAtFirst)
 	m.memoOn = false
 	if fast && m.budgetHit {
 		m.work = m.mark // the fast proof is not reported, so not counted
@@ -152,19 +146,33 @@ func (m *Machine) CoversQuery(q *Query, example logic.Term) bool {
 func (m *Machine) proveExact(q *Query, example logic.Term) bool {
 	m.reproofs++
 	m.beginQuery(q.numVars)
-	found := m.proveQuery(q, example)
+	found := m.proveQuery(q, example, stopAtFirst)
 	m.endQuery()
 	return found
 }
 
-// proveQuery runs one existence proof of q's body under its head matched
-// against example, on the state beginQuery prepared.
-func (m *Machine) proveQuery(q *Query, example logic.Term) bool {
+// current returns q, or — when q was compiled for another program than the
+// machine's current one (the KB was extended or swapped, or the engine
+// toggled), so its cp pointers are stale — q recompiled into the machine's
+// own scratch; q may be shared and stays untouched.
+func (m *Machine) current(q *Query) *Query {
+	if q.prog == m.prog {
+		return q
+	}
+	m.queryCompiles++
+	m.scratch.compile(m.prog, &q.rule)
+	return &m.scratch
+}
+
+// proveQuery runs the proof of q's body under its head matched against
+// example, on the state beginQuery prepared, calling k at each solution until
+// it asks to stop; it reports whether k stopped it.
+func (m *Machine) proveQuery(q *Query, example logic.Term, k func() bool) bool {
 	if !m.matchQueryHead(q, example) {
 		return false
 	}
 	m.stack = append(m.stack, q.frames...)
-	return !m.solve(stopAtFirst)
+	return !m.solve(k)
 }
 
 // stopAtFirst is the existence-query continuation. solve reports false only

@@ -231,8 +231,11 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 // once right before the next candidate that does run — which is where the
 // next observable thing happens — and at the end of the list; one that
 // would cross the budget flags it, and the query is proved again exactly.
+//
+// While a proof is recorded, a matched candidate's record (proof.go) is on
+// m.proof for as long as the search stays below it.
 func (m *Machine) runCands(l *candList, atom logic.Term, off int, fr goalFrame, st *stepState, k func() bool) bool {
-	restTop := len(m.stack)
+	restTop, proofTop := len(m.stack), len(m.proof)
 	cands, keys, filt := l.cands, l.keys, st.filt
 	skipped := int64(0)
 	first := true // no head stream has run in this step yet
@@ -258,9 +261,13 @@ scan:
 			// Ground fact, ground goal: plain equality — no renaming, no
 			// trail, nothing to undo.
 			if m.runEq(c.eq, atom, off) {
+				if m.proving {
+					m.noteClause(atom, off, c.cc.src, fr.depth)
+				}
 				if !m.solve(k) {
 					return false
 				}
+				m.proof = m.proof[:proofTop]
 			}
 			continue
 		}
@@ -294,6 +301,9 @@ scan:
 		first = false
 		if matched {
 			m.pushFrames(c.cc.frames, int32(base), fr.depth+1)
+			if m.proving {
+				m.noteClause(atom, off, c.cc.src, fr.depth)
+			}
 			if !m.solve(k) {
 				m.stack = m.stack[:restTop]
 				m.bs.Undo(mark)
@@ -301,6 +311,7 @@ scan:
 				return false
 			}
 			m.stack = m.stack[:restTop]
+			m.proof = m.proof[:proofTop]
 		}
 		m.bs.Undo(mark)
 		m.nextVar = base
