@@ -112,6 +112,7 @@ func main() {
 	}
 
 	opts := runOptions{
+		fingerprint:   core.Fingerprint(ds.KB, ds.Pos, ds.Neg),
 		shape:         shp,
 		recover:       *recov,
 		recvTimeout:   *recvTO,
@@ -134,12 +135,8 @@ func main() {
 		runResume(ds, *traffic, opts, *verbose, *quiet)
 		return
 	}
-	if *joinAddr != "" {
-		runJoin(ds, *joinAddr, *serve, *coverPar, opts, *quiet)
-		return
-	}
-	if *serve != "" {
-		runServe(ds, *serve, *coverPar, opts, *quiet)
+	if *joinAddr != "" || *serve != "" {
+		runWorker(ds, *joinAddr, *serve, *coverPar, opts, *quiet)
 		return
 	}
 	if *masterMd {
@@ -199,8 +196,9 @@ func main() {
 
 // runOptions carries the fault-tolerance and timeout flags shared by the
 // deployment modes (README "Timeouts and fault tolerance" documents the
-// defaults).
+// defaults), and the loaded dataset's fingerprint for the join handshake.
 type runOptions struct {
+	fingerprint   uint64
 	shape         shape.Config
 	recover       bool
 	recvTimeout   time.Duration
@@ -216,15 +214,22 @@ type runOptions struct {
 	publishDir    string
 }
 
-// applyTransport stamps the link-shaping options onto a netcluster
-// config. With -shape set, every conn (dialed or accepted) is
+// applyTransport builds the netcluster config every TCP mode shares: the
+// dataset fingerprint, heartbeat, join timeout and link grace, plus link
+// shaping. With -shape set, every conn (dialed or accepted) is
 // wrapped in the userspace throttle, and on the master the cost model's
 // transfer terms are aligned to the shaped link — workers adopt the
 // master's model at join — so the virtual clock predicts exactly what the
 // throttle enforces. A term -shape leaves out is modelled as free (1 ns
 // latency, ~unbounded bandwidth), matching the unthrottled loopback
 // underneath, rather than falling back to the Beowulf defaults.
-func applyTransport(ncfg netcluster.Config, opts runOptions) netcluster.Config {
+func applyTransport(opts runOptions) netcluster.Config {
+	ncfg := netcluster.Config{
+		Fingerprint:    opts.fingerprint,
+		HeartbeatEvery: opts.heartbeat,
+		JoinTimeout:    opts.joinTimeout,
+		LinkGrace:      opts.linkGrace,
+	}
 	if opts.shape.Enabled() {
 		ncfg.ShapeConn = opts.shape.Wrap
 		ncfg.Model = shapeCostModel(opts.shape)
@@ -290,65 +295,44 @@ func dieIfCrashed(err error) {
 	}
 }
 
-// runServe is the TCP worker mode: listen, join, receive the partition via
-// the protocol, serve the run, report, exit.
-func runServe(ds *ilp.Dataset, addr string, coverPar int, opts runOptions, quiet bool) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fail(err)
+// runWorker is the TCP worker mode. With -serve alone it listens on
+// listenAddr and waits for the master to dial in; with -join it attaches
+// to a running master's -listen address as a late worker (serving on
+// listenAddr, default an ephemeral loopback port). Either way it then
+// serves the run, reports and exits: the partition or share, the ring and
+// every semantics-bearing regime (recovery, balance) arrive from the
+// master over the protocol; the worker-side flags only shape this node's
+// transport and timeouts.
+func runWorker(ds *ilp.Dataset, masterAddr, listenAddr string, coverPar int, opts runOptions, quiet bool) {
+	var node *netcluster.Node
+	var err error
+	if masterAddr != "" {
+		if listenAddr == "" {
+			listenAddr = "127.0.0.1:0"
+		}
+		if node, err = netcluster.Join(masterAddr, listenAddr, applyTransport(opts)); err != nil {
+			fail(err)
+		}
+		fmt.Printf("p2mdie: joined running cluster as node %d of %d (serving on %s)\n", node.ID(), node.Size(), node.Addr())
+	} else {
+		ln, lerr := net.Listen("tcp", listenAddr)
+		if lerr != nil {
+			fail(lerr)
+		}
+		fmt.Printf("p2mdie: worker listening on %s\n", ln.Addr())
+		if node, err = netcluster.ServeOn(ln, applyTransport(opts)); err != nil {
+			fail(err)
+		}
+		if !quiet {
+			fmt.Printf("p2mdie: joined as node %d of %d\n", node.ID(), node.Size())
+		}
 	}
-	fmt.Printf("p2mdie: worker listening on %s\n", ln.Addr())
-	node, err := netcluster.ServeOn(ln, applyTransport(netcluster.Config{
-		Fingerprint:    core.Fingerprint(ds.KB, ds.Pos, ds.Neg),
-		HeartbeatEvery: opts.heartbeat,
-		JoinTimeout:    opts.joinTimeout,
-		LinkGrace:      opts.linkGrace,
-	}, opts))
-	if err != nil {
-		fail(err)
-	}
-	if !quiet {
-		fmt.Printf("p2mdie: joined as node %d of %d\n", node.ID(), node.Size())
-	}
-	// The recovery regime arrives from the master in kindLoad; the
-	// worker-side flags only shape this node's transport timeouts.
 	err = core.RunWorker(node, ds.KB, ds.Modes, core.Config{
 		CoverParallelism: coverPar,
 		RecvTimeout:      opts.recvTimeout,
 	})
 	if err != nil {
 		// Slam the links shut so peers see a failure, not an orderly exit.
-		node.Abort()
-		fail(err)
-	}
-	node.Close()
-	fmt.Printf("p2mdie: worker %d done, %.2fs simulated\n", node.ID(), node.Clock().Seconds())
-}
-
-// runJoin attaches a late worker to a running master (its -listen address):
-// transport-level join first, then the ordinary worker loop — the welcome,
-// ring membership and example share all arrive over the protocol.
-func runJoin(ds *ilp.Dataset, masterAddr, listenAddr string, coverPar int, opts runOptions, quiet bool) {
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	node, err := netcluster.Join(masterAddr, listenAddr, applyTransport(netcluster.Config{
-		Fingerprint:    core.Fingerprint(ds.KB, ds.Pos, ds.Neg),
-		HeartbeatEvery: opts.heartbeat,
-		JoinTimeout:    opts.joinTimeout,
-		LinkGrace:      opts.linkGrace,
-	}, opts))
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("p2mdie: joined running cluster as node %d of %d (serving on %s)\n", node.ID(), node.Size(), node.Addr())
-	// Everything semantics-bearing (including the recovery and balance
-	// regimes) arrives from the master in the protocol-level welcome.
-	err = core.RunWorker(node, ds.KB, ds.Modes, core.Config{
-		CoverParallelism: coverPar,
-		RecvTimeout:      opts.recvTimeout,
-	})
-	if err != nil {
 		node.Abort()
 		fail(err)
 	}
@@ -371,12 +355,7 @@ func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, traff
 	if !quiet {
 		fmt.Println(ds.String())
 	}
-	ncfg := applyTransport(netcluster.Config{
-		Fingerprint:    core.Fingerprint(ds.KB, ds.Pos, ds.Neg),
-		HeartbeatEvery: opts.heartbeat,
-		JoinTimeout:    opts.joinTimeout,
-		LinkGrace:      opts.linkGrace,
-	}, opts)
+	ncfg := applyTransport(opts)
 	var node *netcluster.Node
 	var err error
 	if opts.listen != "" {
@@ -411,7 +390,7 @@ func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, traff
 		Balance:       opts.balance,
 		CheckpointDir: opts.checkpointDir,
 		OrphanTimeout: opts.orphanTimeout,
-		Fingerprint:   core.Fingerprint(ds.KB, ds.Pos, ds.Neg),
+		Fingerprint:   opts.fingerprint,
 		Publish:       publishHook(ds, opts.publishDir),
 	})
 	if err != nil {
@@ -435,7 +414,7 @@ func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, traff
 // listen address to re-bind and the workers to wait for, and the resume
 // handshake rolls the cluster back to the boundary before continuing.
 func runResume(ds *ilp.Dataset, trafficMode string, opts runOptions, verbose, quiet bool) {
-	fp := core.Fingerprint(ds.KB, ds.Pos, ds.Neg)
+	fp := opts.fingerprint
 	ck, err := core.LoadCheckpoint(opts.checkpointDir)
 	if err != nil {
 		fail(err)
@@ -450,12 +429,7 @@ func runResume(ds *ilp.Dataset, trafficMode string, opts runOptions, verbose, qu
 	if !quiet {
 		fmt.Println(ds.String())
 	}
-	node, err := netcluster.Resume(peers[0], ck.Size(), peers, applyTransport(netcluster.Config{
-		Fingerprint:    fp,
-		HeartbeatEvery: opts.heartbeat,
-		JoinTimeout:    opts.joinTimeout,
-		LinkGrace:      opts.linkGrace,
-	}, opts))
+	node, err := netcluster.Resume(peers[0], ck.Size(), peers, applyTransport(opts))
 	if err != nil {
 		fail(err)
 	}

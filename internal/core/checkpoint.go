@@ -303,46 +303,5 @@ func ResumeMaster(t cluster.Transport, ck *Checkpoint, cfg Config) (*Metrics, er
 		return nil, fmt.Errorf("core: checkpoint has no live workers to resume with")
 	}
 
-	metrics := &Metrics{}
-	ma := resumedMaster(t, ck, cfg, metrics, true)
-
-	start := time.Now()
-	if err := ma.run(); err != nil {
-		return nil, err
-	}
-
-	metrics.Theory = ma.theory
-	metrics.WallTime = time.Since(start)
-
-	// Same assembly as RunMaster: the workers' final reports carry their
-	// cumulative totals (including pre-crash work — the workers survived),
-	// so inference and rule counts stay continuous across the restart. The
-	// restarted master's own traffic table restarts from zero; the paper's
-	// Table-4 numbers are only claimed for failure-free runs.
-	traffic := cluster.NewTraffic(t.Size())
-	if tr, ok := t.(cluster.TrafficReporter); ok {
-		traffic.Merge(tr.Traffic())
-	}
-	makespan := t.Clock()
-	for _, fm := range ma.finals {
-		metrics.TotalInferences += fm.Inferences
-		metrics.GeneratedRules += fm.Generated
-		metrics.FencedFrames += fm.Fenced
-		metrics.LinkFlaps += fm.Flaps
-		metrics.ReplayedFrames += fm.Replayed
-		if c := cluster.VTime(fm.Clock); c > makespan {
-			makespan = c
-		}
-		traffic.Merge(fm.Traffic)
-	}
-	if ls, ok := as[linkStatser](t); ok {
-		flaps, replayed := ls.LinkStats()
-		metrics.LinkFlaps += flaps
-		metrics.ReplayedFrames += replayed
-	}
-	metrics.VirtualTime = makespan.Duration()
-	metrics.Traffic = traffic
-	metrics.CommBytes = traffic.TotalBytes()
-	metrics.CommMessages = traffic.TotalMsgs()
-	return metrics, nil
+	return runRemote(resumedMaster(t, ck, cfg, &Metrics{}, true))
 }

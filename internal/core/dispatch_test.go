@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -10,11 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// The master's event-dispatch loop (nextReply) is the heart of the
-// fault-tolerant epoch engine: these tests drive it directly over a
-// simulated network where the test plays the workers, covering the error
-// paths — kind mismatch, stale-epoch drops, truncated/garbled payloads,
-// duplicates, future epochs and membership events.
+// The master's one receive path (nextReply filing into ledgers) is the
+// heart of the fault-tolerant epoch engine: these tests drive it directly
+// over a simulated network where the test plays the workers, covering the
+// error paths — kind mismatch, stale-epoch drops, truncated/garbled
+// payloads, duplicates, future epochs and membership events — and the
+// resume ledger's own rules.
 
 // junk is a payload with a wire envelope but no protocol shape: its bytes
 // are written verbatim, so decoding it as any message struct fails the way
@@ -52,9 +56,12 @@ func (r *dispatchRig) sendAs(t *testing.T, id, kind int, v any) {
 	}
 }
 
-// gatherOne runs one nextReply for kindRules over the full pending set.
-func (r *dispatchRig) gatherOne() (replyHdr, error) {
-	return r.ma.nextReply(kindRules, r.ma.pendingLive(), func() replyHdr { return new(rulesMsg) })
+// gather awaits a kindRules ledger over the live membership, as gatherBag
+// does, and closes it.
+func (r *dispatchRig) gather() error {
+	l := r.ma.open(kindRules)
+	defer r.ma.close(l)
+	return r.ma.await(l)
 }
 
 func TestDispatchErrorPaths(t *testing.T) {
@@ -167,14 +174,7 @@ func TestDispatchErrorPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newDispatchRig(t, 2, tc.recover)
 			tc.inject(t, r)
-			var err error
-			pending := r.ma.pendingLive()
-			for len(pending) > 0 {
-				_, err = r.ma.nextReply(kindRules, pending, func() replyHdr { return new(rulesMsg) })
-				if err != nil {
-					break
-				}
-			}
+			err := r.gather()
 			if tc.wantLost {
 				if asWorkerLost(err) == nil {
 					t.Fatalf("err = %v, want workerLostError", err)
@@ -208,14 +208,13 @@ func TestDispatchErrorPaths(t *testing.T) {
 func TestSuspicionAboutExcludedPeerIsDropped(t *testing.T) {
 	r := newDispatchRig(t, 2, true)
 	r.nw.Kill(2)
-	_, err := r.gatherOne()
+	err := r.gather()
 	if asWorkerLost(err) == nil {
 		t.Fatalf("err = %v, want workerLostError from the master's own event", err)
 	}
 	r.sendAs(t, 1, kindSuspect, suspectMsg{Epoch: 3, Worker: 1, Peer: 2})
 	r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
-	pending := r.ma.pendingLive() // now just worker 1
-	if _, err := r.ma.nextReply(kindRules, pending, func() replyHdr { return new(rulesMsg) }); err != nil {
+	if err := r.gather(); err != nil { // now just worker 1
 		t.Fatalf("gather after moot suspicion failed: %v", err)
 	}
 	if r.ma.metrics.LostWorkers != 1 {
@@ -230,7 +229,7 @@ func TestDeathWithoutRecoveryIsAnError(t *testing.T) {
 	r := newDispatchRig(t, 2, false)
 	r.ma.node.NotifyFailures(true) // events delivered, recovery still off
 	r.nw.Kill(2)
-	_, err := r.gatherOne()
+	err := r.gather()
 	if err == nil || !strings.Contains(err.Error(), "recovery is disabled") {
 		t.Fatalf("err = %v, want recovery-disabled error", err)
 	}
@@ -243,7 +242,7 @@ func TestAllWorkersLostIsFatal(t *testing.T) {
 	r.nw.Kill(2)
 	var err error
 	for i := 0; i < 2; i++ {
-		_, err = r.gatherOne()
+		err = r.gather()
 		if err != nil && asWorkerLost(err) == nil {
 			break
 		}
@@ -253,16 +252,159 @@ func TestAllWorkersLostIsFatal(t *testing.T) {
 	}
 }
 
-// TestWaitingForNamesTheRedeal: both waits of the redeal barrier — the pool
-// and the install acks — report as one phase, told apart by what is owed.
+// TestWaitingForNamesTheRedeal: every ledger kind names its phase and what
+// is owed; both waits of the redeal barrier — the pool and the install
+// acks — report as one phase, told apart by what is owed.
 func TestWaitingForNamesTheRedeal(t *testing.T) {
 	r := newDispatchRig(t, 2, false)
-	for want, text := range map[int]string{
-		kindGathered:    "redeal after 0 completed epochs, wire epoch 3: waiting for alive positives from workers [1 2]",
-		kindReassignAck: "redeal after 0 completed epochs, wire epoch 3: waiting for install acks from workers [1 2]",
+	for _, tc := range []struct {
+		kind int
+		text string
+	}{
+		{kindRules, "gather after 0 completed epochs, wire epoch 3: waiting for rules from origins [1 2]"},
+		{kindEvalResult, "evaluate after 0 completed epochs, wire epoch 3: waiting for counts from workers [1 2]"},
+		{kindGathered, "redeal after 0 completed epochs, wire epoch 3: waiting for alive positives from workers [1 2]"},
+		{kindReassignAck, "redeal after 0 completed epochs, wire epoch 3: waiting for install acks from workers [1 2]"},
+		{kindAdopted, "adopt after 0 completed epochs, wire epoch 3: waiting for adoptions(epoch 3) from [1 2]"},
+		{kindFinal, "drain after 0 completed epochs, wire epoch 3: waiting for final reports from workers [1 2]"},
+		{kindResumeInfo, "resume after 0 completed epochs, wire epoch 3: waiting for resume info from workers [1 2]"},
 	} {
-		if got := r.ma.waitingFor(want, r.ma.pendingLive()); got != text {
-			t.Errorf("waitingFor(kind %d) = %q, want %q", want, got, text)
+		l := r.ma.open(tc.kind)
+		if got := r.ma.waitingFor(); got != tc.text {
+			t.Errorf("waitingFor(kind %d) = %q, want %q", tc.kind, got, tc.text)
 		}
+		r.ma.close(l)
+	}
+}
+
+// TestResumeTimeoutNamesWhoOwes: a resume whose receive deadline fires
+// says which workers still owe their resume info, like every other wait.
+func TestResumeTimeoutNamesWhoOwes(t *testing.T) {
+	r := newDispatchRig(t, 2, false)
+	r.ma.cfg.RecvTimeout = 50 * time.Millisecond
+	r.sendAs(t, 1, kindResumeInfo, resumeInfoMsg{Epoch: 3, Worker: 1, Loaded: true})
+	const want = "resume after 0 completed epochs, wire epoch 3: waiting for resume info from workers [2]"
+	if err := r.ma.resumeCluster(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v\nwant substring %q", err, want)
+	}
+}
+
+// TestResumeLedgerRules drives the resume collection: no epoch check,
+// every frame no ledger owes is residue (counted stale, never adopted), a
+// death strikes the dead worker off instead of aborting, and generation
+// fences, garbling and duplicates are errors as in every other wait.
+func TestResumeLedgerRules(t *testing.T) {
+	ex := logic.MustParseTerm("active(m1)")
+	info := func(worker, epoch int) resumeInfoMsg {
+		return resumeInfoMsg{Epoch: epoch, Worker: worker, Loaded: true}
+	}
+	cases := []struct {
+		name       string
+		inject     func(t *testing.T, r *dispatchRig)
+		wantErr    string // substring; empty means the collection succeeds
+		superseded bool
+		wantStale  int64
+		wantInfos  []int
+		wantLost   int
+	}{
+		{
+			name: "worker ahead of the checkpoint",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindResumeInfo, info(1, 9))
+				r.sendAs(t, 2, kindResumeInfo, info(2, 1))
+			},
+			wantInfos: []int{1, 2},
+		},
+		{
+			name: "pre-crash adoption and rules are residue",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindAdopted, adoptedMsg{Epoch: 2, Worker: 1, Ok: true, Example: ex})
+				r.sendAs(t, 2, kindRules, rulesMsg{Epoch: 3, Origin: 2})
+				r.sendAs(t, 1, kindResumeInfo, info(1, 3))
+				r.sendAs(t, 2, kindResumeInfo, info(2, 3))
+			},
+			wantStale: 2,
+			wantInfos: []int{1, 2},
+		},
+		{
+			name: "suspicion is residue",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindSuspect, suspectMsg{Epoch: 3, Worker: 1, Peer: 2})
+				r.sendAs(t, 1, kindResumeInfo, info(1, 3))
+				r.sendAs(t, 2, kindResumeInfo, info(2, 3))
+			},
+			wantStale: 1,
+			wantInfos: []int{1, 2},
+		},
+		{
+			name: "pending worker's death strikes it off",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindResumeInfo, info(1, 3))
+				r.nw.Kill(2)
+			},
+			wantInfos: []int{1},
+			wantLost:  1,
+		},
+		{
+			name: "fence from a newer generation",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindFenced, fencedMsg{Epoch: 3, Gen: 1, Worker: 1})
+			},
+			superseded: true,
+		},
+		{
+			name: "resume info from a newer generation",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindResumeInfo, resumeInfoMsg{Epoch: 3, Gen: 1, Worker: 1})
+			},
+			superseded: true,
+		},
+		{
+			name: "duplicate resume info",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindResumeInfo, info(1, 3))
+				r.sendAs(t, 1, kindResumeInfo, info(1, 3))
+			},
+			wantErr: "duplicate or unexpected kind-",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newDispatchRig(t, 2, true)
+			tc.inject(t, r)
+			infos, err := r.ma.queryResume()
+			switch {
+			case tc.superseded:
+				if !errors.Is(err, ErrSuperseded) {
+					t.Fatalf("err = %v, want ErrSuperseded", err)
+				}
+				return
+			case tc.wantErr != "":
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
+				}
+				return
+			case err != nil:
+				t.Fatalf("resume collection failed: %v", err)
+			}
+			var got []int
+			for k := range infos {
+				got = append(got, k)
+			}
+			sort.Ints(got)
+			if fmt.Sprint(got) != fmt.Sprint(tc.wantInfos) {
+				t.Fatalf("resume info from %v, want %v", got, tc.wantInfos)
+			}
+			m := r.ma.metrics
+			if m.StaleDropped != tc.wantStale || m.LostWorkers != tc.wantLost {
+				t.Fatalf("StaleDropped = %d, LostWorkers = %d; want %d, %d", m.StaleDropped, m.LostWorkers, tc.wantStale, tc.wantLost)
+			}
+			if len(r.ma.theory) != 0 || m.GroundFactsAdopted != 0 {
+				t.Fatalf("residue reached the theory: %v (%d adopted)", r.ma.theory, m.GroundFactsAdopted)
+			}
+			if r.ma.ledgerOf(kindResumeInfo) != nil {
+				t.Fatal("resume ledger still open after the collection returned")
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faultline"
+	"repro/internal/logic"
 	"repro/internal/search"
 )
 
@@ -24,11 +25,16 @@ func (g *gracedTransport) LinkGrace() time.Duration { return g.grace }
 
 // TestCheckLinkGraceValidation pins the startup check: a grace window as
 // long as the protocol's receive timeout guarantees a spurious timeout on
-// every flap, so the combination must be rejected before any wire op.
+// every flap, so the combination must be rejected before any wire op — by
+// checkLinkGrace itself and by ResumeMaster, which shares RunMaster's
+// validation. The network is shut down, so a resume that passes the check
+// fails at once on its first receive, with an error that is not the
+// grace window's.
 func TestCheckLinkGraceValidation(t *testing.T) {
-	nw := cluster.NewNetwork(1, cluster.DefaultCostModel)
-	defer nw.Shutdown()
+	nw := cluster.NewNetwork(2, cluster.DefaultCostModel)
+	nw.Shutdown()
 	node := nw.Node(0)
+	ck := &Checkpoint{rec: checkpointRecord{Workers: 1, Targets: []int{1}, AssignedPos: make([][]logic.Term, 2), AssignedNeg: make([][]logic.Term, 2)}}
 	cases := []struct {
 		name    string
 		t       cluster.Transport
@@ -53,6 +59,10 @@ func TestCheckLinkGraceValidation(t *testing.T) {
 				}
 			} else if err != nil {
 				t.Fatalf("checkLinkGrace = %v, want nil", err)
+			}
+			_, err = ResumeMaster(tc.t, ck, Config{RecvTimeout: tc.timeout})
+			if refused := err != nil && strings.Contains(err.Error(), "grace"); refused != tc.wantErr {
+				t.Fatalf("ResumeMaster = %v, want the grace window refused: %v", err, tc.wantErr)
 			}
 		})
 	}

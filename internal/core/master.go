@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,12 +55,13 @@ func asWorkerLost(err error) *workerLostError {
 }
 
 // master drives the epochs of Fig. 5 as an event-driven state machine:
-// one receive loop (nextReply) dispatches on message kind, every phase
-// tracks which members still owe a current-epoch reply, stale-epoch
-// traffic is dropped, and a worker failure — delivered by the transport
-// as a KindPeerDown membership event — aborts the phase so the epoch loop
-// can redistribute the dead worker's examples and re-issue the epoch on
-// the survivors. See DESIGN.md §6 for the state machine.
+// every wait is a ledger of the members that still owe a reply, one
+// receive path (nextReply) files each reply into the open ledger of its
+// kind, stale-epoch traffic is dropped, and a worker failure — delivered
+// by the transport as a KindPeerDown membership event — aborts the phase
+// so the epoch loop can redistribute the dead worker's examples and
+// re-issue the epoch on the survivors. See DESIGN.md §6 for the state
+// machine.
 type master struct {
 	node cluster.Transport
 	p    int // initial worker count
@@ -146,30 +149,95 @@ type master struct {
 	// shared-filesystem model where workers were constructed with their
 	// partitions and kindLoad is a bare signal.
 	parts []loadDataMsg
-	// finals collects the workers' kindFinal reports of a remote run.
-	finals []finalMsg
+	// finals collects the workers' kindFinal reports (*finalMsg) of a
+	// remote run.
+	finals []replyHdr
 
-	// adopting is the open adoption ledger (nil between fallbacks): the
-	// kindAdopt broadcast is out and not every kindAdopted is in yet. See
-	// adoptLedger.
-	adopting *adoptLedger
+	// ledgers are the open waits, oldest first, at most one per kind.
+	ledgers []*ledger
 
 	theory    []logic.Clause
 	metrics   *Metrics
 	remaining int
 }
 
-// adoptLedger is the adoption barrier as data: which workers still owe a
-// kindAdopted for the fallback broadcast at wire epoch `epoch`, and what
-// the others answered. Keeping it on the master rather than on a phase's
-// stack is what lets the wait move — when nothing observes the epoch
-// boundary the next pipeline starts while the ledger is still open, and
-// nextReply files the replies under whatever phase is running (DESIGN.md
-// §6) — and what lets a phase abort keep the adoptions it already holds.
-type adoptLedger struct {
+// ledger is one master wait as data (DESIGN.md §6 "Ledgers"): which members
+// still owe a reply of `kind` — by worker id, or by pipeline origin for
+// kindRules — checked against wire epoch `epoch`, and the replies filed so
+// far, in arrival order. A phase opens its ledger, sends its request,
+// awaits and reads the replies; the ledger closes when the phase returns,
+// completed or aborted. nextReply files every reply into the open ledger
+// of its kind, whatever phase is waiting. That is what lets the adoption
+// wait — the one ledger that outlives its phase — move past the epoch
+// boundary when nothing observes it, and what lets a phase abort keep the
+// adoptions already filed.
+type ledger struct {
+	kind    int
 	epoch   int
 	pending map[int]bool
-	replies []adoptedMsg
+	replies []replyHdr
+}
+
+// waits describes every kind a ledger can be open for: the payload it is
+// decoded into, and what waitingFor calls the wait — its phase and what
+// is owed.
+var waits = map[int]struct {
+	phase, owed string
+	reply       func() replyHdr
+}{
+	kindRules:       {"gather", "rules from origins", func() replyHdr { return new(rulesMsg) }},
+	kindEvalResult:  {"evaluate", "counts from workers", func() replyHdr { return new(evalResultMsg) }},
+	kindGathered:    {"redeal", "alive positives from workers", func() replyHdr { return new(gatheredMsg) }},
+	kindReassignAck: {"redeal", "install acks from workers", func() replyHdr { return new(reassignAckMsg) }},
+	kindAdopted:     {"adopt", "adoptions(epoch %d) from", func() replyHdr { return new(adoptedMsg) }},
+	kindFinal:       {"drain", "final reports from workers", func() replyHdr { return new(finalMsg) }},
+	kindResumeInfo:  {"resume", "resume info from workers", func() replyHdr { return new(resumeInfoMsg) }},
+}
+
+// open starts a wait for one reply of kind from every live member at the
+// current wire epoch.
+func (ma *master) open(kind int) *ledger {
+	l := &ledger{kind: kind, epoch: ma.epoch, pending: ma.pendingLive()}
+	ma.ledgers = append(ma.ledgers, l)
+	return l
+}
+
+// close ends a wait, completed or not. Closing a closed ledger is a no-op.
+func (ma *master) close(l *ledger) {
+	ma.ledgers = slices.DeleteFunc(ma.ledgers, func(o *ledger) bool { return o == l })
+}
+
+// ledgerOf returns the open ledger of kind, or nil.
+func (ma *master) ledgerOf(kind int) *ledger {
+	if i := slices.IndexFunc(ma.ledgers, func(l *ledger) bool { return l.kind == kind }); i >= 0 {
+		return ma.ledgers[i]
+	}
+	return nil
+}
+
+// await files replies until nobody owes l anything.
+func (ma *master) await(l *ledger) error {
+	for len(l.pending) > 0 {
+		if err := ma.nextReply(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// collect is one phase's wait: open a ledger of kind, send the request,
+// await every reply and close the ledger. It returns the replies in
+// arrival order.
+func (ma *master) collect(kind int, request func() error) ([]replyHdr, error) {
+	l := ma.open(kind)
+	defer ma.close(l)
+	if err := request(); err != nil {
+		return nil, err
+	}
+	if err := ma.await(l); err != nil {
+		return nil, err
+	}
+	return l.replies, nil
 }
 
 func (ma *master) nextSeq() int64 {
@@ -179,12 +247,7 @@ func (ma *master) nextSeq() int64 {
 
 // isLive reports whether worker id is still a member.
 func (ma *master) isLive(id int) bool {
-	for _, k := range ma.targets {
-		if k == id {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ma.targets, id)
 }
 
 // pendingLive returns a fresh pending set over the live membership.
@@ -221,51 +284,44 @@ func (ma *master) bcastLive(kind int, v any) error {
 // next between-epoch point. Duplicates (the simulation both spawns
 // directly and delivers a KindPeerUp event) are ignored.
 func (ma *master) noteJoin(id int) {
-	if id < 1 || ma.isLive(id) {
-		return
+	if id >= 1 && !ma.isLive(id) && !slices.Contains(ma.pendingJoin, id) {
+		ma.pendingJoin = append(ma.pendingJoin, id)
 	}
-	for _, j := range ma.pendingJoin {
-		if j == id {
-			return
-		}
-	}
-	ma.pendingJoin = append(ma.pendingJoin, id)
 }
 
 // dropPendingJoin removes a not-yet-admitted joiner (it died before its
 // welcome), reporting whether it was pending. No recovery is needed: the
 // joiner held no examples.
 func (ma *master) dropPendingJoin(id int) bool {
-	for i, j := range ma.pendingJoin {
-		if j == id {
-			ma.pendingJoin = append(ma.pendingJoin[:i], ma.pendingJoin[i+1:]...)
-			return true
-		}
+	i := slices.Index(ma.pendingJoin, id)
+	if i >= 0 {
+		ma.pendingJoin = slices.Delete(ma.pendingJoin, i, i+1)
 	}
-	return false
+	return i >= 0
 }
 
-// noteLost removes a failed worker from the membership and queues its
-// assignment for redistribution. It returns an error when the run cannot
-// continue: recovery disabled, or no survivors left.
+// noteLost removes a failed worker from the membership, strikes it off
+// every open ledger (a lost worker owes nothing) and queues its assignment
+// for redistribution. It returns the workerLostError that aborts the
+// awaiting phase — none during the drain, whose result is complete, or the
+// resume, whose rollback barrier deals the casualty's assignment — or a
+// fatal error when the run cannot continue: recovery disabled, or no
+// survivors left.
 func (ma *master) noteLost(id int) error {
 	if id < 1 || id >= len(ma.assignedPos) || !ma.isLive(id) {
 		// Duplicate or out-of-range event; both transports deduplicate,
 		// so treat this as a protocol error rather than guessing.
 		return fmt.Errorf("core: master: failure event for unknown worker %d", id)
 	}
-	live := ma.targets[:0]
-	for _, k := range ma.targets {
-		if k != id {
-			live = append(live, k)
-		}
-	}
-	ma.targets = live
+	ma.targets = slices.DeleteFunc(ma.targets, func(k int) bool { return k == id })
 	ma.metrics.LostWorkers++
 	ma.bal.Forget(id)
 	ma.lostPos = append(ma.lostPos, ma.assignedPos[id]...)
 	ma.lostNeg = append(ma.lostNeg, ma.assignedNeg[id]...)
 	ma.assignedPos[id], ma.assignedNeg[id] = nil, nil
+	for _, l := range ma.ledgers {
+		delete(l.pending, id)
+	}
 	if ma.draining {
 		return nil
 	}
@@ -275,7 +331,10 @@ func (ma *master) noteLost(id int) error {
 	if len(ma.targets) == 0 {
 		return fmt.Errorf("core: master: worker %d failed and no workers survive", id)
 	}
-	return nil
+	if ma.ledgerOf(kindResumeInfo) != nil {
+		return nil
+	}
+	return &workerLostError{id: id}
 }
 
 // acceptStale consumes a stale-epoch message. Almost all stale traffic is
@@ -312,213 +371,175 @@ func (ma *master) acceptStale(msg cluster.Message) error {
 	return nil
 }
 
-// nextReply is the master's event dispatch: it returns the next
-// current-epoch reply of kind want whose key (worker id, or pipeline
-// origin for kindRules) is still pending, decoded into a payload from
-// newDst, and removes the key from pending. Along the way it
+// onEvent handles a frame about the cluster rather than a phase, and
+// reports whether msg was one; nextReply and awaitRejoins share it.
 //
-//   - converts KindPeerDown membership events into a workerLostError
-//     (after updating the membership), so the caller's phase aborts and
-//     the epoch loop can recover;
-//   - files kindAdopted replies of an open adoption ledger into it under
-//     the ledger's own epoch and pending set, whatever the caller waits
-//     for (a caller waiting for kindAdopted gets them returned as well);
-//   - silently drops stale-epoch traffic of any kind — the residue of an
-//     abandoned epoch attempt (counted in Metrics.StaleDropped);
-//   - fails on same-epoch protocol violations: unexpected kinds,
-//     duplicate replies, replies from unknown members, garbled payloads.
-func (ma *master) nextReply(want int, pending map[int]bool, newDst func() replyHdr) (replyHdr, error) {
+//   - KindPeerUp: a transport-level join, only queued — mid-phase the ring
+//     is load-bearing, so admission waits for prepEpoch.
+//   - KindPeerDown: noteLost, whose workerLostError aborts the awaiting
+//     phase so the epoch loop can recover. A joiner that died before its
+//     welcome held no examples; an already-excluded member — a sibling's
+//     suspicion can beat the master's own link to the same death — is moot.
+//   - kindSuspect: a sibling saw a peer die. Link failures are per-link, so
+//     a one-sided break (possibly having swallowed an in-flight kindStage)
+//     may be visible only to the reporter; ignoring it, the master would
+//     wait forever for a pipeline nobody owns. Epoch-independent: it is
+//     about link state now. While the resume ledger is open it is residue.
+//   - kindFenced: a worker has seen a newer master generation. If it really
+//     is above ours, we are the zombie side of a healed partition — stand
+//     down. (Our own or an older one is a race settled in our favour.)
+func (ma *master) onEvent(msg cluster.Message) (bool, error) {
+	switch msg.Kind {
+	case cluster.KindPeerUp:
+		ma.noteJoin(msg.From)
+	case cluster.KindPeerDown:
+		if !ma.dropPendingJoin(msg.From) && ma.isLive(msg.From) {
+			return true, ma.noteLost(msg.From)
+		}
+	case kindSuspect:
+		if ma.ledgerOf(kindResumeInfo) != nil {
+			return false, nil
+		}
+		var sm suspectMsg
+		if err := msg.Decode(&sm); err != nil {
+			return true, fmt.Errorf("core: master: garbled suspicion from node %d: %w", msg.From, err)
+		}
+		if ma.cfg.Recover && !ma.draining && ma.isLive(sm.Worker) && ma.isLive(sm.Peer) {
+			return true, ma.noteLost(sm.Peer)
+		} // else moot, or from an excluded (untrusted) reporter
+	case kindFenced:
+		var fm fencedMsg
+		if err := msg.Decode(&fm); err != nil {
+			return true, fmt.Errorf("core: master: garbled fence rejection from node %d: %w", msg.From, err)
+		}
+		if fm.Gen > ma.gen {
+			return true, fmt.Errorf("core: master: generation %d fenced off by worker %d at generation %d: %w",
+				ma.gen, fm.Worker, fm.Gen, ErrSuperseded)
+		}
+	default:
+		return false, nil
+	}
+	return true, nil
+}
+
+// nextReply is the master's one receive path: it receives frames until it
+// has handled one cluster event (onEvent) or filed one reply into the open
+// ledger of its kind, checked against that ledger's epoch and pending set.
+// Along the way it drops stale-epoch traffic (acceptStale); while the
+// resume ledger is open, counts every frame no ledger owes as pre-crash
+// residue — the simulated master inherits its predecessor's mailbox, and
+// the rollback un-does a late adoption's retraction; and fails on
+// same-epoch violations (a kind no ledger is open for, duplicates, unknown
+// members, garbled payloads) and on a receive failure, naming who owes.
+func (ma *master) nextReply() error {
 	for {
 		msg, err := receiveWithTimeout(ma.node, ma.cfg.RecvTimeout)
 		if err != nil {
-			return nil, fmt.Errorf("core: master: %s: %w", ma.waitingFor(want, pending), err)
+			return fmt.Errorf("core: master: %s: %w", ma.waitingFor(), err)
 		}
-		if msg.Kind == cluster.KindPeerUp {
-			// A worker joined at the transport level. Admission waits for
-			// the next between-epoch point (prepEpoch): mid-phase the ring
-			// is load-bearing, so the joiner is only queued here — no
-			// phase abort, unlike a death.
-			ma.noteJoin(msg.From)
-			continue
+		if ok, err := ma.onEvent(msg); ok {
+			return err // a death may have settled the wait
 		}
-		if msg.Kind == cluster.KindPeerDown {
-			if ma.dropPendingJoin(msg.From) {
-				// A joiner died before its welcome: it held no examples,
-				// so nothing needs recovering.
+		l := ma.ledgerOf(msg.Kind)
+		if l == nil {
+			if ma.ledgerOf(kindResumeInfo) != nil {
+				ma.metrics.StaleDropped++
 				continue
 			}
-			if !ma.isLive(msg.From) {
-				// Already excluded — a sibling's suspicion can beat the
-				// master's own link failure to the same death.
-				continue
-			}
-			if err := ma.noteLost(msg.From); err != nil {
-				return nil, err
-			}
-			return nil, &workerLostError{id: msg.From}
-		}
-		if msg.Kind == kindSuspect {
-			// A worker's transport observed a sibling die. Usually the
-			// master's own link noticed first and the peer is already
-			// excluded; but link failures are per-link, so a one-sided
-			// break (possibly having swallowed an in-flight kindStage)
-			// may be visible only to the reporter — without acting on it
-			// the master would wait forever for a pipeline nobody owns.
-			// Epoch-independent: the observation is about link state now.
-			var sm suspectMsg
-			if err := msg.Decode(&sm); err != nil {
-				return nil, fmt.Errorf("core: master: garbled suspicion from node %d: %w", msg.From, err)
-			}
-			if !ma.cfg.Recover || ma.draining || !ma.isLive(sm.Worker) || !ma.isLive(sm.Peer) {
-				continue // moot, or from an excluded (untrusted) reporter
-			}
-			if err := ma.noteLost(sm.Peer); err != nil {
-				return nil, err
-			}
-			return nil, &workerLostError{id: sm.Peer}
-		}
-		if msg.Kind == kindFenced {
-			// A worker refused one of our frames: it has seen a newer
-			// master generation. If its generation really is above ours,
-			// we are the zombie side of a healed partition — stand down.
-			// (A rejection quoting our own or an older generation is
-			// residue of a race already settled in our favour.)
-			var fm fencedMsg
-			if err := msg.Decode(&fm); err != nil {
-				return nil, fmt.Errorf("core: master: garbled fence rejection from node %d: %w", msg.From, err)
-			}
-			if fm.Gen > ma.gen {
-				return nil, fmt.Errorf("core: master: generation %d fenced off by worker %d at generation %d: %w",
-					ma.gen, fm.Worker, fm.Gen, ErrSuperseded)
-			}
-			continue
-		}
-		// What a reply is checked against: the caller's phase, or — for a
-		// kindAdopted while the ledger is open — the ledger, whose epoch
-		// may be one behind the wire epoch by now.
-		epochWant, owed, mk := ma.epoch, pending, newDst
-		var led *adoptLedger
-		if msg.Kind == kindAdopted {
-			led = ma.adopting
-		}
-		if led != nil {
-			epochWant, owed, mk = led.epoch, led.pending, func() replyHdr { return new(adoptedMsg) }
-		} else if msg.Kind != want {
 			var eo epochOnly
 			if err := msg.Decode(&eo); err != nil {
-				return nil, fmt.Errorf("core: master: garbled kind-%d payload from node %d: %w", msg.Kind, msg.From, err)
+				return fmt.Errorf("core: master: garbled kind-%d payload from node %d: %w", msg.Kind, msg.From, err)
 			}
 			if eo.Epoch < ma.epoch {
 				if err := ma.acceptStale(msg); err != nil {
-					return nil, err
+					return err
 				}
 				continue
 			}
-			return nil, fmt.Errorf("core: master: expected kind %d, got kind %d from node %d (epoch %d)", want, msg.Kind, msg.From, eo.Epoch)
+			return fmt.Errorf("core: master: expected kind %d, got kind %d from node %d (epoch %d)",
+				ma.ledgers[len(ma.ledgers)-1].kind, msg.Kind, msg.From, eo.Epoch)
 		}
-		dst := mk()
+		dst := waits[l.kind].reply()
 		if err := msg.Decode(dst); err != nil {
-			return nil, fmt.Errorf("core: master: truncated or garbled kind-%d payload from node %d: %w", msg.Kind, msg.From, err)
+			return fmt.Errorf("core: master: truncated or garbled kind-%d payload from node %d: %w", msg.Kind, msg.From, err)
 		}
 		if gc, ok := dst.(genCarrier); ok && gc.gen() > ma.gen {
 			// Replies carry the worker's observed generation, so the news
 			// that we were superseded reaches us even if the kindFenced
 			// rejection itself was lost.
-			return nil, fmt.Errorf("core: master: generation %d superseded by generation %d (reply from node %d): %w",
+			return fmt.Errorf("core: master: generation %d superseded by generation %d (reply from node %d): %w",
 				ma.gen, gc.gen(), msg.From, ErrSuperseded)
 		}
 		epoch, key := dst.hdr()
-		if epoch < epochWant {
-			if err := ma.acceptStale(msg); err != nil {
-				return nil, err
+		if l.kind != kindResumeInfo { // a worker may be ahead of the checkpoint
+			if epoch < l.epoch {
+				if err := ma.acceptStale(msg); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
+			if epoch > l.epoch {
+				return fmt.Errorf("core: master: kind-%d reply from future epoch %d (current %d) from node %d", msg.Kind, epoch, l.epoch, msg.From)
+			}
 		}
-		if epoch > epochWant {
-			return nil, fmt.Errorf("core: master: kind-%d reply from future epoch %d (current %d) from node %d", msg.Kind, epoch, epochWant, msg.From)
-		}
-		if !owed[key] {
+		if !l.pending[key] {
 			if ma.draining {
-				// A reply from a member excluded mid-drain: its death
-				// event can win the race into the inbox against its last
-				// frame (two transport goroutines feed it). The run is
-				// complete; the report is simply forfeited. Draining is
-				// the one phase that never bumps the epoch, so the stale
-				// check above cannot shield it. Not counted as stale —
-				// the message is current-epoch, just moot.
+				// A member excluded mid-drain: its death can beat its last
+				// frame into the inbox, and the drain never bumps the epoch
+				// to shield it. The report is forfeited; not stale, moot.
 				continue
 			}
-			return nil, fmt.Errorf("core: master: duplicate or unexpected kind-%d reply for member %d from node %d", msg.Kind, key, msg.From)
+			return fmt.Errorf("core: master: duplicate or unexpected kind-%d reply for member %d from node %d", msg.Kind, key, msg.From)
 		}
-		delete(owed, key)
-		if led != nil {
-			led.replies = append(led.replies, *dst.(*adoptedMsg))
-			if want != kindAdopted {
-				continue
-			}
-		}
-		return dst, nil
+		delete(l.pending, key)
+		l.replies = append(l.replies, dst)
+		return nil
 	}
 }
 
 // waitingFor names what a blocked receive is owed, for the error a
-// deadline or a link failure surfaces: the phase, how far the run is, and
-// which members still owe which reply — an open adoption ledger included,
-// since its replies are collected under other phases.
-func (ma *master) waitingFor(want int, pending map[int]bool) string {
-	phase, what := "drain", "final reports from workers"
-	switch want {
-	case kindRules:
-		phase, what = "gather", "rules from origins"
-	case kindEvalResult:
-		phase, what = "evaluate", "counts from workers"
-	case kindGathered:
-		phase, what = "redeal", "alive positives from workers"
-	case kindReassignAck:
-		phase, what = "redeal", "install acks from workers"
-	case kindAdopted:
-		phase, what = "adopt", ""
-	}
+// deadline or a link failure surfaces: the phase of the newest open
+// ledger, how far the run is, and which members still owe which reply,
+// newest ledger first — an open adoption ledger included, since its
+// replies are filed under other phases.
+func (ma *master) waitingFor() string {
 	var owed []string
-	if what != "" && len(pending) > 0 {
-		owed = append(owed, fmt.Sprintf("%s %v", what, sortedKeys(pending)))
-	}
-	if led := ma.adopting; led != nil && len(led.pending) > 0 {
-		owed = append(owed, fmt.Sprintf("adoptions(epoch %d) from %v", led.epoch, sortedKeys(led.pending)))
+	for i := len(ma.ledgers) - 1; i >= 0; i-- {
+		l := ma.ledgers[i]
+		if len(l.pending) == 0 {
+			continue
+		}
+		what := waits[l.kind].owed
+		if l.kind == kindAdopted {
+			what = fmt.Sprintf(what, l.epoch)
+		}
+		owed = append(owed, fmt.Sprintf("%s %v", what, slices.Sorted(maps.Keys(l.pending))))
 	}
 	return fmt.Sprintf("%s after %d completed epochs, wire epoch %d: waiting for %s",
-		phase, ma.metrics.Epochs, ma.epoch, strings.Join(owed, ", "))
+		waits[ma.ledgers[len(ma.ledgers)-1].kind].phase, ma.metrics.Epochs, ma.epoch, strings.Join(owed, ", "))
 }
 
-func sortedKeys(set map[int]bool) []int {
-	keys := make([]int, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// gatherBag collects the live pipelines' results and assembles the
-// deduplicated rules bag in deterministic (origin, position) order. When
-// the previous epoch's adoption ledger is still open (the boundary was
-// idle, so the pipelines were started over it) the gather is not complete
-// until the ledger is: the adoptions are settled here, before the bag is
-// consumed, which puts them in the theory — and off `remaining` — exactly
-// where the barrier would have.
+// gatherBag starts one pipeline per live worker, collects their results
+// and assembles the deduplicated rules bag in deterministic (origin,
+// position) order. When the previous epoch's adoption ledger is still open
+// (the boundary was idle, so the pipelines were started over it) the
+// gather is not complete until the ledger is: the adoptions are settled
+// here, before the bag is consumed, which puts them in the theory — and
+// off `remaining` — exactly where the barrier would have.
 func (ma *master) gatherBag() ([]bagEntry, error) {
-	pending := ma.pendingLive()
-	byOrigin := make(map[int][]logic.Clause, len(pending))
-	for len(pending) > 0 {
-		r, err := ma.nextReply(kindRules, pending, func() replyHdr { return new(rulesMsg) })
-		if err != nil {
-			return nil, err
-		}
-		rm := r.(*rulesMsg)
-		byOrigin[rm.Origin] = rm.Rules
+	replies, err := ma.collect(kindRules, func() error {
+		return ma.bcastLive(kindStartPipeline, startMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Width: ma.cfg.Width})
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ma.collectAdoptions(); err != nil {
 		return nil, err
+	}
+	byOrigin := make(map[int][]logic.Clause, len(replies))
+	for _, r := range replies {
+		rm := r.(*rulesMsg)
+		byOrigin[rm.Origin] = rm.Rules
 	}
 	seen := make(map[string]bool)
 	var bag []bagEntry
@@ -542,18 +563,16 @@ func (ma *master) evaluateBag(bag []bagEntry) error {
 	for i := range bag {
 		rules[i] = bag[i].rule
 	}
-	if err := ma.bcastLive(kindEvaluate, evaluateMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Rules: rules}); err != nil {
+	replies, err := ma.collect(kindEvalResult, func() error {
+		return ma.bcastLive(kindEvaluate, evaluateMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Rules: rules})
+	})
+	if err != nil {
 		return err
 	}
 	for i := range bag {
 		bag[i].pos, bag[i].neg = 0, 0
 	}
-	pending := ma.pendingLive()
-	for len(pending) > 0 {
-		r, err := ma.nextReply(kindEvalResult, pending, func() replyHdr { return new(evalResultMsg) })
-		if err != nil {
-			return err
-		}
+	for _, r := range replies {
 		er := r.(*evalResultMsg)
 		if len(er.Pos) != len(bag) || len(er.Neg) != len(bag) {
 			return fmt.Errorf("core: master: evaluation result size mismatch from worker %d", er.Worker)
@@ -651,16 +670,16 @@ func (ma *master) consumeBag(bag []bagEntry) (int, error) {
 }
 
 // adoptFallback retires one uncovered positive per worker when an epoch
-// yields no acceptable rule, guaranteeing progress. It broadcasts the
-// request and opens the ledger; the replies are waited for here only when
+// yields no acceptable rule, guaranteeing progress. It opens the ledger and
+// broadcasts the request; the replies are waited for here only when
 // something observes the epoch boundary. Otherwise the next epoch's gather
 // collects them, and the round trip overlaps the pipelines' first stage
 // instead of idling the whole cluster (DESIGN.md §6).
 func (ma *master) adoptFallback() error {
+	ma.open(kindAdopted)
 	if err := ma.bcastLive(kindAdopt, adoptMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
 		return err
 	}
-	ma.adopting = &adoptLedger{epoch: ma.epoch, pending: ma.pendingLive()}
 	if ma.boundaryIdle() {
 		return nil
 	}
@@ -691,16 +710,11 @@ func (ma *master) boundaryIdle() bool {
 	return true
 }
 
-// collectAdoptions waits until every worker the open ledger names has
-// answered, then settles it. A no-op with the ledger closed.
+// collectAdoptions waits until every worker the open adoption ledger names
+// has answered, then settles it. A no-op with the ledger closed.
 func (ma *master) collectAdoptions() error {
-	led := ma.adopting
-	if led == nil {
-		return nil
-	}
-	for len(led.pending) > 0 {
-		// The ledger supplies the pending set and the payload type.
-		if _, err := ma.nextReply(kindAdopted, nil, nil); err != nil {
+	if l := ma.ledgerOf(kindAdopted); l != nil {
+		if err := ma.await(l); err != nil {
 			return err
 		}
 	}
@@ -715,15 +729,16 @@ func (ma *master) collectAdoptions() error {
 // whether or not the barrier completes — the missing ones arrive stale
 // and take acceptStale, and recovery rebases `remaining` from the acks.
 func (ma *master) settleAdoptions() {
-	led := ma.adopting
-	if led == nil {
+	l := ma.ledgerOf(kindAdopted)
+	if l == nil {
 		return
 	}
-	ma.adopting = nil
+	ma.close(l)
 	// Sort by worker for deterministic theory order.
-	sort.Slice(led.replies, func(i, j int) bool { return led.replies[i].Worker < led.replies[j].Worker })
+	sort.Slice(l.replies, func(i, j int) bool { return l.replies[i].(*adoptedMsg).Worker < l.replies[j].(*adoptedMsg).Worker })
 	adopted := 0
-	for _, am := range led.replies {
+	for _, r := range l.replies {
+		am := r.(*adoptedMsg)
 		if !am.Ok {
 			continue
 		}
@@ -732,7 +747,7 @@ func (ma *master) settleAdoptions() {
 		ma.remaining--
 		adopted++
 	}
-	if adopted == 0 && len(led.pending) == 0 {
+	if adopted == 0 && len(l.pending) == 0 {
 		// Defensive: nothing left anywhere despite remaining > 0.
 		ma.remaining = 0
 	}
@@ -743,16 +758,14 @@ func (ma *master) settleAdoptions() {
 // which keeps the deal deterministic) with their cost estimates, and feeds
 // any attached throughput reports to the balancer.
 func (ma *master) gatherAllAlive() ([]logic.Term, []int64, error) {
-	if err := ma.bcastLive(kindGather, gatherMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
+	replies, err := ma.collect(kindGathered, func() error {
+		return ma.bcastLive(kindGather, gatherMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen})
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	byWorker := make(map[int]*gatheredMsg, len(ma.targets))
-	pending := ma.pendingLive()
-	for len(pending) > 0 {
-		r, err := ma.nextReply(kindGathered, pending, func() replyHdr { return new(gatheredMsg) })
-		if err != nil {
-			return nil, nil, err
-		}
+	byWorker := make(map[int]*gatheredMsg, len(replies))
+	for _, r := range replies {
 		gm := r.(*gatheredMsg)
 		byWorker[gm.Worker] = gm
 		if gm.BusyNs > 0 && gm.Inferences > 0 {
@@ -818,30 +831,31 @@ func (ma *master) redeal(replace bool) error {
 	}
 	members := append([]int(nil), ma.targets...)
 	seq := ma.nextSeq()
-	for i, k := range ma.targets {
-		if replace {
-			// Covered positives were gathered out, so the tracked
-			// assignment tightens to the dealt share.
-			ma.assignedPos[k] = pos[i]
-		} else {
-			ma.assignedPos[k] = append(ma.assignedPos[k], pos[i]...)
-			ma.assignedNeg[k] = append(ma.assignedNeg[k], neg[i]...)
+	acks, err := ma.collect(kindReassignAck, func() error {
+		for i, k := range ma.targets {
+			if replace {
+				// Covered positives were gathered out, so the tracked
+				// assignment tightens to the dealt share.
+				ma.assignedPos[k] = pos[i]
+			} else {
+				ma.assignedPos[k] = append(ma.assignedPos[k], pos[i]...)
+				ma.assignedNeg[k] = append(ma.assignedNeg[k], neg[i]...)
+			}
+			rm := reassignMsg{Epoch: ma.epoch, Seq: seq, Gen: ma.gen, Members: members,
+				Pos: pos[i], Neg: neg[i], Replace: replace, RollbackBelow: ma.rollbackTo}
+			if err := ma.send(k, kindReassign, rm); err != nil {
+				return err
+			}
 		}
-		rm := reassignMsg{Epoch: ma.epoch, Seq: seq, Gen: ma.gen, Members: members,
-			Pos: pos[i], Neg: neg[i], Replace: replace, RollbackBelow: ma.rollbackTo}
-		if err := ma.send(k, kindReassign, rm); err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	pending := ma.pendingLive()
 	alive := 0
-	for len(pending) > 0 {
-		r, err := ma.nextReply(kindReassignAck, pending, func() replyHdr { return new(reassignAckMsg) })
-		if err != nil {
-			return err
-		}
-		// The ledger: a worker holds nothing the master did not hand it,
-		// and right after a replace exactly its share, all of it alive.
+	for _, r := range acks {
+		// The tracked assignment: a worker holds nothing the master did not
+		// hand it, and right after a replace exactly its share, all alive.
 		ack := r.(*reassignAckMsg)
 		if held := len(ma.assignedPos[ack.Worker]); ack.Alive > held || replace && ack.Alive != held {
 			return fmt.Errorf("core: master: worker %d acked %d alive positives at epoch %d, the ledger tracks %d (replace=%v)",
@@ -878,22 +892,13 @@ func (ma *master) awaitRejoins() error {
 	if !ok {
 		return nil
 	}
-	missing := func() []int {
-		var out []int
-		for _, k := range ma.targets {
-			if !lp.Linked(k) {
-				out = append(out, k)
-			}
-		}
-		return out
-	}
 	wait := ma.cfg.RecvTimeout
 	if wait <= 0 {
 		wait = defaultResumeWait
 	}
 	deadline := time.Now().Add(wait)
 	for {
-		absent := missing()
+		absent := slices.DeleteFunc(slices.Clone(ma.targets), lp.Linked)
 		if len(absent) == 0 {
 			return nil
 		}
@@ -915,20 +920,13 @@ func (ma *master) awaitRejoins() error {
 			}
 			return fmt.Errorf("core: master: resume: waiting for rejoins: %w", err)
 		}
-		switch msg.Kind {
-		case cluster.KindPeerUp:
-			// A rejoining member (already live — noteJoin ignores it; the
-			// Linked probe sees the fresh link) or a brand-new joiner.
-			ma.noteJoin(msg.From)
-		case cluster.KindPeerDown:
-			if ma.dropPendingJoin(msg.From) || !ma.isLive(msg.From) {
-				continue
-			}
-			if err := ma.noteLost(msg.From); err != nil {
-				return err
-			}
-		default:
-			ma.metrics.StaleDropped++ // pre-crash residue; superseded below
+		// A KindPeerUp is a rejoining member (already live — noteJoin
+		// ignores it; the Linked probe sees the fresh link) or a brand-new
+		// joiner.
+		if ok, err := ma.onEvent(msg); !ok {
+			ma.metrics.StaleDropped++ // pre-crash residue
+		} else if err != nil {
+			return err
 		}
 	}
 }
@@ -936,88 +934,46 @@ func (ma *master) awaitRejoins() error {
 // defaultResumeWait bounds the rejoin wait when no RecvTimeout is set.
 const defaultResumeWait = 60 * time.Second
 
-// collectResumeInfo gathers every live member's kindResumeInfo answer.
-// It is a dedicated loop rather than nextReply because worker epochs may
-// legitimately EXCEED the checkpointed master clock — exactly the
-// condition nextReply treats as a protocol violation. Everything else in
-// the inbox is pre-crash residue (the simulated master inherits its
-// predecessor's unread mailbox) and is dropped — including late
-// adoptions, whose retractions the imminent rollback un-does.
-func (ma *master) collectResumeInfo() (map[int]*resumeInfoMsg, error) {
-	pending := ma.pendingLive()
-	infos := make(map[int]*resumeInfoMsg, len(pending))
-	for len(pending) > 0 {
-		msg, err := receiveWithTimeout(ma.node, ma.cfg.RecvTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("core: master: resume: waiting for worker state: %w", err)
-		}
-		switch msg.Kind {
-		case cluster.KindPeerUp:
-			ma.noteJoin(msg.From)
-		case cluster.KindPeerDown:
-			if ma.dropPendingJoin(msg.From) || !ma.isLive(msg.From) {
-				continue
-			}
-			if err := ma.noteLost(msg.From); err != nil {
-				return nil, err
-			}
-			delete(pending, msg.From)
-		case kindFenced:
-			// A worker owned by a newer master answers a stale master's
-			// resume query with a fence, not with resume info: surface the
-			// supersede immediately instead of letting the stale master
-			// wait out its receive timeout on replies that never come.
-			var fm fencedMsg
-			if err := msg.Decode(&fm); err != nil {
-				return nil, fmt.Errorf("core: master: garbled fence from node %d: %w", msg.From, err)
-			}
-			if fm.Gen > ma.gen {
-				return nil, fmt.Errorf("core: master: resume: generation %d fenced off by worker %d at generation %d: %w",
-					ma.gen, fm.Worker, fm.Gen, ErrSuperseded)
-			}
-		case kindResumeInfo:
-			var im resumeInfoMsg
-			if err := msg.Decode(&im); err != nil {
-				return nil, fmt.Errorf("core: master: garbled resume info from node %d: %w", msg.From, err)
-			}
-			if im.Gen > ma.gen {
-				// This loop bypasses nextReply, so the supersede check must
-				// run here too: a worker already owned by a newer master
-				// answers resume queries with that master's generation.
-				return nil, fmt.Errorf("core: master: resume: generation %d superseded by generation %d (worker %d): %w",
-					ma.gen, im.Gen, im.Worker, ErrSuperseded)
-			}
-			if !pending[im.Worker] {
-				return nil, fmt.Errorf("core: master: duplicate or unexpected resume info for worker %d from node %d", im.Worker, msg.From)
-			}
-			delete(pending, im.Worker)
-			infos[im.Worker] = &im
-		default:
-			ma.metrics.StaleDropped++
-		}
+// queryResume is the resume ledger (DESIGN.md §8): it opens before the
+// rejoin wait and closes once every live member has said where it stands
+// (kindResumeQuery → kindResumeInfo). Three rules set it apart. It has no
+// epoch check, because a worker may be ahead of the checkpoint. While it is
+// open, every frame no ledger owes is pre-crash residue (nextReply). And a
+// pending worker's death strikes the worker off instead of aborting the
+// resume: the rollback barrier deals its assignment.
+func (ma *master) queryResume() (map[int]*resumeInfoMsg, error) {
+	l := ma.open(kindResumeInfo)
+	defer ma.close(l)
+	if err := ma.awaitRejoins(); err != nil {
+		return nil, err
+	}
+	if err := ma.bcastLive(kindResumeQuery, resumeQueryMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
+		return nil, err
+	}
+	if err := ma.await(l); err != nil {
+		return nil, err
+	}
+	infos := make(map[int]*resumeInfoMsg, len(l.replies))
+	for _, r := range l.replies {
+		im := r.(*resumeInfoMsg)
+		infos[im.Worker] = im
 	}
 	return infos, nil
 }
 
 // resumeCluster is the crash-restart handshake, replacing the initial
 // load on a resumed master: wait for the checkpointed members to rejoin,
-// ask each where it stands (kindResumeQuery), re-ship the partition to
-// remote workers the crash caught before their first load, fast-forward
-// the epoch clock past everything any worker saw, and run the rollback
-// barrier — every survivor restores its checkpoint-boundary snapshot,
-// discarding the crashed epoch's partial work, and re-acks its alive
-// count. From there the ordinary epoch loop re-issues the in-flight epoch
-// and the run is on rails again; determinism makes the remainder identical
-// to a run that never crashed.
+// ask each where it stands, re-ship the partition to remote workers the
+// crash caught before their first load, fast-forward the epoch clock past
+// everything any worker saw, and run the rollback barrier — every
+// survivor restores its checkpoint-boundary snapshot, discarding the
+// crashed epoch's partial work, and re-acks its alive count. From there
+// the ordinary epoch loop re-issues the in-flight epoch and the run is on
+// rails again; determinism makes the remainder identical to a run that
+// never crashed.
 func (ma *master) resumeCluster() error {
 	boundary := ma.epoch // the checkpointed, completed epoch
-	if err := ma.awaitRejoins(); err != nil {
-		return err
-	}
-	if err := ma.bcastLive(kindResumeQuery, resumeQueryMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
-		return err
-	}
-	infos, err := ma.collectResumeInfo()
+	infos, err := ma.queryResume()
 	if err != nil {
 		return err
 	}
@@ -1149,9 +1105,6 @@ func (ma *master) stopJoiners() {
 // is counted; run() then recovers and re-issues.
 func (ma *master) runEpoch() error {
 	ma.epoch++
-	if err := ma.bcastLive(kindStartPipeline, startMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Width: ma.cfg.Width}); err != nil {
-		return err
-	}
 	bag, err := ma.gatherBag()
 	if err != nil {
 		return err
@@ -1261,18 +1214,12 @@ func (ma *master) run() error {
 	// clocks, outgoing traffic) — the data Learn reads off the worker
 	// structs directly in the simulation. A worker dying after its stop
 	// forfeits its report; the run result is already complete.
-	pending := ma.pendingLive()
-	for len(pending) > 0 {
-		r, err := ma.nextReply(kindFinal, pending, func() replyHdr { return new(finalMsg) })
-		if err != nil {
-			if wl := asWorkerLost(err); wl != nil {
-				delete(pending, wl.id)
-				continue
-			}
-			return err
-		}
-		ma.finals = append(ma.finals, *r.(*finalMsg))
+	l := ma.open(kindFinal)
+	defer ma.close(l)
+	if err := ma.await(l); err != nil {
+		return err
 	}
+	ma.finals = l.replies
 	// Joiners whose KindPeerUp only surfaced during the drain still need
 	// their stop.
 	ma.stopJoiners()

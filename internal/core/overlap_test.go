@@ -371,35 +371,32 @@ func TestFenceHeldStageTimeoutNamesEpoch(t *testing.T) {
 	}
 }
 
-// TestAdoptLedgerCollectsUnderOtherPhases drives nextReply directly: with
-// the ledger open for the previous wire epoch, kindAdopted frames of that
-// epoch are filed while the caller gathers rules — not dropped as stale,
-// not a kind violation — duplicates are still fatal, and a deadline says
-// who owes what.
+// TestAdoptLedgerCollectsUnderOtherPhases drives the receive path directly:
+// with the adoption ledger open for the previous wire epoch, kindAdopted
+// frames of that epoch are filed while the caller gathers rules — not
+// dropped as stale, not a kind violation — duplicates are still fatal, and
+// a deadline says who owes what.
 func TestAdoptLedgerCollectsUnderOtherPhases(t *testing.T) {
 	r := newDispatchRig(t, 2, false)
 	r.ma.cfg.RecvTimeout = 50 * time.Millisecond
 	r.ma.metrics.Epochs = 1
-	r.ma.adopting = &adoptLedger{epoch: 2, pending: r.ma.pendingLive()}
+	adopting := r.ma.open(kindAdopted)
+	adopting.epoch = 2
 	ex := logic.MustParseTerm("active(m1)")
 	r.sendAs(t, 2, kindAdopted, adoptedMsg{Epoch: 2, Worker: 2, Ok: true, Example: ex})
 	r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
 
-	pending := r.ma.pendingLive()
-	var err error
-	for len(pending) > 0 && err == nil {
-		_, err = r.ma.nextReply(kindRules, pending, func() replyHdr { return new(rulesMsg) })
-	}
+	err := r.gather()
 	const want = "gather after 1 completed epochs, wire epoch 3: waiting for rules from origins [2], adoptions(epoch 2) from [1]"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v\nwant substring %q", err, want)
 	}
-	if n := len(r.ma.adopting.replies); n != 1 || r.ma.metrics.StaleDropped != 0 {
+	if n := len(adopting.replies); n != 1 || r.ma.metrics.StaleDropped != 0 {
 		t.Fatalf("ledger holds %d replies, %d stale drops; want 1 and 0", n, r.ma.metrics.StaleDropped)
 	}
 
 	r.sendAs(t, 2, kindAdopted, adoptedMsg{Epoch: 2, Worker: 2, Ok: true, Example: ex})
-	_, err = r.gatherOne()
+	err = r.gather()
 	if err == nil || !strings.Contains(err.Error(), "duplicate or unexpected kind-8 reply for member 2") {
 		t.Fatalf("duplicate adoption: err = %v", err)
 	}
@@ -407,7 +404,7 @@ func TestAdoptLedgerCollectsUnderOtherPhases(t *testing.T) {
 	// Settling an incomplete ledger (what a phase abort does) keeps what
 	// was collected and leaves `remaining` for the recovery acks to rebase.
 	r.ma.settleAdoptions()
-	if r.ma.adopting != nil || len(r.ma.theory) != 1 || r.ma.metrics.GroundFactsAdopted != 1 || r.ma.remaining != 1 {
-		t.Fatalf("after settle: ledger %v, theory %v, adopted %d, remaining %d", r.ma.adopting, r.ma.theory, r.ma.metrics.GroundFactsAdopted, r.ma.remaining)
+	if l := r.ma.ledgerOf(kindAdopted); l != nil || len(r.ma.theory) != 1 || r.ma.metrics.GroundFactsAdopted != 1 || r.ma.remaining != 1 {
+		t.Fatalf("after settle: ledger %v, theory %v, adopted %d, remaining %d", l, r.ma.theory, r.ma.metrics.GroundFactsAdopted, r.ma.remaining)
 	}
 }

@@ -115,12 +115,6 @@ func RunMaster(t cluster.Transport, pos, neg []logic.Term, cfg Config) (*Metrics
 	if len(pos) == 0 {
 		return nil, fmt.Errorf("core: no positive examples")
 	}
-	if cfg.CheckpointDir != "" && cfg.AddLearnedToBK {
-		return nil, fmt.Errorf("core: CheckpointDir is incompatible with AddLearnedToBK: rollback cannot retract asserted rules")
-	}
-	if err := checkLinkGrace(t, cfg); err != nil {
-		return nil, err
-	}
 
 	// Fig. 5 step 2: the same random even partition as the simulation
 	// (shared splitExamples — the byte-identity guarantee depends on it).
@@ -131,29 +125,46 @@ func RunMaster(t cluster.Transport, pos, neg []logic.Term, cfg Config) (*Metrics
 		parts[k].Pos = posParts[k]
 		parts[k].Neg = negParts[k]
 	}
-
-	metrics := &Metrics{Workers: p, Width: cfg.Width}
-	ma := newMaster(t, p, cfg, metrics, len(pos), posParts, negParts)
+	ma := newMaster(t, p, cfg, &Metrics{Workers: p, Width: cfg.Width}, len(pos), posParts, negParts)
 	ma.parts = parts
+	return runRemote(ma)
+}
 
+// runRemote is the tail RunMaster and ResumeMaster share: it validates the
+// configuration against the transport, runs the master, and assembles
+// Metrics from the workers' final reports. The simulation reads clocks,
+// work totals and traffic off the worker structs; here they arrive in the
+// reports, which carry cumulative totals — a resumed master's workers
+// survived the crash, so inference and rule counts stay continuous across
+// a restart. The master's own traffic table restarts from zero on a
+// resume; the paper's Table-4 numbers are only claimed for failure-free
+// runs.
+func runRemote(ma *master) (*Metrics, error) {
+	t := ma.node
+	if ma.cfg.CheckpointDir != "" && ma.cfg.AddLearnedToBK {
+		return nil, fmt.Errorf("core: CheckpointDir is incompatible with AddLearnedToBK: rollback cannot retract asserted rules")
+	}
+	if err := checkLinkGrace(t, ma.cfg); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	if err := ma.run(); err != nil {
 		return nil, err
 	}
-
+	metrics := ma.metrics
 	metrics.Theory = ma.theory
 	metrics.WallTime = time.Since(start)
 
-	// The simulation reads clocks, work totals and traffic off the worker
-	// structs; here they arrive in the final reports. The table is sized
-	// to the transport's final node count (joins may have grown it) and
-	// Merge folds smaller per-node reports in by link identity.
+	// The table is sized to the transport's final node count (joins may
+	// have grown it) and Merge folds smaller per-node reports in by link
+	// identity.
 	traffic := cluster.NewTraffic(t.Size())
 	if tr, ok := t.(cluster.TrafficReporter); ok {
 		traffic.Merge(tr.Traffic())
 	}
 	makespan := t.Clock()
-	for _, fm := range ma.finals {
+	for _, r := range ma.finals {
+		fm := r.(*finalMsg)
 		metrics.TotalInferences += fm.Inferences
 		metrics.GeneratedRules += fm.Generated
 		metrics.FencedFrames += fm.Fenced
