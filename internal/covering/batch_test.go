@@ -7,8 +7,20 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/logic"
 	"repro/internal/search"
 )
+
+// theorySHA is the SHA-256 of a theory's rules, one per line: what the
+// pinned-theory tests compare.
+func theorySHA(theory []logic.Clause) string {
+	var sb strings.Builder
+	for _, c := range theory {
+		sb.WriteString(c.String())
+		sb.WriteByte('\n')
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
+}
 
 // TestBatchedSearchMatchesUnbatchedOnPaperDatasets pins that
 // whole-frontier batched candidate evaluation is a pure performance
@@ -52,13 +64,8 @@ func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var sb strings.Builder
-				for _, r := range got.Theory {
-					sb.WriteString(r.String())
-					sb.WriteByte('\n')
-				}
-				if sha := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); sha != want.sha {
-					t.Fatalf("%s: theory %s, pinned %s:\n%s", c.name, sha, want.sha, sb.String())
+				if sha := theorySHA(got.Theory); sha != want.sha {
+					t.Fatalf("%s: theory %s, pinned %s:\n%s", c.name, sha, want.sha, strings.Join(theoryStrings(got.Theory), "\n"))
 				}
 				if got.RulesLearned != want.rules || got.GroundFactsAdopted != want.facts ||
 					got.Searches != want.searches || got.GeneratedRules != want.generated || got.Inferences != want.inferences {

@@ -151,10 +151,18 @@ func TestMaxRulesStopsLoop(t *testing.T) {
 	}
 }
 
+// TestAddLearnedToBK checks that learned rules reach the KB, and pins the
+// run's theory and inference charge: every KB.Add changes the program the
+// evaluator's coverage answers were proved against, so an answer kept
+// across one shows up here.
 func TestAddLearnedToBK(t *testing.T) {
+	const (
+		sha        = "c593db587b8a6a4210c1f734974d2be8ca564d22b71da2627f79867809c1d918"
+		inferences = 205
+	)
 	kb, ex, ms := buildTask(t)
 	before := kb.Size()
-	_, err := Learn(kb, ex, ms, Config{
+	res, err := Learn(kb, ex, ms, Config{
 		Search:         search.Settings{MaxClauseLen: 3, MinPrec: 0.85},
 		AddLearnedToBK: true,
 	})
@@ -163,6 +171,10 @@ func TestAddLearnedToBK(t *testing.T) {
 	}
 	if kb.Size() <= before {
 		t.Fatal("learned rules were not asserted into the KB")
+	}
+	if got := theorySHA(res.Theory); got != sha || res.Inferences != inferences {
+		t.Fatalf("theory %s with %d inferences, pinned %s with %d:\n%s", got, res.Inferences, sha, inferences,
+			strings.Join(theoryStrings(res.Theory), "\n"))
 	}
 }
 

@@ -15,13 +15,17 @@ func benchFixture(b *testing.B) *fixture {
 	return newFixture(b)
 }
 
+// The benchmarks below build a fresh Evaluator per iteration: a warm one
+// would answer every question from its memo (memo.go) and time replays, not
+// proofs. BenchmarkCoverageBatchFrontier's memo row times the replays.
+
 func BenchmarkCoverageSmallRule(b *testing.B) {
 	fx := benchFixture(b)
 	rule := fx.bot.Materialize([]int32{0})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pos, _ := fx.ev.Coverage(&rule, nil, nil)
+		pos, _ := NewEvaluator(fx.m, fx.ex).Coverage(&rule, nil, nil)
 		if pos.Empty() {
 			b.Fatal("no coverage")
 		}
@@ -34,7 +38,7 @@ func BenchmarkLearnRuleFullSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := LearnRule(fx.ev, fx.bot, nil, st)
+		res := LearnRule(NewEvaluator(fx.m, fx.ex), fx.bot, nil, st)
 		if res.Best() == nil {
 			b.Fatal("no rule found")
 		}
@@ -55,7 +59,7 @@ func BenchmarkLearnRuleSeeded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LearnRule(fx.ev, fx.bot, seeds, st)
+		LearnRule(NewEvaluator(fx.m, fx.ex), fx.bot, seeds, st)
 	}
 }
 
@@ -82,7 +86,7 @@ func BenchmarkCoverageFullSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pos, _ := fx.ev.CoverageFull(&rule)
+		pos, _ := NewEvaluator(fx.m, fx.ex).CoverageFull(&rule)
 		if pos.Empty() {
 			b.Fatal("no coverage")
 		}
@@ -119,11 +123,10 @@ func benchWideExamples(b testing.TB, n int) (*solve.KB, *Examples, logic.Clause)
 func BenchmarkCoverageFullWideSerial(b *testing.B) {
 	kb, ex, rule := benchWideExamples(b, 2048)
 	m := solve.NewMachine(kb, solve.DefaultBudget)
-	ev := NewEvaluator(m, ex)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pos, _ := ev.CoverageFull(&rule)
+		pos, _ := NewEvaluator(m, ex).CoverageFull(&rule)
 		if pos.Empty() {
 			b.Fatal("no coverage")
 		}
@@ -200,21 +203,27 @@ func BenchmarkLearnRule(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			kb, ex, bot := benchRichExamples(b, 256)
 			m := solve.NewMachine(kb, solve.DefaultBudget)
-			var ev Coverer = NewEvaluator(m, ex)
+			var pool *ParallelEvaluator // has no memo: one for all iterations
 			if bc.workers > 0 {
-				pe := NewParallelEvaluator(kb, ex, solve.DefaultBudget, bc.workers)
-				defer pe.Close()
-				ev = pe
+				pool = NewParallelEvaluator(kb, ex, solve.DefaultBudget, bc.workers)
+				defer pool.Close()
 			}
-			if bc.perCand {
-				ev = &plainCoverer{Coverer: ev}
+			coverer := func() Coverer {
+				var ev Coverer = NewEvaluator(m, ex)
+				if pool != nil {
+					ev = pool
+				}
+				if bc.perCand {
+					ev = &plainCoverer{Coverer: ev}
+				}
+				return ev
 			}
 			st := Settings{MaxClauseLen: 3, MinPrec: 0.9}
 			generated := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := LearnRule(ev, bot, nil, st)
+				res := LearnRule(coverer(), bot, nil, st)
 				if res.Best() == nil {
 					b.Fatal("no rule found")
 				}

@@ -93,23 +93,29 @@ type FullCoverer interface {
 // Evaluator computes rule coverage over an example store using an SLD
 // machine. Coverage of a refinement is computed only over the examples its
 // parent covered (candidate masks), the standard MDIE evaluation shortcut:
-// specialisation can only shrink coverage.
+// specialisation can only shrink coverage. Each coverage question — a rule
+// up to variable renaming against one example — is proved once and replayed
+// after that (memo.go).
 type Evaluator struct {
 	M  *solve.Machine
 	Ex *Examples
 
 	scratch Bitset      // reused candidate-mask buffer; never escapes Coverage
 	query   solve.Query // the rule under evaluation, recompiled in place per rule
+	memo    coverMemo
 
 	// Scratch of CoverageBatch, reused from batch to batch: the group being
-	// collected (indices into the batch and the rules themselves), which
-	// rules an earlier group already took, the compiled pack and its
-	// per-example answers.
+	// collected (indices into the batch, the rules themselves and where
+	// their memo slabs start), which rules an earlier group already took,
+	// the compiled pack, its per-example answers and the members the memo
+	// already answers.
 	members []int
 	fan     []*logic.Clause
+	slabAt  []int
 	taken   []bool
 	pack    solve.QueryPack
 	hit     []bool
+	known   []bool
 }
 
 var _ FullCoverer = (*Evaluator)(nil)
@@ -135,22 +141,44 @@ func NewEvaluator(m *solve.Machine, ex *Examples) *Evaluator {
 // rule covers. Non-nil candidate masks restrict which examples are tested
 // (bits outside the mask come back clear).
 func (ev *Evaluator) Coverage(rule *logic.Clause, posCand, negCand Bitset) (pos, neg Bitset) {
-	pos = NewBitset(len(ev.Ex.Pos))
-	neg = NewBitset(len(ev.Ex.Neg))
+	ev.memo.begin(ev.M, ev.Ex)
+	pos, neg = NewBitset(len(ev.Ex.Pos)), NewBitset(len(ev.Ex.Neg))
+	ev.cover(rule, ev.memo.slab(rule), posCand, negCand, pos, neg)
+	return pos, neg
+}
+
+// cover is Coverage into zeroed bitsets, within a call begun on the memo;
+// at is rule's slab.
+func (ev *Evaluator) cover(rule *logic.Clause, at int, posCand, negCand Bitset, pos, neg Bitset) {
 	q := ev.compile(rule)
 	ev.testedPos(posCand).ForEach(func(i int) bool {
-		if ev.M.CoversQuery(q, ev.Ex.Pos[i]) {
+		if ev.covers(q, at+i, ev.Ex.Pos[i]) {
 			pos.Set(i)
 		}
 		return true
 	})
+	at += len(ev.Ex.Pos)
 	ev.eachTestedNeg(negCand, func(i int) bool {
-		if ev.M.CoversQuery(q, ev.Ex.Neg[i]) {
+		if ev.covers(q, at+i, ev.Ex.Neg[i]) {
 			neg.Set(i)
 		}
 		return true
 	})
-	return pos, neg
+}
+
+// covers answers one coverage question whose memo slab byte is at: by
+// replay when the memo knows it, else by proving it and recording what the
+// proof charged unless the budget cut it off.
+func (ev *Evaluator) covers(q *solve.Query, at int, example logic.Term) bool {
+	if covered, ok := ev.memo.known(ev.M, at); ok {
+		return covered
+	}
+	inf, cut := ev.M.TotalInferences(), ev.M.CutoffQueries()
+	covered := ev.M.CoversQuery(q, example)
+	if ev.M.CutoffQueries() == cut {
+		ev.memo.store(at, covered, ev.M.TotalInferences()-inf)
+	}
+	return covered
 }
 
 // testedPos is the set of positives a coverage call tests under posCand:
@@ -200,9 +228,20 @@ func (ev *Evaluator) compile(rule *logic.Clause) *solve.Query {
 // root children, position-0 inserts — take the Coverage path as they are.
 func (ev *Evaluator) CoverageBatch(rules []*logic.Clause, posCands, negCands []Bitset) []CoverResult {
 	out := make([]CoverResult, len(rules))
+	for i := range out {
+		out[i].Pos, out[i].Neg = NewBitset(len(ev.Ex.Pos)), NewBitset(len(ev.Ex.Neg))
+	}
+	ev.coverBatch(out, rules, posCands, negCands)
+	return out
+}
+
+// coverBatch is CoverageBatch into out's zeroed bitsets.
+func (ev *Evaluator) coverBatch(out []CoverResult, rules []*logic.Clause, posCands, negCands []Bitset) {
+	ev.memo.begin(ev.M, ev.Ex)
 	if cap(ev.taken) < len(rules) {
 		ev.taken = make([]bool, len(rules))
 		ev.hit = make([]bool, len(rules))
+		ev.known = make([]bool, len(rules))
 	}
 	taken := ev.taken[:len(rules)]
 	clear(taken)
@@ -212,6 +251,7 @@ func (ev *Evaluator) CoverageBatch(rules []*logic.Clause, posCands, negCands []B
 		}
 		pc, nc := maskAt(posCands, i), maskAt(negCands, i)
 		ev.members, ev.fan = append(ev.members[:0], i), append(ev.fan[:0], r)
+		ev.slabAt = append(ev.slabAt[:0], ev.memo.slab(r))
 		d := 0 // where the group's bodies differ; 0 until a sibling fixes it
 		if len(r.Body) >= 2 {
 			for j := i + 1; j < len(rules); j++ {
@@ -222,46 +262,72 @@ func (ev *Evaluator) CoverageBatch(rules []*logic.Clause, posCands, negCands []B
 					d = at
 					taken[j] = true
 					ev.members, ev.fan = append(ev.members, j), append(ev.fan, rules[j])
+					ev.slabAt = append(ev.slabAt, ev.memo.slab(rules[j]))
 				}
 			}
 		}
 		if len(ev.members) == 1 {
-			out[i].Pos, out[i].Neg = ev.Coverage(r, pc, nc)
+			ev.cover(r, ev.slabAt[0], pc, nc, out[i].Pos, out[i].Neg)
 			continue
 		}
 		ev.coverFan(out, pc, nc, d)
 	}
-	return out
 }
 
 // coverFan evaluates the collected group ev.members/ev.fan, whose bodies
 // share their first d literals, as one pack over the examples Coverage would
 // test, writing each member's result into out.
 func (ev *Evaluator) coverFan(out []CoverResult, posCand, negCand Bitset, d int) {
-	for _, i := range ev.members {
-		out[i].Pos = NewBitset(len(ev.Ex.Pos))
-		out[i].Neg = NewBitset(len(ev.Ex.Neg))
-	}
 	ev.M.CompilePack(&ev.pack, ev.fan, d)
-	hit := ev.hit[:len(ev.members)]
 	ev.testedPos(posCand).ForEach(func(e int) bool {
-		ev.M.CoversPack(&ev.pack, ev.Ex.Pos[e], hit)
-		for c, h := range hit {
+		ev.coversFan(e, ev.Ex.Pos[e])
+		for c, h := range ev.hit[:len(ev.members)] {
 			if h {
 				out[ev.members[c]].Pos.Set(e)
 			}
 		}
 		return true
 	})
+	npos := len(ev.Ex.Pos)
 	ev.eachTestedNeg(negCand, func(e int) bool {
-		ev.M.CoversPack(&ev.pack, ev.Ex.Neg[e], hit)
-		for c, h := range hit {
+		ev.coversFan(npos+e, ev.Ex.Neg[e])
+		for c, h := range ev.hit[:len(ev.members)] {
 			if h {
 				out[ev.members[c]].Neg.Set(e)
 			}
 		}
 		return true
 	})
+}
+
+// coversFan sets ev.hit for every member of the group on one example, whose
+// byte in each member's slab is at e: the members the memo knows are
+// replayed, the pack runs the others — not at all when there are none — and
+// their answers are recorded unless any proof of the pass was cut off.
+func (ev *Evaluator) coversFan(e int, example logic.Term) {
+	n := len(ev.members)
+	hit, known := ev.hit[:n], ev.known[:n]
+	unknown := false
+	for c, at := range ev.slabAt {
+		known[c] = ev.memo.slabs[at+e] != 0
+		unknown = unknown || !known[c]
+	}
+	if unknown {
+		cut := ev.M.CutoffQueries()
+		ev.M.CoversPack(&ev.pack, example, hit, known)
+		if ev.M.CutoffQueries() == cut {
+			for c, at := range ev.slabAt {
+				if !known[c] {
+					ev.memo.store(at+e, hit[c], ev.pack.Charged(c))
+				}
+			}
+		}
+	}
+	for c, at := range ev.slabAt {
+		if known[c] {
+			hit[c], _ = ev.memo.known(ev.M, at+e)
+		}
+	}
 }
 
 // sameMask reports whether two candidate masks are one and the same: both
@@ -310,19 +376,12 @@ func sameTerm(a, b logic.Term) bool {
 
 // CoverageFullBatch evaluates a rules bag serially (see CoverageFull).
 func (ev *Evaluator) CoverageFullBatch(rules []*logic.Clause) []CoverResult {
+	ev.memo.begin(ev.M, ev.Ex)
 	out := make([]CoverResult, len(rules))
 	for i, r := range rules {
-		out[i].Pos, out[i].Neg = ev.CoverageFull(r)
+		out[i].Pos, out[i].Neg = ev.coverFull(r)
 	}
 	return out
-}
-
-// CoverageCounts evaluates rule over all alive positives and all negatives
-// and returns the counts (used for rules-bag evaluation, Fig. 6
-// evaluate_rules).
-func (ev *Evaluator) CoverageCounts(rule *logic.Clause) (pos, neg int) {
-	p, n := ev.Coverage(rule, nil, nil)
-	return p.Count(), n.Count()
 }
 
 // CoverageFull evaluates rule over every positive — retracted or not — and
@@ -332,16 +391,22 @@ func (ev *Evaluator) CoverageCounts(rule *logic.Clause) (pos, neg int) {
 // optimisation of MDIE engines; the p²-mdie workers use it to make
 // repeated rules-bag evaluations cheap).
 func (ev *Evaluator) CoverageFull(rule *logic.Clause) (pos, neg Bitset) {
-	pos = NewBitset(len(ev.Ex.Pos))
-	neg = NewBitset(len(ev.Ex.Neg))
-	q := ev.compile(rule)
-	for i := range ev.Ex.Pos {
-		if ev.M.CoversQuery(q, ev.Ex.Pos[i]) {
+	ev.memo.begin(ev.M, ev.Ex)
+	return ev.coverFull(rule)
+}
+
+// coverFull is CoverageFull within a call begun on the memo.
+func (ev *Evaluator) coverFull(rule *logic.Clause) (pos, neg Bitset) {
+	pos, neg = NewBitset(len(ev.Ex.Pos)), NewBitset(len(ev.Ex.Neg))
+	q, at := ev.compile(rule), ev.memo.slab(rule)
+	for i, ex := range ev.Ex.Pos {
+		if ev.covers(q, at+i, ex) {
 			pos.Set(i)
 		}
 	}
-	for i := range ev.Ex.Neg {
-		if ev.M.CoversQuery(q, ev.Ex.Neg[i]) {
+	at += len(ev.Ex.Pos)
+	for i, ex := range ev.Ex.Neg {
+		if ev.covers(q, at+i, ex) {
 			neg.Set(i)
 		}
 	}

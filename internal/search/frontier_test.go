@@ -124,9 +124,11 @@ func TestPackedFrontierBudgets(t *testing.T) {
 
 // BenchmarkCoverageBatchFrontier is the pack's own number: one real
 // pyrimidines frontier — the children of a two-literal parent under the
-// parent's masks — evaluated as LearnRule does (packed) and rule by rule.
-// steps/op is what the prover executed, charged/op what it billed; the two
-// coincide on the per-rule side.
+// parent's masks — evaluated as LearnRule does (packed) and rule by rule,
+// each on a fresh evaluator, whose memo knows no answer yet. steps/op is
+// what the prover executed, charged/op what it billed; the two coincide on
+// the per-rule side. The memo row asks again on a warm evaluator: every
+// answer is replayed, and nothing may be allocated for it.
 func BenchmarkCoverageBatchFrontier(b *testing.B) {
 	ds := datasets.PyrimidinesSized(212, 191, 1)
 	ex, fs := realFrontiers(b, ds, 400)
@@ -141,10 +143,10 @@ func BenchmarkCoverageBatchFrontier(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := solve.NewMachine(ds.KB, ds.Budget)
-			ev := bc.wrap(search.NewEvaluator(m, ex))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ev := bc.wrap(search.NewEvaluator(m, ex))
 				if res := search.CoverageBatchOf(ev, rules, f.pos, f.neg); len(res) != len(rules) {
 					b.Fatal("short result")
 				}
@@ -154,6 +156,28 @@ func BenchmarkCoverageBatchFrontier(b *testing.B) {
 			b.ReportMetric(float64(len(rules)), "rules")
 		})
 	}
+	b.Run("memo", func(b *testing.B) {
+		m := solve.NewMachine(ds.KB, ds.Budget)
+		ev := search.NewEvaluator(m, ex)
+		out := make([]search.CoverResult, len(rules))
+		for i := range out {
+			out[i] = search.CoverResult{Pos: search.NewBitset(len(ex.Pos)), Neg: search.NewBitset(len(ex.Neg))}
+		}
+		ev.CoverBatchInto(out, rules, f.pos, f.neg)
+		m.ResetCounters()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range out {
+				clear(out[j].Pos)
+				clear(out[j].Neg)
+			}
+			ev.CoverBatchInto(out, rules, f.pos, f.neg)
+		}
+		b.ReportMetric(float64(m.StepsExecuted())/float64(b.N), "steps/op")
+		b.ReportMetric(float64(m.TotalInferences())/float64(b.N), "charged/op")
+		b.ReportMetric(float64(len(rules)), "rules")
+	})
 }
 
 // TestGroundCallMemoOnFrontier pins what the ground-call memo does on the
@@ -191,6 +215,76 @@ func TestGroundCallMemoOnFrontier(t *testing.T) {
 		t.Errorf("%d of %d charged inferences were replayed over %d frontiers, expected at least 30 %%", replayed, charged, len(fs))
 	}
 	t.Logf("%d of %d charged inferences replayed (%.1f %%) over %d frontiers", replayed, charged, 100*float64(replayed)/float64(charged), len(fs))
+}
+
+// coverAll runs the sequential covering loop (internal/covering's, which
+// the datasets' import of search keeps out of reach here) with every search
+// scoring its candidates through wrap(ev), and returns the theory.
+func coverAll(tb testing.TB, ds *datasets.Dataset, m *solve.Machine, wrap func(*search.Evaluator) search.Coverer) []string {
+	tb.Helper()
+	ex := search.NewExamples(ds.Pos, ds.Neg)
+	cov := wrap(search.NewEvaluator(m, ex))
+	var theory []string
+	for ex.NumPosAlive() > 0 {
+		seed := ex.FirstAlivePos()
+		bot, err := bottom.Construct(m, ds.Modes, ex.Pos[seed], ds.Bottom)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		best := search.LearnRule(cov, bot, nil, ds.Search).Best()
+		if best == nil || best.PosCover().Empty() {
+			single := search.NewBitset(len(ex.Pos))
+			single.Set(seed)
+			ex.RetractPos(single)
+			theory = append(theory, ex.Pos[seed].String())
+			continue
+		}
+		theory = append(theory, best.Materialize(bot).String())
+		ex.RetractPos(best.PosCover())
+	}
+	return theory
+}
+
+// TestCoverageMemoOnPyrimidinesCovering is the coverage memo's tripwire on
+// the workload it was built for: a pyrimidines covering run's searches meet
+// most of their candidates again, up to renaming, in later searches. Proved
+// rule by rule on the interpreter — which replays no ground call, so every
+// replayed inference is a whole coverage query the evaluator answered from
+// its memo — at least half of what the run is charged must be replayed, and
+// executed plus replayed steps must be the charge. The compiled machine,
+// rule by rule and packed, must learn the same theory for the same charge.
+func TestCoverageMemoOnPyrimidinesCovering(t *testing.T) {
+	ds := datasets.PyrimidinesSized(67, 60, 1)
+	perRuleCov := func(ev *search.Evaluator) search.Coverer { return perRule{ev} }
+	interp := solve.NewMachine(ds.KB, ds.Budget)
+	interp.SetNoVM(true)
+	want := coverAll(t, ds, interp, perRuleCov)
+	replayed, charged := interp.ReplayedInferences(), interp.TotalInferences()
+	if interp.StepsExecuted()+replayed != charged {
+		t.Fatalf("interpreter, rule by rule: %d steps executed, %d replayed, %d charged", interp.StepsExecuted(), replayed, charged)
+	}
+	if 2*replayed < charged {
+		t.Errorf("%d of %d charged inferences were replayed coverage queries, expected at least half", replayed, charged)
+	}
+	t.Logf("%d of %d charged inferences replayed (%.1f %%) over %d rules", replayed, charged, 100*float64(replayed)/float64(charged), len(want))
+	for _, c := range []struct {
+		name string
+		wrap func(*search.Evaluator) search.Coverer
+	}{
+		{"rule by rule", perRuleCov},
+		{"packed", func(ev *search.Evaluator) search.Coverer { return ev }},
+	} {
+		m := solve.NewMachine(ds.KB, ds.Budget)
+		if got := coverAll(t, ds, m, c.wrap); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: theory %v, the interpreter's %v", c.name, got, want)
+		}
+		if m.TotalInferences() != charged || m.CutoffQueries() != interp.CutoffQueries() {
+			t.Fatalf("%s: charged %d with %d cutoffs, the interpreter %d with %d", c.name, m.TotalInferences(), m.CutoffQueries(), charged, interp.CutoffQueries())
+		}
+		if steps := m.StepsExecuted() + m.ReplayedInferences(); c.name == "rule by rule" && steps != charged {
+			t.Fatalf("%s: %d steps executed and replayed for %d charged", c.name, steps, charged)
+		}
+	}
 }
 
 // TestCandidateFilterOnTrueConcept pins what the VM's candidate filter does

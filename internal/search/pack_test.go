@@ -200,16 +200,27 @@ func TestFanPos(t *testing.T) {
 	}
 }
 
+// forget empties ev's coverage memo and keeps its buffers: the next call
+// proves every question again, and allocates nothing for the memo.
+func forget(ev *Evaluator) { ev.memo.m = nil }
+
 // TestEvaluatorBatchAllocs: a packed CoverageBatch allocates what the
 // per-rule loop does — the result slice and two bitsets per rule — because
-// the group lists, the pack and its answers are evaluator scratch.
+// the group lists, the pack, its answers and the coverage memo are
+// evaluator scratch. Every run starts from a forgotten memo, so both legs
+// prove their rules (the packed one through CoversPack) rather than replay.
 func TestEvaluatorBatchAllocs(t *testing.T) {
 	kb, ex, bot := benchRichExamples(t, 24)
 	rules := frontierOf(bot, []int32{0, 2, 3}, []int32{0, 2, 4}, []int32{1, 2, 5}, []int32{0, 2, 6}, []int32{0, 2, 7})
-	ev := NewEvaluator(solve.NewMachine(kb, solve.DefaultBudget), ex)
+	m := solve.NewMachine(kb, solve.DefaultBudget)
+	ev := NewEvaluator(m, ex)
 	pos, neg := repeatMask(ex.PosAlive.Clone(), len(rules)), repeatMask(FullBitset(len(ex.Neg)), len(rules))
-	perRule := testing.AllocsPerRun(20, func() { coverageLoop(ev, rules, pos, neg) })
-	packed := testing.AllocsPerRun(20, func() { ev.CoverageBatch(rules, pos, neg) })
+	perRule := testing.AllocsPerRun(20, func() { forget(ev); coverageLoop(ev, rules, pos, neg) })
+	steps := m.StepsExecuted()
+	packed := testing.AllocsPerRun(20, func() { forget(ev); ev.CoverageBatch(rules, pos, neg) })
+	if m.StepsExecuted() == steps {
+		t.Fatal("the packed runs executed nothing: they were answered from the memo")
+	}
 	if want := float64(1 + 2*len(rules)); perRule != want {
 		t.Fatalf("per-rule loop allocates %v per batch, expected the %v results", perRule, want)
 	}
@@ -221,17 +232,17 @@ func TestEvaluatorBatchAllocs(t *testing.T) {
 // TestStepsExecuted pins the counter that makes a pack's saving visible:
 // with ReplayedInferences it adds up to TotalInferences as long as rules are
 // proved one by one, falls strictly below it on a packed frontier, and is the
-// same from run to run.
+// same from run to run. Every pass runs on a fresh evaluator, so the
+// coverage memo replays nothing that pass has not proved itself.
 func TestStepsExecuted(t *testing.T) {
 	kb, ex, bot := benchRichExamples(t, 24)
 	rules := frontierOf(bot, []int32{0, 2, 3}, []int32{0, 2, 4}, []int32{0, 2, 5}, []int32{0, 2, 6})
 	m := solve.NewMachine(kb, solve.DefaultBudget)
-	ev := NewEvaluator(m, ex)
 	for _, r := range rules {
-		ev.Coverage(r, nil, nil)
-		ev.CoverageFull(r)
+		NewEvaluator(m, ex).Coverage(r, nil, nil)
+		NewEvaluator(m, ex).CoverageFull(r)
 	}
-	ev.CoverageFullBatch(rules)
+	NewEvaluator(m, ex).CoverageFullBatch(rules)
 	if m.TotalInferences() == 0 || m.StepsExecuted()+m.ReplayedInferences() != m.TotalInferences() {
 		t.Fatalf("per rule: %d steps executed, %d replayed, %d inferences charged", m.StepsExecuted(), m.ReplayedInferences(), m.TotalInferences())
 	}
@@ -240,15 +251,14 @@ func TestStepsExecuted(t *testing.T) {
 	var runs [2]int64
 	for i := range runs {
 		m := solve.NewMachine(kb, solve.DefaultBudget)
-		ev := NewEvaluator(m, ex)
 		for range 3 {
-			ev.CoverageBatch(rules, nil, nil)
+			NewEvaluator(m, ex).CoverageBatch(rules, nil, nil)
 		}
 		if m.TotalInferences() != perRule {
 			t.Fatalf("three packed passes charged %d, three per-rule passes %d", m.TotalInferences(), perRule)
 		}
-		if runs[i] = m.StepsExecuted(); runs[i] >= m.TotalInferences() {
-			t.Fatalf("packed: %d steps executed, %d inferences charged", runs[i], m.TotalInferences())
+		if runs[i] = m.StepsExecuted(); runs[i]+m.ReplayedInferences() >= m.TotalInferences() {
+			t.Fatalf("packed: %d steps executed, %d replayed, %d inferences charged", runs[i], m.ReplayedInferences(), m.TotalInferences())
 		}
 		m.ResetCounters()
 		if m.StepsExecuted() != 0 || m.ReplayedInferences() != 0 {

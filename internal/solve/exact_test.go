@@ -306,7 +306,7 @@ func sweepBudget(t *testing.T, in *sweepInput, b Budget) (alone, packed int64) {
 				continue
 			}
 			for i, m := range packers {
-				got := runCovers(m, func() bool { m.CoversPack(&packs[i], ex, hit); return false })
+				got := runCovers(m, func() bool { m.CoversPack(&packs[i], ex, hit, nil); return false })
 				for c, r := range g.rules {
 					if hit[c] != want[c].covered || packs[i].Charged(c) != want[c].inferences {
 						t.Fatalf("%s, budget %+v, novm=%v pack member %s on %s: covered %v charged %d, interpreter alone %+v",

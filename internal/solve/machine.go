@@ -148,9 +148,10 @@ func (m *Machine) TotalInferences() int64 { return m.totalInf }
 // pack ends, not per step.
 func (m *Machine) StepsExecuted() int64 { return m.work.steps }
 
-// ReplayedInferences reports the charges paid by replaying a recorded ground
-// call (memo.go) instead of executing it. They are part of TotalInferences,
-// not of StepsExecuted. Always 0 on the interpreter.
+// ReplayedInferences reports the charges paid by replaying instead of
+// executing: a recorded ground call (memo.go), or a whole query whose answer
+// the caller already had (ReplayQuery). They are part of TotalInferences, not
+// of StepsExecuted. The interpreter never replays a ground call.
 func (m *Machine) ReplayedInferences() int64 { return m.work.replayed }
 
 // FilteredCandidates reports the candidate visits that were charged but not
@@ -159,10 +160,15 @@ func (m *Machine) ReplayedInferences() int64 { return m.work.replayed }
 // and of StepsExecuted. Always 0 on the interpreter.
 func (m *Machine) FilteredCandidates() int64 { return m.work.filtered }
 
-// AddInferences charges extra work units to the machine (used by callers to
-// account for non-deductive work, e.g. clause construction, in the same
-// currency as proofs).
-func (m *Machine) AddInferences(n int64) { m.totalInf += n; m.work.steps += n }
+// ReplayQuery reports an existence query the caller has already seen proved
+// on this machine's program and budget without a cutoff — same rule up to
+// variable renaming, same example: it charges what that proof charged, to
+// TotalInferences and ReplayedInferences, and runs nothing. A cut-off proof
+// must be proved again, not replayed: CutoffQueries does not move here.
+func (m *Machine) ReplayQuery(charge int64) {
+	m.totalInf += charge
+	m.work.replayed += charge
+}
 
 // CutoffQueries reports how many queries were truncated by the budget.
 func (m *Machine) CutoffQueries() int64 { return m.anyCutoffs }

@@ -53,7 +53,7 @@ type QueryPack struct {
 
 // Charged reports what member c was charged for the example most recently
 // run: the inferences its stand-alone CoversQuery would have added to
-// TotalInferences.
+// TotalInferences, 0 if it was skipped.
 func (p *QueryPack) Charged(c int) int64 { return p.charged[c] }
 
 // CompilePack compiles rules into p, each exactly once, reusing p's buffers.
@@ -95,34 +95,38 @@ func (m *Machine) CompilePack(p *QueryPack, rules []*logic.Clause, prefix int) {
 }
 
 // CoversPack sets hit[c] to whether member c of the pack covers the ground
-// example atom, for every member: len(p.queries) CoversQuery calls — same
-// answers, same TotalInferences, same CutoffQueries — with the shared prefix
-// proved once.
-func (m *Machine) CoversPack(p *QueryPack, example logic.Term, hit []bool) {
+// example atom, for every member not skipped: one CoversQuery call per such
+// member — same answers, same TotalInferences, same CutoffQueries — with the
+// shared prefix proved once. A member with skip[c] set (skip may be nil) is
+// left out as if it were not in the pack: it runs nothing, is charged
+// nothing, and its hit is false.
+func (m *Machine) CoversPack(p *QueryPack, example logic.Term, hit, skip []bool) {
 	qs := p.queries
 	hit = hit[:len(qs)]
 	m.beginQuery(p.numVars)
-	if len(qs) == 0 {
+	clear(hit)
+	clear(p.charged)
+	p.live = p.live[:0]
+	for c := range qs {
+		if skip == nil || !skip[c] {
+			p.live = append(p.live, int32(c))
+		}
+	}
+	if len(p.live) == 0 {
 		return
 	}
 	if qs[0].prog != m.prog {
 		// Compiled for another program (see CoversQuery). Each member
 		// recompiles into the machine's scratch as it would stand-alone; a
 		// pack that outlives its program is not worth a second code path.
-		for c := range qs {
+		for _, c := range p.live {
 			hit[c] = m.CoversQuery(&qs[c], example)
 			p.charged[c] = m.queryInf
 		}
 		return
 	}
-	clear(hit)
-	clear(p.charged)
 	if !m.matchQueryHead(&qs[0], example) {
 		return // head matching is never charged
-	}
-	p.live = p.live[:0]
-	for c := range qs {
-		p.live = append(p.live, int32(c))
 	}
 	clear(p.suffix)
 	p.m, p.hit = m, hit

@@ -43,8 +43,12 @@ func genFan(rng *rand.Rand) (rules []logic.Clause, prefix int) {
 // random examples, each fan run as one QueryPack on a compiled and on an
 // interpreter-pinned machine, against the seed reference proving every
 // member on its own. Per member the answer and the charge must agree; per
-// example so must the machines' TotalInferences and CutoffQueries. It
-// reports the compiled machine's use of the fast paths.
+// example so must the machines' TotalInferences and CutoffQueries. Each
+// example then runs once more with about one member in four skipped, as an
+// evaluator does with answers it already has: a skipped member must come
+// back uncovered and uncharged, every other one as the reference proved it,
+// and the counters must move by the live members' sum. It reports the
+// compiled machine's use of the fast paths.
 func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans int) fastUse {
 	t.Helper()
 	ref := newRefMachine(kb, budget)
@@ -65,29 +69,43 @@ func checkPacksAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, fans i
 			machines[i].m.CompilePack(&machines[i].pack, ptrs, prefix)
 		}
 		want := make([]coverRun, len(rules))
-		hit := make([]bool, len(rules))
+		hit, skip := make([]bool, len(rules)), make([]bool, len(rules))
 		for e := 0; e < 8; e++ {
 			ex := genExample(rng, rules[0].Head)
-			var sum coverRun
 			for c := range rules {
 				inf, cut := ref.totalInf, ref.cutoffs
 				want[c] = coverRun{covered: ref.coversExample(&rules[c], ex)}
 				want[c].inferences, want[c].cutoffs = ref.totalInf-inf, ref.cutoffs-cut
-				sum.inferences += want[c].inferences
-				sum.cutoffs += want[c].cutoffs
+				skip[c] = (f+e+c)%4 == 3
 			}
-			for i := range machines {
-				mc := &machines[i]
-				got := runCovers(mc.m, func() bool { mc.m.CoversPack(&mc.pack, ex, hit); return false })
+			for _, pass := range []struct {
+				name string
+				skip []bool
+			}{{"every member", nil}, {"one in four skipped", skip}} {
+				var sum coverRun
 				for c := range rules {
-					if hit[c] != want[c].covered || mc.pack.Charged(c) != want[c].inferences {
-						t.Fatalf("budget %+v, %s pack member %d (%s, shared prefix %d) on %s: covered %v charged %d, reference %+v",
-							budget, mc.name, c, rules[c].String(), prefix, ex, hit[c], mc.pack.Charged(c), want[c])
+					if pass.skip == nil || !pass.skip[c] {
+						sum.inferences += want[c].inferences
+						sum.cutoffs += want[c].cutoffs
 					}
 				}
-				if got != sum {
-					t.Fatalf("budget %+v, %s pack of %d under %s on %s: machine counters moved by %+v, reference %+v",
-						budget, mc.name, len(rules), rules[0].String(), ex, got, sum)
+				for i := range machines {
+					mc := &machines[i]
+					got := runCovers(mc.m, func() bool { mc.m.CoversPack(&mc.pack, ex, hit, pass.skip); return false })
+					for c := range rules {
+						w := want[c]
+						if pass.skip != nil && pass.skip[c] {
+							w = coverRun{}
+						}
+						if hit[c] != w.covered || mc.pack.Charged(c) != w.inferences {
+							t.Fatalf("budget %+v, %s, %s pack member %d (%s, shared prefix %d) on %s: covered %v charged %d, reference %+v",
+								budget, pass.name, mc.name, c, rules[c].String(), prefix, ex, hit[c], mc.pack.Charged(c), w)
+						}
+					}
+					if got != sum {
+						t.Fatalf("budget %+v, %s, %s pack of %d under %s on %s: machine counters moved by %+v, reference %+v",
+							budget, pass.name, mc.name, len(rules), rules[0].String(), ex, got, sum)
+					}
 				}
 			}
 		}
@@ -121,7 +139,7 @@ func packCase(t *testing.T, kb *KB, budget Budget, novm bool, prefix int, ex str
 	hit := make([]bool, len(rules))
 	for round := 0; round < 2; round++ { // the second run reuses the pack's scratch
 		packed.ResetCounters()
-		packed.CoversPack(&pack, example, hit)
+		packed.CoversPack(&pack, example, hit, nil)
 		for c := range rules {
 			if hit[c] != want[c].covered || pack.Charged(c) != want[c].inferences {
 				t.Fatalf("novm=%v member %d (%s): pack says covered %v charged %d, stand-alone %+v",
@@ -185,7 +203,7 @@ func TestPackOutlivesItsProgram(t *testing.T) {
 			wantInf[c] = run.inferences
 		}
 		before := m.TotalInferences()
-		m.CoversPack(&pack, ex, hit)
+		m.CoversPack(&pack, ex, hit, nil)
 		if !hit[0] || hit[1] != wantB || pack.Charged(0) != wantInf[0] || pack.Charged(1) != wantInf[1] {
 			t.Fatalf("%s: held pack says %v charged %d/%d, fresh queries want [true %v] charged %v",
 				what, hit, pack.Charged(0), pack.Charged(1), wantB, wantInf)
@@ -233,7 +251,7 @@ func TestCoversPackAllocFree(t *testing.T) {
 			m.SetNoVM(novm)
 			var pack QueryPack
 			m.CompilePack(&pack, wide, 1)
-			m.CoversPack(&pack, ex, hit)
+			m.CoversPack(&pack, ex, hit, nil)
 			if budget == DefaultBudget && (m.reproofs != 0 || m.StepsExecuted() >= m.TotalInferences()) {
 				t.Fatalf("novm=%v: %d re-proofs, %d steps for %d charged — the pack shares nothing", novm,
 					m.reproofs, m.StepsExecuted(), m.TotalInferences())
@@ -241,7 +259,7 @@ func TestCoversPackAllocFree(t *testing.T) {
 			if budget != DefaultBudget && m.reproofs == 0 {
 				t.Fatalf("novm=%v budget %+v: no re-proof exercised", novm, budget)
 			}
-			if n := testing.AllocsPerRun(50, func() { m.CoversPack(&pack, ex, hit) }); n != 0 {
+			if n := testing.AllocsPerRun(50, func() { m.CoversPack(&pack, ex, hit, nil) }); n != 0 {
 				t.Errorf("novm=%v budget %+v: CoversPack allocates %v per example", novm, budget, n)
 			}
 			i := 0
@@ -251,7 +269,7 @@ func TestCoversPackAllocFree(t *testing.T) {
 				} else {
 					m.CompilePack(&pack, narrow, 2)
 				}
-				m.CoversPack(&pack, ex, hit)
+				m.CoversPack(&pack, ex, hit, nil)
 			}); n != 0 {
 				t.Errorf("novm=%v budget %+v: recompiling the pack allocates %v per frontier", novm, budget, n)
 			}
