@@ -3,7 +3,7 @@
 // forfeiting the run.
 //
 // The package is deliberately payload-agnostic: callers hand it opaque bytes
-// (the master gob-encodes its own record) and ckpt guarantees only atomicity
+// (the master wire-encodes its own record) and ckpt guarantees only atomicity
 // and integrity. Each snapshot is one file, `ckpt-<seq>.snap`, written as
 // tmp + fsync + rename (+ directory fsync), so a crash mid-write can never
 // replace a good snapshot with a torn one. The file header carries a magic,

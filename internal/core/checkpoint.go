@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -10,18 +8,20 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/logic"
 	"repro/internal/sched"
+	"repro/internal/wire"
 )
 
-// checkpointRecord is the master's durable state, gob-encoded into one
-// ckpt snapshot at every epoch boundary (the top of run()'s epoch loop,
-// where every barrier of the previous epoch has completed). It holds
+// checkpointRecord is the master's durable state, encoded (encode /
+// decodeCheckpoint) into one ckpt snapshot at every epoch boundary (the
+// top of run()'s epoch loop, where every barrier of the previous epoch
+// has completed). It holds
 // everything a restarted master needs to take over: the protocol clock,
 // the theory so far, the per-worker example assignments recovery
 // redistributes, the live membership with its address book, and the
 // metrics counters that must stay cumulative across restarts. The bag is
 // deliberately absent — at a boundary it is always empty.
 type checkpointRecord struct {
-	// Fingerprint pins the dataset: gob payloads (including this record's
+	// Fingerprint pins the dataset: wire payloads (including this record's
 	// terms) reference interned symbol indices, so a resume must have
 	// re-loaded the exact task the checkpoint was written under.
 	Fingerprint uint64
@@ -163,11 +163,7 @@ func (ma *master) maybeCheckpoint() error {
 	if ma.cfg.CheckpointDir == "" {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ma.record()); err != nil {
-		return fmt.Errorf("core: master: encode checkpoint: %w", err)
-	}
-	if _, err := ckpt.Save(ma.cfg.CheckpointDir, ma.ckptSeq, buf.Bytes()); err != nil {
+	if _, err := ckpt.Save(ma.cfg.CheckpointDir, ma.ckptSeq, ma.record().encode()); err != nil {
 		return fmt.Errorf("core: master: checkpoint epoch %d: %w", ma.epoch, err)
 	}
 	ma.ckptSeq++
@@ -191,11 +187,116 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck := &Checkpoint{seq: seq}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck.rec); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
+	rec, err := decodeCheckpoint(payload)
+	if err != nil {
+		return nil, err
 	}
-	return ck, nil
+	return &Checkpoint{rec: rec, seq: seq}, nil
+}
+
+// checkpointFormat is the leading byte of a checkpoint payload, ahead of
+// the wire-encoded record. Format 1 was the gob record of earlier builds,
+// which is not read: a gob stream opens with a message length, never this
+// byte, so such a checkpoint is refused by name.
+const checkpointFormat = 2
+
+// encode is the checkpoint payload: checkpointFormat, then every field in
+// declaration order.
+func (rec *checkpointRecord) encode() []byte {
+	w := wire.Writer{B: []byte{checkpointFormat}}
+	w.Fixed64(rec.Fingerprint)
+	w.Int(rec.Epoch)
+	w.Varint(rec.Seq)
+	w.Int(rec.Generation)
+	w.Int(rec.Workers)
+	w.Ints(rec.Targets)
+	appendShares(&w, rec.AssignedPos)
+	appendShares(&w, rec.AssignedNeg)
+	w.Int(rec.Remaining)
+	w.Clauses(rec.Theory)
+	rec.Load.AppendWire(&w)
+	w.Int(rec.MaxEpochs)
+	w.Strings(rec.Peers)
+	w.Int(rec.Size)
+	w.Int(rec.Epochs)
+	w.Int(rec.RulesLearned)
+	w.Int(rec.GroundFactsAdopted)
+	w.Int(rec.Recoveries)
+	w.Int(rec.LostWorkers)
+	w.Int(rec.Rebalances)
+	w.Int(rec.JoinedWorkers)
+	w.Ints(rec.JoinShares)
+	w.Varint(rec.StaleDropped)
+	w.Int(rec.MasterRestarts)
+	w.Int(rec.OrphanReconnects)
+	return w.B
+}
+
+// decodeCheckpoint is encode's inverse. A payload of another format, or
+// one that is truncated, corrupt or carries trailing bytes, is an error.
+func decodeCheckpoint(payload []byte) (checkpointRecord, error) {
+	var rec checkpointRecord
+	if len(payload) == 0 || payload[0] != checkpointFormat {
+		lead := "none"
+		if len(payload) > 0 {
+			lead = fmt.Sprintf("%#02x", payload[0])
+		}
+		return rec, fmt.Errorf("core: checkpoint is not format %d (leading byte %s): a checkpoint written by an earlier build cannot be resumed",
+			checkpointFormat, lead)
+	}
+	r := wire.NewReader(payload[1:])
+	rec.Fingerprint = r.Fixed64()
+	rec.Epoch = r.Int()
+	rec.Seq = r.Varint()
+	rec.Generation = r.Int()
+	rec.Workers = r.Int()
+	rec.Targets = r.Ints()
+	rec.AssignedPos = readShares(r)
+	rec.AssignedNeg = readShares(r)
+	rec.Remaining = r.Int()
+	rec.Theory = r.Clauses()
+	rec.Load.DecodeWire(r)
+	rec.MaxEpochs = r.Int()
+	rec.Peers = r.Strings()
+	rec.Size = r.Int()
+	rec.Epochs = r.Int()
+	rec.RulesLearned = r.Int()
+	rec.GroundFactsAdopted = r.Int()
+	rec.Recoveries = r.Int()
+	rec.LostWorkers = r.Int()
+	rec.Rebalances = r.Int()
+	rec.JoinedWorkers = r.Int()
+	rec.JoinShares = r.Ints()
+	rec.StaleDropped = r.Varint()
+	rec.MasterRestarts = r.Int()
+	rec.OrphanReconnects = r.Int()
+	if err := r.Err(); err != nil {
+		return checkpointRecord{}, fmt.Errorf("core: decode checkpoint: %w", err)
+	}
+	if n := r.Remaining(); n != 0 {
+		return checkpointRecord{}, fmt.Errorf("core: decode checkpoint: %w: %d trailing bytes", wire.ErrCorrupt, n)
+	}
+	return rec, nil
+}
+
+// appendShares appends per-worker example lists, indexed by node id.
+func appendShares(w *wire.Writer, shares [][]logic.Term) {
+	w.Uvarint(uint64(len(shares)))
+	for _, s := range shares {
+		w.Terms(s)
+	}
+}
+
+func readShares(r *wire.Reader) [][]logic.Term {
+	n := r.Len()
+	if n == 0 {
+		return nil
+	}
+	out := make([][]logic.Term, n)
+	for i := range out {
+		out[i] = r.Terms()
+	}
+	return out
 }
 
 // Fingerprint is the dataset fingerprint the checkpoint was written under.

@@ -6,27 +6,27 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/faultline"
 	"repro/internal/logic"
 	"repro/internal/search"
 )
 
-// TestCheckpointRecordGobRoundTrip pins the durable snapshot format the
-// same way gob_test.go pins the wire format: every field of the master's
-// checkpoint record must survive an encode/decode cycle unchanged, or a
-// resumed master silently starts from corrupted state.
-func TestCheckpointRecordGobRoundTrip(t *testing.T) {
+// sampleCheckpointRecord sets every field of the master's checkpoint
+// record.
+func sampleCheckpointRecord() checkpointRecord {
 	mustTerm := logic.MustParseTerm
 	rule := logic.Clause{
 		Head: mustTerm("active(X)"),
 		Body: []logic.Literal{logic.Lit(mustTerm("atm(X, Y, oxygen)"))},
 	}
-	rec := checkpointRecord{
+	return checkpointRecord{
 		Fingerprint: 0xDEADBEEF,
 		Epoch:       7,
 		Seq:         91,
@@ -58,17 +58,64 @@ func TestCheckpointRecordGobRoundTrip(t *testing.T) {
 		OrphanReconnects:   2,
 		Generation:         3,
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var out checkpointRecord
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
+}
+
+// TestCheckpointRecordRoundTrip pins the durable snapshot format the same
+// way TestMessageWireRoundTrip pins the payloads: every field of the
+// master's checkpoint record must survive an encode/decode cycle
+// unchanged, or a resumed master silently starts from corrupted state —
+// and every cut of the payload must fail to decode rather than resume.
+func TestCheckpointRecordRoundTrip(t *testing.T) {
+	rec := sampleCheckpointRecord()
+	payload := rec.encode()
+	out, err := decodeCheckpoint(payload)
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(out, rec) {
 		t.Errorf("round trip mismatch:\n got: %#v\nwant: %#v", out, rec)
 	}
+	for cut := 0; cut < len(payload); cut++ {
+		if _, err := decodeCheckpoint(payload[:cut]); err == nil {
+			t.Fatalf("a checkpoint cut to %d of %d bytes decoded", cut, len(payload))
+		}
+	}
+	if _, err := decodeCheckpoint(append(payload, 0)); err == nil {
+		t.Fatal("a checkpoint with a trailing byte decoded")
+	}
+}
+
+// TestGobCheckpointRefused pins what a checkpoint an earlier build wrote
+// — the gob-encoded record — meets: LoadCheckpoint refuses it, naming the
+// format this build reads, instead of resuming from a misread record.
+func TestGobCheckpointRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sampleCheckpointRecord()); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := ckpt.Save(dir, 0, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCheckpoint(dir)
+	if want := fmt.Sprintf("not format %d", checkpointFormat); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadCheckpoint of a gob checkpoint: %v, want an error naming %q", err, want)
+	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes, inside a valid ckpt frame, to
+// LoadCheckpoint: it must return an error or a record, never panic.
+func FuzzLoadCheckpoint(f *testing.F) {
+	rec := sampleCheckpointRecord()
+	f.Add(rec.encode())
+	f.Add([]byte{checkpointFormat})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dir := t.TempDir()
+		if _, err := ckpt.Save(dir, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		LoadCheckpoint(dir)
+	})
 }
 
 // TestLearnRejectsCheckpointWithAddLearnedToBK pins the documented

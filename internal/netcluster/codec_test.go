@@ -46,7 +46,7 @@ func TestSimTCPByteParity(t *testing.T) {
 	})
 }
 
-// The version-refusal suite: every handshake that carries frame.Codec must
+// The version-refusal suite: every handshake that carries frame.Version must
 // refuse a peer offering anything but protocolVersion — by name, and
 // without waiting out JoinTimeout. The test scripts the mismatched peer
 // frame by frame; the matching-peer side of each handshake is what every
@@ -58,12 +58,16 @@ var refusalCfg = Config{Fingerprint: 7, JoinTimeout: 60 * time.Second}
 
 const prompt = 5 * time.Second
 
-// eachRefusedVersion runs fn for the bytes a real mismatched peer sends: 0
-// from a build that predates the byte (gob omits the zero field), and the
-// neighbours of protocolVersion — a build one payload-format change
-// behind, and one ahead.
+// eachRefusedVersion runs fn for every version byte up to one past
+// protocolVersion but its own: 0 from a peer that sets none, the numbers
+// of the earlier protocol versions, and a build one format change ahead.
+// (A peer of versions 1 and 2 really sends gob frames, which no longer
+// parse at all: TestGobHelloRefusedByName.)
 func eachRefusedVersion(t *testing.T, fn func(t *testing.T, offered uint8)) {
-	for _, offered := range []uint8{0, protocolVersion - 1, protocolVersion + 1} {
+	for offered := uint8(0); offered <= protocolVersion+1; offered++ {
+		if offered == protocolVersion {
+			continue
+		}
 		offered := offered
 		t.Run(fmt.Sprintf("byte%d", offered), func(t *testing.T) { fn(t, offered) })
 	}
@@ -144,10 +148,10 @@ func wantRefusal(t *testing.T, err error, offered uint8, start time.Time) {
 // the dial deadline).
 func wantAckDropped(t *testing.T, conn net.Conn, welcome *frame, offered uint8) {
 	t.Helper()
-	if welcome.Ctrl != ctrlWelcome || welcome.Codec != protocolVersion {
+	if welcome.Ctrl != ctrlWelcome || welcome.Version != protocolVersion {
 		t.Fatalf("welcome = %+v, want version byte %d", welcome, protocolVersion)
 	}
-	if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: welcome.NodeID, Fingerprint: 7, Codec: offered}); err != nil {
+	if err := writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: welcome.NodeID, Fingerprint: 7, Version: offered}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := readFrame(conn, 1<<20)
@@ -170,7 +174,7 @@ func TestWorkerRefusesLegacyMaster(t *testing.T) {
 			serveErr <- err
 		}()
 		_, ack := open(t, ln.Addr().String(), &frame{Ctrl: ctrlWelcome, NodeID: 1, Nodes: 2,
-			Peers: []string{"", ln.Addr().String()}, Fingerprint: 7, Codec: offered})
+			Peers: []string{"", ln.Addr().String()}, Fingerprint: 7, Version: offered})
 		if want := fmt.Sprintf("version byte %d", offered); ack.Ctrl != ctrlWelcomeAck || !strings.Contains(ack.Err, want) {
 			t.Fatalf("want rejection ack naming %q, got ctrl %d err %q", want, ack.Ctrl, ack.Err)
 		}
@@ -185,10 +189,10 @@ func TestMasterRefusesUnconfirmedCodec(t *testing.T) {
 	eachRefusedVersion(t, func(t *testing.T, offered uint8) {
 		ln := listen(t)
 		answer(t, ln, ctrlWelcome, func(f *frame) *frame {
-			if f.Codec != protocolVersion {
-				t.Errorf("welcome version byte %d, want %d", f.Codec, protocolVersion)
+			if f.Version != protocolVersion {
+				t.Errorf("welcome version byte %d, want %d", f.Version, protocolVersion)
 			}
-			return &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: f.Fingerprint, Codec: offered}
+			return &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: f.Fingerprint, Version: offered}
 		})
 		start := time.Now()
 		_, err := Connect([]string{ln.Addr().String()}, refusalCfg)
@@ -207,7 +211,7 @@ func TestHelloVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := writeFrame(conn, &frame{Ctrl: ctrlHello, From: 1, Fingerprint: 7, Codec: offered}); err != nil {
+		if err := writeFrame(conn, &frame{Ctrl: ctrlHello, From: 1, Fingerprint: 7, Version: offered}); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*prompt)
@@ -225,7 +229,7 @@ func TestLateJoinVersionRefused(t *testing.T) {
 	eachRefusedVersion(t, func(t *testing.T, offered uint8) {
 		ln := listen(t)
 		answer(t, ln, ctrlJoinReq, func(f *frame) *frame {
-			return &frame{Ctrl: ctrlWelcome, NodeID: 2, Nodes: 3, Peers: []string{"", "", f.Addr}, Fingerprint: 7, Codec: offered}
+			return &frame{Ctrl: ctrlWelcome, NodeID: 2, Nodes: 3, Peers: []string{"", "", f.Addr}, Fingerprint: 7, Version: offered}
 		})
 		start := time.Now()
 		_, err := Join(ln.Addr().String(), "127.0.0.1:0", refusalCfg)
@@ -258,8 +262,8 @@ func TestResumeVersionRefused(t *testing.T) {
 			joined <- w
 		}()
 		book := []string{masterLn.Addr().String(), workerLn.Addr().String()}
-		welcome := frame{Ctrl: ctrlWelcome, NodeID: 1, Nodes: 2, Peers: book, Fingerprint: 7, Codec: protocolVersion}
-		if _, ack := open(t, workerLn.Addr().String(), &welcome); ack.Err != "" || ack.Codec != protocolVersion {
+		welcome := frame{Ctrl: ctrlWelcome, NodeID: 1, Nodes: 2, Peers: book, Fingerprint: 7, Version: protocolVersion}
+		if _, ack := open(t, workerLn.Addr().String(), &welcome); ack.Err != "" || ack.Version != protocolVersion {
 			t.Fatalf("matching welcome not accepted: %+v", ack)
 		}
 		worker := <-joined
@@ -269,7 +273,7 @@ func TestResumeVersionRefused(t *testing.T) {
 		t.Cleanup(func() { worker.Abort() })
 		answer(t, masterLn, ctrlRejoinReq, func(*frame) *frame {
 			restarted := welcome
-			restarted.Codec = offered
+			restarted.Version = offered
 			return &restarted
 		})
 		start := time.Now()
@@ -298,8 +302,7 @@ func TestResumeVersionRefused(t *testing.T) {
 // TestLateJoinFingerprintMismatchRefused.
 
 // eachRefusedFingerprint runs fn for the fingerprints a real mismatched
-// peer sends: 0 from one that sets none (gob omits the zero field), and a
-// neighbour of refusalCfg's.
+// peer sends: 0 from one that sets none, and a neighbour of refusalCfg's.
 func eachRefusedFingerprint(t *testing.T, fn func(t *testing.T, offered uint64)) {
 	for _, offered := range []uint64{0, refusalCfg.Fingerprint + 1} {
 		offered := offered
@@ -342,7 +345,7 @@ func orphanable(t *testing.T, cfg Config, masterAddr string) *Node {
 		joined <- w
 	}()
 	welcome := &frame{Ctrl: ctrlWelcome, NodeID: 1, Nodes: 2, Peers: []string{masterAddr, ln.Addr().String()},
-		Fingerprint: cfg.Fingerprint, Codec: protocolVersion}
+		Fingerprint: cfg.Fingerprint, Version: protocolVersion}
 	if _, ack := open(t, ln.Addr().String(), welcome); ack.Err != "" {
 		t.Fatalf("matching welcome not accepted: %+v", ack)
 	}
@@ -365,7 +368,7 @@ func TestRejoinFingerprintRefused(t *testing.T) {
 		worker := orphanable(t, refusalCfg, masterLn.Addr().String())
 		heard := answer(t, masterLn, ctrlRejoinReq, func(f *frame) *frame {
 			return &frame{Ctrl: ctrlWelcome, NodeID: f.From, Nodes: 2, Peers: []string{masterLn.Addr().String(), f.Addr},
-				Fingerprint: offered, Codec: protocolVersion}
+				Fingerprint: offered, Version: protocolVersion}
 		})
 		start := time.Now()
 		_, err := worker.RejoinMaster(60 * time.Second)
@@ -433,7 +436,7 @@ func TestHelloFingerprintRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := writeFrame(conn, &frame{Ctrl: ctrlHello, From: 1, Fingerprint: offered, Codec: protocolVersion}); err != nil {
+		if err := writeFrame(conn, &frame{Ctrl: ctrlHello, From: 1, Fingerprint: offered, Version: protocolVersion}); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*prompt)
@@ -450,7 +453,7 @@ func TestLateJoinFingerprintRefusedByJoiner(t *testing.T) {
 	eachRefusedFingerprint(t, func(t *testing.T, offered uint64) {
 		ln := listen(t)
 		heard := answer(t, ln, ctrlJoinReq, func(f *frame) *frame {
-			return &frame{Ctrl: ctrlWelcome, NodeID: 2, Nodes: 3, Peers: []string{"", "", f.Addr}, Fingerprint: offered, Codec: protocolVersion}
+			return &frame{Ctrl: ctrlWelcome, NodeID: 2, Nodes: 3, Peers: []string{"", "", f.Addr}, Fingerprint: offered, Version: protocolVersion}
 		})
 		start := time.Now()
 		_, err := Join(ln.Addr().String(), "127.0.0.1:0", refusalCfg)

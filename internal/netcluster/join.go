@@ -94,13 +94,16 @@ func ServeOn(ln net.Listener, cfg Config) (*Node, error) {
 		}
 		conn = n.cfg.wrapConn(conn)
 		conn.SetReadDeadline(joinDeadline)
-		f, err := readFrame(conn, n.cfg.MaxFrameBytes)
-		if err == nil && f.Ctrl == ctrlHello {
+		f, ok := n.opening(conn)
+		if !ok {
+			continue // a port scan or a dead dial; keep waiting for the master
+		}
+		if f.Ctrl == ctrlHello {
 			early = append(early, parked{conn, f})
 			continue
 		}
-		if err != nil || f.Ctrl != ctrlWelcome {
-			conn.Close() // a port scan or a dead dial; keep waiting for the master
+		if f.Ctrl != ctrlWelcome {
+			conn.Close()
 			continue
 		}
 		if err := n.takeWelcome(conn, f); err != nil {
@@ -205,8 +208,11 @@ func (n *Node) handshake(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.untrack(conn)
 	conn.SetReadDeadline(time.Now().Add(n.cfg.JoinTimeout))
-	f, err := readFrame(conn, n.cfg.MaxFrameBytes)
-	if err != nil || n.isClosing() {
+	f, ok := n.opening(conn)
+	if !ok {
+		return
+	}
+	if n.isClosing() {
 		conn.Close()
 		return
 	}
@@ -325,12 +331,12 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 func (n *Node) offerWelcome(conn net.Conn, id, size int, peers []string, sid uint64) error {
 	err := writeFrame(conn, &frame{
 		Ctrl: ctrlWelcome, NodeID: int32(id), Nodes: int32(size), Peers: peers,
-		Fingerprint: n.cfg.Fingerprint, Model: n.cfg.Model, Session: sid, Codec: protocolVersion,
+		Fingerprint: n.cfg.Fingerprint, Model: n.cfg.Model, Session: sid, Version: protocolVersion,
 	})
 	if err != nil {
 		return err
 	}
-	ack, err := readFrame(conn, n.cfg.MaxFrameBytes)
+	ack, err := n.readHandshake(conn)
 	switch {
 	case err != nil:
 		return err
@@ -360,7 +366,7 @@ func (n *Node) takeWelcome(conn net.Conn, f *frame) error {
 		refuse(conn, ctrlWelcomeAck, err.Error())
 		return refusal{fmt.Errorf("master's welcome: %w", err)}
 	}
-	return writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: n.cfg.Fingerprint, Codec: protocolVersion})
+	return writeFrame(conn, &frame{Ctrl: ctrlWelcomeAck, From: f.NodeID, Fingerprint: n.cfg.Fingerprint, Version: protocolVersion})
 }
 
 // install adopts what a welcome assigns into a node ServeOn or Join built
@@ -385,9 +391,9 @@ func (n *Node) check(f *frame) error {
 	}
 	switch f.Ctrl {
 	case ctrlHello, ctrlWelcome, ctrlWelcomeAck:
-		if f.Codec != protocolVersion {
+		if f.Version != protocolVersion {
 			return fmt.Errorf("protocol version byte %d offered, this build speaks %d — mixed-version cluster refused",
-				f.Codec, protocolVersion)
+				f.Version, protocolVersion)
 		}
 	}
 	return nil
@@ -410,7 +416,33 @@ func (n *Node) ask(conn net.Conn, req *frame) (*frame, error) {
 	if err := writeFrame(conn, req); err != nil {
 		return nil, err
 	}
-	return readFrame(conn, n.cfg.MaxFrameBytes)
+	return n.readHandshake(conn)
+}
+
+// readHandshake reads one handshake frame, at most maxHandshakeBytes long
+// (no peer has proved its fingerprint yet). A frame that does not parse
+// as this build's envelope comes from another protocol version — or from
+// no peer at all — so it is a refusal, and no retry can change it.
+func (n *Node) readHandshake(conn net.Conn) (*frame, error) {
+	f, err := readFrame(conn, min(maxHandshakeBytes, n.cfg.MaxFrameBytes))
+	if errors.As(err, new(envelopeError)) {
+		return nil, refusal{err}
+	}
+	return f, err
+}
+
+// opening reads an accepted connection's first frame. On failure the
+// conn is closed: an unparseable frame is refused back by name (the
+// envelope version) first, any other failure closes it silently.
+func (n *Node) opening(conn net.Conn) (*frame, bool) {
+	f, err := n.readHandshake(conn)
+	switch {
+	case errors.As(err, new(refusal)):
+		refuse(conn, ctrlWelcomeAck, err.Error())
+	case err != nil:
+		conn.Close()
+	}
+	return f, err == nil
 }
 
 // dial opens a TCP conn to addr through the ShapeConn hook.

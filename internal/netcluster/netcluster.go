@@ -73,7 +73,9 @@ type Config struct {
 	// master's and a joiner's redials, and caps every single redial try
 	// inside a shorter window (a rejoin, a link resume). Default 60s.
 	JoinTimeout time.Duration
-	// MaxFrameBytes bounds one frame. Default 256 MiB.
+	// MaxFrameBytes bounds one frame on an admitted link. Default 256 MiB.
+	// Handshake frames, read before the peer's fingerprint is checked,
+	// are bounded by the smaller of this and 64 KiB.
 	MaxFrameBytes int
 	// LinkGrace is the reconnect grace window for transient link failures.
 	// Zero (the default) disables the link-session layer entirely: a read,
@@ -655,7 +657,7 @@ func (n *Node) linkTo(peer int) (*link, error) {
 		return nil, fmt.Errorf("netcluster: dial node %d at %s: %w", peer, addr, err)
 	}
 	sess := n.newSession(addr)
-	hello := &frame{Ctrl: ctrlHello, From: int32(n.id), Fingerprint: n.cfg.Fingerprint, Session: sess.sid, Codec: protocolVersion}
+	hello := &frame{Ctrl: ctrlHello, From: int32(n.id), Fingerprint: n.cfg.Fingerprint, Session: sess.sid, Version: protocolVersion}
 	if err := writeFrame(conn, hello); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netcluster: hello to node %d: %w", peer, err)

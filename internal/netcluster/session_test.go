@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,7 +147,17 @@ func TestReceiveCtxDeadlineDuringGrace(t *testing.T) {
 // reconnect-plus-replay handshake must hand the protocol every frame
 // exactly once, in order, with no membership event ever surfacing.
 func TestLinkFlapReplaysExactlyOnce(t *testing.T) {
-	cfg := Config{Fingerprint: 7, LinkGrace: 10 * time.Second}
+	// Conns made after the blip write only once the gap's frames are
+	// sent: otherwise a reconnect that beats the first send leaves
+	// nothing to replay.
+	var gated atomic.Bool
+	gate := make(chan struct{})
+	cfg := Config{Fingerprint: 7, LinkGrace: 10 * time.Second, ShapeConn: func(c net.Conn) net.Conn {
+		if gated.Load() {
+			return gatedConn{c, gate}
+		}
+		return c
+	}}
 	master, workers := startCluster(t, 1, cfg)
 	master.NotifyFailures(true)
 	workers[1].NotifyFailures(true)
@@ -183,12 +195,14 @@ func TestLinkFlapReplaysExactlyOnce(t *testing.T) {
 	}
 
 	// The blip: every conn severed, then more frames sent into the gap.
+	gated.Store(true)
 	master.DropLinks()
 	for i := 4; i <= 8; i++ {
 		if err := master.Send(1, 7, payload{N: i}); err != nil {
 			t.Fatalf("mid-flap send %d: %v", i, err)
 		}
 	}
+	close(gate)
 	if got := recvN(workers[1], 5); fmt.Sprint(got) != "[4 5 6 7 8]" {
 		t.Fatalf("post-flap delivery %v, want [4 5 6 7 8] exactly once in order", got)
 	}
@@ -208,6 +222,17 @@ func TestLinkFlapReplaysExactlyOnce(t *testing.T) {
 	if replayed < 1 {
 		t.Fatalf("master LinkStats replayed = %d, want ≥ 1 (frames were sent into the gap)", replayed)
 	}
+}
+
+// gatedConn holds every write until gate closes.
+type gatedConn struct {
+	net.Conn
+	gate <-chan struct{}
+}
+
+func (c gatedConn) Write(b []byte) (int, error) {
+	<-c.gate
+	return c.Conn.Write(b)
 }
 
 // TestGraceExpiryEscalatesToPeerDown pins the backstop: a link that cannot

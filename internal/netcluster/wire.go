@@ -1,9 +1,7 @@
 package netcluster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // Frame control tags. Data frames carry protocol messages; the rest are
@@ -68,10 +67,13 @@ const (
 	ctrlLinkResumeAck
 )
 
-// frame is the single on-the-wire record. Every frame is individually
-// gob-encoded and length-prefixed (4-byte big-endian), so a reader can
-// bound allocations and resynchronisation is trivial: a short read is a
-// dead link, never a half-parsed stream.
+// frame is the single on-the-wire record. Every frame is length-prefixed
+// (4-byte big-endian), so a reader can bound allocations and
+// resynchronisation is trivial: a short read is a dead link, never a
+// half-parsed stream. The body is a flat encoding (DESIGN.md §12, "Frame
+// envelope"): Ctrl, a flags byte naming the optional fields that follow —
+// the link-session header and the handshake block — then From, To, Kind
+// and SendTime as varints, and the payload to the end of the body.
 type frame struct {
 	Ctrl     uint8
 	From     int32
@@ -83,10 +85,8 @@ type frame struct {
 	// Link-session fields (Config.LinkGrace). Session identifies one
 	// dialer-chosen link incarnation, Seq is the per-link send sequence of
 	// a retained frame, and Ack piggybacks the sender's cumulative
-	// last-delivered sequence for the reverse direction. All three stay
-	// zero — and, gob omitting zero fields, off the wire — when the grace
-	// window is disabled, keeping the frame encoding byte-identical to
-	// earlier releases.
+	// last-delivered sequence for the reverse direction. Each is written
+	// only when non-zero, so a node without a grace window sends none.
 	Session uint64
 	Seq     uint64
 	Ack     uint64
@@ -101,37 +101,171 @@ type frame struct {
 	Model       cluster.CostModel
 	Err         string
 
-	// Codec is the protocol-version byte: the payload encoding this build
-	// speaks, carried on ctrlWelcome (offer), ctrlWelcomeAck (echo) and
-	// ctrlHello (peer dials assert it); requests carry none. The only
-	// accepted value is protocolVersion; the field keeps the name it was
-	// first shipped under because gob puts field names on the wire.
-	Codec uint8
+	// Version is the protocol version this build speaks, carried on
+	// ctrlWelcome (offer), ctrlWelcomeAck (echo) and ctrlHello (peer dials
+	// assert it); requests carry none. The only accepted value is
+	// protocolVersion.
+	Version uint8
 }
 
-// protocolVersion is the one value of frame.Codec this build accepts. It
-// names the payload format — internal/wire's sealing plus the message
-// kinds and field layouts of the protocols above — and is bumped whenever
-// a payload changes shape; a peer offering any other byte (0 is what a
-// binary that predates the byte sends: gob omits the zero field) would
-// mis-decode payloads, so every handshake refuses it by name. History: 1,
-// the first internal/wire payloads; 2, core's install message gained
-// Replace and kinds 12, 18 and 19 were retired.
-const protocolVersion uint8 = 2
+// protocolVersion is the one value of frame.Version this build accepts. It
+// names the frame envelope and the payload format — internal/wire's
+// sealing plus the message kinds and field layouts of the protocols above
+// — and is bumped whenever either changes shape; a peer offering any
+// other version would mis-decode frames, so every handshake refuses it by
+// name. History: 1, the first internal/wire payloads; 2, core's install
+// message gained Replace and kinds 12, 18 and 19 were retired; 3, the
+// flat frame envelope replaced per-frame gob.
+const protocolVersion uint8 = 3
 
 const lenPrefixSize = 4
 
-// writeFrame length-prefix-writes one gob-encoded frame. Callers serialise
-// writes per connection via the owning link's mutex.
-func writeFrame(w io.Writer, f *frame) error {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, lenPrefixSize)) // reserve the prefix
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return fmt.Errorf("netcluster: encode frame: %w", err)
+// maxHandshakeBytes bounds every frame read that precedes a fingerprint
+// check — an accepted connection's opening frame and the answer to a
+// handshake request — so a stranger cannot make a node allocate
+// MaxFrameBytes by sending a length prefix. A welcome's address book is
+// the largest handshake frame; 64 KiB holds thousands of workers.
+const maxHandshakeBytes = 64 << 10
+
+// Frame flags: which optional fields follow Ctrl and the flags byte, in
+// this order. A flag is set exactly when its field is non-zero (for the
+// handshake block: when any of its fields is), so every frame has one
+// encoding.
+const (
+	flagSession   = 1 << iota // Session, 8 bytes little-endian
+	flagSeq                   // Seq, uvarint
+	flagAck                   // Ack, uvarint
+	flagHandshake             // Version, NodeID, Nodes, Peers, Addr, Fingerprint, Model, Err
+	knownFlags    = flagSession | flagSeq | flagAck | flagHandshake
+)
+
+// envelopeError reports a frame body that does not parse as this build's
+// envelope — what the gob frames of protocol versions 1 and 2 look like
+// to it. On a handshake it is a refusal that names the version.
+type envelopeError struct{ cause error }
+
+func (e envelopeError) Error() string {
+	return fmt.Sprintf("netcluster: frame does not parse as a version-%d envelope (%v) — mixed-version cluster refused",
+		protocolVersion, e.cause)
+}
+
+func (e envelopeError) Unwrap() error { return e.cause }
+
+// hasHandshake reports whether any handshake field is set.
+func (f *frame) hasHandshake() bool {
+	return f.Version != 0 || f.NodeID != 0 || f.Nodes != 0 || len(f.Peers) != 0 || f.Addr != "" ||
+		f.Fingerprint != 0 || f.Model != (cluster.CostModel{}) || f.Err != ""
+}
+
+// appendFrame appends f's length prefix and body to b.
+func appendFrame(b []byte, f *frame) []byte {
+	start := len(b)
+	w := wire.Writer{B: append(b, 0, 0, 0, 0, f.Ctrl, 0)}
+	var flags byte
+	if f.Session != 0 {
+		flags |= flagSession
+		w.Fixed64(f.Session)
 	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:lenPrefixSize], uint32(len(b)-lenPrefixSize))
-	_, err := w.Write(b)
+	if f.Seq != 0 {
+		flags |= flagSeq
+		w.Uvarint(f.Seq)
+	}
+	if f.Ack != 0 {
+		flags |= flagAck
+		w.Uvarint(f.Ack)
+	}
+	if f.hasHandshake() {
+		flags |= flagHandshake
+		w.Byte(f.Version)
+		w.Varint(int64(f.NodeID))
+		w.Varint(int64(f.Nodes))
+		w.Strings(f.Peers)
+		w.String(f.Addr)
+		w.Fixed64(f.Fingerprint)
+		w.Varint(int64(f.Model.Latency))
+		w.F64(f.Model.BandwidthBps)
+		w.F64(f.Model.NsPerInference)
+		w.String(f.Err)
+	}
+	w.Varint(int64(f.From))
+	w.Varint(int64(f.To))
+	w.Varint(int64(f.Kind))
+	w.Varint(f.SendTime)
+	b = append(w.B, f.Payload...)
+	b[start+lenPrefixSize+1] = flags
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-lenPrefixSize))
+	return b
+}
+
+// decodeFrame parses one frame body. Payload aliases body, so a decoded
+// data frame costs no allocation beyond the frame itself; every other
+// allocation is bounded by len(body). Only the bytes appendFrame writes
+// decode: a set flag over a zero field, a varint that is not minimal or an
+// int32 out of range is corrupt.
+func decodeFrame(body []byte) (*frame, error) {
+	if len(body) < 2 {
+		return nil, envelopeError{fmt.Errorf("%w: %d-byte body", wire.ErrTruncated, len(body))}
+	}
+	f := &frame{Ctrl: body[0]}
+	flags := body[1]
+	if f.Ctrl > ctrlLinkResumeAck || flags&^knownFlags != 0 {
+		return nil, envelopeError{fmt.Errorf("%w: ctrl %#02x, flags %#02x", wire.ErrCorrupt, f.Ctrl, flags)}
+	}
+	r := wire.NewReader(body[2:])
+	i32 := func() int32 {
+		v := r.Varint()
+		if int64(int32(v)) != v {
+			r.Failf("int32 field %d out of range", v)
+		}
+		return int32(v)
+	}
+	if flags&flagSession != 0 {
+		if f.Session = r.Fixed64(); f.Session == 0 {
+			r.Failf("session flag over a zero session")
+		}
+	}
+	if flags&flagSeq != 0 {
+		if f.Seq = r.Uvarint(); f.Seq == 0 {
+			r.Failf("seq flag over a zero seq")
+		}
+	}
+	if flags&flagAck != 0 {
+		if f.Ack = r.Uvarint(); f.Ack == 0 {
+			r.Failf("ack flag over a zero ack")
+		}
+	}
+	if flags&flagHandshake != 0 {
+		f.Version = r.Byte()
+		f.NodeID = i32()
+		f.Nodes = i32()
+		f.Peers = r.Strings()
+		f.Addr = r.String()
+		f.Fingerprint = r.Fixed64()
+		f.Model.Latency = time.Duration(r.Varint())
+		f.Model.BandwidthBps = r.F64()
+		f.Model.NsPerInference = r.F64()
+		f.Err = r.String()
+		if r.Err() == nil && !f.hasHandshake() {
+			r.Failf("handshake flag over an empty handshake block")
+		}
+	}
+	f.From = i32()
+	f.To = i32()
+	f.Kind = i32()
+	f.SendTime = r.Varint()
+	if err := r.Err(); err != nil {
+		return nil, envelopeError{err}
+	}
+	if rest := r.Remaining(); rest > 0 {
+		f.Payload = body[len(body)-rest:]
+	}
+	return f, nil
+}
+
+// writeFrame writes one length-prefixed frame in a single Write. Callers
+// serialise writes per connection via the owning link's mutex.
+func writeFrame(w io.Writer, f *frame) error {
+	_, err := w.Write(appendFrame(make([]byte, 0, 64+len(f.Payload)), f))
 	return err
 }
 
@@ -150,11 +284,7 @@ func readFrame(r io.Reader, maxBytes int) (*frame, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("netcluster: decode frame: %w", err)
-	}
-	return &f, nil
+	return decodeFrame(body)
 }
 
 // link is one TCP connection to a peer. Data sends go out on links this

@@ -8,8 +8,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,8 +21,11 @@ import (
 	"repro/internal/wire"
 )
 
-// snapshotFormat versions the gob payload inside the ckpt-framed file.
-const snapshotFormat = 1
+// snapshotFormat is the leading byte of a snapshot body, ahead of the
+// wire-encoded Snapshot. Format 1 was the gob stream of earlier builds,
+// which is not read: its first byte is a gob message length, never this
+// one, so such a file is refused by name.
+const snapshotFormat = 2
 
 // snapshotPrefix/Suffix name snapshot files: snap-<seq>.isnap, seq
 // zero-padded so lexical and numeric order agree.
@@ -37,8 +38,8 @@ const (
 // needs to answer classification queries for a learned theory — no source
 // re-parsing, no dataset regeneration.
 //
-// Interned symbols are process-local, so terms are not portable as raw
-// gob: Symbols carries the writing process's symbol names in intern order,
+// Interned symbols are process-local, so encoded terms are not portable on
+// their own: Symbols carries the writing process's symbol names in intern order,
 // and ReadSnapshot re-interns them and rewrites every term into the reading
 // process's table. Pos and Neg carry the training example atoms; they are
 // not needed to serve, but make a snapshot self-contained for parity
@@ -93,22 +94,23 @@ func SnapshotPath(dir string, seq uint64) string {
 // file path. Unlike checkpoints, serving snapshots are never pruned by the
 // writer: the registry decides retention.
 func WriteSnapshot(dir string, seq uint64, s *Snapshot) (string, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(snapshotFormat); err != nil {
-		return "", fmt.Errorf("serve: encode snapshot: %w", err)
-	}
-	if err := enc.Encode(s); err != nil {
-		return "", fmt.Errorf("serve: encode snapshot: %w", err)
-	}
-	// Wrap the gob stream in the wire compression envelope (flag byte +
+	// The body goes in the wire compression envelope (flag byte +
 	// optional flate): a snapshot ships the full example set and symbol
 	// table, which deflates well, and the publish directory may hold many
 	// of them. Same threshold and framing as bulk protocol frames.
-	body := make([]byte, 1, buf.Len()+1) // leading 0x00 = raw-envelope flag
-	body = append(body, buf.Bytes()...)
+	w := wire.Writer{B: []byte{0x00, snapshotFormat}} // 0x00 = raw-envelope flag
+	w.Strings(s.Symbols)
+	w.String(s.Name)
+	w.Fixed64(s.Fingerprint)
+	w.Int(s.Epoch)
+	w.Clauses(s.Theory)
+	w.Clauses(s.Clauses)
+	w.Int(s.Budget.MaxDepth)
+	w.Varint(s.Budget.MaxInferences)
+	w.Terms(s.Pos)
+	w.Terms(s.Neg)
 	path := SnapshotPath(dir, seq)
-	if err := ckpt.WriteFile(path, wire.Compress(body)); err != nil {
+	if err := ckpt.WriteFile(path, wire.Compress(w.B)); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -122,34 +124,50 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if body, derr := wire.Decompress(payload); derr == nil {
-		payload = body
+	s, err := decodeSnapshot(payload)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
-	// On envelope error keep the payload as-is: snapshots written before
-	// the compression envelope start directly with the gob stream, whose
-	// leading length byte can never equal an envelope flag. A genuinely
-	// corrupt file still fails below, in the gob decode.
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	var format int
-	if err := dec.Decode(&format); err != nil {
-		return nil, fmt.Errorf("serve: decode %s: %w", path, err)
+	return s, nil
+}
+
+// decodeSnapshot is WriteSnapshot's inverse over the bytes inside the
+// ckpt frame, ending in the rebind. A body of another format — the gob
+// stream of an earlier build — is refused by name; a truncated or corrupt
+// one, or one whose terms name a symbol past its own table, is an error.
+func decodeSnapshot(payload []byte) (*Snapshot, error) {
+	body, err := wire.Decompress(payload)
+	if err == nil && (len(body) == 0 || body[0] != snapshotFormat) {
+		err = fmt.Errorf("leading byte %#02x", body[:min(len(body), 1)])
 	}
-	if format != snapshotFormat {
-		return nil, fmt.Errorf("serve: %s: unsupported snapshot format %d", path, format)
+	if err != nil {
+		return nil, fmt.Errorf("not a format-%d snapshot (%v): re-publish snapshots an earlier build wrote", snapshotFormat, err)
 	}
-	s := new(Snapshot)
-	if err := dec.Decode(s); err != nil {
-		return nil, fmt.Errorf("serve: decode %s: %w", path, err)
+	r := wire.NewReader(body[1:])
+	s := &Snapshot{Symbols: r.Strings(), Name: r.String(), Fingerprint: r.Fixed64(), Epoch: r.Int()}
+	s.Theory = r.Clauses()
+	s.Clauses = r.Clauses()
+	s.Budget.MaxDepth = r.Int()
+	s.Budget.MaxInferences = r.Varint()
+	s.Pos = r.Terms()
+	s.Neg = r.Terms()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("decode snapshot: %w", err)
 	}
-	s.rebind()
+	if n := r.Remaining(); n != 0 {
+		return nil, fmt.Errorf("decode snapshot: %w: %d trailing bytes", wire.ErrCorrupt, n)
+	}
+	if err := s.rebind(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
 // rebind rewrites the snapshot's terms from the writer's symbol numbering
 // into this process's, interning names as needed. When the tables agree (a
 // reload within the writing process, or a server that interned nothing
-// else first) the rewrite is skipped entirely.
-func (s *Snapshot) rebind() {
+// else first) the terms are only checked, not rewritten.
+func (s *Snapshot) rebind() error {
 	remap := make([]logic.Symbol, len(s.Symbols))
 	identity := true
 	for i, name := range s.Symbols {
@@ -159,48 +177,58 @@ func (s *Snapshot) rebind() {
 		}
 	}
 	if identity {
+		remap = nil
+	}
+	return s.renumber(len(s.Symbols), remap)
+}
+
+// renumber checks every term against a symbol table of size table — a
+// term naming a symbol past it is an error — and, when remap is non-nil,
+// rewrites its functor and constant symbols through remap in place.
+func (s *Snapshot) renumber(table int, remap []logic.Symbol) error {
+	rn := renumberer{table: table, remap: remap}
+	for _, cs := range [][]logic.Clause{s.Theory, s.Clauses} {
+		for i := range cs {
+			rn.term(&cs[i].Head)
+			for j := range cs[i].Body {
+				rn.term(&cs[i].Body[j].Atom)
+			}
+		}
+	}
+	for _, ts := range [][]logic.Term{s.Pos, s.Neg} {
+		for i := range ts {
+			rn.term(&ts[i])
+		}
+	}
+	return rn.err
+}
+
+// A renumberer is one renumber pass; the first symbol out of range
+// latches err.
+type renumberer struct {
+	table int
+	remap []logic.Symbol
+	err   error
+}
+
+// term renumbers t; variables keep their index (a Var's Sym is a variable
+// number, not a symbol-table entry).
+func (rn *renumberer) term(t *logic.Term) {
+	if t.Kind != logic.Atom && t.Kind != logic.Compound {
 		return
 	}
-	for i := range s.Theory {
-		s.Theory[i] = remapClause(s.Theory[i], remap)
-	}
-	for i := range s.Clauses {
-		s.Clauses[i] = remapClause(s.Clauses[i], remap)
-	}
-	for i := range s.Pos {
-		s.Pos[i] = remapTerm(s.Pos[i], remap)
-	}
-	for i := range s.Neg {
-		s.Neg[i] = remapTerm(s.Neg[i], remap)
-	}
-}
-
-func remapClause(c logic.Clause, remap []logic.Symbol) logic.Clause {
-	out := logic.Clause{Head: remapTerm(c.Head, remap)}
-	if len(c.Body) > 0 {
-		out.Body = make([]logic.Literal, len(c.Body))
-		for i, l := range c.Body {
-			out.Body[i] = logic.Literal{Neg: l.Neg, Atom: remapTerm(l.Atom, remap)}
+	if t.Sym < 0 || int(t.Sym) >= rn.table {
+		if rn.err == nil {
+			rn.err = fmt.Errorf("decode snapshot: %w: symbol %d past the snapshot's %d-symbol table", wire.ErrCorrupt, t.Sym, rn.table)
 		}
+		return
 	}
-	return out
-}
-
-// remapTerm rewrites functor and constant symbols; variables keep their
-// index (a Var's Sym is a variable number, not a symbol-table entry).
-func remapTerm(t logic.Term, remap []logic.Symbol) logic.Term {
-	switch t.Kind {
-	case logic.Atom:
-		t.Sym = remap[t.Sym]
-	case logic.Compound:
-		t.Sym = remap[t.Sym]
-		args := make([]logic.Term, len(t.Args))
-		for i := range t.Args {
-			args[i] = remapTerm(t.Args[i], remap)
-		}
-		t.Args = args
+	if rn.remap != nil {
+		t.Sym = rn.remap[t.Sym]
 	}
-	return t
+	for i := range t.Args {
+		rn.term(&t.Args[i])
+	}
 }
 
 // KB builds the indexed knowledge base from the snapshot's clauses.

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -15,7 +17,7 @@ import (
 	"repro/internal/wire"
 )
 
-func trainsSnapshot(t *testing.T, epoch int, nRules int) *Snapshot {
+func trainsSnapshot(t testing.TB, epoch int, nRules int) *Snapshot {
 	t.Helper()
 	ds, err := datasets.ByName("trains", 1)
 	if err != nil {
@@ -79,31 +81,25 @@ func TestSnapshotRebindsForeignSymbols(t *testing.T) {
 	dir := t.TempDir()
 	snap := trainsSnapshot(t, 1, 99)
 
-	// Forge the foreign numbering: symbol i becomes i+3 behind three dummy
-	// names this process never interned in those slots.
+	// Forge the foreign numbering on a private copy (a read-back): symbol i
+	// becomes i+3 behind three dummy names this process never interned in
+	// those slots.
 	shift := 3
-	foreign := &Snapshot{
-		Name:        snap.Name,
-		Fingerprint: snap.Fingerprint,
-		Epoch:       snap.Epoch,
-		Budget:      snap.Budget,
-		Symbols:     append([]string{"zz_pad_a", "zz_pad_b", "zz_pad_c"}, snap.Symbols...),
+	own, err := WriteSnapshot(dir, 0, snap)
+	if err != nil {
+		t.Fatal(err)
 	}
+	foreign, err := ReadSnapshot(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Symbols = append([]string{"zz_pad_a", "zz_pad_b", "zz_pad_c"}, snap.Symbols...)
 	shiftMap := make([]logic.Symbol, len(snap.Symbols))
 	for i := range shiftMap {
 		shiftMap[i] = logic.Symbol(i + shift)
 	}
-	for _, c := range snap.Theory {
-		foreign.Theory = append(foreign.Theory, remapClause(c, shiftMap))
-	}
-	for _, c := range snap.Clauses {
-		foreign.Clauses = append(foreign.Clauses, remapClause(c, shiftMap))
-	}
-	for _, e := range snap.Pos {
-		foreign.Pos = append(foreign.Pos, remapTerm(e, shiftMap))
-	}
-	for _, e := range snap.Neg {
-		foreign.Neg = append(foreign.Neg, remapTerm(e, shiftMap))
+	if err := foreign.renumber(len(shiftMap), shiftMap); err != nil {
+		t.Fatal(err)
 	}
 
 	path, err := WriteSnapshot(dir, 1, foreign)
@@ -217,7 +213,7 @@ func TestPublisherWithLearn(t *testing.T) {
 
 // TestSnapshotCompressed pins the on-disk format introduced with the wire
 // envelope: a trains snapshot is well past CompressMin, so the ckpt
-// payload must carry the flate flag and undercut the raw gob encoding.
+// payload must carry the flate flag and undercut the raw encoding.
 func TestSnapshotCompressed(t *testing.T) {
 	dir := t.TempDir()
 	snap := trainsSnapshot(t, 1, 99)
@@ -241,31 +237,85 @@ func TestSnapshotCompressed(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotLegacyUncompressed pins backward compatibility: a
-// snapshot written before the compression envelope — the bare gob stream
-// inside the ckpt frame — must still load.
-func TestReadSnapshotLegacyUncompressed(t *testing.T) {
-	dir := t.TempDir()
-	snap := trainsSnapshot(t, 2, 99)
-
+// gobSnapshot is snap as builds before format 2 encoded it: the format
+// number 1, then the Snapshot, in one gob stream.
+func gobSnapshot(t *testing.T, snap *Snapshot) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(snapshotFormat); err != nil {
+	if err := enc.Encode(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	path := SnapshotPath(dir, 2)
-	if err := ckpt.WriteFile(path, buf.Bytes()); err != nil {
+	return buf.Bytes()
+}
+
+// wantFormatRefusal requires ReadSnapshot to refuse payload by name.
+func wantFormatRefusal(t *testing.T, payload []byte) {
+	t.Helper()
+	path := SnapshotPath(t.TempDir(), 2)
+	if err := ckpt.WriteFile(path, payload); err != nil {
 		t.Fatal(err)
 	}
+	_, err := ReadSnapshot(path)
+	if want := fmt.Sprintf("not a format-%d snapshot", snapshotFormat); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadSnapshot: %v, want an error naming %q", err, want)
+	}
+}
 
-	got, err := ReadSnapshot(path)
+// TestReadSnapshotLegacyUncompressed pins the refusal of the oldest
+// snapshots — the bare gob stream inside the ckpt frame, written before
+// the compression envelope: there is no legacy reader, and the error
+// names the format this build reads.
+func TestReadSnapshotLegacyUncompressed(t *testing.T) {
+	wantFormatRefusal(t, gobSnapshot(t, trainsSnapshot(t, 2, 99)))
+}
+
+// TestGobSnapshotRefused pins the refusal of a format-1 snapshot as the
+// previous build wrote it: the gob stream in the compression envelope.
+func TestGobSnapshotRefused(t *testing.T) {
+	wantFormatRefusal(t, wire.Compress(append([]byte{0x00}, gobSnapshot(t, trainsSnapshot(t, 2, 99))...)))
+}
+
+// TestReadSnapshotRejectsSymbolPastTable pins the bounds check of the
+// rebind: a well-framed snapshot whose terms name a symbol its own table
+// does not hold fails to read — it must not panic a watching server —
+// whether the table it does hold agrees with this process's (no rewrite)
+// or not.
+func TestReadSnapshotRejectsSymbolPastTable(t *testing.T) {
+	for _, table := range [][]string{{logic.Symbol(0).Name()}, {"zz_foreign_only"}} {
+		snap := trainsSnapshot(t, 1, 99)
+		snap.Symbols = table
+		path, err := WriteSnapshot(t.TempDir(), 1, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshot(path); err == nil || !strings.Contains(err.Error(), "symbol table") {
+			t.Fatalf("ReadSnapshot of a snapshot with the table %q: %v, want a symbol-table error", table, err)
+		}
+	}
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes, inside a valid ckpt frame, to
+// ReadSnapshot: it must return an error or a snapshot, never panic.
+func FuzzReadSnapshot(f *testing.F) {
+	path, err := WriteSnapshot(f.TempDir(), 1, trainsSnapshot(f, 1, 1))
 	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
+		f.Fatal(err)
 	}
-	if got.Name != snap.Name || got.Epoch != 2 || len(got.Theory) != len(snap.Theory) {
-		t.Fatalf("legacy snapshot decoded wrong: %+v", got)
+	seed, err := ckpt.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(seed)
+	f.Add([]byte{0x00, snapshotFormat})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		path := SnapshotPath(t.TempDir(), 1)
+		if err := ckpt.WriteFile(path, payload); err != nil {
+			t.Fatal(err)
+		}
+		ReadSnapshot(path)
+	})
 }

@@ -18,6 +18,8 @@
 // The grammar is documented in DESIGN.md §12. Encoders append to a
 // Writer; decoders pull from a Reader that latches its first error so
 // per-field error checking is unnecessary — callers check Err() once.
+// The same Writer and Reader encode netcluster's frame envelope, master
+// checkpoints and serving snapshots: no other codec is left.
 //
 // Payloads are wrapped in a one-byte envelope (Seal/Open): flag 0 is a
 // raw body, flag 1 a DEFLATE-compressed body. Seal compresses when the
@@ -46,7 +48,8 @@ import (
 var ErrTruncated = errors.New("wire: truncated payload")
 
 // ErrCorrupt reports a payload whose bytes cannot be the output of a
-// wire encoder: a varint overflow, an unknown tag, trailing garbage.
+// wire encoder: a varint overflow or non-minimal varint, an unknown tag,
+// trailing garbage.
 var ErrCorrupt = errors.New("wire: corrupt payload")
 
 // CompressMin is the body size, in bytes, at which Seal attempts flate
@@ -210,6 +213,9 @@ func (r *Reader) Uvarint() uint64 {
 		}
 		return 0
 	}
+	if !r.minimal(n) {
+		return 0
+	}
 	r.off += n
 	return v
 }
@@ -228,8 +234,22 @@ func (r *Reader) Varint() int64 {
 		}
 		return 0
 	}
+	if !r.minimal(n) {
+		return 0
+	}
 	r.off += n
 	return v
+}
+
+// minimal reports whether the n-byte varint at the read offset is in the
+// minimal form every encoder writes, and latches ErrCorrupt if not: a
+// redundant trailing zero group would give one value two encodings.
+func (r *Reader) minimal(n int) bool {
+	if n > 1 && r.b[r.off+n-1] == 0 {
+		r.Failf("non-minimal varint")
+		return false
+	}
+	return true
 }
 
 // Int consumes a signed varint as an int.
@@ -291,8 +311,7 @@ func (r *Reader) sliceLen(elemSize int) int {
 // Empty slices encode as length 0 and decode as nil. That asymmetry is
 // deliberate: gob omits empty slices entirely, so a gob round trip of a
 // struct with an empty slice yields nil — matching it keeps decoded
-// values DeepEqual to what the gob reference in the fuzz harness yields,
-// and to what gob-encoded checkpoints restore.
+// values DeepEqual to what the gob reference in the fuzz harness yields.
 
 // I32s appends a length-prefixed []int32 of varints.
 func (w *Writer) I32s(xs []int32) {
@@ -395,6 +414,27 @@ func (r *Reader) Bools() []bool {
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = r.Bool()
+	}
+	return out
+}
+
+// Strings appends a length-prefixed []string.
+func (w *Writer) Strings(ss []string) {
+	w.Uvarint(uint64(len(ss)))
+	for _, s := range ss {
+		w.String(s)
+	}
+}
+
+// Strings consumes a length-prefixed []string.
+func (r *Reader) Strings() []string {
+	n := r.sliceLen(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.String()
 	}
 	return out
 }
