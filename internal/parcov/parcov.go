@@ -366,35 +366,8 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 		cfg.MaxRules = 1000
 	}
 	p := cfg.Workers
-	nw := cluster.NewNetwork(p+1, cfg.Cost)
-
-	// Partition examples. Positives are dealt exactly as core.splitExamples
-	// deals them, but negatives come from a second generator seeded Seed+1
-	// where core continues the first, so the negative partitions differ.
-	// Changing that would move every Ablation B cell.
-	posMap := dealOut(len(pos), p, cfg.Seed) // worker → local index → global index
-	negMap := dealOut(len(neg), p, cfg.Seed+1)
-	workers := make([]*pcWorker, p)
-	for k := 0; k < p; k++ {
-		var wpos, wneg []logic.Term
-		for _, gi := range posMap[k] {
-			wpos = append(wpos, pos[gi])
-		}
-		for _, gi := range negMap[k] {
-			wneg = append(wneg, neg[gi])
-		}
-		m := solve.NewMachine(kb, cfg.Budget)
-		m.SetNoVM(cfg.Search.NoVM)
-		ex := search.NewExamples(wpos, wneg)
-		workers[k] = &pcWorker{id: k + 1, node: nw.Node(k + 1), m: m, ex: ex, ev: search.NewEvaluator(m, ex)}
-	}
-
-	masterNode := nw.Node(0)
-	targets := make([]int, p)
-	for i := range targets {
-		targets[i] = i + 1
-	}
-	dc := &distCoverer{node: masterNode, p: p, targets: targets, posMap: posMap, negMap: negMap, nPos: len(pos), nNeg: len(neg)}
+	nw, dc, workers := newCluster(kb, pos, neg, cfg)
+	masterNode, targets := dc.node, dc.targets
 
 	met := &Metrics{Workers: p}
 	start := time.Now()
@@ -448,6 +421,42 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 		met.TotalInferences += w.m.TotalInferences()
 	}
 	return met, nil
+}
+
+// newCluster builds the simulated network of Learn: p workers, each with
+// its deal of the examples and an evaluator over them, and the master's
+// distCoverer on node 0. Nothing runs until the workers are started.
+func newCluster(kb *solve.KB, pos, neg []logic.Term, cfg Config) (*cluster.Network, *distCoverer, []*pcWorker) {
+	p := cfg.Workers
+	nw := cluster.NewNetwork(p+1, cfg.Cost)
+
+	// Partition examples. Positives are dealt exactly as core.splitExamples
+	// deals them, but negatives come from a second generator seeded Seed+1
+	// where core continues the first, so the negative partitions differ.
+	// Changing that would move every Ablation B cell.
+	posMap := dealOut(len(pos), p, cfg.Seed) // worker → local index → global index
+	negMap := dealOut(len(neg), p, cfg.Seed+1)
+	workers := make([]*pcWorker, p)
+	for k := 0; k < p; k++ {
+		var wpos, wneg []logic.Term
+		for _, gi := range posMap[k] {
+			wpos = append(wpos, pos[gi])
+		}
+		for _, gi := range negMap[k] {
+			wneg = append(wneg, neg[gi])
+		}
+		m := solve.NewMachine(kb, cfg.Budget)
+		m.SetNoVM(cfg.Search.NoVM)
+		ex := search.NewExamples(wpos, wneg)
+		workers[k] = &pcWorker{id: k + 1, node: nw.Node(k + 1), m: m, ex: ex, ev: search.NewEvaluator(m, ex)}
+	}
+
+	targets := make([]int, p)
+	for i := range targets {
+		targets[i] = i + 1
+	}
+	dc := &distCoverer{node: nw.Node(0), p: p, targets: targets, posMap: posMap, negMap: negMap, nPos: len(pos), nNeg: len(neg)}
+	return nw, dc, workers
 }
 
 // runMaster is the serial covering loop with distributed coverage tests.

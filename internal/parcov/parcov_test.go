@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bottom"
 	"repro/internal/covering"
 	"repro/internal/datasets"
 	"repro/internal/logic"
@@ -197,6 +198,106 @@ func TestLearnLeavesNoGoroutines(t *testing.T) {
 		}
 		if n > before {
 			t.Errorf("p=%d: %d goroutines before Learn, still %d a second after it returned", p, before, n)
+		}
+	}
+}
+
+// scribbler overwrites every rule it was asked about once the call has
+// returned, as LearnRule's next node expansion overwrites the literal arena
+// its frontier rules live in: a coverer that kept a rule past the call would
+// then answer for another.
+type scribbler struct{ search.Coverer }
+
+func (s scribbler) Coverage(rule *logic.Clause, posCand, negCand search.Bitset) (search.Bitset, search.Bitset) {
+	pos, neg := s.Coverer.Coverage(rule, posCand, negCand)
+	scribble(rule)
+	return pos, neg
+}
+
+func (s scribbler) CoverageBatch(rules []*logic.Clause, posCands, negCands []search.Bitset) []search.CoverResult {
+	out := search.CoverageBatchOf(s.Coverer, rules, posCands, negCands)
+	for _, r := range rules {
+		scribble(r)
+	}
+	return out
+}
+
+func scribble(r *logic.Clause) {
+	r.Head = logic.Comp("scribbled", logic.V(0))
+	for i := range r.Body {
+		r.Body[i] = logic.Literal{Neg: i%2 == 0, Atom: logic.Comp("scribbled", logic.V(i))}
+	}
+}
+
+// TestCoverersDoNotRetainRules: a coverer borrows the rules of a call
+// (search.Coverer). LearnRule — from the empty rule, then from the first
+// search's rules as seeds — returns the same result over the serial
+// Evaluator, a ParallelEvaluator and this package's distributed coverer
+// whether or not every rule is scribbled over once its call returns. The
+// test lives here because this is the one package that reaches all three.
+func TestCoverersDoNotRetainRules(t *testing.T) {
+	ds := datasets.CarcinogenesisSized(30, 26, 1)
+	ds.Search.NodesLimit = 150
+	bot, err := bottom.Construct(solve.NewMachine(ds.KB, ds.Budget), ds.Modes, ds.Pos[0], ds.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := search.NewExamples(ds.Pos, ds.Neg)
+	search2 := func(cov search.Coverer) string {
+		first := search.LearnRule(cov, bot, nil, ds.Search)
+		var seeds [][]int32
+		for _, c := range first.Good {
+			seeds = append(seeds, c.Indices)
+		}
+		second := search.LearnRule(cov, bot, seeds, ds.Search)
+		var b strings.Builder
+		for _, r := range []*search.Result{first, second} {
+			fmt.Fprintf(&b, "generated %d exhausted %v\n", r.Generated, r.ExhaustedNodes)
+			for _, c := range r.Good {
+				fmt.Fprintf(&b, "%v %d/%d %v %v %v\n", c.Indices, c.Pos, c.Neg, c.Score, c.PosCover(), c.NegCover())
+			}
+		}
+		return b.String()
+	}
+	for _, c := range []struct {
+		name string
+		run  func(wrap func(search.Coverer) search.Coverer) string
+	}{
+		{"Evaluator", func(wrap func(search.Coverer) search.Coverer) string {
+			return search2(wrap(search.NewEvaluator(solve.NewMachine(ds.KB, ds.Budget), ex)))
+		}},
+		{"ParallelEvaluator", func(wrap func(search.Coverer) search.Coverer) string {
+			pe := search.NewParallelEvaluator(ds.KB, ex, ds.Budget, 3)
+			defer pe.Close()
+			return search2(wrap(pe))
+		}},
+		{"distCoverer", func(wrap func(search.Coverer) search.Coverer) string {
+			_, dc, workers := newCluster(ds.KB, ds.Pos, ds.Neg, Config{Workers: 3, Seed: 5, Search: ds.Search, Budget: ds.Budget})
+			errs := make(chan error, len(workers))
+			for _, w := range workers {
+				go func() { errs <- w.run() }()
+			}
+			got := search2(wrap(dc))
+			if err := dc.node.Broadcast(dc.targets, kindStop, stopMsg{}); err != nil {
+				t.Fatal(err)
+			}
+			for range workers {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if dc.err != nil {
+				t.Fatal(dc.err)
+			}
+			return got
+		}},
+	} {
+		want := c.run(func(cov search.Coverer) search.Coverer { return cov })
+		if got := c.run(func(cov search.Coverer) search.Coverer { return scribbler{cov} }); got != want {
+			t.Fatalf("%s: scribbling over returned rules changed the search:\n%s\nwithout scribbling:\n%s", c.name, got, want)
+		}
+		if !strings.Contains(want, "/") {
+			t.Fatalf("%s: the searches kept no rule", c.name)
 		}
 	}
 }

@@ -9,6 +9,11 @@ import (
 // a local evaluator (this package's Evaluator), a multicore one
 // (ParallelEvaluator), or a distributed one (the parallel-coverage baseline
 // farms tests out to cluster workers).
+//
+// A coverer borrows the rules it is given, and their literals, for the
+// duration of the call only: LearnRule builds every frontier in one literal
+// arena and overwrites it at the next node expansion. Whatever a coverer
+// keeps of a rule past the call — a memo key, a message — it copies.
 type Coverer interface {
 	// Coverage returns bitsets over the positive and negative example
 	// index spaces; non-nil candidate masks restrict which examples are
@@ -36,7 +41,8 @@ type BatchCoverer interface {
 	// (candidate masks, nil entries meaning "test everything", same
 	// semantics as Coverage) and returns one CoverResult per rule, in
 	// order. posCands/negCands may themselves be nil, meaning all-nil.
-	// Results are bit-for-bit identical to len(rules) Coverage calls.
+	// Results are bit-for-bit identical to len(rules) Coverage calls. As
+	// with Coverage, the rules are borrowed for the call only.
 	CoverageBatch(rules []*logic.Clause, posCands, negCands []Bitset) []CoverResult
 }
 
@@ -71,7 +77,8 @@ func maskAt(masks []Bitset, i int) Bitset {
 
 // FullCoverer extends Coverer with whole-set evaluation and inference
 // accounting, the surface the p²-mdie workers need from their local
-// evaluator regardless of whether it is serial or multicore.
+// evaluator regardless of whether it is serial or multicore. Its rules,
+// too, are borrowed for the call only (Coverer).
 type FullCoverer interface {
 	Coverer
 	// CoverageFull evaluates over every positive (retracted or not) and
@@ -129,8 +136,9 @@ func (ev *Evaluator) NegLen() int { return len(ev.Ex.Neg) }
 // OwnInferences reports 0: the Evaluator borrows its caller's machine.
 func (ev *Evaluator) OwnInferences() int64 { return 0 }
 
-// Close is a no-op: the Evaluator owns no goroutines or machines.
-func (ev *Evaluator) Close() {}
+// Close hands the coverage memo's storage on to the next Evaluator (memo.go);
+// the Evaluator owns no goroutines or machines.
+func (ev *Evaluator) Close() { ev.memo.release() }
 
 // NewEvaluator pairs a machine with an example store.
 func NewEvaluator(m *solve.Machine, ex *Examples) *Evaluator {

@@ -7,3 +7,7 @@ import "repro/internal/logic"
 func (ev *Evaluator) CoverBatchInto(out []CoverResult, rules []*logic.Clause, posCands, negCands []Bitset) {
 	ev.coverBatch(out, rules, posCands, negCands)
 }
+
+// MemoOverflows reports how many answers the evaluator's memo holds whose
+// charge is too large for a slab byte.
+func (ev *Evaluator) MemoOverflows() int { return len(ev.memo.over) }

@@ -2,6 +2,7 @@ package search_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bottom"
@@ -40,7 +41,7 @@ type recorder struct {
 func (r *recorder) CoverageBatch(rules []*logic.Clause, posCands, negCands []search.Bitset) []search.CoverResult {
 	f := frontier{pos: append([]search.Bitset(nil), posCands...), neg: append([]search.Bitset(nil), negCands...)}
 	for _, c := range rules {
-		f.clauses = append(f.clauses, *c)
+		f.clauses = append(f.clauses, logic.Clause{Head: c.Head, Body: slices.Clone(c.Body)})
 	}
 	r.frontiers = append(r.frontiers, f)
 	return search.CoverageBatchOf(r.FullCoverer, rules, posCands, negCands)
@@ -324,4 +325,41 @@ func TestCandidateFilterOnTrueConcept(t *testing.T) {
 	if filtered, charged := vm.FilteredCandidates(), vm.TotalInferences(); 2*filtered <= charged {
 		t.Errorf("%d of %d charged inferences were filtered candidates, expected more than half", filtered, charged)
 	}
+}
+
+// TestCoverageMemoKeepsExpensiveProofs: carcinogenesis proofs are long enough
+// that some charge more than a memo slab byte holds, and the memo keeps those
+// too. Every frontier of a search, asked twice of one evaluator, matches
+// proving each question alone — bits, charges and cutoffs — and the second
+// pass executes nothing: between clears no uncut proof is proved twice.
+func TestCoverageMemoKeepsExpensiveProofs(t *testing.T) {
+	ds := datasets.CarcinogenesisSized(40, 34, 1)
+	ex, fs := realFrontiers(t, ds, 300)
+	m, ref := solve.NewMachine(ds.KB, ds.Budget), solve.NewMachine(ds.KB, ds.Budget)
+	ev := search.NewEvaluator(m, ex)
+	for pass := range 2 {
+		steps := m.StepsExecuted()
+		for _, f := range fs {
+			inf, cut, rinf, rcut := m.TotalInferences(), m.CutoffQueries(), ref.TotalInferences(), ref.CutoffQueries()
+			got := ev.CoverageBatch(f.rules(), f.pos, f.neg)
+			for i, rule := range f.rules() {
+				if want := search.ProveAlone(ref, ex, rule, f.pos[i], f.neg[i], false); fmt.Sprint(got[i]) != fmt.Sprint(want) {
+					t.Fatalf("pass %d, %s: %v, proved alone %v", pass, rule.String(), got[i], want)
+				}
+			}
+			if dInf, dCut, wInf, wCut := m.TotalInferences()-inf, m.CutoffQueries()-cut, ref.TotalInferences()-rinf, ref.CutoffQueries()-rcut; dInf != wInf || dCut != wCut {
+				t.Fatalf("pass %d: a frontier charged %d inferences with %d cutoffs, proved alone %d with %d", pass, dInf, dCut, wInf, wCut)
+			}
+		}
+		if pass == 1 && m.StepsExecuted() != steps {
+			t.Fatalf("the second pass over %d frontiers executed %d steps", len(fs), m.StepsExecuted()-steps)
+		}
+	}
+	if m.CutoffQueries() != 0 {
+		t.Fatalf("%d proofs were cut off; the test needs every proof uncut", m.CutoffQueries())
+	}
+	if ev.MemoOverflows() == 0 {
+		t.Fatal("no proof charged more than a slab byte holds")
+	}
+	t.Logf("%d frontiers, %d answers in the overflow table", len(fs), ev.MemoOverflows())
 }

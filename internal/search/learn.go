@@ -10,7 +10,9 @@ package search
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
@@ -74,6 +76,7 @@ func (h *heapOpen) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items
 func (h *heapOpen) Push(x any)    { h.items = append(h.items, x.(heapItem)) }
 func (h *heapOpen) Pop() any {
 	last := h.items[len(h.items)-1]
+	h.items[len(h.items)-1] = heapItem{} // a pooled heap pins no candidate
 	h.items = h.items[:len(h.items)-1]
 	return last
 }
@@ -84,13 +87,6 @@ func (h *heapOpen) push(c *Candidate) {
 }
 func (h *heapOpen) pop() *Candidate { return heap.Pop(h).(heapItem).c }
 func (h *heapOpen) empty() bool     { return len(h.items) == 0 }
-
-func newOpenList(s Strategy) openList {
-	if s == StrategyBestFirst {
-		return &heapOpen{}
-	}
-	return &fifoOpen{}
-}
 
 // Candidate is one searched rule: a set of bottom-clause literal indices
 // plus its local evaluation.
@@ -104,6 +100,7 @@ type Candidate struct {
 
 	posCov Bitset
 	negCov Bitset
+	kept   bool // in the search's Good list: never recycled
 }
 
 // PosCover returns the bitset of alive positives the candidate covers.
@@ -200,11 +197,16 @@ func (r *Result) Best() *Candidate {
 // expanded node rather than one per candidate. Candidate ordering,
 // Generated counts and NodesLimit semantics are identical to per-candidate
 // evaluation (what CoverageBatchOf falls back to for a plain Coverer).
+//
+// The search's scratch — dedup set, frontier buffers, open list, spare
+// candidates — is borrowed from a pool for the call (searchState), so a
+// search in steady state allocates little beyond its coverage results.
 func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Result {
 	st = st.WithDefaults()
+	s := searchStates.Get().(*searchState)
+	defer s.release()
 	res := &Result{}
-	seen := make(map[candKey]bool)
-	open := newOpenList(st.Strategy)
+	open := s.openList(st.Strategy)
 	var good []*Candidate
 	nLits := len(bot.Lits)
 
@@ -215,14 +217,15 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 		sorted := append([]int32(nil), ix...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		key := makeCandKey(sorted, nLits)
-		if seen[key] {
+		if s.seen[key] {
 			return
 		}
-		seen[key] = true
+		s.seen[key] = true
 		cand := evaluate(ev, bot, sorted, nil, nil, st)
 		res.Generated++
 		open.push(cand)
 		if forceGood || st.IsGood(cand.Pos, cand.Neg) {
+			cand.kept = true
 			good = append(good, cand)
 		}
 	}
@@ -236,56 +239,34 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 		}
 	}
 
-	// bound is the search-owned variable bitset reused across expansions
-	// (one word per 64 bottom-clause variables instead of a map allocation
-	// per popped node); children and fe are the reusable frontier buffers.
-	bound := NewBitset(bot.NumVars)
-	var children [][]int32
-	var fe frontierBufs
-
+	words := (bot.NumVars + 63) / 64
+	s.bound = slices.Grow(s.bound[:0], words)[:words] // fillBoundVars clears it
 	for !open.empty() && res.Generated < st.NodesLimit {
 		node := open.pop()
-		if len(node.Indices) >= st.MaxClauseLen {
-			continue
-		}
-		if node.Pos < st.MinPos {
-			continue // specialisation cannot regain positives
-		}
-		if node.Neg == 0 && len(node.Indices) > 0 {
-			continue // consistent already; refining only loses coverage
-		}
-		fillBoundVars(bound, bot, node.Indices)
-		children = children[:0]
-		for j := int32(0); int(j) < nLits; j++ {
-			if containsIndex(node.Indices, j) {
-				continue
-			}
-			if !inputsBound(bot.Info[j].InVars, bound) {
-				continue
-			}
-			child := insertSorted(node.Indices, j)
-			key := makeCandKey(child, nLits)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			children = append(children, child)
-		}
+		s.expand(node, bot, st)
 		// NodesLimit truncation before evaluation preserves the
 		// per-candidate path's semantics exactly: a child past the limit
 		// was never evaluated there either, and the search stops right
 		// after the limit is reached.
-		if remaining := st.NodesLimit - res.Generated; len(children) > remaining {
-			children = children[:remaining]
+		if remaining := st.NodesLimit - res.Generated; len(s.children) > remaining {
+			s.recycle(s.children[remaining:]...)
+			s.children = s.children[:remaining]
 		}
-		for _, cand := range fe.evaluateFrontier(ev, bot, children, node, st) {
+		s.fe.evaluateFrontier(ev, bot, s.children, node, st)
+		for _, cand := range s.children {
 			res.Generated++
 			if st.IsGood(cand.Pos, cand.Neg) {
+				cand.kept = true
 				good = append(good, cand)
 			}
 			if cand.Pos >= st.MinPos {
 				open.push(cand)
+			} else if !cand.kept {
+				s.recycle(cand)
 			}
+		}
+		if !node.kept {
+			s.recycle(node) // its children hold their own indices and coverage
 		}
 	}
 	if res.Generated >= st.NodesLimit {
@@ -300,11 +281,130 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 	return res
 }
 
+// Caps on what a searchState keeps for the next search, so one huge search
+// does not pin its scratch in the pool: a dedup set grown past maxPooledSeen
+// keys is dropped, and at most maxPooledSpares spare candidates are kept.
+const (
+	maxPooledSeen   = 1 << 14
+	maxPooledSpares = 1 << 12
+)
+
+// searchState is the scratch one LearnRule call borrows from searchStates:
+// the dedup set, the variable bitset and child list of node expansion, the
+// frontier buffers, both open lists and the spare candidates. Nothing in it
+// outlives the call — every candidate a Result holds is kept, and a kept
+// candidate is never recycled.
+type searchState struct {
+	seen     map[candKey]bool
+	bound    Bitset       // variables bound by the node being expanded
+	children []*Candidate // the admissible, unseen children of that node
+	child    []int32      // a child's indices before they are known unseen
+	spares   []*Candidate // candidates no longer referenced, to be reused
+	fe       frontierBufs
+	fifo     fifoOpen
+	heap     heapOpen
+}
+
+var searchStates = sync.Pool{New: func() any { return &searchState{seen: make(map[candKey]bool)} }}
+
+// openList returns the state's empty open list for strategy.
+func (s *searchState) openList(strategy Strategy) openList {
+	if strategy == StrategyBestFirst {
+		return &s.heap
+	}
+	return &s.fifo
+}
+
+// release empties the state and returns it to the pool.
+func (s *searchState) release() {
+	if len(s.seen) > maxPooledSeen {
+		s.seen = make(map[candKey]bool)
+	} else {
+		clear(s.seen)
+	}
+	for !s.fifo.empty() {
+		if c := s.fifo.pop(); !c.kept {
+			s.recycle(c)
+		}
+	}
+	for _, it := range s.heap.items {
+		if !it.c.kept {
+			s.recycle(it.c)
+		}
+	}
+	clear(s.heap.items)
+	s.heap.items, s.heap.seq = s.heap.items[:0], 0
+	s.fifo.q, s.fifo.head = s.fifo.q[:0], 0
+	clear(s.children)
+	s.children = s.children[:0]
+	s.fe.release()
+	searchStates.Put(s)
+}
+
+// recycle hands candidates nothing refers to any more back as spares; their
+// index slices are reused, their coverage is dropped.
+func (s *searchState) recycle(cs ...*Candidate) {
+	for _, c := range cs {
+		if len(s.spares) == maxPooledSpares {
+			return
+		}
+		*c = Candidate{Indices: c.Indices[:0]}
+		s.spares = append(s.spares, c)
+	}
+}
+
+// newChild returns a candidate holding a copy of ix, reusing a spare.
+func (s *searchState) newChild(ix []int32) *Candidate {
+	var c *Candidate
+	if n := len(s.spares); n > 0 {
+		c, s.spares = s.spares[n-1], s.spares[:n-1]
+	} else {
+		c = new(Candidate)
+	}
+	c.Indices = append(c.Indices[:0], ix...)
+	return c
+}
+
+// expand collects node's admissible children that no earlier node produced
+// into s.children. Each child's indices are built in s.child first, so a
+// candidate is taken only for a child whose key is new.
+func (s *searchState) expand(node *Candidate, bot *bottom.Bottom, st Settings) {
+	s.children = s.children[:0]
+	if len(node.Indices) >= st.MaxClauseLen {
+		return
+	}
+	if node.Pos < st.MinPos {
+		return // specialisation cannot regain positives
+	}
+	if node.Neg == 0 && len(node.Indices) > 0 {
+		return // consistent already; refining only loses coverage
+	}
+	nLits := len(bot.Lits)
+	fillBoundVars(s.bound, bot, node.Indices)
+	for j := int32(0); int(j) < nLits; j++ {
+		if containsIndex(node.Indices, j) {
+			continue
+		}
+		if !inputsBound(bot.Info[j].InVars, s.bound) {
+			continue
+		}
+		s.child = insertSorted(s.child[:0], node.Indices, j)
+		key := makeCandKey(s.child, nLits)
+		if s.seen[key] {
+			continue
+		}
+		s.seen[key] = true
+		s.children = append(s.children, s.newChild(s.child))
+	}
+}
+
 // frontierBufs holds the per-search scratch slices of batched frontier
 // evaluation, reused across node expansions so the batch path adds no
-// steady-state allocations.
+// steady-state allocations. Every child's body is a capped sub-slice of one
+// literal arena, which the next expansion overwrites: coverers borrow the
+// rules of a batch for the call only (Coverer).
 type frontierBufs struct {
-	cands    []*Candidate
+	lits     []logic.Literal
 	clauses  []logic.Clause
 	rules    []*logic.Clause
 	posCands []Bitset
@@ -313,39 +413,44 @@ type frontierBufs struct {
 
 // evaluateFrontier scores all children of one expanded node in a single
 // CoverageBatch call (every child re-tests only the examples the shared
-// parent covered), returning candidates in child order. The returned
-// slice is valid until the next call.
-func (fe *frontierBufs) evaluateFrontier(ev Coverer, bot *bottom.Bottom, children [][]int32, parent *Candidate, st Settings) []*Candidate {
+// parent covered), filling in each child's coverage and score.
+func (fe *frontierBufs) evaluateFrontier(ev Coverer, bot *bottom.Bottom, children []*Candidate, parent *Candidate, st Settings) {
 	if len(children) == 0 {
-		return nil
+		return
 	}
-	if cap(fe.cands) < len(children) {
-		n := 2 * len(children)
-		fe.cands = make([]*Candidate, 0, n)
-		fe.clauses = make([]logic.Clause, 0, n)
-		fe.rules = make([]*logic.Clause, 0, n)
-		fe.posCands = make([]Bitset, 0, n)
-		fe.negCands = make([]Bitset, 0, n)
-	}
-	fe.cands = fe.cands[:len(children)]
-	fe.clauses = fe.clauses[:len(children)]
-	fe.rules = fe.rules[:len(children)]
-	fe.posCands = fe.posCands[:len(children)]
-	fe.negCands = fe.negCands[:len(children)]
-	for i, ix := range children {
-		fe.clauses[i] = bot.Materialize(ix)
+	n := len(children)
+	fe.lits = slices.Grow(fe.lits[:0], n*len(children[0].Indices))
+	fe.clauses = slices.Grow(fe.clauses[:0], n)[:n]
+	fe.rules = slices.Grow(fe.rules[:0], n)[:n]
+	fe.posCands = slices.Grow(fe.posCands[:0], n)[:n]
+	fe.negCands = slices.Grow(fe.negCands[:0], n)[:n]
+	for i, c := range children {
+		at := len(fe.lits)
+		for _, j := range c.Indices {
+			fe.lits = append(fe.lits, bot.Lits[j])
+		}
+		fe.clauses[i] = logic.Clause{Head: bot.Head, Body: fe.lits[at:len(fe.lits):len(fe.lits)]}
 		fe.rules[i] = &fe.clauses[i]
 		fe.posCands[i] = parent.posCov
 		fe.negCands[i] = parent.negCov
 	}
 	for i, r := range CoverageBatchOf(ev, fe.rules, fe.posCands, fe.negCands) {
-		c := &Candidate{Indices: children[i], posCov: r.Pos, negCov: r.Neg}
+		c := children[i]
+		c.posCov, c.negCov = r.Pos, r.Neg
 		c.Pos = r.Pos.Count()
 		c.Neg = r.Neg.Count()
-		c.Score = st.Score(c.Pos, c.Neg, len(children[i]))
-		fe.cands[i] = c
+		c.Score = st.Score(c.Pos, c.Neg, len(c.Indices))
 	}
-	return fe.cands
+}
+
+// release drops what the buffers point into — the bottom clause's terms,
+// the parent's coverage — so a pooled state pins neither.
+func (fe *frontierBufs) release() {
+	clear(fe.lits[:cap(fe.lits)])
+	clear(fe.clauses[:cap(fe.clauses)])
+	clear(fe.rules[:cap(fe.rules)])
+	clear(fe.posCands[:cap(fe.posCands)])
+	clear(fe.negCands[:cap(fe.negCands)])
 }
 
 // evaluate scores one candidate; parent coverage masks (may be nil) restrict
@@ -458,20 +563,13 @@ func containsIndex(ix []int32, j int32) bool {
 	return false
 }
 
-func insertSorted(ix []int32, j int32) []int32 {
-	out := make([]int32, 0, len(ix)+1)
-	inserted := false
-	for _, v := range ix {
-		if !inserted && j < v {
-			out = append(out, j)
-			inserted = true
-		}
-		out = append(out, v)
-	}
-	if !inserted {
-		out = append(out, j)
-	}
-	return out
+// insertSorted appends the ascending list ix with j inserted in order to
+// dst, which must not overlap ix.
+func insertSorted(dst, ix []int32, j int32) []int32 {
+	i, _ := slices.BinarySearch(ix, j)
+	dst = append(dst, ix[:i]...)
+	dst = append(dst, j)
+	return append(dst, ix[i:]...)
 }
 
 // fillBoundVars resets bound and marks the variables bound by the head plus

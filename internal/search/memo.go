@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/solve"
@@ -29,9 +30,10 @@ import (
 // one byte arena, found through an open-addressed table; each distinct rule
 // owns a slab of one byte per example of the store, positives first. A
 // byte is 0 while the answer is unknown and (charge+1)<<1 | covered once it
-// is, for charges up to memoMaxCharge. A proof that charged more, or that
-// the budget cut off, is never stored: it is proved every time, so a cutoff
-// is never replayed.
+// is, for charges up to memoMaxCharge. A proof that charged more stores
+// memoOverflow | covered, and its charge in the overflow table under the
+// byte's slab offset. A proof that the budget cut off is never stored: it is
+// proved every time, so a cutoff is never replayed.
 //
 // The memo holds answers for one machine (its budget), one program and one
 // example store. begin clears it at the start of every coverage call that
@@ -39,14 +41,24 @@ import (
 // name its program — or the memo holding memoMaxRules rules. Clearing only
 // there keeps every slab a call has looked up its own until the call
 // returns: a group of pack members holds several at once.
+//
+// Evaluator.Close hands the memo's arenas to memoArenaPool, and the next
+// memo to begin takes them, so a worker that builds an evaluator per
+// example partition does not grow a fresh table each time. Arenas past
+// memoMaxPooledBytes are left to the collector.
 
 const (
 	// memoMaxCharge is the largest charge a slab byte holds.
-	memoMaxCharge = 126
+	memoMaxCharge = 125
+	// memoOverflow marks a slab byte whose charge is in the overflow
+	// table; its low bit is the answer, as in every other byte.
+	memoOverflow = 0xfe
 	// memoMaxRules caps the rules the memo keeps between coverage calls: a
 	// call that finds this many starts with the memo cleared. One call may
 	// add any number.
 	memoMaxRules = 2048
+	// memoMaxPooledBytes caps the arenas a closed memo hands on.
+	memoMaxPooledBytes = 4 << 20
 )
 
 // memoSeed hashes every memo's keys; where a key lands has no effect on
@@ -62,13 +74,22 @@ type coverMemo struct {
 	ex     *Examples
 	width  int // slab length: len(ex.Pos) + len(ex.Neg)
 
-	keys  []byte         // rule r's key is keys[ends[r-1]:ends[r]], ends[-1] = 0
-	ends  []int          // one per rule, in insertion order
-	slabs []byte         // rule r's slab is slabs[r*width:(r+1)*width]
-	slots []memoSlot     // power-of-two length, at most three quarters full
-	key   []byte         // the key being looked up
-	vars  []logic.Symbol // the variables met so far in that key, in order
+	memoArena
+	key  []byte         // the key being looked up
+	vars []logic.Symbol // the variables met so far in that key, in order
 }
+
+// memoArena is the storage of a coverMemo, handed from a closed evaluator to
+// the next through memoArenaPool.
+type memoArena struct {
+	keys  []byte        // rule r's key is keys[ends[r-1]:ends[r]], ends[-1] = 0
+	ends  []int         // one per rule, in insertion order
+	slabs []byte        // rule r's slab is slabs[r*width:(r+1)*width]
+	slots []memoSlot    // power-of-two length, at most three quarters full
+	over  map[int]int64 // charges of memoOverflow bytes, by slab offset
+}
+
+var memoArenaPool sync.Pool // of *memoArena
 
 // memoSlot is one table slot: a rule's key hash and its number plus one; 0
 // marks a free slot.
@@ -87,8 +108,26 @@ func (c *coverMemo) begin(m *solve.Machine, ex *Examples) {
 		return
 	}
 	c.m, c.kb, c.kbSize, c.ex, c.width = m, kb, size, ex, width
+	if c.slots == nil {
+		if a, ok := memoArenaPool.Get().(*memoArena); ok {
+			c.memoArena = *a
+		}
+	}
 	c.keys, c.ends, c.slabs = c.keys[:0], c.ends[:0], c.slabs[:0]
 	clear(c.slots)
+	clear(c.over)
+}
+
+// release empties the memo and hands its arenas to the pool, unless they
+// have grown past memoMaxPooledBytes. The next begin starts afresh.
+func (c *coverMemo) release() {
+	a := c.memoArena
+	*c = coverMemo{}
+	if a.slots == nil || cap(a.keys)+8*cap(a.ends)+cap(a.slabs)+8*cap(a.slots)+32*len(a.over) > memoMaxPooledBytes {
+		return
+	}
+	clear(a.over)
+	memoArenaPool.Put(&a)
 }
 
 // slab returns the offset in c.slabs of rule's slab, adding a slab of
@@ -195,17 +234,26 @@ func (c *coverMemo) known(m *solve.Machine, at int) (covered, ok bool) {
 	if v == 0 {
 		return false, false
 	}
-	m.ReplayQuery(int64(v>>1) - 1)
+	if v >= memoOverflow {
+		m.ReplayQuery(c.over[at])
+	} else {
+		m.ReplayQuery(int64(v>>1) - 1)
+	}
 	return v&1 == 1, true
 }
 
-// store records a proof's answer and charge in slab byte at, unless the
-// charge is too large to hold.
+// store records an uncut proof's answer and charge in slab byte at, and a
+// charge past memoMaxCharge in the overflow table.
 func (c *coverMemo) store(at int, covered bool, charge int64) {
+	v := byte(memoOverflow)
 	if charge > memoMaxCharge {
-		return
+		if c.over == nil {
+			c.over = make(map[int]int64)
+		}
+		c.over[at] = charge
+	} else {
+		v = byte(charge+1) << 1
 	}
-	v := byte(charge+1) << 1
 	if covered {
 		v |= 1
 	}

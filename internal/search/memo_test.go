@@ -42,22 +42,28 @@ func (r *memoRig) check(name string, got, want func() []CoverResult) int64 {
 	return m.StepsExecuted() - steps
 }
 
-// prove is the reference for one rule: compiled once, CoversQuery on every
-// example a Coverage call with these masks tests — or on every example.
+// prove is the reference for one rule: ProveAlone on the rig's reference
+// machine.
 func (r *memoRig) prove(rule *logic.Clause, posCand, negCand Bitset, full bool) CoverResult {
-	ex := r.ev.Ex
+	return ProveAlone(r.ref, r.ev.Ex, rule, posCand, negCand, full)
+}
+
+// ProveAlone is the memo tests' reference, also used outside the package:
+// it compiles rule once on ref and runs CoversQuery on every example of ex a
+// Coverage call with these masks tests — or on every example.
+func ProveAlone(ref *solve.Machine, ex *Examples, rule *logic.Clause, posCand, negCand Bitset, full bool) CoverResult {
 	var q solve.Query
-	r.ref.CompileQuery(&q, rule)
+	ref.CompileQuery(&q, rule)
 	out := CoverResult{Pos: NewBitset(len(ex.Pos)), Neg: NewBitset(len(ex.Neg))}
 	for i, e := range ex.Pos {
 		tested := full || ex.PosAlive.Get(i) && (posCand == nil || posCand.Get(i))
-		if tested && r.ref.CoversQuery(&q, e) {
+		if tested && ref.CoversQuery(&q, e) {
 			out.Pos.Set(i)
 		}
 	}
 	for i, e := range ex.Neg {
 		tested := full || negCand == nil || negCand.Get(i)
-		if tested && r.ref.CoversQuery(&q, e) {
+		if tested && ref.CoversQuery(&q, e) {
 			out.Neg.Set(i)
 		}
 	}
