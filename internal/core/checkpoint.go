@@ -320,13 +320,7 @@ func (c *Checkpoint) Epochs() int { return c.rec.Epochs }
 // model): a resume that silently ran different search settings would learn
 // a different theory.
 func (rec *checkpointRecord) config(base Config) Config {
-	base.Width = rec.Load.Width
-	base.Search = rec.Load.Search
-	base.Bottom = rec.Load.Bottom
-	base.Budget = rec.Load.Budget
-	base.AddLearnedToBK = rec.Load.AddLearnedToBK
-	base.Recover = rec.Load.Recover
-	base.Balance = rec.Load.Balance
+	base = base.withLoadSettings(&rec.Load)
 	base.OrphanTimeout = rec.Load.OrphanTimeout
 	base.MaxEpochs = rec.MaxEpochs
 	return base

@@ -81,26 +81,26 @@ func TestDispatchErrorPaths(t *testing.T) {
 		{
 			name: "kind mismatch same epoch",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindEvalResult, evalResultMsg{Epoch: 3, Worker: 1})
+				r.sendAs(t, 1, kindEvalResult, evalResultMsg{tag: tag{Epoch: 3}, Worker: 1})
 			},
 			wantErr: "expected kind",
 		},
 		{
 			name: "stale epoch reply dropped then current accepted",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 2, Origin: 1, Rules: []logic.Clause{rule}})
-				r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
-				r.sendAs(t, 2, kindRules, rulesMsg{Epoch: 3, Origin: 2})
+				r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 2}, Origin: 1, Rules: []logic.Clause{rule}})
+				r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 1})
+				r.sendAs(t, 2, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 2})
 			},
 			wantStale: 1,
 		},
 		{
 			name: "stale foreign kind dropped then current accepted",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 2, kindEvalResult, evalResultMsg{Epoch: 1, Worker: 2})
-				r.sendAs(t, 2, kindAdopted, adoptedMsg{Epoch: 2, Worker: 2})
-				r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
-				r.sendAs(t, 2, kindRules, rulesMsg{Epoch: 3, Origin: 2})
+				r.sendAs(t, 2, kindEvalResult, evalResultMsg{tag: tag{Epoch: 1}, Worker: 2})
+				r.sendAs(t, 2, kindAdopted, adoptedMsg{tag: tag{Epoch: 2}, Worker: 2})
+				r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 1})
+				r.sendAs(t, 2, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 2})
 			},
 			wantStale: 2,
 		},
@@ -121,22 +121,22 @@ func TestDispatchErrorPaths(t *testing.T) {
 		{
 			name: "duplicate reply",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
-				r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
+				r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 1})
+				r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 1})
 			},
 			wantErr: "duplicate or unexpected",
 		},
 		{
 			name: "unknown origin",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 9})
+				r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 9})
 			},
 			wantErr: "duplicate or unexpected",
 		},
 		{
 			name: "future epoch",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 99, Origin: 1})
+				r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 99}, Origin: 1})
 			},
 			wantErr: "future epoch",
 		},
@@ -154,7 +154,7 @@ func TestDispatchErrorPaths(t *testing.T) {
 			name:    "sibling suspicion evicts live member",
 			recover: true,
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindSuspect, suspectMsg{Epoch: 1, Worker: 1, Peer: 2})
+				r.sendAs(t, 1, kindSuspect, suspectMsg{tag: tag{Epoch: 1}, Worker: 1, Peer: 2})
 			},
 			wantLost: true,
 		},
@@ -212,8 +212,8 @@ func TestSuspicionAboutExcludedPeerIsDropped(t *testing.T) {
 	if asWorkerLost(err) == nil {
 		t.Fatalf("err = %v, want workerLostError from the master's own event", err)
 	}
-	r.sendAs(t, 1, kindSuspect, suspectMsg{Epoch: 3, Worker: 1, Peer: 2})
-	r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
+	r.sendAs(t, 1, kindSuspect, suspectMsg{tag: tag{Epoch: 3}, Worker: 1, Peer: 2})
+	r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 1})
 	if err := r.gather(); err != nil { // now just worker 1
 		t.Fatalf("gather after moot suspicion failed: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestWaitingForNamesTheRedeal(t *testing.T) {
 func TestResumeTimeoutNamesWhoOwes(t *testing.T) {
 	r := newDispatchRig(t, 2, false)
 	r.ma.cfg.RecvTimeout = 50 * time.Millisecond
-	r.sendAs(t, 1, kindResumeInfo, resumeInfoMsg{Epoch: 3, Worker: 1, Loaded: true})
+	r.sendAs(t, 1, kindResumeInfo, resumeInfoMsg{tag: tag{Epoch: 3}, Worker: 1, Loaded: true})
 	const want = "resume after 0 completed epochs, wire epoch 3: waiting for resume info from workers [2]"
 	if err := r.ma.resumeCluster(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v\nwant substring %q", err, want)
@@ -296,7 +296,7 @@ func TestResumeTimeoutNamesWhoOwes(t *testing.T) {
 func TestResumeLedgerRules(t *testing.T) {
 	ex := logic.MustParseTerm("active(m1)")
 	info := func(worker, epoch int) resumeInfoMsg {
-		return resumeInfoMsg{Epoch: epoch, Worker: worker, Loaded: true}
+		return resumeInfoMsg{tag: tag{Epoch: epoch}, Worker: worker, Loaded: true}
 	}
 	cases := []struct {
 		name       string
@@ -318,8 +318,8 @@ func TestResumeLedgerRules(t *testing.T) {
 		{
 			name: "pre-crash adoption and rules are residue",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindAdopted, adoptedMsg{Epoch: 2, Worker: 1, Ok: true, Example: ex})
-				r.sendAs(t, 2, kindRules, rulesMsg{Epoch: 3, Origin: 2})
+				r.sendAs(t, 1, kindAdopted, adoptedMsg{tag: tag{Epoch: 2}, Worker: 1, Ok: true, Example: ex})
+				r.sendAs(t, 2, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 2})
 				r.sendAs(t, 1, kindResumeInfo, info(1, 3))
 				r.sendAs(t, 2, kindResumeInfo, info(2, 3))
 			},
@@ -329,7 +329,7 @@ func TestResumeLedgerRules(t *testing.T) {
 		{
 			name: "suspicion is residue",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindSuspect, suspectMsg{Epoch: 3, Worker: 1, Peer: 2})
+				r.sendAs(t, 1, kindSuspect, suspectMsg{tag: tag{Epoch: 3}, Worker: 1, Peer: 2})
 				r.sendAs(t, 1, kindResumeInfo, info(1, 3))
 				r.sendAs(t, 2, kindResumeInfo, info(2, 3))
 			},
@@ -348,14 +348,14 @@ func TestResumeLedgerRules(t *testing.T) {
 		{
 			name: "fence from a newer generation",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindFenced, fencedMsg{Epoch: 3, Gen: 1, Worker: 1})
+				r.sendAs(t, 1, kindFenced, fencedMsg{tag: tag{Epoch: 3, Gen: 1}, Worker: 1})
 			},
 			superseded: true,
 		},
 		{
 			name: "resume info from a newer generation",
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.sendAs(t, 1, kindResumeInfo, resumeInfoMsg{Epoch: 3, Gen: 1, Worker: 1})
+				r.sendAs(t, 1, kindResumeInfo, resumeInfoMsg{tag: tag{Epoch: 3, Gen: 1}, Worker: 1})
 			},
 			superseded: true,
 		},

@@ -262,51 +262,99 @@ func TestAsymmetricPartitionOneGenerationSurvives(t *testing.T) {
 	}
 }
 
+// What the worker's admission table does with one frame.
+const (
+	noEpoch  = iota // the frame carries no epoch: nothing to pin
+	fenced          // dropped and counted; a master frame is answered with kindFenced
+	dropped         // dropped in silence
+	held            // kept until a master frame opens its epoch
+	applied         // acted on; the epoch clock stays
+	advanced        // acted on; the epoch clock moves to the frame's
+)
+
 // TestEpochCheckedFramesFencedAndDropped feeds a worker at epoch 5,
-// generation 2, one frame of every kind that goes through worker.open —
-// first from a superseded generation (with an epoch far ahead: the fence
-// must run before the epoch means anything), then from an abandoned epoch
-// of the live generation. The first is refused with one kindFenced naming
-// the worker's generation, the second is dropped in silence, and neither
-// moves the worker's clock, ring, partition or reply sequence.
+// generation 2, one frame of every master and ring kind, in three
+// versions: from a superseded generation (with an epoch far ahead: the
+// fence must run before the epoch means anything), from an abandoned
+// epoch of the live generation, and from the next epoch. Each row pins
+// what the worker does with each version. A fenced frame is counted and,
+// only when the master sent it, answered with one kindFenced naming the
+// worker's generation; a dropped one leaves no trace; neither moves the
+// worker's clock, ring, partition or coverage cache.
 func TestEpochCheckedFramesFencedAndDropped(t *testing.T) {
 	kb, pos, neg, ms := makeTask(t)
 	ring := []int{1, 2, 3}
+	rule := logic.MustParseClause("active(X) :- atm(X, Y, oxygen).")
 	frames := []struct {
-		kind int
-		mk   func(epoch, gen int) any
+		kind   int
+		from   int  // the master (0), or the ring predecessor (2)
+		remote bool // a multi-process worker, whose kindLoad carries the partition
+		mk     func(epoch, gen int) any
+		want   [3]int // at a stale generation, a stale epoch, the next epoch
 	}{
-		{kindStartPipeline, func(e, g int) any { return startMsg{Epoch: e, Gen: g, Width: 10} }},
-		{kindEvaluate, func(e, g int) any { return evaluateMsg{Epoch: e, Gen: g} }},
-		{kindAdopt, func(e, g int) any { return adoptMsg{Epoch: e, Gen: g} }},
-		{kindGather, func(e, g int) any { return gatherMsg{Epoch: e, Gen: g} }},
-		{kindReassign, func(e, g int) any { return reassignMsg{Epoch: e, Gen: g, Members: ring, Replace: true} }},
-		{kindWelcome, func(e, g int) any { return welcomeMsg{Epoch: e, Gen: g, Members: ring} }},
+		{kindStartPipeline, 0, false, func(e, g int) any { return startMsg{tag: tag{Epoch: e, Gen: g}, Width: 10} },
+			[3]int{fenced, dropped, advanced}},
+		{kindStage, 2, false, func(e, g int) any { return stageMsg{tag: tag{Epoch: e, Gen: g}, Origin: 2, Step: 2} },
+			[3]int{fenced, dropped, held}},
+		{kindEvaluate, 0, false, func(e, g int) any { return evaluateMsg{tag: tag{Epoch: e, Gen: g}} },
+			[3]int{fenced, dropped, advanced}},
+		{kindMarkCovered, 0, false, func(e, g int) any { return markCoveredMsg{tag: tag{Epoch: e, Gen: g}, Rule: rule} },
+			[3]int{fenced, applied, applied}},
+		{kindAdopt, 0, false, func(e, g int) any { return adoptMsg{tag: tag{Epoch: e, Gen: g}} },
+			[3]int{fenced, dropped, advanced}},
+		{kindStop, 0, false, func(_, g int) any { return stopMsg{Gen: g} },
+			[3]int{fenced, noEpoch, noEpoch}},
+		{kindGather, 0, false, func(e, g int) any { return gatherMsg{tag: tag{Epoch: e, Gen: g}} },
+			[3]int{fenced, dropped, advanced}},
+		{kindReassign, 0, false, func(e, g int) any { return reassignMsg{tag: tag{Epoch: e, Gen: g}, Members: ring, Replace: true} },
+			[3]int{fenced, dropped, advanced}},
+		{kindWelcome, 0, false, func(e, g int) any { return welcomeMsg{tag: tag{Epoch: e, Gen: g}, Members: ring} },
+			[3]int{fenced, dropped, advanced}},
+		{kindResumeQuery, 0, false, func(e, g int) any { return resumeQueryMsg{tag: tag{Epoch: e, Gen: g}} },
+			[3]int{fenced, applied, applied}},
+		{kindLoad, 0, true, func(_, g int) any {
+			return loadDataMsg{HasData: true, Gen: g, Pos: pos[:6], Neg: neg[:6], Width: 10, Search: testConfig(2, 10).Search}
+		}, [3]int{fenced, noEpoch, noEpoch}},
 	}
+	// A stale-generation frame is "staleGen=true"; a stale-epoch frame of
+	// the live generation is "staleGen=false".
+	versions := []struct {
+		name       string
+		epoch, gen int
+	}{{"staleGen=true", 9, 1}, {"staleGen=false", 4, 2}, {"nextEpoch", 6, 2}}
 	for _, fr := range frames {
-		kind := fr.kind
-		for _, staleGen := range []bool{true, false} {
-			t.Run(fmt.Sprintf("kind%d/staleGen=%v", kind, staleGen), func(t *testing.T) {
+		for v, ver := range versions {
+			want := fr.want[v]
+			if want == noEpoch {
+				continue
+			}
+			t.Run(fmt.Sprintf("kind%d/%s", fr.kind, ver.name), func(t *testing.T) {
 				nw := cluster.NewNetwork(3, cluster.CostModel{})
-				w := newWorker(1, 2, nw.Node(1), kb, search.NewExamples(pos[:6], neg[:6]), ms, testConfig(2, 10).withDefaults())
-				w.epoch, w.gen = 5, 2
-				frame := fr.mk(4, 2)
-				if staleGen {
-					frame = fr.mk(9, 1)
+				cfg := testConfig(2, 10).withDefaults()
+				w := newWorker(1, 2, nw.Node(1), kb, search.NewExamples(pos[:6], neg[:6]), ms, cfg)
+				if fr.remote {
+					w = newRemoteWorker(nw.Node(1), kb, ms, cfg)
 				}
-				const sentinel = 999
-				for _, m := range []struct {
-					kind int
-					v    any
-				}{{kind, frame}, {kindStop, stopMsg{Gen: 2}}} {
-					if err := nw.Node(0).Send(1, m.kind, m.v); err != nil {
-						t.Fatal(err)
+				w.epoch, w.gen = 5, 2
+				state := func() string {
+					alive := -1
+					if w.ex != nil {
+						alive = w.ex.PosAlive.Count()
 					}
+					return fmt.Sprint("epoch ", w.epoch, " gen ", w.gen, " ring ", w.ring, " alive ", alive, " cached ", len(w.covCache))
+				}
+				before := state()
+				if err := nw.Node(fr.from).Send(1, fr.kind, fr.mk(ver.epoch, ver.gen)); err != nil {
+					t.Fatal(err)
+				}
+				if err := nw.Node(0).Send(1, kindStop, stopMsg{Gen: 2}); err != nil {
+					t.Fatal(err)
 				}
 				if err := w.run(); err != nil {
 					t.Fatal(err)
 				}
 				// Whatever the worker sent the master is queued ahead of this.
+				const sentinel = 999
 				if err := nw.Node(2).Send(0, sentinel, junk{}); err != nil {
 					t.Fatal(err)
 				}
@@ -319,23 +367,42 @@ func TestEpochCheckedFramesFencedAndDropped(t *testing.T) {
 					if msg.Kind == sentinel {
 						break
 					}
-					got = append(got, msg)
-				}
-				if w.epoch != 5 || w.gen != 2 || len(w.ring) != 2 || w.ex.PosAlive.Count() != 6 {
-					t.Fatalf("the frame moved the worker: epoch %d gen %d ring %v alive %d", w.epoch, w.gen, w.ring, w.ex.PosAlive.Count())
-				}
-				if !staleGen {
-					if len(got) != 0 || w.fenced != 0 || w.seq != 0 {
-						t.Fatalf("stale-epoch frame answered: %d replies, fenced %d, seq %d", len(got), w.fenced, w.seq)
+					if msg.Kind != kindFinal { // a remote worker's answer to the closing stop
+						got = append(got, msg)
 					}
-					return
 				}
-				var fm fencedMsg
-				if len(got) != 1 || got[0].Kind != kindFenced || got[0].Decode(&fm) != nil || fm.Gen != 2 || fm.Worker != 1 || fm.Epoch != 5 {
-					t.Fatalf("stale-generation frame: replies %+v (decoded %+v), want one kindFenced from worker 1 at generation 2, epoch 5", got, fm)
-				}
-				if w.fenced != 1 {
-					t.Fatalf("fenced = %d, want 1", w.fenced)
+				after := state()
+				switch want {
+				case fenced:
+					var fm fencedMsg
+					if fr.from != 0 {
+						if len(got) != 0 {
+							t.Fatalf("a sibling's stale-generation frame was answered: %+v", got)
+						}
+					} else if len(got) != 1 || got[0].Kind != kindFenced || got[0].Decode(&fm) != nil || fm.Gen != 2 || fm.Worker != 1 || fm.Epoch != 5 {
+						t.Fatalf("stale-generation frame: replies %+v (decoded %+v), want one kindFenced from worker 1 at generation 2, epoch 5", got, fm)
+					}
+					if w.fenced != 1 || after != before || len(w.held) != 0 {
+						t.Fatalf("fenced %d, held %d, state %s (was %s): want 1, 0 and unchanged", w.fenced, len(w.held), after, before)
+					}
+				case dropped, held:
+					wantHeld := 0
+					if want == held {
+						wantHeld = 1
+					}
+					if len(got) != 0 || w.fenced != 0 || w.seq != 0 || after != before || len(w.held) != wantHeld {
+						t.Fatalf("%d replies, fenced %d, seq %d, held %d, state %s (was %s): want none, 0, 0, %d, unchanged",
+							len(got), w.fenced, w.seq, len(w.held), after, before, wantHeld)
+					}
+				case applied, advanced:
+					wantEpoch := 5
+					if want == advanced {
+						wantEpoch = ver.epoch
+					}
+					if w.fenced != 0 || len(w.held) != 0 || w.epoch != wantEpoch || len(got) == 0 && after == before {
+						t.Fatalf("fenced %d, held %d, %d replies, state %s (was %s): want the frame acted on at epoch %d",
+							w.fenced, len(w.held), len(got), after, before, wantEpoch)
+					}
 				}
 			})
 		}

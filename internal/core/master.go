@@ -240,9 +240,10 @@ func (ma *master) collect(kind int, request func() error) ([]replyHdr, error) {
 	return l.replies, nil
 }
 
-func (ma *master) nextSeq() int64 {
+// stamp is the header of the master's next frame.
+func (ma *master) stamp() tag {
 	ma.seq++
-	return ma.seq
+	return tag{Epoch: ma.epoch, Seq: ma.seq, Gen: ma.gen}
 }
 
 // isLive reports whether worker id is still a member.
@@ -463,23 +464,23 @@ func (ma *master) nextReply() error {
 		if err := msg.Decode(dst); err != nil {
 			return fmt.Errorf("core: master: truncated or garbled kind-%d payload from node %d: %w", msg.Kind, msg.From, err)
 		}
-		if gc, ok := dst.(genCarrier); ok && gc.gen() > ma.gen {
+		hdr, key := dst.tags(), dst.key()
+		if hdr.Gen > ma.gen {
 			// Replies carry the worker's observed generation, so the news
 			// that we were superseded reaches us even if the kindFenced
 			// rejection itself was lost.
 			return fmt.Errorf("core: master: generation %d superseded by generation %d (reply from node %d): %w",
-				ma.gen, gc.gen(), msg.From, ErrSuperseded)
+				ma.gen, hdr.Gen, msg.From, ErrSuperseded)
 		}
-		epoch, key := dst.hdr()
 		if l.kind != kindResumeInfo { // a worker may be ahead of the checkpoint
-			if epoch < l.epoch {
+			if hdr.Epoch < l.epoch {
 				if err := ma.acceptStale(msg); err != nil {
 					return err
 				}
 				continue
 			}
-			if epoch > l.epoch {
-				return fmt.Errorf("core: master: kind-%d reply from future epoch %d (current %d) from node %d", msg.Kind, epoch, l.epoch, msg.From)
+			if hdr.Epoch > l.epoch {
+				return fmt.Errorf("core: master: kind-%d reply from future epoch %d (current %d) from node %d", msg.Kind, hdr.Epoch, l.epoch, msg.From)
 			}
 		}
 		if !l.pending[key] {
@@ -528,7 +529,7 @@ func (ma *master) waitingFor() string {
 // off `remaining` — exactly where the barrier would have.
 func (ma *master) gatherBag() ([]bagEntry, error) {
 	replies, err := ma.collect(kindRules, func() error {
-		return ma.bcastLive(kindStartPipeline, startMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Width: ma.cfg.Width})
+		return ma.bcastLive(kindStartPipeline, startMsg{tag: ma.stamp(), Width: ma.cfg.Width})
 	})
 	if err != nil {
 		return nil, err
@@ -564,7 +565,7 @@ func (ma *master) evaluateBag(bag []bagEntry) error {
 		rules[i] = bag[i].rule
 	}
 	replies, err := ma.collect(kindEvalResult, func() error {
-		return ma.bcastLive(kindEvaluate, evaluateMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Rules: rules})
+		return ma.bcastLive(kindEvaluate, evaluateMsg{tag: ma.stamp(), Rules: rules})
 	})
 	if err != nil {
 		return err
@@ -655,7 +656,7 @@ func (ma *master) consumeBag(bag []bagEntry) (int, error) {
 		ma.metrics.RulesLearned++
 		accepted++
 		ma.remaining -= best.pos
-		if err := ma.bcastLive(kindMarkCovered, markCoveredMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Rule: best.rule}); err != nil {
+		if err := ma.bcastLive(kindMarkCovered, markCoveredMsg{tag: ma.stamp(), Rule: best.rule}); err != nil {
 			return accepted, err
 		}
 		if len(bag) == 0 {
@@ -677,7 +678,7 @@ func (ma *master) consumeBag(bag []bagEntry) (int, error) {
 // instead of idling the whole cluster (DESIGN.md §6).
 func (ma *master) adoptFallback() error {
 	ma.open(kindAdopted)
-	if err := ma.bcastLive(kindAdopt, adoptMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
+	if err := ma.bcastLive(kindAdopt, adoptMsg{tag: ma.stamp()}); err != nil {
 		return err
 	}
 	if ma.boundaryIdle() {
@@ -759,7 +760,7 @@ func (ma *master) settleAdoptions() {
 // any attached throughput reports to the balancer.
 func (ma *master) gatherAllAlive() ([]logic.Term, []int64, error) {
 	replies, err := ma.collect(kindGathered, func() error {
-		return ma.bcastLive(kindGather, gatherMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen})
+		return ma.bcastLive(kindGather, gatherMsg{tag: ma.stamp()})
 	})
 	if err != nil {
 		return nil, nil, err
@@ -830,7 +831,7 @@ func (ma *master) redeal(replace bool) error {
 		return fmt.Errorf("core: master: redeal at epoch %d dealt %d of %d pooled positives", ma.epoch, dealt, len(pool))
 	}
 	members := append([]int(nil), ma.targets...)
-	seq := ma.nextSeq()
+	hdr := ma.stamp() // one install, one Seq
 	acks, err := ma.collect(kindReassignAck, func() error {
 		for i, k := range ma.targets {
 			if replace {
@@ -841,8 +842,7 @@ func (ma *master) redeal(replace bool) error {
 				ma.assignedPos[k] = append(ma.assignedPos[k], pos[i]...)
 				ma.assignedNeg[k] = append(ma.assignedNeg[k], neg[i]...)
 			}
-			rm := reassignMsg{Epoch: ma.epoch, Seq: seq, Gen: ma.gen, Members: members,
-				Pos: pos[i], Neg: neg[i], Replace: replace, RollbackBelow: ma.rollbackTo}
+			rm := reassignMsg{tag: hdr, Members: members, Pos: pos[i], Neg: neg[i], Replace: replace, RollbackBelow: ma.rollbackTo}
 			if err := ma.send(k, kindReassign, rm); err != nil {
 				return err
 			}
@@ -947,7 +947,7 @@ func (ma *master) queryResume() (map[int]*resumeInfoMsg, error) {
 	if err := ma.awaitRejoins(); err != nil {
 		return nil, err
 	}
-	if err := ma.bcastLive(kindResumeQuery, resumeQueryMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen}); err != nil {
+	if err := ma.bcastLive(kindResumeQuery, resumeQueryMsg{tag: ma.stamp()}); err != nil {
 		return nil, err
 	}
 	if err := ma.await(l); err != nil {
@@ -1051,7 +1051,7 @@ func (ma *master) admitJoiners() ([]int, error) {
 		load = ma.cfg.loadSettings()
 	}
 	for _, id := range joiners {
-		wm := welcomeMsg{Epoch: ma.epoch, Seq: ma.nextSeq(), Gen: ma.gen, Members: members, Load: load}
+		wm := welcomeMsg{tag: ma.stamp(), Members: members, Load: load}
 		if err := ma.send(id, kindWelcome, wm); err != nil {
 			return nil, err
 		}

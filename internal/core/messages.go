@@ -16,12 +16,11 @@ import (
 // the traffic accounting reflect real serialised content.
 //
 // Since the event-driven master (see DESIGN.md §6), every protocol message
-// after the initial load carries an Epoch tag — the master's re-issue
-// counter — and a Seq tag — a per-sender monotonic sequence number used
-// for diagnostics. The master's dispatch loop and the workers' event loops
-// silently drop stale-epoch traffic, which is what makes an epoch safely
-// re-issuable after a worker failure: everything still in flight from the
-// abandoned attempt carries the old epoch.
+// after the initial load opens with one header, tag. The master's
+// dispatch loop and the workers' admission table silently drop
+// stale-epoch traffic, which is what makes an epoch safely re-issuable
+// after a worker failure: everything still in flight from the abandoned
+// attempt carries the old epoch.
 const (
 	// kindLoad (master→workers) tells a worker to load its partition
 	// (Fig. 5 step 3 / Fig. 6 load_examples). The example data itself is
@@ -135,6 +134,26 @@ const (
 	kindFenced
 )
 
+// tag is the header every post-load message opens with: Epoch, the
+// master's re-issue counter; Seq, a per-sender monotonic sequence number
+// for diagnostics; Gen, the master generation (see kindFenced), zero for
+// a master that never crash-restarted. Each role stamps it in one place
+// (worker.stamp, master.stamp), and appendTag/readTag encode it. tag has
+// no AppendWire or DecodeWire: Go promotes an embedded type's methods, so
+// a message that lacked its own codec would silently get a header-only one.
+type tag struct {
+	Epoch int
+	Seq   int64
+	Gen   int
+}
+
+// tags returns the frame's header. stopMsg and loadDataMsg carry only the
+// generation, where their pinned layouts put it; the simulation's loadMsg
+// has none, so it has no tags and bypasses the generation fence.
+func (t tag) tags() tag         { return t }
+func (m stopMsg) tags() tag     { return tag{Gen: m.Gen} }
+func (m loadDataMsg) tags() tag { return tag{Gen: m.Gen} }
+
 // loadMsg signals partition loading; Round distinguishes reloads. The
 // simulation sends exactly this shape (the partition was handed to the
 // worker at construction, modelling the paper's shared filesystem), so its
@@ -158,9 +177,7 @@ type loadDataMsg struct {
 	Pos     []logic.Term
 	Neg     []logic.Term
 
-	// Gen is the master generation (see kindFenced): zero for a master
-	// that never crash-restarted. Every post-load message struct carries
-	// the same field.
+	// Gen is the master generation, as in tag.
 	Gen int
 
 	Width          int
@@ -193,7 +210,7 @@ type loadDataMsg struct {
 // silently learn a different theory under. It is the single source of
 // truth for both the initial kindLoad shipment (RunMaster fills in the
 // partition) and a joiner's kindWelcome — add new semantics-bearing knobs
-// HERE, not at the call sites.
+// HERE and in withLoadSettings, not at the call sites.
 func (c Config) loadSettings() loadDataMsg {
 	return loadDataMsg{
 		HasData:        true,
@@ -209,11 +226,24 @@ func (c Config) loadSettings() loadDataMsg {
 	}
 }
 
+// withLoadSettings reads loadSettings back: c with the semantics-bearing
+// knobs lm carries, for a remote worker's load and a resumed master's
+// checkpoint alike. Checkpoint and OrphanTimeout stay with the callers,
+// which apply them differently.
+func (c Config) withLoadSettings(lm *loadDataMsg) Config {
+	c.Width = lm.Width
+	c.Search = lm.Search
+	c.Bottom = lm.Bottom
+	c.Budget = lm.Budget
+	c.AddLearnedToBK = lm.AddLearnedToBK
+	c.Recover = lm.Recover
+	c.Balance = lm.Balance
+	return c
+}
+
 // startMsg starts a pipeline at its owning worker.
 type startMsg struct {
-	Epoch int
-	Seq   int64
-	Gen   int
+	tag
 	Width int
 }
 
@@ -229,9 +259,7 @@ type wireRule struct {
 // stageMsg is the pipeline hand-off: the bottom clause built at stage 1
 // travels with the search frontier (Fig. 7's send of ⊥e and Good).
 type stageMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Origin int // worker that started this pipeline
 	Step   int // stage number about to run (1-based)
 	Bottom bottom.Bottom
@@ -241,26 +269,20 @@ type stageMsg struct {
 // rulesMsg delivers a finished pipeline's good rules to the master,
 // materialised so the master can rebroadcast them for global evaluation.
 type rulesMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Origin int
 	Rules  []logic.Clause
 }
 
 // evaluateMsg asks workers to score every bag rule on local alive examples.
 type evaluateMsg struct {
-	Epoch int
-	Seq   int64
-	Gen   int
+	tag
 	Rules []logic.Clause
 }
 
 // evalResultMsg returns per-rule local coverage.
 type evalResultMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Worker int
 	Pos    []int32
 	Neg    []int32
@@ -268,25 +290,19 @@ type evalResultMsg struct {
 
 // markCoveredMsg retracts local positives covered by Rule.
 type markCoveredMsg struct {
-	Epoch int
-	Seq   int64
-	Gen   int
-	Rule  logic.Clause
+	tag
+	Rule logic.Clause
 }
 
 // adoptMsg asks each worker to retire one uncovered positive.
 type adoptMsg struct {
-	Epoch int
-	Seq   int64
-	Gen   int
+	tag
 }
 
 // adoptedMsg reports the adopted example (Ok=false when the worker had no
 // alive positives).
 type adoptedMsg struct {
-	Epoch   int
-	Seq     int64
-	Gen     int
+	tag
 	Worker  int
 	Ok      bool
 	Example logic.Term
@@ -301,9 +317,7 @@ type stopMsg struct {
 
 // gatherMsg requests the worker's alive positives.
 type gatherMsg struct {
-	Epoch int
-	Seq   int64
-	Gen   int
+	tag
 }
 
 // gatheredMsg carries a worker's alive positives to the master. With
@@ -313,9 +327,7 @@ type gatherMsg struct {
 // fields stay zero when balance is off, so the wire bytes of a
 // repartition-only run are unchanged.
 type gatheredMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Worker int
 	Pos    []logic.Term
 	// Costs, parallel to Pos, are per-example cost estimates (the
@@ -332,9 +344,7 @@ type gatheredMsg struct {
 
 // finalMsg is a network worker's end-of-run report (see kindFinal).
 type finalMsg struct {
-	Epoch      int
-	Seq        int64
-	Gen        int
+	tag
 	Worker     int
 	Inferences int64
 	Generated  int64
@@ -355,9 +365,7 @@ type finalMsg struct {
 // disjoint from every survivor's own assignment, so the merge needs no
 // deduplication.
 type reassignMsg struct {
-	Epoch   int
-	Seq     int64
-	Gen     int
+	tag
 	Members []int // live worker ids, ascending — the new pipeline ring
 	Pos     []logic.Term
 	Neg     []logic.Term
@@ -381,9 +389,7 @@ type reassignMsg struct {
 
 // reassignAckMsg confirms an install (see kindReassignAck).
 type reassignAckMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Worker int
 	// Alive is the worker's uncovered-positive count after the install;
 	// the master sums these to rebase `remaining` (a dead worker's share
@@ -398,9 +404,7 @@ type reassignAckMsg struct {
 // kindReassign on the same ordered link) and is zero on the simulation,
 // whose joiners are constructed with their configuration.
 type welcomeMsg struct {
-	Epoch   int
-	Seq     int64
-	Gen     int
+	tag
 	Members []int
 	Load    loadDataMsg
 }
@@ -409,16 +413,12 @@ type welcomeMsg struct {
 // Epoch tag is the resumed master's checkpointed clock — informational
 // only, since workers answer regardless of epoch.
 type resumeQueryMsg struct {
-	Epoch int
-	Seq   int64
-	Gen   int
+	tag
 }
 
 // resumeInfoMsg answers a resume query (see kindResumeInfo).
 type resumeInfoMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Worker int
 	// Loaded reports whether the worker holds a partition; false means the
 	// master crashed during the initial load and must re-ship kindLoad.
@@ -434,9 +434,7 @@ type resumeInfoMsg struct {
 // It is processed regardless of epoch: the observation is about present
 // link state, not about any epoch's protocol phase.
 type suspectMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Worker int // the reporter
 	Peer   int // the peer it observed dying
 }
@@ -444,59 +442,27 @@ type suspectMsg struct {
 // fencedMsg rejects a stale-generation master (see kindFenced): Gen is
 // the worker's — higher — current generation.
 type fencedMsg struct {
-	Epoch  int
-	Seq    int64
-	Gen    int
+	tag
 	Worker int
 }
 
 // replyHdr is the dispatch header shared by every worker→master payload:
-// the master's event loop reads it to route, staleness-check and
-// deduplicate a reply before (or without) decoding the full payload.
+// the master's event loop reads it to route, staleness-check, fence and
+// deduplicate a reply.
 type replyHdr interface {
-	// hdr returns the reply's epoch and its pending-set key — the worker
-	// id for direct replies, the pipeline origin for kindRules.
-	hdr() (epoch, key int)
+	tags() tag
+	// key returns the reply's pending-set key: the worker id for direct
+	// replies, the pipeline origin for kindRules.
+	key() int
 }
 
-func (m *rulesMsg) hdr() (int, int)       { return m.Epoch, m.Origin }
-func (m *evalResultMsg) hdr() (int, int)  { return m.Epoch, m.Worker }
-func (m *adoptedMsg) hdr() (int, int)     { return m.Epoch, m.Worker }
-func (m *gatheredMsg) hdr() (int, int)    { return m.Epoch, m.Worker }
-func (m *finalMsg) hdr() (int, int)       { return m.Epoch, m.Worker }
-func (m *reassignAckMsg) hdr() (int, int) { return m.Epoch, m.Worker }
-func (m *resumeInfoMsg) hdr() (int, int)  { return m.Epoch, m.Worker }
-func (m *fencedMsg) hdr() (int, int)      { return m.Epoch, m.Worker }
-
-// masterFrame is the header shared by the epoch-checked master→worker
-// payloads: worker.open reads it to fence and staleness-check a frame
-// before the worker acts on it.
-type masterFrame interface {
-	tags() (epoch, gen int)
-}
-
-func (m *startMsg) tags() (int, int)    { return m.Epoch, m.Gen }
-func (m *evaluateMsg) tags() (int, int) { return m.Epoch, m.Gen }
-func (m *adoptMsg) tags() (int, int)    { return m.Epoch, m.Gen }
-func (m *gatherMsg) tags() (int, int)   { return m.Epoch, m.Gen }
-func (m *reassignMsg) tags() (int, int) { return m.Epoch, m.Gen }
-func (m *welcomeMsg) tags() (int, int)  { return m.Epoch, m.Gen }
-
-// genCarrier exposes the generation a worker stamped on its reply, so
-// the master can notice it has been superseded (see kindFenced) no
-// matter which reply kind delivers the news.
-type genCarrier interface {
-	gen() int
-}
-
-func (m *rulesMsg) gen() int       { return m.Gen }
-func (m *evalResultMsg) gen() int  { return m.Gen }
-func (m *adoptedMsg) gen() int     { return m.Gen }
-func (m *gatheredMsg) gen() int    { return m.Gen }
-func (m *finalMsg) gen() int       { return m.Gen }
-func (m *reassignAckMsg) gen() int { return m.Gen }
-func (m *resumeInfoMsg) gen() int  { return m.Gen }
-func (m *fencedMsg) gen() int      { return m.Gen }
+func (m *rulesMsg) key() int       { return m.Origin }
+func (m *evalResultMsg) key() int  { return m.Worker }
+func (m *adoptedMsg) key() int     { return m.Worker }
+func (m *gatheredMsg) key() int    { return m.Worker }
+func (m *finalMsg) key() int       { return m.Worker }
+func (m *reassignAckMsg) key() int { return m.Worker }
+func (m *resumeInfoMsg) key() int  { return m.Worker }
 
 // epochOnly decodes just the Epoch tag of a payload — used by the
 // dispatch loop to distinguish a stale out-of-phase message (dropped) from

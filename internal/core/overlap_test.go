@@ -326,14 +326,14 @@ func TestFenceHoldSupersedeAndBound(t *testing.T) {
 		return out
 	}
 	for _, e := range []int{6, 6, 5} { // the 5 is already superseded
-		if err := w.hold(stageMsg{Epoch: e}); err != nil {
+		if err := w.hold(stageMsg{tag: tag{Epoch: e}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := fmt.Sprint(epochs()); got != "[6 6]" {
 		t.Fatalf("held epochs %s, want [6 6]", got)
 	}
-	if err := w.hold(stageMsg{Epoch: 8}); err != nil {
+	if err := w.hold(stageMsg{tag: tag{Epoch: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprint(epochs()); got != "[8]" {
@@ -345,29 +345,46 @@ func TestFenceHoldSupersedeAndBound(t *testing.T) {
 	}
 	var err error
 	for i := 0; i <= nw.Size() && err == nil; i++ {
-		err = w.hold(stageMsg{Epoch: 12})
+		err = w.hold(stageMsg{tag: tag{Epoch: 12}})
 	}
 	if err == nil || !strings.Contains(err.Error(), "more than the ring can send") {
 		t.Fatalf("hold list grew past the cluster size: err = %v", err)
 	}
 }
 
-// TestFenceHeldStageTimeoutNamesEpoch: a worker whose held stage is never
-// released says so — and which epoch it was waiting for — when its own
-// receive deadline fires.
+// TestFenceHeldStageTimeoutNamesEpoch: a worker whose receive deadline
+// fires says where it stands — epoch, generation, ring, whether its
+// partition is loaded — and, when it holds a stage that was never
+// released, which epoch that stage was waiting for.
 func TestFenceHeldStageTimeoutNamesEpoch(t *testing.T) {
 	kb, pos, neg, ms := makeTask(t)
-	nw := cluster.NewNetwork(3, cluster.CostModel{})
-	cfg := testConfig(2, 10)
-	cfg.RecvTimeout = 50 * time.Millisecond
-	posParts, negParts := splitExamples(pos, neg, 2, cfg.Seed)
-	w := newWorker(1, 2, nw.Node(1), kb, search.NewExamples(posParts[0], negParts[0]), ms, cfg.withDefaults())
-	if err := nw.Node(2).Send(1, kindStage, stageMsg{Epoch: 5, Origin: 2, Step: 2}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		epoch, gen int
+		stage      *stageMsg // from the ring predecessor; nil = no traffic at all
+		want       string
+	}{
+		{"held stage", 0, 0, &stageMsg{tag: tag{Epoch: 5}, Origin: 2, Step: 2}, "holding 1 stage(s) of epoch 5"},
+		{"no traffic", 3, 1, nil, "worker 1 at epoch 3, generation 1, ring [1 2], partition loaded: receive"},
 	}
-	err := w.run()
-	if err == nil || !strings.Contains(err.Error(), "holding 1 stage(s) of epoch 5") {
-		t.Fatalf("worker error = %v, want the held stage and its epoch named", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := cluster.NewNetwork(3, cluster.CostModel{})
+			cfg := testConfig(2, 10)
+			cfg.RecvTimeout = 50 * time.Millisecond
+			posParts, negParts := splitExamples(pos, neg, 2, cfg.Seed)
+			w := newWorker(1, 2, nw.Node(1), kb, search.NewExamples(posParts[0], negParts[0]), ms, cfg.withDefaults())
+			w.epoch, w.gen = tc.epoch, tc.gen
+			if tc.stage != nil {
+				if err := nw.Node(2).Send(1, kindStage, *tc.stage); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := w.run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("worker error = %v, want it to contain %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -383,8 +400,8 @@ func TestAdoptLedgerCollectsUnderOtherPhases(t *testing.T) {
 	adopting := r.ma.open(kindAdopted)
 	adopting.epoch = 2
 	ex := logic.MustParseTerm("active(m1)")
-	r.sendAs(t, 2, kindAdopted, adoptedMsg{Epoch: 2, Worker: 2, Ok: true, Example: ex})
-	r.sendAs(t, 1, kindRules, rulesMsg{Epoch: 3, Origin: 1})
+	r.sendAs(t, 2, kindAdopted, adoptedMsg{tag: tag{Epoch: 2}, Worker: 2, Ok: true, Example: ex})
+	r.sendAs(t, 1, kindRules, rulesMsg{tag: tag{Epoch: 3}, Origin: 1})
 
 	err := r.gather()
 	const want = "gather after 1 completed epochs, wire epoch 3: waiting for rules from origins [2], adoptions(epoch 2) from [1]"
@@ -395,7 +412,7 @@ func TestAdoptLedgerCollectsUnderOtherPhases(t *testing.T) {
 		t.Fatalf("ledger holds %d replies, %d stale drops; want 1 and 0", n, r.ma.metrics.StaleDropped)
 	}
 
-	r.sendAs(t, 2, kindAdopted, adoptedMsg{Epoch: 2, Worker: 2, Ok: true, Example: ex})
+	r.sendAs(t, 2, kindAdopted, adoptedMsg{tag: tag{Epoch: 2}, Worker: 2, Ok: true, Example: ex})
 	err = r.gather()
 	if err == nil || !strings.Contains(err.Error(), "duplicate or unexpected kind-8 reply for member 2") {
 		t.Fatalf("duplicate adoption: err = %v", err)

@@ -4,9 +4,9 @@ package core
 // message kind gets an AppendWire (value receiver, so values and
 // pointers both satisfy wire.Marshaler at the Send call sites) and a
 // DecodeWire (pointer receiver). Field order follows struct order; in
-// particular every worker→master reply keeps Epoch first, which is what
-// lets the master's epoch fence (epochOnly) peek at any reply payload
-// without knowing its kind.
+// particular every post-load message opens with its tag, Epoch first,
+// which is what lets the master's epoch fence (epochOnly) peek at any
+// reply payload without knowing its kind.
 //
 // The encoders for nested config types (search.Settings,
 // bottom.Options, solve.Budget, bottom.Bottom, cluster.Traffic) are
@@ -134,6 +134,18 @@ func readWireRules(r *wire.Reader) []wireRule {
 	return out
 }
 
+// appendTag writes the header every post-load message opens with:
+// Epoch, Seq, Gen, the order the committed frame goldens pin.
+func appendTag(w *wire.Writer, t tag) {
+	w.Int(t.Epoch)
+	w.Varint(t.Seq)
+	w.Int(t.Gen)
+}
+
+func readTag(r *wire.Reader) tag {
+	return tag{Epoch: r.Int(), Seq: r.Varint(), Gen: r.Int()}
+}
+
 // --- per-kind encoders, in kind order ---
 
 func (m loadMsg) AppendWire(w *wire.Writer) { w.Int(m.Round) }
@@ -176,23 +188,17 @@ func (m *loadDataMsg) DecodeWire(r *wire.Reader) {
 }
 
 func (m startMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Width)
 }
 
 func (m *startMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Width = r.Int()
 }
 
 func (m stageMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Origin)
 	w.Int(m.Step)
 	appendBottom(w, m.Bottom)
@@ -200,9 +206,7 @@ func (m stageMsg) AppendWire(w *wire.Writer) {
 }
 
 func (m *stageMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Origin = r.Int()
 	m.Step = r.Int()
 	m.Bottom = readBottom(r)
@@ -210,92 +214,63 @@ func (m *stageMsg) DecodeWire(r *wire.Reader) {
 }
 
 func (m rulesMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Origin)
 	w.Clauses(m.Rules)
 }
 
 func (m *rulesMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Origin = r.Int()
 	m.Rules = r.Clauses()
 }
 
 func (m evaluateMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Clauses(m.Rules)
 }
 
 func (m *evaluateMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Rules = r.Clauses()
 }
 
 func (m evalResultMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 	w.I32s(m.Pos)
 	w.I32s(m.Neg)
 }
 
 func (m *evalResultMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 	m.Pos = r.I32s()
 	m.Neg = r.I32s()
 }
 
 func (m markCoveredMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Clause(m.Rule)
 }
 
 func (m *markCoveredMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Rule = r.Clause()
 }
 
-func (m adoptMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
-}
-
-func (m *adoptMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
-}
+func (m adoptMsg) AppendWire(w *wire.Writer)  { appendTag(w, m.tag) }
+func (m *adoptMsg) DecodeWire(r *wire.Reader) { m.tag = readTag(r) }
 
 func (m adoptedMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 	w.Bool(m.Ok)
 	w.Term(m.Example)
 }
 
 func (m *adoptedMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 	m.Ok = r.Bool()
 	m.Example = r.Term()
@@ -306,22 +281,11 @@ func (m *stopMsg) DecodeWire(r *wire.Reader) {
 	m.Gen = r.Int()
 }
 
-func (m gatherMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
-}
-
-func (m *gatherMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
-}
+func (m gatherMsg) AppendWire(w *wire.Writer)  { appendTag(w, m.tag) }
+func (m *gatherMsg) DecodeWire(r *wire.Reader) { m.tag = readTag(r) }
 
 func (m gatheredMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 	w.Terms(m.Pos)
 	w.I64s(m.Costs)
@@ -330,9 +294,7 @@ func (m gatheredMsg) AppendWire(w *wire.Writer) {
 }
 
 func (m *gatheredMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 	m.Pos = r.Terms()
 	m.Costs = r.I64s()
@@ -341,9 +303,7 @@ func (m *gatheredMsg) DecodeWire(r *wire.Reader) {
 }
 
 func (m finalMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 	w.Varint(m.Inferences)
 	w.Varint(m.Generated)
@@ -355,9 +315,7 @@ func (m finalMsg) AppendWire(w *wire.Writer) {
 }
 
 func (m *finalMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 	m.Inferences = r.Varint()
 	m.Generated = r.Varint()
@@ -369,9 +327,7 @@ func (m *finalMsg) DecodeWire(r *wire.Reader) {
 }
 
 func (m reassignMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Ints(m.Members)
 	w.Terms(m.Pos)
 	w.Terms(m.Neg)
@@ -380,9 +336,7 @@ func (m reassignMsg) AppendWire(w *wire.Writer) {
 }
 
 func (m *reassignMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Members = r.Ints()
 	m.Pos = r.Terms()
 	m.Neg = r.Terms()
@@ -391,94 +345,65 @@ func (m *reassignMsg) DecodeWire(r *wire.Reader) {
 }
 
 func (m reassignAckMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 	w.Int(m.Alive)
 }
 
 func (m *reassignAckMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 	m.Alive = r.Int()
 }
 
 func (m welcomeMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Ints(m.Members)
 	m.Load.AppendWire(w)
 }
 
 func (m *welcomeMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Members = r.Ints()
 	m.Load.DecodeWire(r)
 }
 
-func (m resumeQueryMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
-}
-
-func (m *resumeQueryMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
-}
+func (m resumeQueryMsg) AppendWire(w *wire.Writer)  { appendTag(w, m.tag) }
+func (m *resumeQueryMsg) DecodeWire(r *wire.Reader) { m.tag = readTag(r) }
 
 func (m resumeInfoMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 	w.Bool(m.Loaded)
 	w.Int(m.Reconnects)
 }
 
 func (m *resumeInfoMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 	m.Loaded = r.Bool()
 	m.Reconnects = r.Int()
 }
 
 func (m suspectMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 	w.Int(m.Peer)
 }
 
 func (m *suspectMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 	m.Peer = r.Int()
 }
 
 func (m fencedMsg) AppendWire(w *wire.Writer) {
-	w.Int(m.Epoch)
-	w.Varint(m.Seq)
-	w.Int(m.Gen)
+	appendTag(w, m.tag)
 	w.Int(m.Worker)
 }
 
 func (m *fencedMsg) DecodeWire(r *wire.Reader) {
-	m.Epoch = r.Int()
-	m.Seq = r.Varint()
-	m.Gen = r.Int()
+	m.tag = readTag(r)
 	m.Worker = r.Int()
 }
 

@@ -54,7 +54,7 @@ func testPayloads() map[int]any {
 			Checkpoint:    true,
 			OrphanTimeout: 30 * time.Second,
 		},
-		kindStartPipeline: startMsg{Gen: 1, Width: 10},
+		kindStartPipeline: startMsg{tag: tag{Gen: 1}, Width: 10},
 		kindStage: stageMsg{
 			Origin: 2,
 			Step:   3,
@@ -82,19 +82,17 @@ func testPayloads() map[int]any {
 			},
 		},
 		kindReassign: reassignMsg{
-			Epoch:         7,
-			Seq:           42,
+			tag:           tag{Epoch: 7, Seq: 42},
 			Members:       []int{1, 3},
 			Pos:           []logic.Term{mustTerm("active(m6)")},
 			Neg:           []logic.Term{mustTerm("active(m7)")},
 			Replace:       true,
 			RollbackBelow: 6,
 		},
-		kindReassignAck: reassignAckMsg{Epoch: 7, Seq: 9, Worker: 3, Alive: 5},
-		kindSuspect:     suspectMsg{Epoch: 7, Seq: 10, Worker: 1, Peer: 2},
+		kindReassignAck: reassignAckMsg{tag: tag{Epoch: 7, Seq: 9}, Worker: 3, Alive: 5},
+		kindSuspect:     suspectMsg{tag: tag{Epoch: 7, Seq: 10}, Worker: 1, Peer: 2},
 		kindWelcome: welcomeMsg{
-			Epoch:   8,
-			Seq:     11,
+			tag:     tag{Epoch: 8, Seq: 11},
 			Members: []int{1, 2, 3},
 			Load: loadDataMsg{
 				HasData: true,
@@ -105,9 +103,9 @@ func testPayloads() map[int]any {
 				Balance: true,
 			},
 		},
-		kindResumeQuery: resumeQueryMsg{Epoch: 9, Seq: 14, Gen: 2},
-		kindResumeInfo:  resumeInfoMsg{Epoch: 11, Seq: 15, Gen: 2, Worker: 2, Loaded: true, Reconnects: 1},
-		kindFenced:      fencedMsg{Epoch: 12, Seq: 16, Gen: 3, Worker: 1},
+		kindResumeQuery: resumeQueryMsg{tag: tag{Epoch: 9, Seq: 14, Gen: 2}},
+		kindResumeInfo:  resumeInfoMsg{tag: tag{Epoch: 11, Seq: 15, Gen: 2}, Worker: 2, Loaded: true, Reconnects: 1},
+		kindFenced:      fencedMsg{tag: tag{Epoch: 12, Seq: 16, Gen: 3}, Worker: 1},
 	}
 }
 
@@ -138,6 +136,14 @@ func mustSeal(t testing.TB, v any) []byte {
 // this way.
 func gobEncode(t testing.TB, v any) []byte {
 	t.Helper()
+	val := reflect.ValueOf(v)
+	if shape := gobShape(val.Type()); shape != val.Type() {
+		flat := reflect.New(shape).Elem()
+		for i := range shape.NumField() {
+			flat.Field(i).Set(val.FieldByName(shape.Field(i).Name))
+		}
+		v = flat.Interface()
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatalf("%T: gob encode: %v", v, err)
@@ -148,11 +154,35 @@ func gobEncode(t testing.TB, v any) []byte {
 // gobRoundTrip ships v through the reference encoder and back.
 func gobRoundTrip(t testing.TB, v any) any {
 	t.Helper()
-	out := reflect.New(reflect.TypeOf(v))
+	typ := reflect.TypeOf(v)
+	shape := gobShape(typ)
+	out := reflect.New(shape)
 	if err := gob.NewDecoder(bytes.NewReader(gobEncode(t, v))).Decode(out.Interface()); err != nil {
 		t.Fatalf("%T: gob decode: %v", v, err)
 	}
-	return out.Elem().Interface()
+	back := reflect.New(typ).Elem()
+	for i := range shape.NumField() {
+		back.FieldByName(shape.Field(i).Name).Set(out.Elem().Field(i))
+	}
+	return back.Interface()
+}
+
+// gobShape is the struct gob is given for a message type. gob skips an
+// embedded unexported type, so a message that opens with tag has the
+// header's fields spelled out in its place; any other type is its own.
+func gobShape(typ reflect.Type) reflect.Type {
+	if f, ok := typ.FieldByName("tag"); !ok || !f.Anonymous {
+		return typ
+	}
+	var fields []reflect.StructField
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Anonymous {
+			fields = append(fields, reflect.VisibleFields(f.Type)...)
+		} else {
+			fields = append(fields, f)
+		}
+	}
+	return reflect.StructOf(fields)
 }
 
 // TestMessageWireRoundTrip pins the payload encoding: every payload type
@@ -225,10 +255,10 @@ func TestWireGoldenFrames(t *testing.T) {
 // yield the reply's epoch, whatever the payload's tail holds.
 func TestEpochOnlyPartialDecode(t *testing.T) {
 	for _, v := range []any{
-		evalResultMsg{Epoch: 9, Worker: 2, Pos: []int32{3}},
-		adoptedMsg{Epoch: 17, Worker: 1, Ok: true, Example: logic.MustParseTerm("active(m9)")},
-		gatheredMsg{Epoch: 23, Worker: 2, Inferences: 42},
-		reassignAckMsg{Epoch: 31, Seq: 9, Worker: 3},
+		evalResultMsg{tag: tag{Epoch: 9}, Worker: 2, Pos: []int32{3}},
+		adoptedMsg{tag: tag{Epoch: 17}, Worker: 1, Ok: true, Example: logic.MustParseTerm("active(m9)")},
+		gatheredMsg{tag: tag{Epoch: 23}, Worker: 2, Inferences: 42},
+		reassignAckMsg{tag: tag{Epoch: 31, Seq: 9}, Worker: 3},
 	} {
 		var eo epochOnly
 		if err := cluster.DecodePayload(mustSeal(t, v), &eo); err != nil {
@@ -285,9 +315,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// The table holds one payload per kind; the install message has two
 	// deals and the welcome two shapes, so seed the other of each too.
 	term := logic.MustParseTerm
-	f.Add(kindReassign, mustSeal(f, reassignMsg{Epoch: 3, Seq: 5, Members: []int{1, 2}, Pos: []logic.Term{term("active(m6)")}, Neg: []logic.Term{term("active(m7)")}}))
-	f.Add(kindReassign, mustSeal(f, reassignMsg{Epoch: 4, Seq: 6, Gen: 1, Members: []int{1, 2, 3}, Replace: true}))
-	f.Add(kindWelcome, mustSeal(f, welcomeMsg{Epoch: 4, Seq: 7, Members: []int{1, 2, 3}})) // simulation: zero Load
+	f.Add(kindReassign, mustSeal(f, reassignMsg{tag: tag{Epoch: 3, Seq: 5}, Members: []int{1, 2}, Pos: []logic.Term{term("active(m6)")}, Neg: []logic.Term{term("active(m7)")}}))
+	f.Add(kindReassign, mustSeal(f, reassignMsg{tag: tag{Epoch: 4, Seq: 6, Gen: 1}, Members: []int{1, 2, 3}, Replace: true}))
+	f.Add(kindWelcome, mustSeal(f, welcomeMsg{tag: tag{Epoch: 4, Seq: 7}, Members: []int{1, 2, 3}})) // simulation: zero Load
 	f.Fuzz(func(t *testing.T, kind int, data []byte) {
 		proto, ok := payloads[kind]
 		if !ok {

@@ -19,12 +19,15 @@ import (
 // tell the difference except through the remote flag, which switches the
 // partition source (construction vs kindLoad) and the end-of-run report.
 //
-// The worker mirrors the master's epoch discipline (DESIGN.md §6): it
-// tracks the highest epoch it has seen, drops stale-epoch requests whose
-// replies nobody would read, applies kindMarkCovered unconditionally (an
-// accepted rule survives its epoch), and installs membership changes from
-// kindReassign — merging its share of a dead sibling's examples and
-// adopting the surviving pipeline ring.
+// The worker mirrors the master's epoch discipline (DESIGN.md §6): every
+// master and ring frame passes one prologue, admit — decode, the
+// generation fence, then its kind's row of the admission table, which
+// drops stale-epoch requests whose replies nobody would read, holds a
+// stage of an epoch the master link has not opened yet, and applies
+// kindMarkCovered at any epoch (an accepted rule survives its epoch).
+// run keeps only the actions; membership changes arrive in kindReassign,
+// which merges a dead sibling's share or replaces the partition, and
+// carries the surviving pipeline ring.
 type worker struct {
 	id   int // 1-based worker id; node id on the cluster
 	node cluster.Transport
@@ -150,27 +153,19 @@ func fullRing(p int) []int {
 }
 
 func newWorker(id, p int, node cluster.Transport, kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) *worker {
-	machineKB := kb
-	if cfg.AddLearnedToBK {
-		machineKB = kb.Clone()
-	}
-	m := solve.NewMachine(machineKB, cfg.Budget)
-	m.SetNoVM(cfg.Search.NoVM)
 	w := &worker{
-		id:       id,
-		ring:     fullRing(p),
-		node:     node,
-		cfg:      cfg,
-		ms:       ms,
-		kb:       kb,
-		m:        m,
-		ex:       ex,
-		snapsOn:  cfg.CheckpointDir != "",
-		snaps:    make(map[int]boundarySnap),
-		covCache: make(map[uint64][]covCacheEntry),
+		id:      id,
+		ring:    fullRing(p),
+		node:    node,
+		cfg:     cfg,
+		ms:      ms,
+		kb:      kb,
+		snapsOn: cfg.CheckpointDir != "",
+		snaps:   make(map[int]boundarySnap),
 	}
 	node.NotifyFailures(cfg.Recover || cfg.OrphanTimeout > 0)
-	w.ev = w.newEvaluator()
+	w.m = w.newMachine()
+	w.install(ex)
 	return w
 }
 
@@ -187,32 +182,25 @@ func newRemoteWorker(node cluster.Transport, kb *solve.KB, ms *mode.Set, cfg Con
 	// — the master's own link to the dead peer fails the run.
 	node.NotifyFailures(true)
 	return &worker{
-		id:       node.ID(),
-		ring:     fullRing(node.Size() - 1),
-		node:     node,
-		cfg:      cfg,
-		ms:       ms,
-		remote:   true,
-		kb:       kb,
-		snaps:    make(map[int]boundarySnap),
-		covCache: make(map[uint64][]covCacheEntry),
+		id:     node.ID(),
+		ring:   fullRing(node.Size() - 1),
+		node:   node,
+		cfg:    cfg,
+		ms:     ms,
+		remote: true,
+		kb:     kb,
+		snaps:  make(map[int]boundarySnap),
 	}
 }
 
 // loadRemote installs the partition and the master's semantics-bearing
 // settings, building the machine and evaluator (a remote worker has none
-// until its first kindLoad).
+// until its first kindLoad). Loading charges a nominal unit per example.
 func (w *worker) loadRemote(lm *loadDataMsg) error {
 	if !lm.HasData {
 		return fmt.Errorf("core: worker %d: remote load carried no partition", w.id)
 	}
-	w.cfg.Width = lm.Width
-	w.cfg.Search = lm.Search
-	w.cfg.Bottom = lm.Bottom
-	w.cfg.Budget = lm.Budget
-	w.cfg.AddLearnedToBK = lm.AddLearnedToBK
-	w.cfg.Recover = lm.Recover
-	w.cfg.Balance = lm.Balance
+	w.cfg = w.cfg.withLoadSettings(lm)
 	w.snapsOn = lm.Checkpoint
 	if lm.OrphanTimeout > 0 {
 		w.cfg.OrphanTimeout = lm.OrphanTimeout
@@ -223,28 +211,45 @@ func (w *worker) loadRemote(lm *loadDataMsg) error {
 	// poison this worker's transport — and the orphan regime needs the
 	// master's own death delivered the same way.
 	w.node.NotifyFailures(w.cfg.Recover || w.cfg.OrphanTimeout > 0)
+	if w.m != nil {
+		w.retiredInf += w.m.TotalInferences() // the old machine goes too
+	}
+	w.m = w.newMachine()
+	w.install(search.NewExamples(lm.Pos, lm.Neg))
+	w.compute(int64(w.ex.NumPos() + w.ex.NumNeg()))
+	return nil
+}
+
+// newMachine builds the worker's SLD machine over the background
+// knowledge, on a private copy when learned rules are asserted into it.
+func (w *worker) newMachine() *solve.Machine {
+	kb := w.kb
+	if w.cfg.AddLearnedToBK {
+		kb = kb.Clone()
+	}
+	m := solve.NewMachine(kb, w.cfg.Budget)
+	m.SetNoVM(w.cfg.Search.NoVM)
+	return m
+}
+
+// install makes ex the worker's partition, with a fresh evaluator over it:
+// the old evaluator's inferences are retired into the account, and the
+// coverage cache starts over, since its bitsets index the example set they
+// were built over.
+func (w *worker) install(ex *search.Examples) {
 	if w.ev != nil {
-		w.retiredInf += w.m.TotalInferences() + w.ev.OwnInferences()
+		w.retiredInf += w.ev.OwnInferences()
 		w.ev.Close()
 	}
-	machineKB := w.kb
-	if w.cfg.AddLearnedToBK {
-		machineKB = w.kb.Clone()
-	}
-	w.m = solve.NewMachine(machineKB, w.cfg.Budget)
-	w.m.SetNoVM(w.cfg.Search.NoVM)
-	w.ex = search.NewExamples(lm.Pos, lm.Neg)
+	w.ex = ex
 	w.ev = w.newEvaluator()
 	w.covCache = make(map[uint64][]covCacheEntry)
-	return nil
 }
 
 // sendFinal reports the worker's totals to the master (remote runs only).
 func (w *worker) sendFinal() error {
 	fm := finalMsg{
-		Epoch:      w.epoch,
-		Seq:        w.nextSeq(),
-		Gen:        w.gen,
+		tag:        w.stamp(),
 		Worker:     w.id,
 		Inferences: w.totalInf(),
 		Generated:  w.generated,
@@ -270,23 +275,22 @@ func (w *worker) newEvaluator() search.FullCoverer {
 	return search.NewFullCoverer(w.m, w.ex, w.cfg.Budget, w.cfg.CoverParallelism)
 }
 
-func (w *worker) nextSeq() int64 {
+// stamp is the header of the worker's next frame.
+func (w *worker) stamp() tag {
 	w.seq++
-	return w.seq
+	return tag{Epoch: w.epoch, Seq: w.seq, Gen: w.gen}
 }
 
 // bumpEpoch advances the worker's epoch clock to the (already
-// staleness-checked) wire epoch, returning the previous value. When
-// snapshots are on and the clock actually moves, the pre-advance state is
-// recorded first, keyed by the epoch just completed — the lazy boundary
-// snapshot a crash-restart rollback restores.
-func (w *worker) bumpEpoch(to int) (prev int) {
-	prev = w.epoch
+// staleness-checked) wire epoch. When snapshots are on and the clock
+// actually moves, the pre-advance state is recorded first, keyed by the
+// epoch just completed — the lazy boundary snapshot a crash-restart
+// rollback restores.
+func (w *worker) bumpEpoch(to int) {
 	if w.snapsOn && to > w.epoch && w.ex != nil {
 		w.snapshot()
 	}
 	w.epoch = to
-	return prev
 }
 
 // snapshot records the current state under the current epoch and prunes
@@ -321,11 +325,7 @@ func (w *worker) restore(boundary int) error {
 		return fmt.Errorf("core: worker %d: no boundary snapshot for epoch %d", w.id, boundary)
 	}
 	if s.ex != w.ex {
-		w.retiredInf += w.ev.OwnInferences()
-		w.ev.Close()
-		w.ex = s.ex
-		w.ev = w.newEvaluator()
-		w.covCache = make(map[uint64][]covCacheEntry)
+		w.install(s.ex)
 	}
 	w.ex.PosAlive = s.alive.Clone()
 	w.ring = append([]int(nil), s.ring...)
@@ -345,7 +345,7 @@ func (w *worker) fenceDrop(gen, from int) (drop bool, err error) {
 	if gen < w.gen {
 		w.fenced++
 		if from == 0 {
-			err = w.sendMaster(kindFenced, fencedMsg{Epoch: w.epoch, Seq: w.nextSeq(), Gen: w.gen, Worker: w.id})
+			err = w.sendMaster(kindFenced, fencedMsg{tag: w.stamp(), Worker: w.id})
 		}
 		return true, err
 	}
@@ -355,25 +355,95 @@ func (w *worker) fenceDrop(gen, from int) (drop bool, err error) {
 	return false, nil
 }
 
-// open is the prologue of every epoch-checked master frame — start,
-// evaluate, adopt, gather, welcome and the install — written once: decode
-// into dst, apply the generation fence, drop a frame of an abandoned epoch
-// attempt (nobody reads its reply), otherwise move the epoch clock to the
-// frame's and run then with the clock's previous value. kindStage,
-// kindMarkCovered, kindLoad, kindResumeQuery and kindStop have their own,
-// different, rules.
-func (w *worker) open(msg cluster.Message, dst masterFrame, then func(prev int) error) error {
-	if err := msg.Decode(dst); err != nil {
-		return err
+// epochRule is what a frame's epoch means to the worker (DESIGN.md §6).
+type epochRule int
+
+const (
+	// atEpoch: a frame of an abandoned epoch attempt is dropped (nobody
+	// reads its reply); any other moves the epoch clock to the frame's.
+	atEpoch epochRule = iota
+	// anyEpoch: the frame applies whatever its epoch.
+	anyEpoch
+	// ringEpoch: a stage of an abandoned epoch is dropped, one of an epoch
+	// the master link has not opened here yet is held, one of the worker's
+	// own epoch runs.
+	ringEpoch
+)
+
+// admission is the worker's admission table: for every master and ring
+// kind, the payload it decodes into, its epoch rule, and whether it may
+// arrive before the partition is loaded.
+var admission = map[int]struct {
+	rule  epochRule
+	early bool
+	frame func(remote bool) any
+}{
+	// The simulation's loadMsg carries no generation, so it bypasses the
+	// fence; the remote loadDataMsg carries Gen mid-struct.
+	kindLoad: {anyEpoch, true, func(remote bool) any {
+		if remote {
+			return new(loadDataMsg)
+		}
+		return new(loadMsg)
+	}},
+	kindStartPipeline: {atEpoch, false, fresh[startMsg]},
+	kindStage:         {ringEpoch, false, fresh[stageMsg]},
+	kindEvaluate:      {atEpoch, false, fresh[evaluateMsg]},
+	// An accepted rule stays in the theory even when its epoch is
+	// re-issued, so its retraction applies at any epoch — though not from
+	// a superseded generation, whose acceptances the live one never made.
+	kindMarkCovered: {anyEpoch, false, fresh[markCoveredMsg]},
+	// A stale adoption must not run: it would retire a positive whose reply
+	// nobody reads, leaving it neither covered nor adopted.
+	kindAdopt:    {atEpoch, false, fresh[adoptMsg]},
+	kindStop:     {anyEpoch, true, fresh[stopMsg]}, // Gen only
+	kindGather:   {atEpoch, false, fresh[gatherMsg]},
+	kindReassign: {atEpoch, false, fresh[reassignMsg]},
+	kindWelcome:  {atEpoch, true, fresh[welcomeMsg]},
+	// A crash-restarted master's checkpointed clock may be behind this
+	// worker's; finding out by how much is the query's point.
+	kindResumeQuery: {anyEpoch, true, fresh[resumeQueryMsg]},
+}
+
+// fresh is an admission row's payload constructor for a kind with one
+// payload type.
+func fresh[T any](bool) any { return new(T) }
+
+// admit is the prologue every master and ring frame passes: decode the
+// payload its kind's row names, apply the generation fence, then the
+// row's epoch rule. It returns the payload to act on, with the worker's
+// epoch before the frame moved it, or nil when the frame was fenced,
+// dropped or held.
+func (w *worker) admit(msg cluster.Message) (f any, prev int, err error) {
+	row, ok := admission[msg.Kind]
+	if !ok {
+		return nil, 0, fmt.Errorf("core: worker %d got unknown message kind %d", w.id, msg.Kind)
 	}
-	epoch, gen := dst.tags()
-	if drop, err := w.fenceDrop(gen, msg.From); drop || err != nil {
-		return err
+	f = row.frame(w.remote)
+	if err := msg.Decode(f); err != nil {
+		return nil, 0, err
 	}
-	if epoch < w.epoch {
-		return nil
+	var t tag
+	if h, ok := f.(interface{ tags() tag }); ok {
+		t = h.tags()
+		if drop, err := w.fenceDrop(t.Gen, msg.From); drop || err != nil {
+			return nil, 0, err
+		}
 	}
-	return then(w.bumpEpoch(epoch))
+	prev = w.epoch
+	switch {
+	case row.rule == anyEpoch:
+	case t.Epoch < w.epoch:
+		return nil, 0, nil // residue of an abandoned epoch attempt
+	case row.rule == ringEpoch && t.Epoch > w.epoch:
+		return nil, 0, w.hold(*f.(*stageMsg))
+	case row.rule == atEpoch:
+		w.bumpEpoch(t.Epoch)
+	}
+	if w.ex == nil && !row.early {
+		return nil, 0, fmt.Errorf("core: worker %d got kind %d of epoch %d before its partition was loaded", w.id, msg.Kind, t.Epoch)
+	}
+	return f, prev, nil
 }
 
 // sendMaster ships a protocol message to the master, swallowing the
@@ -521,11 +591,7 @@ func (w *worker) run() error {
 			return nil
 		}
 		if err != nil {
-			if len(w.held) > 0 {
-				return fmt.Errorf("core: worker %d at epoch %d: receive, holding %d stage(s) of epoch %d for the master frame that opens it: %w",
-					w.id, w.epoch, len(w.held), w.held[0].Epoch, err)
-			}
-			return fmt.Errorf("core: worker %d: receive: %w", w.id, err)
+			return w.receiveError(err)
 		}
 		if msg.Kind == cluster.KindPeerUp {
 			// A machine joined the cluster. The master drives admission;
@@ -559,172 +625,76 @@ func (w *worker) run() error {
 				w.deadPeers = make(map[int]bool)
 			}
 			w.deadPeers[msg.From] = true
-			err := w.node.Send(0, kindSuspect, suspectMsg{Epoch: w.epoch, Seq: w.nextSeq(), Gen: w.gen, Worker: w.id, Peer: msg.From})
+			err := w.node.Send(0, kindSuspect, suspectMsg{tag: w.stamp(), Worker: w.id, Peer: msg.From})
 			if err != nil && !errors.Is(err, cluster.ErrPeerDown) {
 				return err
 			}
 			continue
 		}
-		if w.ex == nil && msg.Kind != kindLoad && msg.Kind != kindWelcome && msg.Kind != kindStop && msg.Kind != kindResumeQuery && msg.Kind != kindStage {
-			// Ring frames are exempt: a neighbour's stage racing the load
-			// on another link is fenced below, not fatal.
-			return fmt.Errorf("core: worker %d got kind %d before its partition was loaded", w.id, msg.Kind)
+		f, prev, err := w.admit(msg)
+		if err != nil {
+			return err
 		}
-		switch msg.Kind {
-		case kindLoad:
-			if w.remote {
-				var lm loadDataMsg
-				if err := msg.Decode(&lm); err != nil {
-					return err
-				}
-				if drop, err := w.fenceDrop(lm.Gen, msg.From); err != nil {
-					return err
-				} else if drop {
-					continue
-				}
-				if err := w.loadRemote(&lm); err != nil {
-					return err
-				}
-				w.compute(int64(w.ex.NumPos() + w.ex.NumNeg()))
-				continue
-			}
-			var lm loadMsg
-			if err := msg.Decode(&lm); err != nil {
-				return err
-			}
+		switch m := f.(type) {
+		case *loadMsg:
 			// Data is on the shared filesystem (partition handed at
 			// construction); loading charges a nominal unit per example.
 			w.compute(int64(w.ex.NumPos() + w.ex.NumNeg()))
-		case kindStartPipeline:
-			var sm startMsg
-			if err := w.open(msg, &sm, func(int) error { return w.startPipeline() }); err != nil {
-				return err
-			}
-		case kindStage:
-			var st stageMsg
-			if err := msg.Decode(&st); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(st.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue // a sibling still relaying a superseded master's epoch
-			}
-			if st.Epoch < w.epoch {
-				continue // residue of an abandoned epoch attempt
-			}
-			if st.Epoch > w.epoch {
-				if err := w.hold(st); err != nil {
-					return err
-				}
-				continue
-			}
-			if w.ex == nil {
-				return fmt.Errorf("core: worker %d got a stage of its own epoch %d before its partition was loaded", w.id, w.epoch)
-			}
-			if err := w.runStage(&st); err != nil {
-				return err
-			}
-		case kindEvaluate:
-			var em evaluateMsg
-			if err := w.open(msg, &em, func(int) error { return w.evaluateBag(&em) }); err != nil {
-				return err
-			}
-		case kindMarkCovered:
-			var mm markCoveredMsg
-			if err := msg.Decode(&mm); err != nil {
-				return err
-			}
-			// Epoch-independent, but NOT generation-independent: a stale
-			// master's acceptance must not retract examples the live
-			// generation still owns.
-			if drop, err := w.fenceDrop(mm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			// Applied regardless of epoch: the accepted rule stays in the
-			// theory even when its epoch is re-issued (see messages.go).
-			w.markCovered(&mm)
-		case kindAdopt:
-			// Unlike markCovered, a stale adoption must NOT run: it would
-			// retire a positive whose reply nobody reads, and the example
-			// would end up neither covered nor adopted.
-			var am adoptMsg
-			if err := w.open(msg, &am, func(int) error { return w.adoptOne() }); err != nil {
-				return err
-			}
-		case kindGather:
-			var gm gatherMsg
-			if err := w.open(msg, &gm, func(int) error { return w.gatherAlive() }); err != nil {
-				return err
-			}
-		case kindReassign:
-			var rm reassignMsg
-			if err := w.open(msg, &rm, func(prev int) error { return w.reassign(&rm, prev) }); err != nil {
-				return err
-			}
-		case kindWelcome:
+		case *loadDataMsg:
+			err = w.loadRemote(m)
+		case *startMsg:
+			err = w.startPipeline()
+		case *stageMsg:
+			err = w.runStage(m)
+		case *evaluateMsg:
+			err = w.evaluateBag(m)
+		case *markCoveredMsg:
+			w.markCovered(m)
+		case *adoptMsg:
+			err = w.adoptOne()
+		case *gatherMsg:
+			err = w.gatherAlive()
+		case *reassignMsg:
+			err = w.reassign(m, prev)
+		case *welcomeMsg:
 			// This worker joined mid-run: install the ring (and, remote,
 			// the settings a kindLoad would have carried — the partition
 			// share follows in the kindReassign on this same link).
-			var wm welcomeMsg
-			err := w.open(msg, &wm, func(int) error {
-				w.ring = wm.Members
-				if w.remote {
-					return w.loadRemote(&wm.Load)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
+			w.ring = m.Members
+			if w.remote {
+				err = w.loadRemote(&m.Load)
 			}
-		case kindResumeQuery:
-			// From a crash-restarted master, epoch-INDEPENDENT: this
-			// worker's clock may legitimately be AHEAD of the restarted
-			// master's checkpointed clock. Reply with where we stand; the
-			// rollback rides on the kindReassign that follows.
-			var qm resumeQueryMsg
-			if err := msg.Decode(&qm); err != nil {
-				return err
-			}
-			if drop, err := w.fenceDrop(qm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
-			err := w.sendMaster(kindResumeInfo, resumeInfoMsg{
-				Epoch:      w.epoch,
-				Seq:        w.nextSeq(),
-				Gen:        w.gen,
-				Worker:     w.id,
-				Loaded:     w.ex != nil,
-				Reconnects: w.orphanReconnects,
-			})
-			if err != nil {
-				return err
-			}
-			w.orphanReconnects = 0 // reported: the master accumulates deltas
-		case kindStop:
-			var tm stopMsg
-			if err := msg.Decode(&tm); err != nil {
-				return err
-			}
-			// A zombie master must not stop a cluster a newer generation
-			// is still driving.
-			if drop, err := w.fenceDrop(tm.Gen, msg.From); err != nil {
-				return err
-			} else if drop {
-				continue
-			}
+		case *resumeQueryMsg:
+			// Reply with where this worker stands; the rollback rides on
+			// the kindReassign that follows. The reconnect count is a
+			// delta: the master accumulates what it is told.
+			err = w.sendMaster(kindResumeInfo, resumeInfoMsg{tag: w.stamp(), Worker: w.id, Loaded: w.ex != nil, Reconnects: w.orphanReconnects})
+			w.orphanReconnects = 0
+		case *stopMsg:
 			if w.remote {
 				return w.sendFinal()
 			}
 			return nil
-		default:
-			return fmt.Errorf("core: worker %d got unknown message kind %d", w.id, msg.Kind)
+		}
+		if err != nil {
+			return err
 		}
 	}
+}
+
+// receiveError says where the worker stood when its receive failed: its
+// epoch, generation, ring, whether its partition is loaded, and any stages
+// it holds for a master frame that never came.
+func (w *worker) receiveError(err error) error {
+	loaded := "loaded"
+	if w.ex == nil {
+		loaded = "not loaded"
+	}
+	at := fmt.Sprintf("core: worker %d at epoch %d, generation %d, ring %v, partition %s", w.id, w.epoch, w.gen, w.ring, loaded)
+	if len(w.held) > 0 {
+		return fmt.Errorf("%s: receive, holding %d stage(s) of epoch %d for the master frame that opens it: %w", at, len(w.held), w.held[0].Epoch, err)
+	}
+	return fmt.Errorf("%s: receive: %w", at, err)
 }
 
 // hold fences a stage of an epoch this worker has not been moved to yet.
@@ -775,7 +745,7 @@ func (w *worker) startPipeline() error {
 	seedIdx := w.ex.FirstAlivePos()
 	if seedIdx < 0 {
 		// Nothing left locally: deliver an empty pipeline result.
-		return w.sendMaster(kindRules, rulesMsg{Epoch: w.epoch, Seq: w.nextSeq(), Gen: w.gen, Origin: w.id})
+		return w.sendMaster(kindRules, rulesMsg{tag: w.stamp(), Origin: w.id})
 	}
 	before := w.totalInf()
 	bot, err := bottom.Construct(w.m, w.ms, w.ex.Pos[seedIdx], w.cfg.Bottom)
@@ -785,27 +755,27 @@ func (w *worker) startPipeline() error {
 	res := search.LearnRule(w.ev, bot, nil, w.cfg.Search)
 	w.generated += int64(res.Generated)
 	w.chargeWork(before)
-	// This stageMsg never hits the wire (forward rebuilds the outgoing
-	// message, stamping Seq there), it just threads epoch/origin/bottom.
-	return w.forward(&stageMsg{Epoch: w.epoch, Origin: w.id, Step: 1, Bottom: *bot}, res)
+	// This stageMsg never hits the wire (forward builds the outgoing
+	// message, stamping it there), it just threads origin/step/bottom.
+	return w.forward(&stageMsg{Origin: w.id, Step: 1, Bottom: *bot}, res)
 }
 
 // runStage continues a pipeline that arrived from the previous worker
-// (Fig. 7 learn_rule' at Step > 1).
+// (Fig. 7 learn_rule' at Step > 1). When nothing survived the previous
+// stages the empty frontier (a nil result) is passed on, so the pipeline
+// still completes at the master.
 func (w *worker) runStage(st *stageMsg) error {
-	if len(st.Seeds) == 0 {
-		// Nothing survived the previous stages; pass the empty frontier on
-		// so the pipeline still completes at the master.
-		return w.forwardEmpty(st)
+	var res *search.Result
+	if len(st.Seeds) > 0 {
+		seeds := make([][]int32, len(st.Seeds))
+		for i, s := range st.Seeds {
+			seeds[i] = s.Indices
+		}
+		before := w.totalInf()
+		res = search.LearnRule(w.ev, &st.Bottom, seeds, w.cfg.Search)
+		w.generated += int64(res.Generated)
+		w.chargeWork(before)
 	}
-	seeds := make([][]int32, len(st.Seeds))
-	for i, s := range st.Seeds {
-		seeds[i] = s.Indices
-	}
-	before := w.totalInf()
-	res := search.LearnRule(w.ev, &st.Bottom, seeds, w.cfg.Search)
-	w.generated += int64(res.Generated)
-	w.chargeWork(before)
 	return w.forward(st, res)
 }
 
@@ -837,39 +807,32 @@ func (w *worker) deliverRules(st *stageMsg, res *search.Result) error {
 			rules = append(rules, g.Materialize(&st.Bottom).Canonical())
 		}
 	}
-	return w.sendMaster(kindRules, rulesMsg{Epoch: st.Epoch, Seq: w.nextSeq(), Gen: w.gen, Origin: st.Origin, Rules: rules})
+	return w.sendMaster(kindRules, rulesMsg{tag: w.stamp(), Origin: st.Origin, Rules: rules})
 }
 
-// forward routes a stage's results: to the next worker while stages
-// remain, to the master once the pipeline has visited every live
-// partition — or early, when the ring successor is unreachable. The
-// early, less-refined delivery keeps the epoch live at the master, which
-// either counts the pipeline (an asymmetric link failure it cannot see)
-// or discards it as stale after recovering (a death it can see).
+// forward routes a stage's results (res nil = empty frontier): to the
+// next worker while stages remain, to the master once the pipeline has
+// visited every live partition — or early, when the ring successor is
+// unreachable. The early, less-refined delivery keeps the epoch live at
+// the master, which either counts the pipeline (an asymmetric link failure
+// it cannot see) or discards it as stale after recovering (a death it can
+// see). Stages run only at the worker's own epoch, so the stamp carries
+// the pipeline's.
 func (w *worker) forward(st *stageMsg, res *search.Result) error {
 	if st.Step < len(w.ring) {
-		seeds := make([]wireRule, 0, len(res.Good))
-		for _, g := range res.Good {
-			seeds = append(seeds, wireRule{Indices: g.Indices})
+		next := stageMsg{tag: w.stamp(), Origin: st.Origin, Step: st.Step + 1, Bottom: st.Bottom}
+		if res != nil {
+			next.Seeds = make([]wireRule, 0, len(res.Good))
+			for _, g := range res.Good {
+				next.Seeds = append(next.Seeds, wireRule{Indices: g.Indices})
+			}
 		}
-		next := stageMsg{Epoch: st.Epoch, Seq: w.nextSeq(), Gen: w.gen, Origin: st.Origin, Step: st.Step + 1, Bottom: st.Bottom, Seeds: seeds}
 		sent, err := w.forwardStage(next)
 		if sent || err != nil {
 			return err
 		}
 	}
 	return w.deliverRules(st, res)
-}
-
-func (w *worker) forwardEmpty(st *stageMsg) error {
-	if st.Step < len(w.ring) {
-		next := stageMsg{Epoch: st.Epoch, Seq: w.nextSeq(), Gen: w.gen, Origin: st.Origin, Step: st.Step + 1, Bottom: st.Bottom}
-		sent, err := w.forwardStage(next)
-		if sent || err != nil {
-			return err
-		}
-	}
-	return w.deliverRules(st, nil)
 }
 
 // evaluateBag scores every bag rule on the local alive examples and reports
@@ -879,9 +842,7 @@ func (w *worker) forwardEmpty(st *stageMsg) error {
 func (w *worker) evaluateBag(em *evaluateMsg) error {
 	w.primeCoverage(em.Rules) // one pool synchronisation for the whole bag
 	out := evalResultMsg{
-		Epoch:  em.Epoch,
-		Seq:    w.nextSeq(),
-		Gen:    w.gen,
+		tag:    w.stamp(),
 		Worker: w.id,
 		Pos:    make([]int32, len(em.Rules)),
 		Neg:    make([]int32, len(em.Rules)),
@@ -909,7 +870,7 @@ func (w *worker) markCovered(mm *markCoveredMsg) {
 // the master's balancer measures throughput from; off, the fields stay
 // zero and the message bytes are unchanged.
 func (w *worker) gatherAlive() error {
-	out := gatheredMsg{Epoch: w.epoch, Seq: w.nextSeq(), Gen: w.gen, Worker: w.id}
+	out := gatheredMsg{tag: w.stamp(), Worker: w.id}
 	w.ex.PosAlive.ForEach(func(i int) bool {
 		out.Pos = append(out.Pos, w.ex.Pos[i])
 		return true
@@ -935,18 +896,6 @@ func (w *worker) exampleCost(e logic.Term) int64 {
 		c = e.Args[0]
 	}
 	return int64(1 + w.kb.Footprint(c))
-}
-
-// installExamples replaces the worker's example partition. The coverage
-// cache keys rules, but its bitsets index the old examples, so it must be
-// rebuilt from scratch.
-func (w *worker) installExamples(pos, neg []logic.Term) {
-	w.retiredInf += w.ev.OwnInferences()
-	w.ev.Close()
-	w.ex = search.NewExamples(pos, neg)
-	w.ev = w.newEvaluator()
-	w.covCache = make(map[uint64][]covCacheEntry)
-	w.compute(int64(len(pos)))
 }
 
 // reassign installs one redeal: adopt the ring the master sent (it may
@@ -988,14 +937,9 @@ func (w *worker) reassign(rm *reassignMsg, prev int) error {
 	if len(rm.Neg) > 0 {
 		neg = append(append(make([]logic.Term, 0, len(neg)+len(rm.Neg)), neg...), rm.Neg...)
 	}
-	w.installExamples(pos, neg)
-	return w.sendMaster(kindReassignAck, reassignAckMsg{
-		Epoch:  w.epoch,
-		Seq:    w.nextSeq(),
-		Gen:    w.gen,
-		Worker: w.id,
-		Alive:  w.ex.PosAlive.Count(),
-	})
+	w.install(search.NewExamples(pos, neg))
+	w.compute(int64(len(pos)))
+	return w.sendMaster(kindReassignAck, reassignAckMsg{tag: w.stamp(), Worker: w.id, Alive: w.ex.PosAlive.Count()})
 }
 
 // adoptOne retires the first uncovered local positive as a ground fact
@@ -1003,11 +947,11 @@ func (w *worker) reassign(rm *reassignMsg, prev int) error {
 func (w *worker) adoptOne() error {
 	idx := w.ex.FirstAlivePos()
 	if idx < 0 {
-		return w.sendMaster(kindAdopted, adoptedMsg{Epoch: w.epoch, Seq: w.nextSeq(), Gen: w.gen, Worker: w.id})
+		return w.sendMaster(kindAdopted, adoptedMsg{tag: w.stamp(), Worker: w.id})
 	}
 	single := search.NewBitset(len(w.ex.Pos))
 	single.Set(idx)
 	w.ex.RetractPos(single)
 	w.compute(1)
-	return w.sendMaster(kindAdopted, adoptedMsg{Epoch: w.epoch, Seq: w.nextSeq(), Gen: w.gen, Worker: w.id, Ok: true, Example: w.ex.Pos[idx]})
+	return w.sendMaster(kindAdopted, adoptedMsg{tag: w.stamp(), Worker: w.id, Ok: true, Example: w.ex.Pos[idx]})
 }
