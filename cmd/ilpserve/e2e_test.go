@@ -164,8 +164,16 @@ func TestLearnThenServeE2E(t *testing.T) {
 	if !res.Covered || len(res.Rules) == 0 {
 		t.Fatalf("positive example not covered: %+v", res)
 	}
-	if len(res.Proof) == 0 || !strings.Contains(string(res.Proof), `"kind"`) {
-		t.Fatalf("no proof trace in response: %s", res.Proof)
+	var root struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal(res.Proof, &root); err != nil || root.Kind != "rule" {
+		t.Fatalf("the proof trace's root is not a rule step (%v): %s", err, res.Proof)
+	}
+	if resp, err := http.Get(baseURL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 	if cr, _ := classify(t, baseURL, "eastbound(west8)"); cr.Results[0].Covered {
 		t.Fatalf("negative example covered: %+v", cr.Results[0])

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -75,7 +76,7 @@ func main() {
 		crashAt  = flag.Int64("crashat", 0, "fault injection: kill this master process (exit 137, no cleanup — as if kill -9) when its N'th protocol op is reached; deterministic under a fixed dataset and seed (testing aid for -checkpoint/-resume)")
 		flapAt   = flag.Int64("flapat", 0, "fault injection: drop all of this master's TCP links (a transient partition) when its N'th protocol op is reached; with -linkgrace the session layer replays the gap and the run completes with zero recoveries (testing aid for the link-resilience layer)")
 		linkGr   = flag.Duration("linkgrace", 0, "TCP link-reconnect grace window (netcluster LinkGrace): a failed link gets this long to redial and replay before it escalates to a peer-down event; 0 = fail immediately (the pre-grace behaviour)")
-		pubDir   = flag.String("publish", "", "learn-then-serve pipeline: write an immutable serving snapshot (theory + background + examples, internal/serve format) under this directory at every epoch boundary and after the final epoch, for ilpserve -watch to hot-swap in; with the sequential baseline the final theory publishes once (master flag; workers ignore it)")
+		pubDir   = flag.String("publish", "", "learn-then-serve pipeline: write an immutable serving snapshot (theory + background + examples, internal/serve format) under this directory at every epoch boundary and after the final epoch, for ilpserve -watch to hot-swap in; with the sequential baseline the final theory publishes once (master flag; a -serve/-join worker refuses it)")
 		recvTO   = flag.Duration("recvtimeout", 0, "bound every blocking protocol receive (core.Config.RecvTimeout); 0 = no deadline, rely on the transport's failure detection")
 		hbEvery  = flag.Duration("heartbeat", 0, "TCP per-link heartbeat period (netcluster HeartbeatEvery); 0 = default 500ms")
 		joinTO   = flag.Duration("jointimeout", 0, "TCP join timeout: a worker's wait for the master's welcome and the master's dial retries (netcluster JoinTimeout); 0 = default 60s")
@@ -84,6 +85,9 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress everything except the metrics line")
 	)
 	flag.Parse()
+	if err := checkModeFlags(); err != nil {
+		fail(err)
+	}
 	shp, err := shape.Parse(*shapeFl)
 	if err != nil {
 		fail(err)
@@ -144,9 +148,9 @@ func main() {
 		return
 	}
 
-	workerCount, err := strconv.Atoi(*workers)
+	workerCount, err := parseWorkers(*workers)
 	if err != nil {
-		fail(fmt.Errorf("-workers %q: need a worker count (or add -master for an address list)", *workers))
+		fail(err)
 	}
 	if !*quiet {
 		fmt.Println(ds.String())
@@ -192,6 +196,85 @@ func main() {
 		fmt.Println("theory:")
 		fmt.Print(ilp.TheoryString(theory))
 	}
+}
+
+// flagReaders names, for every flag that not every mode reads, the modes
+// that read it; a flag absent here (the dataset flags, -q) is read by all.
+// It follows where main and the run* functions read each flag or the
+// runOptions field it fills: -strategy and -novm go into ds.Search, which
+// a worker or a resumed master gets from the master or the checkpoint
+// instead, and -shape's cost model, the timeouts and the link settings only
+// mean something to the TCP modes and, for the cost model and the receive
+// timeout, to the simulated cluster.
+var flagReaders = map[string][]string{
+	"workers":       {"sequential", "sim", "-master"},
+	"width":         {"sim", "-master"},
+	"strategy":      {"sequential", "sim", "-master"},
+	"novm":          {"sequential", "sim", "-master"},
+	"coverpar":      {"sequential", "sim", "-serve/-join"},
+	"serve":         {"-serve/-join"},
+	"join":          {"-serve/-join"},
+	"master":        {"-master"},
+	"resume":        {"-resume"},
+	"listen":        {"-master"},
+	"orphantimeout": {"-master"},
+	"balance":       {"sim", "-master"},
+	"recover":       {"sim", "-master"},
+	"traffic":       {"sim", "-master", "-resume"},
+	"checkpoint":    {"sim", "-master", "-resume"},
+	"crashat":       {"-master", "-resume"},
+	"flapat":        {"-master", "-resume"},
+	"heartbeat":     {"-serve/-join", "-master", "-resume"},
+	"jointimeout":   {"-serve/-join", "-master", "-resume"},
+	"linkgrace":     {"-serve/-join", "-master", "-resume"},
+	"recvtimeout":   {"sim", "-serve/-join", "-master", "-resume"},
+	"shape":         {"sim", "-serve/-join", "-master", "-resume"},
+	"publish":       {"sequential", "sim", "-master", "-resume"},
+	"v":             {"sequential", "sim", "-master", "-resume"},
+}
+
+// checkModeFlags refuses a flag set on the command line that the selected
+// mode never reads, naming both: such a flag would be silently inert — a
+// -crashat that never crashes, a -linkgrace on a run without links.
+func checkModeFlags() error {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mode := "sequential"
+	switch {
+	case set["resume"]:
+		mode = "-resume"
+	case set["serve"] || set["join"]:
+		mode = "-serve/-join"
+	case set["master"]:
+		mode = "-master"
+	default:
+		n, err := parseWorkers(flag.Lookup("workers").Value.String())
+		if err != nil {
+			return err
+		}
+		if n > 0 {
+			mode = "sim"
+		}
+	}
+	var unread []string
+	flag.Visit(func(f *flag.Flag) {
+		if modes, ok := flagReaders[f.Name]; ok && !slices.Contains(modes, mode) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("%s: not read in %s mode", strings.Join(unread, ", "), mode)
+	}
+	return nil
+}
+
+// parseWorkers reads -workers outside -master mode, where it is a count.
+func parseWorkers(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("-workers %q: need a worker count (or add -master for an address list)", s)
+	}
+	return n, nil
 }
 
 // runOptions carries the fault-tolerance and timeout flags shared by the

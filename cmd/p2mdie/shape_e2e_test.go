@@ -52,13 +52,32 @@ func runErr(ctx context.Context, bin string, args ...string) (string, error) {
 	return string(out), err
 }
 
-// TestShapeFlagRejectsJunk pins the CLI contract.
+// TestShapeFlagRejectsJunk pins the CLI contract: junk in -shape, and any
+// flag set for a mode that never reads it, is an error naming what is wrong
+// — never a run that silently ignores it.
 func TestShapeFlagRejectsJunk(t *testing.T) {
 	bin := binary(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	out, err := runErr(ctx, bin, "-dataset", "trains", "-shape", "lat=fast", "-q")
-	if err == nil || !strings.Contains(out, "shape") {
-		t.Fatalf("bad -shape accepted: err=%v out=%s", err, out)
+	for _, c := range []struct {
+		args []string
+		want []string // in the error
+	}{
+		{[]string{"-shape", "lat=fast"}, []string{"shape"}},
+		{[]string{"-workers", "2", "-crashat", "3"}, []string{"-crashat", "sim mode"}},
+		{[]string{"-workers", "0", "-linkgrace", "5s", "-flapat", "2", "-heartbeat", "1ms"}, []string{"-flapat", "-heartbeat", "-linkgrace", "sequential mode"}},
+		{[]string{"-width", "4"}, []string{"-width", "sequential mode"}},
+		{[]string{"-workers", "a,b", "-width", "4"}, []string{"-workers", "need a worker count"}},
+		{[]string{"-workers", "2", "-listen", "127.0.0.1:0", "-orphantimeout", "1s"}, []string{"-listen", "-orphantimeout", "sim mode"}},
+		{[]string{"-serve", "127.0.0.1:0", "-width", "4", "-recover", "-v"}, []string{"-recover", "-v", "-width", "-serve/-join mode"}},
+		{[]string{"-master", "-workers", "127.0.0.1:1", "-coverpar", "2"}, []string{"-coverpar", "-master mode"}},
+		{[]string{"-resume", "-checkpoint", t.TempDir(), "-master", "-balance"}, []string{"-balance", "-master", "-resume mode"}},
+	} {
+		out, err := runErr(ctx, bin, append([]string{"-dataset", "trains", "-q"}, c.args...)...)
+		for _, w := range c.want {
+			if err == nil || !strings.Contains(out, w) {
+				t.Errorf("%v accepted or refused without naming %q: err=%v out=%s", c.args, w, err, out)
+			}
+		}
 	}
 }

@@ -24,14 +24,14 @@ func randomMask(n int, p float64, rng *rand.Rand) Bitset {
 
 // TestCoverageBatchMatchesPerRule pins the batch API's contract on
 // randomized batches: for both the serial Evaluator and the pooled
-// ParallelEvaluator, CoverageBatch must be bit-for-bit identical to one
-// Coverage call per rule — including nil, empty, and narrow candidate masks,
-// and batches small enough to stay under parallelThreshold.
+// ParallelEvaluator, CoverageBatch must be bit-for-bit identical to proving
+// each rule alone — including nil, empty, and narrow candidate masks, and
+// batches small enough to stay under parallelThreshold.
 func TestCoverageBatchMatchesPerRule(t *testing.T) {
 	fx := newFixture(t)
 	pe := NewParallelEvaluator(fx.kb, fx.ex, solve.DefaultBudget, 4)
 	defer pe.Close()
-	ref := NewEvaluator(solve.NewMachine(fx.kb, solve.DefaultBudget), fx.ex)
+	ref := solve.NewMachine(fx.kb, solve.DefaultBudget)
 	rng := rand.New(rand.NewSource(23))
 
 	for trial := 0; trial < 40; trial++ {
@@ -61,9 +61,9 @@ func TestCoverageBatchMatchesPerRule(t *testing.T) {
 				t.Fatalf("%s: got %d results for %d rules", name, len(res), nRules)
 			}
 			for i := range rules {
-				wantPos, wantNeg := ref.Coverage(rules[i], posCands[i], negCands[i])
-				assertSameBits(t, name+"-pos", wantPos, res[i].Pos)
-				assertSameBits(t, name+"-neg", wantNeg, res[i].Neg)
+				want := ProveAlone(ref, fx.ex, rules[i], posCands[i], negCands[i], false)
+				assertSameBits(t, name+"-pos", want.Pos, res[i].Pos)
+				assertSameBits(t, name+"-neg", want.Neg, res[i].Neg)
 			}
 		}
 	}
@@ -88,12 +88,13 @@ func TestCoverageFullBatchMatchesPerRule(t *testing.T) {
 	}
 	serial := fx.ev.CoverageFullBatch(rules)
 	pooled := pe.CoverageFullBatch(rules)
+	ref := solve.NewMachine(fx.kb, solve.DefaultBudget)
 	for i := range rules {
-		wantPos, wantNeg := fx.ev.CoverageFull(rules[i])
-		assertSameBits(t, "serial-full-pos", wantPos, serial[i].Pos)
-		assertSameBits(t, "serial-full-neg", wantNeg, serial[i].Neg)
-		assertSameBits(t, "pool-full-pos", wantPos, pooled[i].Pos)
-		assertSameBits(t, "pool-full-neg", wantNeg, pooled[i].Neg)
+		want := ProveAlone(ref, fx.ex, rules[i], nil, nil, true)
+		assertSameBits(t, "serial-full-pos", want.Pos, serial[i].Pos)
+		assertSameBits(t, "serial-full-neg", want.Neg, serial[i].Neg)
+		assertSameBits(t, "pool-full-pos", want.Pos, pooled[i].Pos)
+		assertSameBits(t, "pool-full-neg", want.Neg, pooled[i].Neg)
 	}
 }
 

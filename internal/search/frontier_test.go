@@ -82,9 +82,9 @@ type perRule struct{ search.Coverer }
 
 // TestPackedFrontierBudgets runs real pyrimidines and carcinogenesis
 // frontiers, packed and rule by rule, under budgets from "nearly every proof
-// is cut off" to "none is": bits, TotalInferences and CutoffQueries must
-// agree at every setting. Together the settings send thousands of queries
-// and pack members to exact mode.
+// is cut off" to "none is": bits, TotalInferences and CutoffQueries must be
+// those of proving each rule alone at every setting. Together the settings
+// send thousands of queries and pack members to exact mode.
 func TestPackedFrontierBudgets(t *testing.T) {
 	for _, ds := range []*datasets.Dataset{datasets.PyrimidinesSized(120, 100, 1), datasets.CarcinogenesisSized(80, 70, 1)} {
 		ex, fs := realFrontiers(t, ds, 400)
@@ -94,19 +94,12 @@ func TestPackedFrontierBudgets(t *testing.T) {
 			for _, maxDepth := range []int{1, 2, 64} {
 				budget := solve.Budget{MaxInferences: maxInf, MaxDepth: maxDepth}
 				for _, f := range picked {
-					mp, mr := solve.NewMachine(ds.KB, budget), solve.NewMachine(ds.KB, budget)
-					got := search.NewEvaluator(mp, ex).CoverageBatch(f.rules(), f.pos, f.neg)
-					want := search.CoverageBatchOf(perRule{search.NewEvaluator(mr, ex)}, f.rules(), f.pos, f.neg)
-					for i := range want {
-						if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-							t.Fatalf("%s budget %+v: %s\n packed %v\nper rule %v", ds.Name, budget, f.clauses[i].String(), got[i], want[i])
-						}
-					}
-					if mp.TotalInferences() != mr.TotalInferences() || mp.CutoffQueries() != mr.CutoffQueries() {
-						t.Fatalf("%s budget %+v, %d children of a %d-literal parent: packed charged %d with %d cutoffs, per rule %d with %d",
-							ds.Name, budget, len(f.clauses), len(f.clauses[0].Body)-1,
-							mp.TotalInferences(), mp.CutoffQueries(), mr.TotalInferences(), mr.CutoffQueries())
-					}
+					r, pr := search.NewRig(t, ds.KB, ex, budget), search.NewRig(t, ds.KB, ex, budget)
+					pr.Cov = perRule{pr.Ev}
+					name := fmt.Sprintf("%s budget %+v, %d children of a %d-literal parent", ds.Name, budget, len(f.clauses), len(f.clauses[0].Body)-1)
+					r.Batch(name+", packed", f.rules(), f.pos, f.neg)
+					pr.Batch(name+", rule by rule", f.rules(), f.pos, f.neg)
+					mp := r.Ev.M
 					cutoffs += mp.CutoffQueries()
 					if maxInf == 0 && maxDepth == 64 {
 						steps, charged = steps+mp.StepsExecuted(), charged+mp.TotalInferences()
@@ -185,31 +178,18 @@ func BenchmarkCoverageBatchFrontier(b *testing.B) {
 // workload it was built for: the children of a pyrimidines search node end
 // in threshold tests such as polar_gte(G, 3) on groups every drug shares, so
 // a large share of what their coverage is charged is replayed rather than
-// run — while bits, charges and cutoffs stay the interpreter's.
+// run — while bits, charges and cutoffs stay those of proving each rule
+// alone.
 func TestGroundCallMemoOnFrontier(t *testing.T) {
 	ds := datasets.PyrimidinesSized(212, 191, 1)
 	ex, fs := realFrontiers(t, ds, 400)
-	vm, interp := solve.NewMachine(ds.KB, ds.Budget), solve.NewMachine(ds.KB, ds.Budget)
-	interp.SetNoVM(true)
-	evVM, evInterp := search.NewEvaluator(vm, ex), search.NewEvaluator(interp, ex)
+	r := search.NewRig(t, ds.KB, ex, ds.Budget)
 	for _, f := range fs {
-		got := evVM.CoverageBatch(f.rules(), f.pos, f.neg)
-		want := evInterp.CoverageBatch(f.rules(), f.pos, f.neg)
-		for i := range want {
-			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-				t.Fatalf("%s: VM %v, interpreter %v", f.clauses[i].String(), got[i], want[i])
-			}
-		}
+		r.Batch(f.clauses[0].String(), f.rules(), f.pos, f.neg)
 	}
-	if vm.TotalInferences() != interp.TotalInferences() || vm.CutoffQueries() != interp.CutoffQueries() {
-		t.Fatalf("VM charged %d inferences with %d cutoffs, interpreter %d with %d",
-			vm.TotalInferences(), vm.CutoffQueries(), interp.TotalInferences(), interp.CutoffQueries())
-	}
-	if interp.ReplayedInferences() != 0 {
-		t.Fatalf("the interpreter reports %d replayed inferences", interp.ReplayedInferences())
-	}
+	vm := r.Ev.M
 	if vm.NoVM() {
-		return // ILP_NOVM: both machines are the interpreter
+		return // ILP_NOVM: the interpreter replays no ground call
 	}
 	replayed, charged := vm.ReplayedInferences(), vm.TotalInferences()
 	if 10*replayed < 3*charged {
@@ -248,77 +228,66 @@ func coverAll(tb testing.TB, ds *datasets.Dataset, m *solve.Machine, wrap func(*
 
 // TestCoverageMemoOnPyrimidinesCovering is the coverage memo's tripwire on
 // the workload it was built for: a pyrimidines covering run's searches meet
-// most of their candidates again, up to renaming, in later searches. Proved
-// rule by rule on the interpreter — which replays no ground call, so every
+// most of their candidates again, up to renaming, in later searches. The
+// reference run proves every question alone (search.Alone). Proved rule by
+// rule on a NoVM machine — the interpreter replays no ground call, so every
 // replayed inference is a whole coverage query the evaluator answered from
 // its memo — at least half of what the run is charged must be replayed, and
-// executed plus replayed steps must be the charge. The compiled machine,
-// rule by rule and packed, must learn the same theory for the same charge.
+// executed plus replayed steps must be the charge. That run and the VM's,
+// rule by rule and packed, must learn the reference's theory for its charge.
 func TestCoverageMemoOnPyrimidinesCovering(t *testing.T) {
 	ds := datasets.PyrimidinesSized(67, 60, 1)
+	ref := solve.NewMachine(ds.KB, ds.Budget)
+	want := coverAll(t, ds, ref, func(ev *search.Evaluator) search.Coverer { return search.Alone{M: ev.M, Ex: ev.Ex} })
 	perRuleCov := func(ev *search.Evaluator) search.Coverer { return perRule{ev} }
 	interp := solve.NewMachine(ds.KB, ds.Budget)
 	interp.SetNoVM(true)
-	want := coverAll(t, ds, interp, perRuleCov)
-	replayed, charged := interp.ReplayedInferences(), interp.TotalInferences()
-	if interp.StepsExecuted()+replayed != charged {
-		t.Fatalf("interpreter, rule by rule: %d steps executed, %d replayed, %d charged", interp.StepsExecuted(), replayed, charged)
+	for _, c := range []struct {
+		name string
+		m    *solve.Machine
+		wrap func(*search.Evaluator) search.Coverer
+	}{
+		{"interpreter, rule by rule", interp, perRuleCov},
+		{"rule by rule", solve.NewMachine(ds.KB, ds.Budget), perRuleCov},
+		{"packed", solve.NewMachine(ds.KB, ds.Budget), func(ev *search.Evaluator) search.Coverer { return ev }},
+	} {
+		m := c.m
+		if got := coverAll(t, ds, m, c.wrap); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: theory %v, proved alone %v", c.name, got, want)
+		}
+		if m.TotalInferences() != ref.TotalInferences() || m.CutoffQueries() != ref.CutoffQueries() {
+			t.Fatalf("%s: charged %d with %d cutoffs, proved alone %d with %d", c.name, m.TotalInferences(), m.CutoffQueries(), ref.TotalInferences(), ref.CutoffQueries())
+		}
+		if steps := m.StepsExecuted() + m.ReplayedInferences(); c.name != "packed" && steps != m.TotalInferences() {
+			t.Fatalf("%s: %d steps executed and replayed for %d charged", c.name, steps, m.TotalInferences())
+		}
 	}
+	replayed, charged := interp.ReplayedInferences(), interp.TotalInferences()
 	if 2*replayed < charged {
 		t.Errorf("%d of %d charged inferences were replayed coverage queries, expected at least half", replayed, charged)
 	}
 	t.Logf("%d of %d charged inferences replayed (%.1f %%) over %d rules", replayed, charged, 100*float64(replayed)/float64(charged), len(want))
-	for _, c := range []struct {
-		name string
-		wrap func(*search.Evaluator) search.Coverer
-	}{
-		{"rule by rule", perRuleCov},
-		{"packed", func(ev *search.Evaluator) search.Coverer { return ev }},
-	} {
-		m := solve.NewMachine(ds.KB, ds.Budget)
-		if got := coverAll(t, ds, m, c.wrap); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: theory %v, the interpreter's %v", c.name, got, want)
-		}
-		if m.TotalInferences() != charged || m.CutoffQueries() != interp.CutoffQueries() {
-			t.Fatalf("%s: charged %d with %d cutoffs, the interpreter %d with %d", c.name, m.TotalInferences(), m.CutoffQueries(), charged, interp.CutoffQueries())
-		}
-		if steps := m.StepsExecuted() + m.ReplayedInferences(); c.name == "rule by rule" && steps != charged {
-			t.Fatalf("%s: %d steps executed and replayed for %d charged", c.name, steps, charged)
-		}
-	}
 }
 
 // TestCandidateFilterOnTrueConcept pins what the VM's candidate filter does
 // on the workload it was built for: the carcinogenesis target rules walk the
 // per-drug atm/5 and bond/4 buckets with an element or bond-type constant in
 // the goal, so most of the candidates they are charged for cannot match and
-// are never run — while bits, charges and cutoffs stay the interpreter's.
+// are never run — while bits, charges and cutoffs stay those of proving each
+// rule alone.
 func TestCandidateFilterOnTrueConcept(t *testing.T) {
 	ds := datasets.Carcinogenesis(1)
 	ex := search.NewExamples(ds.Pos, ds.Neg)
 	if n := len(ds.Pos) + len(ds.Neg); n != 298 {
 		t.Fatalf("carcinogenesis has %d examples, want 298", n)
 	}
-	vm, interp := solve.NewMachine(ds.KB, ds.Budget), solve.NewMachine(ds.KB, ds.Budget)
-	interp.SetNoVM(true)
-	evVM, evInterp := search.NewEvaluator(vm, ex), search.NewEvaluator(interp, ex)
+	r := search.NewRig(t, ds.KB, ex, ds.Budget)
 	for i := range ds.TrueConcept {
-		rule := &ds.TrueConcept[i]
-		gotPos, gotNeg := evVM.CoverageFull(rule)
-		wantPos, wantNeg := evInterp.CoverageFull(rule)
-		if fmt.Sprint(gotPos, gotNeg) != fmt.Sprint(wantPos, wantNeg) {
-			t.Fatalf("%s: VM covers %v / %v, interpreter %v / %v", rule.String(), gotPos, gotNeg, wantPos, wantNeg)
-		}
+		r.Full(ds.TrueConcept[i].String(), &ds.TrueConcept[i])
 	}
-	if vm.TotalInferences() != interp.TotalInferences() || vm.CutoffQueries() != interp.CutoffQueries() {
-		t.Fatalf("VM charged %d inferences with %d cutoffs, interpreter %d with %d",
-			vm.TotalInferences(), vm.CutoffQueries(), interp.TotalInferences(), interp.CutoffQueries())
-	}
-	if interp.FilteredCandidates() != 0 {
-		t.Fatalf("the interpreter reports %d filtered candidates", interp.FilteredCandidates())
-	}
+	vm := r.Ev.M
 	if vm.NoVM() {
-		return // ILP_NOVM: both machines are the interpreter
+		return // ILP_NOVM: the interpreter filters nothing
 	}
 	// Every candidate visit is a charged inference (the rest are goal
 	// steps), so half of the charge is more than half of the visits.
@@ -335,31 +304,21 @@ func TestCandidateFilterOnTrueConcept(t *testing.T) {
 func TestCoverageMemoKeepsExpensiveProofs(t *testing.T) {
 	ds := datasets.CarcinogenesisSized(40, 34, 1)
 	ex, fs := realFrontiers(t, ds, 300)
-	m, ref := solve.NewMachine(ds.KB, ds.Budget), solve.NewMachine(ds.KB, ds.Budget)
-	ev := search.NewEvaluator(m, ex)
+	r := search.NewRig(t, ds.KB, ex, ds.Budget)
 	for pass := range 2 {
-		steps := m.StepsExecuted()
+		var steps int64
 		for _, f := range fs {
-			inf, cut, rinf, rcut := m.TotalInferences(), m.CutoffQueries(), ref.TotalInferences(), ref.CutoffQueries()
-			got := ev.CoverageBatch(f.rules(), f.pos, f.neg)
-			for i, rule := range f.rules() {
-				if want := search.ProveAlone(ref, ex, rule, f.pos[i], f.neg[i], false); fmt.Sprint(got[i]) != fmt.Sprint(want) {
-					t.Fatalf("pass %d, %s: %v, proved alone %v", pass, rule.String(), got[i], want)
-				}
-			}
-			if dInf, dCut, wInf, wCut := m.TotalInferences()-inf, m.CutoffQueries()-cut, ref.TotalInferences()-rinf, ref.CutoffQueries()-rcut; dInf != wInf || dCut != wCut {
-				t.Fatalf("pass %d: a frontier charged %d inferences with %d cutoffs, proved alone %d with %d", pass, dInf, dCut, wInf, wCut)
-			}
+			steps += r.Batch(fmt.Sprintf("pass %d, %s", pass, f.clauses[0].String()), f.rules(), f.pos, f.neg)
 		}
-		if pass == 1 && m.StepsExecuted() != steps {
-			t.Fatalf("the second pass over %d frontiers executed %d steps", len(fs), m.StepsExecuted()-steps)
+		if pass == 1 && steps != 0 {
+			t.Fatalf("the second pass over %d frontiers executed %d steps", len(fs), steps)
 		}
 	}
-	if m.CutoffQueries() != 0 {
-		t.Fatalf("%d proofs were cut off; the test needs every proof uncut", m.CutoffQueries())
+	if n := r.Ev.M.CutoffQueries(); n != 0 {
+		t.Fatalf("%d proofs were cut off; the test needs every proof uncut", n)
 	}
-	if ev.MemoOverflows() == 0 {
+	if r.Ev.MemoOverflows() == 0 {
 		t.Fatal("no proof charged more than a slab byte holds")
 	}
-	t.Logf("%d frontiers, %d answers in the overflow table", len(fs), ev.MemoOverflows())
+	t.Logf("%d frontiers, %d answers in the overflow table", len(fs), r.Ev.MemoOverflows())
 }

@@ -9,103 +9,6 @@ import (
 	"repro/internal/solve"
 )
 
-// memoRig runs coverage calls on one evaluator, whose memo carries answers
-// from call to call, and checks every call against a reference machine that
-// proves each of the call's questions with CoversQuery, one rule at a time:
-// the same bits, and the same TotalInferences and CutoffQueries added.
-type memoRig struct {
-	t   *testing.T
-	ev  *Evaluator
-	ref *solve.Machine
-}
-
-func newMemoRig(t *testing.T, kb *solve.KB, ex *Examples, budget solve.Budget) *memoRig {
-	return &memoRig{t: t, ev: NewEvaluator(solve.NewMachine(kb, budget), ex), ref: solve.NewMachine(kb, budget)}
-}
-
-// check runs got on the evaluator and want on the reference and compares.
-// It returns the steps the evaluator's machine executed during the call.
-func (r *memoRig) check(name string, got, want func() []CoverResult) int64 {
-	r.t.Helper()
-	m := r.ev.M
-	inf, cut, steps := m.TotalInferences(), m.CutoffQueries(), m.StepsExecuted()
-	rinf, rcut := r.ref.TotalInferences(), r.ref.CutoffQueries()
-	g, w := got(), want()
-	for i := range w {
-		if fmt.Sprint(g[i]) != fmt.Sprint(w[i]) {
-			r.t.Fatalf("%s: result %d is %v, proved alone %v", name, i, g[i], w[i])
-		}
-	}
-	if dInf, dCut, wInf, wCut := m.TotalInferences()-inf, m.CutoffQueries()-cut, r.ref.TotalInferences()-rinf, r.ref.CutoffQueries()-rcut; dInf != wInf || dCut != wCut {
-		r.t.Fatalf("%s: charged %d inferences with %d cutoffs, proved alone %d with %d", name, dInf, dCut, wInf, wCut)
-	}
-	return m.StepsExecuted() - steps
-}
-
-// prove is the reference for one rule: ProveAlone on the rig's reference
-// machine.
-func (r *memoRig) prove(rule *logic.Clause, posCand, negCand Bitset, full bool) CoverResult {
-	return ProveAlone(r.ref, r.ev.Ex, rule, posCand, negCand, full)
-}
-
-// ProveAlone is the memo tests' reference, also used outside the package:
-// it compiles rule once on ref and runs CoversQuery on every example of ex a
-// Coverage call with these masks tests — or on every example.
-func ProveAlone(ref *solve.Machine, ex *Examples, rule *logic.Clause, posCand, negCand Bitset, full bool) CoverResult {
-	var q solve.Query
-	ref.CompileQuery(&q, rule)
-	out := CoverResult{Pos: NewBitset(len(ex.Pos)), Neg: NewBitset(len(ex.Neg))}
-	for i, e := range ex.Pos {
-		tested := full || ex.PosAlive.Get(i) && (posCand == nil || posCand.Get(i))
-		if tested && ref.CoversQuery(&q, e) {
-			out.Pos.Set(i)
-		}
-	}
-	for i, e := range ex.Neg {
-		tested := full || negCand == nil || negCand.Get(i)
-		if tested && ref.CoversQuery(&q, e) {
-			out.Neg.Set(i)
-		}
-	}
-	return out
-}
-
-func (r *memoRig) batch(name string, rules []*logic.Clause, pos, neg []Bitset) int64 {
-	r.t.Helper()
-	return r.check(name, func() []CoverResult { return r.ev.CoverageBatch(rules, pos, neg) }, func() []CoverResult {
-		out := make([]CoverResult, len(rules))
-		for i, rule := range rules {
-			out[i] = r.prove(rule, maskAt(pos, i), maskAt(neg, i), false)
-		}
-		return out
-	})
-}
-
-func (r *memoRig) coverage(name string, rule *logic.Clause, pos, neg Bitset) int64 {
-	r.t.Helper()
-	return r.check(name, func() []CoverResult {
-		p, n := r.ev.Coverage(rule, pos, neg)
-		return []CoverResult{{p, n}}
-	}, func() []CoverResult { return []CoverResult{r.prove(rule, pos, neg, false)} })
-}
-
-func (r *memoRig) full(name string, rules ...*logic.Clause) int64 {
-	r.t.Helper()
-	return r.check(name, func() []CoverResult {
-		if len(rules) == 1 {
-			p, n := r.ev.CoverageFull(rules[0])
-			return []CoverResult{{p, n}}
-		}
-		return r.ev.CoverageFullBatch(rules)
-	}, func() []CoverResult {
-		out := make([]CoverResult, len(rules))
-		for i, rule := range rules {
-			out[i] = r.prove(rule, nil, nil, true)
-		}
-		return out
-	})
-}
-
 // renamed is c with its variables renumbered from first, in order of first
 // occurrence: the same rule up to renaming, spelt differently.
 func renamed(c *logic.Clause, first int) *logic.Clause {
@@ -170,12 +73,12 @@ func renameVar(t logic.Term, from, to int) logic.Term {
 func TestCoverageMemoAlphaDuplicates(t *testing.T) {
 	kb, ex, bot := benchRichExamples(t, 24)
 	mat := func(ix ...int32) *logic.Clause { c := bot.Materialize(ix); return &c }
-	r := newMemoRig(t, kb, ex, solve.DefaultBudget)
-	entries := func() int { return len(r.ev.memo.ends) }
+	r := NewRig(t, kb, ex, solve.DefaultBudget)
+	entries := func() int { return len(r.Ev.memo.ends) }
 
 	// Single-rule path: root children never pack.
 	root := mat(3)
-	r.batch("root child and its renaming", []*logic.Clause{root, renamed(root, 20), renamed(root, 7)}, nil, nil)
+	r.Batch("root child and its renaming", []*logic.Clause{root, renamed(root, 20), renamed(root, 7)}, nil, nil)
 	if n := entries(); n != 1 {
 		t.Fatalf("three spellings of one rule made %d memo entries", n)
 	}
@@ -184,34 +87,34 @@ func TestCoverageMemoAlphaDuplicates(t *testing.T) {
 	// group differs at, so both are members of one pack, sharing a slab.
 	child, twin := twinSibling(t, mat, []int32{0, 2}, len(bot.Lits))
 	parent := mat(0, 2)
-	pPos, pNeg := r.ev.Coverage(parent, nil, nil)
+	pPos, pNeg := r.Ev.Coverage(parent, nil, nil)
 	others := []*logic.Clause{mat(0, 2, 3), mat(0, 2, 5), mat(0, 2, 7)}
 	frontier := append([]*logic.Clause{child, twin}, others...)
 	before := entries()
-	r.batch("siblings with a twin", frontier, repeatMask(pPos, len(frontier)), repeatMask(pNeg, len(frontier)))
+	r.Batch("siblings with a twin", frontier, repeatMask(pPos, len(frontier)), repeatMask(pNeg, len(frontier)))
 	if n := entries() - before; n > 4 {
 		t.Fatalf("a frontier of %d rules, two of them twins, made %d memo entries", len(frontier), n)
 	}
 
 	// Across batches: every question is now known.
 	again := []*logic.Clause{renamed(twin, 30), renamed(others[0], 12), renamed(others[2], 50), renamed(child, 3)}
-	if steps := r.batch("renamed frontier", again, repeatMask(pPos, 4), repeatMask(pNeg, 4)); steps != 0 {
+	if steps := r.Batch("renamed frontier", again, repeatMask(pPos, 4), repeatMask(pNeg, 4)); steps != 0 {
 		t.Fatalf("a batch of known rules executed %d steps", steps)
 	}
-	if steps := r.batch("renamed root, nil masks", []*logic.Clause{renamed(root, 40)}, nil, nil); steps != 0 {
+	if steps := r.Batch("renamed root, nil masks", []*logic.Clause{renamed(root, 40)}, nil, nil); steps != 0 {
 		t.Fatalf("a known root child executed %d steps", steps)
 	}
 
 	// CoverageFull proves what Coverage never tested, and then Coverage,
 	// CoverageFull and CoverageFullBatch of any spelling replay it all.
-	r.full("full child", child)
+	r.Full("full child", child)
 	for _, c := range []struct {
 		name string
 		run  func() int64
 	}{
-		{"full twin", func() int64 { return r.full("full twin", renamed(twin, 8)) }},
-		{"full batch", func() int64 { return r.full("full batch", twin, renamed(child, 60), child) }},
-		{"coverage after full", func() int64 { return r.coverage("coverage after full", renamed(child, 9), nil, nil) }},
+		{"full twin", func() int64 { return r.Full("full twin", renamed(twin, 8)) }},
+		{"full batch", func() int64 { return r.Full("full batch", twin, renamed(child, 60), child) }},
+		{"coverage after full", func() int64 { return r.Coverage("coverage after full", renamed(child, 9), nil, nil) }},
 	} {
 		if steps := c.run(); steps != 0 {
 			t.Fatalf("%s: %d steps executed for known questions", c.name, steps)
@@ -251,7 +154,7 @@ func TestCoverageMemoKeys(t *testing.T) {
 	}
 	var c coverMemo
 	key := func(r *logic.Clause) string { return string(c.appendRule(nil, r)) }
-	r := newMemoRig(t, kb, ex, solve.DefaultBudget)
+	r := NewRig(t, kb, ex, solve.DefaultBudget)
 	seen := map[string]bool{}
 	for _, p := range pairs {
 		if key(p.a) == key(p.b) {
@@ -260,16 +163,16 @@ func TestCoverageMemoKeys(t *testing.T) {
 		if key(p.a) != key(renamed(p.a, 11)) || key(p.b) != key(renamed(p.b, 5)) {
 			t.Errorf("%s: a renaming changes the key", p.name)
 		}
-		want := len(r.ev.memo.ends)
+		want := len(r.Ev.memo.ends)
 		for _, k := range []string{key(p.a), key(p.b)} {
 			if !seen[k] {
 				seen[k] = true
 				want++
 			}
 		}
-		r.batch(p.name, []*logic.Clause{p.a, p.b, renamed(p.a, 11), renamed(p.b, 5)}, nil, nil)
-		r.full(p.name+", full", p.b, p.a)
-		if n := len(r.ev.memo.ends); n != want {
+		r.Batch(p.name, []*logic.Clause{p.a, p.b, renamed(p.a, 11), renamed(p.b, 5)}, nil, nil)
+		r.Full(p.name+", full", p.b, p.a)
+		if n := len(r.Ev.memo.ends); n != want {
 			t.Errorf("%s: %d memo entries, want %d", p.name, n, want)
 		}
 	}
@@ -291,16 +194,16 @@ func TestCoverageMemoBudgets(t *testing.T) {
 		roots = append(roots, []int32{int32(j)})
 	}
 	for _, budget := range []solve.Budget{{MaxInferences: 13}, {MaxInferences: 40, MaxDepth: 1}, solve.DefaultBudget} {
-		r := newMemoRig(t, kb, ex, budget)
+		r := NewRig(t, kb, ex, budget)
 		for pass := range 2 {
 			name := fmt.Sprintf("budget %+v pass %d", budget, pass)
-			r.batch(name+" appended", appended, repeatMask(pPos, len(appended)), repeatMask(pNeg, len(appended)))
-			r.batch(name+" inserted", inserted, nil, nil)
-			r.batch(name+" roots", frontierOf(bot, roots...), nil, nil)
-			r.full(name+" full", appended...)
-			r.coverage(name+" coverage", appended[1], pPos, nil)
+			r.Batch(name+" appended", appended, repeatMask(pPos, len(appended)), repeatMask(pNeg, len(appended)))
+			r.Batch(name+" inserted", inserted, nil, nil)
+			r.Batch(name+" roots", frontierOf(bot, roots...), nil, nil)
+			r.Full(name+" full", appended...)
+			r.Coverage(name+" coverage", appended[1], pPos, nil)
 		}
-		if budget != solve.DefaultBudget && r.ev.M.CutoffQueries() == 0 {
+		if budget != solve.DefaultBudget && r.Ev.M.CutoffQueries() == 0 {
 			t.Fatalf("budget %+v cuts nothing off", budget)
 		}
 	}
@@ -311,16 +214,16 @@ func TestCoverageMemoBudgets(t *testing.T) {
 func TestCoverageMemoKBAdd(t *testing.T) {
 	fx := newFixture(t)
 	kb := fx.kb.Clone()
-	r := newMemoRig(t, kb, fx.ex, solve.DefaultBudget)
+	r := NewRig(t, kb, fx.ex, solve.DefaultBudget)
 	rule := logic.MustParseClause("active(M) :- atm(M, A, oxygen), bondx(M, B, A).")
-	r.coverage("before", &rule, nil, nil)
-	_, before := r.ev.Coverage(&rule, nil, nil)
+	r.Coverage("before", &rule, nil, nil)
+	_, before := r.Ev.Coverage(&rule, nil, nil)
 
 	if err := kb.AddSource("atm(m5, a52, oxygen)."); err != nil { // a negative gains an oxygen bonded to a carbon
 		t.Fatal(err)
 	}
-	steps := r.coverage("after KB.Add", &rule, nil, nil)
-	_, after := r.ev.Coverage(&rule, nil, nil)
+	steps := r.Coverage("after KB.Add", &rule, nil, nil)
+	_, after := r.Ev.Coverage(&rule, nil, nil)
 	if after.Count() != before.Count()+1 || steps == 0 {
 		t.Fatalf("KB.Add flipped no answer: negatives %v before, %v after, %d steps executed", before, after, steps)
 	}
@@ -330,10 +233,10 @@ func TestCoverageMemoKBAdd(t *testing.T) {
 	if err := other.AddSource("atm(m9, a91, carbon)."); err != nil {
 		t.Fatal(err)
 	}
-	r.ev.M.SetKB(other)
-	r.ref.SetKB(other)
-	r.coverage("after SetKB", &rule, nil, nil)
-	if _, back := r.ev.Coverage(&rule, nil, nil); fmt.Sprint(back) != fmt.Sprint(before) {
+	r.Ev.M.SetKB(other)
+	r.Ref.SetKB(other)
+	r.Coverage("after SetKB", &rule, nil, nil)
+	if _, back := r.Ev.Coverage(&rule, nil, nil); fmt.Sprint(back) != fmt.Sprint(before) {
 		t.Fatalf("on a KB without the new oxygen the rule covers negatives %v, first %v", back, before)
 	}
 }
@@ -344,7 +247,7 @@ func TestCoverageMemoKBAdd(t *testing.T) {
 // from a cleared memo.
 func TestCoverageMemoCap(t *testing.T) {
 	fx := newFixture(t)
-	r := newMemoRig(t, fx.kb, fx.ex, solve.DefaultBudget)
+	r := NewRig(t, fx.kb, fx.ex, solve.DefaultBudget)
 	var rules []*logic.Clause
 	add := func(src string) {
 		c := logic.MustParseClause(src)
@@ -365,12 +268,12 @@ func TestCoverageMemoCap(t *testing.T) {
 		}
 	}
 	group("") // known by now: the pack does not run
-	r.batch("over the cap", rules, nil, nil)
-	if n := len(r.ev.memo.ends); n <= memoMaxRules {
+	r.Batch("over the cap", rules, nil, nil)
+	if n := len(r.Ev.memo.ends); n <= memoMaxRules {
 		t.Fatalf("the batch left %d memo entries, the cap is %d", n, memoMaxRules)
 	}
-	r.batch("after the cap", rules[len(rules)-4:], nil, nil)
-	if n := len(r.ev.memo.ends); n != 4 {
+	r.Batch("after the cap", rules[len(rules)-4:], nil, nil)
+	if n := len(r.Ev.memo.ends); n != 4 {
 		t.Fatalf("the batch after the cap left %d memo entries, want the 4 it asked about", n)
 	}
 }

@@ -17,29 +17,20 @@ type batchShape struct {
 	packed   bool
 }
 
-// checkShape evaluates the batch on two fresh machines — through
+// checkShape asks the batch of a fresh evaluator twice over — through
 // Evaluator.CoverageBatch, and through the plainCoverer wrapper that hides it
-// and so proves rule by rule — and requires the same bits, the same
-// TotalInferences and the same CutoffQueries. On the per-rule side what was
-// executed plus what ground-call replays paid must be the charge; on the
-// batch side it never exceeds the charge, and unbounded it is the charge
-// exactly when the shape holds no pack and undercuts it when it does.
+// and so proves rule by rule — each against ProveAlone (Rig). On the
+// per-rule side what was executed plus what ground-call replays paid must be
+// the charge; on the batch side it never exceeds the charge, and unbounded it
+// is the charge exactly when the shape holds no pack and undercuts it when
+// it does.
 func checkShape(t *testing.T, kb *solve.KB, ex *Examples, budget solve.Budget, s batchShape) {
 	t.Helper()
-	mb, mr := solve.NewMachine(kb, budget), solve.NewMachine(kb, budget)
-	got := NewEvaluator(mb, ex).CoverageBatch(s.rules, s.pos, s.neg)
-	want := CoverageBatchOf(&plainCoverer{Coverer: NewEvaluator(mr, ex)}, s.rules, s.pos, s.neg)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results for %d rules", s.name, len(got), len(want))
-	}
-	for i := range want {
-		assertSameBits(t, s.name+" pos", want[i].Pos, got[i].Pos)
-		assertSameBits(t, s.name+" neg", want[i].Neg, got[i].Neg)
-	}
-	if mb.TotalInferences() != mr.TotalInferences() || mb.CutoffQueries() != mr.CutoffQueries() {
-		t.Fatalf("%s budget %+v: batch charged %d inferences with %d cutoffs, per rule %d with %d", s.name, budget,
-			mb.TotalInferences(), mb.CutoffQueries(), mr.TotalInferences(), mr.CutoffQueries())
-	}
+	batch, perRule := NewRig(t, kb, ex, budget), NewRig(t, kb, ex, budget)
+	perRule.Cov = &plainCoverer{Coverer: perRule.Ev}
+	batch.Batch(s.name, s.rules, s.pos, s.neg)
+	perRule.Batch(s.name+" per rule", s.rules, s.pos, s.neg)
+	mb, mr := batch.Ev.M, perRule.Ev.M
 	if steps := mr.StepsExecuted() + mr.ReplayedInferences(); steps != mr.TotalInferences() {
 		t.Fatalf("%s: per-rule path executed and replayed %d steps for %d charged", s.name, steps, mr.TotalInferences())
 	}

@@ -8,8 +8,12 @@ import (
 	"repro/internal/solve"
 )
 
+// TestParallelEvaluatorMatchesSerial: the pooled evaluator and the serial
+// one both answer as proving each rule alone does, masked or not, alive
+// positives or all of them.
 func TestParallelEvaluatorMatchesSerial(t *testing.T) {
 	fx := newFixture(t)
+	ref := solve.NewMachine(fx.kb, solve.DefaultBudget)
 	subsets := [][]int32{nil, {0}, {1}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}}
 	for _, workers := range []int{1, 2, 3, 8} {
 		pe := NewParallelEvaluator(fx.kb, fx.ex, solve.DefaultBudget, workers)
@@ -22,22 +26,21 @@ func TestParallelEvaluatorMatchesSerial(t *testing.T) {
 				continue
 			}
 			rule := fx.bot.Materialize(ix)
-
-			wantPos, wantNeg := fx.ev.Coverage(&rule, nil, nil)
-			gotPos, gotNeg := pe.Coverage(&rule, nil, nil)
-			assertSameBits(t, "pos", wantPos, gotPos)
-			assertSameBits(t, "neg", wantNeg, gotNeg)
-
+			want := ProveAlone(ref, fx.ex, &rule, nil, nil, false)
 			// Candidate-masked evaluation must agree too.
-			gotPos2, gotNeg2 := pe.Coverage(&rule, wantPos, wantNeg)
-			wantPos2, wantNeg2 := fx.ev.Coverage(&rule, wantPos, wantNeg)
-			assertSameBits(t, "pos-masked", wantPos2, gotPos2)
-			assertSameBits(t, "neg-masked", wantNeg2, gotNeg2)
-
-			fullPosW, fullNegW := fx.ev.CoverageFull(&rule)
-			fullPosG, fullNegG := pe.CoverageFull(&rule)
-			assertSameBits(t, "pos-full", fullPosW, fullPosG)
-			assertSameBits(t, "neg-full", fullNegW, fullNegG)
+			masked := ProveAlone(ref, fx.ex, &rule, want.Pos, want.Neg, false)
+			full := ProveAlone(ref, fx.ex, &rule, nil, nil, true)
+			for _, ev := range []FullCoverer{fx.ev, pe} {
+				gotPos, gotNeg := ev.Coverage(&rule, nil, nil)
+				assertSameBits(t, "pos", want.Pos, gotPos)
+				assertSameBits(t, "neg", want.Neg, gotNeg)
+				gotPos, gotNeg = ev.Coverage(&rule, want.Pos, want.Neg)
+				assertSameBits(t, "pos-masked", masked.Pos, gotPos)
+				assertSameBits(t, "neg-masked", masked.Neg, gotNeg)
+				gotPos, gotNeg = ev.CoverageFull(&rule)
+				assertSameBits(t, "pos-full", full.Pos, gotPos)
+				assertSameBits(t, "neg-full", full.Neg, gotNeg)
+			}
 		}
 	}
 }
@@ -53,15 +56,14 @@ func TestParallelEvaluatorRespectsAliveMask(t *testing.T) {
 	retract.Set(0)
 	retract.Set(2)
 	fx.ex.RetractPos(retract)
-	wantPos, _ := fx.ev.Coverage(&rule, nil, nil)
+	ref := solve.NewMachine(fx.kb, solve.DefaultBudget)
 	gotPos, _ := pe.Coverage(&rule, nil, nil)
-	assertSameBits(t, "pos-after-retract", wantPos, gotPos)
+	assertSameBits(t, "pos-after-retract", ProveAlone(ref, fx.ex, &rule, nil, nil, false).Pos, gotPos)
 	if gotPos.Get(0) || gotPos.Get(2) {
 		t.Fatal("retracted positives reported as covered")
 	}
-	fullW, _ := fx.ev.CoverageFull(&rule)
 	fullG, _ := pe.CoverageFull(&rule)
-	assertSameBits(t, "full-after-retract", fullW, fullG)
+	assertSameBits(t, "full-after-retract", ProveAlone(ref, fx.ex, &rule, nil, nil, true).Pos, fullG)
 	if !fullG.Get(0) {
 		t.Fatal("CoverageFull must ignore the alive mask")
 	}

@@ -9,12 +9,13 @@ import (
 	"repro/internal/logic"
 )
 
-// This file pits the goal-stack engine against a reference prover that
-// replicates the pre-rewrite semantics: a persistent linked goal list,
-// OffsetVars clause renaming and per-goal shallow resolution. Both engines
-// share the KB's candidate selection, so on any program and goal they must
-// produce the same solutions in the same order, charge the same number of
-// inferences and hit the same budget cutoffs.
+// This file holds the oracle of every prover test (oracle_test.go): a
+// reference prover that replicates the seed engine's semantics — a
+// persistent linked goal list, OffsetVars clause renaming and per-goal
+// shallow resolution — and shares nothing with either production engine but
+// the KB's candidate selection. On any program and goal the engines must
+// produce its solutions in its order, charge its inferences and hit its
+// budget cutoffs. Besides, the generators of random programs and questions.
 
 // refGoals is the reference engine's persistent goal stack.
 type refGoals struct {
@@ -87,6 +88,26 @@ func (m *refMachine) coversExample(rule *logic.Clause, example logic.Term) bool 
 		m.cutoffs++
 	}
 	return found
+}
+
+// run is coversExample as a coverRun: the answer, the inferences charged
+// and whether the budget cut the query off.
+func (m *refMachine) run(rule *logic.Clause, example logic.Term) coverRun {
+	inf, cut := m.totalInf, m.cutoffs
+	ok := m.coversExample(rule, example)
+	return coverRun{ok, m.totalInf - inf, m.cutoffs - cut}
+}
+
+// enumerate is the reference form of enumerate (oracle_test.go).
+func (m *refMachine) enumerate(goals []logic.Literal) enumeration {
+	nv := numVars(goals)
+	inf, cut := m.totalInf, m.cutoffs
+	var sols []string
+	m.solveQuery(goals, nv, func(bs *logic.Bindings) bool {
+		sols = append(sols, solutionString(bs, nv))
+		return len(sols) < 200
+	})
+	return enumeration{strings.Join(sols, "; "), coverRun{len(sols) > 0, m.totalInf - inf, m.cutoffs - cut}}
 }
 
 func (m *refMachine) solve(goals *refGoals, k func() bool) bool {
@@ -360,69 +381,6 @@ func genExample(rng *rand.Rand, head logic.Term) logic.Term {
 	return logic.Comp("h", arg(), arg())
 }
 
-// checkQueriesAgree runs random rules over random examples three ways — the
-// seed reference, an interpreter-pinned machine and a default machine, each
-// of the two holding one Query across all the rule's examples — and requires
-// the same answer, the same inferences charged and the same cutoff on every
-// single query. Its pack leg (checkPacksAgree, pack_test.go) then does the
-// same for random fans run as QueryPacks, under the caller's budget and under
-// a drawn tight one where most proofs are cut off somewhere. It reports how
-// much the compiled machines used the fast paths.
-func checkQueriesAgree(t *testing.T, rng *rand.Rand, kb *KB, budget Budget, rules int) fastUse {
-	t.Helper()
-	ref := newRefMachine(kb, budget)
-	interp := NewMachine(kb, budget)
-	interp.SetNoVM(true)
-	vm := NewMachine(kb, budget)
-	for r := 0; r < rules; r++ {
-		rule := genRule(rng)
-		var qi, qv Query
-		interp.CompileQuery(&qi, &rule)
-		vm.CompileQuery(&qv, &rule)
-		for e := 0; e < 12; e++ {
-			ex := genExample(rng, rule.Head)
-			refInf, refCut := ref.totalInf, ref.cutoffs
-			intInf, intCut := interp.TotalInferences(), interp.CutoffQueries()
-			vmInf, vmCut := vm.TotalInferences(), vm.CutoffQueries()
-			want := ref.coversExample(&rule, ex)
-			gotI := interp.CoversQuery(&qi, ex)
-			gotV := vm.CoversQuery(&qv, ex)
-			if gotI != want || gotV != want {
-				t.Fatalf("%s on %s: reference %v, interpreter query %v, compiled query %v", rule.String(), ex, want, gotI, gotV)
-			}
-			refInf, refCut = ref.totalInf-refInf, ref.cutoffs-refCut
-			if d := interp.TotalInferences() - intInf; d != refInf {
-				t.Fatalf("%s on %s: interpreter query charged %d, reference %d", rule.String(), ex, d, refInf)
-			}
-			if d := vm.TotalInferences() - vmInf; d != refInf {
-				t.Fatalf("%s on %s: compiled query charged %d, reference %d", rule.String(), ex, d, refInf)
-			}
-			if d := interp.CutoffQueries() - intCut; d != refCut {
-				t.Fatalf("%s on %s: interpreter query cutoffs %d, reference %d", rule.String(), ex, d, refCut)
-			}
-			if d := vm.CutoffQueries() - vmCut; d != refCut {
-				t.Fatalf("%s on %s: compiled query cutoffs %d, reference %d", rule.String(), ex, d, refCut)
-			}
-		}
-	}
-	tight := Budget{
-		MaxDepth:      []int{1, 2, 3, 12}[rng.Intn(4)],
-		MaxInferences: []int64{3, 5, 8, 13, 21, 40, 80, 200}[rng.Intn(8)],
-	}
-	use := fastUse{vm.ReplayedInferences(), vm.reproofs}
-	use.add(checkPacksAgree(t, rng, kb, budget, rules/2))
-	use.add(checkPacksAgree(t, rng, kb, tight, rules/2))
-	return use
-}
-
-// fastUse is what a compiled machine replayed from the ground-call memo and
-// how many exact re-proofs budget events sent it to.
-type fastUse struct{ replayed, reproofs int64 }
-
-func (u *fastUse) add(v fastUse) {
-	u.replayed, u.reproofs = u.replayed+v.replayed, u.reproofs+v.reproofs
-}
-
 func solutionString(bs *logic.Bindings, nVars int) string {
 	var b strings.Builder
 	for v := 0; v < nVars; v++ {
@@ -434,55 +392,18 @@ func solutionString(bs *logic.Bindings, nVars int) string {
 	return b.String()
 }
 
+// TestDifferentialGoalStackVsReference asks the property of genProgram
+// programs: conjunctions enumerated, random rules on random examples and
+// random fans run as packs under the suite's budget, and more fans under a
+// drawn tight one where most proofs are cut off somewhere (genOracle).
 func TestDifferentialGoalStackVsReference(t *testing.T) {
-	budget := Budget{MaxDepth: 12, MaxInferences: 4000}
+	t.Parallel()
 	var use fastUse
 	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		kb := genProgram(rng)
-		m := NewMachine(kb, budget)
-		ref := newRefMachine(kb, budget)
-		for q := 0; q < 25; q++ {
-			goals, nVars := genGoal(rng)
-			var got, want []string
-			m.Solve(goals, nVars, func(bs *logic.Bindings) bool {
-				got = append(got, solutionString(bs, nVars))
-				return len(got) < 200
-			})
-			ref.solveQuery(goals, nVars, func(bs *logic.Bindings) bool {
-				want = append(want, solutionString(bs, nVars))
-				return len(want) < 200
-			})
-			goalsStr := func() string {
-				parts := make([]string, len(goals))
-				for i, g := range goals {
-					parts[i] = g.String()
-				}
-				return strings.Join(parts, ", ")
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d query %d (%s): %d solutions, reference %d\n got: %v\nwant: %v",
-					seed, q, goalsStr(), len(got), len(want), got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d query %d (%s): solution %d = %q, reference %q",
-						seed, q, goalsStr(), i, got[i], want[i])
-				}
-			}
-			if m.TotalInferences() != ref.totalInf {
-				t.Fatalf("seed %d query %d (%s): %d total inferences, reference %d",
-					seed, q, goalsStr(), m.TotalInferences(), ref.totalInf)
-			}
-			if m.CutoffQueries() != ref.cutoffs {
-				t.Fatalf("seed %d query %d (%s): %d cutoffs, reference %d",
-					seed, q, goalsStr(), m.CutoffQueries(), ref.cutoffs)
-			}
-		}
-		use.add(checkQueriesAgree(t, rng, kb, budget, 12))
+		use.Add(genOracle(t, seed, 12, 6, 25))
 	}
-	if !envNoVM && (use.replayed == 0 || use.reproofs == 0) {
-		t.Errorf("held queries replayed %d inferences, %d were proved again in exact mode: the fast paths are not exercised", use.replayed, use.reproofs)
+	if !envNoVM && (use.Replayed == 0 || use.Alone == 0 || use.Packed == 0) {
+		t.Errorf("the fast paths are not exercised: %+v", use)
 	}
 }
 

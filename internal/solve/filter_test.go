@@ -97,9 +97,10 @@ func TestFilterKeyBudget(t *testing.T) {
 
 // TestFilterKeyEncoding: equal constants share a key however they are
 // written, an atom's key is never a number's, no constant gets the wildcard —
-// and through the engine, one bucket holding every kind of head argument
-// answers every kind of goal argument as the interpreter does, skipping
-// exactly the candidates whose constants disagree.
+// and through the engine (a case of the prover oracle), one bucket holding
+// every kind of head argument answers every kind of goal argument as the
+// seed engine does, skipping exactly the candidates whose constants
+// disagree.
 func TestFilterKeyEncoding(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	if numKey(negZero) != numKey(0) {
@@ -169,35 +170,18 @@ func TestFilterKeyEncoding(t *testing.T) {
 		{parse("m(K, t0, 1, B)"), 1, 1},   // the second-argument bucket of t0: two facts, two rules
 		{parse("m(k, t4, one, x)"), 1, 0}, // a statically ground goal takes the equality streams
 	} {
-		goal := tc.goal
-		goals, nv := []logic.Literal{logic.Lit(goal)}, goal.MaxVar()+1
-		run := func(novm bool) (sols []string, inf, filtered int64) {
-			m := NewMachine(kb, DefaultBudget)
-			m.SetNoVM(novm)
-			m.Solve(goals, nv, func(bs *logic.Bindings) bool {
-				sols = append(sols, solutionString(bs, nv))
-				return true
-			})
-			// Solve runs in exact mode. The filter runs in existence queries,
-			// so it counts over a query that fails after every solution.
-			var q Query
-			m.CompileQuery(&q, &logic.Clause{Head: logic.A("f"), Body: append(goals, logic.Lit(logic.A("nosuch")))})
-			m.CoversQuery(&q, logic.A("f"))
-			return sols, m.TotalInferences(), m.FilteredCandidates()
+		// Solve runs in exact mode. The filter runs in existence queries,
+		// so it counts over a query that fails after every solution.
+		goals := []logic.Literal{logic.Lit(tc.goal)}
+		fails := logic.Clause{Head: logic.A("f"), Body: append(goals, logic.Lit(logic.A("nosuch")))}
+		in := oracleInput{name: tc.goal.String(), kb: kb, enums: [][]logic.Literal{goals},
+			groups: []oracleGroup{{Rules: []*logic.Clause{&fails}, Examples: []logic.Term{fails.Head}}}}
+		run := proverMatchesOracle(t, &in, DefaultBudget)
+		if want := newRefMachine(kb, DefaultBudget).enumerate(goals); strings.Count(want.solutions, ";")+1 != tc.solutions {
+			t.Errorf("%s: solutions %v, expected %d", tc.goal, want.solutions, tc.solutions)
 		}
-		want, wantInf, interpFiltered := run(true)
-		got, gotInf, filtered := run(false)
-		if fmt.Sprint(got) != fmt.Sprint(want) || gotInf != wantInf {
-			t.Errorf("%s: VM %v in %d inferences, interpreter %v in %d", goal, got, gotInf, want, wantInf)
-		}
-		if interpFiltered != 0 {
-			t.Errorf("%s: the interpreter reports %d filtered candidates", goal, interpFiltered)
-		}
-		if len(want) != tc.solutions {
-			t.Errorf("%s: %d solutions %v, expected %d", goal, len(want), want, tc.solutions)
-		}
-		if !envNoVM && filtered != tc.filtered {
-			t.Errorf("%s: %d candidates filtered, expected %d", goal, filtered, tc.filtered)
+		if !envNoVM && run.cold[0].Filtered != tc.filtered {
+			t.Errorf("%s: %d candidates filtered, expected %d", tc.goal, run.cold[0].Filtered, tc.filtered)
 		}
 	}
 }

@@ -10,41 +10,16 @@ import (
 )
 
 // The tests here pin the ground-call memo (memo.go): that a replayed call is
-// charged exactly what the interpreter charges for proving it, through cyclic
+// charged exactly what the oracle charges for proving it, through cyclic
 // recursion and program changes, and that what the memo keeps is bounded.
-// Each compares a default machine against one pinned to the interpreter,
-// which never memoizes. Every budget and depth is TestMemoBudgetSweep's and
-// TestMemoDepthGuard's (exact_test.go).
+// Every budget and depth is TestMemoBudgetSweep's and TestMemoDepthGuard's
+// (exact_test.go).
 
-// memoCase proves rules over examples on a compiled and an interpreter-pinned
-// machine, query by query, and requires the same answer, charge and cutoff.
-// It returns the compiled machine.
-func memoCase(t *testing.T, kb *KB, budget Budget, rules []string, examples ...string) *Machine {
+// memoCase asks the property rules on examples, rule by rule, at budget.
+func memoCase(t *testing.T, kb *KB, budget Budget, rules []string, examples ...string) *oracleRun {
 	t.Helper()
-	vm, interp := NewMachine(kb, budget), NewMachine(kb, budget)
-	interp.SetNoVM(true)
-	for _, src := range rules {
-		rule := logic.MustParseClause(src)
-		var qv, qi Query
-		vm.CompileQuery(&qv, &rule)
-		interp.CompileQuery(&qi, &rule)
-		for _, e := range examples {
-			ex := logic.MustParseTerm(e)
-			got := runCovers(vm, func() bool { return vm.CoversQuery(&qv, ex) })
-			want := runCovers(interp, func() bool { return interp.CoversQuery(&qi, ex) })
-			if got != want {
-				t.Fatalf("budget %+v, %s on %s: compiled %+v, interpreter %+v", budget, src, e, got, want)
-			}
-		}
-	}
-	if interp.ReplayedInferences() != 0 {
-		t.Fatalf("the interpreter reports %d replayed inferences", interp.ReplayedInferences())
-	}
-	if vm.StepsExecuted()+vm.ReplayedInferences() != vm.TotalInferences() {
-		t.Fatalf("budget %+v: %d steps executed and %d replayed for %d charged", budget,
-			vm.StepsExecuted(), vm.ReplayedInferences(), vm.TotalInferences())
-	}
-	return vm
+	in := oracleInput{name: "memo", kb: kb, groups: []oracleGroup{group(0, strings.Join(examples, " "), rules...)}}
+	return proverMatchesOracle(t, &in, budget)
 }
 
 // memoKB has ground calls to rules with one solution (polar_gte), with one
@@ -67,7 +42,7 @@ func memoKB(t *testing.T) *KB {
 // TestMemoCyclicGroundRecursion: reach(a, a) recurses through the cycle
 // a → b → a until MaxDepth cuts it, so its recording hits the budget and the
 // entry — like that of every ground reach call beneath it — is disabled:
-// nothing is replayed, and the charges are the interpreter's whether the
+// nothing is replayed, and the charges are the oracle's whether the
 // continuation stops at the first solution or exhausts the cycle.
 func TestMemoCyclicGroundRecursion(t *testing.T) {
 	kb := kbFrom(t, `
@@ -76,15 +51,15 @@ func TestMemoCyclicGroundRecursion(t *testing.T) {
 		reach(X, Y) :- edge(X, Z), reach(Z, Y).
 		never(zz).
 	`)
-	m := memoCase(t, kb, Budget{MaxDepth: 12}, []string{"h(X) :- reach(a, a).", "h(X) :- reach(a, a), never(X)."}, "h(q)", "h(q)")
+	run := memoCase(t, kb, Budget{MaxDepth: 12}, []string{"h(X) :- reach(a, a).", "h(X) :- reach(a, a), never(X)."}, "h(q)", "h(q)")
 	if envNoVM {
 		return
 	}
-	if m.ReplayedInferences() != 0 {
-		t.Fatalf("%d inferences replayed from a cyclic call", m.ReplayedInferences())
+	if run.all.Replayed != 0 {
+		t.Fatalf("%d inferences replayed from a cyclic call", run.all.Replayed)
 	}
 	for _, call := range []string{"reach(a, a)", "reach(b, a)"} {
-		if e, ok := recorded(m, call); !ok || !e.off {
+		if e, ok := recorded(run.held, call); !ok || !e.off {
 			t.Fatalf("%s: recorded %v, entry %+v — want a disabled entry", call, ok, e)
 		}
 	}
@@ -133,7 +108,7 @@ func programPreds(pr *program) map[*compiledPred]bool {
 }
 
 // TestMemoAfterKBAdd: a KB.Add between two queries changes what a recorded
-// ground call charges. The next query must match a fresh machine's, and the
+// ground call charges. The next query must match the oracle's, and the
 // table must hold nothing recorded against the program the Add replaced.
 func TestMemoAfterKBAdd(t *testing.T) {
 	kb := memoKB(t)
@@ -144,12 +119,10 @@ func TestMemoAfterKBAdd(t *testing.T) {
 	m.CompileQuery(&q, &rule)
 	check := func(what string) {
 		t.Helper()
-		fresh := NewMachine(kb, DefaultBudget)
-		fresh.SetNoVM(true)
-		want := runCovers(fresh, func() bool { return fresh.CoversExample(&rule, ex) })
+		want := newRefMachine(kb, DefaultBudget).run(&rule, ex)
 		for i := 0; i < 2; i++ {
 			if got := runCovers(m, func() bool { return m.CoversQuery(&q, ex) }); got != want {
-				t.Fatalf("%s: held query %+v, fresh interpreter %+v", what, got, want)
+				t.Fatalf("%s: held query %+v, oracle %+v", what, got, want)
 			}
 		}
 		if envNoVM {
@@ -175,7 +148,7 @@ func TestMemoAfterKBAdd(t *testing.T) {
 // TestMemoCaps: the table never holds more than memoMaxEntries calls, a
 // subtree past memoMaxRecord charges and a call with more than
 // memoMaxSolutions solutions are disabled rather than replayed — and the
-// charges stay the interpreter's through all three.
+// charges stay the oracle's through all three.
 func TestMemoCaps(t *testing.T) {
 	var src strings.Builder
 	src.WriteString(`
@@ -192,16 +165,14 @@ func TestMemoCaps(t *testing.T) {
 	kb := kbFrom(t, src.String())
 
 	// One distinct ground call per example, past the table cap.
-	vm, interp := NewMachine(kb, DefaultBudget), NewMachine(kb, DefaultBudget)
-	interp.SetNoVM(true)
+	vm, ref := NewMachine(kb, DefaultBudget), newRefMachine(kb, DefaultBudget)
 	rule := logic.MustParseClause("h(X) :- g(X).")
-	var qv, qi Query
-	vm.CompileQuery(&qv, &rule)
-	interp.CompileQuery(&qi, &rule)
+	var q Query
+	vm.CompileQuery(&q, &rule)
 	for i := 0; i < memoMaxEntries+100; i++ {
 		ex := logic.Comp("h", logic.IntTerm(int64(i)))
-		if vm.CoversQuery(&qv, ex) != interp.CoversQuery(&qi, ex) {
-			t.Fatalf("h(%d): answers differ", i)
+		if got, want := runCovers(vm, func() bool { return vm.CoversQuery(&q, ex) }), ref.run(&rule, ex); got != want {
+			t.Fatalf("h(%d): %+v, oracle %+v", i, got, want)
 		}
 		if n := vm.memo.used; n > memoMaxEntries {
 			t.Fatalf("after h(%d) the table holds %d calls, cap %d", i, n, memoMaxEntries)
@@ -210,9 +181,6 @@ func TestMemoCaps(t *testing.T) {
 	if n := len(memoEntries(vm)); n != vm.memo.used || 2*n > len(vm.memo.slots) {
 		t.Fatalf("the table counts %d calls and holds %d in %d slots", vm.memo.used, n, len(vm.memo.slots))
 	}
-	if vm.TotalInferences() != interp.TotalInferences() {
-		t.Fatalf("past the table cap: %d charged, interpreter %d", vm.TotalInferences(), interp.TotalInferences())
-	}
 
 	// A recording too long to keep, and one with too many solutions (the
 	// continuation fails, so every one of them is asked for).
@@ -220,14 +188,14 @@ func TestMemoCaps(t *testing.T) {
 		{"h(X) :- big(X).", "big(a)"},
 		{"h(X) :- many(X), nope(X).", "many(a)"},
 	} {
-		m := memoCase(t, kb, DefaultBudget, []string{tc.rule}, "h(a)", "h(a)", "h(a)")
+		run := memoCase(t, kb, DefaultBudget, []string{tc.rule}, "h(a)", "h(a)", "h(a)")
 		if envNoVM {
 			continue
 		}
-		if m.ReplayedInferences() != 0 || m.CutoffQueries() != 0 {
-			t.Fatalf("%s: %d replayed, %d cutoff queries", tc.rule, m.ReplayedInferences(), m.CutoffQueries())
+		if run.all.Replayed != 0 || run.total().cutoffs != 0 {
+			t.Fatalf("%s: %d replayed, %d cutoff queries", tc.rule, run.all.Replayed, run.total().cutoffs)
 		}
-		if e, ok := recorded(m, tc.call); !ok || !e.off {
+		if e, ok := recorded(run.held, tc.call); !ok || !e.off {
 			t.Fatalf("%s: %s recorded %v, entry %+v — want a disabled entry", tc.rule, tc.call, ok, e)
 		}
 	}

@@ -22,7 +22,7 @@ func runCovers(m *Machine, cover func() bool) coverRun {
 // TestQueryRecompilesOnProgramChange pins the program-identity check: a
 // held Query whose machine has since moved to another compiled program — the
 // KB grew, was swapped, or the engine was toggled — must answer and charge
-// exactly as a fresh CoversExample does, never run its stale dispatch.
+// exactly as the oracle does, never run its stale dispatch.
 func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	const src = `
 		edge(a, b). edge(b, c).
@@ -32,17 +32,12 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	rule := logic.MustParseClause("linked(X, Y) :- path(X, Y), marked(Y).")
 	ex := logic.MustParseTerm("linked(a, d)")
 
-	// fresh is the oracle: a new machine over kb in the same engine mode.
-	fresh := func(kb *KB, novm bool) coverRun {
-		m := NewMachine(kb, DefaultBudget)
-		m.SetNoVM(novm)
-		return runCovers(m, func() bool { return m.CoversExample(&rule, ex) })
-	}
+	fresh := func(kb *KB) coverRun { return newRefMachine(kb, DefaultBudget).run(&rule, ex) }
 	check := func(what string, m *Machine, q *Query, want coverRun) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // the second run re-detects the stale query
 			if got := runCovers(m, func() bool { return m.CoversQuery(q, ex) }); got != want {
-				t.Fatalf("%s: held query %+v, fresh CoversExample %+v", what, got, want)
+				t.Fatalf("%s: held query %+v, oracle %+v", what, got, want)
 			}
 		}
 	}
@@ -53,7 +48,7 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	m.CompileQuery(&q, &rule)
 	// marked/1 does not exist yet: the compiled form dispatches it to
 	// unknownPred, and nothing is covered.
-	if want := fresh(kb, false); want.covered {
+	if want := fresh(kb); want.covered {
 		t.Fatal("covered before marked/1 exists")
 	} else {
 		check("initial", m, &q, want)
@@ -63,7 +58,7 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	// stale frames know nothing about.
 	kb.Add(logic.MustParseClause("edge(c, d)."))
 	kb.Add(logic.MustParseClause("marked(d)."))
-	want := fresh(kb, false)
+	want := fresh(kb)
 	if !want.covered {
 		t.Fatal("not covered after KB.Add")
 	}
@@ -75,8 +70,8 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	clone := kb.Clone()
 	clone.Add(logic.MustParseClause("path(a, d)."))
 	m.SetKB(clone)
-	want = fresh(clone, false)
-	if !want.covered || want == fresh(kb, false) {
+	want = fresh(clone)
+	if !want.covered || want == fresh(kb) {
 		t.Fatalf("clone should change the charge: %+v", want)
 	}
 	check("after SetKB", m, &q, want)
@@ -84,11 +79,11 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	// Engine toggle: the compiled query on an interpreter machine, and an
 	// interpreter-form query back on the VM.
 	m.SetNoVM(true)
-	check("after SetNoVM(true)", m, &q, fresh(clone, true))
+	check("after SetNoVM(true)", m, &q, fresh(clone))
 	var qi Query
 	m.CompileQuery(&qi, &rule)
 	m.SetNoVM(false)
-	check("interpreter-form query on the VM", m, &qi, fresh(clone, false))
+	check("interpreter-form query on the VM", m, &qi, fresh(clone))
 
 	if envNoVM {
 		return
