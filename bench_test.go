@@ -28,7 +28,11 @@ const benchScale = 0.12
 
 func benchDatasets(b *testing.B) []*datasets.Dataset {
 	b.Helper()
-	return datasets.PaperScaled(benchScale, 1)
+	dss, err := datasets.PaperScaled(benchScale, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dss
 }
 
 // seqVirtualSeconds runs the sequential baseline on a training split and
@@ -293,7 +297,10 @@ func BenchmarkAblationRepartition(b *testing.B) {
 // BenchmarkHarnessSweep runs the full multi-table harness end to end at a
 // tiny scale — the integration cost of regenerating every table at once.
 func BenchmarkHarnessSweep(b *testing.B) {
-	ds := datasets.PaperScaled(0.06, 1)
+	ds, err := datasets.PaperScaled(0.06, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := harness.Config{
 		Datasets: ds[:1],
 		Procs:    []int{2, 4},

@@ -82,7 +82,10 @@ func main() {
 		fail(err)
 	}
 
-	dss := datasets.PaperScaled(*scale, *seed)
+	dss, err := datasets.PaperScaled(*scale, *seed)
+	if err != nil {
+		fail(err)
+	}
 	if *noVM {
 		// Applied at the dataset level so the ablations inherit it too.
 		for _, ds := range dss {
@@ -209,14 +212,11 @@ func runNoiseAblation(scale float64, folds int, seed int64, quiet bool) {
 	if quiet {
 		progress = nil
 	}
-	n := func(x int) int {
-		v := int(float64(x) * scale)
-		if v < 8 {
-			v = 8
-		}
-		return v
+	ds, err := datasets.ByNameScaled("pyrimidines", scale, seed)
+	if err != nil {
+		fail(err)
 	}
-	ab, err := harness.RunNoiseAblation(n(848), n(764), 4, folds, nil, seed, progress)
+	ab, err := harness.RunNoiseAblation(len(ds.Pos), len(ds.Neg), 4, folds, nil, seed, progress)
 	if err != nil {
 		fail(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 	case *dataset == "trains-gen":
 		ds = datasets.TrainsSized(*nTrains, *seed)
 	default:
-		ds, err = load(*dataset, *scale, *seed)
+		ds, err = datasets.ByNameScaled(*dataset, *scale, *seed)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ilpgen:", err)
@@ -53,26 +53,4 @@ func main() {
 	defer w.Flush()
 	fmt.Fprintf(w, "%%%% generated by ilpgen (seed %d, scale %.2f)\n", *seed, *scale)
 	w.WriteString(datasets.FormatText(ds))
-}
-
-func load(name string, scale float64, seed int64) (*datasets.Dataset, error) {
-	if scale == 1.0 || name == "trains" {
-		return datasets.ByName(name, seed)
-	}
-	n := func(x int) int {
-		v := int(float64(x) * scale)
-		if v < 8 {
-			v = 8
-		}
-		return v
-	}
-	switch name {
-	case "carcinogenesis":
-		return datasets.CarcinogenesisSized(n(162), n(136), seed), nil
-	case "mesh":
-		return datasets.MeshSized(n(2840), n(278), seed), nil
-	case "pyrimidines":
-		return datasets.PyrimidinesSized(n(848), n(764), seed), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q", name)
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	ilp "repro"
+	"repro/internal/datasets"
 )
 
 // The chaos e2e: a real multi-process TCP deployment loses one of its
@@ -149,7 +150,7 @@ func TestChaosKillWorkerMidEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing learned theory: %v", err)
 	}
-	ds, err := loadDataset("pyrimidines", 0.3, 1)
+	ds, err := datasets.ByNameScaled("pyrimidines", 0.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

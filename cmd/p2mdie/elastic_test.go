@@ -11,6 +11,7 @@ import (
 	"time"
 
 	ilp "repro"
+	"repro/internal/datasets"
 )
 
 // The elastic e2e: a real multi-process TCP deployment grows mid-run. The
@@ -112,7 +113,7 @@ func TestElasticJoinMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing learned theory: %v\n%s", err, stdout)
 	}
-	ds, err := loadDataset("pyrimidines", 0.15, 1)
+	ds, err := datasets.ByNameScaled("pyrimidines", 0.15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,9 @@ func main() {
 	if err := checkModeFlags(); err != nil {
 		fail(err)
 	}
+	if *width < 0 {
+		fail(fmt.Errorf("-width %d: want a width ≥ 0 (0 = unlimited)", *width))
+	}
 	shp, err := shape.Parse(*shapeFl)
 	if err != nil {
 		fail(err)
@@ -100,7 +103,7 @@ func main() {
 			ds, err = ilp.LoadDataset(*file, string(src))
 		}
 	} else {
-		ds, err = loadDataset(*dataset, *scale, *seed)
+		ds, err = datasets.ByNameScaled(*dataset, *scale, *seed)
 	}
 	if err != nil {
 		fail(err)
@@ -600,30 +603,4 @@ func widthLabel(w int) string {
 		return "nolimit"
 	}
 	return fmt.Sprintf("%d", w)
-}
-
-func loadDataset(name string, scale float64, seed int64) (*ilp.Dataset, error) {
-	if scale == 1.0 || name == "trains" {
-		return ilp.DatasetByName(name, seed)
-	}
-	n := func(x int) int {
-		v := int(float64(x) * scale)
-		if v < 8 {
-			v = 8
-		}
-		return v
-	}
-	switch name {
-	case "carcinogenesis":
-		return datasets.CarcinogenesisSized(n(162), n(136), seed), nil
-	case "mesh":
-		return datasets.MeshSized(n(2840), n(278), seed), nil
-	case "pyrimidines":
-		return datasets.PyrimidinesSized(n(848), n(764), seed), nil
-	case "trains-gen":
-		return datasets.TrainsSized(n(100), seed), nil
-	case "trains-skew":
-		return datasets.TrainsSkewed(n(200), seed, 0.25), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q", name)
 }

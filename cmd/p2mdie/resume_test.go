@@ -19,9 +19,10 @@ import (
 // byte-identical to a failure-free run's. This is the acceptance bar for
 // master fault tolerance over the real transport.
 
-// TestCrashResumeByteIdentity crashes the master at two different protocol
-// ops (one inside the first epoch, one several epochs in) and requires the
-// resumed run's theory to match the failure-free simulated run's exactly.
+// TestCrashResumeByteIdentity crashes the master at three different
+// protocol ops (one inside the first epoch, two several epochs in) and
+// requires the resumed run's theory to match the failure-free simulated
+// run's exactly.
 func TestCrashResumeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-resume e2e skipped in -short")
@@ -37,10 +38,10 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	baseCancel()
 
 	// The master sees ~80 protocol ops on this dataset at p=2: op 8 is
-	// inside the first epoch (right after load), op 60 several epochs deep;
-	// both are well before the final stop broadcast (a crash there is
-	// unresumable — the workers have already exited).
-	for _, crashAt := range []int64{8, 60} {
+	// inside the first epoch (right after load), ops 40 and 60 several
+	// epochs deep; all are well before the final stop broadcast (a crash
+	// there is unresumable — the workers have already exited).
+	for _, crashAt := range []int64{8, 40, 60} {
 		crashAt := crashAt
 		t.Run(fmt.Sprintf("crashat=%d", crashAt), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)

@@ -72,6 +72,11 @@ func TestShapeFlagRejectsJunk(t *testing.T) {
 		{[]string{"-serve", "127.0.0.1:0", "-width", "4", "-recover", "-v"}, []string{"-recover", "-v", "-width", "-serve/-join mode"}},
 		{[]string{"-master", "-workers", "127.0.0.1:1", "-coverpar", "2"}, []string{"-coverpar", "-master mode"}},
 		{[]string{"-resume", "-checkpoint", t.TempDir(), "-master", "-balance"}, []string{"-balance", "-master", "-resume mode"}},
+		{[]string{"-scale", "0"}, []string{"scale 0 "}},
+		{[]string{"-workers", "2", "-scale", "-1"}, []string{"scale -1 "}},
+		{[]string{"-scale", "NaN"}, []string{"scale NaN "}},
+		{[]string{"-scale", "+Inf"}, []string{"scale +Inf "}},
+		{[]string{"-workers", "2", "-width", "-3"}, []string{"-width -3"}},
 	} {
 		out, err := runErr(ctx, bin, append([]string{"-dataset", "trains", "-q"}, c.args...)...)
 		for _, w := range c.want {

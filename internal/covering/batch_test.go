@@ -41,7 +41,11 @@ func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
 		"mesh":           {"1cc9de6000586d2b76ebe1c5f387dbcd02dcffdaeec571c94b22cc1481c28fcd", 11, 22, 33, 1192, 301902},
 		"pyrimidines":    {"e86f31cdca58d8970ec73e0eeccdf7f978571fe85da388860291d53ebdbd0901", 2, 23, 25, 18398, 22085529},
 	}
-	for _, ds := range datasets.PaperScaled(0.1, 7) {
+	dss, err := datasets.PaperScaled(0.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range dss {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			want, ok := pinned[ds.Name]

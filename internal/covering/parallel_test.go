@@ -14,7 +14,11 @@ import (
 // inference costs are independent of which machine runs the query, so even
 // the work accounting must agree exactly.
 func TestParallelCoverageMatchesSerialOnPaperDatasets(t *testing.T) {
-	for _, ds := range datasets.PaperScaled(0.1, 7) {
+	dss, err := datasets.PaperScaled(0.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range dss {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			run := func(parallelism int) *Result {

@@ -19,6 +19,7 @@ package datasets
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bottom"
@@ -89,19 +90,48 @@ func Paper(seed int64) []*Dataset {
 
 // PaperScaled returns the three evaluation datasets with example counts
 // scaled by the given factor (≥ ~0.05), used by fast benchmark variants.
-func PaperScaled(scale float64, seed int64) []*Dataset {
-	n := func(x int) int {
-		v := int(float64(x) * scale)
-		if v < 8 {
-			v = 8
-		}
-		return v
+func PaperScaled(scale float64, seed int64) ([]*Dataset, error) {
+	n, err := scaler(scale)
+	if err != nil {
+		return nil, err
 	}
 	return []*Dataset{
 		CarcinogenesisSized(n(162), n(136), seed),
 		MeshSized(n(2840), n(278), seed),
 		PyrimidinesSized(n(848), n(764), seed),
+	}, nil
+}
+
+// ByNameScaled is ByName with the example counts scaled by scale:
+// int(count × scale) of ByName's counts, but at least 8. It refuses a scale
+// that is not a positive finite number; trains has one size and ignores it.
+func ByNameScaled(name string, scale float64, seed int64) (*Dataset, error) {
+	n, err := scaler(scale)
+	if err != nil {
+		return nil, err
 	}
+	switch name {
+	case "carcinogenesis":
+		return CarcinogenesisSized(n(162), n(136), seed), nil
+	case "mesh":
+		return MeshSized(n(2840), n(278), seed), nil
+	case "pyrimidines":
+		return PyrimidinesSized(n(848), n(764), seed), nil
+	case "trains-gen":
+		return TrainsSized(n(100), seed), nil
+	case "trains-skew":
+		return TrainsSkewed(n(200), seed, 0.25), nil
+	}
+	return ByName(name, seed) // trains, or the unknown-dataset error
+}
+
+// scaler returns the example count of a scaled dataset as a function of its
+// count at scale 1.
+func scaler(scale float64) (func(count int) int, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("datasets: scale %v is not a positive finite number", scale)
+	}
+	return func(count int) int { return max(8, int(float64(count)*scale)) }, nil
 }
 
 // rng is the package's deterministic generator (xorshift64*).

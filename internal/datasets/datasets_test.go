@@ -1,6 +1,8 @@
 package datasets
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -160,7 +162,10 @@ func TestByName(t *testing.T) {
 }
 
 func TestPaperScaled(t *testing.T) {
-	scaled := PaperScaled(0.1, 2)
+	scaled, err := PaperScaled(0.1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(scaled) != 3 {
 		t.Fatalf("PaperScaled returned %d datasets", len(scaled))
 	}
@@ -171,10 +176,63 @@ func TestPaperScaled(t *testing.T) {
 		t.Fatalf("scaled mesh pos = %d, want 284", got)
 	}
 	// Floor kicks in for tiny scales.
-	tiny := PaperScaled(0.001, 2)
+	tiny, err := PaperScaled(0.001, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ds := range tiny {
 		if len(ds.Pos) < 8 || len(ds.Neg) < 8 {
 			t.Fatalf("%s: tiny scale went below floor: %d/%d", ds.Name, len(ds.Pos), len(ds.Neg))
+		}
+	}
+}
+
+// TestScalerSizes pins the example counts of the paper datasets
+// (carcinogenesis, mesh, pyrimidines: positives, negatives) at three
+// scales, checks that the datasets drawn are that size, and that both entry
+// points refuse a scale that is not a positive finite number, naming it.
+func TestScalerSizes(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		want  [6]int
+	}{
+		{0.05, [6]int{8, 8, 142, 13, 42, 38}},
+		{0.25, [6]int{40, 34, 710, 69, 212, 191}},
+		{1, [6]int{162, 136, 2840, 278, 848, 764}},
+	} {
+		n, err := scaler(c.scale)
+		if err != nil {
+			t.Fatalf("scale %v: %v", c.scale, err)
+		}
+		if got := [6]int{n(162), n(136), n(2840), n(278), n(848), n(764)}; got != c.want {
+			t.Errorf("scale %v: sizes %v, want %v", c.scale, got, c.want)
+		}
+		dss, err := PaperScaled(c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ds := range dss {
+			one, err := ByNameScaled(ds.Name, c.scale, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []*Dataset{ds, one} {
+				if got := [2]int{len(d.Pos), len(d.Neg)}; got != [2]int(c.want[2*i:2*i+2]) {
+					t.Errorf("scale %v: %s drawn with %v examples, want %v", c.scale, d.Name, got, c.want[2*i:2*i+2])
+				}
+			}
+		}
+	}
+	for _, bad := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		name := fmt.Sprint(bad)
+		if _, err := scaler(bad); err == nil || !strings.Contains(err.Error(), "scale "+name) {
+			t.Errorf("scaler(%v): err = %v, want one naming the scale", bad, err)
+		}
+		if _, err := PaperScaled(bad, 1); err == nil {
+			t.Errorf("PaperScaled(%v) accepted", bad)
+		}
+		if _, err := ByNameScaled("trains", bad, 1); err == nil {
+			t.Errorf("ByNameScaled(trains, %v) accepted", bad)
 		}
 	}
 }

@@ -12,7 +12,10 @@ import (
 // tinyConfig keeps the integration sweep fast: small scaled datasets,
 // 3 folds, p ∈ {2, 4}.
 func tinyConfig() Config {
-	ds := datasets.PaperScaled(0.08, 17)
+	ds, err := datasets.PaperScaled(0.08, 17)
+	if err != nil {
+		panic(err)
+	}
 	for _, d := range ds {
 		d.Search.NodesLimit = 150
 	}

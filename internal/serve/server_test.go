@@ -43,7 +43,11 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 // coverage bitsets search.Evaluator computes — the serving stack (snapshot
 // write/read, KB rebuild, machine pool, HTTP layer) changes nothing.
 func TestClassifyMatchesEvaluator(t *testing.T) {
-	for _, ds := range datasets.PaperScaled(0.05, 1) {
+	dss, err := datasets.PaperScaled(0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range dss {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			fp := core.Fingerprint(ds.KB, ds.Pos, ds.Neg)
@@ -392,7 +396,11 @@ func TestClassifyBytesMatchEncodingJSON(t *testing.T) {
 		examples []string
 	}
 	var fixtures []fixture
-	for _, ds := range datasets.PaperScaled(0.05, 1) {
+	dss, err := datasets.PaperScaled(0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range dss {
 		fp := core.Fingerprint(ds.KB, ds.Pos, ds.Neg)
 		f := fixture{name: ds.Name, snap: NewSnapshot(ds.Name, fp, 3, ds.TrueConcept, ds.KB, ds.Budget, ds.Pos, ds.Neg)}
 		for _, e := range append(append([]logic.Term(nil), ds.Pos...), ds.Neg...) {

@@ -142,6 +142,38 @@ func BenchmarkCoversGroundCall(b *testing.B) {
 	benchCovers(b, benchGroundKB(), "active(M) :- subst(M, P, G), polar_gte(G, 3), polar_gte(G, 5).", false, true)
 }
 
+// BenchmarkCoversPackGroundSuffix is a frontier's fan on that shape: five
+// children of "active(M) :- subst(M, P, G)" whose one-goal suffixes are
+// ground polar_gte calls, run as one warm QueryPack over all 50 drugs — each
+// suffix answered in place from its memo entry (QueryPack.stepSuffix).
+func BenchmarkCoversPackGroundSuffix(b *testing.B) {
+	kb := benchGroundKB()
+	m := NewMachine(kb, DefaultBudget)
+	var rules []*logic.Clause
+	for l := 1; l <= 5; l++ {
+		r := logic.MustParseClause(fmt.Sprintf("active(M) :- subst(M, P, G), polar_gte(G, %d).", l))
+		rules = append(rules, &r)
+	}
+	var examples []logic.Term
+	for d := 0; d < 50; d++ {
+		examples = append(examples, logic.MustParseTerm(fmt.Sprintf("active(m%d)", d)))
+	}
+	var pack QueryPack
+	m.CompilePack(&pack, rules, 1)
+	hit := make([]bool, len(rules))
+	for _, ex := range examples {
+		m.CoversPack(&pack, ex, hit, nil) // record every call once
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.CoversPack(&pack, examples[i%len(examples)], hit, nil)
+		if !hit[0] {
+			b.Fatal("not covered")
+		}
+	}
+}
+
 func BenchmarkSolveEnumerate(b *testing.B) {
 	kb := benchKB(2000)
 	m := NewMachine(kb, DefaultBudget)

@@ -98,6 +98,52 @@ func depthInput(t *testing.T) oracleInput {
 	}}
 }
 
+// suffixKB is suffixInput's program: ground calls with solutions and
+// without (polar_gte), a cyclic one (loop) and one with more than
+// memoMaxSolutions solutions (many), whose entries are disabled, and one
+// (deepish) whose recorded depth, two levels below the call, comes from a
+// builtin that fails there: under MaxDepth 2 the recorded-depth guard fires
+// although the live call is not cut. A suffix goal sits at depth 0, so that
+// guard is the only depth check the in-place path makes.
+func suffixKB(t *testing.T) *KB {
+	return kbFrom(t, `
+		level(1). level(2). level(3).
+		polar(g1, 3). polar(g2, 1). polar(g3, 2).
+		subst(d1, p1, g1). subst(d1, p2, g2). subst(d2, p1, g3). subst(d2, p2, g2). subst(d3, p1, g2).
+		polar_gte(G, L) :- polar(G, V), level(L), V >= L.
+		link(g1, g2). link(g2, g1).
+		loop(G) :- polar(G, 1).
+		loop(G) :- link(G, H), loop(H).
+		many(G) :- polar(G, V), level(A), level(B), level(C), level(D).
+		deepish(G) :- deeper(G).
+		deeper(G) :- G = zz, polar(G, 1).
+	`)
+}
+
+// suffixInput asks packs whose every member's suffix is one goal, run in
+// place (QueryPack.stepSuffix): ground calls that replay a solution and that
+// replay none, recorded on their first call and replayed on the repeated
+// examples; disabled entries, which run live; a suffix with an argument the
+// prefix leaves unbound, which steps; and the recorded-depth guard. The
+// sweep cuts each at its own charge, inside its replayed segment and on its
+// tail, and at every depth.
+func suffixInput(t *testing.T) oracleInput {
+	return oracleInput{name: "one-goal suffixes", kb: suffixKB(t), groups: []oracleGroup{
+		group(1, "h(d1) h(d2) h(d3) h(d1) h(d2)",
+			"h(D) :- subst(D, P, G), polar_gte(G, 2).",
+			"h(D) :- subst(D, P, G), polar_gte(G, 3).",
+			"h(D) :- subst(D, P, G), polar_gte(G, L).",
+			"h(D) :- subst(D, P, G), loop(G).",
+			"h(D) :- subst(D, P, G), many(G).",
+			"h(D) :- subst(D, P, G), deepish(G).",
+		),
+		group(2, "h(d1) h(d2) h(d3)",
+			"h(D) :- subst(D, P, G), polar(G, V), polar_gte(G, V).",
+			"h(D) :- subst(D, P, G), polar(G, V), polar_gte(G, 3).",
+		),
+	}}
+}
+
 // bulkInput: one 20-fact first-argument bucket of w/4 in which the goal
 // w(k, X, red, 1) matches facts 4, 5 and 12 — a rejected run of four at the
 // head of the bucket, of six in the middle, of seven at the tail — with
@@ -186,6 +232,12 @@ func TestPackBudgetFallbacks(t *testing.T) {
 		// not inherit the flag.
 		{"suffix cut by MaxInferences", Budget{MaxInferences: 12}, 1, "h(x)", []string{"h(X) :- first(Y), slow(Y).", "h(X) :- first(Y), ok(Y)."}, "-1 +0", 2},
 		{"suffix cut by MaxDepth", Budget{MaxDepth: 2}, 1, "h(a)", []string{"h(X) :- edge(X, Y), deep(X, Z).", "h(X) :- edge(X, Y), at(Y)."}, "+1 +0", 2},
+		// slow(1), a one-goal suffix answered from the ground-call memo on
+		// the VM, fails after some 20 charges at each of the prefix's two
+		// solutions; the second time its tail crosses the budget. yes(6),
+		// tried after it, would be satisfied there, but the pass stops at
+		// the event and it goes to exact mode with slow's member.
+		{"one-goal suffix's tail crossing the budget", Budget{MaxInferences: 35}, 1, "h(x)", []string{"h(X) :- ends(Y), slow(1).", "h(X) :- ends(Y), yes(Y)."}, "-1 +0", 2},
 		// deep(a, Y) abandons the recursive branch at depth 2 and then finds
 		// Y = b by its second clause. Both members that succeed there are
 		// cutoff queries stand-alone and must be in the pack; so is the one

@@ -21,11 +21,12 @@ func ProverMatchesOracle(t testing.TB, name string, kb *KB, groups []OracleGroup
 	return use
 }
 
-// HandBuiltProverMatchesOracle asks the property of two of the exact-mode
-// tests' hand-built programs (exact_test.go) at DefaultBudget and on a ladder
-// of budgets across every depth of the sweep: the packs, whose budget events
-// land in prefixes and suffixes, and the memo depth program, whose recorded
-// calls are replayed deeper than they were recorded.
+// HandBuiltProverMatchesOracle asks the property of three of the exact-mode
+// tests' hand-built programs (exact_test.go): at DefaultBudget and on a
+// ladder of budgets across every depth of the sweep the packs, whose budget
+// events land in prefixes and suffixes, and the memo depth program, whose
+// recorded calls are replayed deeper than they were recorded; and over the
+// whole sweep the packs of one-goal suffixes, each cut at every charge.
 func HandBuiltProverMatchesOracle(t *testing.T) OracleUse {
 	var use fastUse
 	for _, in := range []oracleInput{packInput(t), depthInput(t)} {
@@ -36,5 +37,7 @@ func HandBuiltProverMatchesOracle(t *testing.T) OracleUse {
 			}
 		}
 	}
+	in := suffixInput(t)
+	use.Add(sweep(t, &in))
 	return use
 }

@@ -151,8 +151,31 @@ func (t *memoTable) reset(prog *program) {
 // check. ok = false sends the call live: an argument is not a constant, or
 // the entry is disabled.
 func (m *Machine) callMemo(fr *goalFrame, k func() bool) (cont, ok bool) {
-	atom := fr.lit.Atom
-	key := memoKey{cp: fr.cp}
+	var key memoKey
+	if !m.memoKey(fr, &key) {
+		return false, false
+	}
+	segs, tail, ok := m.memoReplay(fr, &key)
+	if !ok {
+		return false, false
+	}
+	for _, seg := range segs {
+		if !m.chargeN(seg, &m.work.replayed) {
+			return true, true // budget: abandon this branch
+		}
+		if !m.solve(k) {
+			return false, true
+		}
+	}
+	m.chargeN(tail, &m.work.replayed)
+	return true, true
+}
+
+// memoKey writes the key of fr's call into key, reading the goal in place,
+// and reports false when an argument does not walk to an atom or a number.
+func (m *Machine) memoKey(fr *goalFrame, key *memoKey) bool {
+	atom := &fr.lit.Atom
+	key.cp = fr.cp
 	var scratch logic.Term
 	for i := range atom.Args {
 		t, _ := m.bs.WalkRef(&atom.Args[i], int(fr.off), &scratch)
@@ -162,31 +185,32 @@ func (m *Machine) callMemo(fr *goalFrame, k func() bool) (cont, ok bool) {
 		case logic.Int, logic.Float:
 			key.vals[i] = math.Float64bits(t.Num)
 		default:
-			return false, false
+			return false
 		}
 		key.kinds[i] = t.Kind
 	}
-	e, hit := m.memo.lookup(&key)
+	return true
+}
+
+// memoReplay is what a ground call that has paid its own charge and passed
+// its depth check replays: the charges before each of its solutions and
+// after the last, from key's entry, recorded on a miss. ok = false sends the
+// call live: the entry is disabled. An entry whose recorded depth would
+// reach MaxDepth from the call flags the budget instead — the live call
+// might be cut — and leaves nothing to replay.
+func (m *Machine) memoReplay(fr *goalFrame, key *memoKey) (segs []int64, tail int64, ok bool) {
+	e, hit := m.memo.lookup(key)
 	if !hit {
-		e = m.record(fr, &key)
+		e = m.record(fr, key)
 	}
 	if e.off {
-		return false, false
+		return nil, 0, false
 	}
 	if fr.depth+e.depth >= int32(m.budget.MaxDepth) {
-		m.budgetHit = true // the live call might be cut: abandon this branch
-		return true, true
+		m.budgetHit = true // abandon this branch
+		return nil, 0, true
 	}
-	for _, seg := range m.memo.segs[e.at : e.at+e.n] {
-		if !m.chargeN(seg, &m.work.replayed) {
-			return true, true // budget: abandon this branch
-		}
-		if !m.solve(k) {
-			return false, true
-		}
-	}
-	m.chargeN(e.tail, &m.work.replayed)
-	return true, true
+	return m.memo.segs[e.at : e.at+e.n], e.tail, true
 }
 
 // record runs the call's whole subtree once, in isolation — above a raised

@@ -182,8 +182,13 @@ func (p *QueryPack) runSuffixes() bool {
 	for i, c := range p.live {
 		q := &p.queries[c]
 		m.queryInf = prefix + p.suffix[c]
-		m.stack = append(m.stack, q.frames[:len(q.frames)-p.prefix]...)
-		found := !m.solve(stopAtFirst)
+		var found bool
+		if suffix := q.frames[:len(q.frames)-p.prefix]; len(suffix) == 1 {
+			found = m.stepSuffix(&suffix[0])
+		} else {
+			m.stack = append(m.stack, suffix...)
+			found = !m.solve(stopAtFirst)
+		}
 		// An early stop leaves builtin and ground-fact steps un-undone.
 		m.stack = m.stack[:top]
 		m.bs.Undo(mark)
@@ -203,4 +208,33 @@ func (p *QueryPack) runSuffixes() bool {
 	p.live = live
 	m.queryInf = prefix
 	return len(live) > 0 && !m.budgetHit
+}
+
+// stepSuffix runs a one-goal suffix and reports whether it has a solution:
+// !m.step(*fr, stopAtFirst), which is what solve does with fr pushed — pop
+// it, step it — since the pass cuts the stack back right afterwards. A
+// ground call to a memoizable predicate is answered from its memo entry
+// instead, in step's order: the call's own charge, the lookup or recording,
+// the recorded-depth guard, then the first segment if there is a solution
+// and the tail if not. step's check of the frame's depth cannot fire here:
+// a suffix goal is a query body goal, at depth 0, and MaxDepth is at least
+// 1. A non-constant argument runs the step; a disabled entry, the live call.
+func (m *Machine) stepSuffix(fr *goalFrame) bool {
+	// The memo is on throughout a pass, so only the call decides.
+	var key memoKey
+	if fr.cp == nil || !fr.cp.memo || !m.memoKey(fr, &key) {
+		return !m.step(*fr, stopAtFirst)
+	}
+	if !m.charge() {
+		return false
+	}
+	segs, tail, ok := m.memoReplay(fr, &key)
+	switch {
+	case !ok:
+		return !m.resolveVM(fr.cp, fr.lit.Atom, int(fr.off), *fr, stopAtFirst)
+	case len(segs) == 0:
+		m.chargeN(tail, &m.work.replayed)
+		return false
+	}
+	return m.chargeN(segs[0], &m.work.replayed)
 }

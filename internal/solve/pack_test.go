@@ -49,6 +49,36 @@ func packCase(t *testing.T, kb *KB, budget Budget, prefix int, ex string, src ..
 	return run.want[0][0], [2]int64{run.cold[0].Packed, run.cold[1].Packed}
 }
 
+// TestPackSuffixChargedBeforeRecording: a one-goal suffix answered in place
+// pays the call's own charge before the memo looks the call up, as step
+// does, so a call whose own charge meets the budget is not recorded. That
+// shows in the memo only: exact mode answers the query either way.
+func TestPackSuffixChargedBeforeRecording(t *testing.T) {
+	if envNoVM {
+		t.Skip("the interpreter has no memo")
+	}
+	kb, ex := packKB(t), logic.MustParseTerm("h(x)")
+	prefix := logic.MustParseClause("h(X) :- first(Y).")
+	rules := []*logic.Clause{}
+	for _, src := range []string{"h(X) :- first(Y), slow(Y).", "h(X) :- first(Y), ok(Y)."} {
+		r := logic.MustParseClause(src)
+		rules = append(rules, &r)
+	}
+	at := newRefMachine(kb, DefaultBudget).run(&prefix, ex).inferences // the prefix's first solution
+	for _, c := range []struct {
+		max  int64
+		want bool
+	}{{at + 1, false}, {at + 2, true}} {
+		m := NewMachine(kb, Budget{MaxInferences: c.max})
+		var pack QueryPack
+		m.CompilePack(&pack, rules, 1)
+		m.CoversPack(&pack, ex, make([]bool, len(rules)), nil)
+		if _, ok := recorded(m, "slow(1)"); ok != c.want {
+			t.Errorf("MaxInferences %d, the prefix's solution at %d: slow(1) recorded %v, want %v", c.max, at, ok, c.want)
+		}
+	}
+}
+
 // TestPackDegenerateShapes covers what a search frontier never builds but
 // the API admits: a head no example matches, members with no suffix, members
 // that are the same rule, a one-member pack, builtins and negation on either

@@ -130,7 +130,11 @@ func TestProveExampleAtMaxDepth(t *testing.T) {
 // every (true-concept rule, example) pair of the bundled paper datasets at
 // small scale — the bit-for-bit guarantee the serving layer's proofs rely on.
 func TestProveExampleAgreesOnDatasets(t *testing.T) {
-	for _, ds := range datasets.PaperScaled(0.05, 1) {
+	dss, err := datasets.PaperScaled(0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range dss {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			m := solve.NewMachine(ds.KB, ds.Budget)
