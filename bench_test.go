@@ -137,8 +137,8 @@ func BenchmarkTable4_Communication(b *testing.B) {
 				lim := runParallel(b, ds, fold, 8, 10)
 				// At bench scale a single fold can invert the ordering
 				// when the two configurations settle on different epoch
-				// counts; the 5-fold paper-scale runs in EXPERIMENTS.md
-				// verify the strict shape. Here we flag only gross
+				// counts; the 5-fold paper-scale runs indexed in DESIGN.md
+				// §4 verify the strict shape. Here we flag only gross
 				// inversions.
 				if float64(lim.CommBytes) > 1.5*float64(unl.CommBytes) {
 					b.Fatalf("width 10 moved far more bytes (%d) than nolimit (%d)", lim.CommBytes, unl.CommBytes)

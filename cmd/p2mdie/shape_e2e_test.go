@@ -64,6 +64,7 @@ func TestShapeFlagRejectsJunk(t *testing.T) {
 		want []string // in the error
 	}{
 		{[]string{"-shape", "lat=fast"}, []string{"shape"}},
+		{[]string{"-workers", "2", "-shape", "bw=100Mbit"}, []string{`unknown unit "Mbit"`, "gbit, mbit, kbit, bit"}},
 		{[]string{"-workers", "2", "-crashat", "3"}, []string{"-crashat", "sim mode"}},
 		{[]string{"-workers", "0", "-linkgrace", "5s", "-flapat", "2", "-heartbeat", "1ms"}, []string{"-flapat", "-heartbeat", "-linkgrace", "sequential mode"}},
 		{[]string{"-width", "4"}, []string{"-width", "sequential mode"}},

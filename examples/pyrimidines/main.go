@@ -44,7 +44,7 @@ func main() {
 		if cv.MeanPar() > cv.MeanSeq() {
 			fmt.Println("=> significant at 98%: the parallel model is MORE accurate (the paper saw this on mesh)")
 		} else {
-			fmt.Println("=> significant at 98%: accuracy degraded — unexpected, see EXPERIMENTS.md")
+			fmt.Println("=> significant at 98%: accuracy degraded — unexpected, see DESIGN.md §4")
 		}
 	} else {
 		fmt.Println("=> no significant difference at 98% — learning quality is preserved (the paper's main claim)")

@@ -420,7 +420,8 @@ func (r *Results) RenderTable(n int, w io.Writer) error {
 
 // ShapeChecks verifies the qualitative findings the paper reports; the
 // returned list contains one line per check, prefixed PASS/FAIL. Used by
-// EXPERIMENTS.md generation and the integration tests.
+// `ilpbench -shape` and the integration tests; DESIGN.md §4 indexes the
+// experiments they check.
 func (r *Results) ShapeChecks() []string {
 	var out []string
 	check := func(ok bool, format string, args ...any) {

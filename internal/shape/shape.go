@@ -25,8 +25,10 @@ package shape
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -92,27 +94,39 @@ func Parse(spec string) (Config, error) {
 	return c, nil
 }
 
-// parseRate converts "100mbit"-style rates to bytes per second.
+// rateUnits are the units a rate may carry, each with its worth in bits per
+// second; a bare number is bytes per second.
+var rateUnits = []struct {
+	name string
+	bits float64
+}{{"gbit", 1e9}, {"mbit", 1e6}, {"kbit", 1e3}, {"bit", 1}, {"", 8}}
+
+// parseRate converts "100mbit"-style rates to bytes per second. The unit is
+// the rate's trailing letters and the rest must be a number, all of it; a
+// rate that is not finite or is below 1 bit/s is refused.
 func parseRate(s string) (float64, error) {
-	mult := 0.0 // bits multiplier; 0 = bare bytes/s
-	num := s
-	for _, u := range []struct {
-		suffix string
-		bits   float64
-	}{{"gbit", 1e9}, {"mbit", 1e6}, {"kbit", 1e3}, {"bit", 1}} {
-		if strings.HasSuffix(s, u.suffix) {
-			num, mult = strings.TrimSuffix(s, u.suffix), u.bits
-			break
+	cut := len(s)
+	for cut > 0 && ('a' <= s[cut-1] && s[cut-1] <= 'z' || 'A' <= s[cut-1] && s[cut-1] <= 'Z') {
+		cut--
+	}
+	num, unit := s[:cut], s[cut:]
+	bits := 0.0
+	for _, u := range rateUnits {
+		if u.name == unit {
+			bits = u.bits
 		}
 	}
-	var v float64
-	if _, err := fmt.Sscanf(num, "%g", &v); err != nil || v <= 0 {
+	if bits == 0 {
+		return 0, fmt.Errorf("shape: rate %q has unknown unit %q (want gbit, mbit, kbit, bit, or none for bytes/s)", s, unit)
+	}
+	v, err := strconv.ParseFloat(num, 64)
+	if err != nil {
 		return 0, fmt.Errorf("shape: bad rate %q (want e.g. 100mbit, 12.5mbit, or bytes/s)", s)
 	}
-	if mult == 0 {
-		return v, nil // bytes per second
+	if v *= bits; math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
+		return 0, fmt.Errorf("shape: rate %q is not a finite rate of at least 1 bit/s", s)
 	}
-	return v * mult / 8, nil
+	return v / 8, nil
 }
 
 // Wrap shapes one connection. With a zero config the conn is returned

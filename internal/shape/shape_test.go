@@ -24,6 +24,24 @@ func TestParse(t *testing.T) {
 		{"lat=abc", Config{}, true},
 		{"lat=-5ms", Config{}, true},
 		{"bw=0mbit", Config{}, true},
+		{"bw=12.5mbit", Config{BandwidthBps: 1.5625e6}, false},
+		{"bw=1bit", Config{BandwidthBps: 0.125}, false},
+		{"bw=0.5bit", Config{}, true},    // below 1 bit/s
+		{"bw=0.1", Config{}, true},       // 0.8 bit/s
+		{"bw=1e-300bit", Config{}, true}, // pacing would overflow time.Duration
+		{"bw=1e999gbit", Config{}, true},
+		{"bw=1e300gbit", Config{}, true}, // finite number, infinite rate
+		{"bw=NaN", Config{}, true},
+		{"bw=Infmbit", Config{}, true},
+		{"bw=-5mbit", Config{}, true},
+		{"bw=mbit", Config{}, true},
+		{"bw=", Config{}, true},
+		{"bw=100Mbit", Config{}, true}, // units are lower case
+		{"bw=10mbps", Config{}, true},
+		{"bw=12.5MB", Config{}, true},
+		{"bw=5x", Config{}, true},
+		{"bw=5 mbit", Config{}, true},
+		{"bw=100mbit5", Config{}, true},
 		{"speed=9", Config{}, true},
 		{"latency", Config{}, true},
 	} {

@@ -21,10 +21,12 @@ import (
 //
 //   - Each head argument position becomes one instruction chosen by the
 //     argument's shape (get-atom, get-number, get-variable, or a general
-//     unify for repeated variables and structures).
-//   - Ground facts additionally get an equality-only stream (eq-atom,
-//     eq-number, eq-term) used when the goal is statically ground — the
-//     compiled form of the interpreter's trail-free groundMatch fast path.
+//     unify for repeated variables and structures), in argument order.
+//   - A clause has that one stream and no other. The VM passes over the
+//     position an index lookup already proved equal at run time, and when
+//     a statically ground goal meets a ground fact it reads the same stream
+//     as plain equality — the compiled form of the interpreter's trail-free
+//     groundMatch fast path.
 //   - The first-/second-argument fact indexes become switch instructions
 //     that jump from a goal argument constant straight to a precomputed
 //     candidate list: the index bucket merged with the never-indexed facts
@@ -43,10 +45,12 @@ type op uint8
 
 const (
 	// opGetAtom matches a head argument that is a constant symbol: the goal
-	// argument is dereferenced, then bound (if a variable) or compared.
+	// argument is dereferenced, then bound (if a variable) or compared. In
+	// equality mode (a statically ground goal against a ground fact) it is
+	// a plain comparison.
 	opGetAtom op = iota
 	// opGetNum matches a numeric head argument (Int and Float compare
-	// numerically, as unification does).
+	// numerically, as unification does), and compares in equality mode.
 	opGetNum
 	// opGetVar matches the first executed occurrence of a head variable.
 	// Its fresh slot is guaranteed unbound, so the general unifier's walk of
@@ -54,14 +58,9 @@ const (
 	// side is bound to the other.
 	opGetVar
 	// opUnify is the general case — repeated head variables and compound
-	// arguments — and defers to the interpreter's offset unifier.
+	// arguments — and defers to the interpreter's offset unifier. In
+	// equality mode its argument is a ground compound, compared as one.
 	opUnify
-	// opEqAtom / opEqNum / opEqTerm are the ground-fact equality stream:
-	// the goal is statically ground so arguments need no dereferencing, and
-	// matching cannot bind anything.
-	opEqAtom
-	opEqNum
-	opEqTerm
 )
 
 // instr is one head-matching instruction. arg addresses the goal argument
@@ -79,31 +78,31 @@ type instr struct {
 	op   op
 }
 
-// compiledClause is the bytecode form of one stored clause. Head streams are
-// compiled per skip variant: skip is the argument position an index lookup
-// already proved equal (-1, 0 or 1), and the variant simply omits that
-// position's instruction (which also re-derives first-occurrence status for
-// head variables under the executed order).
+// compiledClause is the bytecode form of one stored clause. Its head stream
+// serves every way the clause is selected: an index lookup proves a fact's
+// argument equal only where the fact holds a constant, whose instruction
+// binds no variable, so passing over it leaves every other instruction's
+// first-occurrence status as compiled.
 type compiledClause struct {
 	src     *logic.Clause // the stored clause, for ProofStep.Clause
 	numVars int
-	// head[skip+1] is the head-matching stream for that skip variant.
-	head [3][]instr
-	// eq[skip+1] is the equality-only stream; non-nil only for ground facts.
-	eq [3][]instr
+	head    []instr
 	// frames holds the body goals as pre-built stack frames in push (reverse)
 	// order with static groundness flags baked in; off and depth are patched
 	// when the clause is resolved against.
 	frames []goalFrame
 }
 
-// vmCand is one entry of a precomputed candidate list: a clause plus the
-// head/eq streams matching how this entry was selected (indexed entries use
-// the skip variant, unindexed entries and rules the full stream).
+// vmCand is one entry of a precomputed candidate list: a clause, its head
+// stream (held here so the scan does not load the clause to find it), and
+// skip, the position the index proved equal (-1 for unindexed entries and
+// rules), whose instruction the VM passes over. ground marks a ground fact,
+// whose stream a statically ground goal reads as equality.
 type vmCand struct {
-	cc   *compiledClause
-	head []instr
-	eq   []instr
+	cc     *compiledClause
+	head   []instr
+	skip   int8
+	ground bool
 }
 
 // candList is a precomputed candidate sequence: selected facts in insertion
@@ -145,14 +144,14 @@ func numKey(f float64) uint32 {
 }
 
 // buildKeys derives the list's keys from the head streams its candidates
-// will run (a stream has no instruction for the position it skips; a full
-// stream's instruction there is not needed, see candList.keys).
+// will run (the instruction at the skipped position, where a stream has one,
+// is not needed, see candList.keys).
 func (l *candList) buildKeys() {
 	n, skip := len(l.cands), int(l.skip)
 	if n < filterMinCands {
 		return
 	}
-	arity := len(l.cands[0].cc.head[0])
+	arity := len(l.cands[0].head)
 	cols := arity
 	if skip >= 0 {
 		cols--
@@ -329,7 +328,7 @@ func compilePred(c *compiler, p *pred, arity int32) *compiledPred {
 	rules := make([]vmCand, len(p.rules))
 	for i := range p.rules {
 		cc := compileClause(c, &p.rules[i])
-		rules[i] = vmCand{cc: cc, head: cc.head[0]}
+		rules[i] = vmCand{cc: cc, head: cc.head, skip: -1}
 	}
 	cp := &compiledPred{arity: arity, memo: len(rules) > 0 && arity >= 1 && arity <= memoMaxArity, id: c.preds}
 	c.preds++
@@ -373,9 +372,9 @@ func compileSwitch(facts []*compiledClause, rules []vmCand, ix *argIndex, skip i
 }
 
 // mergeList interleaves an index bucket with the unindexed facts in
-// insertion order, then appends the rules. Bucket entries carry the skip
-// variant (the index proved that argument equal); unindexed entries and
-// rules must match in full.
+// insertion order, then appends the rules. Bucket entries skip the indexed
+// argument (the index proved it equal); unindexed entries and rules must
+// match in full.
 func mergeList(facts []*compiledClause, rules []vmCand, idx, un []int32, skip int) *candList {
 	l := &candList{nFacts: len(idx) + len(un), skip: int8(skip)}
 	if l.nFacts+len(rules) == 0 {
@@ -397,8 +396,10 @@ func mergeList(facts []*compiledClause, rules []vmCand, idx, un []int32, skip in
 	return l
 }
 
+// candFor is a fact's entry in a list selected with skip. A fact without
+// variables is ground.
 func candFor(cc *compiledClause, skip int) vmCand {
-	return vmCand{cc: cc, head: cc.head[skip+1], eq: cc.eq[skip+1]}
+	return vmCand{cc: cc, head: cc.head, skip: int8(skip), ground: cc.numVars == 0}
 }
 
 func compileClause(c *compiler, sc *storedClause) *compiledClause {
@@ -415,32 +416,12 @@ func compileClause(c *compiler, sc *storedClause) *compiledClause {
 			cc.frames = append(cc.frames, fr)
 		}
 	}
-	nArgs := len(sc.clause.Head.Args)
-	cc.head[0] = compileHead(sc, -1)
-	if sc.clause.IsFact() {
-		// Only facts are reachable through the argument switches, so only
-		// they need the skip variants.
-		if nArgs > 0 {
-			cc.head[1] = compileHead(sc, 0)
-		}
-		if nArgs > 1 {
-			cc.head[2] = compileHead(sc, 1)
-		}
-	}
-	if sc.ground {
-		cc.eq[0] = compileEq(sc, -1)
-		if nArgs > 0 {
-			cc.eq[1] = compileEq(sc, 0)
-		}
-		if nArgs > 1 {
-			cc.eq[2] = compileEq(sc, 1)
-		}
-	}
+	cc.head = compileHead(sc)
 	return cc
 }
 
 // compileHead builds the head-matching stream of a stored clause.
-func compileHead(sc *storedClause, skip int) []instr {
+func compileHead(sc *storedClause) []instr {
 	head := &sc.clause.Head
 	if len(head.Args) == 0 {
 		return nil
@@ -449,20 +430,17 @@ func compileHead(sc *storedClause, skip int) []instr {
 	if sc.numVars > 0 {
 		seen = make([]bool, sc.numVars)
 	}
-	return appendHead(make([]instr, 0, len(head.Args)), head, skip, seen)
+	return appendHead(make([]instr, 0, len(head.Args)), head, seen)
 }
 
-// appendHead appends one instruction per head argument (minus the skipped
-// position). A head variable compiles to opGetVar only at its first executed
-// occurrence — counting occurrences inside earlier compound arguments, since
-// unifying those may already have bound its slot — and to the general
-// unifier afterwards. seen is all-false scratch indexed by variable, at least
-// as long as the clause has variables.
-func appendHead(dst []instr, head *logic.Term, skip int, seen []bool) []instr {
+// appendHead appends one instruction per head argument, in argument order.
+// A head variable compiles to opGetVar only at its first occurrence —
+// counting occurrences inside earlier compound arguments, since unifying
+// those may already have bound its slot — and to the general unifier
+// afterwards. seen is all-false scratch indexed by variable, at least as
+// long as the clause has variables.
+func appendHead(dst []instr, head *logic.Term, seen []bool) []instr {
 	for i := range head.Args {
-		if i == skip {
-			continue
-		}
 		a := &head.Args[i]
 		ins := instr{arg: int32(i), term: a}
 		switch a.Kind {
@@ -494,27 +472,4 @@ func markVars(t logic.Term, seen []bool) {
 			markVars(t.Args[i], seen)
 		}
 	}
-}
-
-// compileEq emits the equality-only stream for a ground fact head.
-func compileEq(sc *storedClause, skip int) []instr {
-	head := &sc.clause.Head
-	out := make([]instr, 0, len(head.Args))
-	for i := range head.Args {
-		if i == skip {
-			continue
-		}
-		a := &head.Args[i]
-		ins := instr{arg: int32(i), term: a}
-		switch a.Kind {
-		case logic.Atom:
-			ins.op, ins.sym = opEqAtom, a.Sym
-		case logic.Int, logic.Float:
-			ins.op, ins.num = opEqNum, a.Num
-		default:
-			ins.op = opEqTerm
-		}
-		out = append(out, ins)
-	}
-	return out
 }

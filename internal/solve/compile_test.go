@@ -97,3 +97,37 @@ func TestInterpreterDoesNotCompile(t *testing.T) {
 		t.Fatalf("VM run: %d compilations, want 1", n)
 	}
 }
+
+// TestHeadStreamPassesOverSkip pins the run functions' side of the skip
+// contract. An index lookup proves the skipped argument equal before a head
+// stream runs, so comparing it again changes no answer, charge or binding:
+// the prover oracle cannot see a run function that ignores skip. Here each is
+// handed a goal that differs from the fact at skip alone, and must match it
+// there and fail it without the skip.
+func TestHeadStreamPassesOverSkip(t *testing.T) {
+	kb := kbFrom(t, "a(k, 2.0, g(x)).")
+	fact := logic.MustParseTerm("a(k, 2.0, g(x))")
+	code := kb.program().predFor(fact).all.cands[0].head
+	m := NewMachine(kb, DefaultBudget)
+	for skip := range int32(3) {
+		goal := fact
+		goal.Args = append([]logic.Term(nil), fact.Args...)
+		goal.Args[skip] = logic.MustParseTerm("zz")
+		cache := make([]walked, len(goal.Args))
+		for i, a := range goal.Args {
+			cache[i] = walked{t: a}
+		}
+		for _, pass := range []int32{skip, -1} {
+			runs := map[string]bool{
+				"runEq":         m.runEq(code, pass, goal, 0),
+				"runHead":       m.runHead(code, pass, goal, 0, 0, nil, 0),
+				"runHeadCached": m.runHeadCached(code, pass, 0, cache),
+			}
+			for name, matched := range runs {
+				if matched != (pass == skip) {
+					t.Errorf("%s(%v, skip %d) against %v matched %v", name, goal, pass, fact, matched)
+				}
+			}
+		}
+	}
+}

@@ -144,6 +144,65 @@ func suffixInput(t *testing.T) oracleInput {
 	}}
 }
 
+// streamKB is streamInput's program. a/2 holds ground facts whose
+// arguments are atoms, numbers (2 and 2.0 are one index key) and compounds
+// (which no index holds, so those facts sit in every list of their switch
+// unindexed, to be matched in full); p/2 the same number twice, as an Int
+// and as a Float; r/2 and s/3 non-ground facts among ground ones, in a
+// switch's buckets and unindexed.
+func streamKB(t *testing.T) *KB {
+	return kbFrom(t, `
+		a(k, 1). a(k, 2.0). a(k, x). a(j, 2). a(g(k), 2). a(g(z), 5).
+		a(k, g(x)). a(g(k), g(x)). a(q, q).
+		chk :- a(j, 2.0), a(g(k), 2), s(j, c, c).
+		p(1, 1.0). p(1.0, 1). p(a, b).
+		r(X, X). r(a, b).
+		s(k, b, b). s(k, X, X). s(k, b, c). s(j, c, c). s(X, c, X).
+	`)
+}
+
+// streamInput drives each way a fact's one head stream is read. Ground goals
+// read a ground fact's stream as equality: through the first-argument switch
+// (a(j, 2.0), p(1.0, 1.0), s(j, c, c)), the second (a(k, 2), a(k, x), and
+// a(k, 5), which only a candidate's own skip keeps from matching the
+// unindexed a(k, g(x))) and none (a(g(k), g(x))); ground compounds compare
+// in both modes. Non-ground goals bind through it: a(j, N) skips its
+// stream's first instruction and reuses the index walk of N in the second;
+// a(X, X) meets a(k, 1) first, where the second instruction must walk X
+// again. Solve binds X in p(X, X) to the first argument's number, an Int for
+// p(1, 1.0) and a Float for p(1.0, 1). The non-ground facts bind a repeated
+// variable with and without a skip.
+func streamInput(t *testing.T) oracleInput {
+	enum := func(src string) []logic.Literal { return logic.MustParseClause("all :- " + src + ".").Body }
+	return oracleInput{name: "head streams", kb: streamKB(t), groups: []oracleGroup{
+		group(0, "h(e)",
+			"h(E) :- a(j, 2.0).",
+			"h(E) :- a(k, 2).",
+			"h(E) :- a(k, x).",
+			"h(E) :- a(k, 5).",
+			"h(E) :- a(g(k), g(x)).",
+			"h(E) :- a(g(k), 2).",
+			"h(E) :- a(j, 1).",
+			"h(E) :- p(1.0, 1.0).",
+			"h(E) :- a(j, N), N > 1.",
+			"h(E) :- a(X, X).",
+			"h(E) :- a(g(X), Y), a(X, Y).",
+			"h(E) :- chk.",
+			"h(E) :- r(b, b).",
+			"h(E) :- s(k, Y, c), s(j, c, Y).",
+		),
+		group(1, "h(k) h(j) h(q)",
+			"h(X) :- a(X, Y), a(k, Y).",
+			"h(X) :- a(X, Y), p(Y, Y).",
+			"h(X) :- a(X, Y), a(g(X), Y).",
+		),
+	}, enums: [][]logic.Literal{
+		enum("p(X, X)"), enum("p(X, 1)"), enum("p(1.0, X)"), enum("a(X, X)"), enum("a(k, Y)"),
+		enum("a(g(X), Y)"), enum("r(a, Y)"), enum("r(Y, b)"), enum("s(k, Y, Y)"), enum("s(k, b, Z)"),
+		enum("s(Y, c, Z)"),
+	}}
+}
+
 // bulkInput: one 20-fact first-argument bucket of w/4 in which the goal
 // w(k, X, red, 1) matches facts 4, 5 and 12 — a rejected run of four at the
 // head of the bucket, of six in the middle, of seven at the tail — with

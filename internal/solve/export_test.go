@@ -1,6 +1,9 @@
 package solve
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // OracleGroup is a group of rules asked on examples and, when Prefix > 0,
 // asked as one QueryPack sharing that many leading body literals.
@@ -21,12 +24,13 @@ func ProverMatchesOracle(t testing.TB, name string, kb *KB, groups []OracleGroup
 	return use
 }
 
-// HandBuiltProverMatchesOracle asks the property of three of the exact-mode
+// HandBuiltProverMatchesOracle asks the property of four of the exact-mode
 // tests' hand-built programs (exact_test.go): at DefaultBudget and on a
 // ladder of budgets across every depth of the sweep the packs, whose budget
 // events land in prefixes and suffixes, and the memo depth program, whose
 // recorded calls are replayed deeper than they were recorded; and over the
-// whole sweep the packs of one-goal suffixes, each cut at every charge.
+// whole sweep the packs of one-goal suffixes and the head-stream program,
+// each cut at every charge.
 func HandBuiltProverMatchesOracle(t *testing.T) OracleUse {
 	var use fastUse
 	for _, in := range []oracleInput{packInput(t), depthInput(t)} {
@@ -37,7 +41,57 @@ func HandBuiltProverMatchesOracle(t *testing.T) OracleUse {
 			}
 		}
 	}
-	in := suffixInput(t)
-	use.Add(sweep(t, &in))
+	for _, in := range []oracleInput{suffixInput(t), streamInput(t)} {
+		use.Add(sweep(t, &in))
+	}
 	return use
+}
+
+// CompileKB compiles kb afresh, bypassing the KB's cached program.
+func CompileKB(kb *KB) { compileKB(kb) }
+
+// CompiledFootprint is the size in bytes of kb's compiled program, counted
+// from the program's own slices rather than from the heap: every compiled
+// clause with its head stream and body frames, and every distinct candidate
+// list with its candidates and keys. It is a deterministic function of the
+// KB, so it pins the program's layout where a heap delta would drift.
+func CompiledFootprint(kb *KB) int {
+	pr := kb.program()
+	lists := map[*candList]bool{}
+	var preds []*compiledPred
+	preds = append(preds, pr.direct...)
+	for _, es := range pr.bySym {
+		for _, e := range es {
+			preds = append(preds, e.cp)
+		}
+	}
+	for _, cp := range preds {
+		if cp == nil {
+			continue
+		}
+		lists[cp.all] = true
+		for _, sw := range []*vmSwitch{&cp.arg1, &cp.arg2} {
+			lists[sw.miss] = true
+			for _, l := range sw.dense {
+				if l != nil {
+					lists[l] = true
+				}
+			}
+			for _, l := range sw.byNum {
+				lists[l] = true
+			}
+		}
+	}
+	clauses := map[*compiledClause]bool{}
+	n := 0
+	for l := range lists {
+		n += int(unsafe.Sizeof(*l)) + len(l.cands)*int(unsafe.Sizeof(vmCand{})) + len(l.keys)*int(unsafe.Sizeof(uint32(0)))
+		for i := range l.cands {
+			clauses[l.cands[i].cc] = true
+		}
+	}
+	for cc := range clauses {
+		n += int(unsafe.Sizeof(*cc)) + len(cc.frames)*int(unsafe.Sizeof(goalFrame{})) + len(cc.head)*int(unsafe.Sizeof(instr{}))
+	}
+	return n
 }

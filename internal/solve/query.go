@@ -85,7 +85,7 @@ func (q *Query) compile(prog *program, rule *logic.Clause) {
 		}
 		seen := q.seen[:q.numVars]
 		clear(seen)
-		q.code = appendHead(q.code, head, -1, seen)
+		q.code = appendHead(q.code, head, seen)
 	}
 }
 
@@ -188,5 +188,5 @@ func (m *Machine) matchQueryHead(q *Query, example logic.Term) bool {
 	if example.Kind != head.Kind || example.Sym != head.Sym || len(example.Args) != len(head.Args) {
 		return false
 	}
-	return m.runHead(q.code, example, 0, 0, nil, 0)
+	return m.runHead(q.code, -1, example, 0, 0, nil, 0)
 }

@@ -257,10 +257,10 @@ scan:
 		if !m.charge() {
 			return true // budget: abandon this branch
 		}
-		if fr.ground && c.eq != nil {
+		if fr.ground && c.ground {
 			// Ground fact, ground goal: plain equality — no renaming, no
 			// trail, nothing to undo.
-			if m.runEq(c.eq, atom, off) {
+			if m.runEq(c.head, int32(c.skip), atom, off) {
 				if m.proving {
 					m.noteClause(atom, off, c.cc.src, fr.depth)
 				}
@@ -276,17 +276,17 @@ scan:
 		mark := m.bs.Mark()
 		var matched bool
 		if st.mode == 1 {
-			matched = m.runHeadCached(c.head, base, st.cache)
+			matched = m.runHeadCached(c.head, int32(c.skip), base, st.cache)
 		} else if st.mode == 0 && !first {
 			// Second candidate to run: the walk cache will pay for itself
 			// now. The bindings are back to their step-entry state here, so
 			// the cache fills to exactly the walks the first candidate saw.
 			if m.fillWalkCache(st, atom, off) {
 				st.mode = 1
-				matched = m.runHeadCached(c.head, base, st.cache)
+				matched = m.runHeadCached(c.head, int32(c.skip), base, st.cache)
 			} else {
 				st.mode = 2
-				matched = m.runHead(c.head, atom, off, base, nil, 0)
+				matched = m.runHead(c.head, int32(c.skip), atom, off, base, nil, 0)
 			}
 		} else {
 			// First candidate to run (or cache disabled): live walks. The
@@ -296,7 +296,7 @@ scan:
 			if first {
 				pf = int32(st.filled)
 			}
-			matched = m.runHead(c.head, atom, off, base, st.cache, pf)
+			matched = m.runHead(c.head, int32(c.skip), atom, off, base, st.cache, pf)
 		}
 		first = false
 		if matched {
@@ -323,12 +323,15 @@ scan:
 }
 
 // runHeadCached executes a head-matching stream against the pre-walked goal
-// arguments. base is the fresh-variable renaming offset of the clause
-// instance.
-func (m *Machine) runHeadCached(code []instr, base int, cache []walked) bool {
+// arguments, passing over the instruction at position skip. base is the
+// fresh-variable renaming offset of the clause instance.
+func (m *Machine) runHeadCached(code []instr, skip int32, base int, cache []walked) bool {
 	bs := m.bs
 	for i := range code {
 		ins := &code[i]
+		if ins.arg == skip {
+			continue
+		}
 		w := &cache[ins.arg]
 		switch ins.op {
 		case opGetAtom:
@@ -382,22 +385,26 @@ func (m *Machine) runHeadCached(code []instr, base int, cache []walked) bool {
 // runHead is runHeadCached's fallback when the cache is cold or unsafe:
 // identical dispatch, but every instruction dereferences its goal argument
 // live, as the interpreter does. prefix marks how many leading cache entries
-// still equal a fresh walk; only the stream's first instruction may consume
+// still equal a fresh walk; only the first executed instruction may consume
 // one — before it nothing has been bound since the entries were walked,
 // while later instructions must re-walk because an earlier instruction of
 // the same candidate may have bound a variable the entry dereferenced.
-func (m *Machine) runHead(code []instr, goal logic.Term, off, base int, cache []walked, prefix int32) bool {
+func (m *Machine) runHead(code []instr, skip int32, goal logic.Term, off, base int, cache []walked, prefix int32) bool {
 	bs := m.bs
 	var scratch logic.Term
 	for i := range code {
 		ins := &code[i]
+		if ins.arg == skip {
+			continue
+		}
 		var x *logic.Term
 		var ox int
-		if i == 0 && ins.arg < prefix {
+		if ins.arg < prefix {
 			x, ox = &cache[ins.arg].t, cache[ins.arg].off
 		} else {
 			x, ox = bs.WalkRef(&goal.Args[ins.arg], off, &scratch)
 		}
+		prefix = 0
 		switch ins.op {
 		case opGetAtom:
 			switch x.Kind {
@@ -441,22 +448,26 @@ func (m *Machine) runHead(code []instr, goal logic.Term, off, base int, cache []
 	return true
 }
 
-// runEq executes an equality stream: the goal is statically ground, so its
+// runEq reads a ground fact's head stream as equality, passing over the
+// instruction at position skip: the goal is statically ground, so its
 // arguments need no dereferencing and matching cannot bind anything.
-func (m *Machine) runEq(code []instr, goal logic.Term, off int) bool {
+func (m *Machine) runEq(code []instr, skip int32, goal logic.Term, off int) bool {
 	for i := range code {
 		ins := &code[i]
+		if ins.arg == skip {
+			continue
+		}
 		g := &goal.Args[ins.arg]
 		switch ins.op {
-		case opEqAtom:
+		case opGetAtom:
 			if g.Kind != logic.Atom || g.Sym != ins.sym {
 				return false
 			}
-		case opEqNum:
+		case opGetNum:
 			if !g.IsNumber() || g.Num != ins.num {
 				return false
 			}
-		default: // opEqTerm
+		default: // opUnify on a ground compound
 			if !m.bs.EqualGroundOff(*g, off, *ins.term) {
 				return false
 			}
