@@ -39,7 +39,6 @@ func main() {
 		shape    = flag.Bool("shape", false, "print the qualitative shape checks after the tables")
 		chart    = flag.Bool("chart", false, "draw a text speedup-vs-processors chart after the tables")
 		coverPar = flag.Int("coverpar", 0, "shard coverage tests across N goroutines per learner (-1 = all cores, 0/1 = serial); results are identical, wall-clock drops")
-		noVM     = flag.Bool("novm", false, "resolve clauses with the tree-walking interpreter instead of the compiled bytecode VM (A/B baseline; results are identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 		jsonOut  = flag.String("json", "", "also write the run's machine-readable per-dataset summary (fold means of the Table 2-6 quantities) to this file, or '-' for stdout")
@@ -85,12 +84,6 @@ func main() {
 	dss, err := datasets.PaperScaled(*scale, *seed)
 	if err != nil {
 		fail(err)
-	}
-	if *noVM {
-		// Applied at the dataset level so the ablations inherit it too.
-		for _, ds := range dss {
-			ds.Search.NoVM = true
-		}
 	}
 	if *only != "" {
 		var filtered []*datasets.Dataset

@@ -62,7 +62,6 @@ func main() {
 		width    = flag.Int("width", 10, "pipeline width W (0 = unlimited, the paper's 'nolimit')")
 		strategy = flag.String("strategy", "bfs", "search strategy: bfs (paper) or bestfirst")
 		coverPar = flag.Int("coverpar", 0, "shard coverage tests across N goroutines per learner (-1 = all cores, 0/1 = serial); with workers the pool is per worker, so total concurrency is workers*N; in -serve mode this applies to the local worker only")
-		noVM     = flag.Bool("novm", false, "resolve clauses with the tree-walking interpreter instead of the compiled bytecode VM (A/B baseline; results are identical)")
 		serve    = flag.String("serve", "", "run as a TCP worker: listen on this address, join the master, receive a partition (use host:0 for an ephemeral port; the listen address and a final status line always print so orchestrators can scrape them)")
 		masterMd = flag.Bool("master", false, "run as the TCP master over the workers listed in -workers")
 		listen   = flag.String("listen", "", "with -master: also accept mid-run worker joins on this address (the actual address prints so orchestrators can scrape it); joiners attach with -join")
@@ -113,7 +112,6 @@ func main() {
 	} else {
 		ds.Search.Strategy = st
 	}
-	ds.Search.NoVM = *noVM
 	if *traffic != "" && *traffic != "json" && *traffic != "text" {
 		fail(fmt.Errorf("unknown -traffic mode %q (want json or text)", *traffic))
 	}
@@ -204,7 +202,7 @@ func main() {
 // flagReaders names, for every flag that not every mode reads, the modes
 // that read it; a flag absent here (the dataset flags, -q) is read by all.
 // It follows where main and the run* functions read each flag or the
-// runOptions field it fills: -strategy and -novm go into ds.Search, which
+// runOptions field it fills: -strategy goes into ds.Search, which
 // a worker or a resumed master gets from the master or the checkpoint
 // instead, and -shape's cost model, the timeouts and the link settings only
 // mean something to the TCP modes and, for the cost model and the receive
@@ -213,7 +211,6 @@ var flagReaders = map[string][]string{
 	"workers":       {"sequential", "sim", "-master"},
 	"width":         {"sim", "-master"},
 	"strategy":      {"sequential", "sim", "-master"},
-	"novm":          {"sequential", "sim", "-master"},
 	"coverpar":      {"sequential", "sim", "-serve/-join"},
 	"serve":         {"-serve/-join"},
 	"join":          {"-serve/-join"},

@@ -36,7 +36,7 @@ func appendSettings(w *wire.Writer, s search.Settings) {
 	w.F64(s.MEstimateM)
 	w.F64(s.PosPrior)
 	w.Bool(false) // reserved (held the deleted per-candidate-evaluation setting): bench/golden.json pins kindLoad's bytes
-	w.Bool(s.NoVM)
+	w.Bool(false) // reserved (held the deleted interpreter switch), likewise
 }
 
 func readSettings(r *wire.Reader) search.Settings {
@@ -51,7 +51,7 @@ func readSettings(r *wire.Reader) search.Settings {
 	s.MEstimateM = r.F64()
 	s.PosPrior = r.F64()
 	r.Bool() // reserved, see appendSettings
-	s.NoVM = r.Bool()
+	r.Bool() // reserved, see appendSettings
 	return s
 }
 

@@ -227,9 +227,7 @@ func (w *worker) newMachine() *solve.Machine {
 	if w.cfg.AddLearnedToBK {
 		kb = kb.Clone()
 	}
-	m := solve.NewMachine(kb, w.cfg.Budget)
-	m.SetNoVM(w.cfg.Search.NoVM)
-	return m
+	return solve.NewMachine(kb, w.cfg.Budget)
 }
 
 // install makes ex the worker's partition, with a fresh evaluator over it:

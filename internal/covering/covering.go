@@ -72,7 +72,6 @@ func Learn(kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) (*Result
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	m := solve.NewMachine(kb, cfg.Budget)
-	m.SetNoVM(cfg.Search.NoVM)
 	ev := search.NewFullCoverer(m, ex, cfg.Budget, cfg.CoverParallelism)
 	defer ev.Close()
 	res := &Result{}

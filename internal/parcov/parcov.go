@@ -446,7 +446,6 @@ func newCluster(kb *solve.KB, pos, neg []logic.Term, cfg Config) (*cluster.Netwo
 			wneg = append(wneg, neg[gi])
 		}
 		m := solve.NewMachine(kb, cfg.Budget)
-		m.SetNoVM(cfg.Search.NoVM)
 		ex := search.NewExamples(wpos, wneg)
 		workers[k] = &pcWorker{id: k + 1, node: nw.Node(k + 1), m: m, ex: ex, ev: search.NewEvaluator(m, ex)}
 	}
@@ -462,7 +461,6 @@ func newCluster(kb *solve.KB, pos, neg []logic.Term, cfg Config) (*cluster.Netwo
 // runMaster is the serial covering loop with distributed coverage tests.
 func runMaster(node *cluster.Node, kb *solve.KB, pos []logic.Term, ms *mode.Set, cfg Config, dc *distCoverer, met *Metrics) error {
 	m := solve.NewMachine(kb, cfg.Budget) // master machine: saturation only
-	m.SetNoVM(cfg.Search.NoVM)
 	alive := search.FullBitset(len(pos))
 	targets := dc.targets
 

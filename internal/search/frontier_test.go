@@ -188,9 +188,6 @@ func TestGroundCallMemoOnFrontier(t *testing.T) {
 		r.Batch(f.clauses[0].String(), f.rules(), f.pos, f.neg)
 	}
 	vm := r.Ev.M
-	if vm.NoVM() {
-		return // ILP_NOVM: the interpreter replays no ground call
-	}
 	replayed, charged := vm.ReplayedInferences(), vm.TotalInferences()
 	if 10*replayed < 3*charged {
 		t.Errorf("%d of %d charged inferences were replayed over %d frontiers, expected at least 30 %%", replayed, charged, len(fs))
@@ -230,28 +227,25 @@ func coverAll(tb testing.TB, ds *datasets.Dataset, m *solve.Machine, wrap func(*
 // the workload it was built for: a pyrimidines covering run's searches meet
 // most of their candidates again, up to renaming, in later searches. The
 // reference run proves every question alone (search.Alone). Proved rule by
-// rule on a NoVM machine — the interpreter replays no ground call, so every
-// replayed inference is a whole coverage query the evaluator answered from
-// its memo — at least half of what the run is charged must be replayed, and
-// executed plus replayed steps must be the charge. That run and the VM's,
-// rule by rule and packed, must learn the reference's theory for its charge.
+// rule, at least half of what the run is charged must be whole coverage
+// queries the evaluator answered from its memo (its own count of what it
+// replayed through solve.Machine.ReplayQuery), and executed plus replayed
+// steps must be the charge. That run and the packed one must learn the
+// reference's theory for its charge.
 func TestCoverageMemoOnPyrimidinesCovering(t *testing.T) {
 	ds := datasets.PyrimidinesSized(67, 60, 1)
 	ref := solve.NewMachine(ds.KB, ds.Budget)
 	want := coverAll(t, ds, ref, func(ev *search.Evaluator) search.Coverer { return search.Alone{M: ev.M, Ex: ev.Ex} })
-	perRuleCov := func(ev *search.Evaluator) search.Coverer { return perRule{ev} }
-	interp := solve.NewMachine(ds.KB, ds.Budget)
-	interp.SetNoVM(true)
+	var perRuleEv *search.Evaluator
+	perRuleCov := func(ev *search.Evaluator) search.Coverer { perRuleEv = ev; return perRule{ev} }
 	for _, c := range []struct {
 		name string
-		m    *solve.Machine
 		wrap func(*search.Evaluator) search.Coverer
 	}{
-		{"interpreter, rule by rule", interp, perRuleCov},
-		{"rule by rule", solve.NewMachine(ds.KB, ds.Budget), perRuleCov},
-		{"packed", solve.NewMachine(ds.KB, ds.Budget), func(ev *search.Evaluator) search.Coverer { return ev }},
+		{"rule by rule", perRuleCov},
+		{"packed", func(ev *search.Evaluator) search.Coverer { return ev }},
 	} {
-		m := c.m
+		m := solve.NewMachine(ds.KB, ds.Budget)
 		if got := coverAll(t, ds, m, c.wrap); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: theory %v, proved alone %v", c.name, got, want)
 		}
@@ -262,7 +256,7 @@ func TestCoverageMemoOnPyrimidinesCovering(t *testing.T) {
 			t.Fatalf("%s: %d steps executed and replayed for %d charged", c.name, steps, m.TotalInferences())
 		}
 	}
-	replayed, charged := interp.ReplayedInferences(), interp.TotalInferences()
+	replayed, charged := perRuleEv.MemoReplayed(), ref.TotalInferences()
 	if 2*replayed < charged {
 		t.Errorf("%d of %d charged inferences were replayed coverage queries, expected at least half", replayed, charged)
 	}
@@ -286,9 +280,6 @@ func TestCandidateFilterOnTrueConcept(t *testing.T) {
 		r.Full(ds.TrueConcept[i].String(), &ds.TrueConcept[i])
 	}
 	vm := r.Ev.M
-	if vm.NoVM() {
-		return // ILP_NOVM: the interpreter filters nothing
-	}
 	// Every candidate visit is a charged inference (the rest are goal
 	// steps), so half of the charge is more than half of the visits.
 	if filtered, charged := vm.FilteredCandidates(), vm.TotalInferences(); 2*filtered <= charged {

@@ -77,6 +77,8 @@ type coverMemo struct {
 	memoArena
 	key  []byte         // the key being looked up
 	vars []logic.Symbol // the variables met so far in that key, in order
+
+	replayed int64 // the charge known has replayed, across begins
 }
 
 // memoArena is the storage of a coverMemo, handed from a closed evaluator to
@@ -234,11 +236,12 @@ func (c *coverMemo) known(m *solve.Machine, at int) (covered, ok bool) {
 	if v == 0 {
 		return false, false
 	}
+	charge := int64(v>>1) - 1
 	if v >= memoOverflow {
-		m.ReplayQuery(c.over[at])
-	} else {
-		m.ReplayQuery(int64(v>>1) - 1)
+		charge = c.over[at]
 	}
+	m.ReplayQuery(charge)
+	c.replayed += charge
 	return v&1 == 1, true
 }
 

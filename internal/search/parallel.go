@@ -100,11 +100,7 @@ func CoverWorkers(n int) int {
 // when done (a no-op for the serial evaluator).
 func NewFullCoverer(m *solve.Machine, ex *Examples, budget solve.Budget, parallelism int) FullCoverer {
 	if w := CoverWorkers(parallelism); w > 1 {
-		pe := NewParallelEvaluator(m.KB(), ex, budget, w)
-		// The shards inherit the seed machine's engine choice so an
-		// interpreter-pinned run stays interpreter-pinned end to end.
-		pe.SetNoVM(m.NoVM())
-		return pe
+		return NewParallelEvaluator(m.KB(), ex, budget, w)
 	}
 	return NewEvaluator(m, ex)
 }
@@ -166,10 +162,6 @@ func (pe *ParallelEvaluator) Close() {
 		close(pe.wake)
 	}
 }
-
-// SetNoVM pins every shard machine to the interpreter (true) or the compiled
-// VM (false). Call only between batches.
-func (pe *ParallelEvaluator) SetNoVM(no bool) { pe.pool.SetNoVM(no) }
 
 // Workers reports the shard count.
 func (pe *ParallelEvaluator) Workers() int { return len(pe.machines) }

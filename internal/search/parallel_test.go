@@ -121,9 +121,6 @@ func TestLearnRuleSameWithParallelCoverer(t *testing.T) {
 // bytecode compiler runs exactly once per KB load.
 func TestCoverageSharesCompiledProgram(t *testing.T) {
 	fx := newFixture(t)
-	if solve.NewMachine(fx.kb, solve.DefaultBudget).NoVM() {
-		t.Skip("ILP_NOVM set; nothing compiles")
-	}
 	rule := fx.bot.Materialize([]int32{0, 1, 2})
 	fx.ev.Coverage(&rule, nil, nil)
 	for _, workers := range []int{2, 4, 8} {

@@ -109,11 +109,9 @@ type Settings struct {
 	// PosPrior is the positive class prior for HeurMEstimate; set by the
 	// caller from the dataset. ≤0 means 0.5.
 	PosPrior float64
-	// NoVM pins clause resolution to the tree-walking interpreter instead of
-	// the compiled bytecode VM (see internal/solve). The two engines are
-	// bit-identical in solution order, inference counts and budget cutoffs;
-	// only speed differs. Kept for A/B benchmarking and as the differential
-	// reference path.
+	// NoVM is always false; read only by bench/ until ROADMAP 3(a) deletes
+	// it. It once selected the tree-walking interpreter, which is gone:
+	// solve.Machine.SetNoVM panics on true.
 	NoVM bool
 }
 

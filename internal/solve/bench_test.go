@@ -48,9 +48,8 @@ func BenchmarkProveFailUnknownConstant(b *testing.B) {
 // benchCovers times one coverage check of rule against active(m7): through
 // CoversExample (the rule compiled into the machine's scratch query on every
 // call) or, with held set, through a Query compiled once outside the loop.
-func benchCovers(b *testing.B, kb *KB, ruleSrc string, novm, held bool) {
+func benchCovers(b *testing.B, kb *KB, ruleSrc string, held bool) {
 	m := NewMachine(kb, DefaultBudget)
-	m.SetNoVM(novm)
 	rule := logic.MustParseClause(ruleSrc)
 	example := logic.MustParseTerm("active(m7)")
 	var q Query
@@ -72,19 +71,15 @@ func benchCovers(b *testing.B, kb *KB, ruleSrc string, novm, held bool) {
 
 const benchFactsRule = "active(M) :- atm(M, A, carbon, T, C), bond(M, A, B, 1)."
 
-// BenchmarkCoversExample is the coverage-check kernel on the default engine
-// (the compiled VM); BenchmarkCoversExampleInterp is the same workload
-// pinned to the tree-walking interpreter and BenchmarkCoversQuery the same
-// with the rule compiled once, so one bench run reports tree /
+// BenchmarkCoversExample is the coverage-check kernel with the rule compiled
+// into the machine's scratch query on every call, and BenchmarkCoversQuery
+// the same with the rule compiled once, so one bench run reports
 // scratch-compiled / held-query ns/op.
 func BenchmarkCoversExample(b *testing.B) {
-	benchCovers(b, benchKB(2000), benchFactsRule, false, false)
-}
-func BenchmarkCoversExampleInterp(b *testing.B) {
-	benchCovers(b, benchKB(2000), benchFactsRule, true, false)
+	benchCovers(b, benchKB(2000), benchFactsRule, false)
 }
 func BenchmarkCoversQuery(b *testing.B) {
-	benchCovers(b, benchKB(2000), benchFactsRule, false, true)
+	benchCovers(b, benchKB(2000), benchFactsRule, true)
 }
 
 // benchBucketKB is the shape the candidate filter is for: 50 molecules of 24
@@ -107,7 +102,7 @@ func benchBucketKB() *KB {
 // literal scans a first-argument bucket end to end for the few candidates
 // whose constants agree with the goal's (PERF.md "PR 24").
 func BenchmarkCoversBucketScan(b *testing.B) {
-	benchCovers(b, benchBucketKB(), "active(M) :- atm(M, A, n, T, C), bond(M, A, B, 3), atm(M, B, s, 21, D).", false, true)
+	benchCovers(b, benchBucketKB(), "active(M) :- atm(M, A, n, T, C), bond(M, A, B, 3), atm(M, B, s, 21, D).", true)
 }
 
 // benchGroundKB is pyrimidines' shape: 50 drugs with three substituent
@@ -139,7 +134,7 @@ func benchGroundKB() *KB {
 // memo warm, each example's polar_gte calls replay their recorded charges
 // instead of running the rule, its two fact lookups and the builtin.
 func BenchmarkCoversGroundCall(b *testing.B) {
-	benchCovers(b, benchGroundKB(), "active(M) :- subst(M, P, G), polar_gte(G, 3), polar_gte(G, 5).", false, true)
+	benchCovers(b, benchGroundKB(), "active(M) :- subst(M, P, G), polar_gte(G, 3), polar_gte(G, 5).", true)
 }
 
 // BenchmarkCoversPackGroundSuffix is a frontier's fan on that shape: five
@@ -214,13 +209,10 @@ func benchRuleKB(n int) *KB {
 const benchRulesRule = "active(M) :- heavy(M), linked(M, A, B)."
 
 func BenchmarkCoversExampleRules(b *testing.B) {
-	benchCovers(b, benchRuleKB(2000), benchRulesRule, false, false)
-}
-func BenchmarkCoversExampleRulesInterp(b *testing.B) {
-	benchCovers(b, benchRuleKB(2000), benchRulesRule, true, false)
+	benchCovers(b, benchRuleKB(2000), benchRulesRule, false)
 }
 func BenchmarkCoversQueryRules(b *testing.B) {
-	benchCovers(b, benchRuleKB(2000), benchRulesRule, false, true)
+	benchCovers(b, benchRuleKB(2000), benchRulesRule, true)
 }
 
 func BenchmarkProveRecursiveRules(b *testing.B) {

@@ -8,16 +8,16 @@ import (
 
 // This file is the clause compiler: it translates a populated KB into the
 // flat bytecode form the VM in vm.go executes. Compilation happens once per
-// KB (lazily, on the first query of any machine with the VM enabled) and the
+// KB (lazily, on the first query of any machine over it) and the
 // resulting program is immutable, so it is shared read-only by every machine
 // over that KB — all pool checkouts and evaluator shards resolve against the
 // same compiled clauses. KB.Add invalidates the cached program; the next
 // query recompiles.
 //
-// The compilation scheme specializes exactly the decisions the tree-walking
-// interpreter makes dynamically, so the VM's observable behaviour — solution
-// order, binding/trail traffic, inference counts, budget cutoffs — is
-// bit-identical to the interpreter's:
+// The compilation scheme specializes exactly the decisions the seed engine
+// (refMachine, differential_test.go) makes dynamically over KB.lookup, so the
+// VM's observable behaviour — solution order, inference counts, budget
+// cutoffs — is the seed engine's:
 //
 //   - Each head argument position becomes one instruction chosen by the
 //     argument's shape (get-atom, get-number, get-variable, or a general
@@ -25,13 +25,12 @@ import (
 //   - A clause has that one stream and no other. The VM passes over the
 //     position an index lookup already proved equal at run time, and when
 //     a statically ground goal meets a ground fact it reads the same stream
-//     as plain equality — the compiled form of the interpreter's trail-free
-//     groundMatch fast path.
+//     as plain equality: no renaming, no trail, nothing to undo.
 //   - The first-/second-argument fact indexes become switch instructions
 //     that jump from a goal argument constant straight to a precomputed
 //     candidate list: the index bucket merged with the never-indexed facts
-//     in insertion order followed by the rules, exactly the sequence the
-//     interpreter's scanMerged + scanRules produces at runtime. Symbol keys
+//     in insertion order followed by the rules, exactly the sequence
+//     KB.lookup (scanMerged + scanRules) visits at run time. Symbol keys
 //     dispatch through a dense array (symbols are small interned integers)
 //     instead of a hash map.
 //   - Predicate dispatch likewise compiles to a direct symbol-indexed table
@@ -58,7 +57,7 @@ const (
 	// side is bound to the other.
 	opGetVar
 	// opUnify is the general case — repeated head variables and compound
-	// arguments — and defers to the interpreter's offset unifier. In
+	// arguments — and defers to the offset unifier (UnifyOff). In
 	// equality mode its argument is a ground compound, compared as one.
 	opUnify
 )
@@ -67,7 +66,7 @@ const (
 // position; the remaining fields are the operands the opcode needs. term
 // points at the head argument itself inside the stored clause (stable for
 // the program's lifetime — KB mutation invalidates the program), so binding
-// a goal variable stores the exact term value the interpreter would, and the
+// a goal variable stores the head argument's own term value, and the
 // instruction stays at 32 bytes for cache-friendly dispatch.
 type instr struct {
 	term *logic.Term
@@ -107,7 +106,7 @@ type vmCand struct {
 
 // candList is a precomputed candidate sequence: selected facts in insertion
 // order, then every rule. nFacts counts only the facts — it mirrors the
-// candidate count the interpreter's selectIndex compares buckets by (bucket
+// candidate count KB.lookup's selectIndex compares buckets by (bucket
 // length plus the always-scanned unindexed facts).
 type candList struct {
 	cands  []vmCand
@@ -186,7 +185,7 @@ func (l *candList) buildKeys() {
 // vmSwitch is the compiled form of an argIndex: constant → merged candidate
 // list. Symbol keys resolve through a dense array indexed by the interned
 // symbol id; numeric keys keep a map. miss is the list for constants with
-// no bucket (the unindexed facts plus rules), matching the interpreter's
+// no bucket (the unindexed facts plus rules), matching KB.lookup's
 // empty-bucket scan.
 type vmSwitch struct {
 	dense []*candList
@@ -265,7 +264,7 @@ func (pr *program) predFor(goal logic.Term) *compiledPred {
 
 // unknownPred is the compiled predicate for body goals that reference no KB
 // predicate: empty candidate lists, so resolution exhausts immediately with
-// no charges — exactly the interpreter's behaviour for an unknown predicate.
+// no charges — KB.lookup visits nothing for an unknown predicate either.
 var unknownPred = &compiledPred{
 	all:  &candList{},
 	arg1: vmSwitch{miss: &candList{}},
@@ -308,7 +307,7 @@ func compileKB(kb *KB) *program {
 // staticPred is the compile-time dispatch of one goal literal, for clause
 // bodies and compiled queries alike: a positive, callable, non-builtin goal
 // resolves to its compiled predicate (unknownPred when the KB has none);
-// everything else returns nil and keeps the interpreter's dynamic checks.
+// everything else returns nil and keeps step's dynamic checks.
 func (pr *program) staticPred(lit logic.Literal) *compiledPred {
 	a := lit.Atom
 	if lit.Neg || (a.Kind != logic.Atom && a.Kind != logic.Compound) || builtinFor(a) != nil {
@@ -409,11 +408,7 @@ func compileClause(c *compiler, sc *storedClause) *compiledClause {
 	if len(body) > 0 {
 		cc.frames = make([]goalFrame, 0, len(body))
 		for i := len(body) - 1; i >= 0; i-- {
-			fr := goalFrame{lit: body[i]}
-			if sc.bodyGround != nil && sc.bodyGround[i] {
-				fr.ground = true
-			}
-			cc.frames = append(cc.frames, fr)
+			cc.frames = append(cc.frames, goalFrame{lit: body[i], ground: body[i].Atom.IsGround()})
 		}
 	}
 	cc.head = compileHead(sc)

@@ -12,9 +12,6 @@ import (
 // shard view, or a standalone machine — the KB is compiled exactly once,
 // and only a mutation forces a recompile.
 func TestCompileOncePerKB(t *testing.T) {
-	if envNoVM {
-		t.Skip("ILP_NOVM set; nothing compiles")
-	}
 	kb := poolKB(t)
 	if n := kb.Compilations(); n != 0 {
 		t.Fatalf("fresh KB reports %d compilations, want 0", n)
@@ -68,34 +65,29 @@ func TestCompileOncePerKB(t *testing.T) {
 	}
 }
 
-// TestInterpreterDoesNotCompile checks that a -novm machine never touches
-// the compiler: pinning the interpreter must not cost a compilation.
-func TestInterpreterDoesNotCompile(t *testing.T) {
+// TestSetNoVMRefusesTrue: SetNoVM is kept only for bench/, which passes it
+// search.Settings.NoVM, always false. SetNoVM(false) changes nothing — the
+// answer, the charge and the one compilation of the KB are a plain
+// machine's — and SetNoVM(true), which asked for the deleted interpreter,
+// panics.
+func TestSetNoVMRefusesTrue(t *testing.T) {
 	kb := poolKB(t)
-	goal, err := logic.ParseTerm("anc(ann, dee)")
-	if err != nil {
-		t.Fatal(err)
+	goal := logic.MustParseTerm("anc(ann, dee)")
+	plain, told := NewMachine(kb, DefaultBudget), NewMachine(kb, DefaultBudget)
+	told.SetNoVM(false)
+	if !plain.ProveAtom(goal) || !told.ProveAtom(goal) {
+		t.Fatal("proof failed")
 	}
-	m := NewMachine(kb, DefaultBudget)
-	m.SetNoVM(true)
-	if !m.ProveAtom(goal) {
-		t.Fatal("interpreter proof failed")
+	if plain.TotalInferences() != told.TotalInferences() || kb.Compilations() != 1 {
+		t.Fatalf("after SetNoVM(false): %d inferences, a plain machine %d; %d compilations, want 1",
+			told.TotalInferences(), plain.TotalInferences(), kb.Compilations())
 	}
-	if envNoVM {
-		// Under ILP_NOVM=1 the VM machine below is also pinned to the
-		// interpreter, so the compile-on-demand half cannot be observed.
-		t.Skip("ILP_NOVM set; compile-on-demand unobservable")
-	}
-	if n := kb.Compilations(); n != 0 {
-		t.Fatalf("interpreter run compiled the KB %d times, want 0", n)
-	}
-	vm := NewMachine(kb, DefaultBudget)
-	if !vm.ProveAtom(goal) {
-		t.Fatal("VM proof failed")
-	}
-	if n := kb.Compilations(); n != 1 {
-		t.Fatalf("VM run: %d compilations, want 1", n)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetNoVM(true) did not panic")
+		}
+	}()
+	told.SetNoVM(true)
 }
 
 // TestHeadStreamPassesOverSkip pins the run functions' side of the skip

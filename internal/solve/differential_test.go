@@ -12,10 +12,11 @@ import (
 // This file holds the oracle of every prover test (oracle_test.go): a
 // reference prover that replicates the seed engine's semantics — a
 // persistent linked goal list, OffsetVars clause renaming and per-goal
-// shallow resolution — and shares nothing with either production engine but
-// the KB's candidate selection. On any program and goal the engines must
-// produce its solutions in its order, charge its inferences and hit its
-// budget cutoffs. Besides, the generators of random programs and questions.
+// shallow resolution — and shares nothing with the production engine but the
+// KB's candidate selection (KB.lookup) and the builtins. On any program and
+// goal the engine must produce its solutions in its order, charge its
+// inferences and hit its budget cutoffs. Besides, the generators of random
+// programs and questions.
 
 // refGoals is the reference engine's persistent goal stack.
 type refGoals struct {
@@ -147,7 +148,7 @@ func (m *refMachine) solve(goals *refGoals, k func() bool) bool {
 		return true
 	}
 	cont := true
-	m.kb.lookup(m.bs, goal, 0, func(sc *storedClause, _ int) bool {
+	m.kb.lookup(m.bs, goal, 0, func(sc *storedClause) bool {
 		if !m.charge() {
 			cont = true
 			return false
@@ -402,7 +403,7 @@ func TestDifferentialGoalStackVsReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		use.Add(genOracle(t, seed, 12, 6, 25))
 	}
-	if !envNoVM && (use.Replayed == 0 || use.Alone == 0 || use.Packed == 0) {
+	if use.Replayed == 0 || use.Alone == 0 || use.Packed == 0 {
 		t.Errorf("the fast paths are not exercised: %+v", use)
 	}
 }

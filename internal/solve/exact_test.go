@@ -245,7 +245,7 @@ func TestExactModeSweep(t *testing.T) {
 		genQuestions(rng, &in, 8, 4, 4, 3, 120)
 		use.Add(sweep(t, &in))
 	}
-	if !envNoVM && (use.Alone == 0 || use.Packed == 0) {
+	if use.Alone == 0 || use.Packed == 0 {
 		t.Errorf("over the sweep %d queries and %d pack members were re-proved: exact mode is not exercised", use.Alone, use.Packed)
 	}
 }
@@ -267,7 +267,7 @@ func TestPackBudgetFallbacks(t *testing.T) {
 		ex     string
 		rules  []string
 		want   string // per member: + covered or - not, and its cutoffs
-		redone int64  // members re-proved, on either engine
+		redone int64  // members re-proved
 	}{
 		// No budget event: nothing is re-proved.
 		{"unbounded", DefaultBudget, 1, "h(x)", []string{"h(X) :- p(Y), ok(Y).", "h(X) :- p(Y), yes(Y).", "h(X) :- p(Y), slow(Y)."}, "+0 +0 -0", 0},
@@ -312,8 +312,8 @@ func TestPackBudgetFallbacks(t *testing.T) {
 		for _, w := range want {
 			got = append(got, fmt.Sprintf("%c%d", "-+"[btoi(w.covered)], w.cutoffs))
 		}
-		if strings.Join(got, " ") != c.want || redone != [2]int64{c.redone, c.redone} {
-			t.Errorf("%s: the oracle says %v, the VM's and the NoVM's packs re-proved %v; want %s and %d", c.why, got, redone, c.want, c.redone)
+		if strings.Join(got, " ") != c.want || redone != c.redone {
+			t.Errorf("%s: the oracle says %v, the pack re-proved %d; want %s and %d", c.why, got, redone, c.want, c.redone)
 		}
 	}
 
@@ -337,11 +337,11 @@ func btoi(b bool) int {
 func TestMemoBudgetSweep(t *testing.T) {
 	t.Parallel()
 	free := memoCase(t, memoKB(t), DefaultBudget, memoRules, "h(d1)", "h(d2)", "h(d1)", "h(d2)")
-	if !envNoVM && free.cold[0].Replayed*3 < free.total().inferences {
-		t.Fatalf("unbounded, %d of %d charges replayed: the sweep would test no replay", free.cold[0].Replayed, free.total().inferences)
+	if free.cold.Replayed*3 < free.total().inferences {
+		t.Fatalf("unbounded, %d of %d charges replayed: the sweep would test no replay", free.cold.Replayed, free.total().inferences)
 	}
 	in := memoInput(t)
-	if use := sweep(t, &in); !envNoVM && (use.Alone == 0 || use.Packed == 0) {
+	if use := sweep(t, &in); use.Alone == 0 || use.Packed == 0 {
 		t.Errorf("over the sweep %d stand-alone and %d packed queries were re-proved: exact mode is not exercised", use.Alone, use.Packed)
 	}
 }
@@ -359,7 +359,7 @@ func TestMemoDepthGuard(t *testing.T) {
 	if run.total().cutoffs != 2 {
 		t.Fatalf("MaxDepth 6: %d cutoff queries, want the two through the wrappers", run.total().cutoffs)
 	}
-	if !envNoVM && run.cold[0].Replayed == 0 {
+	if run.cold.Replayed == 0 {
 		t.Fatal("MaxDepth 6: g(a) was never replayed at depth 0")
 	}
 	run = memoCase(t, kb, Budget{MaxDepth: 7}, rules, "h(a)", "h(a)")
@@ -376,7 +376,7 @@ func TestMemoDepthGuard(t *testing.T) {
 	}
 
 	in := depthInput(t)
-	if use := sweep(t, &in); !envNoVM && use.Alone == 0 {
+	if use := sweep(t, &in); use.Alone == 0 {
 		t.Error("over the sweep no query was re-proved")
 	}
 }
@@ -385,7 +385,7 @@ func TestMemoDepthGuard(t *testing.T) {
 // land inside each skipped run, on the candidate after it and below a
 // matched candidate, with each rule proved alone and in one QueryPack whose
 // prefix and suffixes both scan the bucket, and the bucket enumerated by
-// Solve. Unbounded, the VM must filter (the interpreter never does).
+// Solve. Unbounded, the VM must filter.
 func TestBulkChargeMatchesPerCandidate(t *testing.T) {
 	t.Parallel()
 	in := bulkInput(t)
@@ -397,10 +397,10 @@ func TestBulkChargeMatchesPerCandidate(t *testing.T) {
 	if fmt.Sprint(covered) != "[true true true false false]" {
 		t.Fatalf("unbounded outcomes %v are not what the sweep was built around", covered)
 	}
-	if !envNoVM && free.cold[0].Filtered == 0 {
+	if free.cold.Filtered == 0 {
 		t.Fatal("the VM filtered nothing: the bucket is not keyed")
 	}
-	if use := sweep(t, &in); !envNoVM && (use.Alone == 0 || use.Packed == 0) {
+	if use := sweep(t, &in); use.Alone == 0 || use.Packed == 0 {
 		t.Errorf("over the sweep %d stand-alone and %d packed queries were re-proved: exact mode is not exercised", use.Alone, use.Packed)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // The tests here pin the VM's candidate filter (candList.keys, runCands):
 // what a key may and may not tell apart and what the keys cost. That a run of
 // skipped candidates charged in one chargeN is indistinguishable from the
-// interpreter charging them one by one, at every cutoff point, is
+// seed engine charging them one by one, at every cutoff point, is
 // TestBulkChargeMatchesPerCandidate's (exact_test.go).
 
 // eachList visits every candidate list of a compiled program with its
@@ -180,8 +180,8 @@ func TestFilterKeyEncoding(t *testing.T) {
 		if want := newRefMachine(kb, DefaultBudget).enumerate(goals); strings.Count(want.solutions, ";")+1 != tc.solutions {
 			t.Errorf("%s: solutions %v, expected %d", tc.goal, want.solutions, tc.solutions)
 		}
-		if !envNoVM && run.cold[0].Filtered != tc.filtered {
-			t.Errorf("%s: %d candidates filtered, expected %d", tc.goal, run.cold[0].Filtered, tc.filtered)
+		if run.cold.Filtered != tc.filtered {
+			t.Errorf("%s: %d candidates filtered, expected %d", tc.goal, run.cold.Filtered, tc.filtered)
 		}
 	}
 }

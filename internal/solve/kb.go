@@ -72,31 +72,11 @@ func (ix *argIndex) clone() argIndex {
 	return out
 }
 
-// storedClause caches per-clause metadata needed at resolution time.
+// storedClause is a clause with its variable count, the renaming width of
+// each of its instances.
 type storedClause struct {
 	clause  logic.Clause
 	numVars int
-	// ground marks a fact with a fully ground head: resolving against it can
-	// never bind clause-side variables, so a ground goal matches it by plain
-	// equality, with no renaming, trail traffic or undo.
-	ground bool
-	// bodyGround flags the statically ground body literals (nil when none
-	// are, the common case): goals pushed from them can take the
-	// equality-only fast path against ground facts.
-	bodyGround []bool
-}
-
-func staticBodyGround(body []logic.Literal) []bool {
-	var out []bool
-	for i := range body {
-		if body[i].Atom.IsGround() {
-			if out == nil {
-				out = make([]bool, len(body))
-			}
-			out[i] = true
-		}
-	}
-	return out
 }
 
 // pred holds all clauses for one predicate, facts indexed by their first and
@@ -126,7 +106,7 @@ type KB struct {
 	size  int
 
 	// prog caches the compiled bytecode program (compile.go). It is built
-	// lazily by the first VM-enabled query and shared read-only by every
+	// lazily by the first query and shared read-only by every
 	// machine over this KB; Add invalidates it. compiles counts builds so
 	// tests can assert the compile-once-per-KB contract.
 	prog      atomic.Pointer[program]
@@ -201,11 +181,9 @@ func (kb *KB) Add(c logic.Clause) {
 	sc := storedClause{clause: c, numVars: c.NumVars()}
 	kb.size++
 	if !c.IsFact() {
-		sc.bodyGround = staticBodyGround(c.Body)
 		p.rules = append(p.rules, sc)
 		return
 	}
-	sc.ground = sc.numVars == 0
 	pos := int32(len(p.facts))
 	p.facts = append(p.facts, sc)
 	if len(c.Head.Args) > 0 {
@@ -284,22 +262,23 @@ func (kb *KB) Clone() *KB {
 // index when the corresponding goal argument dereferences to a constant
 // (whichever bucket is smaller), then all rules. The visit order is
 // deterministic: indexed facts merge with the unindexed ones in insertion
-// order to keep solution order stable. Each visit carries skipArg, the
-// argument position the index already proved equal (or -1): callers can skip
-// unifying it.
-func (kb *KB) lookup(bs *logic.Bindings, goal logic.Term, off int, visit func(sc *storedClause, skipArg int) bool) {
+// order to keep solution order stable. It is the oracle's own candidate
+// selection: the seed engine (refMachine, differential_test.go) resolves every
+// goal through it, and the compiled VM's candidate lists (compile.go) are
+// precomputed to visit exactly its sequence.
+func (kb *KB) lookup(bs *logic.Bindings, goal logic.Term, off int, visit func(sc *storedClause) bool) {
 	p := kb.predFor(goal)
 	if p == nil {
 		return
 	}
 	if len(goal.Args) > 0 {
-		if idx, un, skip, ok := p.selectIndex(bs, goal, off); ok {
-			p.scanMerged(idx, un, skip, visit)
+		if idx, un, ok := p.selectIndex(bs, goal, off); ok {
+			p.scanMerged(idx, un, visit)
 			return
 		}
 	}
 	for i := range p.facts {
-		if !visit(&p.facts[i], -1) {
+		if !visit(&p.facts[i]) {
 			return
 		}
 	}
@@ -309,12 +288,11 @@ func (kb *KB) lookup(bs *logic.Bindings, goal logic.Term, off int, visit func(sc
 // selectIndex picks the cheapest applicable fact index for the goal: the
 // first- or second-argument bucket with the fewest candidates (bucket plus
 // the unindexed facts that must always be scanned alongside it).
-func (p *pred) selectIndex(bs *logic.Bindings, goal logic.Term, off int) (idx, un []int32, skip int, ok bool) {
-	skip = -1
+func (p *pred) selectIndex(bs *logic.Bindings, goal logic.Term, off int) (idx, un []int32, ok bool) {
 	best := 0
 	a0, _ := bs.WalkOff(goal.Args[0], off)
 	if i1, kok := p.arg1.bucket(a0); kok {
-		idx, un, skip, ok = i1, p.arg1.unindexed, 0, true
+		idx, un, ok = i1, p.arg1.unindexed, true
 		best = len(idx) + len(un)
 	}
 	// A second probe costs a map access; skip it when the first bucket is
@@ -323,40 +301,36 @@ func (p *pred) selectIndex(bs *logic.Bindings, goal logic.Term, off int) (idx, u
 		a1, _ := bs.WalkOff(goal.Args[1], off)
 		if i2, kok := p.arg2.bucket(a1); kok {
 			if u2 := p.arg2.unindexed; !ok || len(i2)+len(u2) < best {
-				idx, un, skip, ok = i2, u2, 1, true
+				idx, un, ok = i2, u2, true
 			}
 		}
 	}
-	return idx, un, skip, ok
+	return idx, un, ok
 }
 
 // scanMerged visits the union of an index bucket and the matching unindexed
-// positions in insertion order, then every rule. Bucket entries are
-// reported with the index's skip argument; unindexed entries and rules must
-// unify in full.
-func (p *pred) scanMerged(idx, un []int32, skip int, visit func(*storedClause, int) bool) {
+// positions in insertion order, then every rule.
+func (p *pred) scanMerged(idx, un []int32, visit func(*storedClause) bool) {
 	i, j := 0, 0
 	for i < len(idx) || j < len(un) {
 		var pos int32
-		s := skip
 		if j >= len(un) || (i < len(idx) && idx[i] < un[j]) {
 			pos = idx[i]
 			i++
 		} else {
 			pos = un[j]
 			j++
-			s = -1
 		}
-		if !visit(&p.facts[pos], s) {
+		if !visit(&p.facts[pos]) {
 			return
 		}
 	}
 	p.scanRules(visit)
 }
 
-func (p *pred) scanRules(visit func(*storedClause, int) bool) {
+func (p *pred) scanRules(visit func(*storedClause) bool) {
 	for i := range p.rules {
-		if !visit(&p.rules[i], -1) {
+		if !visit(&p.rules[i]) {
 			return
 		}
 	}

@@ -48,10 +48,10 @@ type goalFrame struct {
 	// literal as written), enabling the equality-only match against ground
 	// facts without any per-candidate groundness probing.
 	ground bool
-	// cp is the compiled predicate this goal statically resolves to, set
-	// only on frames pushed from compiled clause bodies (the VM path): for
-	// those the negation/variable/builtin dispatch was decided at compile
-	// time. nil means the goal dispatches dynamically.
+	// cp is the compiled predicate this goal statically resolves to
+	// (program.staticPred): for such a goal the negation/variable/builtin
+	// dispatch was decided at compile time. nil means the goal dispatches
+	// dynamically.
 	cp *compiledPred
 }
 
@@ -68,11 +68,8 @@ type Machine struct {
 	bs     *logic.Bindings
 	budget Budget
 
-	// novm pins the machine to the tree-walking interpreter; by default
-	// queries resolve through the compiled bytecode VM (vm.go). prog is the
-	// compiled program snapshot for the current query, nil on the
-	// interpreter path.
-	novm bool
+	// prog is the compiled program snapshot (compile.go) the current query
+	// resolves against through the VM (vm.go).
 	prog *program
 
 	nextVar    int   // next fresh variable index for clause renaming
@@ -125,7 +122,7 @@ type counters struct{ steps, filtered, replayed int64 }
 
 // NewMachine returns a machine over kb with the given budget.
 func NewMachine(kb *KB, budget Budget) *Machine {
-	return &Machine{kb: kb, bs: logic.NewBindings(64), budget: budget.withDefaults(), novm: envNoVM}
+	return &Machine{kb: kb, bs: logic.NewBindings(64), budget: budget.withDefaults()}
 }
 
 // KB returns the machine's knowledge base.
@@ -151,13 +148,13 @@ func (m *Machine) StepsExecuted() int64 { return m.work.steps }
 // ReplayedInferences reports the charges paid by replaying instead of
 // executing: a recorded ground call (memo.go), or a whole query whose answer
 // the caller already had (ReplayQuery). They are part of TotalInferences, not
-// of StepsExecuted. The interpreter never replays a ground call.
+// of StepsExecuted.
 func (m *Machine) ReplayedInferences() int64 { return m.work.replayed }
 
 // FilteredCandidates reports the candidate visits that were charged but not
 // run, because the VM's candidate filter (vm.go) proved from the constants
 // alone that their head could not match; they are part of TotalInferences
-// and of StepsExecuted. Always 0 on the interpreter.
+// and of StepsExecuted.
 func (m *Machine) FilteredCandidates() int64 { return m.work.filtered }
 
 // ReplayQuery reports an existence query the caller has already seen proved
@@ -179,19 +176,10 @@ func (m *Machine) ResetCounters() {
 	m.work = counters{}
 }
 
-// currentProgram is the compiled program queries resolve against right now:
-// the KB's, or nil on the interpreter path.
-func (m *Machine) currentProgram() *program {
-	if m.novm || m.kb == nil {
-		return nil
-	}
-	return m.kb.program()
-}
-
 // beginQuery prepares per-query state; vars [0, nVars) are reserved for the
 // caller's goal variables.
 func (m *Machine) beginQuery(nVars int) {
-	m.prog = m.currentProgram()
+	m.prog = m.kb.program()
 	if m.prog != m.memo.prog {
 		m.memo.reset(m.prog)
 	}
@@ -237,18 +225,6 @@ func (m *Machine) chargeN(n int64, paid *int64) bool {
 	m.queryInf += n
 	*paid += n
 	return true
-}
-
-// pushGoals pushes body in reverse so the leftmost literal is popped first.
-// ground carries the per-literal static groundness flags (may be nil).
-func (m *Machine) pushGoals(body []logic.Literal, ground []bool, off, depth int32) {
-	for i := len(body) - 1; i >= 0; i-- {
-		fr := goalFrame{lit: body[i], off: off, depth: depth}
-		if ground != nil && ground[i] {
-			fr.ground = true
-		}
-		m.stack = append(m.stack, fr)
-	}
 }
 
 // pushQuery compiles the caller-supplied goals into the scratch query and
@@ -384,126 +360,11 @@ func (m *Machine) step(fr goalFrame, k func() bool) bool {
 		m.budgetHit = true
 		return true
 	}
-	if m.prog != nil {
-		cp := m.prog.predFor(atom)
-		if cp == nil {
-			return true
-		}
-		return m.resolveVM(cp, atom, off, fr, k)
-	}
-	return m.resolveInterp(atom, off, fr, k)
-}
-
-// resolveInterp resolves a goal by tree-walking the KB directly: the
-// reference engine the compiled VM (vm.go) must match bit for bit. It stays
-// in-tree behind Settings.NoVM / ILP_NOVM both as the differential-testing
-// oracle and as the fallback path.
-func (m *Machine) resolveInterp(atom logic.Term, off int, fr goalFrame, k func() bool) bool {
-	restTop := len(m.stack)
-	cont := true
-	m.kb.lookup(m.bs, atom, off, func(sc *storedClause, skip int) bool {
-		if !m.charge() {
-			cont = true
-			return false
-		}
-		if sc.ground && fr.ground {
-			// Ground fact, ground goal: matching is plain equality — no
-			// renaming, no trail, nothing to undo.
-			if m.groundMatch(atom, off, &sc.clause.Head, skip) {
-				if !m.solve(k) {
-					cont = false
-					return false
-				}
-			}
-			return true
-		}
-		base := m.nextVar
-		m.nextVar += sc.numVars
-		mark := m.bs.Mark()
-		var matched bool
-		if sc.numVars == 0 {
-			// Var-free clause: head arguments are ground, so they need no
-			// walking, no renaming offset, and can only be bound to — the
-			// dominant case for ILP background facts.
-			matched = m.matchGroundHead(atom, off, &sc.clause.Head, skip)
-		} else {
-			matched = m.unifyHead(atom, off, &sc.clause.Head, base, skip)
-		}
-		if matched {
-			m.pushGoals(sc.clause.Body, sc.bodyGround, int32(base), fr.depth+1)
-			if !m.solve(k) {
-				cont = false
-				m.stack = m.stack[:restTop]
-				m.bs.Undo(mark)
-				m.nextVar = base
-				return false
-			}
-			m.stack = m.stack[:restTop]
-		}
-		m.bs.Undo(mark)
-		m.nextVar = base
+	cp := m.prog.predFor(atom)
+	if cp == nil {
 		return true
-	})
-	return cont
-}
-
-// unifyHead unifies a goal with a clause head of the same predicate,
-// skipping the argument position the fact index already proved equal.
-func (m *Machine) unifyHead(goal logic.Term, off int, head *logic.Term, hoff, skip int) bool {
-	for i := range goal.Args {
-		if i == skip {
-			continue
-		}
-		if !m.bs.UnifyOff(goal.Args[i], off, head.Args[i], hoff) {
-			return false
-		}
 	}
-	return true
-}
-
-// matchGroundHead unifies a goal with the head of a var-free clause: every
-// head argument is ground, so per argument the goal side walks once and is
-// then either bound (if unbound) or compared.
-func (m *Machine) matchGroundHead(goal logic.Term, off int, head *logic.Term, skip int) bool {
-	bs := m.bs
-	for i := range goal.Args {
-		if i == skip {
-			continue
-		}
-		ha := head.Args[i]
-		ga, go_ := bs.WalkOff(goal.Args[i], off)
-		switch ga.Kind {
-		case logic.Var:
-			bs.Bind(int(ga.Sym), ha)
-		case logic.Atom:
-			if ha.Kind != logic.Atom || ga.Sym != ha.Sym {
-				return false
-			}
-		case logic.Int, logic.Float:
-			if !ha.IsNumber() || ga.Num != ha.Num {
-				return false
-			}
-		default:
-			if !bs.UnifyOff(ga, go_, ha, 0) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// groundMatch compares a ground goal with a ground fact head argument-wise,
-// skipping the index-proved position.
-func (m *Machine) groundMatch(goal logic.Term, off int, head *logic.Term, skip int) bool {
-	for i := range goal.Args {
-		if i == skip {
-			continue
-		}
-		if !m.bs.EqualGroundOff(goal.Args[i], off, head.Args[i]) {
-			return false
-		}
-	}
-	return true
+	return m.resolveVM(cp, atom, off, fr, k)
 }
 
 // subProve runs an isolated subproof of a single goal (used for negation as

@@ -52,9 +52,6 @@ func TestMemoCyclicGroundRecursion(t *testing.T) {
 		never(zz).
 	`)
 	run := memoCase(t, kb, Budget{MaxDepth: 12}, []string{"h(X) :- reach(a, a).", "h(X) :- reach(a, a), never(X)."}, "h(q)", "h(q)")
-	if envNoVM {
-		return
-	}
 	if run.all.Replayed != 0 {
 		t.Fatalf("%d inferences replayed from a cyclic call", run.all.Replayed)
 	}
@@ -125,9 +122,6 @@ func TestMemoAfterKBAdd(t *testing.T) {
 				t.Fatalf("%s: held query %+v, oracle %+v", what, got, want)
 			}
 		}
-		if envNoVM {
-			return
-		}
 		live := programPreds(kb.program())
 		for k := range memoEntries(m) {
 			if !live[k.cp] {
@@ -136,7 +130,7 @@ func TestMemoAfterKBAdd(t *testing.T) {
 		}
 	}
 	check("initial")
-	if !envNoVM && m.ReplayedInferences() == 0 {
+	if m.ReplayedInferences() == 0 {
 		t.Fatal("nothing replayed before the Add")
 	}
 	kb.Add(logic.MustParseClause("polar(g1, 0)."))
@@ -189,9 +183,6 @@ func TestMemoCaps(t *testing.T) {
 		{"h(X) :- many(X), nope(X).", "many(a)"},
 	} {
 		run := memoCase(t, kb, DefaultBudget, []string{tc.rule}, "h(a)", "h(a)", "h(a)")
-		if envNoVM {
-			continue
-		}
 		if run.all.Replayed != 0 || run.total().cutoffs != 0 {
 			t.Fatalf("%s: %d replayed, %d cutoff queries", tc.rule, run.all.Replayed, run.total().cutoffs)
 		}

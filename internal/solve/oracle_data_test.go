@@ -56,9 +56,6 @@ func TestProverMatchesOracle(t *testing.T) {
 		use.Add(solve.ProverMatchesOracle(t, ds.Name, ds.KB, withExamples(groups, examples), ds.Budget))
 		use.Add(solve.ProverMatchesOracle(t, ds.Name+" sampled", ds.KB, withExamples(groups, sample), grid...))
 	}
-	if solve.NewMachine(trains.KB, trains.Budget).NoVM() {
-		return // ILP_NOVM: every machine is the interpreter, which has no fast path
-	}
 	if use.Replayed == 0 || use.Filtered == 0 || use.Alone == 0 || use.Packed == 0 || use.Skipped == 0 {
 		t.Errorf("a fast path was never taken: %+v", use)
 	}

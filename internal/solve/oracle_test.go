@@ -15,15 +15,15 @@ import (
 // question — a rule and a ground example, or a conjunction to enumerate — at
 // any budget, every entry point must report what the seed engine reports
 // (refMachine, differential_test.go, which shares with the production
-// engines only the KB's candidate selection and the builtins): the answer,
+// engine only the KB's candidate selection and the builtins): the answer,
 // the inferences charged and whether the query was cut off. The entry
 // points are CoversQuery on a held query, CoversExample, the exact re-proof
 // proveExact, ProveExample and ProveQuery (whose proof must be rooted at the
 // example), CoversPack with every member live and with some skipped, and
-// Solve. Every question goes to every entry point on a VM and on a NoVM
-// machine, at every budget a test asks for; what keeps state from one
-// question to the next — the VM's ground-call memo, a pack's scratch — is
-// asked the whole input twice, cold and then warm from the first pass.
+// Solve. Every question goes to every entry point, at every budget a test
+// asks for; what keeps state from one question to the next — the ground-call
+// memo, a pack's scratch — is asked the whole input twice, cold and then warm
+// from the first pass.
 //
 // Every test of a fast path is a case of the property: it builds an
 // oracleInput that puts a budget event where its path can meet one, picks
@@ -82,15 +82,15 @@ func ask(entry string, m *Machine, q *Query, r *logic.Clause, ex logic.Term) (ru
 	return run, !run.covered || !strings.HasPrefix(entry, "Prove") || logic.Equal(p.Goal, ex)
 }
 
-// entryPoints are the rule-by-rule entry points. On each engine every one
-// runs on a machine of its own, so that what one machine keeps — the VM's
-// ground-call memo — never warms another's questions. Those that keep
-// something, the VM's CoversQuery and CoversExample, are asked the whole
-// input twice: cold, and then on the memo the first pass warmed. The
-// interpreter and exact mode keep nothing, and are asked once.
+// entryPoints are the rule-by-rule entry points. Every one runs on a machine
+// of its own, so that what one machine keeps — the ground-call memo — never
+// warms another's questions. The first warm of them, CoversQuery and
+// CoversExample, keep something and are asked the whole input twice: cold,
+// and then on the memo the first pass warmed. Exact mode keeps nothing, and
+// is asked once.
 var entryPoints = []string{"CoversQuery", "CoversExample", "proveExact", "ProveExample", "ProveQuery"}
 
-func keeps(m *Machine, entry int) bool { return !m.NoVM() && entry < 2 }
+const warm = 2
 
 // fastUse is how much machines used the fast paths: inferences replayed from
 // the ground-call memo, candidates filtered, exact re-proofs rule by rule and
@@ -105,9 +105,9 @@ func (u *fastUse) Add(v fastUse) {
 // oracleRun is what the property leaves its caller.
 type oracleRun struct {
 	want [][][]coverRun // the oracle's outcomes by group, example and rule
-	held *Machine       // the VM's held-query machine, warm
-	cold [2]fastUse     // the VM's and the NoVM's machines after the cold pass
-	all  fastUse        // the VM's held-query and pack machines over both passes
+	held *Machine       // the held-query machine, warm
+	cold fastUse        // the held-query and pack machines after the cold pass
+	all  fastUse        // the held-query and pack machines over both passes
 }
 
 // total is the oracle's charge and cutoffs over all of the questions.
@@ -123,45 +123,35 @@ func (r *oracleRun) total() (sum coverRun) {
 }
 
 // proverMatchesOracle is the property: it asks every question of in at
-// budget b of every entry point on both engines, and each engine's QueryPack
-// every group with a prefix — cold with every member live, then again with
-// every member live on the pack's used scratch, then with about one member in
-// three skipped — and fails t at the first report that is not the oracle's
-// (across a pack, the oracle's sum with skipped members uncovered and
-// uncharged) and at executed-work counters that do not add up. The
-// interpreter must use no fast path, and exact mode neither. Each engine
-// enumerates every conjunction once, after the coverage questions.
+// budget b of every entry point, and a QueryPack every group with a prefix —
+// cold with every member live, then again with every member live on the
+// pack's used scratch, then with about one member in three skipped — and
+// fails t at the first report that is not the oracle's (across a pack, the
+// oracle's sum with skipped members uncovered and uncharged) and at
+// executed-work counters that do not add up. Exact mode must use no fast
+// path. Every conjunction is enumerated once, after the coverage questions.
 func proverMatchesOracle(t testing.TB, in *oracleInput, b Budget) *oracleRun {
 	t.Helper()
 	ref := newRefMachine(in.kb, b)
-	type engine struct {
-		ms    []*Machine  // by entry point, then the pack's
-		qs    [][]Query   // by group and rule, held by every entry point's machine
-		packs []QueryPack // by group
+	ms := make([]*Machine, len(entryPoints)+1) // by entry point, then the pack's
+	for i := range ms {
+		ms[i] = NewMachine(in.kb, b)
 	}
-	var engines [2]engine
-	for novm := range engines {
-		en := &engines[novm]
-		for range len(entryPoints) + 1 {
-			m := NewMachine(in.kb, b)
-			m.SetNoVM(novm == 1)
-			en.ms = append(en.ms, m)
+	qs := make([][]Query, len(in.groups)) // by group and rule, held by every entry point's machine
+	packs := make([]QueryPack, len(in.groups))
+	for gi, g := range in.groups {
+		qs[gi] = make([]Query, len(g.Rules))
+		for c, r := range g.Rules {
+			ms[0].CompileQuery(&qs[gi][c], r)
 		}
-		en.qs, en.packs = make([][]Query, len(in.groups)), make([]QueryPack, len(in.groups))
-		for gi, g := range in.groups {
-			en.qs[gi] = make([]Query, len(g.Rules))
-			for c, r := range g.Rules {
-				en.ms[0].CompileQuery(&en.qs[gi][c], r)
-			}
-			if g.Prefix > 0 {
-				en.ms[len(entryPoints)].CompilePack(&en.packs[gi], g.Rules, g.Prefix)
-			}
+		if g.Prefix > 0 {
+			ms[len(entryPoints)].CompilePack(&packs[gi], g.Rules, g.Prefix)
 		}
 	}
-	run := &oracleRun{want: make([][][]coverRun, len(in.groups)), held: engines[0].ms[0]}
+	run := &oracleRun{want: make([][][]coverRun, len(in.groups)), held: ms[0]}
 	var skipped int64
-	use := func(en *engine) fastUse {
-		m, pm := en.ms[0], en.ms[len(entryPoints)]
+	use := func() fastUse {
+		m, pm := ms[0], ms[len(entryPoints)]
 		return fastUse{m.ReplayedInferences(), m.FilteredCandidates(), m.reproofs, pm.reproofs, skipped}
 	}
 	for pass := range 2 {
@@ -175,80 +165,71 @@ func proverMatchesOracle(t testing.TB, in *oracleInput, b Budget) *oracleRun {
 					}
 				}
 				want := run.want[gi][e]
-				for _, en := range engines {
-					for i, entry := range entryPoints {
-						m := en.ms[i]
-						if g.PackOnly || pass == 1 && !keeps(m, i) {
-							continue
-						}
-						for c, r := range g.Rules {
-							if got, rooted := ask(entry, m, &en.qs[gi][c], r, ex); got != want[c] || !rooted {
-								t.Fatalf("%s, budget %+v, pass %d, novm=%v %s: %s on %s is %+v (rooted %v), oracle %+v",
-									in.name, b, pass, m.NoVM(), entry, r.String(), ex, got, rooted, want[c])
-							}
-						}
-					}
-					if g.Prefix == 0 {
+				for i, entry := range entryPoints {
+					m := ms[i]
+					if g.PackOnly || pass == 1 && i >= warm {
 						continue
 					}
-					masks := [][]bool{nil}
-					if pass == 1 {
-						for c := range skip {
-							skip[c] = (e+c)%3 == 1
+					for c, r := range g.Rules {
+						if got, rooted := ask(entry, m, &qs[gi][c], r, ex); got != want[c] || !rooted {
+							t.Fatalf("%s, budget %+v, pass %d, %s: %s on %s is %+v (rooted %v), oracle %+v",
+								in.name, b, pass, entry, r.String(), ex, got, rooted, want[c])
 						}
-						masks = append(masks, skip)
 					}
-					m, pack := en.ms[len(entryPoints)], &en.packs[gi]
-					for _, skip := range masks {
-						live, sum := slices.Clone(want), coverRun{}
-						for c := range live {
-							if skip != nil && skip[c] {
-								live[c] = coverRun{}
-								skipped++
-							}
-							sum.inferences, sum.cutoffs = sum.inferences+live[c].inferences, sum.cutoffs+live[c].cutoffs
+				}
+				if g.Prefix == 0 {
+					continue
+				}
+				masks := [][]bool{nil}
+				if pass == 1 {
+					for c := range skip {
+						skip[c] = (e+c)%3 == 1
+					}
+					masks = append(masks, skip)
+				}
+				m, pack := ms[len(entryPoints)], &packs[gi]
+				for _, skip := range masks {
+					live, sum := slices.Clone(want), coverRun{}
+					for c := range live {
+						if skip != nil && skip[c] {
+							live[c] = coverRun{}
+							skipped++
 						}
-						got := runCovers(m, func() bool { m.CoversPack(pack, ex, hit, skip); return false })
-						for c, w := range live {
-							if hit[c] != w.covered || pack.Charged(c) != w.inferences {
-								t.Fatalf("%s, budget %+v, pass %d, novm=%v: pack member %d (%s, shared prefix %d) on %s covered %v charged %d, oracle %+v, skip %v",
-									in.name, b, pass, m.NoVM(), c, g.Rules[c].String(), g.Prefix, ex, hit[c], pack.Charged(c), w, skip)
-							}
+						sum.inferences, sum.cutoffs = sum.inferences+live[c].inferences, sum.cutoffs+live[c].cutoffs
+					}
+					got := runCovers(m, func() bool { m.CoversPack(pack, ex, hit, skip); return false })
+					for c, w := range live {
+						if hit[c] != w.covered || pack.Charged(c) != w.inferences {
+							t.Fatalf("%s, budget %+v, pass %d: pack member %d (%s, shared prefix %d) on %s covered %v charged %d, oracle %+v, skip %v",
+								in.name, b, pass, c, g.Rules[c].String(), g.Prefix, ex, hit[c], pack.Charged(c), w, skip)
 						}
-						if got != sum {
-							t.Fatalf("%s, budget %+v, pass %d, novm=%v: pack of %d on %s moved the counters by %+v, oracle %+v, skip %v",
-								in.name, b, pass, m.NoVM(), len(g.Rules), ex, got, sum, skip)
-						}
+					}
+					if got != sum {
+						t.Fatalf("%s, budget %+v, pass %d: pack of %d on %s moved the counters by %+v, oracle %+v, skip %v",
+							in.name, b, pass, len(g.Rules), ex, got, sum, skip)
 					}
 				}
 			}
 		}
 		if pass == 0 {
-			run.cold = [2]fastUse{use(&engines[0]), use(&engines[1])}
+			run.cold = use()
 		}
 	}
 	for _, goals := range in.enums {
-		want := ref.enumerate(goals)
-		for _, en := range engines {
-			if m := en.ms[0]; enumerate(m, goals) != want {
-				t.Fatalf("%s, budget %+v, novm=%v enumerating %v:\n   got %+v\noracle %+v", in.name, b, m.NoVM(), goals, enumerate(m, goals), want)
-			}
+		if got, want := enumerate(ms[0], goals), ref.enumerate(goals); got != want {
+			t.Fatalf("%s, budget %+v, enumerating %v:\n   got %+v\noracle %+v", in.name, b, goals, got, want)
 		}
 	}
-	run.all = use(&engines[0])
-	for _, en := range engines {
-		for i, m := range en.ms {
-			steps, replayed, filtered, charged := m.StepsExecuted(), m.ReplayedInferences(), m.FilteredCandidates(), m.TotalInferences()
-			switch {
-			case m.NoVM() && (replayed != 0 || filtered != 0):
-				t.Fatalf("%s, budget %+v: the interpreter replayed %d charges and filtered %d candidates", in.name, b, replayed, filtered)
-			case steps+replayed > charged || filtered > steps:
-				t.Fatalf("%s, budget %+v: %d steps, %d replayed, %d filtered for %d charged", in.name, b, steps, replayed, filtered, charged)
-			case i < len(entryPoints) && steps+replayed != charged:
-				t.Fatalf("%s, budget %+v, novm=%v: rule by rule through %s, %d steps and %d replayed for %d charged", in.name, b, m.NoVM(), entryPoints[i], steps, replayed, charged)
-			case !m.NoVM() && i >= 2 && i < len(entryPoints) && (filtered != 0 || replayed != 0):
-				t.Fatalf("%s, budget %+v: exact mode (%s) filtered %d candidates and replayed %d charges", in.name, b, entryPoints[i], filtered, replayed)
-			}
+	run.all = use()
+	for i, m := range ms {
+		steps, replayed, filtered, charged := m.StepsExecuted(), m.ReplayedInferences(), m.FilteredCandidates(), m.TotalInferences()
+		switch {
+		case steps+replayed > charged || filtered > steps:
+			t.Fatalf("%s, budget %+v: %d steps, %d replayed, %d filtered for %d charged", in.name, b, steps, replayed, filtered, charged)
+		case i < len(entryPoints) && steps+replayed != charged:
+			t.Fatalf("%s, budget %+v: rule by rule through %s, %d steps and %d replayed for %d charged", in.name, b, entryPoints[i], steps, replayed, charged)
+		case i >= warm && i < len(entryPoints) && (filtered != 0 || replayed != 0):
+			t.Fatalf("%s, budget %+v: exact mode (%s) filtered %d candidates and replayed %d charges", in.name, b, entryPoints[i], filtered, replayed)
 		}
 	}
 	return run
@@ -419,15 +400,7 @@ func tightBudget(rng *rand.Rand) Budget {
 // Run `go test -fuzz=FuzzProverMatchesOracle ./internal/solve` to explore
 // beyond the seed corpus.
 func FuzzProverMatchesOracle(f *testing.F) {
-	f.Add(int64(1 << 30))
-	f.Fuzz(fuzzOracle)
-}
-
-// FuzzVMMatchesInterpreter keeps the name the fuzz target had while the
-// interpreter was the reference, as a seed-corpus caller of the property.
-// It goes with the NoVM engine (ROADMAP item 5).
-func FuzzVMMatchesInterpreter(f *testing.F) {
-	for _, seed := range []int64{0, 1, 2, 3, 7, 10, 11, 13, 24, 39, 1 << 20, -1} {
+	for _, seed := range []int64{1 << 30, 0, 1, 2, 3, 7, 10, 11, 13, 24, 39, 1 << 20, -1} {
 		f.Add(seed)
 	}
 	f.Fuzz(fuzzOracle)

@@ -41,12 +41,12 @@ func genFan(rng *rand.Rand) (rules []logic.Clause, prefix int) {
 
 // packCase asks the property one pack of rules, sharing head and prefix
 // leading literals, on ex. It returns the oracle's stand-alone outcomes and
-// how many members the VM's and the NoVM's pack proved again in exact mode.
-func packCase(t *testing.T, kb *KB, budget Budget, prefix int, ex string, src ...string) ([]coverRun, [2]int64) {
+// how many members the pack proved again in exact mode.
+func packCase(t *testing.T, kb *KB, budget Budget, prefix int, ex string, src ...string) ([]coverRun, int64) {
 	t.Helper()
 	in := oracleInput{name: src[0], kb: kb, groups: []oracleGroup{group(prefix, ex, src...)}}
 	run := proverMatchesOracle(t, &in, budget)
-	return run.want[0][0], [2]int64{run.cold[0].Packed, run.cold[1].Packed}
+	return run.want[0][0], run.cold.Packed
 }
 
 // TestPackSuffixChargedBeforeRecording: a one-goal suffix answered in place
@@ -54,9 +54,6 @@ func packCase(t *testing.T, kb *KB, budget Budget, prefix int, ex string, src ..
 // does, so a call whose own charge meets the budget is not recorded. That
 // shows in the memo only: exact mode answers the query either way.
 func TestPackSuffixChargedBeforeRecording(t *testing.T) {
-	if envNoVM {
-		t.Skip("the interpreter has no memo")
-	}
 	kb, ex := packKB(t), logic.MustParseTerm("h(x)")
 	prefix := logic.MustParseClause("h(X) :- first(Y).")
 	rules := []*logic.Clause{}
@@ -98,7 +95,7 @@ func TestPackDegenerateShapes(t *testing.T) {
 }
 
 // TestPackOutlivesItsProgram: a held pack whose machine has moved to
-// another compiled program — the KB grew, or the engine was toggled — must
+// another compiled program — the KB grew — must
 // answer and charge as the oracle does (see
 // TestQueryRecompilesOnProgramChange for the single-query form).
 func TestPackOutlivesItsProgram(t *testing.T) {
@@ -137,8 +134,6 @@ func TestPackOutlivesItsProgram(t *testing.T) {
 	check("initial", false)
 	kb.Add(logic.MustParseClause("marked(1)."))
 	check("after KB.Add", true)
-	m.SetNoVM(true)
-	check("after SetNoVM(true)", true)
 }
 
 // TestCoversPackAllocFree pins the steady-state allocation contract of the
@@ -167,34 +162,31 @@ func TestCoversPackAllocFree(t *testing.T) {
 	)
 	ex := logic.MustParseTerm("active(m7)")
 	hit := make([]bool, len(wide))
-	for _, novm := range []bool{false, true} {
-		for _, budget := range []Budget{DefaultBudget, {MaxInferences: 40}} {
-			m := NewMachine(kb, budget)
-			m.SetNoVM(novm)
-			var pack QueryPack
-			m.CompilePack(&pack, wide, 1)
+	for _, budget := range []Budget{DefaultBudget, {MaxInferences: 40}} {
+		m := NewMachine(kb, budget)
+		var pack QueryPack
+		m.CompilePack(&pack, wide, 1)
+		m.CoversPack(&pack, ex, hit, nil)
+		if budget == DefaultBudget && (m.reproofs != 0 || m.StepsExecuted() >= m.TotalInferences()) {
+			t.Fatalf("%d re-proofs, %d steps for %d charged — the pack shares nothing",
+				m.reproofs, m.StepsExecuted(), m.TotalInferences())
+		}
+		if budget != DefaultBudget && m.reproofs == 0 {
+			t.Fatalf("budget %+v: no re-proof exercised", budget)
+		}
+		if n := testing.AllocsPerRun(50, func() { m.CoversPack(&pack, ex, hit, nil) }); n != 0 {
+			t.Errorf("budget %+v: CoversPack allocates %v per example", budget, n)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(50, func() {
+			if i++; i%2 == 0 {
+				m.CompilePack(&pack, wide, 1)
+			} else {
+				m.CompilePack(&pack, narrow, 2)
+			}
 			m.CoversPack(&pack, ex, hit, nil)
-			if budget == DefaultBudget && (m.reproofs != 0 || m.StepsExecuted() >= m.TotalInferences()) {
-				t.Fatalf("novm=%v: %d re-proofs, %d steps for %d charged — the pack shares nothing", novm,
-					m.reproofs, m.StepsExecuted(), m.TotalInferences())
-			}
-			if budget != DefaultBudget && m.reproofs == 0 {
-				t.Fatalf("novm=%v budget %+v: no re-proof exercised", novm, budget)
-			}
-			if n := testing.AllocsPerRun(50, func() { m.CoversPack(&pack, ex, hit, nil) }); n != 0 {
-				t.Errorf("novm=%v budget %+v: CoversPack allocates %v per example", novm, budget, n)
-			}
-			i := 0
-			if n := testing.AllocsPerRun(50, func() {
-				if i++; i%2 == 0 {
-					m.CompilePack(&pack, wide, 1)
-				} else {
-					m.CompilePack(&pack, narrow, 2)
-				}
-				m.CoversPack(&pack, ex, hit, nil)
-			}); n != 0 {
-				t.Errorf("novm=%v budget %+v: recompiling the pack allocates %v per frontier", novm, budget, n)
-			}
+		}); n != 0 {
+			t.Errorf("budget %+v: recompiling the pack allocates %v per frontier", budget, n)
 		}
 	}
 }

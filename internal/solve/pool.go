@@ -65,15 +65,6 @@ func (p *Pool) Put(m *Machine) {
 // Do not mix with Get/Put.
 func (p *Pool) Machines() []*Machine { return p.machines }
 
-// SetNoVM pins every machine in the pool to the interpreter (true) or the
-// compiled VM (false). Only quiescent calls (no machine checked out or
-// sharded work in flight) are safe.
-func (p *Pool) SetNoVM(no bool) {
-	for _, m := range p.machines {
-		m.SetNoVM(no)
-	}
-}
-
 // TotalInferences sums the SLD work across all machines. Only quiescent
 // calls (no machine checked out or sharded work in flight) are exact.
 func (p *Pool) TotalInferences() int64 {

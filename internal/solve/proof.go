@@ -94,12 +94,10 @@ func (m *Machine) ProveExample(rule *logic.Clause, example logic.Term) (*ProofSt
 
 // ProveQuery is CoversQuery with a proof: the same answer, charge and cutoff
 // as the exact proof CoversQuery reports, and, when the example is covered,
-// the tree of that proof. It runs on the compiled program even on a NoVM
-// machine.
+// the tree of that proof.
 func (m *Machine) ProveQuery(q *Query, example logic.Term) (*ProofStep, bool) {
 	m.beginQuery(q.numVars)
 	defer m.endQuery()
-	m.prog = m.kb.program()
 	q = m.current(q)
 	var root *ProofStep
 	m.proof = m.proof[:0]

@@ -110,19 +110,16 @@ func TestProveExampleAtMaxDepth(t *testing.T) {
 		want  int64
 	}{{"p(X) :- q(X).", 1, 2}, {"p(X) :- r(X).", 2, 4}} {
 		rule := logic.MustParseClause(c.rule)
-		for _, novm := range []bool{false, true} {
-			m := solve.NewMachine(kb, solve.Budget{MaxDepth: c.depth})
-			m.SetNoVM(novm)
-			covered := m.CoversExample(&rule, ex)
-			covers := m.TotalInferences()
-			proof, ok := m.ProveExample(&rule, ex)
-			proves := m.TotalInferences() - covers
-			if !covered || !ok || covers != c.want || proves != c.want {
-				t.Fatalf("%s at MaxDepth %d, novm=%v: covers %v (%d inferences), proves %v (%d), want true (%d)",
-					c.rule, c.depth, novm, covered, covers, ok, proves, c.want)
-			}
-			checkProof(t, kb, proof)
+		m := solve.NewMachine(kb, solve.Budget{MaxDepth: c.depth})
+		covered := m.CoversExample(&rule, ex)
+		covers := m.TotalInferences()
+		proof, ok := m.ProveExample(&rule, ex)
+		proves := m.TotalInferences() - covers
+		if !covered || !ok || covers != c.want || proves != c.want {
+			t.Fatalf("%s at MaxDepth %d: covers %v (%d inferences), proves %v (%d), want true (%d)",
+				c.rule, c.depth, covered, covers, ok, proves, c.want)
 		}
+		checkProof(t, kb, proof)
 	}
 }
 

@@ -12,18 +12,18 @@ import (
 // is derived once into a Query, and each example then costs only the head
 // match and the proof itself.
 //
-// A Query charges nothing and binds nothing the tree path did not. The head
-// stream is compile.go's own (appendHead), run by the VM's runHead with the
-// ground example in the goal position: a first-occurrence variable binds to
-// the example argument, a constant compares, repeated variables and compound
-// arguments fall to UnifyOff — the bindings, in trail order, that
-// Unify(rule.Head, example) makes. Head matching is never charged; the body
-// frames carry the dispatch compileKB applies to clause bodies (positive
-// callable non-builtin goals resolve statically, everything else stays
-// dynamic, and the two reach resolveVM with the same predicate after the same
-// charge). So inference totals, cutoffs and solution order are bit-identical
-// to resolving the rule as a tree, which the seed reference in
-// differential_test.go still does.
+// A Query charges nothing and binds nothing that resolving the rule as a
+// tree, as the seed engine (refMachine, differential_test.go) does, would
+// not. The head stream is compile.go's own (appendHead), run by the VM's
+// runHead with the ground example in the goal position: a first-occurrence
+// variable binds to the example argument, a constant compares, repeated
+// variables and compound arguments fall to UnifyOff — the bindings, in trail
+// order, that Unify(rule.Head, example) makes. Head matching is never
+// charged; the body frames carry the dispatch compileKB applies to clause
+// bodies (positive callable non-builtin goals resolve statically, everything
+// else stays dynamic, and the two reach resolveVM with the same predicate
+// after the same charge). So inference totals, cutoffs and solution order are
+// the seed engine's.
 
 // Query is a rule (or a bare conjunction) compiled for repeated evaluation.
 // It is immutable between compilations and may be shared read-only by any
@@ -34,24 +34,23 @@ type Query struct {
 	rule    logic.Clause
 	numVars int
 	// prog is the compiled program the frames' cp pointers were resolved
-	// against; nil marks the interpreter form (dynamic frames, tree head).
-	// A machine whose current program differs recompiles before running.
+	// against. A machine whose current program differs recompiles before
+	// running.
 	prog *program
-	// treeHead selects Unify for the head: always on the interpreter form —
-	// which keeps NoVM an oracle independent of the head compiler — and for
-	// the degenerate non-callable heads the stream has no opcode for.
+	// treeHead selects Unify for the degenerate non-callable heads the
+	// stream has no opcode for.
 	treeHead bool
 	code     []instr     // head stream over rule.Head's arguments
 	frames   []goalFrame // body goals in push (reverse) order, off = depth = 0
 	seen     []bool      // appendHead's first-occurrence scratch
 }
 
-// CompileQuery compiles rule into q for this machine's engine and the
-// current state of its KB, reusing q's buffers: recompiling one Query per
+// CompileQuery compiles rule into q for the current state of the machine's
+// KB, reusing q's buffers: recompiling one Query per
 // rule of a batch allocates nothing in steady state.
 func (m *Machine) CompileQuery(q *Query, rule *logic.Clause) {
 	m.queryCompiles++
-	q.compile(m.currentProgram(), rule)
+	q.compile(m.kb.program(), rule)
 }
 
 // QueryCompilations reports how many rule compilations this machine has
@@ -78,7 +77,7 @@ func (q *Query) compile(prog *program, rule *logic.Clause) {
 	}
 	head := &q.rule.Head
 	q.code = q.code[:0]
-	q.treeHead = prog == nil || (head.Kind != logic.Compound && head.Kind != logic.Atom)
+	q.treeHead = head.Kind != logic.Compound && head.Kind != logic.Atom
 	if !q.treeHead {
 		if cap(q.seen) < q.numVars {
 			q.seen = make([]bool, q.numVars)
@@ -102,11 +101,7 @@ func (q *Query) compileBody(prog *program, body []logic.Literal) int {
 		if v >= numVars {
 			numVars = v + 1
 		}
-		fr := goalFrame{lit: body[i], ground: v < 0}
-		if prog != nil {
-			fr.cp = prog.staticPred(fr.lit)
-		}
-		q.frames = append(q.frames, fr)
+		q.frames = append(q.frames, goalFrame{lit: body[i], ground: v < 0, cp: prog.staticPred(body[i])})
 	}
 	return numVars
 }
@@ -114,23 +109,21 @@ func (q *Query) compileBody(prog *program, body []logic.Literal) int {
 // Existence queries take fast paths that charge work they do not run: the
 // candidate filter (vm.go), the ground-call memo (memo.go) and query packs
 // (pack.go). Each is exact up to the first budget event — an inference or
-// depth cut anywhere — and none tries past it: past a cutoff the interpreter's
-// charges include how its goal stack unwinds. So a fast proof that sees one
-// is proved once more in exact mode, the compiled VM with no filter, no memo
-// and no pack (proveExact). Solve and Prove, ProveQuery, memo recordings and
-// re-proofs always run exact; the interpreter has no fast path and nothing to
-// re-prove.
+// depth cut anywhere — and none tries past it: past a cutoff the seed
+// engine's charges include how its goal stack unwinds. So a fast proof that
+// sees one is proved once more in exact mode, the compiled VM with no filter,
+// no memo and no pack (proveExact). Solve and Prove, ProveQuery, memo
+// recordings and re-proofs always run exact.
 
 // CoversQuery reports whether the compiled rule covers the ground example
 // atom: CoversExample with the per-rule work already done.
 func (m *Machine) CoversQuery(q *Query, example logic.Term) bool {
 	m.beginQuery(q.numVars)
 	q = m.current(q)
-	fast := m.prog != nil
-	m.memoOn = fast
+	m.memoOn = true
 	found := m.proveQuery(q, example, stopAtFirst)
 	m.memoOn = false
-	if fast && m.budgetHit {
+	if m.budgetHit {
 		m.work = m.mark // the fast proof is not reported, so not counted
 		return m.proveExact(q, example)
 	}
@@ -152,8 +145,8 @@ func (m *Machine) proveExact(q *Query, example logic.Term) bool {
 }
 
 // current returns q, or — when q was compiled for another program than the
-// machine's current one (the KB was extended or swapped, or the engine
-// toggled), so its cp pointers are stale — q recompiled into the machine's
+// machine's current one (the KB was extended or swapped), so its cp
+// pointers are stale — q recompiled into the machine's
 // own scratch; q may be shared and stays untouched.
 func (m *Machine) current(q *Query) *Query {
 	if q.prog == m.prog {

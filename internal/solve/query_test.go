@@ -21,7 +21,7 @@ func runCovers(m *Machine, cover func() bool) coverRun {
 
 // TestQueryRecompilesOnProgramChange pins the program-identity check: a
 // held Query whose machine has since moved to another compiled program — the
-// KB grew, was swapped, or the engine was toggled — must answer and charge
+// KB grew or was swapped — must answer and charge
 // exactly as the oracle does, never run its stale dispatch.
 func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	const src = `
@@ -76,18 +76,6 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 	}
 	check("after SetKB", m, &q, want)
 
-	// Engine toggle: the compiled query on an interpreter machine, and an
-	// interpreter-form query back on the VM.
-	m.SetNoVM(true)
-	check("after SetNoVM(true)", m, &q, fresh(clone))
-	var qi Query
-	m.CompileQuery(&qi, &rule)
-	m.SetNoVM(false)
-	check("interpreter-form query on the VM", m, &qi, fresh(clone))
-
-	if envNoVM {
-		return
-	}
 	// Recompiling queries never recompiles a KB: one build per KB version
 	// (kb was compiled before and after its Adds, the clone once).
 	if n := kb.Compilations(); n != 2 {
@@ -110,33 +98,30 @@ func TestCoversQueryAllocFree(t *testing.T) {
 		logic.MustParseClause("active(m7)."),
 	}
 	ex := logic.MustParseTerm("active(m7)")
-	for _, novm := range []bool{false, true} {
-		m := NewMachine(kb, DefaultBudget)
-		m.SetNoVM(novm)
-		var q Query
-		m.CompileQuery(&q, &rules[0])
-		if !m.CoversQuery(&q, ex) {
-			t.Fatal("not covered")
-		}
-		replayed := m.ReplayedInferences()
-		if n := testing.AllocsPerRun(50, func() { m.CoversQuery(&q, ex) }); n != 0 {
-			t.Errorf("novm=%v: CoversQuery allocates %v per call", novm, n)
-		}
-		// heavy(m7) is a ground call to a rule: with the memo warm, every
-		// measured run replays it.
-		if !m.NoVM() && m.ReplayedInferences()-replayed < 50 {
-			t.Errorf("novm=%v: the measured runs replayed %d inferences", novm, m.ReplayedInferences()-replayed)
-		}
-		if n := testing.AllocsPerRun(50, func() { m.CoversExample(&rules[0], ex) }); n != 0 {
-			t.Errorf("novm=%v: CoversExample allocates %v per call", novm, n)
-		}
-		i := 0
-		if n := testing.AllocsPerRun(50, func() {
-			m.CompileQuery(&q, &rules[i%len(rules)])
-			m.CoversQuery(&q, ex)
-			i++
-		}); n != 0 {
-			t.Errorf("novm=%v: recompiling per rule allocates %v per rule", novm, n)
-		}
+	m := NewMachine(kb, DefaultBudget)
+	var q Query
+	m.CompileQuery(&q, &rules[0])
+	if !m.CoversQuery(&q, ex) {
+		t.Fatal("not covered")
+	}
+	replayed := m.ReplayedInferences()
+	if n := testing.AllocsPerRun(50, func() { m.CoversQuery(&q, ex) }); n != 0 {
+		t.Errorf("CoversQuery allocates %v per call", n)
+	}
+	// heavy(m7) is a ground call to a rule: with the memo warm, every
+	// measured run replays it.
+	if m.ReplayedInferences()-replayed < 50 {
+		t.Errorf("the measured runs replayed %d inferences", m.ReplayedInferences()-replayed)
+	}
+	if n := testing.AllocsPerRun(50, func() { m.CoversExample(&rules[0], ex) }); n != 0 {
+		t.Errorf("CoversExample allocates %v per call", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		m.CompileQuery(&q, &rules[i%len(rules)])
+		m.CoversQuery(&q, ex)
+		i++
+	}); n != 0 {
+		t.Errorf("recompiling per rule allocates %v per rule", n)
 	}
 }

@@ -1,46 +1,43 @@
 package solve
 
 import (
-	"os"
-
 	"repro/internal/logic"
 )
 
-// This file is the bytecode VM: the dispatch loop that resolves a goal
-// against the compiled program from compile.go. It is an exact semantic
-// replica of the interpreter's resolveInterp path — same candidate order,
-// same charge() sites, same binding and trail traffic, same budget cutoff
-// behaviour — with the per-candidate decisions (index merge, head shape
-// dispatch, groundness probing) moved to compile time.
+// This file is the bytecode VM, the engine's one prover: the dispatch loop
+// that resolves a goal against the compiled program from compile.go. What it
+// must reproduce is the seed engine's (refMachine, differential_test.go) —
+// the candidates KB.lookup selects, in their order, one charge() per
+// candidate tried and per goal step, the same budget cutoffs and the same
+// solutions in the same order — with the per-candidate decisions (index
+// merge, head shape dispatch, groundness probing) moved to compile time.
 //
-// Beyond compiled dispatch, the VM's data-movement win over the interpreter
-// is the goal-argument walk cache: within one resolution step every
-// candidate sees the goal's arguments under the same bindings (each
-// candidate's bindings are undone before the next is tried), so arguments
-// can be dereferenced once per step instead of once per argument per
-// candidate. Because existence queries usually stop at the first matching
-// candidate, the cache is filled lazily — the first candidate walks live,
-// and the cache is built only when a second candidate is actually run.
+// Beyond compiled dispatch, the VM's data-movement win is the goal-argument
+// walk cache: within one resolution step every candidate sees the goal's
+// arguments under the same bindings (each candidate's bindings are undone
+// before the next is tried), so arguments can be dereferenced once per step
+// instead of once per argument per candidate. Because existence queries
+// usually stop at the first matching candidate, the cache is filled lazily —
+// the first candidate walks live, and the cache is built only when a second
+// candidate is actually run.
 //
-// The one place the VM executes less than the interpreter is the candidate
+// The one place the VM executes less than it charges for is the candidate
 // filter, a fast path on only while Machine.memoOn: on a list long enough to
 // carry constant keys (candList.keys), a candidate whose head constants
 // disagree with the goal's is charged like any other but its head stream —
 // which could only fail and undo itself — is not run (runCands,
 // Machine.chargeN). Up to the first budget event the charge sequence is the
-// interpreter's; past one, the query is proved again in exact mode.
+// seed engine's; past one, the query is proved again in exact mode.
 
-// envNoVM force-disables the VM process-wide (the CI toggle for running the
-// whole suite on the interpreter reference path).
-var envNoVM = os.Getenv("ILP_NOVM") != ""
-
-// SetNoVM selects the clause-resolution engine for this machine: true pins
-// the tree-walking interpreter, false (the default) uses the compiled VM.
-// The ILP_NOVM environment variable forces the interpreter regardless.
-func (m *Machine) SetNoVM(no bool) { m.novm = no || envNoVM }
-
-// NoVM reports whether this machine is pinned to the interpreter.
-func (m *Machine) NoVM() bool { return m.novm }
+// SetNoVM once chose the tree-walking interpreter, which is gone: the compiled
+// VM is the only prover. It survives only because bench/ passes it
+// search.Settings.NoVM, which is always false, until ROADMAP 3(a) deletes both
+// names. false changes nothing; true panics.
+func (m *Machine) SetNoVM(no bool) {
+	if no {
+		panic("solve: SetNoVM(true): the tree-walking interpreter is gone, the compiled VM is the only prover (ROADMAP 3(a) deletes SetNoVM)")
+	}
+}
 
 // walked is one cached goal-argument dereference: the walked term plus the
 // renaming offset still pending for its subterms (see Bindings.WalkOff).
@@ -154,11 +151,10 @@ func (m *Machine) fillWalkCache(st *stepState, goal logic.Term, off int) bool {
 
 // resolveVM resolves goal against its compiled predicate (statically patched
 // into the goal frame for compiled body literals, dynamically dispatched via
-// program.predFor otherwise), mirroring resolveInterp step for step: select
-// the candidate list the interpreter's index selection would scan, then per
-// candidate charge the budget, match the head (equality stream for
-// ground-fact/ground-goal pairs, head stream otherwise), push the precompiled
-// body frames and recurse.
+// program.predFor otherwise): select the candidate list KB.lookup's index
+// selection would scan, then per candidate charge the budget, match the head
+// (equality stream for ground-fact/ground-goal pairs, head stream
+// otherwise), push the precompiled body frames and recurse.
 func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalFrame, k func() bool) bool {
 	var st stepState
 	list := cp.all
@@ -226,7 +222,7 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 //
 // A candidate the step's filter rejects is not run: its head stream would
 // fail and leave no trace (nothing stays bound, nextVar is restored), so all
-// the interpreter does for it that anyone can observe is charge(). Those
+// that running it does that anyone can observe is charge(). Those
 // charges are owed in candidate order, and chargeN pays a run of them at
 // once right before the next candidate that does run — which is where the
 // next observable thing happens — and at the end of the list; one that
@@ -384,7 +380,7 @@ func (m *Machine) runHeadCached(code []instr, skip int32, base int, cache []walk
 
 // runHead is runHeadCached's fallback when the cache is cold or unsafe:
 // identical dispatch, but every instruction dereferences its goal argument
-// live, as the interpreter does. prefix marks how many leading cache entries
+// live. prefix marks how many leading cache entries
 // still equal a fresh walk; only the first executed instruction may consume
 // one — before it nothing has been bound since the entries were walked,
 // while later instructions must re-walk because an earlier instruction of
@@ -478,9 +474,8 @@ func (m *Machine) runEq(code []instr, skip int32, goal logic.Term, off int) bool
 
 // pushFrames block-copies a clause's precompiled body frames onto the goal
 // stack, patching in the renaming offset and depth. The frames are already
-// in push (reverse) order with static groundness flags baked in, so this is
-// the compiled equivalent of pushGoals. It also keeps Machine.deepest, which a
-// ground-call recording (memo.go) reads back.
+// in push (reverse) order with static groundness flags baked in. It also
+// keeps Machine.deepest, which a ground-call recording (memo.go) reads back.
 func (m *Machine) pushFrames(frames []goalFrame, off, depth int32) {
 	if len(frames) == 0 {
 		return
