@@ -1,7 +1,6 @@
 // Command ilpbench regenerates the paper's evaluation: Tables 1–6 of
-// "A pipelined data-parallel algorithm for ILP" (CLUSTER 2005), plus two
-// ablations (pipeline-width sweep; comparison against the related-work
-// parallel-coverage-testing baseline).
+// "A pipelined data-parallel algorithm for ILP" (CLUSTER 2005), plus the
+// design-choice Ablations A–E (DESIGN.md §4).
 //
 // Examples:
 //
@@ -15,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -72,7 +72,7 @@ func main() {
 		}()
 	}
 
-	procs, err := parseInts(*procsArg)
+	procs, err := parseProcs(*procsArg)
 	if err != nil {
 		fail(err)
 	}
@@ -98,25 +98,15 @@ func main() {
 		dss = filtered
 	}
 
-	switch *ablation {
-	case "":
-	case "width":
-		runWidthAblation(dss, *folds, *seed, *quiet)
+	var progress io.Writer = os.Stderr
+	if *quiet {
+		progress = nil
+	}
+	if *ablation != "" {
+		if err := runAblation(os.Stdout, *ablation, dss, *scale, *folds, *seed, progress); err != nil {
+			fail(err)
+		}
 		return
-	case "parcov":
-		runParcovAblation(dss, *folds, *seed, *quiet)
-		return
-	case "repartition":
-		runRepartitionAblation(dss, *folds, *seed, *quiet)
-		return
-	case "noise":
-		runNoiseAblation(*scale, *folds, *seed, *quiet)
-		return
-	case "balance":
-		runBalanceAblation(*scale, *folds, *seed, *quiet)
-		return
-	default:
-		fail(fmt.Errorf("unknown ablation %q (have width, parcov, repartition, noise, balance)", *ablation))
 	}
 
 	if !*all && (*table < 1 || *table > 6) {
@@ -130,10 +120,6 @@ func main() {
 		Folds:            *folds,
 		Seed:             *seed,
 		CoverParallelism: *coverPar,
-	}
-	progress := os.Stderr
-	if *quiet {
-		progress = nil
 	}
 	fmt.Fprintf(os.Stderr, "ilpbench: scale %.2f, %d folds, procs %v, widths %v\n", *scale, *folds, procs, widths)
 	res, err := harness.Run(cfg, progress)
@@ -170,122 +156,103 @@ func main() {
 	}
 }
 
-func runWidthAblation(dss []*datasets.Dataset, folds int, seed int64, quiet bool) {
-	progress := os.Stderr
-	if quiet {
-		progress = nil
+// runAblation learns the named ablation and renders it to w: one table per
+// dataset for width, parcov and repartition, one table for noise and
+// balance, which build their own tasks at the given scale.
+func runAblation(w io.Writer, name string, dss []*datasets.Dataset, scale float64, folds int, seed int64, progress io.Writer) error {
+	cost := harness.DefaultCost()
+	render := func(ab *harness.Ablation, err error) error {
+		if err == nil {
+			ab.Render(w)
+		}
+		return err
+	}
+	var perDataset func(*datasets.Dataset) (*harness.Ablation, error)
+	switch name {
+	case "width":
+		perDataset = func(ds *datasets.Dataset) (*harness.Ablation, error) {
+			return harness.RunWidthAblation(ds, 8, nil, folds, seed, cost, progress)
+		}
+	case "parcov":
+		perDataset = func(ds *datasets.Dataset) (*harness.Ablation, error) {
+			return harness.RunParcovAblation(ds, nil, folds, seed, cost, progress)
+		}
+	case "repartition":
+		perDataset = func(ds *datasets.Dataset) (*harness.Ablation, error) {
+			return harness.RunRepartitionAblation(ds, 8, folds, seed, cost, progress)
+		}
+	case "noise":
+		ds, err := datasets.ByNameScaled("pyrimidines", scale, seed)
+		if err != nil {
+			return err
+		}
+		return render(harness.RunNoiseAblation(len(ds.Pos), len(ds.Neg), 4, folds, nil, seed, progress))
+	case "balance":
+		return render(harness.RunBalanceAblation(max(int(200*scale), 32), 4, folds, 0.25, seed, cost, progress))
+	default:
+		return fmt.Errorf("unknown ablation %q (have width, parcov, repartition, noise, balance)", name)
 	}
 	for _, ds := range dss {
-		ab, err := harness.RunWidthAblation(ds, 8, nil, folds, seed, harness.DefaultCost(), progress)
-		if err != nil {
-			fail(err)
+		if err := render(perDataset(ds)); err != nil {
+			return err
 		}
-		ab.Render(os.Stdout)
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
-func runRepartitionAblation(dss []*datasets.Dataset, folds int, seed int64, quiet bool) {
-	progress := os.Stderr
-	if quiet {
-		progress = nil
-	}
-	for _, ds := range dss {
-		ab, err := harness.RunRepartitionAblation(ds, 8, folds, seed, harness.DefaultCost(), progress)
-		if err != nil {
-			fail(err)
-		}
-		ab.Render(os.Stdout)
-		fmt.Println()
-	}
-}
-
-func runNoiseAblation(scale float64, folds int, seed int64, quiet bool) {
-	progress := os.Stderr
-	if quiet {
-		progress = nil
-	}
-	ds, err := datasets.ByNameScaled("pyrimidines", scale, seed)
-	if err != nil {
-		fail(err)
-	}
-	ab, err := harness.RunNoiseAblation(len(ds.Pos), len(ds.Neg), 4, folds, nil, seed, progress)
-	if err != nil {
-		fail(err)
-	}
-	ab.Render(os.Stdout)
-}
-
-func runBalanceAblation(scale float64, folds int, seed int64, quiet bool) {
-	progress := os.Stderr
-	if quiet {
-		progress = nil
-	}
-	n := int(200 * scale)
-	if n < 32 {
-		n = 32
-	}
-	ab, err := harness.RunBalanceAblation(n, 4, folds, 0.25, seed, harness.DefaultCost(), progress)
-	if err != nil {
-		fail(err)
-	}
-	ab.Render(os.Stdout)
-}
-
-func runParcovAblation(dss []*datasets.Dataset, folds int, seed int64, quiet bool) {
-	progress := os.Stderr
-	if quiet {
-		progress = nil
-	}
-	for _, ds := range dss {
-		ab, err := harness.RunParcovAblation(ds, nil, folds, seed, harness.DefaultCost(), progress)
-		if err != nil {
-			fail(err)
-		}
-		ab.Render(os.Stdout)
-		fmt.Println()
-	}
-}
-
-func parseInts(s string) ([]int, error) {
+// parseList reads a comma-separated list flag, parsing each entry with
+// parse. It refuses a value listed twice: both runs of that cell would be
+// filed under one harness.Key.
+func parseList(flag, s string, parse func(string) (int, error)) ([]int, error) {
 	var out []int
+	seen := map[int]bool{}
 	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+		if part = strings.TrimSpace(part); part == "" {
 			continue
 		}
-		v, err := strconv.Atoi(part)
+		v, err := parse(part)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", part)
+			return nil, err
 		}
+		if seen[v] {
+			return nil, fmt.Errorf("%s: %q repeats an earlier entry", flag, part)
+		}
+		seen[v] = true
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list %q", s)
+		return nil, fmt.Errorf("%s: empty list %q", flag, s)
 	}
 	return out, nil
 }
 
-func parseWidths(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		switch {
-		case part == "":
-		case part == "nolimit" || part == "0":
-			out = append(out, harness.WidthUnlimited)
-		default:
-			v, err := strconv.Atoi(part)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("bad width %q", part)
-			}
-			out = append(out, v)
+// parseProcs reads -procs: processor counts, each at least 1.
+func parseProcs(s string) ([]int, error) {
+	return parseList("-procs", s, func(part string) (int, error) {
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return 0, fmt.Errorf("bad integer %q", part)
 		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty widths %q", s)
-	}
-	return out, nil
+		if v < 1 {
+			return 0, fmt.Errorf("-procs %d: a run needs at least 1 processor", v)
+		}
+		return v, nil
+	})
+}
+
+// parseWidths reads -widths: 'nolimit' (or 0) and positive widths.
+func parseWidths(s string) ([]int, error) {
+	return parseList("-widths", s, func(part string) (int, error) {
+		if part == "nolimit" {
+			return harness.WidthUnlimited, nil
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil || v < 0 {
+			return 0, fmt.Errorf("bad width %q", part)
+		}
+		return v, nil
+	})
 }
 
 func fail(err error) {

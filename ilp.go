@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/covering"
 	"repro/internal/datasets"
+	"repro/internal/harness"
 	"repro/internal/logic"
 	"repro/internal/mode"
 	"repro/internal/parcov"
@@ -45,7 +46,6 @@ import (
 	"repro/internal/solve"
 	"repro/internal/stats"
 	"repro/internal/theory"
-	"repro/internal/xval"
 )
 
 // Re-exported types: the public API surface is expressed in terms of these
@@ -305,28 +305,12 @@ func (r *CVResult) MeanPar() float64 { return stats.Mean(r.ParAcc) }
 // comparing the sequential baseline against p²-mdie with the given worker
 // count and width on each fold.
 func CrossValidate(ds *Dataset, k, workers, width int, seed int64) (*CVResult, error) {
-	folds, err := xval.KFold(ds.Pos, ds.Neg, k, seed)
-	if err != nil {
-		return nil, err
-	}
 	res := &CVResult{Folds: k}
-	for fi, fold := range folds {
-		ex := search.NewExamples(fold.TrainPos, fold.TrainNeg)
-		seq, err := covering.Learn(ds.KB, ex, ds.Modes, covering.Config{
-			Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.SeqAcc = append(res.SeqAcc, covering.Accuracy(ds.KB, seq.Theory, fold.TestPos, fold.TestNeg, ds.Budget))
-		par, err := core.Learn(ds.KB, fold.TrainPos, fold.TrainNeg, ds.Modes, core.Config{
-			Workers: workers, Width: width, Seed: seed + int64(fi),
-			Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.ParAcc = append(res.ParAcc, covering.Accuracy(ds.KB, par.Theory, fold.TestPos, fold.TestNeg, ds.Budget))
+	if _, _, err := harness.Paired(ds, k, workers, width, seed, func(_ int, seq, par harness.Record) {
+		res.SeqAcc = append(res.SeqAcc, seq.Acc)
+		res.ParAcc = append(res.ParAcc, par.Acc)
+	}); err != nil {
+		return nil, err
 	}
 	if tt, err := stats.PairedTTest(res.ParAcc, res.SeqAcc); err == nil {
 		res.TTest = tt

@@ -57,14 +57,7 @@ func (r *Results) RenderSpeedupChart(w io.Writer) {
 			grid[i] = []byte(strings.Repeat(" ", colW*len(r.Cfg.Procs)+4))
 		}
 		rowOf := func(v float64) int {
-			row := height - 1 - int(v/maxY*float64(height-1)+0.5)
-			if row < 0 {
-				row = 0
-			}
-			if row >= height {
-				row = height - 1
-			}
-			return row
+			return min(max(height-1-int(v/maxY*float64(height-1)+0.5), 0), height-1)
 		}
 		for pi, p := range r.Cfg.Procs {
 			col := 4 + pi*colW + colW/2

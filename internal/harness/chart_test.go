@@ -54,20 +54,13 @@ func TestNoiseAblation(t *testing.T) {
 		t.Fatalf("render: %s", out)
 	}
 	// Noise-free accuracy should dominate noisy accuracy for both learners.
-	if avg(ab.SeqAcc[0]) < avg(ab.SeqAcc[0.25]) {
-		t.Fatalf("sequential: noise-free (%v) worse than noisy (%v)", ab.SeqAcc[0], ab.SeqAcc[0.25])
+	clean, noisy := ab.Rows[0], ab.Rows[1]
+	if mean(clean.Seq, accOf) < mean(noisy.Seq, accOf) {
+		t.Fatalf("sequential: noise-free (%v) worse than noisy (%v)", col(clean.Seq, accOf), col(noisy.Seq, accOf))
 	}
-	if len(ab.ParAcc[0]) != 2 || len(ab.ParAcc[0.25]) != 2 {
-		t.Fatalf("missing folds: %+v", ab.ParAcc)
+	if len(clean.P2) != 2 || len(noisy.P2) != 2 {
+		t.Fatalf("missing folds: %+v", ab.Rows)
 	}
-}
-
-func avg(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 func TestRepartitionAblationHarness(t *testing.T) {
@@ -83,7 +76,7 @@ func TestRepartitionAblationHarness(t *testing.T) {
 	if !strings.Contains(buf.String(), "Ablation C") {
 		t.Fatalf("render: %s", buf.String())
 	}
-	if len(ab.Base["time"]) != 2 || len(ab.Repart["time"]) != 2 {
-		t.Fatalf("folds missing: %+v %+v", ab.Base, ab.Repart)
+	if len(ab.Rows) != 2 || len(ab.Rows[0].P2) != 2 || len(ab.Rows[1].P2) != 2 {
+		t.Fatalf("folds missing: %+v", ab.Rows)
 	}
 }

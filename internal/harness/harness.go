@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/covering"
 	"repro/internal/datasets"
+	"repro/internal/parcov"
 	"repro/internal/search"
 	"repro/internal/stats"
 	"repro/internal/xval"
@@ -72,154 +73,166 @@ type Key struct {
 	Procs   int
 }
 
-// Results holds per-fold measurements for every cell.
-type Results struct {
-	Cfg Config
-
-	// Sequential baseline per dataset, per fold.
-	SeqTime map[string][]float64 // virtual seconds
-	SeqAcc  map[string][]float64 // accuracy in [0,1]
-
-	// Parallel cells, per fold.
-	Time   map[Key][]float64 // virtual seconds
-	Comm   map[Key][]float64 // MBytes
-	Epochs map[Key][]float64
-	Acc    map[Key][]float64
-	Wall   map[Key][]float64 // real seconds (simulation cost; not a paper table)
-	// Rebal and Joined track the elastic-scheduling counters
-	// (core.Metrics.Rebalances / JoinedWorkers): zero throughout a
-	// conventional sweep, non-zero when a configuration opts into
-	// balancing or mid-run joins.
-	Rebal  map[Key][]float64
-	Joined map[Key][]float64
-	// Restarts and Orphans track the fault-tolerance counters
-	// (core.Metrics.MasterRestarts / OrphanReconnects): zero throughout a
-	// failure-free sweep, non-zero when a run survived a master
-	// crash-restart.
-	Restarts map[Key][]float64
-	Orphans  map[Key][]float64
-	// Flaps, Replayed and Fenced track the link-resilience counters
-	// (core.Metrics.LinkFlaps / ReplayedFrames / FencedFrames): zero on
-	// the simulated transport and on a flap-free TCP sweep, non-zero when
-	// a run absorbed transient link failures or fenced a stale master.
-	Flaps    map[Key][]float64
-	Replayed map[Key][]float64
-	Fenced   map[Key][]float64
-
-	// Links keeps the first fold's per-link traffic table per cell — the
-	// drill-down behind Table 4's averages. The same accounting backs a
-	// TCP deployment's tables (core.Metrics.Traffic), so these numbers are
+// Record is one learner's measurements on one fold: every quantity behind
+// Tables 2–6 and Ablations A–E.
+type Record struct {
+	Time   float64 // virtual seconds
+	MB     float64 // payload MBytes exchanged
+	Msgs   float64 // messages exchanged
+	Epochs float64
+	Acc    float64 // held-out accuracy in [0,1]
+	Wall   float64 // real seconds (simulation cost; not a paper table)
+	Rebal  float64 // completed redeal barriers (core.Metrics.Rebalances)
+	// Links is the per-link traffic table behind MB — the drill-down
+	// behind Table 4's averages. The same accounting backs a TCP
+	// deployment's tables (core.Metrics.Traffic), so these numbers are
 	// directly comparable to a real cluster run's.
-	Links map[Key]cluster.Traffic
+	Links cluster.Traffic
 }
 
-func newResults(cfg Config) *Results {
-	return &Results{
-		Cfg:      cfg,
-		SeqTime:  map[string][]float64{},
-		SeqAcc:   map[string][]float64{},
-		Time:     map[Key][]float64{},
-		Comm:     map[Key][]float64{},
-		Epochs:   map[Key][]float64{},
-		Acc:      map[Key][]float64{},
-		Wall:     map[Key][]float64{},
-		Rebal:    map[Key][]float64{},
-		Joined:   map[Key][]float64{},
-		Restarts: map[Key][]float64{},
-		Orphans:  map[Key][]float64{},
-		Flaps:    map[Key][]float64{},
-		Replayed: map[Key][]float64{},
-		Fenced:   map[Key][]float64{},
-		Links:    map[Key]cluster.Traffic{},
+func timeOf(r Record) float64   { return r.Time }
+func mbOf(r Record) float64     { return r.MB }
+func msgsOf(r Record) float64   { return r.Msgs }
+func epochsOf(r Record) float64 { return r.Epochs }
+func accOf(r Record) float64    { return r.Acc }
+func wallOf(r Record) float64   { return r.Wall }
+func rebalOf(r Record) float64  { return r.Rebal }
+
+// col reads one quantity off every run, in fold order.
+func col(runs []Record, of func(Record) float64) []float64 {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		out[i] = of(r)
+	}
+	return out
+}
+
+// mean is the fold mean of one quantity.
+func mean(runs []Record, of func(Record) float64) float64 { return stats.Mean(col(runs, of)) }
+
+// Results holds every fold's runs for every cell.
+type Results struct {
+	Cfg Config
+	Seq map[string][]Record // sequential baseline per dataset
+	Par map[Key][]Record    // p²-mdie per cell
+}
+
+// splitError is a fold split's failure, told apart from a learner's.
+type splitError struct{ error }
+
+// eachFold splits ds into k stratified folds with seed and calls fn on each
+// in order, stopping at the first error.
+func eachFold(ds *datasets.Dataset, k int, seed int64, fn func(fi int, f xval.Fold) error) error {
+	folds, err := xval.KFold(ds.Pos, ds.Neg, k, seed)
+	if err != nil {
+		return splitError{err}
+	}
+	for fi, f := range folds {
+		if err := fn(fi, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// learnSeq runs the sequential baseline (Fig. 1) on one fold. Virtual time
+// for one CPU is total work × the cost model's per-inference cost.
+func learnSeq(ds *datasets.Dataset, f xval.Fold, cost cluster.CostModel, coverPar int) (Record, error) {
+	seq, err := covering.Learn(ds.KB, search.NewExamples(f.TrainPos, f.TrainNeg), ds.Modes, covering.Config{
+		Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
+		CoverParallelism: coverPar,
+	})
+	if err != nil {
+		return Record{}, err
+	}
+	ns := cost.NsPerInference
+	if ns <= 0 {
+		ns = cluster.DefaultCostModel.NsPerInference
+	}
+	return Record{
+		Time: float64(seq.Inferences) * ns / 1e9,
+		Acc:  covering.Accuracy(ds.KB, seq.Theory, f.TestPos, f.TestNeg, ds.Budget),
+	}, nil
+}
+
+// learnP2 runs p²-mdie on one fold; cfg's search, saturation and proof
+// settings are the dataset's.
+func learnP2(ds *datasets.Dataset, f xval.Fold, cfg core.Config) (Record, error) {
+	cfg.Search, cfg.Bottom, cfg.Budget = ds.Search, ds.Bottom, ds.Budget
+	met, err := core.Learn(ds.KB, f.TrainPos, f.TrainNeg, ds.Modes, cfg)
+	if err != nil {
+		return Record{}, err
+	}
+	return Record{
+		Time: met.VirtualTime.Seconds(), MB: float64(met.CommBytes) / 1e6, Msgs: float64(met.CommMessages),
+		Epochs: float64(met.Epochs), Rebal: float64(met.Rebalances),
+		Acc:  covering.Accuracy(ds.KB, met.Theory, f.TestPos, f.TestNeg, ds.Budget),
+		Wall: met.WallTime.Seconds(), Links: met.Traffic,
+	}, nil
+}
+
+// learnParcov runs the parallel-coverage-testing baseline (§6) on one
+// fold; cfg's search, saturation and proof settings are the dataset's.
+func learnParcov(ds *datasets.Dataset, f xval.Fold, cfg parcov.Config) (Record, error) {
+	cfg.Search, cfg.Bottom, cfg.Budget = ds.Search, ds.Bottom, ds.Budget
+	met, err := parcov.Learn(ds.KB, f.TrainPos, f.TrainNeg, ds.Modes, cfg)
+	if err != nil {
+		return Record{}, err
+	}
+	return Record{
+		Time: met.VirtualTime.Seconds(), MB: float64(met.CommBytes) / 1e6, Msgs: float64(met.CommMessages),
+		Acc:  covering.Accuracy(ds.KB, met.Theory, f.TestPos, f.TestNeg, ds.Budget),
+		Wall: met.WallTime.Seconds(), Links: met.Traffic,
+	}, nil
+}
+
+// logger prints to progress, or nowhere when it is nil.
+func logger(progress io.Writer) func(format string, args ...any) {
+	return func(format string, args ...any) {
+		if progress != nil {
+			fmt.Fprintf(progress, format, args...)
+		}
 	}
 }
 
 // Run executes the sweep, reporting progress to progress when non-nil.
 func Run(cfg Config, progress io.Writer) (*Results, error) {
 	cfg = cfg.WithDefaults()
-	res := newResults(cfg)
-	logf := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format, args...)
-		}
-	}
+	res := &Results{Cfg: cfg, Seq: map[string][]Record{}, Par: map[Key][]Record{}}
+	logf := logger(progress)
 	for _, ds := range cfg.Datasets {
-		folds, err := xval.KFold(ds.Pos, ds.Neg, cfg.Folds, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", ds.Name, err)
-		}
-		for fi, fold := range folds {
-			foldSeed := cfg.Seed + int64(100*fi+7)
-			// Sequential baseline (Fig. 1). Virtual time for one CPU is
-			// total work × the cost model's per-inference cost.
-			ex := search.NewExamples(fold.TrainPos, fold.TrainNeg)
-			seq, err := covering.Learn(ds.KB, ex, ds.Modes, covering.Config{
-				Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
-				CoverParallelism: cfg.CoverParallelism,
-			})
+		err := eachFold(ds, cfg.Folds, cfg.Seed, func(fi int, fold xval.Fold) error {
+			seq, err := learnSeq(ds, fold, cfg.Cost, cfg.CoverParallelism)
 			if err != nil {
-				return nil, fmt.Errorf("harness: %s fold %d sequential: %w", ds.Name, fi, err)
+				return fmt.Errorf("harness: %s fold %d sequential: %w", ds.Name, fi, err)
 			}
-			model := cfg.Cost
-			seqSecs := float64(seq.Inferences) * modelNsPerInference(model) / 1e9
-			res.SeqTime[ds.Name] = append(res.SeqTime[ds.Name], seqSecs)
-			seqAcc := covering.Accuracy(ds.KB, seq.Theory, fold.TestPos, fold.TestNeg, ds.Budget)
-			res.SeqAcc[ds.Name] = append(res.SeqAcc[ds.Name], seqAcc)
-			logf("%s fold %d: sequential %.2fs (virtual), accuracy %.2f%%\n", ds.Name, fi+1, seqSecs, 100*seqAcc)
-
+			res.Seq[ds.Name] = append(res.Seq[ds.Name], seq)
+			logf("%s fold %d: sequential %.2fs (virtual), accuracy %.2f%%\n", ds.Name, fi+1, seq.Time, 100*seq.Acc)
 			for _, w := range cfg.Widths {
 				for _, p := range cfg.Procs {
-					met, err := core.Learn(ds.KB, fold.TrainPos, fold.TrainNeg, ds.Modes, core.Config{
-						Workers: p,
-						Width:   w,
-						Seed:    foldSeed,
-						Search:  ds.Search,
-						Bottom:  ds.Bottom,
-						Budget:  ds.Budget,
-						Cost:    cfg.Cost,
-
+					par, err := learnP2(ds, fold, core.Config{
+						Workers: p, Width: w, Seed: cfg.Seed + int64(100*fi+7), Cost: cfg.Cost,
 						CoverParallelism: cfg.CoverParallelism,
 					})
 					if err != nil {
-						return nil, fmt.Errorf("harness: %s fold %d p=%d w=%d: %w", ds.Name, fi, p, w, err)
+						return fmt.Errorf("harness: %s fold %d p=%d w=%d: %w", ds.Name, fi, p, w, err)
 					}
 					key := Key{Dataset: ds.Name, Width: w, Procs: p}
-					if _, seen := res.Links[key]; !seen {
-						res.Links[key] = met.Traffic
-					}
-					parSecs := met.VirtualTime.Seconds()
-					res.Time[key] = append(res.Time[key], parSecs)
-					res.Comm[key] = append(res.Comm[key], float64(met.CommBytes)/1e6)
-					res.Epochs[key] = append(res.Epochs[key], float64(met.Epochs))
-					acc := covering.Accuracy(ds.KB, met.Theory, fold.TestPos, fold.TestNeg, ds.Budget)
-					res.Acc[key] = append(res.Acc[key], acc)
-					res.Wall[key] = append(res.Wall[key], met.WallTime.Seconds())
-					res.Rebal[key] = append(res.Rebal[key], float64(met.Rebalances))
-					res.Joined[key] = append(res.Joined[key], float64(met.JoinedWorkers))
-					res.Restarts[key] = append(res.Restarts[key], float64(met.MasterRestarts))
-					res.Orphans[key] = append(res.Orphans[key], float64(met.OrphanReconnects))
-					res.Flaps[key] = append(res.Flaps[key], float64(met.LinkFlaps))
-					res.Replayed[key] = append(res.Replayed[key], float64(met.ReplayedFrames))
-					res.Fenced[key] = append(res.Fenced[key], float64(met.FencedFrames))
-					recovered := ""
-					if met.Recoveries > 0 || met.LostWorkers > 0 {
-						recovered = fmt.Sprintf(", recoveries=%d lost=%d", met.Recoveries, met.LostWorkers)
-					}
-					logf("%s fold %d: p=%d w=%s %.2fs, speedup %.2f, %d epochs, %.1f MB, accuracy %.2f%%%s\n",
-						ds.Name, fi+1, p, widthLabel(w), parSecs, seqSecs/parSecs, met.Epochs,
-						float64(met.CommBytes)/1e6, 100*acc, recovered)
+					res.Par[key] = append(res.Par[key], par)
+					logf("%s fold %d: p=%d w=%s %.2fs, speedup %.2f, %.0f epochs, %.1f MB, accuracy %.2f%%\n",
+						ds.Name, fi+1, p, widthLabel(w), par.Time, seq.Time/par.Time, par.Epochs, par.MB, 100*par.Acc)
 				}
 			}
+			return nil
+		})
+		if se, ok := err.(splitError); ok {
+			return nil, fmt.Errorf("harness: %s: %w", ds.Name, se.error)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
-}
-
-func modelNsPerInference(m cluster.CostModel) float64 {
-	if m.NsPerInference > 0 {
-		return m.NsPerInference
-	}
-	return cluster.DefaultCostModel.NsPerInference
 }
 
 func widthLabel(w int) string {
@@ -292,20 +305,16 @@ func (r *Results) RenderTable2(w io.Writer) {
 	r.renderCellTable(w,
 		fmt.Sprintf("Table 2. Average speedup observed for %s processors (pipeline width nolimit and 10)", procList(r.Cfg.Procs)),
 		false,
-		func(k Key) string {
-			sp := r.foldSpeedups(k)
-			return fmt.Sprintf("%.2f", stats.Mean(sp))
-		}, nil)
+		func(k Key) string { return fmt.Sprintf("%.2f", stats.Mean(r.foldSpeedups(k))) }, nil)
 }
 
 // foldSpeedups returns per-fold speedups for a cell.
 func (r *Results) foldSpeedups(k Key) []float64 {
-	seq := r.SeqTime[k.Dataset]
-	par := r.Time[k]
+	seq, par := r.Seq[k.Dataset], r.Par[k]
 	out := make([]float64, 0, len(par))
 	for i := range par {
 		if i < len(seq) {
-			out = append(out, stats.Speedup(seq[i], par[i]))
+			out = append(out, stats.Speedup(seq[i].Time, par[i].Time))
 		}
 	}
 	return out
@@ -317,8 +326,8 @@ func (r *Results) RenderTable3(w io.Writer) {
 	r.renderCellTable(w,
 		fmt.Sprintf("Table 3. Average execution time (in seconds, simulated cluster) for %s processors", procList(r.Cfg.Procs)),
 		true,
-		func(k Key) string { return fmt.Sprintf("%.0f", stats.Mean(r.Time[k])) },
-		func(name string) string { return fmt.Sprintf("%.0f", stats.Mean(r.SeqTime[name])) })
+		func(k Key) string { return fmt.Sprintf("%.0f", mean(r.Par[k], timeOf)) },
+		func(name string) string { return fmt.Sprintf("%.0f", mean(r.Seq[name], timeOf)) })
 }
 
 // RenderTable4 prints average communication volume in MBytes.
@@ -326,7 +335,7 @@ func (r *Results) RenderTable4(w io.Writer) {
 	r.renderCellTable(w,
 		fmt.Sprintf("Table 4. Average communication exchanged (in MBytes) for %s processors", procList(r.Cfg.Procs)),
 		false,
-		func(k Key) string { return fmt.Sprintf("%.2f", stats.Mean(r.Comm[k])) }, nil)
+		func(k Key) string { return fmt.Sprintf("%.2f", mean(r.Par[k], mbOf)) }, nil)
 }
 
 // RenderLinkTraffic prints the per-link byte/message breakdown behind
@@ -334,14 +343,14 @@ func (r *Results) RenderTable4(w io.Writer) {
 // master; 1..p are the pipeline workers, so the worker→worker rows are the
 // kindStage hand-offs the width limit bounds.
 func (r *Results) RenderLinkTraffic(w io.Writer, k Key) {
-	tr, ok := r.Links[k]
-	if !ok {
+	runs := r.Par[k]
+	if len(runs) == 0 {
 		fmt.Fprintf(w, "no traffic recorded for %s w=%s p=%d\n", k.Dataset, widthLabel(k.Width), k.Procs)
 		return
 	}
 	fmt.Fprintf(w, "Per-link traffic, %s w=%s p=%d (fold 1; node 0 = master)\n",
 		k.Dataset, widthLabel(k.Width), k.Procs)
-	fmt.Fprint(w, tr.String())
+	fmt.Fprint(w, runs[0].Links.String())
 }
 
 // RenderTable5 prints average epoch counts.
@@ -349,7 +358,7 @@ func (r *Results) RenderTable5(w io.Writer) {
 	r.renderCellTable(w,
 		fmt.Sprintf("Table 5. Average number of epochs for %s processors", procList(r.Cfg.Procs)),
 		false,
-		func(k Key) string { return fmt.Sprintf("%.0f", stats.Mean(r.Epochs[k])) }, nil)
+		func(k Key) string { return fmt.Sprintf("%.0f", mean(r.Par[k], epochsOf)) }, nil)
 }
 
 // RenderTable6 prints average predictive accuracy with standard deviations;
@@ -360,28 +369,35 @@ func (r *Results) RenderTable6(w io.Writer) {
 		fmt.Sprintf("Table 6. Average predictive accuracy (stddev) for %s processors; '*' = significant at 98%%", procList(r.Cfg.Procs)),
 		true,
 		func(k Key) string {
-			accs := r.Acc[k]
 			mark := ""
-			if res, err := stats.PairedTTest(accs, r.SeqAcc[k.Dataset]); err == nil && res.Significant(0.98) {
+			if significant(r.Par[k], r.Seq[k.Dataset]) {
 				mark = "*"
 			}
-			return fmt.Sprintf("%s%.2f (%.2f)", mark, 100*stats.Mean(accs), 100*stats.StdDev(accs))
+			return mark + accCell(r.Par[k])
 		},
-		func(name string) string {
-			return fmt.Sprintf("%.2f (%.2f)", 100*stats.Mean(r.SeqAcc[name]), 100*stats.StdDev(r.SeqAcc[name]))
-		})
+		func(name string) string { return accCell(r.Seq[name]) })
+}
+
+// significant reports whether par's accuracies differ from seq's, fold by
+// fold, at 98% confidence (paired t-test).
+func significant(par, seq []Record) bool {
+	res, err := stats.PairedTTest(col(par, accOf), col(seq, accOf))
+	return err == nil && res.Significant(0.98)
+}
+
+// accCell prints the fold-mean accuracy and its standard deviation, in
+// percent.
+func accCell(runs []Record) string {
+	accs := col(runs, accOf)
+	return fmt.Sprintf("%.2f (%.2f)", 100*stats.Mean(accs), 100*stats.StdDev(accs))
 }
 
 // RenderAll prints every table separated by blank lines.
 func (r *Results) RenderAll(w io.Writer) {
-	r.RenderTable1(w)
-	fmt.Fprintln(w)
-	r.RenderTable2(w)
-	fmt.Fprintln(w)
-	r.RenderTable3(w)
-	fmt.Fprintln(w)
-	r.RenderTable4(w)
-	fmt.Fprintln(w)
+	for _, table := range []func(io.Writer){r.RenderTable1, r.RenderTable2, r.RenderTable3, r.RenderTable4} {
+		table(w)
+		fmt.Fprintln(w)
+	}
 	// Table 4 drill-down: per-link traffic of each dataset's largest
 	// configuration.
 	if len(r.Cfg.Procs) > 0 && len(r.Cfg.Widths) > 0 {
@@ -399,22 +415,11 @@ func (r *Results) RenderAll(w io.Writer) {
 
 // RenderTable dispatches on the paper's table number (1–6).
 func (r *Results) RenderTable(n int, w io.Writer) error {
-	switch n {
-	case 1:
-		r.RenderTable1(w)
-	case 2:
-		r.RenderTable2(w)
-	case 3:
-		r.RenderTable3(w)
-	case 4:
-		r.RenderTable4(w)
-	case 5:
-		r.RenderTable5(w)
-	case 6:
-		r.RenderTable6(w)
-	default:
+	tables := []func(io.Writer){r.RenderTable1, r.RenderTable2, r.RenderTable3, r.RenderTable4, r.RenderTable5, r.RenderTable6}
+	if n < 1 || n > len(tables) {
 		return fmt.Errorf("harness: no table %d (paper has tables 1-6)", n)
 	}
+	tables[n-1](w)
 	return nil
 }
 
@@ -433,9 +438,7 @@ func (r *Results) ShapeChecks() []string {
 	}
 	maxP := 0
 	for _, p := range r.Cfg.Procs {
-		if p > maxP {
-			maxP = p
-		}
+		maxP = max(maxP, p)
 	}
 	for _, name := range r.datasetOrder() {
 		for _, width := range r.Cfg.Widths {
@@ -449,7 +452,7 @@ func (r *Results) ShapeChecks() []string {
 			// Epochs shrink (or hold) as processors grow.
 			eps := make([]float64, 0, len(r.Cfg.Procs))
 			for _, p := range r.Cfg.Procs {
-				eps = append(eps, stats.Mean(r.Epochs[Key{name, width, p}]))
+				eps = append(eps, mean(r.Par[Key{name, width, p}], epochsOf))
 			}
 			nonInc := true
 			for i := 1; i < len(eps); i++ {
@@ -459,19 +462,22 @@ func (r *Results) ShapeChecks() []string {
 			}
 			check(nonInc, "%s w=%s: epochs nonincreasing in p: %v", name, widthLabel(width), fmtFloats(eps))
 		}
-		// Width limit cuts communication at the largest p.
-		if len(r.Cfg.Widths) >= 2 {
-			unl := stats.Mean(r.Comm[Key{name, r.Cfg.Widths[0], maxP}])
-			lim := stats.Mean(r.Comm[Key{name, r.Cfg.Widths[1], maxP}])
-			check(lim <= unl, "%s: width-limited communication (%.2f MB) ≤ unlimited (%.2f MB) at p=%d", name, lim, unl, maxP)
+		// Every width limit cuts communication at the largest p.
+		if runs, ok := r.Par[Key{name, WidthUnlimited, maxP}]; ok {
+			unl := mean(runs, mbOf)
+			for _, width := range r.Cfg.Widths {
+				if width != WidthUnlimited {
+					lim := mean(r.Par[Key{name, width, maxP}], mbOf)
+					check(lim <= unl, "%s: width-limited communication (%.2f MB) ≤ unlimited (%.2f MB) at p=%d", name, lim, unl, maxP)
+				}
+			}
 		}
 		// Accuracy is preserved: no significant degradation.
 		degraded := false
 		for _, width := range r.Cfg.Widths {
 			for _, p := range r.Cfg.Procs {
-				key := Key{name, width, p}
-				res, err := stats.PairedTTest(r.Acc[key], r.SeqAcc[name])
-				if err == nil && res.Significant(0.98) && stats.Mean(r.Acc[key]) < stats.Mean(r.SeqAcc[name]) {
+				par := r.Par[Key{name, width, p}]
+				if significant(par, r.Seq[name]) && mean(par, accOf) < mean(r.Seq[name], accOf) {
 					degraded = true
 				}
 			}

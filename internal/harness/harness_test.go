@@ -48,21 +48,18 @@ func TestRunProducesAllCells(t *testing.T) {
 	res := sharedRun(t)
 	cfg := res.Cfg
 	for _, ds := range cfg.Datasets {
-		if got := len(res.SeqTime[ds.Name]); got != cfg.Folds {
+		if got := len(res.Seq[ds.Name]); got != cfg.Folds {
 			t.Fatalf("%s: %d sequential times, want %d", ds.Name, got, cfg.Folds)
 		}
 		for _, w := range cfg.Widths {
 			for _, p := range cfg.Procs {
 				k := Key{ds.Name, w, p}
-				if got := len(res.Time[k]); got != cfg.Folds {
-					t.Fatalf("cell %+v: %d times, want %d", k, got, cfg.Folds)
+				if got := len(res.Par[k]); got != cfg.Folds {
+					t.Fatalf("cell %+v: %d runs, want %d", k, got, cfg.Folds)
 				}
-				if got := len(res.Acc[k]); got != cfg.Folds {
-					t.Fatalf("cell %+v: %d accuracies", k, got)
-				}
-				for _, v := range res.Time[k] {
-					if v <= 0 {
-						t.Fatalf("cell %+v: nonpositive time %v", k, v)
+				for _, run := range res.Par[k] {
+					if run.Time <= 0 {
+						t.Fatalf("cell %+v: nonpositive time %v", k, run.Time)
 					}
 				}
 			}
@@ -137,8 +134,8 @@ func TestWidthAblation(t *testing.T) {
 	if !strings.Contains(buf.String(), "Ablation A") {
 		t.Fatalf("render: %s", buf.String())
 	}
-	if len(ab.Time[1]) != 2 || len(ab.Time[WidthUnlimited]) != 2 {
-		t.Fatalf("missing folds: %+v", ab.Time)
+	if len(ab.Rows) != 2 || len(ab.Rows[0].P2) != 2 || len(ab.Rows[1].P2) != 2 {
+		t.Fatalf("missing folds: %+v", ab.Rows)
 	}
 }
 
@@ -157,8 +154,8 @@ func TestParcovAblation(t *testing.T) {
 		t.Fatalf("render: %s", out)
 	}
 	// The defining contrast: parcov sends far more messages than p²-mdie.
-	if ab.PCMsgs[2][0] <= ab.P2Msgs[2][0] {
-		t.Fatalf("parcov messages (%v) should exceed p2 messages (%v)", ab.PCMsgs[2][0], ab.P2Msgs[2][0])
+	if pc, p2 := ab.Rows[0].Parcov[0].Msgs, ab.Rows[0].P2[0].Msgs; pc <= p2 {
+		t.Fatalf("parcov messages (%v) should exceed p2 messages (%v)", pc, p2)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // comparing BENCH_<n>.json files across commits can detect shape changes
 // instead of mis-parsing. Bump it when a field is renamed, removed, or
 // changes meaning; purely additive fields keep the version.
-const SummarySchemaVersion = 2
+const SummarySchemaVersion = 3
 
 // Summary is the machine-readable form of a harness run, emitted by
 // `ilpbench -json` and archived by CI as BENCH_<n>.json so benchmark
@@ -47,19 +47,6 @@ type CellSummary struct {
 	Epochs   float64 `json:"epochs"`
 	Accuracy float64 `json:"accuracy"`
 	WallS    float64 `json:"wall_s"`
-	// Rebalances and JoinedWorkers are the elastic-scheduling counters
-	// (fold means); zero for a conventional static-partition sweep.
-	Rebalances    float64 `json:"rebalances"`
-	JoinedWorkers float64 `json:"joined_workers"`
-	// MasterRestarts and OrphanReconnects are the fault-tolerance counters
-	// (fold means); zero for a failure-free sweep.
-	MasterRestarts   float64 `json:"master_restarts"`
-	OrphanReconnects float64 `json:"orphan_reconnects"`
-	// LinkFlaps, ReplayedFrames and FencedFrames are the link-resilience
-	// counters (fold means); zero for a flap-free sweep.
-	LinkFlaps      float64 `json:"link_flaps"`
-	ReplayedFrames float64 `json:"replayed_frames"`
-	FencedFrames   float64 `json:"fenced_frames"`
 }
 
 // Summary collapses the per-fold measurements into fold means.
@@ -77,28 +64,22 @@ func (r *Results) Summary() Summary {
 			Name:     name,
 			Pos:      pos,
 			Neg:      neg,
-			SeqTimeS: stats.Mean(r.SeqTime[name]),
-			SeqAcc:   stats.Mean(r.SeqAcc[name]),
+			SeqTimeS: mean(r.Seq[name], timeOf),
+			SeqAcc:   mean(r.Seq[name], accOf),
 		}
 		for _, w := range r.Cfg.Widths {
 			for _, p := range r.Cfg.Procs {
 				k := Key{Dataset: name, Width: w, Procs: p}
+				runs := r.Par[k]
 				d.Cells = append(d.Cells, CellSummary{
-					Procs:            p,
-					Width:            w,
-					TimeS:            stats.Mean(r.Time[k]),
-					Speedup:          stats.Mean(r.foldSpeedups(k)),
-					CommMB:           stats.Mean(r.Comm[k]),
-					Epochs:           stats.Mean(r.Epochs[k]),
-					Accuracy:         stats.Mean(r.Acc[k]),
-					WallS:            stats.Mean(r.Wall[k]),
-					Rebalances:       stats.Mean(r.Rebal[k]),
-					JoinedWorkers:    stats.Mean(r.Joined[k]),
-					MasterRestarts:   stats.Mean(r.Restarts[k]),
-					OrphanReconnects: stats.Mean(r.Orphans[k]),
-					LinkFlaps:        stats.Mean(r.Flaps[k]),
-					ReplayedFrames:   stats.Mean(r.Replayed[k]),
-					FencedFrames:     stats.Mean(r.Fenced[k]),
+					Procs:    p,
+					Width:    w,
+					TimeS:    mean(runs, timeOf),
+					Speedup:  stats.Mean(r.foldSpeedups(k)),
+					CommMB:   mean(runs, mbOf),
+					Epochs:   mean(runs, epochsOf),
+					Accuracy: mean(runs, accOf),
+					WallS:    mean(runs, wallOf),
 				})
 			}
 		}

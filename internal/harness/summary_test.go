@@ -31,6 +31,19 @@ func TestSummaryCoversEveryCell(t *testing.T) {
 			t.Fatalf("empty cell: %+v", c)
 		}
 	}
+
+	// Synthetic runs fold-mean through Summary() into the right cell.
+	k := Key{Dataset: "x", Width: 10, Procs: 2}
+	r2 := &Results{
+		Cfg: Config{Folds: 2, Seed: 1, Procs: []int{2}, Widths: []int{10}, Datasets: []*datasets.Dataset{{Name: "x"}}},
+		Seq: map[string][]Record{"x": {{Time: 4}, {Time: 6}}},
+		Par: map[Key][]Record{k: {{Time: 1, MB: 1, Wall: 0.5}, {Time: 3, MB: 4, Wall: 1.5}}},
+	}
+	c := r2.Summary().Datasets[0].Cells[0]
+	if c.TimeS != 2 || c.CommMB != 2.5 || c.WallS != 1 || c.Speedup != 3 {
+		t.Fatalf("fold means = time %v, comm %v, wall %v, speedup %v; want 2, 2.5, 1, 3",
+			c.TimeS, c.CommMB, c.WallS, c.Speedup)
+	}
 }
 
 func TestMarshalSummaryRoundTrips(t *testing.T) {
@@ -57,95 +70,5 @@ func TestMarshalSummaryRoundTrips(t *testing.T) {
 	}
 	if v, ok := raw["schema_version"].(float64); !ok || int(v) != SummarySchemaVersion {
 		t.Fatalf("raw schema_version = %v, want %d", raw["schema_version"], SummarySchemaVersion)
-	}
-}
-
-// TestSummaryCarriesElasticCounters pins the elastic-scheduling fields of
-// the machine-readable summary: present in the JSON (so BENCH artefacts can
-// track them across commits), zero for the conventional static sweep, and
-// faithfully fold-meaned when a run rebalanced or grew.
-func TestSummaryCarriesElasticCounters(t *testing.T) {
-	res := sharedRun(t)
-	s := res.Summary()
-	for _, c := range s.Datasets[0].Cells {
-		if c.Rebalances != 0 || c.JoinedWorkers != 0 {
-			t.Fatalf("static sweep reported elastic activity: %+v", c)
-		}
-	}
-	out, err := res.MarshalSummary(0.08)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(out, &raw); err != nil {
-		t.Fatal(err)
-	}
-	ds := raw["datasets"].([]any)[0].(map[string]any)
-	cell := ds["cells"].([]any)[0].(map[string]any)
-	if _, ok := cell["rebalances"]; !ok {
-		t.Fatalf("summary JSON cell lacks rebalances: %v", cell)
-	}
-	if _, ok := cell["joined_workers"]; !ok {
-		t.Fatalf("summary JSON cell lacks joined_workers: %v", cell)
-	}
-
-	// Synthetic results with elastic activity fold-mean through Summary()
-	// into the right cell fields.
-	ds2 := &datasets.Dataset{Name: "x"}
-	k := Key{Dataset: "x", Width: 10, Procs: 2}
-	r2 := newResults(Config{Folds: 2, Seed: 1, Procs: []int{2}, Widths: []int{10}, Datasets: []*datasets.Dataset{ds2}})
-	r2.Time[k] = []float64{1, 1}
-	r2.Rebal[k] = []float64{1, 3}
-	r2.Joined[k] = []float64{0, 1}
-	s2 := r2.Summary()
-	if len(s2.Datasets) != 1 || len(s2.Datasets[0].Cells) != 1 {
-		t.Fatalf("synthetic summary shape: %+v", s2)
-	}
-	c2 := s2.Datasets[0].Cells[0]
-	if c2.Rebalances != 2 || c2.JoinedWorkers != 0.5 {
-		t.Fatalf("elastic fold means = %v/%v, want 2/0.5", c2.Rebalances, c2.JoinedWorkers)
-	}
-}
-
-// TestSummaryCarriesLinkResilienceCounters pins the link-resilience fields
-// of the machine-readable summary: present in the JSON so chaos sweeps can
-// confirm a flap really happened (flaps > 0) and really healed (fenced and
-// recoveries 0), zero on a failure-free run, and fold-meaned like every
-// other cell metric.
-func TestSummaryCarriesLinkResilienceCounters(t *testing.T) {
-	res := sharedRun(t)
-	for _, c := range res.Summary().Datasets[0].Cells {
-		if c.LinkFlaps != 0 || c.ReplayedFrames != 0 || c.FencedFrames != 0 {
-			t.Fatalf("failure-free sweep reported link faults: %+v", c)
-		}
-	}
-	out, err := res.MarshalSummary(0.08)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(out, &raw); err != nil {
-		t.Fatal(err)
-	}
-	ds := raw["datasets"].([]any)[0].(map[string]any)
-	cell := ds["cells"].([]any)[0].(map[string]any)
-	for _, key := range []string{"link_flaps", "replayed_frames", "fenced_frames"} {
-		if _, ok := cell[key]; !ok {
-			t.Fatalf("summary JSON cell lacks %s: %v", key, cell)
-		}
-	}
-
-	// Synthetic results with link activity fold-mean through Summary().
-	ds2 := &datasets.Dataset{Name: "x"}
-	k := Key{Dataset: "x", Width: 10, Procs: 2}
-	r2 := newResults(Config{Folds: 2, Seed: 1, Procs: []int{2}, Widths: []int{10}, Datasets: []*datasets.Dataset{ds2}})
-	r2.Time[k] = []float64{1, 1}
-	r2.Flaps[k] = []float64{1, 3}
-	r2.Replayed[k] = []float64{10, 20}
-	r2.Fenced[k] = []float64{0, 4}
-	c2 := r2.Summary().Datasets[0].Cells[0]
-	if c2.LinkFlaps != 2 || c2.ReplayedFrames != 15 || c2.FencedFrames != 2 {
-		t.Fatalf("link-resilience fold means = %v/%v/%v, want 2/15/2",
-			c2.LinkFlaps, c2.ReplayedFrames, c2.FencedFrames)
 	}
 }

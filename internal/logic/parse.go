@@ -463,12 +463,3 @@ func ParseProgram(s string) ([]Clause, error) {
 	}
 	return out, nil
 }
-
-// MustParseProgram is ParseProgram, panicking on error.
-func MustParseProgram(s string) []Clause {
-	cs, err := ParseProgram(s)
-	if err != nil {
-		panic(err)
-	}
-	return cs
-}

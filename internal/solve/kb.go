@@ -217,9 +217,6 @@ func (kb *KB) AddSource(src string) error {
 // Size reports the number of stored clauses.
 func (kb *KB) Size() int { return kb.size }
 
-// NumPredicates reports the number of distinct predicate keys.
-func (kb *KB) NumPredicates() int { return len(kb.preds) }
-
 // Predicates returns the predicate keys in a deterministic order.
 func (kb *KB) Predicates() []logic.PredKey {
 	out := make([]logic.PredKey, 0, len(kb.preds))
@@ -349,20 +346,6 @@ func (kb *KB) AllClauses() []logic.Clause {
 		for _, sc := range p.rules {
 			out = append(out, sc.clause)
 		}
-	}
-	return out
-}
-
-// FactsFor returns the stored facts of a predicate in insertion order
-// (used by dataset tooling and tests).
-func (kb *KB) FactsFor(key logic.PredKey) []logic.Clause {
-	p := kb.preds[key]
-	if p == nil {
-		return nil
-	}
-	out := make([]logic.Clause, len(p.facts))
-	for i, sc := range p.facts {
-		out[i] = sc.clause
 	}
 	return out
 }
