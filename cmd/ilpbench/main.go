@@ -18,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,13 +39,17 @@ func main() {
 		only     = flag.String("dataset", "", "restrict to one dataset (carcinogenesis, mesh, pyrimidines)")
 		shape    = flag.Bool("shape", false, "print the qualitative shape checks after the tables")
 		chart    = flag.Bool("chart", false, "draw a text speedup-vs-processors chart after the tables")
-		coverPar = flag.Int("coverpar", 0, "shard coverage tests across N goroutines per learner (-1 = all cores, 0/1 = serial); results are identical, wall-clock drops")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 		jsonOut  = flag.String("json", "", "also write the run's machine-readable per-dataset summary (fold means of the Table 2-6 quantities) to this file, or '-' for stdout")
 		quiet    = flag.Bool("q", false, "suppress per-fold progress output")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModeFlags(set, *ablation); err != nil {
+		fail(err)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -114,12 +119,11 @@ func main() {
 	}
 
 	cfg := harness.Config{
-		Datasets:         dss,
-		Procs:            procs,
-		Widths:           widths,
-		Folds:            *folds,
-		Seed:             *seed,
-		CoverParallelism: *coverPar,
+		Datasets: dss,
+		Procs:    procs,
+		Widths:   widths,
+		Folds:    *folds,
+		Seed:     *seed,
 	}
 	fmt.Fprintf(os.Stderr, "ilpbench: scale %.2f, %d folds, procs %v, widths %v\n", *scale, *folds, procs, widths)
 	res, err := harness.Run(cfg, progress)
@@ -154,6 +158,38 @@ func main() {
 			fmt.Println("  " + c)
 		}
 	}
+}
+
+// ablationReaders names, for every flag that not every run reads, the
+// ablations that read it; the tables (-table, -all) read every flag. The
+// noise and balance ablations build their own tasks, so they read no
+// -dataset.
+var ablationReaders = map[string][]string{
+	"table":   nil,
+	"all":     nil,
+	"procs":   nil,
+	"widths":  nil,
+	"json":    nil,
+	"shape":   nil,
+	"chart":   nil,
+	"dataset": {"width", "parcov", "repartition"},
+}
+
+// checkModeFlags refuses the flags in set (the names given on the command
+// line) that the selected ablation never reads, naming them and it: such a
+// flag would be silently inert — a -json file an ablation never writes, a
+// -dataset the noise task never looks at.
+func checkModeFlags(set []string, ablation string) error {
+	var unread []string
+	for _, name := range set {
+		if readers, ok := ablationReaders[name]; ok && ablation != "" && !slices.Contains(readers, ablation) {
+			unread = append(unread, "-"+name)
+		}
+	}
+	if len(unread) > 0 {
+		return fmt.Errorf("%s: not read by -ablation %s", strings.Join(unread, ", "), ablation)
+	}
+	return nil
 }
 
 // runAblation learns the named ablation and renders it to w: one table per

@@ -78,3 +78,35 @@ func TestRunAblationRefusesUnknownName(t *testing.T) {
 		t.Fatalf("rendered %q for an unknown ablation", out.String())
 	}
 }
+
+// TestCheckModeFlagsRefusesUnreadFlags: a flag the selected run never reads
+// is refused by name before anything is learned, instead of being silently
+// inert (a -json file an ablation never writes, a -dataset the noise task
+// never looks at); every flag a run does read passes.
+func TestCheckModeFlagsRefusesUnreadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		set      []string // flag.Visit order: sorted
+		ablation string
+		err      string // "" = accepted
+	}{
+		{set: nil},
+		{set: []string{"all", "chart", "dataset", "folds", "json", "procs", "q", "scale", "shape", "widths"}},
+		{set: []string{"dataset", "table"}},
+		{set: []string{"ablation", "dataset", "folds", "q", "scale", "seed"}, ablation: "width"},
+		{set: []string{"ablation", "dataset"}, ablation: "parcov"},
+		{set: []string{"ablation", "dataset"}, ablation: "repartition"},
+		{set: []string{"ablation", "cpuprofile", "folds", "memprofile", "scale"}, ablation: "noise"},
+		{set: []string{"ablation", "dataset", "folds", "json", "procs", "q", "scale"}, ablation: "noise",
+			err: "-dataset, -json, -procs: not read by -ablation noise"},
+		{set: []string{"ablation", "dataset"}, ablation: "balance", err: "-dataset: not read by -ablation balance"},
+		{set: []string{"ablation", "all", "chart", "shape", "table", "widths"}, ablation: "width",
+			err: "-all, -chart, -shape, -table, -widths: not read by -ablation width"},
+		{set: []string{"ablation", "json"}, ablation: "parcov", err: "-json: not read by -ablation parcov"},
+		{set: []string{"ablation", "procs"}, ablation: "repartition", err: "-procs: not read by -ablation repartition"},
+	} {
+		err := checkModeFlags(tc.set, tc.ablation)
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || err.Error() != tc.err) {
+			t.Errorf("checkModeFlags(%v, %q) = %v, want %q", tc.set, tc.ablation, err, tc.err)
+		}
+	}
+}

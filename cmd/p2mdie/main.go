@@ -23,9 +23,8 @@
 // -strategy matter; -seed is part of the dataset identity
 // (it shapes the generated examples, and so the fingerprint) and must
 // match on every process, with the master's copy also driving the
-// partitioning; a worker's -coverpar stays local to that worker. With the
-// same dataset and seed, the TCP run learns a theory byte-identical to
-// the simulated run's.
+// partitioning. With the same dataset and seed, the TCP run learns a
+// theory byte-identical to the simulated run's.
 package main
 
 import (
@@ -61,7 +60,6 @@ func main() {
 		workers  = flag.String("workers", "0", "p²-mdie workers: a count on the simulated cluster (0 = sequential baseline), or with -master a comma-separated worker address list")
 		width    = flag.Int("width", 10, "pipeline width W (0 = unlimited, the paper's 'nolimit')")
 		strategy = flag.String("strategy", "bfs", "search strategy: bfs (paper) or bestfirst")
-		coverPar = flag.Int("coverpar", 0, "shard coverage tests across N goroutines per learner (-1 = all cores, 0/1 = serial); with workers the pool is per worker, so total concurrency is workers*N; in -serve mode this applies to the local worker only")
 		serve    = flag.String("serve", "", "run as a TCP worker: listen on this address, join the master, receive a partition (use host:0 for an ephemeral port; the listen address and a final status line always print so orchestrators can scrape them)")
 		masterMd = flag.Bool("master", false, "run as the TCP master over the workers listed in -workers")
 		listen   = flag.String("listen", "", "with -master: also accept mid-run worker joins on this address (the actual address prints so orchestrators can scrape it); joiners attach with -join")
@@ -141,7 +139,7 @@ func main() {
 		return
 	}
 	if *joinAddr != "" || *serve != "" {
-		runWorker(ds, *joinAddr, *serve, *coverPar, opts, *quiet)
+		runWorker(ds, *joinAddr, *serve, opts, *quiet)
 		return
 	}
 	if *masterMd {
@@ -159,7 +157,7 @@ func main() {
 
 	var theory []ilp.Clause
 	if workerCount <= 0 {
-		res, err := ilp.LearnSequential(ds, ilp.SequentialOptions{CoverParallelism: *coverPar})
+		res, err := ilp.LearnSequential(ds)
 		if err != nil {
 			fail(err)
 		}
@@ -176,14 +174,13 @@ func main() {
 		}
 	} else {
 		met, err := ilp.LearnParallel(ds, workerCount, *width, ilp.ParallelOptions{
-			Seed:             *seed,
-			Cost:             shapeCostModel(shp),
-			CoverParallelism: *coverPar,
-			Recover:          opts.recover,
-			RecvTimeout:      opts.recvTimeout,
-			Balance:          opts.balance,
-			CheckpointDir:    opts.checkpointDir,
-			PublishDir:       opts.publishDir,
+			Seed:          *seed,
+			Cost:          shapeCostModel(shp),
+			Recover:       opts.recover,
+			RecvTimeout:   opts.recvTimeout,
+			Balance:       opts.balance,
+			CheckpointDir: opts.checkpointDir,
+			PublishDir:    opts.publishDir,
 		})
 		if err != nil {
 			fail(err)
@@ -211,7 +208,6 @@ var flagReaders = map[string][]string{
 	"workers":       {"sequential", "sim", "-master"},
 	"width":         {"sim", "-master"},
 	"strategy":      {"sequential", "sim", "-master"},
-	"coverpar":      {"sequential", "sim", "-serve/-join"},
 	"serve":         {"-serve/-join"},
 	"join":          {"-serve/-join"},
 	"master":        {"-master"},
@@ -386,7 +382,7 @@ func dieIfCrashed(err error) {
 // every semantics-bearing regime (recovery, balance) arrive from the
 // master over the protocol; the worker-side flags only shape this node's
 // transport and timeouts.
-func runWorker(ds *ilp.Dataset, masterAddr, listenAddr string, coverPar int, opts runOptions, quiet bool) {
+func runWorker(ds *ilp.Dataset, masterAddr, listenAddr string, opts runOptions, quiet bool) {
 	var node *netcluster.Node
 	var err error
 	if masterAddr != "" {
@@ -410,10 +406,7 @@ func runWorker(ds *ilp.Dataset, masterAddr, listenAddr string, coverPar int, opt
 			fmt.Printf("p2mdie: joined as node %d of %d\n", node.ID(), node.Size())
 		}
 	}
-	err = core.RunWorker(node, ds.KB, ds.Modes, core.Config{
-		CoverParallelism: coverPar,
-		RecvTimeout:      opts.recvTimeout,
-	})
+	err = core.RunWorker(node, ds.KB, ds.Modes, core.Config{RecvTimeout: opts.recvTimeout})
 	if err != nil {
 		// Slam the links shut so peers see a failure, not an orderly exit.
 		node.Abort()

@@ -71,7 +71,6 @@ func TestShapeFlagRejectsJunk(t *testing.T) {
 		{[]string{"-workers", "a,b", "-width", "4"}, []string{"-workers", "need a worker count"}},
 		{[]string{"-workers", "2", "-listen", "127.0.0.1:0", "-orphantimeout", "1s"}, []string{"-listen", "-orphantimeout", "sim mode"}},
 		{[]string{"-serve", "127.0.0.1:0", "-width", "4", "-recover", "-v"}, []string{"-recover", "-v", "-width", "-serve/-join mode"}},
-		{[]string{"-master", "-workers", "127.0.0.1:1", "-coverpar", "2"}, []string{"-coverpar", "-master mode"}},
 		{[]string{"-resume", "-checkpoint", t.TempDir(), "-master", "-balance"}, []string{"-balance", "-master", "-resume mode"}},
 		{[]string{"-scale", "0"}, []string{"scale 0 "}},
 		{[]string{"-workers", "2", "-scale", "-1"}, []string{"scale -1 "}},

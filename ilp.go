@@ -146,26 +146,14 @@ func Define(name, background, modes string, pos, neg []string) (*Dataset, error)
 	}, nil
 }
 
-// SequentialOptions tunes LearnSequential.
-type SequentialOptions struct {
-	// CoverParallelism shards coverage tests across this many goroutines
-	// (<0 = all cores, ≤1 = serial). The learned theory is identical.
-	CoverParallelism int
-}
-
 // LearnSequential runs the sequential MDIE covering algorithm (the paper's
 // Figure 1 baseline) with the dataset's recommended settings.
-func LearnSequential(ds *Dataset, opts ...SequentialOptions) (*SequentialResult, error) {
-	var o SequentialOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+func LearnSequential(ds *Dataset) (*SequentialResult, error) {
 	ex := search.NewExamples(ds.Pos, ds.Neg)
 	return covering.Learn(ds.KB, ex, ds.Modes, covering.Config{
-		Search:           ds.Search,
-		Bottom:           ds.Bottom,
-		Budget:           ds.Budget,
-		CoverParallelism: o.CoverParallelism,
+		Search: ds.Search,
+		Bottom: ds.Bottom,
+		Budget: ds.Budget,
 	})
 }
 
@@ -186,10 +174,6 @@ type ParallelOptions struct {
 	// both are set). Metrics.Rebalances counts the barriers — Repartition's
 	// too.
 	Balance bool
-	// CoverParallelism shards each worker's coverage tests across this
-	// many goroutines (<0 = all cores, ≤1 = serial); real multicore
-	// speedup inside the simulation, identical results.
-	CoverParallelism int
 	// Recover enables worker-failure recovery: a dead worker is excluded,
 	// its examples are redistributed, and the run completes on the
 	// survivors (Metrics.Recoveries/LostWorkers count the events).
@@ -236,7 +220,6 @@ func LearnParallel(ds *Dataset, workers, width int, opts ...ParallelOptions) (*P
 		Trace:                o.Trace,
 		RepartitionEachEpoch: o.Repartition,
 		Balance:              o.Balance,
-		CoverParallelism:     o.CoverParallelism,
 		Recover:              o.Recover,
 		RecvTimeout:          o.RecvTimeout,
 		CheckpointDir:        o.CheckpointDir,

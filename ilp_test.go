@@ -68,7 +68,6 @@ func TestLearnParallelCoverageRefusesUnusedOptions(t *testing.T) {
 		{"Trace", ParallelOptions{Trace: func(cluster.Event) {}}},
 		{"Repartition", ParallelOptions{Repartition: true}},
 		{"Balance", ParallelOptions{Balance: true}},
-		{"CoverParallelism", ParallelOptions{CoverParallelism: 2}},
 		{"Recover", ParallelOptions{Recover: true}},
 		{"RecvTimeout", ParallelOptions{RecvTimeout: time.Second}},
 		{"CheckpointDir", ParallelOptions{CheckpointDir: t.TempDir()}},

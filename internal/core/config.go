@@ -110,15 +110,6 @@ type Config struct {
 	// instead of silently mis-decoding interned terms. Filled by the
 	// p2mdie front-end; zero skips the check.
 	Fingerprint uint64
-	// CoverParallelism shards each worker's coverage tests across this many
-	// goroutines (>1), serially on the worker's machine (≤1), or across
-	// GOMAXPROCS (<0). This is real multicore parallelism inside one
-	// simulated node: learned theories, inference counts and virtual time
-	// are unchanged; only wall-clock drops. Note the shard pool is per
-	// worker, so total concurrency is Workers × CoverParallelism — on a
-	// machine with few cores keep the product near GOMAXPROCS or
-	// oversubscription eats the gain.
-	CoverParallelism int
 	// Trace, when set, observes every simulated cluster event.
 	Trace func(cluster.Event)
 	// Publish, when set, is called by the master at every completed-epoch

@@ -168,8 +168,8 @@ type loadMsg struct {
 // processes share no address space, so the partition travels in the
 // message, together with every setting that affects search semantics —
 // a worker whose knobs diverged from the master's would silently learn a
-// different theory. Local-only knobs (CoverParallelism, cost model) stay
-// with the worker. A loadMsg payload is just this struct's leading Round
+// different theory. Local-only settings (the cost model) stay with the
+// worker. A loadMsg payload is just this struct's leading Round
 // varint, so it does not decode as one (TestSimLoadMsgDecodesAsLoadData).
 type loadDataMsg struct {
 	Round   int

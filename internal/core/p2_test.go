@@ -99,8 +99,7 @@ func TestLearnSingleWorker(t *testing.T) {
 
 // TestLearnLeavesNoGoroutines is the teardown leak check for Learn on the
 // simulated cluster: once it returns, with or without recovery armed, no
-// worker, master or network goroutine of the run — nor any shard of a
-// worker's parallel coverer — may still be running.
+// worker, master or network goroutine of the run may still be running.
 func TestLearnLeavesNoGoroutines(t *testing.T) {
 	kb, pos, neg, ms := makeTask(t)
 	for _, p := range []int{1, 4} {
@@ -108,7 +107,6 @@ func TestLearnLeavesNoGoroutines(t *testing.T) {
 			before := runtime.NumGoroutine()
 			cfg := testConfig(p, 10)
 			cfg.Recover = rec
-			cfg.CoverParallelism = 2
 			if _, err := Learn(kb, pos, neg, ms, cfg); err != nil {
 				t.Fatalf("p=%d recover=%v: %v", p, rec, err)
 			}

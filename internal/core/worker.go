@@ -61,10 +61,10 @@ type worker struct {
 
 	m  *solve.Machine
 	ex *search.Examples
-	ev search.FullCoverer
+	ev *search.Evaluator
 
-	// retiredInf preserves inference totals of evaluators discarded on a
-	// redeal, so the worker's work accounting stays monotonic.
+	// retiredInf preserves the inference total of a machine discarded on a
+	// reload, so the worker's work accounting stays monotonic.
 	retiredInf int64
 
 	// snapsOn enables epoch-boundary snapshots (set when the master runs
@@ -231,16 +231,15 @@ func (w *worker) newMachine() *solve.Machine {
 }
 
 // install makes ex the worker's partition, with a fresh evaluator over it:
-// the old evaluator's inferences are retired into the account, and the
-// coverage cache starts over, since its bitsets index the example set they
-// were built over.
+// the old evaluator hands its coverage memo's arenas back, and the coverage
+// cache starts over, since its bitsets index the example set they were
+// built over.
 func (w *worker) install(ex *search.Examples) {
 	if w.ev != nil {
-		w.retiredInf += w.ev.OwnInferences()
 		w.ev.Close()
 	}
 	w.ex = ex
-	w.ev = w.newEvaluator()
+	w.ev = search.NewEvaluator(w.m, w.ex)
 	w.covCache = make(map[uint64][]covCacheEntry)
 }
 
@@ -264,13 +263,6 @@ func (w *worker) sendFinal() error {
 		fm.Traffic = tr.Traffic()
 	}
 	return w.node.Send(0, kindFinal, fm)
-}
-
-// newEvaluator builds the worker's coverage evaluator over its current
-// example partition: serial on the worker's own machine, or sharded over
-// CoverParallelism goroutines with private machines on the same KB.
-func (w *worker) newEvaluator() search.FullCoverer {
-	return search.NewFullCoverer(w.m, w.ex, w.cfg.Budget, w.cfg.CoverParallelism)
 }
 
 // stamp is the header of the worker's next frame.
@@ -457,13 +449,13 @@ func (w *worker) sendMaster(kind int, v any) error {
 	return err
 }
 
-// totalInf is the worker's total SLD work: its own machine plus any
-// evaluator-owned shard machines, plus totals retired on a redeal.
+// totalInf is the worker's total SLD work: its own machine plus the totals
+// of machines retired on a reload.
 func (w *worker) totalInf() int64 {
 	if w.m == nil { // remote worker stopped before its first load
 		return w.retiredInf
 	}
-	return w.m.TotalInferences() + w.ev.OwnInferences() + w.retiredInf
+	return w.m.TotalInferences() + w.retiredInf
 }
 
 // cachedCoverage returns the memoised evaluation of rule, or nil.
@@ -572,7 +564,7 @@ func (w *worker) chargeWork(before int64) {
 
 // run is the worker event loop; it exits on kindStop or network shutdown.
 func (w *worker) run() error {
-	// Stop the evaluator's shard pool (if any) when the worker retires.
+	// Hand the coverage memo's arenas back when the worker retires.
 	defer func() {
 		if w.ev != nil {
 			w.ev.Close()

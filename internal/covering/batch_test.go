@@ -24,13 +24,12 @@ func theorySHA(theory []logic.Clause) string {
 
 // TestBatchedSearchMatchesUnbatchedOnPaperDatasets pins that
 // whole-frontier batched candidate evaluation is a pure performance
-// choice. The full covering loop runs on each paper dataset batched,
-// serial and pooled, and every observable — theory, rule/fact counts,
-// search and generated-rule counts, total inference charge — must be what
-// the per-candidate reference produced: a run that hid CoverageBatch from
-// the search, one Coverage call per candidate, pinned as it read when
-// covering could still be built that way (theory as the SHA-256 of its
-// rules, one per line).
+// choice. The full covering loop runs batched on each paper dataset, and
+// every observable — theory, rule/fact counts, search and generated-rule
+// counts, total inference charge — must be what the per-candidate
+// reference produced: a run that hid CoverageBatch from the search, one
+// Coverage call per candidate, pinned as it read when covering could still
+// be built that way (theory as the SHA-256 of its rules, one per line).
 func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
 	pinned := map[string]struct {
 		sha                               string
@@ -52,31 +51,22 @@ func TestBatchedSearchMatchesUnbatchedOnPaperDatasets(t *testing.T) {
 			if !ok {
 				t.Fatalf("no pin for %s", ds.Name)
 			}
-			for _, c := range []struct {
-				name        string
-				parallelism int
-			}{
-				{"batched-serial", 0},
-				{"batched-pool", 4},
-			} {
-				got, err := Learn(ds.KB, search.NewExamples(ds.Pos, ds.Neg), ds.Modes, Config{
-					Search:           ds.Search,
-					Bottom:           ds.Bottom,
-					Budget:           ds.Budget,
-					CoverParallelism: c.parallelism,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sha := theorySHA(got.Theory); sha != want.sha {
-					t.Fatalf("%s: theory %s, pinned %s:\n%s", c.name, sha, want.sha, strings.Join(theoryStrings(got.Theory), "\n"))
-				}
-				if got.RulesLearned != want.rules || got.GroundFactsAdopted != want.facts ||
-					got.Searches != want.searches || got.GeneratedRules != want.generated || got.Inferences != want.inferences {
-					t.Fatalf("%s: counts (%d,%d,%d,%d) and %d inferences, pinned (%d,%d,%d,%d) and %d", c.name,
-						got.RulesLearned, got.GroundFactsAdopted, got.Searches, got.GeneratedRules, got.Inferences,
-						want.rules, want.facts, want.searches, want.generated, want.inferences)
-				}
+			got, err := Learn(ds.KB, search.NewExamples(ds.Pos, ds.Neg), ds.Modes, Config{
+				Search: ds.Search,
+				Bottom: ds.Bottom,
+				Budget: ds.Budget,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sha := theorySHA(got.Theory); sha != want.sha {
+				t.Fatalf("theory %s, pinned %s:\n%s", sha, want.sha, strings.Join(theoryStrings(got.Theory), "\n"))
+			}
+			if got.RulesLearned != want.rules || got.GroundFactsAdopted != want.facts ||
+				got.Searches != want.searches || got.GeneratedRules != want.generated || got.Inferences != want.inferences {
+				t.Fatalf("counts (%d,%d,%d,%d) and %d inferences, pinned (%d,%d,%d,%d) and %d",
+					got.RulesLearned, got.GroundFactsAdopted, got.Searches, got.GeneratedRules, got.Inferences,
+					want.rules, want.facts, want.searches, want.generated, want.inferences)
 			}
 		})
 	}

@@ -33,11 +33,6 @@ type Config struct {
 	// mark_covered does this on workers; the sequential Fig. 1 does not,
 	// so the default is off).
 	AddLearnedToBK bool
-	// CoverParallelism selects the coverage evaluator: ≤1 tests examples
-	// serially on the learner's own machine, n > 1 shards coverage tests
-	// across n goroutines, and a negative value selects GOMAXPROCS. The
-	// learned theory is identical in all cases; only wall-clock changes.
-	CoverParallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -72,7 +67,7 @@ func Learn(kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) (*Result
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	m := solve.NewMachine(kb, cfg.Budget)
-	ev := search.NewFullCoverer(m, ex, cfg.Budget, cfg.CoverParallelism)
+	ev := search.NewEvaluator(m, ex)
 	defer ev.Close()
 	res := &Result{}
 
@@ -106,7 +101,7 @@ func Learn(kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) (*Result
 		}
 	}
 
-	res.Inferences = m.TotalInferences() + ev.OwnInferences()
+	res.Inferences = m.TotalInferences()
 	res.Duration = time.Since(start)
 	return res, nil
 }

@@ -83,7 +83,7 @@ func RunWidthAblation(ds *datasets.Dataset, procs int, widths []int, folds int, 
 	ab := widthAblation(ds.Name, procs, widths)
 	logf := logger(progress)
 	return ab, eachFold(ds, orFive(folds), seed, func(fi int, f xval.Fold) error {
-		seq, err := learnSeq(ds, f, cost, 0)
+		seq, err := learnSeq(ds, f, cost)
 		if err != nil {
 			return err
 		}
@@ -122,7 +122,7 @@ func RunParcovAblation(ds *datasets.Dataset, procs []int, folds int, seed int64,
 	ab := parcovAblation(ds.Name, procs)
 	logf := logger(progress)
 	return ab, eachFold(ds, orFive(folds), seed, func(fi int, f xval.Fold) error {
-		seq, err := learnSeq(ds, f, cost, 0)
+		seq, err := learnSeq(ds, f, cost)
 		if err != nil {
 			return err
 		}
@@ -239,7 +239,7 @@ func RunBalanceAblation(n, procs, folds int, skew float64, seed int64, cost clus
 // fold's two runs as they finish.
 func Paired(ds *datasets.Dataset, folds, workers, width int, seed int64, onFold func(fi int, seq, par Record)) (seq, par []Record, err error) {
 	err = eachFold(ds, folds, seed, func(fi int, f xval.Fold) error {
-		s, err := learnSeq(ds, f, cluster.CostModel{}, 0)
+		s, err := learnSeq(ds, f, cluster.CostModel{})
 		if err != nil {
 			return err
 		}

@@ -43,10 +43,6 @@ type Config struct {
 	Seed int64
 	// Cost is the simulated cluster model.
 	Cost cluster.CostModel
-	// CoverParallelism shards every learner's coverage tests across this
-	// many goroutines (<0 = GOMAXPROCS, ≤1 = serial). Results are
-	// identical; only wall-clock changes.
-	CoverParallelism int
 }
 
 // WithDefaults fills the paper's protocol values.
@@ -137,10 +133,9 @@ func eachFold(ds *datasets.Dataset, k int, seed int64, fn func(fi int, f xval.Fo
 
 // learnSeq runs the sequential baseline (Fig. 1) on one fold. Virtual time
 // for one CPU is total work × the cost model's per-inference cost.
-func learnSeq(ds *datasets.Dataset, f xval.Fold, cost cluster.CostModel, coverPar int) (Record, error) {
+func learnSeq(ds *datasets.Dataset, f xval.Fold, cost cluster.CostModel) (Record, error) {
 	seq, err := covering.Learn(ds.KB, search.NewExamples(f.TrainPos, f.TrainNeg), ds.Modes, covering.Config{
 		Search: ds.Search, Bottom: ds.Bottom, Budget: ds.Budget,
-		CoverParallelism: coverPar,
 	})
 	if err != nil {
 		return Record{}, err
@@ -202,7 +197,7 @@ func Run(cfg Config, progress io.Writer) (*Results, error) {
 	logf := logger(progress)
 	for _, ds := range cfg.Datasets {
 		err := eachFold(ds, cfg.Folds, cfg.Seed, func(fi int, fold xval.Fold) error {
-			seq, err := learnSeq(ds, fold, cfg.Cost, cfg.CoverParallelism)
+			seq, err := learnSeq(ds, fold, cfg.Cost)
 			if err != nil {
 				return fmt.Errorf("harness: %s fold %d sequential: %w", ds.Name, fi, err)
 			}
@@ -212,7 +207,6 @@ func Run(cfg Config, progress io.Writer) (*Results, error) {
 				for _, p := range cfg.Procs {
 					par, err := learnP2(ds, fold, core.Config{
 						Workers: p, Width: w, Seed: cfg.Seed + int64(100*fi+7), Cost: cfg.Cost,
-						CoverParallelism: cfg.CoverParallelism,
 					})
 					if err != nil {
 						return fmt.Errorf("harness: %s fold %d p=%d w=%d: %w", ds.Name, fi, p, w, err)

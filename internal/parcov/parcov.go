@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,21 +144,31 @@ func (w *pcWorker) run() error {
 			if err := msg.Decode(&bm); err != nil {
 				return err
 			}
+			rules := make([]*logic.Clause, len(bm.Rules))
+			posCands := make([]search.Bitset, len(bm.Rules))
+			negCands := make([]search.Bitset, len(bm.Rules))
+			for i := range bm.Rules {
+				rules[i] = &bm.Rules[i]
+				if !bm.HasCand[i] {
+					continue
+				}
+				posCands[i], negCands[i] = bm.PosCands[i], bm.NegCands[i]
+				// Siblings arrive with equal masks in arrays of their own;
+				// a query pack runs together only rules sharing the arrays.
+				if i > 0 && bm.HasCand[i-1] && slices.Equal(bm.PosCands[i], bm.PosCands[i-1]) && slices.Equal(bm.NegCands[i], bm.NegCands[i-1]) {
+					posCands[i], negCands[i] = posCands[i-1], negCands[i-1]
+				}
+			}
 			before := w.m.TotalInferences()
+			res := w.ev.CoverageBatch(rules, posCands, negCands)
 			out := evalBatchResultMsg{
 				Seq:    bm.Seq,
 				Worker: w.id,
-				Pos:    make([][]uint64, len(bm.Rules)),
-				Neg:    make([][]uint64, len(bm.Rules)),
+				Pos:    make([][]uint64, len(res)),
+				Neg:    make([][]uint64, len(res)),
 			}
-			for i := range bm.Rules {
-				var posCand, negCand search.Bitset
-				if bm.HasCand[i] {
-					posCand = search.Bitset(bm.PosCands[i])
-					negCand = search.Bitset(bm.NegCands[i])
-				}
-				pos, neg := w.ev.Coverage(&bm.Rules[i], posCand, negCand)
-				out.Pos[i], out.Neg[i] = pos, neg
+			for i, r := range res {
+				out.Pos[i], out.Neg[i] = r.Pos, r.Neg
 			}
 			// One compute charge for the whole frontier: the inference sum
 			// equals rule-at-a-time evaluation exactly.

@@ -2,10 +2,24 @@ package search
 
 import "repro/internal/logic"
 
-// CoverBatchInto is CoverageBatch writing into out's zeroed bitsets instead
-// of allocating them, so a benchmark can time the memo's hit path alone.
-func (ev *Evaluator) CoverBatchInto(out []CoverResult, rules []*logic.Clause, posCands, negCands []Bitset) {
+// WarmBatch runs the batch once on ev, so that its coverage memo knows every
+// answer, and returns a call that runs it again into the same results,
+// zeroed first instead of allocated: the memo's hit path alone, which
+// BenchmarkCoverageBatchFrontier/memo times and TestEvaluatorBatchAllocs
+// holds allocation-free.
+func (ev *Evaluator) WarmBatch(rules []*logic.Clause, posCands, negCands []Bitset) func() {
+	out := make([]CoverResult, len(rules))
+	for i := range out {
+		out[i] = CoverResult{Pos: NewBitset(len(ev.Ex.Pos)), Neg: NewBitset(len(ev.Ex.Neg))}
+	}
 	ev.coverBatch(out, rules, posCands, negCands)
+	return func() {
+		for i := range out {
+			clear(out[i].Pos)
+			clear(out[i].Neg)
+		}
+		ev.coverBatch(out, rules, posCands, negCands)
+	}
 }
 
 // MemoReplayed reports the charge the evaluator's coverage memo has paid

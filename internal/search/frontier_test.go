@@ -152,21 +152,12 @@ func BenchmarkCoverageBatchFrontier(b *testing.B) {
 	}
 	b.Run("memo", func(b *testing.B) {
 		m := solve.NewMachine(ds.KB, ds.Budget)
-		ev := search.NewEvaluator(m, ex)
-		out := make([]search.CoverResult, len(rules))
-		for i := range out {
-			out[i] = search.CoverResult{Pos: search.NewBitset(len(ex.Pos)), Neg: search.NewBitset(len(ex.Neg))}
-		}
-		ev.CoverBatchInto(out, rules, f.pos, f.neg)
+		again := search.NewEvaluator(m, ex).WarmBatch(rules, f.pos, f.neg)
 		m.ResetCounters()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for j := range out {
-				clear(out[j].Pos)
-				clear(out[j].Neg)
-			}
-			ev.CoverBatchInto(out, rules, f.pos, f.neg)
+			again()
 		}
 		b.ReportMetric(float64(m.StepsExecuted())/float64(b.N), "steps/op")
 		b.ReportMetric(float64(m.TotalInferences())/float64(b.N), "charged/op")

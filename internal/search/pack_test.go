@@ -198,8 +198,11 @@ func forget(ev *Evaluator) { ev.memo.m = nil }
 // TestEvaluatorBatchAllocs: a packed CoverageBatch allocates what the
 // per-rule loop does — the result slice and two bitsets per rule — because
 // the group lists, the pack, its answers and the coverage memo are
-// evaluator scratch. Every run starts from a forgotten memo, so both legs
-// prove their rules (the packed one through CoversPack) rather than replay.
+// evaluator scratch. Every run of those two legs starts from a forgotten
+// memo, so both prove their rules (the packed one through CoversPack)
+// rather than replay. A third leg asks again on a warm evaluator into
+// results it already holds: every answer is replayed, and nothing at all
+// may be allocated for it.
 func TestEvaluatorBatchAllocs(t *testing.T) {
 	kb, ex, bot := benchRichExamples(t, 24)
 	rules := frontierOf(bot, []int32{0, 2, 3}, []int32{0, 2, 4}, []int32{1, 2, 5}, []int32{0, 2, 6}, []int32{0, 2, 7})
@@ -217,6 +220,14 @@ func TestEvaluatorBatchAllocs(t *testing.T) {
 	}
 	if packed > perRule {
 		t.Fatalf("packed CoverageBatch allocates %v per batch, the per-rule loop %v", packed, perRule)
+	}
+	again := NewEvaluator(m, ex).WarmBatch(rules, pos, neg)
+	steps = m.StepsExecuted()
+	if warm := testing.AllocsPerRun(20, again); warm != 0 {
+		t.Fatalf("a warm evaluator allocates %v per batch replaying it from the memo", warm)
+	}
+	if m.StepsExecuted() != steps {
+		t.Fatalf("the warm runs executed %d steps: the memo did not answer them", m.StepsExecuted()-steps)
 	}
 }
 

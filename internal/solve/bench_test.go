@@ -69,7 +69,13 @@ func benchCovers(b *testing.B, kb *KB, ruleSrc string, held bool) {
 	}
 }
 
-const benchFactsRule = "active(M) :- atm(M, A, carbon, T, C), bond(M, A, B, 1)."
+// The rules the held-query benchmarks time against active(m7), each on its
+// own KB; TestCoversQueryAllocFree holds every one of them allocation-free.
+const (
+	benchFactsRule  = "active(M) :- atm(M, A, carbon, T, C), bond(M, A, B, 1)."
+	benchBucketRule = "active(M) :- atm(M, A, n, T, C), bond(M, A, B, 3), atm(M, B, s, 21, D)."
+	benchGroundRule = "active(M) :- subst(M, P, G), polar_gte(G, 3), polar_gte(G, 5)."
+)
 
 // BenchmarkCoversExample is the coverage-check kernel with the rule compiled
 // into the machine's scratch query on every call, and BenchmarkCoversQuery
@@ -102,7 +108,7 @@ func benchBucketKB() *KB {
 // literal scans a first-argument bucket end to end for the few candidates
 // whose constants agree with the goal's (PERF.md "PR 24").
 func BenchmarkCoversBucketScan(b *testing.B) {
-	benchCovers(b, benchBucketKB(), "active(M) :- atm(M, A, n, T, C), bond(M, A, B, 3), atm(M, B, s, 21, D).", true)
+	benchCovers(b, benchBucketKB(), benchBucketRule, true)
 }
 
 // benchGroundKB is pyrimidines' shape: 50 drugs with three substituent
@@ -134,16 +140,15 @@ func benchGroundKB() *KB {
 // memo warm, each example's polar_gte calls replay their recorded charges
 // instead of running the rule, its two fact lookups and the builtin.
 func BenchmarkCoversGroundCall(b *testing.B) {
-	benchCovers(b, benchGroundKB(), "active(M) :- subst(M, P, G), polar_gte(G, 3), polar_gte(G, 5).", true)
+	benchCovers(b, benchGroundKB(), benchGroundRule, true)
 }
 
-// BenchmarkCoversPackGroundSuffix is a frontier's fan on that shape: five
-// children of "active(M) :- subst(M, P, G)" whose one-goal suffixes are
-// ground polar_gte calls, run as one warm QueryPack over all 50 drugs — each
-// suffix answered in place from its memo entry (QueryPack.stepSuffix).
-func BenchmarkCoversPackGroundSuffix(b *testing.B) {
-	kb := benchGroundKB()
-	m := NewMachine(kb, DefaultBudget)
+// warmGroundPack is a frontier's fan on that shape: five children of
+// "active(M) :- subst(M, P, G)" whose one-goal suffixes are ground
+// polar_gte calls, compiled as one QueryPack on m and run once over all 50
+// drugs, so that every suffix's call is in the memo. It returns the pack,
+// the drugs and the members' answer slice.
+func warmGroundPack(m *Machine) (*QueryPack, []logic.Term, []bool) {
 	var rules []*logic.Clause
 	for l := 1; l <= 5; l++ {
 		r := logic.MustParseClause(fmt.Sprintf("active(M) :- subst(M, P, G), polar_gte(G, %d).", l))
@@ -153,16 +158,25 @@ func BenchmarkCoversPackGroundSuffix(b *testing.B) {
 	for d := 0; d < 50; d++ {
 		examples = append(examples, logic.MustParseTerm(fmt.Sprintf("active(m%d)", d)))
 	}
-	var pack QueryPack
-	m.CompilePack(&pack, rules, 1)
+	pack := new(QueryPack)
+	m.CompilePack(pack, rules, 1)
 	hit := make([]bool, len(rules))
 	for _, ex := range examples {
-		m.CoversPack(&pack, ex, hit, nil) // record every call once
+		m.CoversPack(pack, ex, hit, nil) // record every call once
 	}
+	return pack, examples, hit
+}
+
+// BenchmarkCoversPackGroundSuffix runs the warm ground pack drug after drug:
+// each suffix is answered in place from its memo entry
+// (QueryPack.stepSuffix).
+func BenchmarkCoversPackGroundSuffix(b *testing.B) {
+	m := NewMachine(benchGroundKB(), DefaultBudget)
+	pack, examples, hit := warmGroundPack(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CoversPack(&pack, examples[i%len(examples)], hit, nil)
+		m.CoversPack(pack, examples[i%len(examples)], hit, nil)
 		if !hit[0] {
 			b.Fatal("not covered")
 		}

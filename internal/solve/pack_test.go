@@ -139,8 +139,20 @@ func TestPackOutlivesItsProgram(t *testing.T) {
 // TestCoversPackAllocFree pins the steady-state allocation contract of the
 // pack path: the continuation is bound once per pack and every scratch slice
 // lives on it, so running an example allocates nothing — exact re-proofs
-// included — and neither does recompiling the pack for the next frontier.
+// included — and neither does recompiling the pack for the next frontier,
+// nor answering a warm pack's one-goal ground suffixes from the memo in
+// place (BenchmarkCoversPackGroundSuffix).
 func TestCoversPackAllocFree(t *testing.T) {
+	gm := NewMachine(benchGroundKB(), DefaultBudget)
+	ground, drugs, answers := warmGroundPack(gm)
+	d, replayed := 0, gm.ReplayedInferences()
+	if n := testing.AllocsPerRun(50, func() { gm.CoversPack(ground, drugs[d%len(drugs)], answers, nil); d++ }); n != 0 {
+		t.Errorf("warm ground-suffix pack allocates %v per example", n)
+	}
+	if gm.ReplayedInferences() == replayed {
+		t.Error("the warm ground-suffix pack replayed nothing")
+	}
+
 	kb := benchRuleKB(200)
 	fan := func(src ...string) []*logic.Clause {
 		out := make([]*logic.Clause, len(src))

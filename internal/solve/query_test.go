@@ -89,8 +89,36 @@ func TestQueryRecompilesOnProgramChange(t *testing.T) {
 // TestCoversQueryAllocFree pins the steady-state allocation contract: a held
 // query — its ground call replayed from the memo — CoversExample through the
 // machine's scratch query, and recompiling one Query buffer per rule all
-// allocate nothing.
+// allocate nothing. So do the held queries the benchmarks time: plain fact
+// lookups, a bucket scan the candidate filter prunes, and ground calls
+// replayed from a warm memo.
 func TestCoversQueryAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		name, rule string
+		kb         *KB
+		replays    bool // every warm run replays a ground call
+	}{
+		{"facts", benchFactsRule, benchKB(2000), false},
+		{"bucket scan", benchBucketRule, benchBucketKB(), false},
+		{"ground call", benchGroundRule, benchGroundKB(), true},
+	} {
+		m := NewMachine(c.kb, DefaultBudget)
+		rule := logic.MustParseClause(c.rule)
+		ex := logic.MustParseTerm("active(m7)")
+		var q Query
+		m.CompileQuery(&q, &rule)
+		if !m.CoversQuery(&q, ex) {
+			t.Fatalf("%s: not covered", c.name)
+		}
+		replayed := m.ReplayedInferences()
+		if n := testing.AllocsPerRun(50, func() { m.CoversQuery(&q, ex) }); n != 0 {
+			t.Errorf("%s: CoversQuery allocates %v per call", c.name, n)
+		}
+		if c.replays && m.ReplayedInferences()-replayed < 50 {
+			t.Errorf("%s: the measured runs replayed %d inferences", c.name, m.ReplayedInferences()-replayed)
+		}
+	}
+
 	kb := benchRuleKB(200)
 	rules := []logic.Clause{
 		logic.MustParseClause("active(M) :- heavy(M), linked(M, A, B)."),

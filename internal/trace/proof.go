@@ -105,14 +105,9 @@ func appendNewline(dst []byte, depth int) []byte {
 	return dst
 }
 
-// RenderProof writes the indented plain-text form: one line per node,
+// ProofText renders the indented plain-text form: one line per node,
 // `\+`-prefixed for negation-as-failure, with the discharging clause after
 // the goal for rule nodes.
-func RenderProof(w io.Writer, p *solve.ProofStep) {
-	renderProofNode(w, p, 0)
-}
-
-// ProofText renders the plain-text form as a string.
 func ProofText(p *solve.ProofStep) string {
 	var sb strings.Builder
 	renderProofNode(&sb, p, 0)
