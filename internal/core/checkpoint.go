@@ -47,8 +47,7 @@ type checkpointRecord struct {
 	// Load is the semantics-bearing settings payload (empty partition),
 	// from which the resumed master rebuilds its Config — and re-ships
 	// kindLoad to workers the crash caught before their first load.
-	Load      loadDataMsg
-	MaxEpochs int
+	Load loadDataMsg
 
 	// Peers/Size are the transport address book (netcluster runs; nil/0 on
 	// the simulation): the membership a restarted master must re-bind and
@@ -133,7 +132,6 @@ func (ma *master) record() *checkpointRecord {
 		Remaining:          ma.remaining,
 		Theory:             ma.theory,
 		Load:               ma.cfg.loadSettings(),
-		MaxEpochs:          ma.cfg.MaxEpochs,
 		Epochs:             ma.metrics.Epochs,
 		RulesLearned:       ma.metrics.RulesLearned,
 		GroundFactsAdopted: ma.metrics.GroundFactsAdopted,
@@ -195,10 +193,11 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 }
 
 // checkpointFormat is the leading byte of a checkpoint payload, ahead of
-// the wire-encoded record. Format 1 was the gob record of earlier builds,
-// which is not read: a gob stream opens with a message length, never this
-// byte, so such a checkpoint is refused by name.
-const checkpointFormat = 2
+// the wire-encoded record. Earlier formats are not read: format 1 was the
+// gob record (a gob stream opens with a message length, never this byte)
+// and format 2 also carried the since-deleted epoch cap, so either is
+// refused by name.
+const checkpointFormat = 3
 
 // encode is the checkpoint payload: checkpointFormat, then every field in
 // declaration order.
@@ -215,7 +214,6 @@ func (rec *checkpointRecord) encode() []byte {
 	w.Int(rec.Remaining)
 	w.Clauses(rec.Theory)
 	rec.Load.AppendWire(&w)
-	w.Int(rec.MaxEpochs)
 	w.Strings(rec.Peers)
 	w.Int(rec.Size)
 	w.Int(rec.Epochs)
@@ -256,7 +254,6 @@ func decodeCheckpoint(payload []byte) (checkpointRecord, error) {
 	rec.Remaining = r.Int()
 	rec.Theory = r.Clauses()
 	rec.Load.DecodeWire(r)
-	rec.MaxEpochs = r.Int()
 	rec.Peers = r.Strings()
 	rec.Size = r.Int()
 	rec.Epochs = r.Int()
@@ -322,7 +319,6 @@ func (c *Checkpoint) Epochs() int { return c.rec.Epochs }
 func (rec *checkpointRecord) config(base Config) Config {
 	base = base.withLoadSettings(&rec.Load)
 	base.OrphanTimeout = rec.Load.OrphanTimeout
-	base.MaxEpochs = rec.MaxEpochs
 	return base
 }
 

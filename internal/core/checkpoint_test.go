@@ -42,7 +42,6 @@ func sampleCheckpointRecord() checkpointRecord {
 			OrphanTimeout: 30 * time.Second,
 			Recover:       true,
 		},
-		MaxEpochs:          500,
 		Peers:              []string{"127.0.0.1:9000", "127.0.0.1:9001", "127.0.0.1:9002"},
 		Size:               3,
 		Epochs:             6,
@@ -116,19 +115,6 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		LoadCheckpoint(dir)
 	})
-}
-
-// TestLearnRejectsCheckpointWithAddLearnedToBK pins the documented
-// incompatibility: rollback cannot retract rules asserted into a worker's
-// background knowledge.
-func TestLearnRejectsCheckpointWithAddLearnedToBK(t *testing.T) {
-	kb, pos, neg, ms := makeTask(t)
-	cfg := testConfig(2, 0)
-	cfg.CheckpointDir = t.TempDir()
-	cfg.AddLearnedToBK = true
-	if _, err := Learn(kb, pos, neg, ms, cfg); err == nil {
-		t.Fatal("Learn accepted CheckpointDir together with AddLearnedToBK")
-	}
 }
 
 // TestCheckpointingDoesNotTouchTheWire pins the wire contract: a

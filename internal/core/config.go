@@ -37,13 +37,6 @@ type Config struct {
 	Budget solve.Budget
 	// Cost is the simulated cluster cost model.
 	Cost cluster.CostModel
-	// MaxEpochs stops a runaway run. ≤0 means 500.
-	MaxEpochs int
-	// AddLearnedToBK asserts accepted rules into each worker's background
-	// (Fig. 6 mark_covered's "B = B ∪ {R}"). Off by default: with the
-	// bundled language biases the target predicate never appears in rule
-	// bodies, so asserting is semantically inert but costs memory.
-	AddLearnedToBK bool
 	// RepartitionEachEpoch re-balances the uncovered positives across
 	// workers before every epoch after the first — the design alternative
 	// the paper declined for its communication cost (§4.1). Implemented
@@ -94,9 +87,7 @@ type Config struct {
 	// and the learned theory is byte-identical to a failure-free run.
 	// Workers keep matching epoch-boundary rollback snapshots in memory.
 	// Off (the default), runs are byte-identical on the wire to a build
-	// without the checkpoint layer. Incompatible with AddLearnedToBK:
-	// rollback cannot retract rules asserted into a worker's background.
-	// See DESIGN.md §8.
+	// without the checkpoint layer. See DESIGN.md §8.
 	CheckpointDir string
 	// OrphanTimeout switches workers to the orphan regime on master death:
 	// instead of failing, a worker holds its state and redials the master's
@@ -123,10 +114,10 @@ type Config struct {
 	Publish func(epochsDone int, theory []logic.Clause) error
 }
 
+// maxEpochs stops a runaway run.
+const maxEpochs = 500
+
 func (c Config) withDefaults() Config {
-	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = 500
-	}
 	c.Search = c.Search.WithDefaults()
 	// The stage search emits at most Width rules when constrained.
 	c.Search.W = c.Width

@@ -625,7 +625,7 @@ func (ma *master) better(a *bagEntry, sa float64, b *bagEntry, sb float64) bool 
 // TestPickBestMatchesSortReference).
 func (ma *master) pickBest(bag []bagEntry) (bagEntry, []bagEntry) {
 	score := func(e *bagEntry) float64 {
-		return ma.cfg.Search.Score(e.pos, e.neg, len(e.rule.Body))
+		return search.Score(e.pos, e.neg)
 	}
 	best, bestScore := 0, score(&bag[0])
 	for i := 1; i < len(bag); i++ {
@@ -695,7 +695,7 @@ func (ma *master) adoptFallback() error {
 // no joiner to admit, no redeal.
 func (ma *master) boundaryIdle() bool {
 	cfg := &ma.cfg
-	if ma.remaining <= len(ma.targets) || ma.metrics.Epochs+1 >= cfg.MaxEpochs {
+	if ma.remaining <= len(ma.targets) || ma.metrics.Epochs+1 >= maxEpochs {
 		return false
 	}
 	if cfg.CheckpointDir != "" || cfg.Publish != nil || cfg.Balance || cfg.RepartitionEachEpoch || len(ma.pendingJoin) > 0 {
@@ -1171,7 +1171,7 @@ func (ma *master) run() error {
 			return err
 		}
 	}
-	for ma.remaining > 0 && ma.metrics.Epochs < ma.cfg.MaxEpochs {
+	for ma.remaining > 0 && ma.metrics.Epochs < maxEpochs {
 		// The loop top is the only place the whole cluster is quiescent at a
 		// completed epoch — the one state a snapshot can name. Serving
 		// snapshots publish from the same boundary.
@@ -1260,13 +1260,8 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 	if len(pos) == 0 {
 		return nil, fmt.Errorf("core: no positive examples")
 	}
-	if cfg.CheckpointDir != "" {
-		if cfg.AddLearnedToBK {
-			return nil, fmt.Errorf("core: CheckpointDir is incompatible with AddLearnedToBK: rollback cannot retract asserted rules")
-		}
-		if cfg.Fingerprint == 0 {
-			cfg.Fingerprint = Fingerprint(kb, pos, neg)
-		}
+	if cfg.CheckpointDir != "" && cfg.Fingerprint == 0 {
+		cfg.Fingerprint = Fingerprint(kb, pos, neg)
 	}
 
 	// Fig. 5 step 2: random even partition of E+ and E−.

@@ -92,8 +92,8 @@ func TestPickBestTieBreaks(t *testing.T) {
 func pickBestSortReference(ma *master, bag []bagEntry) (bagEntry, []bagEntry) {
 	sort.SliceStable(bag, func(i, j int) bool {
 		a, b := bag[i], bag[j]
-		sa := ma.cfg.Search.Score(a.pos, a.neg, len(a.rule.Body))
-		sb := ma.cfg.Search.Score(b.pos, b.neg, len(b.rule.Body))
+		sa := search.Score(a.pos, a.neg)
+		sb := search.Score(b.pos, b.neg)
 		if sa != sb {
 			return sa > sb
 		}

@@ -180,11 +180,10 @@ type loadDataMsg struct {
 	// Gen is the master generation, as in tag.
 	Gen int
 
-	Width          int
-	Search         search.Settings
-	Bottom         bottom.Options
-	Budget         solve.Budget
-	AddLearnedToBK bool
+	Width  int
+	Search search.Settings
+	Bottom bottom.Options
+	Budget solve.Budget
 	// Recover mirrors the master's Config.Recover so the whole cluster
 	// runs one failure regime: a worker that poisoned its transport on a
 	// sibling's death while the master recovered around it would abort a
@@ -213,16 +212,15 @@ type loadDataMsg struct {
 // HERE and in withLoadSettings, not at the call sites.
 func (c Config) loadSettings() loadDataMsg {
 	return loadDataMsg{
-		HasData:        true,
-		Width:          c.Width,
-		Search:         c.Search,
-		Bottom:         c.Bottom,
-		Budget:         c.Budget,
-		AddLearnedToBK: c.AddLearnedToBK,
-		Recover:        c.Recover,
-		Balance:        c.Balance,
-		Checkpoint:     c.CheckpointDir != "",
-		OrphanTimeout:  c.OrphanTimeout,
+		HasData:       true,
+		Width:         c.Width,
+		Search:        c.Search,
+		Bottom:        c.Bottom,
+		Budget:        c.Budget,
+		Recover:       c.Recover,
+		Balance:       c.Balance,
+		Checkpoint:    c.CheckpointDir != "",
+		OrphanTimeout: c.OrphanTimeout,
 	}
 }
 
@@ -235,7 +233,6 @@ func (c Config) withLoadSettings(lm *loadDataMsg) Config {
 	c.Search = lm.Search
 	c.Bottom = lm.Bottom
 	c.Budget = lm.Budget
-	c.AddLearnedToBK = lm.AddLearnedToBK
 	c.Recover = lm.Recover
 	c.Balance = lm.Balance
 	return c

@@ -290,31 +290,6 @@ func TestTraceObservesPipelineHandOffs(t *testing.T) {
 	}
 }
 
-// TestAddLearnedToBKIsolatesWorkers checks that a worker asserts learned
-// rules into its own KB only, and pins the run's theory and inference
-// charge: each assertion changes the program the worker's coverage answers
-// were proved against, so an answer kept across one shows up here.
-func TestAddLearnedToBKIsolatesWorkers(t *testing.T) {
-	const (
-		sha        = "45f2373486eeee7ccf4099ff93c80df4fc285c7f8bdbdf0535a9a7a142dc5baf"
-		inferences = 3378
-	)
-	kb, pos, neg, ms := makeTask(t)
-	before := kb.Size()
-	cfg := testConfig(2, 10)
-	cfg.AddLearnedToBK = true
-	met, err := Learn(kb, pos, neg, ms, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kb.Size() != before {
-		t.Fatal("worker assertions leaked into the shared KB")
-	}
-	if got := theorySHA(met.Theory); got != sha || met.TotalInferences != inferences {
-		t.Fatalf("theory %s with %d inferences, pinned %s with %d", got, met.TotalInferences, sha, inferences)
-	}
-}
-
 func TestEpochsShrinkWithMoreWorkers(t *testing.T) {
 	kb, pos, neg, ms := makeTask(t)
 	m1, err := Learn(kb, pos, neg, ms, testConfig(1, 10))

@@ -141,9 +141,6 @@ func RunMaster(t cluster.Transport, pos, neg []logic.Term, cfg Config) (*Metrics
 // runs.
 func runRemote(ma *master) (*Metrics, error) {
 	t := ma.node
-	if ma.cfg.CheckpointDir != "" && ma.cfg.AddLearnedToBK {
-		return nil, fmt.Errorf("core: CheckpointDir is incompatible with AddLearnedToBK: rollback cannot retract asserted rules")
-	}
 	if err := checkLinkGrace(t, ma.cfg); err != nil {
 		return nil, err
 	}

@@ -53,7 +53,9 @@ func (p *peerUpFirst) Inner() cluster.Transport { return p.Transport }
 
 // joinCluster is a TCP master with two workers and a third that joined
 // late, all running the ordinary remote worker loop: everything the joiner
-// needs — settings, ring, share — arrives over the protocol.
+// needs — settings, ring, share — arrives over the protocol. Every node,
+// the master too (joinConfig), bounds its receives, so a stall fails with
+// the phase and the pending set instead of hanging the test binary.
 type joinCluster struct {
 	master  *netcluster.Node
 	workers chan *netcluster.Node // the two initial workers' endpoints
@@ -71,7 +73,7 @@ func startJoinCluster(t *testing.T, kb *solve.KB, pos, neg []logic.Term, ms *mod
 	var errCh chan error
 	c.master, errCh = startNetClusterOn(t, ln, 2, ncfg, func(node *netcluster.Node) error {
 		c.workers <- node
-		return RunWorker(node, kb, ms, Config{})
+		return RunWorker(node, kb, ms, Config{RecvTimeout: joinRecvTimeout})
 	})
 	jnode, err := netcluster.Join(c.master.Addr(), "127.0.0.1:0", ncfg)
 	if err != nil {
@@ -79,13 +81,23 @@ func startJoinCluster(t *testing.T, kb *solve.KB, pos, neg []logic.Term, ms *mod
 	}
 	go func() {
 		defer jnode.Close()
-		c.errs <- RunWorker(jnode, kb, ms, Config{})
+		c.errs <- RunWorker(jnode, kb, ms, Config{RecvTimeout: joinRecvTimeout})
 	}()
 	go func() {
 		c.errs <- <-errCh
 		c.errs <- <-errCh
 	}()
 	return c
+}
+
+// joinRecvTimeout bounds every receive of a joinCluster run.
+const joinRecvTimeout = 30 * time.Second
+
+// joinConfig is the master's configuration for a joinCluster run.
+func joinConfig() Config {
+	cfg := testConfig(2, 10)
+	cfg.RecvTimeout = joinRecvTimeout
+	return cfg
 }
 
 // finish closes the master and collects every worker's exit.
@@ -106,9 +118,8 @@ func (c *joinCluster) finish(t *testing.T) {
 // first (peerUpFirst), so the admission is at the first boundary.
 func TestRemoteJoinMidRun(t *testing.T) {
 	kb, pos, neg, ms := makeWideTask(t)
-	cfg := testConfig(2, 10)
 	c := startJoinCluster(t, kb, pos, neg, ms)
-	met, err := RunMaster(&peerUpFirst{Transport: c.master}, pos, neg, cfg)
+	met, err := RunMaster(&peerUpFirst{Transport: c.master}, pos, neg, joinConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,7 @@ func TestRemoteJoinMatchesSimJoin(t *testing.T) {
 	sim := simJoinAtFirstBoundary(t, kb, pos, neg, ms)
 	c := startJoinCluster(t, kb, pos, neg, ms)
 	// The join arrives via the transport, not JoinEpochs.
-	met, err := RunMaster(&peerUpFirst{Transport: c.master}, pos, neg, testConfig(2, 10))
+	met, err := RunMaster(&peerUpFirst{Transport: c.master}, pos, neg, joinConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +197,7 @@ func TestRemoteJoinAfterCommitBeforeRunMaster(t *testing.T) {
 			t.Fatalf("worker %d never saw the joiner's address-book update", w.ID())
 		}
 	}
-	met, err := RunMaster(c.master, pos, neg, testConfig(2, 10))
+	met, err := RunMaster(c.master, pos, neg, joinConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ func appendSettings(w *wire.Writer, s search.Settings) {
 	w.Int(s.MinPos)
 	w.F64(s.MinPrec)
 	w.Int(s.W)
-	w.Byte(byte(s.Heuristic))
+	w.Byte(0) // reserved (held the deleted heuristic choice, always coverage): bench/golden.json pins kindLoad's bytes
 	w.Byte(byte(s.Strategy))
-	w.F64(s.MEstimateM)
-	w.F64(s.PosPrior)
+	w.F64(2)      // reserved (held the deleted m-estimate's m), likewise
+	w.F64(0.5)    // reserved (held the deleted m-estimate's positive prior), likewise
 	w.Bool(false) // reserved (held the deleted per-candidate-evaluation setting): bench/golden.json pins kindLoad's bytes
 	w.Bool(false) // reserved (held the deleted interpreter switch), likewise
 }
@@ -46,10 +46,10 @@ func readSettings(r *wire.Reader) search.Settings {
 	s.MinPos = r.Int()
 	s.MinPrec = r.F64()
 	s.W = r.Int()
-	s.Heuristic = search.Heuristic(r.Byte())
+	r.Byte() // reserved, see appendSettings
 	s.Strategy = search.Strategy(r.Byte())
-	s.MEstimateM = r.F64()
-	s.PosPrior = r.F64()
+	r.F64()  // reserved, see appendSettings
+	r.F64()  // reserved, see appendSettings
 	r.Bool() // reserved, see appendSettings
 	r.Bool() // reserved, see appendSettings
 	return s
@@ -163,7 +163,7 @@ func (m loadDataMsg) AppendWire(w *wire.Writer) {
 	appendSettings(w, m.Search)
 	appendBottomOpts(w, m.Bottom)
 	appendBudget(w, m.Budget)
-	w.Bool(m.AddLearnedToBK)
+	w.Bool(false) // reserved (held the deleted assert-learned-rules switch): bench/golden.json pins kindLoad's bytes
 	w.Bool(m.Recover)
 	w.Bool(m.Balance)
 	w.Bool(m.Checkpoint)
@@ -180,7 +180,7 @@ func (m *loadDataMsg) DecodeWire(r *wire.Reader) {
 	m.Search = readSettings(r)
 	m.Bottom = readBottomOpts(r)
 	m.Budget = readBudget(r)
-	m.AddLearnedToBK = r.Bool()
+	r.Bool() // reserved, see AppendWire
 	m.Recover = r.Bool()
 	m.Balance = r.Bool()
 	m.Checkpoint = r.Bool()

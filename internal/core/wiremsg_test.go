@@ -47,7 +47,7 @@ func testPayloads() map[int]any {
 			Pos:     []logic.Term{mustTerm("active(m1)"), mustTerm("active(m2)")},
 			Neg:     []logic.Term{mustTerm("active(m3)")},
 			Width:   10,
-			Search:  search.Settings{MaxClauseLen: 3, NodesLimit: 500, MinPos: 1, MinPrec: 0.7, W: 10, MEstimateM: 2, PosPrior: 0.5}.WithDefaults(),
+			Search:  search.Settings{MaxClauseLen: 3, NodesLimit: 500, MinPos: 1, MinPrec: 0.7, W: 10}.WithDefaults(),
 			Bottom:  bottom.Options{VarDepth: 2, MaxLiterals: 64, MaxRecall: 32},
 			Budget:  solve.Budget{MaxDepth: 32, MaxInferences: 1 << 16},
 
@@ -97,7 +97,7 @@ func testPayloads() map[int]any {
 			Load: loadDataMsg{
 				HasData: true,
 				Width:   10,
-				Search:  search.Settings{MaxClauseLen: 3, NodesLimit: 500, MinPos: 1, MinPrec: 0.7, W: 10, MEstimateM: 2, PosPrior: 0.5}.WithDefaults(),
+				Search:  search.Settings{MaxClauseLen: 3, NodesLimit: 500, MinPos: 1, MinPrec: 0.7, W: 10}.WithDefaults(),
 				Bottom:  bottom.Options{VarDepth: 2, MaxLiterals: 64, MaxRecall: 32},
 				Budget:  solve.Budget{MaxDepth: 32, MaxInferences: 1 << 16},
 				Balance: true,
@@ -362,7 +362,7 @@ func bulkLoadMsg(n int) loadDataMsg {
 		Pos:           pos,
 		Neg:           neg,
 		Width:         10,
-		Search:        search.Settings{MaxClauseLen: 4, NodesLimit: 5000, MinPos: 2, MinPrec: 0.7, W: 10, MEstimateM: 2, PosPrior: 0.5}.WithDefaults(),
+		Search:        search.Settings{MaxClauseLen: 4, NodesLimit: 5000, MinPos: 2, MinPrec: 0.7, W: 10}.WithDefaults(),
 		Bottom:        bottom.Options{VarDepth: 3, MaxLiterals: 64, MaxRecall: 32},
 		Budget:        solve.Budget{MaxDepth: 64, MaxInferences: 1 << 20},
 		Checkpoint:    true,

@@ -164,7 +164,7 @@ func newWorker(id, p int, node cluster.Transport, kb *solve.KB, ex *search.Examp
 		snaps:   make(map[int]boundarySnap),
 	}
 	node.NotifyFailures(cfg.Recover || cfg.OrphanTimeout > 0)
-	w.m = w.newMachine()
+	w.m = solve.NewMachine(w.kb, w.cfg.Budget)
 	w.install(ex)
 	return w
 }
@@ -214,20 +214,10 @@ func (w *worker) loadRemote(lm *loadDataMsg) error {
 	if w.m != nil {
 		w.retiredInf += w.m.TotalInferences() // the old machine goes too
 	}
-	w.m = w.newMachine()
+	w.m = solve.NewMachine(w.kb, w.cfg.Budget)
 	w.install(search.NewExamples(lm.Pos, lm.Neg))
 	w.compute(int64(w.ex.NumPos() + w.ex.NumNeg()))
 	return nil
-}
-
-// newMachine builds the worker's SLD machine over the background
-// knowledge, on a private copy when learned rules are asserted into it.
-func (w *worker) newMachine() *solve.Machine {
-	kb := w.kb
-	if w.cfg.AddLearnedToBK {
-		kb = kb.Clone()
-	}
-	return solve.NewMachine(kb, w.cfg.Budget)
 }
 
 // install makes ex the worker's partition, with a fresh evaluator over it:
@@ -846,13 +836,13 @@ func (w *worker) evaluateBag(em *evaluateMsg) error {
 }
 
 // markCovered retracts the local positives covered by the accepted rule
-// (Fig. 6 mark_covered), optionally asserting it into the background.
+// (Fig. 6 mark_covered). The rule is not asserted into the background
+// (Fig. 6's B = B ∪ {R}): no bundled modeb names the target predicate, so
+// no later rule body could call it, and the sequential Fig. 1 never
+// asserts either (DESIGN.md §4).
 func (w *worker) markCovered(mm *markCoveredMsg) {
 	e := w.ruleCoverage(&mm.Rule)
 	w.ex.RetractPos(e.pos)
-	if w.cfg.AddLearnedToBK {
-		w.m.KB().Add(mm.Rule)
-	}
 }
 
 // gatherAlive ships the worker's uncovered positives to the master for a

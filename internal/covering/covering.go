@@ -26,21 +26,10 @@ type Config struct {
 	Bottom bottom.Options
 	// Budget bounds each individual proof.
 	Budget solve.Budget
-	// MaxRules stops a runaway covering loop. ≤0 means 1000.
-	MaxRules int
-	// AddLearnedToBK, when set, asserts each accepted rule into the
-	// background knowledge before continuing (the paper's Fig. 6
-	// mark_covered does this on workers; the sequential Fig. 1 does not,
-	// so the default is off).
-	AddLearnedToBK bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxRules <= 0 {
-		c.MaxRules = 1000
-	}
-	return c
-}
+// maxRules stops a runaway covering loop.
+const maxRules = 1000
 
 // Result summarises a sequential covering run.
 type Result struct {
@@ -64,14 +53,13 @@ type Result struct {
 // Learn runs the covering loop over ex (mutating its alive mask) against the
 // background kb under the mode set ms.
 func Learn(kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	start := time.Now()
 	m := solve.NewMachine(kb, cfg.Budget)
 	ev := search.NewEvaluator(m, ex)
 	defer ev.Close()
 	res := &Result{}
 
-	for ex.NumPosAlive() > 0 && len(res.Theory) < cfg.MaxRules {
+	for ex.NumPosAlive() > 0 && len(res.Theory) < maxRules {
 		seed := ex.FirstAlivePos()
 		example := ex.Pos[seed]
 		bot, err := bottom.Construct(m, ms, example, cfg.Bottom)
@@ -96,9 +84,6 @@ func Learn(kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) (*Result
 		res.Theory = append(res.Theory, clause)
 		res.RulesLearned++
 		ex.RetractPos(best.PosCover())
-		if cfg.AddLearnedToBK {
-			m.KB().Add(clause)
-		}
 	}
 
 	res.Inferences = m.TotalInferences()

@@ -137,44 +137,27 @@ func TestFallbackAdoptsGroundFact(t *testing.T) {
 	}
 }
 
+// TestMaxRulesStopsLoop: a task that needs more than maxRules rules — here
+// every positive is adopted as a ground fact, since no rule reaches MinPos —
+// stops at maxRules with the rest of the positives still uncovered.
 func TestMaxRulesStopsLoop(t *testing.T) {
-	kb, ex, ms := buildTask(t)
-	res, err := Learn(kb, ex, ms, Config{
-		Search:   search.Settings{MaxClauseLen: 3, MinPrec: 0.99, MinPos: 5},
-		MaxRules: 2,
-	})
+	const extra = 5
+	var pos []logic.Term
+	for i := range maxRules + extra {
+		pos = append(pos, logic.MustParseTerm(fmt.Sprintf("active(p%d)", i)))
+	}
+	ex := search.NewExamples(pos, []logic.Term{logic.MustParseTerm("active(n0)")})
+	ms := mode.MustParseSet(`
+		modeh(1, active(+mol)).
+		modeb(1, atm(+mol, -atomid)).
+	`)
+	res, err := Learn(solve.NewKB(), ex, ms, Config{Search: search.Settings{MinPos: 2 * maxRules}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Theory) > 2 {
-		t.Fatalf("MaxRules exceeded: %d", len(res.Theory))
-	}
-}
-
-// TestAddLearnedToBK checks that learned rules reach the KB, and pins the
-// run's theory and inference charge: every KB.Add changes the program the
-// evaluator's coverage answers were proved against, so an answer kept
-// across one shows up here.
-func TestAddLearnedToBK(t *testing.T) {
-	const (
-		sha        = "c593db587b8a6a4210c1f734974d2be8ca564d22b71da2627f79867809c1d918"
-		inferences = 205
-	)
-	kb, ex, ms := buildTask(t)
-	before := kb.Size()
-	res, err := Learn(kb, ex, ms, Config{
-		Search:         search.Settings{MaxClauseLen: 3, MinPrec: 0.85},
-		AddLearnedToBK: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kb.Size() <= before {
-		t.Fatal("learned rules were not asserted into the KB")
-	}
-	if got := theorySHA(res.Theory); got != sha || res.Inferences != inferences {
-		t.Fatalf("theory %s with %d inferences, pinned %s with %d:\n%s", got, res.Inferences, sha, inferences,
-			strings.Join(theoryStrings(res.Theory), "\n"))
+	if len(res.Theory) != maxRules || ex.NumPosAlive() != extra {
+		t.Fatalf("%d rules with %d positives left, want the cap of %d with %d left",
+			len(res.Theory), ex.NumPosAlive(), maxRules, extra)
 	}
 }
 

@@ -114,8 +114,7 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 			// alerts reach ~0.72 precision under the 30% label noise;
 			// 0.68 keeps the empty rule and near-random rules out of the
 			// good set while accepting the alerts.
-			MinPrec:   0.68,
-			Heuristic: search.HeurCoverage,
+			MinPrec: 0.68,
 		},
 		Bottom: bottom.Options{VarDepth: 2, MaxLiterals: 90, MaxRecall: 30},
 		Budget: solve.Budget{MaxDepth: 24, MaxInferences: 1 << 16},

@@ -92,8 +92,7 @@ func MeshSized(nPos, nNeg int, seed int64) *Dataset {
 			// The class balance is ~91% positive, so the acceptance
 			// precision must sit above the base rate (an empty rule has
 			// ~0.91 precision) and below the ~0.99 of the true rules.
-			MinPrec:   0.93,
-			Heuristic: search.HeurCoverage,
+			MinPrec: 0.93,
 		},
 		Bottom: bottom.Options{VarDepth: 2, MaxLiterals: 40, MaxRecall: 20},
 		Budget: solve.Budget{MaxDepth: 16, MaxInferences: 1 << 14},

@@ -118,7 +118,6 @@ func PyrimidinesNoisy(nPos, nNeg int, noise float64, seed int64) *Dataset {
 			NodesLimit:   800,
 			MinPos:       3,
 			MinPrec:      0.65,
-			Heuristic:    search.HeurCoverage,
 		},
 		Bottom: bottom.Options{VarDepth: 2, MaxLiterals: 100, MaxRecall: 24},
 		Budget: solve.Budget{MaxDepth: 16, MaxInferences: 1 << 14},

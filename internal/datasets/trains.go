@@ -135,7 +135,6 @@ func Trains() *Dataset {
 			NodesLimit:   500,
 			MinPos:       2,
 			MinPrec:      0.99,
-			Heuristic:    search.HeurCoverage,
 		},
 		Bottom: bottom.Options{VarDepth: 2, MaxLiterals: 60, MaxRecall: 10},
 		Budget: solve.Budget{MaxDepth: 16, MaxInferences: 1 << 14},

@@ -145,7 +145,6 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 			NodesLimit:   500,
 			MinPos:       2,
 			MinPrec:      0.99,
-			Heuristic:    search.HeurCoverage,
 		},
 		Bottom:      bottom.Options{VarDepth: 2, MaxLiterals: 80, MaxRecall: 10},
 		Budget:      solve.Budget{MaxDepth: 16, MaxInferences: 1 << 14},

@@ -424,7 +424,7 @@ func (n *Node) ask(conn net.Conn, req *frame) (*frame, error) {
 // as this build's envelope comes from another protocol version — or from
 // no peer at all — so it is a refusal, and no retry can change it.
 func (n *Node) readHandshake(conn net.Conn) (*frame, error) {
-	f, err := readFrame(conn, min(maxHandshakeBytes, n.cfg.MaxFrameBytes))
+	f, err := readFrame(conn, maxHandshakeBytes)
 	if errors.As(err, new(envelopeError)) {
 		return nil, refusal{err}
 	}

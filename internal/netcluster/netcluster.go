@@ -73,21 +73,12 @@ type Config struct {
 	// master's and a joiner's redials, and caps every single redial try
 	// inside a shorter window (a rejoin, a link resume). Default 60s.
 	JoinTimeout time.Duration
-	// MaxFrameBytes bounds one frame on an admitted link. Default 256 MiB.
-	// Handshake frames, read before the peer's fingerprint is checked,
-	// are bounded by the smaller of this and 64 KiB.
-	MaxFrameBytes int
 	// LinkGrace is the reconnect grace window for transient link failures.
 	// Zero (the default) disables the link-session layer entirely: a read,
 	// write or heartbeat failure escalates immediately, as it always has.
 	// When positive, a failed link is suspended and re-dialed with backoff
 	// for up to this long before the failure surfaces as a peer death.
 	LinkGrace time.Duration
-	// MaxRetainedFrames bounds the per-link ring of sent-but-unacked
-	// frames kept for replay. Overflow — a peer that stops acking for
-	// longer than the window the ring covers — escalates like a link
-	// failure. Default 4096.
-	MaxRetainedFrames int
 	// ShapeConn, when non-nil, wraps every TCP connection this node
 	// creates or accepts — the hook the shaped-link harness
 	// (internal/shape) uses to impose latency/bandwidth without root.
@@ -112,12 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = 60 * time.Second
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 256 << 20
-	}
-	if c.MaxRetainedFrames <= 0 {
-		c.MaxRetainedFrames = 4096
 	}
 	return c
 }
@@ -674,7 +659,7 @@ func (n *Node) linkTo(peer int) (*link, error) {
 func (n *Node) readLoop(l *link, conn net.Conn) {
 	defer n.wg.Done()
 	for {
-		f, err := readFrame(conn, n.cfg.MaxFrameBytes)
+		f, err := readFrame(conn, maxFrameBytes)
 		if err != nil {
 			if !n.isClosing() && !l.isClosed() {
 				n.linkTrouble(l, conn, fmt.Errorf("netcluster: node %d: link to node %d failed: %w", n.id, l.peer, err))

@@ -103,14 +103,14 @@ func (n *Node) sendSequenced(l *link, f *frame) error {
 	f.Seq = l.sendSeq
 	f.Ack = l.recvSeq
 	l.retained = append(l.retained, f)
-	overflow := len(l.retained) > n.cfg.MaxRetainedFrames
+	overflow := len(l.retained) > maxRetainedFrames
 	suspended := l.suspended
 	conn := l.conn
 	l.mu.Unlock()
 	if overflow {
 		l.wmu.Unlock()
-		return fmt.Errorf("netcluster: node %d: link to node %d retains %d unacked frames (MaxRetainedFrames %d) — peer not acking",
-			n.id, l.peer, n.cfg.MaxRetainedFrames+1, n.cfg.MaxRetainedFrames)
+		return fmt.Errorf("netcluster: node %d: link to node %d retains %d unacked frames, over the bound of %d — peer not acking",
+			n.id, l.peer, maxRetainedFrames+1, maxRetainedFrames)
 	}
 	if suspended {
 		l.wmu.Unlock()

@@ -283,3 +283,31 @@ func TestLinkGraceBoundedWhenPeerHangs(t *testing.T) {
 		t.Fatalf("a 300ms grace window escalated after %v against a hung peer", d)
 	}
 }
+
+// TestRetainedFramesBoundEscalates pins the retained ring's bound: a link
+// suspended inside a long grace window whose peer cannot be reached queues
+// maxRetainedFrames sends for the replay, and the one after them fails,
+// naming the bound, and escalates the link to a peer death instead of
+// growing the ring without limit.
+func TestRetainedFramesBoundEscalates(t *testing.T) {
+	cfg := Config{Fingerprint: 7, LinkGrace: time.Minute}
+	master, workers := startCluster(t, 1, cfg)
+	master.NotifyFailures(true)
+	workers[1].ln.Close() // the master's redials find nobody listening
+	master.DropLinks()
+	for i := 1; i <= maxRetainedFrames; i++ {
+		if err := master.Send(1, 7, payload{N: i}); err != nil {
+			t.Fatalf("send %d of %d into the suspended link: %v", i, maxRetainedFrames, err)
+		}
+	}
+	err := master.Send(1, 7, payload{N: maxRetainedFrames + 1})
+	if want := fmt.Sprintf("over the bound of %d", maxRetainedFrames); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("send %d = %v, want an error naming %q", maxRetainedFrames+1, err, want)
+	}
+	if !errors.Is(err, cluster.ErrPeerDown) {
+		t.Fatalf("send %d = %v, want it to escalate to cluster.ErrPeerDown", maxRetainedFrames+1, err)
+	}
+	if msg := receiveKind(t, master, 5*time.Second); msg.Kind != cluster.KindPeerDown || msg.From != 1 {
+		t.Fatalf("got kind %d from %d, want KindPeerDown from worker 1", msg.Kind, msg.From)
+	}
+}

@@ -120,12 +120,20 @@ const protocolVersion uint8 = 3
 
 const lenPrefixSize = 4
 
+// maxFrameBytes bounds one frame on an admitted link.
+const maxFrameBytes = 256 << 20
+
 // maxHandshakeBytes bounds every frame read that precedes a fingerprint
 // check — an accepted connection's opening frame and the answer to a
 // handshake request — so a stranger cannot make a node allocate
-// MaxFrameBytes by sending a length prefix. A welcome's address book is
+// maxFrameBytes by sending a length prefix. A welcome's address book is
 // the largest handshake frame; 64 KiB holds thousands of workers.
 const maxHandshakeBytes = 64 << 10
+
+// maxRetainedFrames bounds a link's ring of sent-but-unacked frames kept
+// for replay (session.go). Overflow — a peer that stops acking for longer
+// than the window the ring covers — escalates like a link failure.
+const maxRetainedFrames = 4096
 
 // Frame flags: which optional fields follow Ctrl and the flags byte, in
 // this order. A flag is set exactly when its field is non-zero (for the

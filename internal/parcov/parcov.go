@@ -40,9 +40,10 @@ type Config struct {
 	Budget solve.Budget
 	// Cost is the simulated cluster cost model.
 	Cost cluster.CostModel
-	// MaxRules bounds the covering loop. ≤0 means 1000.
-	MaxRules int
 }
+
+// maxRules bounds the covering loop.
+const maxRules = 1000
 
 // Metrics summarises a run.
 type Metrics struct {
@@ -373,9 +374,6 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 	if len(pos) == 0 {
 		return nil, fmt.Errorf("parcov: no positive examples")
 	}
-	if cfg.MaxRules <= 0 {
-		cfg.MaxRules = 1000
-	}
 	p := cfg.Workers
 	nw, dc, workers := newCluster(kb, pos, neg, cfg)
 	masterNode, targets := dc.node, dc.targets
@@ -475,7 +473,7 @@ func runMaster(node *cluster.Node, kb *solve.KB, pos []logic.Term, ms *mode.Set,
 	alive := search.FullBitset(len(pos))
 	targets := dc.targets
 
-	for !alive.Empty() && len(met.Theory) < cfg.MaxRules {
+	for !alive.Empty() && len(met.Theory) < maxRules {
 		if dc.err != nil {
 			return dc.err
 		}

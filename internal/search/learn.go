@@ -221,7 +221,7 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 			return
 		}
 		s.seen[key] = true
-		cand := evaluate(ev, bot, sorted, nil, nil, st)
+		cand := evaluate(ev, bot, sorted, nil, nil)
 		res.Generated++
 		open.push(cand)
 		if forceGood || st.IsGood(cand.Pos, cand.Neg) {
@@ -252,7 +252,7 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 			s.recycle(s.children[remaining:]...)
 			s.children = s.children[:remaining]
 		}
-		s.fe.evaluateFrontier(ev, bot, s.children, node, st)
+		s.fe.evaluateFrontier(ev, bot, s.children, node)
 		for _, cand := range s.children {
 			res.Generated++
 			if st.IsGood(cand.Pos, cand.Neg) {
@@ -414,7 +414,7 @@ type frontierBufs struct {
 // evaluateFrontier scores all children of one expanded node in a single
 // CoverageBatch call (every child re-tests only the examples the shared
 // parent covered), filling in each child's coverage and score.
-func (fe *frontierBufs) evaluateFrontier(ev Coverer, bot *bottom.Bottom, children []*Candidate, parent *Candidate, st Settings) {
+func (fe *frontierBufs) evaluateFrontier(ev Coverer, bot *bottom.Bottom, children []*Candidate, parent *Candidate) {
 	if len(children) == 0 {
 		return
 	}
@@ -439,7 +439,7 @@ func (fe *frontierBufs) evaluateFrontier(ev Coverer, bot *bottom.Bottom, childre
 		c.posCov, c.negCov = r.Pos, r.Neg
 		c.Pos = r.Pos.Count()
 		c.Neg = r.Neg.Count()
-		c.Score = st.Score(c.Pos, c.Neg, len(c.Indices))
+		c.Score = Score(c.Pos, c.Neg)
 	}
 }
 
@@ -455,13 +455,13 @@ func (fe *frontierBufs) release() {
 
 // evaluate scores one candidate; parent coverage masks (may be nil) restrict
 // the examples re-tested.
-func evaluate(ev Coverer, bot *bottom.Bottom, ix []int32, posCand, negCand Bitset, st Settings) *Candidate {
+func evaluate(ev Coverer, bot *bottom.Bottom, ix []int32, posCand, negCand Bitset) *Candidate {
 	clause := bot.Materialize(ix)
 	pos, neg := ev.Coverage(&clause, posCand, negCand)
 	c := &Candidate{Indices: ix, posCov: pos, negCov: neg}
 	c.Pos = pos.Count()
 	c.Neg = neg.Count()
-	c.Score = st.Score(c.Pos, c.Neg, len(ix))
+	c.Score = Score(c.Pos, c.Neg)
 	return c
 }
 

@@ -30,34 +30,20 @@ func TestSettingsDefaults(t *testing.T) {
 	}
 }
 
+// TestScoreHeuristics pins the one rule score, coverage P − N (§4.2):
+// negatives cost as much as positives earn, and body length is free.
 func TestScoreHeuristics(t *testing.T) {
-	base := Settings{}.WithDefaults()
-	cases := []struct {
-		h    Heuristic
-		want float64
+	for _, c := range []struct {
+		pos, neg int
+		want     float64
 	}{
-		{HeurCoverage, 10 - 2},
-		{HeurCompression, 10 - 2 - 3},
-		{HeurPrecision, 11.0 / 14.0},
-		{HeurMEstimate, (10 + 2*0.5) / (12 + 2)},
-	}
-	for _, c := range cases {
-		s := base
-		s.Heuristic = c.h
-		if got := s.Score(10, 2, 3); got != c.want {
-			t.Errorf("%s: Score = %v, want %v", c.h, got, c.want)
+		{10, 2, 8},
+		{2, 10, -8},
+		{0, 0, 0},
+	} {
+		if got := Score(c.pos, c.neg); got != c.want {
+			t.Errorf("Score(%d, %d) = %v, want %v", c.pos, c.neg, got, c.want)
 		}
-	}
-}
-
-func TestParseHeuristic(t *testing.T) {
-	for _, name := range []string{"", "coverage", "compression", "precision", "mestimate"} {
-		if _, err := ParseHeuristic(name); err != nil {
-			t.Errorf("ParseHeuristic(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseHeuristic("nope"); err == nil {
-		t.Error("unknown heuristic accepted")
 	}
 }
 

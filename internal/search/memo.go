@@ -38,7 +38,7 @@ import (
 // The memo holds answers for one machine (its budget), one program and one
 // example store. begin clears it at the start of every coverage call that
 // finds any of them changed — KB.Add only ever adds, so the KB and its size
-// name its program — or the memo holding memoMaxRules rules. Clearing only
+// name its program — or the memo holding memoRuleCap rules. Clearing only
 // there keeps every slab a call has looked up its own until the call
 // returns: a group of pack members holds several at once.
 //
@@ -53,10 +53,10 @@ const (
 	// memoOverflow marks a slab byte whose charge is in the overflow
 	// table; its low bit is the answer, as in every other byte.
 	memoOverflow = 0xfe
-	// memoMaxRules caps the rules the memo keeps between coverage calls: a
+	// memoRuleCap caps the rules the memo keeps between coverage calls: a
 	// call that finds this many starts with the memo cleared. One call may
 	// add any number.
-	memoMaxRules = 2048
+	memoRuleCap = 2048
 	// memoMaxPooledBytes caps the arenas a closed memo hands on.
 	memoMaxPooledBytes = 4 << 20
 )
@@ -106,7 +106,7 @@ func (c *coverMemo) begin(m *solve.Machine, ex *Examples) {
 		size = kb.Size()
 	}
 	width := len(ex.Pos) + len(ex.Neg)
-	if m == c.m && kb == c.kb && size == c.kbSize && ex == c.ex && width == c.width && len(c.ends) < memoMaxRules {
+	if m == c.m && kb == c.kb && size == c.kbSize && ex == c.ex && width == c.width && len(c.ends) < memoRuleCap {
 		return
 	}
 	c.m, c.kb, c.kbSize, c.ex, c.width = m, kb, size, ex, width

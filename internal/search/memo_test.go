@@ -261,16 +261,16 @@ func TestCoverageMemoCap(t *testing.T) {
 		}
 	}
 	group("")
-	for k := range memoMaxRules + 100 {
+	for k := range memoRuleCap + 100 {
 		add(fmt.Sprintf("active(M) :- atm(M, A, e%d).", k))
-		if k >= memoMaxRules-8 && k <= memoMaxRules-6 { // the first group's lookups reach the cap
+		if k >= memoRuleCap-8 && k <= memoRuleCap-6 { // the first group's lookups reach the cap
 			group(fmt.Sprintf(", \\+ atm(M, C, g%d)", k))
 		}
 	}
 	group("") // known by now: the pack does not run
 	r.Batch("over the cap", rules, nil, nil)
-	if n := len(r.Ev.memo.ends); n <= memoMaxRules {
-		t.Fatalf("the batch left %d memo entries, the cap is %d", n, memoMaxRules)
+	if n := len(r.Ev.memo.ends); n <= memoRuleCap {
+		t.Fatalf("the batch left %d memo entries, the cap is %d", n, memoRuleCap)
 	}
 	r.Batch("after the cap", rules[len(rules)-4:], nil, nil)
 	if n := len(r.Ev.memo.ends); n != 4 {

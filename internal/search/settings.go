@@ -2,53 +2,6 @@ package search
 
 import "fmt"
 
-// Heuristic selects the rule-scoring function used to order the search.
-type Heuristic uint8
-
-const (
-	// HeurCoverage scores P − N, the heuristic the paper's April
-	// configuration uses ("relies on the number of positive and negative
-	// examples", §4.2).
-	HeurCoverage Heuristic = iota
-	// HeurCompression scores P − N − L (L = body length): Progol-style
-	// compression.
-	HeurCompression
-	// HeurPrecision scores the Laplace-corrected precision (P+1)/(P+N+2).
-	HeurPrecision
-	// HeurMEstimate scores the m-estimate of precision with M and the
-	// positive prior.
-	HeurMEstimate
-)
-
-func (h Heuristic) String() string {
-	switch h {
-	case HeurCoverage:
-		return "coverage"
-	case HeurCompression:
-		return "compression"
-	case HeurPrecision:
-		return "precision"
-	case HeurMEstimate:
-		return "mestimate"
-	}
-	return fmt.Sprintf("heuristic(%d)", h)
-}
-
-// ParseHeuristic maps a name to a Heuristic.
-func ParseHeuristic(name string) (Heuristic, error) {
-	switch name {
-	case "", "coverage":
-		return HeurCoverage, nil
-	case "compression":
-		return HeurCompression, nil
-	case "precision":
-		return HeurPrecision, nil
-	case "mestimate":
-		return HeurMEstimate, nil
-	}
-	return 0, fmt.Errorf("search: unknown heuristic %q", name)
-}
-
 // Strategy selects the search-space traversal order.
 type Strategy uint8
 
@@ -100,15 +53,8 @@ type Settings struct {
 	// W is the pipeline width: how many good rules a search emits.
 	// ≤0 means unlimited ("nolimit" in the paper's tables).
 	W int
-	// Heuristic orders the search.
-	Heuristic Heuristic
 	// Strategy selects the traversal order (default: breadth-first).
 	Strategy Strategy
-	// MEstimateM is the m parameter for HeurMEstimate. ≤0 means 2.
-	MEstimateM float64
-	// PosPrior is the positive class prior for HeurMEstimate; set by the
-	// caller from the dataset. ≤0 means 0.5.
-	PosPrior float64
 	// NoVM is always false; read only by bench/ until ROADMAP 3(a) deletes
 	// it. It once selected the tree-walking interpreter, which is gone:
 	// solve.Machine.SetNoVM panics on true.
@@ -129,29 +75,13 @@ func (s Settings) WithDefaults() Settings {
 	if s.MinPrec <= 0 {
 		s.MinPrec = 0.7
 	}
-	if s.MEstimateM <= 0 {
-		s.MEstimateM = 2
-	}
-	if s.PosPrior <= 0 {
-		s.PosPrior = 0.5
-	}
 	return s
 }
 
-// Score computes the heuristic value of a rule with pos/neg coverage and
-// body length length.
-func (s Settings) Score(pos, neg, length int) float64 {
-	switch s.Heuristic {
-	case HeurCompression:
-		return float64(pos-neg) - float64(length)
-	case HeurPrecision:
-		return float64(pos+1) / float64(pos+neg+2)
-	case HeurMEstimate:
-		return (float64(pos) + s.MEstimateM*s.PosPrior) / (float64(pos+neg) + s.MEstimateM)
-	default:
-		return float64(pos - neg)
-	}
-}
+// Score is a rule's heuristic value, P − N: the coverage score the paper's
+// April configuration orders its search by ("relies on the number of
+// positive and negative examples", §4.2).
+func Score(pos, neg int) float64 { return float64(pos - neg) }
 
 // IsGood reports whether a rule with the given coverage meets the acceptance
 // criteria (is_good in the paper's Figures 2 and 7): enough positives and

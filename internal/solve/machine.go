@@ -128,8 +128,8 @@ func NewMachine(kb *KB, budget Budget) *Machine {
 // KB returns the machine's knowledge base.
 func (m *Machine) KB() *KB { return m.kb }
 
-// SetKB swaps the knowledge base (used when a worker extends its background
-// with learned rules between epochs).
+// SetKB swaps the knowledge base. Its only caller is Pool.Put, which
+// resets a returned machine to the pool's KB.
 func (m *Machine) SetKB(kb *KB) { m.kb = kb }
 
 // TotalInferences reports inferences accumulated over all queries.

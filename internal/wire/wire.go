@@ -60,7 +60,7 @@ const CompressMin = 1 << 10
 
 // maxInflate bounds how far Decompress will inflate a frame, so a
 // garbled or hostile frame cannot balloon into unbounded allocation. It
-// is sized against netcluster's 256 MiB MaxFrameBytes default — the cap
+// is sized against netcluster's 256 MiB maxFrameBytes — the cap
 // on the compressed frame, which no real shipment's inflated body comes
 // near — and fits an int on 32-bit platforms.
 const maxInflate = 1 << 30

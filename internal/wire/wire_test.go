@@ -252,7 +252,7 @@ func TestInflateBound(t *testing.T) {
 		t.Fatalf("frame under the bound: %d bytes, %v", len(body), err)
 	}
 	if maxInflate <= 256<<20 {
-		t.Fatalf("maxInflate %d does not exceed netcluster's 256 MiB MaxFrameBytes default", maxInflate)
+		t.Fatalf("maxInflate %d does not exceed netcluster's 256 MiB maxFrameBytes", maxInflate)
 	}
 }
 
