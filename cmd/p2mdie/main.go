@@ -19,8 +19,8 @@
 //	       -workers 127.0.0.1:7771,127.0.0.1:7772 -width 10 -v   # master
 //
 // The master ships each worker its example partition and the search
-// settings over the wire (kindLoad), so only the master's -width and
-// -strategy matter; -seed is part of the dataset identity
+// settings over the wire (kindLoad), so only the master's -width
+// matters; -seed is part of the dataset identity
 // (it shapes the generated examples, and so the fingerprint) and must
 // match on every process, with the master's copy also driving the
 // partitioning. With the same dataset and seed, the TCP run learns a
@@ -44,7 +44,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/faultline"
 	"repro/internal/netcluster"
-	"repro/internal/search"
 	srv "repro/internal/serve"
 	"repro/internal/shape"
 
@@ -59,7 +58,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator / partition seed")
 		workers  = flag.String("workers", "0", "p²-mdie workers: a count on the simulated cluster (0 = sequential baseline), or with -master a comma-separated worker address list")
 		width    = flag.Int("width", 10, "pipeline width W (0 = unlimited, the paper's 'nolimit')")
-		strategy = flag.String("strategy", "bfs", "search strategy: bfs (paper) or bestfirst")
 		serve    = flag.String("serve", "", "run as a TCP worker: listen on this address, join the master, receive a partition (use host:0 for an ephemeral port; the listen address and a final status line always print so orchestrators can scrape them)")
 		masterMd = flag.Bool("master", false, "run as the TCP master over the workers listed in -workers")
 		listen   = flag.String("listen", "", "with -master: also accept mid-run worker joins on this address (the actual address prints so orchestrators can scrape it); joiners attach with -join")
@@ -69,14 +67,11 @@ func main() {
 		recov    = flag.Bool("recover", false, "tolerate worker failures: exclude a dead worker, redistribute its partition over the survivors and re-issue the in-flight epoch instead of aborting (master flag; workers inherit it at load)")
 		ckptDir  = flag.String("checkpoint", "", "master durability: write an atomic epoch-boundary snapshot of the master's state under this directory (keeping the last two); a crashed master restarts with -resume and learns a theory byte-identical to a failure-free run")
 		resume   = flag.Bool("resume", false, "restart a crashed TCP master from its latest -checkpoint snapshot: re-bind the checkpointed listen address, wait for the workers to reconnect, roll the cluster back to the boundary and continue the run (requires -checkpoint; the dataset flags must match the crashed run's)")
-		orphanTO = flag.Duration("orphantimeout", 0, "worker orphan regime on master death: instead of failing, workers hold their state and redial the master's address with exponential backoff for up to this long, resuming when a -resume'd master re-admits them (master flag; workers inherit it at load; 0 = master death kills workers)")
 		crashAt  = flag.Int64("crashat", 0, "fault injection: kill this master process (exit 137, no cleanup — as if kill -9) when its N'th protocol op is reached; deterministic under a fixed dataset and seed (testing aid for -checkpoint/-resume)")
 		flapAt   = flag.Int64("flapat", 0, "fault injection: drop all of this master's TCP links (a transient partition) when its N'th protocol op is reached; with -linkgrace the session layer replays the gap and the run completes with zero recoveries (testing aid for the link-resilience layer)")
 		linkGr   = flag.Duration("linkgrace", 0, "TCP link-reconnect grace window (netcluster LinkGrace): a failed link gets this long to redial and replay before it escalates to a peer-down event; 0 = fail immediately (the pre-grace behaviour)")
 		pubDir   = flag.String("publish", "", "learn-then-serve pipeline: write an immutable serving snapshot (theory + background + examples, internal/serve format) under this directory at every epoch boundary and after the final epoch, for ilpserve -watch to hot-swap in; with the sequential baseline the final theory publishes once (master flag; a -serve/-join worker refuses it)")
 		recvTO   = flag.Duration("recvtimeout", 0, "bound every blocking protocol receive (core.Config.RecvTimeout); 0 = no deadline, rely on the transport's failure detection")
-		hbEvery  = flag.Duration("heartbeat", 0, "TCP per-link heartbeat period (netcluster HeartbeatEvery); 0 = default 500ms")
-		joinTO   = flag.Duration("jointimeout", 0, "TCP join timeout: a worker's wait for the master's welcome and the master's dial retries (netcluster JoinTimeout); 0 = default 60s")
 		shapeFl  = flag.String("shape", "", "throttle every TCP link in userspace (tc/netem-style, no root needed): comma-separated lat=<duration>,bw=<rate>, e.g. lat=5ms,bw=100mbit; pass the same value to every process for symmetric links. The master's shape also becomes the cluster's virtual-clock cost model, so sim-clock predictions can be checked against measured wall time")
 		verbose  = flag.Bool("v", false, "print the learned theory")
 		quiet    = flag.Bool("q", false, "suppress everything except the metrics line")
@@ -105,11 +100,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if st, serr := search.ParseStrategy(*strategy); serr != nil {
-		fail(serr)
-	} else {
-		ds.Search.Strategy = st
-	}
 	if *traffic != "" && *traffic != "json" && *traffic != "text" {
 		fail(fmt.Errorf("unknown -traffic mode %q (want json or text)", *traffic))
 	}
@@ -119,12 +109,9 @@ func main() {
 		shape:         shp,
 		recover:       *recov,
 		recvTimeout:   *recvTO,
-		heartbeat:     *hbEvery,
-		joinTimeout:   *joinTO,
 		balance:       *balance,
 		listen:        *listen,
 		checkpointDir: *ckptDir,
-		orphanTimeout: *orphanTO,
 		crashAt:       *crashAt,
 		flapAt:        *flapAt,
 		linkGrace:     *linkGr,
@@ -199,34 +186,30 @@ func main() {
 // flagReaders names, for every flag that not every mode reads, the modes
 // that read it; a flag absent here (the dataset flags, -q) is read by all.
 // It follows where main and the run* functions read each flag or the
-// runOptions field it fills: -strategy goes into ds.Search, which
-// a worker or a resumed master gets from the master or the checkpoint
-// instead, and -shape's cost model, the timeouts and the link settings only
-// mean something to the TCP modes and, for the cost model and the receive
-// timeout, to the simulated cluster.
+// runOptions field it fills: -width is shipped to the workers at load and
+// a resumed master reads it from the checkpoint, and -shape's cost model,
+// the timeouts and the link settings only mean something to the TCP modes
+// and, for the cost model and the receive timeout, to the simulated
+// cluster.
 var flagReaders = map[string][]string{
-	"workers":       {"sequential", "sim", "-master"},
-	"width":         {"sim", "-master"},
-	"strategy":      {"sequential", "sim", "-master"},
-	"serve":         {"-serve/-join"},
-	"join":          {"-serve/-join"},
-	"master":        {"-master"},
-	"resume":        {"-resume"},
-	"listen":        {"-master"},
-	"orphantimeout": {"-master"},
-	"balance":       {"sim", "-master"},
-	"recover":       {"sim", "-master"},
-	"traffic":       {"sim", "-master", "-resume"},
-	"checkpoint":    {"sim", "-master", "-resume"},
-	"crashat":       {"-master", "-resume"},
-	"flapat":        {"-master", "-resume"},
-	"heartbeat":     {"-serve/-join", "-master", "-resume"},
-	"jointimeout":   {"-serve/-join", "-master", "-resume"},
-	"linkgrace":     {"-serve/-join", "-master", "-resume"},
-	"recvtimeout":   {"sim", "-serve/-join", "-master", "-resume"},
-	"shape":         {"sim", "-serve/-join", "-master", "-resume"},
-	"publish":       {"sequential", "sim", "-master", "-resume"},
-	"v":             {"sequential", "sim", "-master", "-resume"},
+	"workers":     {"sequential", "sim", "-master"},
+	"width":       {"sim", "-master"},
+	"serve":       {"-serve/-join"},
+	"join":        {"-serve/-join"},
+	"master":      {"-master"},
+	"resume":      {"-resume"},
+	"listen":      {"-master"},
+	"balance":     {"sim", "-master"},
+	"recover":     {"sim", "-master"},
+	"traffic":     {"sim", "-master", "-resume"},
+	"checkpoint":  {"sim", "-master", "-resume"},
+	"crashat":     {"-master", "-resume"},
+	"flapat":      {"-master", "-resume"},
+	"linkgrace":   {"-serve/-join", "-master", "-resume"},
+	"recvtimeout": {"sim", "-serve/-join", "-master", "-resume"},
+	"shape":       {"sim", "-serve/-join", "-master", "-resume"},
+	"publish":     {"sequential", "sim", "-master", "-resume"},
+	"v":           {"sequential", "sim", "-master", "-resume"},
 }
 
 // checkModeFlags refuses a flag set on the command line that the selected
@@ -281,12 +264,9 @@ type runOptions struct {
 	shape         shape.Config
 	recover       bool
 	recvTimeout   time.Duration
-	heartbeat     time.Duration
-	joinTimeout   time.Duration
 	balance       bool
 	listen        string
 	checkpointDir string
-	orphanTimeout time.Duration
 	crashAt       int64
 	flapAt        int64
 	linkGrace     time.Duration
@@ -294,20 +274,18 @@ type runOptions struct {
 }
 
 // applyTransport builds the netcluster config every TCP mode shares: the
-// dataset fingerprint, heartbeat, join timeout and link grace, plus link
-// shaping. With -shape set, every conn (dialed or accepted) is
-// wrapped in the userspace throttle, and on the master the cost model's
-// transfer terms are aligned to the shaped link — workers adopt the
-// master's model at join — so the virtual clock predicts exactly what the
-// throttle enforces. A term -shape leaves out is modelled as free (1 ns
+// dataset fingerprint and link grace, plus link shaping; the heartbeat and
+// join timeout keep netcluster's defaults. With -shape set, every conn
+// (dialed or accepted) is wrapped in the userspace throttle, and on the
+// master the cost model's transfer terms are aligned to the shaped link —
+// workers adopt the master's model at join — so the virtual clock predicts
+// exactly what the throttle enforces. A term -shape leaves out is modelled as free (1 ns
 // latency, ~unbounded bandwidth), matching the unthrottled loopback
 // underneath, rather than falling back to the Beowulf defaults.
 func applyTransport(opts runOptions) netcluster.Config {
 	ncfg := netcluster.Config{
-		Fingerprint:    opts.fingerprint,
-		HeartbeatEvery: opts.heartbeat,
-		JoinTimeout:    opts.joinTimeout,
-		LinkGrace:      opts.linkGrace,
+		Fingerprint: opts.fingerprint,
+		LinkGrace:   opts.linkGrace,
 	}
 	if opts.shape.Enabled() {
 		ncfg.ShapeConn = opts.shape.Wrap
@@ -465,7 +443,6 @@ func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, traff
 		RecvTimeout:   opts.recvTimeout,
 		Balance:       opts.balance,
 		CheckpointDir: opts.checkpointDir,
-		OrphanTimeout: opts.orphanTimeout,
 		Fingerprint:   opts.fingerprint,
 		Publish:       publishHook(ds, opts.publishDir),
 	})

@@ -5,16 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"os/exec"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The crash-resume e2e: a real TCP master running with -checkpoint and
-// -orphantimeout is killed by the -crashat faultline schedule (exit 137,
-// the kill -9 status), its worker processes go into the orphan regime and
-// redial, and a fresh `p2mdie -resume` process re-binds the checkpointed
+// The crash-resume e2e: a real TCP master running with -checkpoint is
+// killed by the -crashat faultline schedule (exit 137, the kill -9 status),
+// its worker processes go into the orphan regime (which -checkpoint alone
+// switches on) and redial, and a fresh `p2mdie -resume` process re-binds the checkpointed
 // address, rolls the cluster back and finishes the run — with a theory
 // byte-identical to a failure-free run's. This is the acceptance bar for
 // master fault tolerance over the real transport.
@@ -51,12 +52,12 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 			w1 := startWorker(t, ctx, bin, dsArgs)
 			w2 := startWorker(t, ctx, bin, dsArgs)
 
-			// The doomed master: durable, orphan-tolerant workers, scheduled
-			// crash. It must die with the kill -9 exit status, not fail(1).
+			// The doomed master: durable (so its workers turn orphans
+			// rather than die), scheduled crash. It must die with the kill -9 exit status, not fail(1).
 			crashArgs := append(append([]string{}, dsArgs...),
 				"-master", "-workers", w1.addr+","+w2.addr, "-width", "10",
 				"-listen", "127.0.0.1:0", "-checkpoint", ckdir,
-				"-orphantimeout", "60s", "-crashat", strconv.FormatInt(crashAt, 10), "-q")
+				"-crashat", strconv.FormatInt(crashAt, 10), "-q")
 			out, err := exec.CommandContext(ctx, bin, crashArgs...).CombinedOutput()
 			var ee *exec.ExitError
 			if !errors.As(err, &ee) || ee.ExitCode() != crashExitCode {
@@ -82,5 +83,45 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 				t.Fatalf("resumed metrics line does not report restarts=1:\n%s", resumeOut)
 			}
 		})
+	}
+}
+
+var linkFlapsRe = regexp.MustCompile(`linkflaps=(\d+)`)
+
+// TestLinkFlapE2E severs every live TCP link of a real master mid-run
+// (-flapat 40, the master's 40th protocol op) with the link-session layer
+// on in every process (-linkgrace is per node: a worker without it refuses
+// the master's resume handshake). The grace window redials and replays the
+// gap, so the run must report at least one link flap, no recovery, and the
+// theory of a failure-free run.
+func TestLinkFlapE2E(t *testing.T) {
+	bin := binary(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
+	defer cancel()
+	dsArgs := []string{"-dataset", "pyrimidines", "-scale", "0.05", "-seed", "1"}
+
+	want := theorySection(t, run(t, ctx, bin, append(append([]string{}, dsArgs...),
+		"-workers", "2", "-width", "10", "-v", "-q")...))
+
+	grace := append(append([]string{}, dsArgs...), "-linkgrace", "10s")
+	w1 := startWorker(t, ctx, bin, grace)
+	w2 := startWorker(t, ctx, bin, grace)
+	out := run(t, ctx, bin, append(append([]string{}, grace...),
+		"-master", "-workers", w1.addr+","+w2.addr, "-width", "10", "-flapat", "40", "-v")...)
+	if err := w1.cmd.Wait(); err != nil {
+		t.Fatalf("worker 1: %v\n%s", err, w1.out.String())
+	}
+	if err := w2.cmd.Wait(); err != nil {
+		t.Fatalf("worker 2: %v\n%s", err, w2.out.String())
+	}
+
+	if m := linkFlapsRe.FindStringSubmatch(out); m == nil || m[1] == "0" {
+		t.Fatalf("master reported no link flap:\n%s", out)
+	}
+	if m := recoveriesRe.FindStringSubmatch(out); m != nil && m[1] != "0" {
+		t.Fatalf("a link flap inside the grace window cost a recovery:\n%s", out)
+	}
+	if got := theorySection(t, out); got != want {
+		t.Fatalf("flapped theory differs from failure-free run:\n--- failure-free ---\n%s--- flapped ---\n%s", want, got)
 	}
 }

@@ -66,10 +66,11 @@ func TestShapeFlagRejectsJunk(t *testing.T) {
 		{[]string{"-shape", "lat=fast"}, []string{"shape"}},
 		{[]string{"-workers", "2", "-shape", "bw=100Mbit"}, []string{`unknown unit "Mbit"`, "gbit, mbit, kbit, bit"}},
 		{[]string{"-workers", "2", "-crashat", "3"}, []string{"-crashat", "sim mode"}},
-		{[]string{"-workers", "0", "-linkgrace", "5s", "-flapat", "2", "-heartbeat", "1ms"}, []string{"-flapat", "-heartbeat", "-linkgrace", "sequential mode"}},
+		{[]string{"-workers", "0", "-linkgrace", "5s", "-flapat", "2", "-recvtimeout", "1s"}, []string{"-flapat", "-linkgrace", "-recvtimeout", "sequential mode"}},
 		{[]string{"-width", "4"}, []string{"-width", "sequential mode"}},
 		{[]string{"-workers", "a,b", "-width", "4"}, []string{"-workers", "need a worker count"}},
-		{[]string{"-workers", "2", "-listen", "127.0.0.1:0", "-orphantimeout", "1s"}, []string{"-listen", "-orphantimeout", "sim mode"}},
+		{[]string{"-workers", "2", "-listen", "127.0.0.1:0", "-crashat", "1"}, []string{"-listen", "-crashat", "sim mode"}},
+		{[]string{"-strategy", "bestfirst"}, []string{"flag provided but not defined: -strategy"}},
 		{[]string{"-serve", "127.0.0.1:0", "-width", "4", "-recover", "-v"}, []string{"-recover", "-v", "-width", "-serve/-join mode"}},
 		{[]string{"-resume", "-checkpoint", t.TempDir(), "-master", "-balance"}, []string{"-balance", "-master", "-resume mode"}},
 		{[]string{"-scale", "0"}, []string{"scale 0 "}},

@@ -165,14 +165,10 @@ type ParallelOptions struct {
 	Cost CostModel
 	// Trace observes simulated cluster events.
 	Trace func(cluster.Event)
-	// Repartition re-balances uncovered positives across workers before
-	// every epoch (the §4.1 alternative; costs communication).
-	Repartition bool
 	// Balance enables throughput-aware load rebalancing between epochs:
 	// the master deals uncovered positives proportionally to each worker's
-	// measured throughput instead of evenly (supersedes Repartition when
-	// both are set). Metrics.Rebalances counts the barriers — Repartition's
-	// too.
+	// measured throughput instead of evenly. Metrics.Rebalances counts the
+	// barriers.
 	Balance bool
 	// Recover enables worker-failure recovery: a dead worker is excluded,
 	// its examples are redistributed, and the run completes on the
@@ -210,20 +206,19 @@ func LearnParallel(ds *Dataset, workers, width int, opts ...ParallelOptions) (*P
 		publish = serve.Publisher(o.PublishDir, ds.Name, fp, ds.KB, ds.Budget, ds.Pos, ds.Neg)
 	}
 	return core.Learn(ds.KB, ds.Pos, ds.Neg, ds.Modes, core.Config{
-		Workers:              workers,
-		Width:                width,
-		Seed:                 o.Seed,
-		Search:               ds.Search,
-		Bottom:               ds.Bottom,
-		Budget:               ds.Budget,
-		Cost:                 o.Cost,
-		Trace:                o.Trace,
-		RepartitionEachEpoch: o.Repartition,
-		Balance:              o.Balance,
-		Recover:              o.Recover,
-		RecvTimeout:          o.RecvTimeout,
-		CheckpointDir:        o.CheckpointDir,
-		Publish:              publish,
+		Workers:       workers,
+		Width:         width,
+		Seed:          o.Seed,
+		Search:        ds.Search,
+		Bottom:        ds.Bottom,
+		Budget:        ds.Budget,
+		Cost:          o.Cost,
+		Trace:         o.Trace,
+		Balance:       o.Balance,
+		Recover:       o.Recover,
+		RecvTimeout:   o.RecvTimeout,
+		CheckpointDir: o.CheckpointDir,
+		Publish:       publish,
 	})
 }
 

@@ -66,7 +66,6 @@ func TestLearnParallelCoverageRefusesUnusedOptions(t *testing.T) {
 	}{
 		{"", ParallelOptions{Seed: 3, Cost: DefaultCostModel}},
 		{"Trace", ParallelOptions{Trace: func(cluster.Event) {}}},
-		{"Repartition", ParallelOptions{Repartition: true}},
 		{"Balance", ParallelOptions{Balance: true}},
 		{"Recover", ParallelOptions{Recover: true}},
 		{"RecvTimeout", ParallelOptions{RecvTimeout: time.Second}},

@@ -317,9 +317,7 @@ func (c *Checkpoint) Epochs() int { return c.rec.Epochs }
 // model): a resume that silently ran different search settings would learn
 // a different theory.
 func (rec *checkpointRecord) config(base Config) Config {
-	base = base.withLoadSettings(&rec.Load)
-	base.OrphanTimeout = rec.Load.OrphanTimeout
-	return base
+	return base.withLoadSettings(&rec.Load)
 }
 
 // resumedMaster rebuilds a master over t from a checkpoint: protocol

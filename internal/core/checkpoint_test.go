@@ -265,3 +265,26 @@ func TestSimCrashRestartByteIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestOrphanRegimeFollowsCheckpoint pins where the orphan regime comes
+// from: the load settings a master ships (kindLoad, and kindWelcome to a
+// joiner) carry OrphanTimeout = resumeWindow exactly when the master
+// checkpoints, for a fresh master and a resumed one alike. A resumed master
+// derives it from its own CheckpointDir, not from the checkpoint record.
+func TestOrphanRegimeFollowsCheckpoint(t *testing.T) {
+	ck := sampleCheckpointRecord() // its Load carries a 30 s OrphanTimeout
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want time.Duration
+	}{
+		{"initial load, no checkpoint", Config{}, 0},
+		{"initial load, checkpoint", Config{CheckpointDir: t.TempDir()}, resumeWindow},
+		{"resumed welcome, no checkpoint", ck.config(Config{}), 0},
+		{"resumed welcome, checkpoint", ck.config(Config{CheckpointDir: t.TempDir()}), resumeWindow},
+	} {
+		if got := tc.cfg.loadSettings().OrphanTimeout; got != tc.want {
+			t.Errorf("%s: OrphanTimeout %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

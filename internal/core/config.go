@@ -89,13 +89,6 @@ type Config struct {
 	// Off (the default), runs are byte-identical on the wire to a build
 	// without the checkpoint layer. See DESIGN.md §8.
 	CheckpointDir string
-	// OrphanTimeout switches workers to the orphan regime on master death:
-	// instead of failing, a worker holds its state and redials the master's
-	// (stable) address with exponential backoff + jitter for up to this
-	// long, resuming when the restarted master re-admits it. Zero (the
-	// default) keeps master death fatal to workers. Master-configured and
-	// shipped in the load message so the whole cluster runs one regime.
-	OrphanTimeout time.Duration
 	// Fingerprint is the loaded task's fingerprint (Fingerprint()); stamped
 	// into checkpoints so a resume against a different dataset is rejected
 	// instead of silently mis-decoding interned terms. Filled by the

@@ -894,7 +894,7 @@ func (ma *master) awaitRejoins() error {
 	}
 	wait := ma.cfg.RecvTimeout
 	if wait <= 0 {
-		wait = defaultResumeWait
+		wait = resumeWindow
 	}
 	deadline := time.Now().Add(wait)
 	for {
@@ -931,8 +931,10 @@ func (ma *master) awaitRejoins() error {
 	}
 }
 
-// defaultResumeWait bounds the rejoin wait when no RecvTimeout is set.
-const defaultResumeWait = 60 * time.Second
+// resumeWindow bounds a resumed master's rejoin wait when no RecvTimeout is
+// set, and is how long a checkpointing master's orphaned workers redial it
+// (loadSettings): each side waits as long as the other.
+const resumeWindow = 60 * time.Second
 
 // queryResume is the resume ledger (DESIGN.md §8): it opens before the
 // rejoin wait and closes once every live member has said where it stands

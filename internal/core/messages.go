@@ -198,9 +198,10 @@ type loadDataMsg struct {
 	// rollback, reassignMsg.RollbackBelow) exactly when there are
 	// checkpoints they could be rolled back to.
 	Checkpoint bool
-	// OrphanTimeout mirrors the master's Config.OrphanTimeout: non-zero
-	// switches workers to the orphan regime on master death (hold state,
-	// redial with backoff, resume on re-admission) instead of failing.
+	// OrphanTimeout is non-zero exactly when the master checkpoints
+	// (resumeWindow): it switches workers to the orphan regime on master
+	// death (hold state, redial the master's stable address with backoff
+	// for up to this long, resume on re-admission) instead of failing.
 	OrphanTimeout time.Duration
 }
 
@@ -211,23 +212,28 @@ type loadDataMsg struct {
 // partition) and a joiner's kindWelcome — add new semantics-bearing knobs
 // HERE and in withLoadSettings, not at the call sites.
 func (c Config) loadSettings() loadDataMsg {
-	return loadDataMsg{
-		HasData:       true,
-		Width:         c.Width,
-		Search:        c.Search,
-		Bottom:        c.Bottom,
-		Budget:        c.Budget,
-		Recover:       c.Recover,
-		Balance:       c.Balance,
-		Checkpoint:    c.CheckpointDir != "",
-		OrphanTimeout: c.OrphanTimeout,
+	lm := loadDataMsg{
+		HasData:    true,
+		Width:      c.Width,
+		Search:     c.Search,
+		Bottom:     c.Bottom,
+		Budget:     c.Budget,
+		Recover:    c.Recover,
+		Balance:    c.Balance,
+		Checkpoint: c.CheckpointDir != "",
 	}
+	if lm.Checkpoint {
+		// The orphan regime only pays when a restarted master can resume
+		// from a checkpoint.
+		lm.OrphanTimeout = resumeWindow
+	}
+	return lm
 }
 
 // withLoadSettings reads loadSettings back: c with the semantics-bearing
 // knobs lm carries, for a remote worker's load and a resumed master's
-// checkpoint alike. Checkpoint and OrphanTimeout stay with the callers,
-// which apply them differently.
+// checkpoint alike. Checkpoint and OrphanTimeout stay with the callers:
+// a worker applies them, a master derives them from its CheckpointDir.
 func (c Config) withLoadSettings(lm *loadDataMsg) Config {
 	c.Width = lm.Width
 	c.Search = lm.Search

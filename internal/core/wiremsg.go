@@ -31,8 +31,8 @@ func appendSettings(w *wire.Writer, s search.Settings) {
 	w.Int(s.MinPos)
 	w.F64(s.MinPrec)
 	w.Int(s.W)
-	w.Byte(0) // reserved (held the deleted heuristic choice, always coverage): bench/golden.json pins kindLoad's bytes
-	w.Byte(byte(s.Strategy))
+	w.Byte(0)     // reserved (held the deleted heuristic choice, always coverage): bench/golden.json pins kindLoad's bytes
+	w.Byte(0)     // reserved (held the deleted search strategy, 0 = breadth-first): readSettings refuses any other value
 	w.F64(2)      // reserved (held the deleted m-estimate's m), likewise
 	w.F64(0.5)    // reserved (held the deleted m-estimate's positive prior), likewise
 	w.Bool(false) // reserved (held the deleted per-candidate-evaluation setting): bench/golden.json pins kindLoad's bytes
@@ -47,7 +47,11 @@ func readSettings(r *wire.Reader) search.Settings {
 	s.MinPrec = r.F64()
 	s.W = r.Int()
 	r.Byte() // reserved, see appendSettings
-	s.Strategy = search.Strategy(r.Byte())
+	if b := r.Byte(); b != 0 {
+		// A peer built with best-first search asked for it: learning under
+		// breadth-first instead would silently yield another theory.
+		r.Failf("search strategy %d: only breadth-first (0) is supported", b)
+	}
 	r.F64()  // reserved, see appendSettings
 	r.F64()  // reserved, see appendSettings
 	r.Bool() // reserved, see appendSettings

@@ -16,6 +16,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/search"
 	"repro/internal/solve"
+	"repro/internal/wire"
 )
 
 // testPayloads builds one representative payload per message kind, keyed
@@ -459,5 +460,56 @@ func BenchmarkDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// strategyByteAt returns the offset in b of the reserved byte that once
+// held the search strategy, inside s's encoding, which must occur in b
+// exactly once.
+func strategyByteAt(t *testing.T, b []byte, s search.Settings) int {
+	t.Helper()
+	var enc wire.Writer
+	appendSettings(&enc, s)
+	at := bytes.Index(b, enc.B)
+	if at < 0 || bytes.Contains(b[at+1:], enc.B) {
+		t.Fatalf("settings encoding found %d times, want once", bytes.Count(b, enc.B))
+	}
+	var lead wire.Writer // the fields before it: four settings, W, the heuristic byte
+	lead.Int(s.MaxClauseLen)
+	lead.Int(s.NodesLimit)
+	lead.Int(s.MinPos)
+	lead.F64(s.MinPrec)
+	lead.Int(s.W)
+	lead.Byte(0)
+	return at + len(lead.B)
+}
+
+// TestReservedStrategyByteRefused: a peer or a checkpoint from a build with
+// best-first search encodes its choice in the reserved strategy byte.
+// Decoding it under breadth-first would silently learn another theory, so
+// both a sealed kindLoad frame and a checkpoint payload carrying a non-zero
+// byte there must be refused by name.
+func TestReservedStrategyByteRefused(t *testing.T) {
+	lm := testPayloads()[kindLoad].(loadDataMsg)
+	body, err := wire.Decompress(mustSeal(t, lm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte{0}, body...) // re-sealed raw: envelope flag 0
+	var ok loadDataMsg
+	if err := cluster.DecodePayload(frame, &ok); err != nil {
+		t.Fatalf("unpatched load frame: %v", err)
+	}
+	frame[strategyByteAt(t, frame, lm.Search)] = 1
+	var got loadDataMsg
+	if err := cluster.DecodePayload(frame, &got); err == nil || !strings.Contains(err.Error(), "search strategy 1") {
+		t.Errorf("load frame with strategy byte 1: got %v, want an error naming the search strategy", err)
+	}
+
+	rec := sampleCheckpointRecord()
+	payload := rec.encode()
+	payload[strategyByteAt(t, payload, rec.Load.Search)] = 1
+	if _, err := decodeCheckpoint(payload); err == nil || !strings.Contains(err.Error(), "search strategy 1") {
+		t.Errorf("checkpoint with strategy byte 1: got %v, want an error naming the search strategy", err)
 	}
 }

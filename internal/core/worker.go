@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/bottom"
 	"repro/internal/cluster"
@@ -85,6 +86,9 @@ type worker struct {
 	// kindResumeInfo report (a delta, zeroed on reply, so repeated
 	// restarts never double-count).
 	orphanReconnects int
+	// orphanTimeout is the load message's OrphanTimeout: non-zero puts
+	// this worker in the orphan regime on master death.
+	orphanTimeout time.Duration
 
 	// busyNs accumulates the virtual nanoseconds this worker spent
 	// computing (every clock advance charged through compute), excluding
@@ -163,7 +167,7 @@ func newWorker(id, p int, node cluster.Transport, kb *solve.KB, ex *search.Examp
 		snapsOn: cfg.CheckpointDir != "",
 		snaps:   make(map[int]boundarySnap),
 	}
-	node.NotifyFailures(cfg.Recover || cfg.OrphanTimeout > 0)
+	node.NotifyFailures(cfg.Recover)
 	w.m = solve.NewMachine(w.kb, w.cfg.Budget)
 	w.install(ex)
 	return w
@@ -202,15 +206,13 @@ func (w *worker) loadRemote(lm *loadDataMsg) error {
 	}
 	w.cfg = w.cfg.withLoadSettings(lm)
 	w.snapsOn = lm.Checkpoint
-	if lm.OrphanTimeout > 0 {
-		w.cfg.OrphanTimeout = lm.OrphanTimeout
-	}
+	w.orphanTimeout = lm.OrphanTimeout
 	w.cfg = w.cfg.withDefaults()
 	// The failure regime is cluster-wide and master-decided: under
 	// recovery a sibling's death must arrive as a membership event, not
 	// poison this worker's transport — and the orphan regime needs the
 	// master's own death delivered the same way.
-	w.node.NotifyFailures(w.cfg.Recover || w.cfg.OrphanTimeout > 0)
+	w.node.NotifyFailures(w.cfg.Recover || w.orphanTimeout > 0)
 	if w.m != nil {
 		w.retiredInf += w.m.TotalInferences() // the old machine goes too
 	}
@@ -433,7 +435,7 @@ func (w *worker) admit(msg cluster.Message) (f any, prev int, err error) {
 // loop.
 func (w *worker) sendMaster(kind int, v any) error {
 	err := w.node.Send(0, kind, v)
-	if err != nil && w.cfg.OrphanTimeout > 0 && errors.Is(err, cluster.ErrPeerDown) {
+	if err != nil && w.orphanTimeout > 0 && errors.Is(err, cluster.ErrPeerDown) {
 		return nil
 	}
 	return err
@@ -581,13 +583,13 @@ func (w *worker) run() error {
 		}
 		if msg.Kind == cluster.KindPeerDown {
 			if msg.From == 0 {
-				if w.cfg.OrphanTimeout > 0 {
+				if w.orphanTimeout > 0 {
 					if rj, ok := as[masterRejoiner](w.node); ok {
 						// Orphan regime: hold all state and redial the
 						// master's stable address with backoff until a
 						// restarted master re-admits this worker (its
 						// kindResumeQuery then arrives on the new link).
-						if _, err := rj.RejoinMaster(w.cfg.OrphanTimeout); err != nil {
+						if _, err := rj.RejoinMaster(w.orphanTimeout); err != nil {
 							return fmt.Errorf("core: worker %d orphaned at epoch %d: master did not return: %w", w.id, w.epoch, err)
 						}
 						w.orphanReconnects++

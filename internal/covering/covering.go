@@ -16,6 +16,7 @@ import (
 	"repro/internal/mode"
 	"repro/internal/search"
 	"repro/internal/solve"
+	"repro/internal/theory"
 )
 
 // Config parameterises a sequential run.
@@ -94,21 +95,6 @@ func Learn(kb *solve.KB, ex *search.Examples, ms *mode.Set, cfg Config) (*Result
 // Accuracy evaluates a theory on a labelled test set and returns the
 // fraction of correctly classified examples: covered positives plus
 // uncovered negatives over all examples.
-func Accuracy(kb *solve.KB, theory []logic.Clause, pos, neg []logic.Term, budget solve.Budget) float64 {
-	if len(pos)+len(neg) == 0 {
-		return 0
-	}
-	t := search.CompileTheory(solve.NewMachine(kb, budget), theory)
-	correct := 0
-	for _, e := range pos {
-		if t.Covers(e) {
-			correct++
-		}
-	}
-	for _, e := range neg {
-		if !t.Covers(e) {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pos)+len(neg))
+func Accuracy(kb *solve.KB, th []logic.Clause, pos, neg []logic.Term, budget solve.Budget) float64 {
+	return theory.Evaluate(kb, th, pos, neg, budget).Accuracy()
 }

@@ -147,46 +147,44 @@ func TestCoverageBatchOfFallsBackToLoop(t *testing.T) {
 
 // TestLearnRuleBatchedMatchesUnbatched pins that batching is a pure
 // performance change: identical Good rules (indices, coverage bitsets,
-// scores), Generated counts and limit behavior, over both evaluators and
-// both strategies, seeded and unseeded, with and without a NodesLimit.
+// scores), Generated counts and limit behavior, over both evaluators,
+// seeded and unseeded, with and without a NodesLimit.
 func TestLearnRuleBatchedMatchesUnbatched(t *testing.T) {
 	for _, workers := range []int{0, 4} {
-		for _, strategy := range []Strategy{StrategyBFS, StrategyBestFirst} {
-			for _, limit := range []int{0, 7} {
-				for _, seeded := range []bool{false, true} {
-					fxA := newFixture(t)
-					fxB := newFixture(t)
-					var evA, evB Coverer = fxA.ev, fxB.ev
-					if workers > 0 {
-						peA := NewParallelEvaluator(fxA.kb, fxA.ex, solve.DefaultBudget, workers)
-						defer peA.Close()
-						peB := NewParallelEvaluator(fxB.kb, fxB.ex, solve.DefaultBudget, workers)
-						defer peB.Close()
-						evA, evB = peA, peB
+		for _, limit := range []int{0, 7} {
+			for _, seeded := range []bool{false, true} {
+				fxA := newFixture(t)
+				fxB := newFixture(t)
+				var evA, evB Coverer = fxA.ev, fxB.ev
+				if workers > 0 {
+					peA := NewParallelEvaluator(fxA.kb, fxA.ex, solve.DefaultBudget, workers)
+					defer peA.Close()
+					peB := NewParallelEvaluator(fxB.kb, fxB.ex, solve.DefaultBudget, workers)
+					defer peB.Close()
+					evA, evB = peA, peB
+				}
+				var seeds [][]int32
+				if seeded {
+					seeds = [][]int32{{0}, {1}}
+				}
+				st := Settings{MaxClauseLen: 3, MinPrec: 0.75, NodesLimit: limit}
+				batched := LearnRule(evA, fxA.bot, seeds, st)
+				unbatched := LearnRule(&plainCoverer{Coverer: evB}, fxB.bot, seeds, st)
+				if batched.Generated != unbatched.Generated || batched.ExhaustedNodes != unbatched.ExhaustedNodes {
+					t.Fatalf("w=%d limit=%d seeded=%v: generated %d/%v vs %d/%v",
+						workers, limit, seeded,
+						batched.Generated, batched.ExhaustedNodes, unbatched.Generated, unbatched.ExhaustedNodes)
+				}
+				if len(batched.Good) != len(unbatched.Good) {
+					t.Fatalf("good counts differ: %d vs %d", len(batched.Good), len(unbatched.Good))
+				}
+				for i := range batched.Good {
+					a, b := batched.Good[i], unbatched.Good[i]
+					if !equalIndices(a.Indices, b.Indices) || a.Score != b.Score {
+						t.Fatalf("good[%d] differs: %v/%v vs %v/%v", i, a.Indices, a.Score, b.Indices, b.Score)
 					}
-					var seeds [][]int32
-					if seeded {
-						seeds = [][]int32{{0}, {1}}
-					}
-					st := Settings{MaxClauseLen: 3, MinPrec: 0.75, NodesLimit: limit, Strategy: strategy}
-					batched := LearnRule(evA, fxA.bot, seeds, st)
-					unbatched := LearnRule(&plainCoverer{Coverer: evB}, fxB.bot, seeds, st)
-					if batched.Generated != unbatched.Generated || batched.ExhaustedNodes != unbatched.ExhaustedNodes {
-						t.Fatalf("w=%d strat=%v limit=%d seeded=%v: generated %d/%v vs %d/%v",
-							workers, strategy, limit, seeded,
-							batched.Generated, batched.ExhaustedNodes, unbatched.Generated, unbatched.ExhaustedNodes)
-					}
-					if len(batched.Good) != len(unbatched.Good) {
-						t.Fatalf("good counts differ: %d vs %d", len(batched.Good), len(unbatched.Good))
-					}
-					for i := range batched.Good {
-						a, b := batched.Good[i], unbatched.Good[i]
-						if !equalIndices(a.Indices, b.Indices) || a.Score != b.Score {
-							t.Fatalf("good[%d] differs: %v/%v vs %v/%v", i, a.Indices, a.Score, b.Indices, b.Score)
-						}
-						assertSameBits(t, "good-pos", a.PosCover(), b.PosCover())
-						assertSameBits(t, "good-neg", a.NegCover(), b.NegCover())
-					}
+					assertSameBits(t, "good-pos", a.PosCover(), b.PosCover())
+					assertSameBits(t, "good-neg", a.NegCover(), b.NegCover())
 				}
 			}
 		}

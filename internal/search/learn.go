@@ -9,7 +9,6 @@
 package search
 
 import (
-	"container/heap"
 	"slices"
 	"sort"
 	"sync"
@@ -17,14 +16,6 @@ import (
 	"repro/internal/bottom"
 	"repro/internal/logic"
 )
-
-// openList abstracts the search frontier: FIFO for breadth-first, a
-// score-ordered priority queue for best-first.
-type openList interface {
-	push(*Candidate)
-	pop() *Candidate
-	empty() bool
-}
 
 // fifoOpen is the breadth-first frontier. Popping advances a head index
 // instead of re-slicing (q = q[1:] would keep every popped candidate — and
@@ -52,41 +43,6 @@ func (f *fifoOpen) pop() *Candidate {
 	return c
 }
 func (f *fifoOpen) empty() bool { return f.head >= len(f.q) }
-
-// heapOpen is the best-first frontier: highest score first, ties broken by
-// insertion order for determinism.
-type heapOpen struct {
-	items []heapItem
-	seq   int
-}
-
-type heapItem struct {
-	c   *Candidate
-	seq int
-}
-
-func (h *heapOpen) Len() int { return len(h.items) }
-func (h *heapOpen) Less(i, j int) bool {
-	if h.items[i].c.Score != h.items[j].c.Score {
-		return h.items[i].c.Score > h.items[j].c.Score
-	}
-	return h.items[i].seq < h.items[j].seq
-}
-func (h *heapOpen) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *heapOpen) Push(x any)    { h.items = append(h.items, x.(heapItem)) }
-func (h *heapOpen) Pop() any {
-	last := h.items[len(h.items)-1]
-	h.items[len(h.items)-1] = heapItem{} // a pooled heap pins no candidate
-	h.items = h.items[:len(h.items)-1]
-	return last
-}
-
-func (h *heapOpen) push(c *Candidate) {
-	heap.Push(h, heapItem{c: c, seq: h.seq})
-	h.seq++
-}
-func (h *heapOpen) pop() *Candidate { return heap.Pop(h).(heapItem).c }
-func (h *heapOpen) empty() bool     { return len(h.items) == 0 }
 
 // Candidate is one searched rule: a set of bottom-clause literal indices
 // plus its local evaluation.
@@ -206,7 +162,6 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 	s := searchStates.Get().(*searchState)
 	defer s.release()
 	res := &Result{}
-	open := s.openList(st.Strategy)
 	var good []*Candidate
 	nLits := len(bot.Lits)
 
@@ -223,7 +178,7 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 		s.seen[key] = true
 		cand := evaluate(ev, bot, sorted, nil, nil)
 		res.Generated++
-		open.push(cand)
+		s.fifo.push(cand)
 		if forceGood || st.IsGood(cand.Pos, cand.Neg) {
 			cand.kept = true
 			good = append(good, cand)
@@ -241,8 +196,8 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 
 	words := (bot.NumVars + 63) / 64
 	s.bound = slices.Grow(s.bound[:0], words)[:words] // fillBoundVars clears it
-	for !open.empty() && res.Generated < st.NodesLimit {
-		node := open.pop()
+	for !s.fifo.empty() && res.Generated < st.NodesLimit {
+		node := s.fifo.pop()
 		s.expand(node, bot, st)
 		// NodesLimit truncation before evaluation preserves the
 		// per-candidate path's semantics exactly: a child past the limit
@@ -260,7 +215,7 @@ func LearnRule(ev Coverer, bot *bottom.Bottom, seeds [][]int32, st Settings) *Re
 				good = append(good, cand)
 			}
 			if cand.Pos >= st.MinPos {
-				open.push(cand)
+				s.fifo.push(cand)
 			} else if !cand.kept {
 				s.recycle(cand)
 			}
@@ -291,7 +246,7 @@ const (
 
 // searchState is the scratch one LearnRule call borrows from searchStates:
 // the dedup set, the variable bitset and child list of node expansion, the
-// frontier buffers, both open lists and the spare candidates. Nothing in it
+// frontier buffers, the open list and the spare candidates. Nothing in it
 // outlives the call — every candidate a Result holds is kept, and a kept
 // candidate is never recycled.
 type searchState struct {
@@ -302,18 +257,9 @@ type searchState struct {
 	spares   []*Candidate // candidates no longer referenced, to be reused
 	fe       frontierBufs
 	fifo     fifoOpen
-	heap     heapOpen
 }
 
 var searchStates = sync.Pool{New: func() any { return &searchState{seen: make(map[candKey]bool)} }}
-
-// openList returns the state's empty open list for strategy.
-func (s *searchState) openList(strategy Strategy) openList {
-	if strategy == StrategyBestFirst {
-		return &s.heap
-	}
-	return &s.fifo
-}
 
 // release empties the state and returns it to the pool.
 func (s *searchState) release() {
@@ -327,13 +273,6 @@ func (s *searchState) release() {
 			s.recycle(c)
 		}
 	}
-	for _, it := range s.heap.items {
-		if !it.c.kept {
-			s.recycle(it.c)
-		}
-	}
-	clear(s.heap.items)
-	s.heap.items, s.heap.seq = s.heap.items[:0], 0
 	s.fifo.q, s.fifo.head = s.fifo.q[:0], 0
 	clear(s.children)
 	s.children = s.children[:0]

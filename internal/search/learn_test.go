@@ -295,8 +295,8 @@ func TestLearnRuleSteadyStateAllocs(t *testing.T) {
 
 // TestLearnRuleConcurrentSearchesAgree: searches on several goroutines at
 // once share the pooled search state and spare candidates, and every result
-// — read after all of them have finished — is the one a lone search returns,
-// under both strategies. A candidate a Result holds is never handed to
+// — read after all of them have finished — is the one a lone search returns.
+// A candidate a Result holds is never handed to
 // another search.
 func TestLearnRuleConcurrentSearchesAgree(t *testing.T) {
 	kb, ex, bot := benchRichExamples(t, 48)
@@ -307,28 +307,26 @@ func TestLearnRuleConcurrentSearchesAgree(t *testing.T) {
 		}
 		return s
 	}
-	for _, strategy := range []Strategy{StrategyBFS, StrategyBestFirst} {
-		st := Settings{MinPos: 1, NodesLimit: 60, Strategy: strategy}
-		want := describe(LearnRule(NewEvaluator(solve.NewMachine(kb, solve.DefaultBudget), ex), bot, nil, st))
-		const searchers, rounds = 4, 5
-		results := make([][]*Result, searchers)
-		var wg sync.WaitGroup
-		for g := range searchers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ev := NewEvaluator(solve.NewMachine(kb, solve.DefaultBudget), ex)
-				for range rounds {
-					results[g] = append(results[g], LearnRule(ev, bot, nil, st))
-				}
-			}()
-		}
-		wg.Wait()
-		for g := range results {
-			for i, r := range results[g] {
-				if got := describe(r); got != want {
-					t.Fatalf("strategy %v, searcher %d, round %d:\n%s\nalone:\n%s", strategy, g, i, got, want)
-				}
+	st := Settings{MinPos: 1, NodesLimit: 60}
+	want := describe(LearnRule(NewEvaluator(solve.NewMachine(kb, solve.DefaultBudget), ex), bot, nil, st))
+	const searchers, rounds = 4, 5
+	results := make([][]*Result, searchers)
+	var wg sync.WaitGroup
+	for g := range searchers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ev := NewEvaluator(solve.NewMachine(kb, solve.DefaultBudget), ex)
+			for range rounds {
+				results[g] = append(results[g], LearnRule(ev, bot, nil, st))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range results {
+		for i, r := range results[g] {
+			if got := describe(r); got != want {
+				t.Fatalf("searcher %d, round %d:\n%s\nalone:\n%s", g, i, got, want)
 			}
 		}
 	}

@@ -1,41 +1,5 @@
 package search
 
-import "fmt"
-
-// Strategy selects the search-space traversal order.
-type Strategy uint8
-
-const (
-	// StrategyBFS explores the refinement lattice breadth-first — the
-	// configuration the paper's April runs use (§4.2, "top-down
-	// breadth-first search").
-	StrategyBFS Strategy = iota
-	// StrategyBestFirst expands the highest-scoring open rule first
-	// (greedy best-first), an extension useful under tight node limits.
-	StrategyBestFirst
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyBFS:
-		return "bfs"
-	case StrategyBestFirst:
-		return "bestfirst"
-	}
-	return fmt.Sprintf("strategy(%d)", s)
-}
-
-// ParseStrategy maps a name to a Strategy.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "", "bfs":
-		return StrategyBFS, nil
-	case "bestfirst", "best-first":
-		return StrategyBestFirst, nil
-	}
-	return 0, fmt.Errorf("search: unknown strategy %q", name)
-}
-
 // Settings parameterises a rule search. The zero value is usable: defaults
 // are applied by WithDefaults.
 type Settings struct {
@@ -53,8 +17,6 @@ type Settings struct {
 	// W is the pipeline width: how many good rules a search emits.
 	// ≤0 means unlimited ("nolimit" in the paper's tables).
 	W int
-	// Strategy selects the traversal order (default: breadth-first).
-	Strategy Strategy
 	// NoVM is always false; read only by bench/ until ROADMAP 3(a) deletes
 	// it. It once selected the tree-walking interpreter, which is gone:
 	// solve.Machine.SetNoVM panics on true.
