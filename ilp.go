@@ -95,9 +95,6 @@ func LoadDataset(name, src string) (*Dataset, error) {
 // output parses back with LoadDataset.
 func SaveDataset(ds *Dataset) string { return datasets.FormatText(ds) }
 
-// PaperDatasets returns the paper's three evaluation datasets.
-func PaperDatasets(seed int64) []*Dataset { return datasets.Paper(seed) }
-
 // Define builds a custom learning task from Prolog-subset sources:
 // background clauses, modeh/modeb declarations, and ground example atoms
 // (one term per string). The returned Dataset carries sensible default

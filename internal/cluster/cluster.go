@@ -178,16 +178,16 @@ type Network struct {
 	model CostModel
 	seq   atomic.Int64
 
-	// mu guards the growth state (nodes, per-link counter slices): Spawn
-	// write-locks to append; the delivery hot path only read-locks and
-	// then uses atomics, so senders never serialise on each other.
-	mu          sync.RWMutex
-	nodes       []*Node
-	perLink     []atomic.Int64 // bytes, index = from*len(nodes) + to
-	perLinkMsgs []atomic.Int64 // messages, same indexing
+	// mu guards the node set: Spawn write-locks to append, everything
+	// else read-locks.
+	mu    sync.RWMutex
+	nodes []*Node
 
-	msgs    atomic.Int64
-	bytes   atomic.Int64
+	// trMu guards tr, the per-link payload table (Table-4 accounting):
+	// deliver adds to it, Spawn grows it.
+	trMu sync.Mutex
+	tr   Traffic
+
 	traceMu sync.Mutex
 	traceFn func(Event)
 
@@ -197,11 +197,7 @@ type Network struct {
 
 // NewNetwork creates n nodes (ids 0..n-1) sharing one cost model.
 func NewNetwork(n int, model CostModel) *Network {
-	nw := &Network{
-		model:       model.withDefaults(),
-		perLink:     make([]atomic.Int64, n*n),
-		perLinkMsgs: make([]atomic.Int64, n*n),
-	}
+	nw := &Network{model: model.withDefaults(), tr: NewTraffic(n)}
 	nw.nodes = make([]*Node, n)
 	for i := range nw.nodes {
 		nw.nodes[i] = &Node{id: i, nw: nw, mbox: newMailbox()}
@@ -235,23 +231,14 @@ func (nw *Network) Model() CostModel { return nw.model }
 // exactly one goroutine, like every other node.
 func (nw *Network) Spawn() *Node {
 	nw.mu.Lock()
-	old := len(nw.nodes)
-	id := old
+	id := len(nw.nodes)
 	n := &Node{id: id, nw: nw, mbox: newMailbox()}
 	nw.nodes = append(nw.nodes, n)
-	// Re-index the per-link counters for the grown node count, keeping
-	// every (from, to) pair's identity. Holding the write lock excludes
-	// concurrent deliveries, whose read lock pins the matching slices.
-	size := id + 1
-	pl := make([]atomic.Int64, size*size)
-	plm := make([]atomic.Int64, size*size)
-	for from := 0; from < old; from++ {
-		for to := 0; to < old; to++ {
-			pl[from*size+to].Store(nw.perLink[from*old+to].Load())
-			plm[from*size+to].Store(nw.perLinkMsgs[from*old+to].Load())
-		}
-	}
-	nw.perLink, nw.perLinkMsgs = pl, plm
+	// Grown before the write lock is released, so no delivery can see the
+	// new node without its links.
+	nw.trMu.Lock()
+	nw.tr.Grow(id + 1)
+	nw.trMu.Unlock()
 	peers := append([]*Node(nil), nw.nodes[:id]...)
 	nw.mu.Unlock()
 	for _, p := range peers {
@@ -322,33 +309,12 @@ func (nw *Network) isDead(id int) bool {
 	return nw.dead[id]
 }
 
-// Stats is a snapshot of network traffic.
-type Stats struct {
-	Messages int64
-	Bytes    int64
-}
-
-// Stats returns total traffic so far.
-func (nw *Network) Stats() Stats {
-	return Stats{Messages: nw.msgs.Load(), Bytes: nw.bytes.Load()}
-}
-
-// LinkBytes returns bytes sent from node a to node b.
-func (nw *Network) LinkBytes(a, b int) int64 {
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	return nw.perLink[a*len(nw.nodes)+b].Load()
-}
-
 // Traffic snapshots the per-link byte/message table (Table-4 accounting).
 func (nw *Network) Traffic() Traffic {
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	t := NewTraffic(len(nw.nodes))
-	for i := range nw.perLink {
-		t.Bytes[i] = nw.perLink[i].Load()
-		t.Msgs[i] = nw.perLinkMsgs[i].Load()
-	}
+	nw.trMu.Lock()
+	defer nw.trMu.Unlock()
+	var t Traffic
+	t.Merge(nw.tr) // into an empty table: a copy
 	return t
 }
 
@@ -496,13 +462,6 @@ func (n *Node) Compute(units int64) {
 	n.nw.emit(Event{Type: EvCompute, Node: n.id, Peer: -1, Kind: -1, Clock: n.Clock()})
 }
 
-// ComputeDuration advances the clock by a raw virtual duration.
-func (n *Node) ComputeDuration(d time.Duration) {
-	if d > 0 {
-		n.clock.Add(int64(d))
-	}
-}
-
 // Send encodes v and delivers it to node `to` without blocking.
 // The sender is charged no compute time (sends are asynchronous); the
 // receiver cannot observe the message before its arrival time. A
@@ -560,13 +519,10 @@ func (n *Node) deliver(to int, kind int, payload []byte) {
 		Arrive:   sendTime + nw.model.transferTime(len(payload)),
 		Seq:      seq,
 	}
-	nw.msgs.Add(1)
-	nw.bytes.Add(int64(len(payload)))
-	nw.mu.RLock()
-	nw.perLink[n.id*len(nw.nodes)+to].Add(int64(len(payload)))
-	nw.perLinkMsgs[n.id*len(nw.nodes)+to].Add(1)
-	dst := nw.nodes[to]
-	nw.mu.RUnlock()
+	nw.trMu.Lock()
+	nw.tr.Add(n.id, to, int64(len(payload)), 1)
+	nw.trMu.Unlock()
+	dst := nw.Node(to)
 	nw.emit(Event{Type: EvSend, Node: n.id, Peer: to, Kind: kind, Bytes: len(payload), Clock: sendTime, Seq: seq})
 	dst.mbox.put(msg)
 }

@@ -8,6 +8,9 @@ import (
 	"repro/internal/wire"
 )
 
+// advance moves n's clock forward by a raw virtual duration.
+func advance(n *Node, d time.Duration) { n.clock.Add(int64(d)) }
+
 type ping struct {
 	N    int
 	Text string
@@ -84,7 +87,7 @@ func TestBroadcast(t *testing.T) {
 			t.Fatalf("node %d payload: %+v err=%v", i, p, err)
 		}
 	}
-	if got := nw.Stats().Messages; got != 3 {
+	if got := nw.Traffic().TotalMsgs(); got != 3 {
 		t.Fatalf("broadcast counted %d messages, want 3", got)
 	}
 }
@@ -111,7 +114,7 @@ func TestVirtualClockAdvancesOnCompute(t *testing.T) {
 	if got := n.Clock(); got != VTime(500*1000) {
 		t.Fatalf("clock = %d, want 500000", got)
 	}
-	n.ComputeDuration(time.Millisecond)
+	advance(n, time.Millisecond)
 	if got := n.Clock(); got != VTime(500000+1e6) {
 		t.Fatalf("clock = %d after duration", got)
 	}
@@ -121,7 +124,7 @@ func TestVirtualClockAdvancesOnReceive(t *testing.T) {
 	model := CostModel{Latency: time.Millisecond, BandwidthBps: 1e6, NsPerInference: 1}
 	nw := NewNetwork(2, model)
 	sender := nw.Node(0)
-	sender.ComputeDuration(10 * time.Millisecond) // sender clock = 10ms
+	advance(sender, 10*time.Millisecond) // sender clock = 10ms
 	if err := sender.Send(1, 0, ping{Text: "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestVirtualClockAdvancesOnReceive(t *testing.T) {
 	}
 	// Receiver ahead of arrival must NOT move backwards.
 	nw2 := NewNetwork(2, model)
-	nw2.Node(1).ComputeDuration(time.Second)
+	advance(nw2.Node(1), time.Second)
 	if err := nw2.Node(0).Send(1, 0, ping{}); err != nil {
 		t.Fatal(err)
 	}
@@ -169,20 +172,20 @@ func TestByteAccounting(t *testing.T) {
 	if err := nw.Node(0).Send(2, 0, ping{Text: "0 to 2, longer payload"}); err != nil {
 		t.Fatal(err)
 	}
-	st := nw.Stats()
-	if st.Messages != 2 || st.Bytes <= 0 {
-		t.Fatalf("stats: %+v", st)
+	tr := nw.Traffic()
+	if tr.TotalMsgs() != 2 || tr.TotalBytes() <= 0 {
+		t.Fatalf("traffic: %v", tr)
 	}
-	if nw.LinkBytes(0, 1) <= 0 || nw.LinkBytes(0, 2) <= 0 {
+	if tr.LinkBytes(0, 1) <= 0 || tr.LinkBytes(0, 2) <= 0 {
 		t.Fatal("link bytes missing")
 	}
-	if nw.LinkBytes(0, 2) <= nw.LinkBytes(0, 1) {
+	if tr.LinkBytes(0, 2) <= tr.LinkBytes(0, 1) {
 		t.Fatal("longer payload should move more bytes")
 	}
-	if nw.LinkBytes(1, 0) != 0 {
+	if tr.LinkBytes(1, 0) != 0 {
 		t.Fatal("phantom traffic on unused link")
 	}
-	if st.Bytes != nw.LinkBytes(0, 1)+nw.LinkBytes(0, 2) {
+	if tr.TotalBytes() != tr.LinkBytes(0, 1)+tr.LinkBytes(0, 2) {
 		t.Fatal("total bytes != sum of links")
 	}
 }
@@ -230,9 +233,9 @@ func TestShutdownReleasesReceivers(t *testing.T) {
 
 func TestMakespanIsMaxClock(t *testing.T) {
 	nw := NewNetwork(3, CostModel{NsPerInference: 1})
-	nw.Node(0).ComputeDuration(5 * time.Millisecond)
-	nw.Node(1).ComputeDuration(9 * time.Millisecond)
-	nw.Node(2).ComputeDuration(2 * time.Millisecond)
+	advance(nw.Node(0), 5*time.Millisecond)
+	advance(nw.Node(1), 9*time.Millisecond)
+	advance(nw.Node(2), 2*time.Millisecond)
 	if got := nw.Makespan(); got != VTime(9*time.Millisecond) {
 		t.Fatalf("makespan = %v", got)
 	}
@@ -303,9 +306,8 @@ func TestRingTokenStress(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	st := nw.Stats()
-	if st.Messages < rounds*n {
-		t.Fatalf("messages = %d, want ≥ %d", st.Messages, rounds*n)
+	if msgs := nw.Traffic().TotalMsgs(); msgs < rounds*n {
+		t.Fatalf("messages = %d, want ≥ %d", msgs, rounds*n)
 	}
 	if nw.Makespan() <= 0 {
 		t.Fatal("makespan not positive")

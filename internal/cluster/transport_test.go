@@ -82,9 +82,6 @@ func TestTrafficTable(t *testing.T) {
 	if tr.LinkMsgs(0, 1) != 2 || tr.LinkMsgs(1, 2) != 1 || tr.LinkMsgs(2, 0) != 0 {
 		t.Fatalf("per-link msgs wrong: %v", tr.Links())
 	}
-	if tr.TotalBytes() != nw.Stats().Bytes || tr.TotalMsgs() != nw.Stats().Messages {
-		t.Fatalf("traffic totals disagree with Stats: %v vs %v", tr, nw.Stats())
-	}
 	merged := NewTraffic(3)
 	merged.Merge(tr)
 	merged.Merge(NewTraffic(2)) // smaller table folds in by link identity

@@ -35,7 +35,6 @@ type checkpointRecord struct {
 	Generation int
 
 	// Membership and assignments.
-	Workers     int // initial p (Metrics.Workers)
 	Targets     []int
 	AssignedPos [][]logic.Term
 	AssignedNeg [][]logic.Term
@@ -55,18 +54,10 @@ type checkpointRecord struct {
 	Peers []string
 	Size  int
 
-	// Metrics continuity.
-	Epochs             int
-	RulesLearned       int
-	GroundFactsAdopted int
-	Recoveries         int
-	LostWorkers        int
-	Rebalances         int
-	JoinedWorkers      int
-	JoinShares         []int
-	StaleDropped       int64
-	MasterRestarts     int
-	OrphanReconnects   int
+	// Metrics continuity: the initial p (Workers) and the counters that
+	// stay cumulative across restarts, Epochs … OrphanReconnects. No other
+	// field is encoded.
+	Metrics Metrics
 }
 
 // addressBooker is implemented by transports whose members have stable
@@ -121,28 +112,17 @@ func as[T any](t cluster.Transport) (T, bool) {
 // record assembles the master's current boundary state.
 func (ma *master) record() *checkpointRecord {
 	rec := &checkpointRecord{
-		Fingerprint:        ma.cfg.Fingerprint,
-		Epoch:              ma.epoch,
-		Seq:                ma.seq,
-		Generation:         ma.gen,
-		Workers:            ma.metrics.Workers,
-		Targets:            append([]int(nil), ma.targets...),
-		AssignedPos:        ma.assignedPos,
-		AssignedNeg:        ma.assignedNeg,
-		Remaining:          ma.remaining,
-		Theory:             ma.theory,
-		Load:               ma.cfg.loadSettings(),
-		Epochs:             ma.metrics.Epochs,
-		RulesLearned:       ma.metrics.RulesLearned,
-		GroundFactsAdopted: ma.metrics.GroundFactsAdopted,
-		Recoveries:         ma.metrics.Recoveries,
-		LostWorkers:        ma.metrics.LostWorkers,
-		Rebalances:         ma.metrics.Rebalances,
-		JoinedWorkers:      ma.metrics.JoinedWorkers,
-		JoinShares:         ma.metrics.JoinShares,
-		StaleDropped:       ma.metrics.StaleDropped,
-		MasterRestarts:     ma.metrics.MasterRestarts,
-		OrphanReconnects:   ma.metrics.OrphanReconnects,
+		Fingerprint: ma.cfg.Fingerprint,
+		Epoch:       ma.epoch,
+		Seq:         ma.seq,
+		Generation:  ma.gen,
+		Targets:     append([]int(nil), ma.targets...),
+		AssignedPos: ma.assignedPos,
+		AssignedNeg: ma.assignedNeg,
+		Remaining:   ma.remaining,
+		Theory:      ma.theory,
+		Load:        ma.cfg.loadSettings(),
+		Metrics:     *ma.metrics,
 	}
 	if ab, ok := as[addressBooker](ma.node); ok {
 		rec.Peers, rec.Size = ab.AddressBook()
@@ -200,14 +180,16 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 const checkpointFormat = 3
 
 // encode is the checkpoint payload: checkpointFormat, then every field in
-// declaration order.
+// declaration order, with Metrics.Workers (the initial p) ahead of Targets
+// and the cumulative counters last.
 func (rec *checkpointRecord) encode() []byte {
 	w := wire.Writer{B: []byte{checkpointFormat}}
 	w.Fixed64(rec.Fingerprint)
 	w.Int(rec.Epoch)
 	w.Varint(rec.Seq)
 	w.Int(rec.Generation)
-	w.Int(rec.Workers)
+	m := &rec.Metrics
+	w.Int(m.Workers)
 	w.Ints(rec.Targets)
 	appendShares(&w, rec.AssignedPos)
 	appendShares(&w, rec.AssignedNeg)
@@ -216,17 +198,17 @@ func (rec *checkpointRecord) encode() []byte {
 	rec.Load.AppendWire(&w)
 	w.Strings(rec.Peers)
 	w.Int(rec.Size)
-	w.Int(rec.Epochs)
-	w.Int(rec.RulesLearned)
-	w.Int(rec.GroundFactsAdopted)
-	w.Int(rec.Recoveries)
-	w.Int(rec.LostWorkers)
-	w.Int(rec.Rebalances)
-	w.Int(rec.JoinedWorkers)
-	w.Ints(rec.JoinShares)
-	w.Varint(rec.StaleDropped)
-	w.Int(rec.MasterRestarts)
-	w.Int(rec.OrphanReconnects)
+	w.Int(m.Epochs)
+	w.Int(m.RulesLearned)
+	w.Int(m.GroundFactsAdopted)
+	w.Int(m.Recoveries)
+	w.Int(m.LostWorkers)
+	w.Int(m.Rebalances)
+	w.Int(m.JoinedWorkers)
+	w.Ints(m.JoinShares)
+	w.Varint(m.StaleDropped)
+	w.Int(m.MasterRestarts)
+	w.Int(m.OrphanReconnects)
 	return w.B
 }
 
@@ -247,7 +229,8 @@ func decodeCheckpoint(payload []byte) (checkpointRecord, error) {
 	rec.Epoch = r.Int()
 	rec.Seq = r.Varint()
 	rec.Generation = r.Int()
-	rec.Workers = r.Int()
+	m := &rec.Metrics
+	m.Workers = r.Int()
 	rec.Targets = r.Ints()
 	rec.AssignedPos = readShares(r)
 	rec.AssignedNeg = readShares(r)
@@ -256,17 +239,17 @@ func decodeCheckpoint(payload []byte) (checkpointRecord, error) {
 	rec.Load.DecodeWire(r)
 	rec.Peers = r.Strings()
 	rec.Size = r.Int()
-	rec.Epochs = r.Int()
-	rec.RulesLearned = r.Int()
-	rec.GroundFactsAdopted = r.Int()
-	rec.Recoveries = r.Int()
-	rec.LostWorkers = r.Int()
-	rec.Rebalances = r.Int()
-	rec.JoinedWorkers = r.Int()
-	rec.JoinShares = r.Ints()
-	rec.StaleDropped = r.Varint()
-	rec.MasterRestarts = r.Int()
-	rec.OrphanReconnects = r.Int()
+	m.Epochs = r.Int()
+	m.RulesLearned = r.Int()
+	m.GroundFactsAdopted = r.Int()
+	m.Recoveries = r.Int()
+	m.LostWorkers = r.Int()
+	m.Rebalances = r.Int()
+	m.JoinedWorkers = r.Int()
+	m.JoinShares = r.Ints()
+	m.StaleDropped = r.Varint()
+	m.MasterRestarts = r.Int()
+	m.OrphanReconnects = r.Int()
 	if err := r.Err(); err != nil {
 		return checkpointRecord{}, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
@@ -310,7 +293,7 @@ func (c *Checkpoint) Size() int { return c.rec.Size }
 func (c *Checkpoint) Epoch() int { return c.rec.Epoch }
 
 // Epochs is the number of completed logical epochs at the boundary.
-func (c *Checkpoint) Epochs() int { return c.rec.Epochs }
+func (c *Checkpoint) Epochs() int { return c.rec.Metrics.Epochs }
 
 // config rebuilds the semantics-bearing Config a resumed master must run
 // with over the caller's local knobs (timeouts, checkpoint dir, cost
@@ -326,22 +309,12 @@ func (rec *checkpointRecord) config(base Config) Config {
 // (parts non-nil, final reports collected).
 func resumedMaster(t cluster.Transport, ck *Checkpoint, cfg Config, metrics *Metrics, remote bool) *master {
 	rec := &ck.rec
-	metrics.Workers = rec.Workers
+	*metrics = rec.Metrics
 	metrics.Width = cfg.Width
-	metrics.Epochs = rec.Epochs
-	metrics.RulesLearned = rec.RulesLearned
-	metrics.GroundFactsAdopted = rec.GroundFactsAdopted
-	metrics.Recoveries = rec.Recoveries
-	metrics.LostWorkers = rec.LostWorkers
-	metrics.Rebalances = rec.Rebalances
-	metrics.JoinedWorkers = rec.JoinedWorkers
-	metrics.JoinShares = rec.JoinShares
-	metrics.StaleDropped = rec.StaleDropped
-	metrics.MasterRestarts = rec.MasterRestarts + 1
-	metrics.OrphanReconnects = rec.OrphanReconnects
+	metrics.MasterRestarts++
 	ma := &master{
 		node:        t,
-		p:           rec.Workers,
+		p:           rec.Metrics.Workers,
 		cfg:         cfg,
 		metrics:     metrics,
 		targets:     append([]int(nil), rec.Targets...),
@@ -358,7 +331,7 @@ func resumedMaster(t cluster.Transport, ck *Checkpoint, cfg Config, metrics *Met
 		// The crashed run already published every boundary up to the
 		// checkpoint; a resumed master must not re-emit the same epoch
 		// under a fresh sequence number.
-		published: rec.Epochs,
+		published: rec.Metrics.Epochs,
 	}
 	if remote {
 		// Non-nil but empty: marks the remote regime (welcome loads carry

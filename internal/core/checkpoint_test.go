@@ -30,7 +30,6 @@ func sampleCheckpointRecord() checkpointRecord {
 		Fingerprint: 0xDEADBEEF,
 		Epoch:       7,
 		Seq:         91,
-		Workers:     2,
 		Targets:     []int{1, 2},
 		AssignedPos: [][]logic.Term{nil, {mustTerm("active(m1)")}, {mustTerm("active(m2)")}},
 		AssignedNeg: [][]logic.Term{nil, {mustTerm("active(m3)")}, nil},
@@ -42,20 +41,23 @@ func sampleCheckpointRecord() checkpointRecord {
 			OrphanTimeout: 30 * time.Second,
 			Recover:       true,
 		},
-		Peers:              []string{"127.0.0.1:9000", "127.0.0.1:9001", "127.0.0.1:9002"},
-		Size:               3,
-		Epochs:             6,
-		RulesLearned:       3,
-		GroundFactsAdopted: 1,
-		Recoveries:         2,
-		LostWorkers:        1,
-		Rebalances:         1,
-		JoinedWorkers:      1,
-		JoinShares:         []int{4},
-		StaleDropped:       9,
-		MasterRestarts:     1,
-		OrphanReconnects:   2,
-		Generation:         3,
+		Peers: []string{"127.0.0.1:9000", "127.0.0.1:9001", "127.0.0.1:9002"},
+		Size:  3,
+		Metrics: Metrics{
+			Workers:            2,
+			Epochs:             6,
+			RulesLearned:       3,
+			GroundFactsAdopted: 1,
+			Recoveries:         2,
+			LostWorkers:        1,
+			Rebalances:         1,
+			JoinedWorkers:      1,
+			JoinShares:         []int{4},
+			StaleDropped:       9,
+			MasterRestarts:     1,
+			OrphanReconnects:   2,
+		},
+		Generation: 3,
 	}
 }
 

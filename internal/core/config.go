@@ -12,6 +12,8 @@ import (
 	"repro/internal/bottom"
 	"repro/internal/cluster"
 	"repro/internal/logic"
+	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/search"
 	"repro/internal/solve"
 )
@@ -196,70 +198,16 @@ type Metrics struct {
 	FencedFrames int
 }
 
-// splitExamples materialises Fig. 5 step 2 — the seeded shuffle +
-// round-robin deal of E+ and E− over p workers — as term slices. It is the
-// single source of truth for both the simulated master (Learn) and the
-// remote one (RunMaster): the cross-transport byte-identical-theory
-// guarantee rests on the two producing identical partitions, so neither
-// may reimplement this.
+// splitExamples materialises Fig. 5 step 2 — the "randomly and evenly
+// partitions" of E+ and E− over p workers: one generator seeded with seed
+// permutes the positives, then the negatives, and each permutation is
+// dealt round-robin by sched.DealEven. It is the single source of truth
+// for both the simulated master (Learn) and the remote one (RunMaster):
+// the cross-transport byte-identical-theory guarantee rests on the two
+// producing identical partitions, so neither may reimplement this.
 func splitExamples(pos, neg []logic.Term, p int, seed int64) (posParts, negParts [][]logic.Term) {
-	rng := newRng(seed)
-	pi := partition(len(pos), p, rng)
-	ni := partition(len(neg), p, rng)
-	posParts = make([][]logic.Term, p)
-	negParts = make([][]logic.Term, p)
-	for k := 0; k < p; k++ {
-		posParts[k] = make([]logic.Term, 0, len(pi[k]))
-		for _, i := range pi[k] {
-			posParts[k] = append(posParts[k], pos[i])
-		}
-		negParts[k] = make([]logic.Term, 0, len(ni[k]))
-		for _, i := range ni[k] {
-			negParts[k] = append(negParts[k], neg[i])
-		}
-	}
+	r := rng.New(seed)
+	posParts = sched.DealEven(rng.Shuffled(r, pos), p)
+	negParts = sched.DealEven(rng.Shuffled(r, neg), p)
 	return posParts, negParts
-}
-
-// partition splits indices 0..n-1 into p groups by seeded shuffle plus
-// round-robin deal, the "randomly and evenly partitions" of Fig. 5.
-func partition(n, p int, rng *rngState) [][]int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	rng.shuffle(idx)
-	out := make([][]int, p)
-	for i, v := range idx {
-		out[i%p] = append(out[i%p], v)
-	}
-	return out
-}
-
-// rngState is a tiny deterministic generator (xorshift64*), avoiding a
-// dependency on math/rand state sharing across goroutines.
-type rngState struct{ s uint64 }
-
-func newRng(seed int64) *rngState {
-	s := uint64(seed)
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	return &rngState{s: s}
-}
-
-func (r *rngState) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
-
-func (r *rngState) intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *rngState) shuffle(xs []int) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
 }

@@ -34,7 +34,7 @@ func TestCheckLinkGraceValidation(t *testing.T) {
 	nw := cluster.NewNetwork(2, cluster.DefaultCostModel)
 	nw.Shutdown()
 	node := nw.Node(0)
-	ck := &Checkpoint{rec: checkpointRecord{Workers: 1, Targets: []int{1}, AssignedPos: make([][]logic.Term, 2), AssignedNeg: make([][]logic.Term, 2)}}
+	ck := &Checkpoint{rec: checkpointRecord{Metrics: Metrics{Workers: 1}, Targets: []int{1}, AssignedPos: make([][]logic.Term, 2), AssignedNeg: make([][]logic.Term, 2)}}
 	cases := []struct {
 		name    string
 		t       cluster.Transport

@@ -1358,10 +1358,9 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 	metrics.Theory = ma.theory
 	metrics.WallTime = time.Since(start)
 	metrics.VirtualTime = nw.Makespan().Duration()
-	st := nw.Stats()
-	metrics.CommBytes = st.Bytes
-	metrics.CommMessages = st.Messages
 	metrics.Traffic = nw.Traffic()
+	metrics.CommBytes = metrics.Traffic.TotalBytes()
+	metrics.CommMessages = metrics.Traffic.TotalMsgs()
 	// Every worker goroutine has exited (wg.Wait above), so reading totals
 	// is race-free — including workers lost and recovered around, whose
 	// partial work still happened and still counts.

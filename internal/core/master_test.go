@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/rng"
 	"repro/internal/search"
 )
 
@@ -114,20 +115,20 @@ func pickBestSortReference(ma *master, bag []bagEntry) (bagEntry, []bagEntry) {
 // score/coverage ties.
 func TestPickBestMatchesSortReference(t *testing.T) {
 	ma := newTestMaster(1, 0.1)
-	rng := newRng(17)
+	r := rng.New(17)
 	preds := []string{"a", "b", "c", "dd", "ee", "ff", "ggg", "hh", "iii", "jj"}
 	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.intn(len(preds))
+		n := 1 + r.Intn(len(preds))
 		var bag []bagEntry
 		for i := 0; i < n; i++ {
 			body := preds[i]
 			src := "p(X) :- " + body + "(X)."
-			if rng.intn(2) == 0 {
+			if r.Intn(2) == 0 {
 				src = "p(X) :- " + body + "(X), q(X)."
 			}
 			// Small ranges force frequent score and coverage ties, so the
 			// deeper tie-breaks actually run.
-			bag = append(bag, entry(src, 1+rng.intn(4), rng.intn(3)))
+			bag = append(bag, entry(src, 1+r.Intn(4), r.Intn(3)))
 		}
 		ref := make([]bagEntry, len(bag))
 		copy(ref, bag)
@@ -144,67 +145,5 @@ func TestPickBestMatchesSortReference(t *testing.T) {
 				t.Fatalf("trial %d: rest sizes diverged: %d vs %d", trial, len(ref), len(got))
 			}
 		}
-	}
-}
-
-func TestPartitionEvenAndSeeded(t *testing.T) {
-	rng := newRng(42)
-	parts := partition(103, 8, rng)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-		if len(p) < 103/8 || len(p) > 103/8+1 {
-			t.Fatalf("unbalanced partition: %d", len(p))
-		}
-	}
-	if total != 103 {
-		t.Fatalf("lost examples: %d", total)
-	}
-	seen := make(map[int]bool)
-	for _, p := range parts {
-		for _, v := range p {
-			if seen[v] {
-				t.Fatalf("duplicate index %d", v)
-			}
-			seen[v] = true
-		}
-	}
-	// Same seed → same partition.
-	again := partition(103, 8, newRng(42))
-	for i := range parts {
-		for j := range parts[i] {
-			if parts[i][j] != again[i][j] {
-				t.Fatal("partition not seed-deterministic")
-			}
-		}
-	}
-	// Different seed → (almost surely) different partition.
-	other := partition(103, 8, newRng(43))
-	same := true
-	for i := range parts {
-		for j := range parts[i] {
-			if parts[i][j] != other[i][j] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical partitions")
-	}
-}
-
-func TestRngShuffleIsPermutation(t *testing.T) {
-	rng := newRng(7)
-	xs := make([]int, 50)
-	for i := range xs {
-		xs[i] = i
-	}
-	rng.shuffle(xs)
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", xs)
-		}
-		seen[v] = true
 	}
 }

@@ -201,16 +201,24 @@ func TestRedealBarrier(t *testing.T) {
 			cfg := testConfig(3, 10)
 			tc.cfg(&cfg, t.TempDir())
 			var crashAt int64
+			var free *Metrics
 			if tc.resume {
 				probe := cfg
 				probe.CheckpointDir = t.TempDir()
-				_, ops := redealRun(t, 3, probe, 0, nil)
+				var ops int64
+				free, ops = redealRun(t, 3, probe, 0, nil)
 				crashAt = ops / 2
 			}
 			met, _ := redealRun(t, 3, cfg, crashAt, tc.chaos)
 			if met.Epochs < 3 || !tc.check(met) {
 				t.Fatalf("the trigger did not fire as expected: epochs=%d recoveries=%d lost=%d restarts=%d joined=%d rebalances=%d joinShares=%v",
 					met.Epochs, met.Recoveries, met.LostWorkers, met.MasterRestarts, met.JoinedWorkers, met.Rebalances, met.JoinShares)
+			}
+			// The checkpoint carries the cumulative counters across the
+			// restart: the resumed run reports the failure-free run's.
+			if free != nil && (met.Epochs != free.Epochs || met.RulesLearned != free.RulesLearned || met.GroundFactsAdopted != free.GroundFactsAdopted) {
+				t.Fatalf("resumed run counted epochs/rules/facts %d/%d/%d, the failure-free run %d/%d/%d",
+					met.Epochs, met.RulesLearned, met.GroundFactsAdopted, free.Epochs, free.RulesLearned, free.GroundFactsAdopted)
 			}
 		})
 	}

@@ -45,16 +45,16 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 	gen := func() (logic.Term, bool, func()) {
 		molID++
 		mol := fmt.Sprintf("d%d", molID)
-		nAtoms := 8 + r.intn(8)
+		nAtoms := 8 + r.Intn(8)
 		elems := make([]string, nAtoms)
 		charges := make([]float64, nAtoms)
 		var facts []string
 		for i := 0; i < nAtoms; i++ {
 			elems[i] = r.pick(elements)
 			// Charges on a 0.05 grid in [-0.8, 0.8].
-			charges[i] = float64(r.intn(33)-16) * 0.05
+			charges[i] = float64(r.Intn(33)-16) * 0.05
 			facts = append(facts, fmt.Sprintf("atm(%s, %s_a%d, %s, %s, %.2f)",
-				mol, mol, i, elems[i], atomTypes[r.intn(len(atomTypes))], charges[i]))
+				mol, mol, i, elems[i], atomTypes[r.Intn(len(atomTypes))], charges[i]))
 		}
 		type edge struct{ a, b, t int }
 		var edges []edge
@@ -62,7 +62,7 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 			edges = append(edges, edge{i - 1, i, r.weighted(bondWeights)})
 		}
 		for k := 0; k < nAtoms/3; k++ {
-			a, b := r.intn(nAtoms), r.intn(nAtoms)
+			a, b := r.Intn(nAtoms), r.Intn(nAtoms)
 			if a != b {
 				edges = append(edges, edge{a, b, r.weighted(bondWeights)})
 			}

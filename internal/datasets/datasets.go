@@ -25,6 +25,7 @@ import (
 	"repro/internal/bottom"
 	"repro/internal/logic"
 	"repro/internal/mode"
+	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/solve"
 )
@@ -134,40 +135,24 @@ func scaler(scale float64) (func(count int) int, error) {
 	return func(count int) int { return max(8, int(float64(count)*scale)) }, nil
 }
 
-// rng is the package's deterministic generator (xorshift64*).
-type rng struct{ s uint64 }
+// rnd is the package's generator with the draws the generators share.
+type rnd struct{ *rng.Rand }
 
-func newRng(seed int64) *rng {
-	s := uint64(seed)
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	return &rng{s: s}
-}
+func newRng(seed int64) rnd { return rnd{rng.New(seed)} }
 
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
-
-func (r *rng) bool(p float64) bool { return r.float() < p }
+// bool reports true with probability p.
+func (r rnd) bool(p float64) bool { return r.Float64() < p }
 
 // pick returns a random element of xs.
-func (r *rng) pick(xs []string) string { return xs[r.intn(len(xs))] }
+func (r rnd) pick(xs []string) string { return xs[r.Intn(len(xs))] }
 
 // weighted picks an index with the given weights.
-func (r *rng) weighted(weights []float64) int {
+func (r rnd) weighted(weights []float64) int {
 	total := 0.0
 	for _, w := range weights {
 		total += w
 	}
-	x := r.float() * total
+	x := r.Float64() * total
 	for i, w := range weights {
 		x -= w
 		if x <= 0 {
@@ -182,7 +167,7 @@ func (r *rng) weighted(weights []float64) int {
 // example atom, its true label, and a commit hook that persists the
 // candidate's background facts; commit runs only when the candidate is
 // kept, so the KB holds facts exactly for the emitted examples.
-func fill(r *rng, nPos, nNeg int, noise float64, gen func() (logic.Term, bool, func())) (pos, neg []logic.Term) {
+func fill(r rnd, nPos, nNeg int, noise float64, gen func() (logic.Term, bool, func())) (pos, neg []logic.Term) {
 	for len(pos) < nPos || len(neg) < nNeg {
 		e, label, commit := gen()
 		if r.bool(noise) {

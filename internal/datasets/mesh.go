@@ -48,7 +48,7 @@ func MeshSized(nPos, nNeg int, seed int64) *Dataset {
 		etype := types[r.weighted(typeW)]
 		support := supports[r.weighted(supportW)]
 		load := loads[r.weighted(loadW)]
-		length := float64(1+r.intn(40)) * 0.5 // 0.5 .. 20.0
+		length := float64(1+r.Intn(40)) * 0.5 // 0.5 .. 20.0
 		facts := []string{
 			fmt.Sprintf("etype(%s, %s)", edge, etype),
 			fmt.Sprintf("support(%s, %s)", edge, support),

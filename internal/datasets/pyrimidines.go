@@ -54,9 +54,9 @@ func PyrimidinesNoisy(nPos, nNeg int, noise float64, seed int64) *Dataset {
 	hdon := make([]bool, nGroups)
 	var tableFacts []string
 	for g := 0; g < nGroups; g++ {
-		polar[g] = r.intn(6)
-		gsize[g] = r.intn(6)
-		flex[g] = r.intn(4)
+		polar[g] = r.Intn(6)
+		gsize[g] = r.Intn(6)
+		flex[g] = r.Intn(4)
 		hdon[g] = r.bool(0.4)
 		name := fmt.Sprintf("g%d", g)
 		tableFacts = append(tableFacts,
@@ -76,7 +76,7 @@ func PyrimidinesNoisy(nPos, nNeg int, noise float64, seed int64) *Dataset {
 	gen := func() (logic.Term, bool, func()) {
 		drugID++
 		drug := fmt.Sprintf("d%d", drugID)
-		groups := [3]int{r.intn(nGroups), r.intn(nGroups), r.intn(nGroups)}
+		groups := [3]int{r.Intn(nGroups), r.Intn(nGroups), r.Intn(nGroups)}
 		facts := []string{
 			fmt.Sprintf("subst(%s, p1, g%d)", drug, groups[0]),
 			fmt.Sprintf("subst(%s, p2, g%d)", drug, groups[1]),

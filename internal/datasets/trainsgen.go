@@ -57,9 +57,9 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 	nNeg := n - nPos
 	safeLoads := []string{"circle", "rectangle", "hexagon"}
 	gen := func() (logic.Term, bool, func()) {
-		id := r.intn(1 << 30)
+		id := r.Intn(1 << 30)
 		name := fmt.Sprintf("t%d", id)
-		nCars := 1 + r.intn(4)
+		nCars := 1 + r.Intn(4)
 		// A heavy train carries 12–17 cars, exactly one of which satisfies
 		// a cause; every rule for the *other* causes must enumerate the
 		// whole train to fail, so the example costs many times a light
@@ -68,25 +68,25 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 		heavy := skew > 0 && r.bool(skew)
 		causeCar := 0
 		if heavy {
-			nCars = 12 + r.intn(6)
-			causeCar = 1 + r.intn(nCars)
+			nCars = 12 + r.Intn(6)
+			causeCar = 1 + r.Intn(nCars)
 		}
 		var facts []string
 		east := false
 		for c := 1; c <= nCars; c++ {
 			carName := fmt.Sprintf("%s_c%d", name, c)
-			length := lens[r.intn(2)]
-			roof := roofs[r.intn(4)]
-			shape := shapes[r.intn(3)]
-			nWheels := 2 + r.intn(2)
-			loadShape := loads[r.intn(4)]
-			loadCount := r.intn(4)
+			length := lens[r.Intn(2)]
+			roof := roofs[r.Intn(4)]
+			shape := shapes[r.Intn(3)]
+			nWheels := 2 + r.Intn(2)
+			loadShape := loads[r.Intn(4)]
+			loadCount := r.Intn(4)
 			if heavy {
 				// Filler cars are "safe" (satisfy no cause); the one cause
 				// car is a classic short closed car.
-				length, shape, loadShape = "long", "rectangle", safeLoads[r.intn(3)]
+				length, shape, loadShape = "long", "rectangle", safeLoads[r.Intn(3)]
 				if c == causeCar {
-					length, roof = "short", roofs[1+r.intn(3)]
+					length, roof = "short", roofs[1+r.Intn(3)]
 				}
 			}
 			if length == "short" && roof != "none" {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/rng"
 )
 
 // ErrCrashed is returned by every transport method once the crash schedule
@@ -87,7 +88,7 @@ type Plan struct {
 type Transport struct {
 	inner cluster.Transport
 	plan  Plan
-	rng   uint64
+	rng   *rng.Rand // draws the drop/dup/delay decisions
 
 	ops     int64
 	sends   int64
@@ -118,11 +119,7 @@ func Wrap(inner cluster.Transport, plan Plan) *Transport {
 	if plan.DelayOps <= 0 {
 		plan.DelayOps = 3
 	}
-	seed := uint64(plan.Seed)
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15 // fixed, not clock-derived: runs must replay
-	}
-	return &Transport{inner: inner, plan: plan, rng: seed}
+	return &Transport{inner: inner, plan: plan, rng: rng.New(plan.Seed)}
 }
 
 // Ops returns the number of protocol points counted so far.
@@ -144,17 +141,6 @@ func (t *Transport) Flaps() int64 { return t.flaps }
 // books, link liveness) can see through the fault layer — faults apply to
 // protocol traffic, not to out-of-band endpoint introspection.
 func (t *Transport) Inner() cluster.Transport { return t.inner }
-
-// rand is the xorshift64* generator the rest of the repo uses for
-// deterministic shuffles, advanced once per draw.
-func (t *Transport) rand() float64 {
-	s := t.rng
-	s ^= s >> 12
-	s ^= s << 25
-	s ^= s >> 27
-	t.rng = s
-	return float64((s*0x2545F4914F6CDD1D)>>11) / float64(1<<53)
-}
 
 // tick numbers the next protocol point and fires the crash, flap and
 // partition schedules when their ops come up. It reports whether the op
@@ -249,7 +235,7 @@ func (t *Transport) Send(to int, kind int, v any) error {
 		return ErrCrashed
 	}
 	t.sends++
-	if t.plan.DropSend > 0 && t.rand() < t.plan.DropSend {
+	if t.plan.DropSend > 0 && t.rng.Float64() < t.plan.DropSend {
 		return nil // swallowed: the caller believes it went out
 	}
 	if t.partActive("out") {
@@ -320,16 +306,16 @@ func (t *Transport) ReceiveCtx(ctx context.Context) (cluster.Message, error) {
 		if fromQueue {
 			return msg, nil // re-deliveries are not faulted again
 		}
-		if t.plan.DropRecv > 0 && t.rand() < t.plan.DropRecv {
+		if t.plan.DropRecv > 0 && t.rng.Float64() < t.plan.DropRecv {
 			continue
 		}
 		if t.partActive("in") {
 			continue // partitioned away before the caller saw it
 		}
-		if t.plan.DupRecv > 0 && t.rand() < t.plan.DupRecv {
+		if t.plan.DupRecv > 0 && t.rng.Float64() < t.plan.DupRecv {
 			t.ready = append(t.ready, msg)
 		}
-		if t.plan.DelayRecv > 0 && t.rand() < t.plan.DelayRecv {
+		if t.plan.DelayRecv > 0 && t.rng.Float64() < t.plan.DelayRecv {
 			t.held = append(t.held, heldMsg{msg: msg, releaseAt: t.recvs + t.plan.DelayOps})
 			continue
 		}

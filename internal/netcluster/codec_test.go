@@ -27,7 +27,7 @@ func TestSimTCPByteParity(t *testing.T) {
 		if _, ok := nw.Node(1).Receive(); !ok {
 			t.Fatal("sim receive failed")
 		}
-		simBytes := nw.LinkBytes(0, 1)
+		simBytes := nw.Traffic().LinkBytes(0, 1)
 
 		master, workers := startCluster(t, 1, Config{})
 		if err := master.Send(1, 7, pl); err != nil {

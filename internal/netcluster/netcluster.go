@@ -351,13 +351,6 @@ func (n *Node) Compute(units int64) {
 	n.clock.Add(int64(cluster.VTime(float64(units) * n.cfg.Model.NsPerInference)))
 }
 
-// ComputeDuration advances the clock by a raw virtual duration.
-func (n *Node) ComputeDuration(d time.Duration) {
-	if d > 0 {
-		n.clock.Add(int64(d))
-	}
-}
-
 func (n *Node) advanceTo(t cluster.VTime) {
 	if t > n.Clock() {
 		n.clock.Store(int64(t))
@@ -372,13 +365,6 @@ func (n *Node) Traffic() cluster.Traffic {
 	copy(out.Bytes, n.tr.Bytes)
 	copy(out.Msgs, n.tr.Msgs)
 	return out
-}
-
-// Stats returns this node's outgoing payload totals.
-func (n *Node) Stats() cluster.Stats {
-	n.trMu.Lock()
-	defer n.trMu.Unlock()
-	return cluster.Stats{Messages: n.tr.TotalMsgs(), Bytes: n.tr.TotalBytes()}
 }
 
 func (n *Node) account(to int, payloadBytes int) {

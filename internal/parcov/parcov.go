@@ -24,6 +24,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/logic"
 	"repro/internal/mode"
+	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/search"
 	"repro/internal/solve"
 )
@@ -422,10 +424,9 @@ func Learn(kb *solve.KB, pos, neg []logic.Term, ms *mode.Set, cfg Config) (*Metr
 
 	met.WallTime = time.Since(start)
 	met.VirtualTime = nw.Makespan().Duration()
-	st := nw.Stats()
-	met.CommBytes = st.Bytes
-	met.CommMessages = st.Messages
 	met.Traffic = nw.Traffic()
+	met.CommBytes = met.Traffic.TotalBytes()
+	met.CommMessages = met.Traffic.TotalMsgs()
 	for _, w := range workers {
 		met.TotalInferences += w.m.TotalInferences()
 	}
@@ -443,8 +444,8 @@ func newCluster(kb *solve.KB, pos, neg []logic.Term, cfg Config) (*cluster.Netwo
 	// deals them, but negatives come from a second generator seeded Seed+1
 	// where core continues the first, so the negative partitions differ.
 	// Changing that would move every Ablation B cell.
-	posMap := dealOut(len(pos), p, cfg.Seed) // worker → local index → global index
-	negMap := dealOut(len(neg), p, cfg.Seed+1)
+	posMap := sched.DealEven(rng.New(cfg.Seed).Perm(len(pos)), p) // worker → local index → global index
+	negMap := sched.DealEven(rng.New(cfg.Seed+1).Perm(len(neg)), p)
 	workers := make([]*pcWorker, p)
 	for k := 0; k < p; k++ {
 		var wpos, wneg []logic.Term
@@ -508,31 +509,4 @@ func runMaster(node *cluster.Node, kb *solve.KB, pos []logic.Term, ms *mode.Set,
 	}
 	met.TotalInferences += m.TotalInferences()
 	return nil
-}
-
-// dealOut splits 0..n-1 into p seeded-shuffled round-robin groups.
-func dealOut(n, p int, seed int64) [][]int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	s := uint64(seed)
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	next := func() uint64 {
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		return s * 0x2545F4914F6CDD1D
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	out := make([][]int, p)
-	for i, v := range idx {
-		out[i%p] = append(out[i%p], v)
-	}
-	return out
 }

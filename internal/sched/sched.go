@@ -3,10 +3,12 @@
 // dealt into shares. The epoch-driven master feeds it per-worker measured
 // throughput (inferences per virtual second of busy time, read off the
 // cost-model clock) and asks for shares; every share-dealing path in the
-// system — per-epoch repartitioning, recovery redistribution, join
-// rebalancing — routes through this package, so the even-split and the
+// system — the initial partition (core and parcov), the k-fold split,
+// per-epoch repartitioning, recovery redistribution, join rebalancing —
+// routes through this package, so the even-split and the
 // throughput-proportional policies are two parameterisations of one
-// mechanism rather than parallel ad-hoc code paths.
+// mechanism rather than parallel ad-hoc code paths. The random deals
+// hand DealEven a permutation drawn from internal/rng.
 //
 // Determinism contract: all outputs are pure functions of the inputs, and
 // DealEven reproduces the historical round-robin deal bit-for-bit — the
@@ -86,10 +88,10 @@ func (b *Balancer) Weights(ids []int) []float64 {
 }
 
 // DealEven splits xs into p round-robin shares (possibly empty) — exactly
-// the historical dealShares order: xs[i] goes to share i mod p. Recovery
-// redistribution and per-epoch repartitioning use this; its output being
-// bit-identical to the pre-sched code is what pins the default-off
-// byte-identity guarantee.
+// the historical dealShares order: xs[i] goes to share i mod p. The
+// initial partitions, the k-fold split, recovery redistribution and
+// per-epoch repartitioning use this; its output being bit-identical to the
+// pre-sched code is what pins the default-off byte-identity guarantee.
 func DealEven[T any](xs []T, p int) [][]T {
 	shares := make([][]T, p)
 	for i, x := range xs {

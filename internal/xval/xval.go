@@ -6,6 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/logic"
+	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // Fold is one train/test split.
@@ -24,16 +26,8 @@ func KFold(pos, neg []logic.Term, k int, seed int64) ([]Fold, error) {
 	if len(pos) < k {
 		return nil, fmt.Errorf("xval: %d positives cannot fill %d folds", len(pos), k)
 	}
-	posIdx := shuffled(len(pos), seed)
-	negIdx := shuffled(len(neg), seed+1)
-	posFold := make([][]logic.Term, k)
-	negFold := make([][]logic.Term, k)
-	for i, ix := range posIdx {
-		posFold[i%k] = append(posFold[i%k], pos[ix])
-	}
-	for i, ix := range negIdx {
-		negFold[i%k] = append(negFold[i%k], neg[ix])
-	}
+	posFold := sched.DealEven(rng.Shuffled(rng.New(seed), pos), k)
+	negFold := sched.DealEven(rng.Shuffled(rng.New(seed+1), neg), k)
 	folds := make([]Fold, k)
 	for f := 0; f < k; f++ {
 		fold := &folds[f]
@@ -48,28 +42,4 @@ func KFold(pos, neg []logic.Term, k int, seed int64) ([]Fold, error) {
 		}
 	}
 	return folds, nil
-}
-
-// shuffled returns a seeded permutation of 0..n-1 (xorshift64*, matching the
-// partitioner used elsewhere so runs are reproducible end to end).
-func shuffled(n int, seed int64) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	s := uint64(seed)
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	next := func() uint64 {
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		return s * 0x2545F4914F6CDD1D
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return idx
 }
