@@ -30,24 +30,17 @@ func TestTable1Characterization(t *testing.T) {
 	}
 }
 
-func TestGeneratorsDeterministic(t *testing.T) {
+// TestSeedsDiffer checks that different seeds draw different datasets.
+// That equal seeds draw identical ones, symbols and KB order included, is
+// TestGeneratedDatasetsPinned's job.
+func TestSeedsDiffer(t *testing.T) {
 	gens := []func(int64) *Dataset{
 		func(s int64) *Dataset { return CarcinogenesisSized(20, 16, s) },
 		func(s int64) *Dataset { return MeshSized(40, 10, s) },
 		func(s int64) *Dataset { return PyrimidinesSized(30, 24, s) },
 	}
 	for _, gen := range gens {
-		a, b := gen(7), gen(7)
-		if a.KB.Size() != b.KB.Size() {
-			t.Errorf("%s: KB sizes differ for equal seeds: %d vs %d", a.Name, a.KB.Size(), b.KB.Size())
-		}
-		for i := range a.Pos {
-			if a.Pos[i].String() != b.Pos[i].String() {
-				t.Errorf("%s: positives differ at %d", a.Name, i)
-				break
-			}
-		}
-		c := gen(8)
+		a, c := gen(7), gen(8)
 		if a.KB.Size() == c.KB.Size() && len(a.Pos) > 0 && a.Pos[0].String() == c.Pos[0].String() {
 			// Sizes could coincide, but identical first example too is
 			// suspicious enough to flag.
