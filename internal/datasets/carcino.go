@@ -1,7 +1,7 @@
 package datasets
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
@@ -37,24 +37,26 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 	}
 
 	elements := []string{"c", "c", "c", "c", "c", "n", "o", "s", "cl"}
-	atomTypes := []string{"1", "3", "8", "10", "14", "22", "27", "29"}
+	atomTypes := []int{1, 3, 8, 10, 14, 22, 27, 29}
 	bondWeights := []float64{0.60, 0.25, 0.15} // single, double, aromatic
-	bondNames := []string{"1", "2", "7"}
+	bondTypes := []int{1, 2, 7}
+	const aromatic = 2
 
 	molID := 0
-	gen := func() (logic.Term, bool, func()) {
+	gen := func(facts *factBatch) (logic.Term, bool) {
 		molID++
-		mol := fmt.Sprintf("d%d", molID)
+		mol := "d" + strconv.Itoa(molID)
 		nAtoms := 8 + r.Intn(8)
+		atoms := make([]string, nAtoms)
 		elems := make([]string, nAtoms)
 		charges := make([]float64, nAtoms)
-		var facts []string
 		for i := 0; i < nAtoms; i++ {
+			atoms[i] = mol + "_a" + strconv.Itoa(i)
 			elems[i] = r.pick(elements)
 			// Charges on a 0.05 grid in [-0.8, 0.8].
 			charges[i] = float64(r.Intn(33)-16) * 0.05
-			facts = append(facts, fmt.Sprintf("atm(%s, %s_a%d, %s, %s, %.2f)",
-				mol, mol, i, elems[i], atomTypes[r.Intn(len(atomTypes))], charges[i]))
+			facts.add("atm", atomArg(mol), atomArg(atoms[i]), atomArg(elems[i]),
+				intArg(atomTypes[r.Intn(len(atomTypes))]), decimalArg(charges[i], 2))
 		}
 		type edge struct{ a, b, t int }
 		var edges []edge
@@ -68,8 +70,7 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 			}
 		}
 		for _, e := range edges {
-			facts = append(facts, fmt.Sprintf("bond(%s, %s_a%d, %s_a%d, %s)",
-				mol, mol, e.a, mol, e.b, bondNames[e.t]))
+			facts.add("bond", atomArg(mol), atomArg(atoms[e.a]), atomArg(atoms[e.b]), intArg(bondTypes[e.t]))
 		}
 		// Hidden concept: nitro-like nitrogen OR aromatic chlorine.
 		label := false
@@ -79,20 +80,14 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 			}
 		}
 		for _, e := range edges {
-			if bondNames[e.t] == "7" && (elems[e.a] == "cl" || elems[e.b] == "cl") {
+			if e.t == aromatic && (elems[e.a] == "cl" || elems[e.b] == "cl") {
 				label = true
 			}
 		}
-		example := logic.MustParseTerm(fmt.Sprintf("active(%s)", mol))
-		commit := func() {
-			if err := sortedFacts(kb, facts); err != nil {
-				panic(err)
-			}
-		}
-		return example, label, commit
+		return logic.Comp("active", logic.A(mol)), label
 	}
 
-	pos, neg := fill(r, nPos, nNeg, noise, gen)
+	pos, neg := fill(r, kb, nPos, nNeg, noise, gen)
 	return &Dataset{
 		Name:  "carcinogenesis",
 		KB:    kb,

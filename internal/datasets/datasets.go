@@ -18,9 +18,11 @@
 package datasets
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
@@ -163,38 +165,133 @@ func (r rnd) weighted(weights []float64) int {
 }
 
 // fill distributes generated items into pos/neg lists with label noise
-// until both quotas are met. gen produces one candidate per call: its
-// example atom, its true label, and a commit hook that persists the
-// candidate's background facts; commit runs only when the candidate is
-// kept, so the KB holds facts exactly for the emitted examples.
-func fill(r rnd, nPos, nNeg int, noise float64, gen func() (logic.Term, bool, func())) (pos, neg []logic.Term) {
+// until both quotas are met. gen produces one candidate per call: it
+// describes the candidate's background facts into facts and returns its
+// example atom and true label. fill adds the facts to kb only when it keeps
+// the candidate, so the KB holds facts exactly for the emitted examples.
+func fill(r rnd, kb *solve.KB, nPos, nNeg int, noise float64, gen func(facts *factBatch) (logic.Term, bool)) (pos, neg []logic.Term) {
+	var facts factBatch
 	for len(pos) < nPos || len(neg) < nNeg {
-		e, label, commit := gen()
+		facts.reset()
+		e, label := gen(&facts)
 		if r.bool(noise) {
 			label = !label
 		}
 		if label && len(pos) < nPos {
 			pos = append(pos, e)
-			commit()
 		} else if !label && len(neg) < nNeg {
 			neg = append(neg, e)
-			commit()
+		} else {
+			continue
 		}
+		facts.addTo(kb)
 	}
 	return pos, neg
 }
 
-// sortedFacts loads facts into the KB in deterministic (string) order — the
-// generators build maps along the way, and map iteration order must never
-// leak into the KB.
-func sortedFacts(kb *solve.KB, facts []string) error {
-	sort.Strings(facts)
-	for _, f := range facts {
-		c, err := logic.ParseClause(f + ".")
-		if err != nil {
-			return fmt.Errorf("datasets: bad generated fact %q: %w", f, err)
-		}
-		kb.Add(c)
-	}
-	return nil
+// factBatch is a batch of generated ground facts on their way into a KB. A
+// generator describes each fact with add as it draws; addTo builds the terms
+// and adds them in the order their printed text sorts, so the generators'
+// maps and draw order never leak into the KB. Building waits for addTo and
+// interns each fact's atoms left to right, then its functor — the order in
+// which the facts' sorted text would parse. Symbol ids follow interning
+// order and wire payloads carry them raw, so that order is part of the
+// generated data.
+type factBatch struct {
+	text  []byte    // every fact's printed text, back to back: the sort keys
+	args  []factArg // every fact's arguments, back to back
+	facts []fact
+	order []int // addTo's sort, kept for reuse
 }
+
+// fact is one described fact: its functor, and where its text and its
+// arguments end in the batch.
+type fact struct {
+	functor         string
+	textEnd, argEnd int
+}
+
+// factArg is one argument of a described fact: an atom, an integer, or a
+// decimal printed with prec digits after the point.
+type factArg struct {
+	kind logic.Kind // Atom, Int or Float
+	name string
+	num  float64
+	prec int
+}
+
+func atomArg(name string) factArg { return factArg{kind: logic.Atom, name: name} }
+
+func intArg(v int) factArg { return factArg{kind: logic.Int, num: float64(v)} }
+
+// decimalArg is v printed with prec digits after the point; the fact holds
+// the float that text reads back as (3×0.05 is stored as 0.15), not v.
+func decimalArg(v float64, prec int) factArg {
+	return factArg{kind: logic.Float, num: v, prec: prec}
+}
+
+// add describes the fact functor(args...).
+func (b *factBatch) add(functor string, args ...factArg) {
+	b.text = append(b.text, functor...)
+	b.text = append(b.text, '(')
+	for i, a := range args {
+		if i > 0 {
+			b.text = append(b.text, ", "...)
+		}
+		switch a.kind {
+		case logic.Atom:
+			b.text = append(b.text, a.name...)
+		case logic.Int:
+			b.text = strconv.AppendInt(b.text, int64(a.num), 10)
+		case logic.Float:
+			start := len(b.text)
+			b.text = strconv.AppendFloat(b.text, a.num, 'f', a.prec, 64)
+			a.num, _ = strconv.ParseFloat(string(b.text[start:]), 64)
+		}
+		b.args = append(b.args, a)
+	}
+	b.text = append(b.text, ')')
+	b.facts = append(b.facts, fact{functor: functor, textEnd: len(b.text), argEnd: len(b.args)})
+}
+
+// key returns fact i's printed text.
+func (b *factBatch) key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.facts[i-1].textEnd
+	}
+	return b.text[start:b.facts[i].textEnd]
+}
+
+// addTo builds the described facts, adds them to kb in the order of their
+// text and empties the batch.
+func (b *factBatch) addTo(kb *solve.KB) {
+	b.order = b.order[:0]
+	for i := range b.facts {
+		b.order = append(b.order, i)
+	}
+	slices.SortFunc(b.order, func(i, j int) int { return bytes.Compare(b.key(i), b.key(j)) })
+	terms := make([]logic.Term, len(b.args))
+	for _, i := range b.order {
+		start := 0
+		if i > 0 {
+			start = b.facts[i-1].argEnd
+		}
+		end := b.facts[i].argEnd
+		for j, a := range b.args[start:end] {
+			switch a.kind {
+			case logic.Atom:
+				terms[start+j] = logic.A(a.name)
+			case logic.Int:
+				terms[start+j] = logic.IntTerm(int64(a.num))
+			default:
+				terms[start+j] = logic.FloatTerm(a.num)
+			}
+		}
+		kb.Add(logic.Fact(logic.Comp(b.facts[i].functor, terms[start:end:end]...)))
+	}
+	b.reset()
+}
+
+// reset empties the batch, dropping any facts not added.
+func (b *factBatch) reset() { b.text, b.args, b.facts = b.text[:0], b.args[:0], b.facts[:0] }

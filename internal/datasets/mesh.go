@@ -1,7 +1,7 @@
 package datasets
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
@@ -42,34 +42,26 @@ func MeshSized(nPos, nNeg int, seed int64) *Dataset {
 	loadW := []float64{0.35, 0.40, 0.25}
 
 	edgeID := 0
-	gen := func() (logic.Term, bool, func()) {
+	gen := func(facts *factBatch) (logic.Term, bool) {
 		edgeID++
-		edge := fmt.Sprintf("e%d", edgeID)
+		edge := "e" + strconv.Itoa(edgeID)
 		etype := types[r.weighted(typeW)]
 		support := supports[r.weighted(supportW)]
 		load := loads[r.weighted(loadW)]
 		length := float64(1+r.Intn(40)) * 0.5 // 0.5 .. 20.0
-		facts := []string{
-			fmt.Sprintf("etype(%s, %s)", edge, etype),
-			fmt.Sprintf("support(%s, %s)", edge, support),
-			fmt.Sprintf("loading(%s, %s)", edge, load),
-			fmt.Sprintf("elen(%s, %.1f)", edge, length),
-		}
+		facts.add("etype", atomArg(edge), atomArg(etype))
+		facts.add("support", atomArg(edge), atomArg(support))
+		facts.add("loading", atomArg(edge), atomArg(load))
+		facts.add("elen", atomArg(edge), decimalArg(length, 1))
 		// Hidden concept: fine mesh needed for continuously loaded long
 		// edges, point-loaded fixed edges, and full circuits.
 		label := (etype == "long" && load == "cont_loaded") ||
 			(support == "fixed" && load == "point_loaded") ||
 			etype == "circuit"
-		example := logic.MustParseTerm(fmt.Sprintf("fine_mesh(%s)", edge))
-		commit := func() {
-			if err := sortedFacts(kb, facts); err != nil {
-				panic(err)
-			}
-		}
-		return example, label, commit
+		return logic.Comp("fine_mesh", logic.A(edge)), label
 	}
 
-	pos, neg := fill(r, nPos, nNeg, noise, gen)
+	pos, neg := fill(r, kb, nPos, nNeg, noise, gen)
 	return &Dataset{
 		Name:  "mesh",
 		KB:    kb,

@@ -1,7 +1,7 @@
 package datasets
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
@@ -52,50 +52,39 @@ func PyrimidinesNoisy(nPos, nNeg int, noise float64, seed int64) *Dataset {
 	gsize := make([]int, nGroups)
 	flex := make([]int, nGroups)
 	hdon := make([]bool, nGroups)
-	var tableFacts []string
+	names := make([]string, nGroups)
+	var table factBatch
 	for g := 0; g < nGroups; g++ {
 		polar[g] = r.Intn(6)
 		gsize[g] = r.Intn(6)
 		flex[g] = r.Intn(4)
 		hdon[g] = r.bool(0.4)
-		name := fmt.Sprintf("g%d", g)
-		tableFacts = append(tableFacts,
-			fmt.Sprintf("polar(%s, %d)", name, polar[g]),
-			fmt.Sprintf("gsize(%s, %d)", name, gsize[g]),
-			fmt.Sprintf("flex(%s, %d)", name, flex[g]),
-		)
+		names[g] = "g" + strconv.Itoa(g)
+		table.add("polar", atomArg(names[g]), intArg(polar[g]))
+		table.add("gsize", atomArg(names[g]), intArg(gsize[g]))
+		table.add("flex", atomArg(names[g]), intArg(flex[g]))
 		if hdon[g] {
-			tableFacts = append(tableFacts, fmt.Sprintf("hdonor(%s)", name))
+			table.add("hdonor", atomArg(names[g]))
 		}
 	}
-	if err := sortedFacts(kb, tableFacts); err != nil {
-		panic(err)
-	}
+	table.addTo(kb)
 
 	drugID := 0
-	gen := func() (logic.Term, bool, func()) {
+	gen := func(facts *factBatch) (logic.Term, bool) {
 		drugID++
-		drug := fmt.Sprintf("d%d", drugID)
+		drug := "d" + strconv.Itoa(drugID)
 		groups := [3]int{r.Intn(nGroups), r.Intn(nGroups), r.Intn(nGroups)}
-		facts := []string{
-			fmt.Sprintf("subst(%s, p1, g%d)", drug, groups[0]),
-			fmt.Sprintf("subst(%s, p2, g%d)", drug, groups[1]),
-			fmt.Sprintf("subst(%s, p3, g%d)", drug, groups[2]),
-		}
+		facts.add("subst", atomArg(drug), atomArg("p1"), atomArg(names[groups[0]]))
+		facts.add("subst", atomArg(drug), atomArg("p2"), atomArg(names[groups[1]]))
+		facts.add("subst", atomArg(drug), atomArg("p3"), atomArg(names[groups[2]]))
 		// Hidden concept: a polar-but-small group at position 3, or a
 		// flexible hydrogen donor at position 1.
 		g3, g1 := groups[2], groups[0]
 		label := (polar[g3] >= 3 && gsize[g3] <= 2) || (hdon[g1] && flex[g1] >= 2)
-		example := logic.MustParseTerm(fmt.Sprintf("active(%s)", drug))
-		commit := func() {
-			if err := sortedFacts(kb, facts); err != nil {
-				panic(err)
-			}
-		}
-		return example, label, commit
+		return logic.Comp("active", logic.A(drug)), label
 	}
 
-	pos, neg := fill(r, nPos, nNeg, noise, gen)
+	pos, neg := fill(r, kb, nPos, nNeg, noise, gen)
 	return &Dataset{
 		Name:  "pyrimidines",
 		KB:    kb,

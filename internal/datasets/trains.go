@@ -1,7 +1,7 @@
 package datasets
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
@@ -89,29 +89,19 @@ func Trains() *Dataset {
 	}
 
 	var pos, neg []logic.Term
-	var facts []string
+	var facts factBatch
 	for _, t := range trains {
 		for i, c := range t.cars {
-			carName := fmt.Sprintf("%s_c%d", t.name, i+1)
-			facts = append(facts,
-				fmt.Sprintf("has_car(%s, %s)", t.name, carName),
-				fmt.Sprintf("car_len(%s, %s)", carName, c.len),
-				fmt.Sprintf("roof(%s, %s)", carName, c.roof),
-				fmt.Sprintf("car_shape(%s, %s)", carName, c.shape),
-				fmt.Sprintf("wheels(%s, %d)", carName, c.wheels),
-				fmt.Sprintf("load(%s, %s, %d)", carName, c.load, c.nload),
-			)
+			addCar(&facts, t.name, t.name+"_c"+strconv.Itoa(i+1), c.len, c.roof, c.shape, c.wheels, c.load, c.nload)
 		}
-		e := logic.MustParseTerm(fmt.Sprintf("eastbound(%s)", t.name))
+		e := logic.Comp("eastbound", logic.A(t.name))
 		if t.east {
 			pos = append(pos, e)
 		} else {
 			neg = append(neg, e)
 		}
 	}
-	if err := sortedFacts(kb, facts); err != nil {
-		panic(err)
-	}
+	facts.addTo(kb)
 
 	return &Dataset{
 		Name:  "trains",
@@ -142,4 +132,15 @@ func Trains() *Dataset {
 			logic.MustParseClause("eastbound(T) :- has_car(T, C), car_len(C, short), closed(C)."),
 		},
 	}
+}
+
+// addCar describes car's six facts: it belongs to train, and its length,
+// roof, shape, wheel count and load.
+func addCar(facts *factBatch, train, car, length, roof, shape string, wheels int, load string, nload int) {
+	facts.add("has_car", atomArg(train), atomArg(car))
+	facts.add("car_len", atomArg(car), atomArg(length))
+	facts.add("roof", atomArg(car), atomArg(roof))
+	facts.add("car_shape", atomArg(car), atomArg(shape))
+	facts.add("wheels", atomArg(car), intArg(wheels))
+	facts.add("load", atomArg(car), atomArg(load), intArg(nload))
 }

@@ -1,7 +1,7 @@
 package datasets
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
@@ -56,9 +56,9 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 	nPos := n / 2
 	nNeg := n - nPos
 	safeLoads := []string{"circle", "rectangle", "hexagon"}
-	gen := func() (logic.Term, bool, func()) {
+	gen := func(facts *factBatch) (logic.Term, bool) {
 		id := r.Intn(1 << 30)
-		name := fmt.Sprintf("t%d", id)
+		name := "t" + strconv.Itoa(id)
 		nCars := 1 + r.Intn(4)
 		// A heavy train carries 12–17 cars, exactly one of which satisfies
 		// a cause; every rule for the *other* causes must enumerate the
@@ -71,10 +71,8 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 			nCars = 12 + r.Intn(6)
 			causeCar = 1 + r.Intn(nCars)
 		}
-		var facts []string
 		east := false
 		for c := 1; c <= nCars; c++ {
-			carName := fmt.Sprintf("%s_c%d", name, c)
 			length := lens[r.Intn(2)]
 			roof := roofs[r.Intn(4)]
 			shape := shapes[r.Intn(3)]
@@ -103,22 +101,9 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 					east = true
 				}
 			}
-			facts = append(facts,
-				fmt.Sprintf("has_car(%s, %s)", name, carName),
-				fmt.Sprintf("car_len(%s, %s)", carName, length),
-				fmt.Sprintf("roof(%s, %s)", carName, roof),
-				fmt.Sprintf("car_shape(%s, %s)", carName, shape),
-				fmt.Sprintf("wheels(%s, %d)", carName, nWheels),
-				fmt.Sprintf("load(%s, %s, %d)", carName, loadShape, loadCount),
-			)
+			addCar(facts, name, name+"_c"+strconv.Itoa(c), length, roof, shape, nWheels, loadShape, loadCount)
 		}
-		example := logic.MustParseTerm(fmt.Sprintf("eastbound(%s)", name))
-		commit := func() {
-			if err := sortedFacts(kb, facts); err != nil {
-				panic(err)
-			}
-		}
-		return example, east, commit
+		return logic.Comp("eastbound", logic.A(name)), east
 	}
 
 	dsName := "trains-gen"
@@ -132,7 +117,7 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 			logic.MustParseClause("eastbound(T) :- has_car(T, C), load(C, triangle, 3)."),
 		}
 	}
-	pos, neg := fill(r, nPos, nNeg, 0, gen)
+	pos, neg := fill(r, kb, nPos, nNeg, 0, gen)
 	return &Dataset{
 		Name:  dsName,
 		KB:    kb,
