@@ -161,7 +161,8 @@ func TestCheckpointingDoesNotTouchTheWire(t *testing.T) {
 // transport node — the simulation analogue of `kill -9` plus `p2mdie
 // -resume`. The workers are never told: exactly as in a real master crash
 // they sit blocked mid-epoch until the resumed master's handshake reaches
-// them. Returns the final metrics and the total op count observed.
+// them. The learned theory must cover every positive. Returns the final
+// metrics and the total op count observed.
 func crashRestartRun(t *testing.T, crashAt int64, dir string) (*Metrics, int64) {
 	t.Helper()
 	kb, pos, neg, ms := makeTask(t)
@@ -195,6 +196,7 @@ func crashRestartRun(t *testing.T, crashAt int64, dir string) (*Metrics, int64) 
 	if err == nil {
 		metrics.Theory = ma.theory
 		wg.Wait()
+		theoryCoversAll(t, kb, metrics.Theory, pos)
 		return metrics, fl.Ops()
 	}
 	if !errors.Is(err, faultline.ErrCrashed) {
@@ -222,40 +224,63 @@ func crashRestartRun(t *testing.T, crashAt int64, dir string) (*Metrics, int64) 
 	}
 	m2.Theory = ma2.theory
 	wg.Wait()
+	theoryCoversAll(t, kb, m2.Theory, pos)
 	return m2, fl.Ops()
 }
 
 // TestSimCrashRestartByteIdentity is the tentpole acceptance check on the
 // simulated transport: kill the master at a sweep of protocol points,
 // restart it from its durable checkpoint, and require the learned theory
-// to be identical to the failure-free run's every time. The stop window
-// (the final kindStop broadcast) is excluded — workers that already
-// received their stop have exited, and a crash there has nothing left to
-// resume (documented caveat, DESIGN.md §8).
+// to be identical to the failure-free run's every time, and the epoch and
+// rule counts too: the checkpoint carries them across the restart. The
+// stop window (the final kindStop broadcast) is excluded — workers that
+// already received their stop have exited, and a crash there has nothing
+// left to resume (documented caveat, DESIGN.md §8).
+//
+// The first leg learns makeTask in one epoch, so it sweeps every phase of
+// an epoch; the second learns makeWideTask in several, so most of its
+// crash points resume a master past a completed epoch.
 func TestSimCrashRestartByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-point sweep is slow")
 	}
-	base, total := crashRestartRun(t, 0, t.TempDir())
+	t.Run("one epoch", func(t *testing.T) {
+		crashSweep(t, 1, func(crashAt int64) (*Metrics, int64) {
+			return crashRestartRun(t, crashAt, t.TempDir())
+		})
+	})
+	t.Run("several epochs", func(t *testing.T) {
+		crashSweep(t, 3, func(crashAt int64) (*Metrics, int64) {
+			cfg := testConfig(3, 10)
+			cfg.CheckpointDir = t.TempDir()
+			return redealRun(t, 3, cfg, crashAt, nil)
+		})
+	})
+}
+
+// crashSweep runs the failure-free probe (crashAt 0), which must take at
+// least minEpochs epochs, then a crash at every protocol op when cheap,
+// else at ~24 evenly spaced ones plus the earliest (mid-load) and latest
+// resumable one, and holds every resumed run to the probe's theory, epochs
+// and rule count.
+func crashSweep(t *testing.T, minEpochs int, run func(crashAt int64) (*Metrics, int64)) {
+	t.Helper()
+	base, total := run(0)
 	if total < 10 {
 		t.Fatalf("probe run counted only %d ops", total)
 	}
-	want := fmt.Sprint(base.Theory)
-	kb, pos, _, _ := makeTask(t)
-	theoryCoversAll(t, kb, base.Theory, pos)
-	// Sweep every op when cheap, else ~24 evenly spaced points plus the
-	// earliest (mid-load) and latest resumable one.
-	last := total - int64(base.Workers) // exclude the stop broadcast window
-	stride := int64(1)
-	if last > 24 {
-		stride = last / 24
+	if base.Epochs < minEpochs {
+		t.Fatalf("probe run learned in %d epochs, want at least %d", base.Epochs, minEpochs)
 	}
+	want := fmt.Sprint(base.Theory)
+	last := total - int64(base.Workers) // exclude the stop broadcast window
+	stride := max(1, last/24)
 	points := []int64{1, last}
 	for op := stride; op < last; op += stride {
 		points = append(points, op)
 	}
 	for _, op := range points {
-		met, _ := crashRestartRun(t, op, t.TempDir())
+		met, _ := run(op)
 		if t.Failed() {
 			t.Fatalf("aborting sweep at op %d", op)
 		}
@@ -264,6 +289,10 @@ func TestSimCrashRestartByteIdentity(t *testing.T) {
 		}
 		if met.MasterRestarts != 1 {
 			t.Fatalf("crash at op %d: MasterRestarts = %d, want 1", op, met.MasterRestarts)
+		}
+		if met.Epochs != base.Epochs || met.RulesLearned != base.RulesLearned {
+			t.Fatalf("crash at op %d: resumed run counted %d epochs and %d rules, the failure-free run %d and %d",
+				op, met.Epochs, met.RulesLearned, base.Epochs, base.RulesLearned)
 		}
 	}
 }

@@ -16,7 +16,7 @@ func BenchmarkGenerate(b *testing.B) {
 	} {
 		b.Run(g.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for range b.N {
+			for b.Loop() {
 				g.gen()
 			}
 		})

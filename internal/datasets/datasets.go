@@ -201,14 +201,14 @@ type factBatch struct {
 	text  []byte    // every fact's printed text, back to back: the sort keys
 	args  []factArg // every fact's arguments, back to back
 	facts []fact
-	order []int // addTo's sort, kept for reuse
 }
 
-// fact is one described fact: its functor, and where its text and its
-// arguments end in the batch.
+// fact is one described fact: its functor, and the spans of its text and
+// its arguments in the batch.
 type fact struct {
-	functor         string
-	textEnd, argEnd int
+	functor          string
+	textFrom, textTo int
+	argFrom, argTo   int
 }
 
 // factArg is one argument of a described fact: an atom, an integer, or a
@@ -232,6 +232,7 @@ func decimalArg(v float64, prec int) factArg {
 
 // add describes the fact functor(args...).
 func (b *factBatch) add(functor string, args ...factArg) {
+	f := fact{functor: functor, textFrom: len(b.text), argFrom: len(b.args)}
 	b.text = append(b.text, functor...)
 	b.text = append(b.text, '(')
 	for i, a := range args {
@@ -244,51 +245,36 @@ func (b *factBatch) add(functor string, args ...factArg) {
 		case logic.Int:
 			b.text = strconv.AppendInt(b.text, int64(a.num), 10)
 		case logic.Float:
-			start := len(b.text)
+			from := len(b.text)
 			b.text = strconv.AppendFloat(b.text, a.num, 'f', a.prec, 64)
-			a.num, _ = strconv.ParseFloat(string(b.text[start:]), 64)
+			a.num, _ = strconv.ParseFloat(string(b.text[from:]), 64)
 		}
 		b.args = append(b.args, a)
 	}
 	b.text = append(b.text, ')')
-	b.facts = append(b.facts, fact{functor: functor, textEnd: len(b.text), argEnd: len(b.args)})
-}
-
-// key returns fact i's printed text.
-func (b *factBatch) key(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = b.facts[i-1].textEnd
-	}
-	return b.text[start:b.facts[i].textEnd]
+	f.textTo, f.argTo = len(b.text), len(b.args)
+	b.facts = append(b.facts, f)
 }
 
 // addTo builds the described facts, adds them to kb in the order of their
 // text and empties the batch.
 func (b *factBatch) addTo(kb *solve.KB) {
-	b.order = b.order[:0]
-	for i := range b.facts {
-		b.order = append(b.order, i)
-	}
-	slices.SortFunc(b.order, func(i, j int) int { return bytes.Compare(b.key(i), b.key(j)) })
+	slices.SortFunc(b.facts, func(x, y fact) int {
+		return bytes.Compare(b.text[x.textFrom:x.textTo], b.text[y.textFrom:y.textTo])
+	})
 	terms := make([]logic.Term, len(b.args))
-	for _, i := range b.order {
-		start := 0
-		if i > 0 {
-			start = b.facts[i-1].argEnd
-		}
-		end := b.facts[i].argEnd
-		for j, a := range b.args[start:end] {
-			switch a.kind {
+	for _, f := range b.facts {
+		for i := f.argFrom; i < f.argTo; i++ {
+			switch a := b.args[i]; a.kind {
 			case logic.Atom:
-				terms[start+j] = logic.A(a.name)
+				terms[i] = logic.A(a.name)
 			case logic.Int:
-				terms[start+j] = logic.IntTerm(int64(a.num))
+				terms[i] = logic.IntTerm(int64(a.num))
 			default:
-				terms[start+j] = logic.FloatTerm(a.num)
+				terms[i] = logic.FloatTerm(a.num)
 			}
 		}
-		kb.Add(logic.Fact(logic.Comp(b.facts[i].functor, terms[start:end:end]...)))
+		kb.Add(logic.Fact(logic.Comp(f.functor, terms[f.argFrom:f.argTo:f.argTo]...)))
 	}
 	b.reset()
 }
