@@ -247,7 +247,7 @@ func (b *factBatch) add(functor string, args ...factArg) {
 		case logic.Float:
 			from := len(b.text)
 			b.text = strconv.AppendFloat(b.text, a.num, 'f', a.prec, 64)
-			a.num, _ = strconv.ParseFloat(string(b.text[from:]), 64)
+			a.num, _ = strconv.ParseFloat(string(b.text[from:]), 64) // AppendFloat's text always parses
 		}
 		b.args = append(b.args, a)
 	}

@@ -31,59 +31,51 @@ func Trains() *Dataset {
 		panic(err)
 	}
 
-	type car struct {
-		len    string // short | long
-		roof   string // none | flat | peaked | jagged
-		shape  string // rectangle | u_shaped | bucket
-		wheels int
-		load   string // circle | triangle | rectangle | hexagon
-		nload  int
-	}
 	trains := []struct {
 		name string
 		east bool
-		cars []car
+		cars []trainCar
 	}{
-		{"east1", true, []car{
+		{"east1", true, []trainCar{
 			{"long", "none", "rectangle", 2, "rectangle", 3},
 			{"short", "peaked", "rectangle", 2, "triangle", 1},
 			{"long", "none", "rectangle", 3, "hexagon", 1},
 		}},
-		{"east2", true, []car{
+		{"east2", true, []trainCar{
 			{"short", "flat", "bucket", 2, "circle", 1},
 			{"long", "none", "u_shaped", 2, "triangle", 2},
 		}},
-		{"east3", true, []car{
+		{"east3", true, []trainCar{
 			{"short", "none", "u_shaped", 2, "circle", 1},
 			{"short", "jagged", "rectangle", 2, "triangle", 1},
 			{"long", "none", "rectangle", 2, "rectangle", 2},
 		}},
-		{"east4", true, []car{
+		{"east4", true, []trainCar{
 			{"short", "peaked", "u_shaped", 2, "triangle", 1},
 			{"short", "none", "rectangle", 2, "rectangle", 1},
 		}},
-		{"east5", true, []car{
+		{"east5", true, []trainCar{
 			{"long", "flat", "rectangle", 3, "circle", 2},
 			{"short", "flat", "rectangle", 2, "hexagon", 1},
 		}},
-		{"west1", false, []car{
+		{"west1", false, []trainCar{
 			{"long", "none", "rectangle", 2, "circle", 3},
 			{"long", "flat", "rectangle", 3, "triangle", 1},
 		}},
-		{"west2", false, []car{
+		{"west2", false, []trainCar{
 			{"short", "none", "u_shaped", 2, "circle", 1},
 			{"long", "none", "rectangle", 2, "rectangle", 1},
 		}},
-		{"west3", false, []car{
+		{"west3", false, []trainCar{
 			{"long", "jagged", "rectangle", 3, "hexagon", 1},
 			{"short", "none", "bucket", 2, "circle", 1},
 		}},
-		{"west4", false, []car{
+		{"west4", false, []trainCar{
 			{"long", "peaked", "rectangle", 2, "rectangle", 2},
 			{"short", "none", "rectangle", 2, "triangle", 1},
 			{"long", "none", "u_shaped", 2, "circle", 1},
 		}},
-		{"west5", false, []car{
+		{"west5", false, []trainCar{
 			{"short", "none", "rectangle", 2, "rectangle", 1},
 		}},
 	}
@@ -92,7 +84,7 @@ func Trains() *Dataset {
 	var facts factBatch
 	for _, t := range trains {
 		for i, c := range t.cars {
-			addCar(&facts, t.name, t.name+"_c"+strconv.Itoa(i+1), c.len, c.roof, c.shape, c.wheels, c.load, c.nload)
+			addCar(&facts, t.name, t.name+"_c"+strconv.Itoa(i+1), c)
 		}
 		e := logic.Comp("eastbound", logic.A(t.name))
 		if t.east {
@@ -134,13 +126,22 @@ func Trains() *Dataset {
 	}
 }
 
-// addCar describes car's six facts: it belongs to train, and its length,
-// roof, shape, wheel count and load.
-func addCar(facts *factBatch, train, car, length, roof, shape string, wheels int, load string, nload int) {
-	facts.add("has_car", atomArg(train), atomArg(car))
-	facts.add("car_len", atomArg(car), atomArg(length))
-	facts.add("roof", atomArg(car), atomArg(roof))
-	facts.add("car_shape", atomArg(car), atomArg(shape))
-	facts.add("wheels", atomArg(car), intArg(wheels))
-	facts.add("load", atomArg(car), atomArg(load), intArg(nload))
+// trainCar is one car of a train.
+type trainCar struct {
+	len    string // short | long
+	roof   string // none | flat | peaked | jagged
+	shape  string // rectangle | u_shaped | bucket
+	wheels int
+	load   string // circle | triangle | rectangle | hexagon
+	nload  int
+}
+
+// addCar describes the six facts of train's car c, named name.
+func addCar(facts *factBatch, train, name string, c trainCar) {
+	facts.add("has_car", atomArg(train), atomArg(name))
+	facts.add("car_len", atomArg(name), atomArg(c.len))
+	facts.add("roof", atomArg(name), atomArg(c.roof))
+	facts.add("car_shape", atomArg(name), atomArg(c.shape))
+	facts.add("wheels", atomArg(name), intArg(c.wheels))
+	facts.add("load", atomArg(name), atomArg(c.load), intArg(c.nload))
 }

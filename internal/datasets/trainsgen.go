@@ -101,7 +101,7 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 					east = true
 				}
 			}
-			addCar(facts, name, name+"_c"+strconv.Itoa(c), length, roof, shape, nWheels, loadShape, loadCount)
+			addCar(facts, name, name+"_c"+strconv.Itoa(c), trainCar{length, roof, shape, nWheels, loadShape, loadCount})
 		}
 		return logic.Comp("eastbound", logic.A(name)), east
 	}
