@@ -40,7 +40,6 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 	atomTypes := []int{1, 3, 8, 10, 14, 22, 27, 29}
 	bondWeights := []float64{0.60, 0.25, 0.15} // single, double, aromatic
 	bondTypes := []int{1, 2, 7}
-	const aromatic = 2
 
 	molID := 0
 	gen := func(facts *factBatch) (logic.Term, bool) {
@@ -80,7 +79,7 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 			}
 		}
 		for _, e := range edges {
-			if e.t == aromatic && (elems[e.a] == "cl" || elems[e.b] == "cl") {
+			if bondTypes[e.t] == 7 && (elems[e.a] == "cl" || elems[e.b] == "cl") {
 				label = true
 			}
 		}

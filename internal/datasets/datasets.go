@@ -256,8 +256,8 @@ func (b *factBatch) add(functor string, args ...factArg) {
 	b.facts = append(b.facts, f)
 }
 
-// addTo builds the described facts, adds them to kb in the order of their
-// text and empties the batch.
+// addTo builds the described facts and adds them to kb in the order of
+// their text.
 func (b *factBatch) addTo(kb *solve.KB) {
 	slices.SortFunc(b.facts, func(x, y fact) int {
 		return bytes.Compare(b.text[x.textFrom:x.textTo], b.text[y.textFrom:y.textTo])
@@ -276,8 +276,7 @@ func (b *factBatch) addTo(kb *solve.KB) {
 		}
 		kb.Add(logic.Fact(logic.Comp(f.functor, terms[f.argFrom:f.argTo:f.argTo]...)))
 	}
-	b.reset()
 }
 
-// reset empties the batch, dropping any facts not added.
+// reset empties the batch.
 func (b *factBatch) reset() { b.text, b.args, b.facts = b.text[:0], b.args[:0], b.facts[:0] }
