@@ -1,9 +1,13 @@
 package solve_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/logic"
 	"repro/internal/solve"
 )
 
@@ -23,6 +27,40 @@ func TestCompiledFootprint(t *testing.T) {
 		kb.Size(), got, got/kb.Size(), parentFootprint, parentFootprint/kb.Size(), 100*float64(got)/parentFootprint)
 	if limit := parentFootprint * 45 / 100; got > limit {
 		t.Errorf("compiled program is %d B, over the %d B bound (45 %% of %d)", got, limit, parentFootprint)
+	}
+}
+
+// TestFootprintPinned pins KB.Footprint, the per-example cost that
+// sched.DealByCost balances partitions by, on every example of the bundled
+// datasets: the footprint of each example's individual (its first argument),
+// positives then negatives, summed and hashed in order. The values are the
+// ones the argument indexes of the knowledge base gave before the compiled
+// switches took their place.
+func TestFootprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		ds   *datasets.Dataset
+		sum  int
+		hash string
+	}{
+		{datasets.Carcinogenesis(1), 7491, "cff07e129050af0b"},
+		{datasets.Mesh(1), 12472, "c615e8f677defb9d"},
+		{datasets.Pyrimidines(1), 4836, "37bf48f760fa7d38"},
+		{datasets.Trains(), 22, "5e7c7102c6d79be8"},
+	} {
+		h, sum := sha256.New(), 0
+		for _, ex := range append(append([]logic.Term(nil), tc.ds.Pos...), tc.ds.Neg...) {
+			c := ex
+			if ex.Kind == logic.Compound && len(ex.Args) > 0 {
+				c = ex.Args[0]
+			}
+			n := tc.ds.KB.Footprint(c)
+			sum += n
+			fmt.Fprintf(h, "%d,", n)
+		}
+		got := hex.EncodeToString(h.Sum(nil)[:8])
+		if sum != tc.sum || got != tc.hash {
+			t.Errorf("%s: footprints sum to %d, hash %s; want %d, %s", tc.ds.Name, sum, got, tc.sum, tc.hash)
+		}
 	}
 }
 
