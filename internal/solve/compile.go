@@ -1,7 +1,9 @@
 package solve
 
 import (
+	"iter"
 	"math"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -15,9 +17,9 @@ import (
 // query recompiles.
 //
 // The compilation scheme specializes exactly the decisions the seed engine
-// (refMachine, differential_test.go) makes dynamically over KB.lookup, so the
-// VM's observable behaviour — solution order, inference counts, budget
-// cutoffs — is the seed engine's:
+// (refMachine, differential_test.go) makes dynamically over its own argument
+// indexes, so the VM's observable behaviour — solution order, inference
+// counts, budget cutoffs — is the seed engine's:
 //
 //   - Each head argument position becomes one instruction chosen by the
 //     argument's shape (get-atom, get-number, get-variable, or a general
@@ -26,11 +28,12 @@ import (
 //     position an index lookup already proved equal at run time, and when
 //     a statically ground goal meets a ground fact it reads the same stream
 //     as plain equality: no renaming, no trail, nothing to undo.
-//   - The first-/second-argument fact indexes become switch instructions
-//     that jump from a goal argument constant straight to a precomputed
-//     candidate list: the index bucket merged with the never-indexed facts
-//     in insertion order followed by the rules, exactly the sequence
-//     KB.lookup (scanMerged + scanRules) visits at run time. Symbol keys
+//   - The facts are indexed by their first and second argument here and
+//     nowhere else: each position becomes a switch that jumps from a goal
+//     argument constant straight to a precomputed candidate list, the facts
+//     holding that constant merged with the facts holding none (a variable
+//     or a compound) in insertion order, followed by the rules — the
+//     sequence the seed engine's index scan visits at run time. Symbol keys
 //     dispatch through a dense array (symbols are small interned integers)
 //     instead of a hash map.
 //   - Predicate dispatch likewise compiles to a direct symbol-indexed table
@@ -105,9 +108,9 @@ type vmCand struct {
 }
 
 // candList is a precomputed candidate sequence: selected facts in insertion
-// order, then every rule. nFacts counts only the facts — it mirrors the
-// candidate count KB.lookup's selectIndex compares buckets by (bucket
-// length plus the always-scanned unindexed facts).
+// order, then every rule. nFacts counts only the facts — the candidate count
+// index selection compares the two switches' lists by (the facts holding the
+// constant plus the always-scanned unindexed facts).
 type candList struct {
 	cands  []vmCand
 	nFacts int
@@ -155,7 +158,7 @@ func (l *candList) buildKeys() {
 	if skip >= 0 {
 		cols--
 	}
-	if arity > maxCachedArity || cols == 0 {
+	if arity > maxCachedArity || cols <= 0 {
 		return
 	}
 	keys := make([]uint32, cols*n)
@@ -182,19 +185,19 @@ func (l *candList) buildKeys() {
 	}
 }
 
-// vmSwitch is the compiled form of an argIndex: constant → merged candidate
-// list. Symbol keys resolve through a dense array indexed by the interned
-// symbol id; numeric keys keep a map. miss is the list for constants with
-// no bucket (the unindexed facts plus rules), matching KB.lookup's
-// empty-bucket scan.
+// vmSwitch is the index of one argument position: constant → merged
+// candidate list. Symbol keys resolve through a dense array indexed by the
+// interned symbol id; numeric keys keep a map. miss is the list for
+// constants no fact holds there (the unindexed facts plus rules).
 type vmSwitch struct {
 	dense []*candList
 	byNum map[float64]*candList
 	miss  *candList
 }
 
-// lookup mirrors argIndex.bucket: a constant goal argument always selects
-// some list (possibly the miss list); anything else reports no index.
+// lookup selects the list for a dereferenced goal argument: a constant
+// always selects some list (possibly the miss list); anything else reports
+// no index.
 func (sw *vmSwitch) lookup(t *logic.Term) (*candList, bool) {
 	switch t.Kind {
 	case logic.Atom:
@@ -262,9 +265,28 @@ func (pr *program) predFor(goal logic.Term) *compiledPred {
 	return nil
 }
 
+// preds yields every compiled predicate of the program.
+func (pr *program) preds() iter.Seq[*compiledPred] {
+	return func(yield func(*compiledPred) bool) {
+		for _, cp := range pr.direct {
+			if cp != nil && !yield(cp) {
+				return
+			}
+		}
+		for _, es := range pr.bySym {
+			for _, e := range es {
+				if !yield(e.cp) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // unknownPred is the compiled predicate for body goals that reference no KB
 // predicate: empty candidate lists, so resolution exhausts immediately with
-// no charges — KB.lookup visits nothing for an unknown predicate either.
+// no charges — the seed engine visits nothing for an unknown predicate
+// either.
 var unknownPred = &compiledPred{
 	all:  &candList{},
 	arg1: vmSwitch{miss: &candList{}},
@@ -272,10 +294,18 @@ var unknownPred = &compiledPred{
 }
 
 // compiler accumulates every compiled clause so the second compilation phase
-// can patch cross-predicate references into the body frames.
+// can patch cross-predicate references into the body frames. The rest is
+// compileSwitch's scratch, reused from switch to switch.
 type compiler struct {
 	clauses []*compiledClause
 	preds   int32
+
+	atomAt []int32           // by symbol id: a switch key's fact count, then its end in at
+	numAt  map[float64]int32 // the same for numeric keys
+	atoms  []logic.Symbol    // the switch's symbol keys, first seen first
+	nums   []float64         // the switch's numeric keys, first seen first
+	at     []int32           // fact positions, grouped by key in key order
+	un     []int32           // positions of the facts holding no constant
 }
 
 // compileKB translates every predicate of kb into compiled form. It runs in
@@ -339,33 +369,93 @@ func compilePred(c *compiler, p *pred, arity int32) *compiledPred {
 		}
 	}
 	cp.all = mergeList(facts, rules, allIdx, nil, -1)
-	cp.arg1 = compileSwitch(facts, rules, &p.arg1, 0)
-	cp.arg2 = compileSwitch(facts, rules, &p.arg2, 1)
+	cp.arg1 = c.compileSwitch(facts, rules, p.facts, 0)
+	cp.arg2 = c.compileSwitch(facts, rules, p.facts, 1)
 	return cp
 }
 
-// compileSwitch precomputes, for every constant key of ix, the merged
-// bucket-plus-unindexed candidate sequence scanMerged would produce
-// (followed by the rules). Symbol keys become a dense jump table.
-func compileSwitch(facts []*compiledClause, rules []vmCand, ix *argIndex, skip int) vmSwitch {
-	sw := vmSwitch{miss: mergeList(facts, rules, nil, ix.unindexed, skip)}
-	if len(ix.byAtom) > 0 {
-		maxSym := logic.Symbol(0)
-		for k := range ix.byAtom {
-			if k > maxSym {
-				maxSym = k
+// compileSwitch indexes the facts src by their argument at pos: for every
+// constant there, the facts holding it (which pass over pos, proved equal)
+// merged in insertion order with the unindexed facts, then the rules. It
+// counts the facts per key, lays their positions out in one array by prefix
+// sums — each key's run in insertion order — and merges every run. Int 1 and
+// Float 1.0 are one numeric key, and so are 0.0 and -0.0; a NaN argument
+// equals no goal constant, so its fact is in no list of the switch.
+func (c *compiler) compileSwitch(facts []*compiledClause, rules []vmCand, src []storedClause, pos int) vmSwitch {
+	if c.numAt == nil {
+		c.numAt = make(map[float64]int32)
+	}
+	if len(src) > 0 && pos >= len(src[0].clause.Head.Args) {
+		src = nil // every fact of a predicate has its arity
+	}
+	c.atoms, c.nums, c.un = c.atoms[:0], c.nums[:0], c.un[:0]
+	n := 0
+	for i := range src {
+		switch a := &src[i].clause.Head.Args[pos]; a.Kind {
+		case logic.Atom:
+			if s := int(a.Sym); s >= len(c.atomAt) {
+				c.atomAt = append(c.atomAt, make([]int32, s+1-len(c.atomAt))...)
+			}
+			if c.atomAt[a.Sym] == 0 {
+				c.atoms = append(c.atoms, a.Sym)
+			}
+			c.atomAt[a.Sym]++
+		case logic.Int, logic.Float:
+			if math.IsNaN(a.Num) {
+				continue
+			}
+			k := c.numAt[a.Num]
+			if k == 0 {
+				c.nums = append(c.nums, a.Num)
+			}
+			c.numAt[a.Num] = k + 1
+		default:
+			c.un = append(c.un, int32(i))
+			continue
+		}
+		n++
+	}
+	// Prefix sums: each key's count becomes the start of its run.
+	off, maxSym := int32(0), logic.Symbol(0)
+	for _, s := range c.atoms {
+		off, c.atomAt[s] = off+c.atomAt[s], off
+		maxSym = max(maxSym, s)
+	}
+	for _, f := range c.nums {
+		off, c.numAt[f] = off+c.numAt[f], off
+	}
+	// Fill: each start advances to its run's end.
+	c.at = slices.Grow(c.at[:0], n)[:n]
+	for i := range src {
+		switch a := &src[i].clause.Head.Args[pos]; a.Kind {
+		case logic.Atom:
+			c.at[c.atomAt[a.Sym]] = int32(i)
+			c.atomAt[a.Sym]++
+		case logic.Int, logic.Float:
+			if k, ok := c.numAt[a.Num]; ok {
+				c.at[k] = int32(i)
+				c.numAt[a.Num] = k + 1
 			}
 		}
+	}
+	sw := vmSwitch{miss: mergeList(facts, rules, nil, c.un, pos)}
+	start := int32(0)
+	if len(c.atoms) > 0 {
 		sw.dense = make([]*candList, int(maxSym)+1)
-		for k, bucket := range ix.byAtom {
-			sw.dense[k] = mergeList(facts, rules, bucket, ix.unindexed, skip)
+		for _, s := range c.atoms {
+			end := c.atomAt[s]
+			sw.dense[s] = mergeList(facts, rules, c.at[start:end], c.un, pos)
+			start, c.atomAt[s] = end, 0
 		}
 	}
-	if len(ix.byNum) > 0 {
-		sw.byNum = make(map[float64]*candList, len(ix.byNum))
-		for k, bucket := range ix.byNum {
-			sw.byNum[k] = mergeList(facts, rules, bucket, ix.unindexed, skip)
+	if len(c.nums) > 0 {
+		sw.byNum = make(map[float64]*candList, len(c.nums))
+		for _, f := range c.nums {
+			end := c.numAt[f]
+			sw.byNum[f] = mergeList(facts, rules, c.at[start:end], c.un, pos)
+			start = end
 		}
+		clear(c.numAt)
 	}
 	return sw
 }

@@ -2,21 +2,171 @@ package solve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/logic"
 )
 
 // This file holds the oracle of every prover test (oracle_test.go): a
 // reference prover that replicates the seed engine's semantics — a
-// persistent linked goal list, OffsetVars clause renaming and per-goal
-// shallow resolution — and shares nothing with the production engine but the
-// KB's candidate selection (KB.lookup) and the builtins. On any program and
-// goal the engine must produce its solutions in its order, charge its
-// inferences and hit its budget cutoffs. Besides, the generators of random
-// programs and questions.
+// persistent linked goal list, OffsetVars clause renaming, per-goal shallow
+// resolution and candidate selection by argument indexes of its own — and
+// shares nothing with the production engine but the KB's clause store and
+// the builtins. On any program and goal the engine must produce its
+// solutions in its order, charge its inferences and hit its budget cutoffs.
+// Besides, the generators of random programs and questions.
+
+// argIndex indexes fact positions by the constant at one argument position.
+// Ints and floats unify numerically, so they share the numeric map.
+type argIndex struct {
+	byAtom    map[logic.Symbol][]int32
+	byNum     map[float64][]int32
+	unindexed []int32 // fact positions whose argument is not a constant
+}
+
+func (ix *argIndex) add(t logic.Term, pos int32) {
+	switch t.Kind {
+	case logic.Atom:
+		if ix.byAtom == nil {
+			ix.byAtom = make(map[logic.Symbol][]int32)
+		}
+		ix.byAtom[t.Sym] = append(ix.byAtom[t.Sym], pos)
+	case logic.Int, logic.Float:
+		if ix.byNum == nil {
+			ix.byNum = make(map[float64][]int32)
+		}
+		ix.byNum[t.Num] = append(ix.byNum[t.Num], pos)
+	default:
+		ix.unindexed = append(ix.unindexed, pos)
+	}
+}
+
+// bucket returns the candidate positions for a dereferenced goal argument
+// and whether the argument was a constant usable for indexing.
+func (ix *argIndex) bucket(t logic.Term) ([]int32, bool) {
+	switch t.Kind {
+	case logic.Atom:
+		return ix.byAtom[t.Sym], true
+	case logic.Int, logic.Float:
+		return ix.byNum[t.Num], true
+	}
+	return nil, false
+}
+
+// seedIndex is the seed engine's candidate selection over one version of a
+// KB: every predicate's facts indexed by their first and second argument.
+// It holds no reference to the KB, so that seedIndexes can drop it with the
+// KB.
+type seedIndex struct {
+	size int // the KB's Size when it was built
+	args map[*pred]*[2]argIndex
+}
+
+// seedIndexes holds the seed index of every live KB, shared by all of the
+// reference machines of the parallel tests and rebuilt when its KB grows.
+var seedIndexes sync.Map // weak.Pointer[KB] → *seedIndex
+
+func seedIndexFor(kb *KB) *seedIndex {
+	key := weak.Make(kb)
+	if v, ok := seedIndexes.Load(key); ok && v.(*seedIndex).size == kb.Size() {
+		return v.(*seedIndex)
+	}
+	ix := &seedIndex{size: kb.Size(), args: make(map[*pred]*[2]argIndex, len(kb.preds))}
+	for _, p := range kb.preds {
+		var args [2]argIndex
+		for i := range p.facts {
+			for pos, a := range p.facts[i].clause.Head.Args[:min(2, len(p.facts[i].clause.Head.Args))] {
+				args[pos].add(a, int32(i))
+			}
+		}
+		ix.args[p] = &args
+	}
+	if _, had := seedIndexes.Swap(key, ix); !had {
+		runtime.AddCleanup(kb, func(k weak.Pointer[KB]) { seedIndexes.Delete(k) }, key)
+	}
+	return ix
+}
+
+// lookup visits the candidate clauses of p for goal under bs: a subset of
+// the facts selected by first- or second-argument index when the
+// corresponding goal argument dereferences to a constant (whichever bucket
+// is smaller), then all rules. The visit order is deterministic: indexed
+// facts merge with the unindexed ones in insertion order to keep solution
+// order stable. visit gets each clause with the argument position its
+// bucket proved equal, -1 for the unindexed facts and the rules.
+func (ix *seedIndex) lookup(p *pred, bs *logic.Bindings, goal logic.Term, visit func(sc *storedClause, skip int) bool) {
+	if p == nil {
+		return
+	}
+	if len(goal.Args) > 0 {
+		if pos, idx, un, ok := ix.selectIndex(p, bs, goal); ok {
+			p.scanMerged(idx, un, pos, visit)
+			return
+		}
+	}
+	for i := range p.facts {
+		if !visit(&p.facts[i], -1) {
+			return
+		}
+	}
+	p.scanRules(visit)
+}
+
+// selectIndex picks the cheapest applicable fact index for the goal: the
+// first- or second-argument bucket with the fewest candidates (bucket plus
+// the unindexed facts that must always be scanned alongside it); a second
+// probe is skipped when the first bucket is down to at most one candidate.
+func (ix *seedIndex) selectIndex(p *pred, bs *logic.Bindings, goal logic.Term) (pos int, idx, un []int32, ok bool) {
+	args := ix.args[p]
+	best := 0
+	if i1, kok := args[0].bucket(bs.Walk(goal.Args[0])); kok {
+		idx, un, ok = i1, args[0].unindexed, true
+		best = len(idx) + len(un)
+	}
+	if len(goal.Args) > 1 && (!ok || best > 1) {
+		if i2, kok := args[1].bucket(bs.Walk(goal.Args[1])); kok {
+			if u2 := args[1].unindexed; !ok || len(i2)+len(u2) < best {
+				pos, idx, un, ok = 1, i2, u2, true
+			}
+		}
+	}
+	return pos, idx, un, ok
+}
+
+// scanMerged visits the union of an index bucket at argument pos and the
+// unindexed positions in insertion order, then every rule.
+func (p *pred) scanMerged(idx, un []int32, pos int, visit func(*storedClause, int) bool) {
+	i, j := 0, 0
+	for i < len(idx) || j < len(un) {
+		if j >= len(un) || (i < len(idx) && idx[i] < un[j]) {
+			if !visit(&p.facts[idx[i]], pos) {
+				return
+			}
+			i++
+		} else {
+			if !visit(&p.facts[un[j]], -1) {
+				return
+			}
+			j++
+		}
+	}
+	p.scanRules(visit)
+}
+
+func (p *pred) scanRules(visit func(*storedClause, int) bool) {
+	for i := range p.rules {
+		if !visit(&p.rules[i], -1) {
+			return
+		}
+	}
+}
 
 // refGoals is the reference engine's persistent goal stack.
 type refGoals struct {
@@ -35,6 +185,7 @@ func refPush(body []logic.Literal, depth int, rest *refGoals) *refGoals {
 // refMachine is the reference SLD engine (heap-allocating, copy-renaming).
 type refMachine struct {
 	kb     *KB
+	index  *seedIndex
 	bs     *logic.Bindings
 	budget Budget
 
@@ -46,7 +197,7 @@ type refMachine struct {
 }
 
 func newRefMachine(kb *KB, budget Budget) *refMachine {
-	return &refMachine{kb: kb, bs: logic.NewBindings(64), budget: budget.withDefaults()}
+	return &refMachine{kb: kb, index: seedIndexFor(kb), bs: logic.NewBindings(64), budget: budget.withDefaults()}
 }
 
 func (m *refMachine) charge() bool {
@@ -148,7 +299,10 @@ func (m *refMachine) solve(goals *refGoals, k func() bool) bool {
 		return true
 	}
 	cont := true
-	m.kb.lookup(m.bs, goal, 0, func(sc *storedClause) bool {
+	if m.index.size != m.kb.Size() {
+		m.index = seedIndexFor(m.kb)
+	}
+	m.index.lookup(m.kb.predFor(goal), m.bs, goal, func(sc *storedClause, _ int) bool {
 		if !m.charge() {
 			cont = true
 			return false
@@ -477,4 +631,141 @@ func TestSecondArgIndexMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// listEntry is one candidate of a list as the two sides see it: the stored
+// clause and the argument position its selection proved equal (-1: none).
+type listEntry struct {
+	src  *logic.Clause
+	skip int
+}
+
+// switchesMatchSeedIndex holds kb's compiled switches to its seed index,
+// list by list: for every predicate, the full list; and at argument 1 and 2
+// — also past the predicate's arity — the miss list, and the list selected
+// by every constant a fact holds there, by its numeric twin of the other
+// kind (Int 1 for Float 1.0, -0.0 for 0.0), by NaN and by a constant no fact
+// holds. Each must visit the seed index's merge of that constant's bucket,
+// clause for clause and skip for skip, in its order.
+func switchesMatchSeedIndex(t testing.TB, name string, kb *KB) {
+	t.Helper()
+	ix, pr := seedIndexFor(kb), kb.program()
+	absent := []logic.Term{logic.A("no such constant"), logic.FloatTerm(-12345.5), logic.FloatTerm(math.NaN())}
+	for _, key := range kb.Predicates() {
+		p := kb.preds[key]
+		goal := logic.Term{Kind: logic.Atom, Sym: key.Sym}
+		if key.Arity > 0 {
+			goal = logic.Term{Kind: logic.Compound, Sym: key.Sym, Args: make([]logic.Term, key.Arity)}
+		}
+		cp := pr.predFor(goal)
+		var all []listEntry
+		for i := range p.facts {
+			all = append(all, listEntry{&p.facts[i].clause, -1})
+		}
+		p.scanRules(func(sc *storedClause, skip int) bool {
+			all = append(all, listEntry{&sc.clause, skip})
+			return true
+		})
+		sameList(t, fmt.Sprintf("%s: %v's full list", name, key), cp.all, -1, all)
+		for pos, sw := range []*vmSwitch{&cp.arg1, &cp.arg2} {
+			args := &ix.args[p][pos]
+			want := func(c logic.Term) []listEntry {
+				bucket, _ := args.bucket(c)
+				var out []listEntry
+				p.scanMerged(bucket, args.unindexed, pos, func(sc *storedClause, skip int) bool {
+					out = append(out, listEntry{&sc.clause, skip})
+					return true
+				})
+				return out
+			}
+			sameList(t, fmt.Sprintf("%s: %v's miss list at argument %d", name, key, pos+1), sw.miss, pos, want(absent[0]))
+			consts := absent
+			for i := range p.facts {
+				if h := p.facts[i].clause.Head; pos < len(h.Args) {
+					consts = append(consts, numericTwins(h.Args[pos])...)
+				}
+			}
+			type constKey struct {
+				kind logic.Kind
+				sym  logic.Symbol
+				num  uint64
+			}
+			seen := map[constKey]bool{}
+			for _, c := range consts {
+				k := constKey{c.Kind, c.Sym, math.Float64bits(c.Num)}
+				if seen[k] {
+					continue
+				}
+				seen[k] = true
+				if l, ok := sw.lookup(&c); ok { // a variable or a compound selects no list
+					sameList(t, fmt.Sprintf("%s: %v at argument %d = %v", name, key, pos+1, c), l, pos, want(c))
+				}
+			}
+		}
+	}
+}
+
+// numericTwins is c and, for a number, the equal constants of the other
+// kind or sign: the keys a head matching compares equal.
+func numericTwins(c logic.Term) []logic.Term {
+	out := []logic.Term{c}
+	switch {
+	case c.Kind == logic.Int:
+		out = append(out, logic.FloatTerm(c.Num))
+	case c.Kind == logic.Float && c.Num == math.Trunc(c.Num):
+		out = append(out, logic.IntTerm(int64(c.Num)))
+	}
+	if (c.Kind == logic.Int || c.Kind == logic.Float) && c.Num == 0 {
+		out = append(out, logic.FloatTerm(math.Copysign(0, -1)), logic.FloatTerm(0))
+	}
+	return out
+}
+
+func sameList(t testing.TB, what string, l *candList, skip int, want []listEntry) {
+	t.Helper()
+	got := make([]listEntry, len(l.cands))
+	facts := 0
+	for i, c := range l.cands {
+		got[i] = listEntry{c.cc.src, int(c.skip)}
+		if i < l.nFacts && !c.cc.src.IsFact() {
+			t.Errorf("%s: candidate %d of the %d facts is a rule", what, i, l.nFacts)
+		}
+	}
+	for _, e := range want {
+		if e.src.IsFact() {
+			facts++
+		}
+	}
+	if !slices.Equal(got, want) || l.nFacts != facts || int(l.skip) != skip {
+		t.Errorf("%s: compiled %d facts, skip %d: %s; the seed index %d facts, skip %d: %s", what, l.nFacts, l.skip, listString(got), facts, skip, listString(want))
+	}
+}
+
+func listString(l []listEntry) string {
+	var b strings.Builder
+	for i, e := range l {
+		if i > 0 {
+			b.WriteString(" ")
+		}
+		fmt.Fprintf(&b, "%v@%d", e.src, e.skip)
+	}
+	return b.String()
+}
+
+// switchKB is a program of the index's corner cases: Int 1 beside Float 1.0
+// and 0.0 beside -0.0, a NaN fact, predicates of arity 0 (three rules, a
+// list long enough for keys), 1 and 3, one functor at two arities, and
+// variable and compound arguments at both indexed positions.
+func switchKB(t *testing.T) *KB {
+	kb := kbFrom(t, `
+		go. go :- p(a). go :- p(1). go :- r(a).
+		p(1). p(a). p(1.0). p(X). p(0.0). p(f(a)). p(-0.0). p(b). p(1).
+		p(X) :- r(X).
+		t(a, 1, x). t(b, 2.5, Y). t(X, 1, z). t(f(b), 1.0, a). t(a, X, X). t(a, g(Y), c).
+		t(X, b, c) :- r(X).
+		r(a). r(a, b). r(b, a). r(1, 0.0). r(X, -0.0).
+	`)
+	kb.AddFact(logic.Comp("p", logic.FloatTerm(math.NaN())))
+	kb.AddFact(logic.Comp("t", logic.FloatTerm(math.NaN()), logic.FloatTerm(math.NaN()), logic.A("n")))
+	return kb
 }

@@ -1,6 +1,10 @@
 package solve
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -47,6 +51,19 @@ func HandBuiltProverMatchesOracle(t *testing.T) OracleUse {
 	return use
 }
 
+// SwitchesMatchSeedIndex holds the compiled switches of the corner-case
+// program switchKB, of genProgram programs and of each of kbs, in name
+// order, to the seed index (differential_test.go).
+func SwitchesMatchSeedIndex(t *testing.T, kbs map[string]*KB) {
+	switchesMatchSeedIndex(t, "corner cases", switchKB(t))
+	for seed := int64(0); seed < 8; seed++ {
+		switchesMatchSeedIndex(t, fmt.Sprintf("genProgram(%d)", seed), genProgram(rand.New(rand.NewSource(seed))))
+	}
+	for _, name := range slices.Sorted(maps.Keys(kbs)) {
+		switchesMatchSeedIndex(t, name, kbs[name])
+	}
+}
+
 // CompileKB compiles kb afresh, bypassing the KB's cached program.
 func CompileKB(kb *KB) { compileKB(kb) }
 
@@ -56,19 +73,8 @@ func CompileKB(kb *KB) { compileKB(kb) }
 // list with its candidates and keys. It is a deterministic function of the
 // KB, so it pins the program's layout where a heap delta would drift.
 func CompiledFootprint(kb *KB) int {
-	pr := kb.program()
 	lists := map[*candList]bool{}
-	var preds []*compiledPred
-	preds = append(preds, pr.direct...)
-	for _, es := range pr.bySym {
-		for _, e := range es {
-			preds = append(preds, e.cp)
-		}
-	}
-	for _, cp := range preds {
-		if cp == nil {
-			continue
-		}
+	for cp := range kb.program().preds() {
 		lists[cp.all] = true
 		for _, sw := range []*vmSwitch{&cp.arg1, &cp.arg2} {
 			lists[sw.miss] = true

@@ -91,15 +91,8 @@ func memoEntries(m *Machine) map[memoKey]memoEntry {
 // programPreds lists every compiled predicate of a program.
 func programPreds(pr *program) map[*compiledPred]bool {
 	out := map[*compiledPred]bool{}
-	for _, cp := range pr.direct {
-		if cp != nil {
-			out[cp] = true
-		}
-	}
-	for _, entries := range pr.bySym {
-		for _, e := range entries {
-			out[e.cp] = true
-		}
+	for cp := range pr.preds() {
+		out[cp] = true
 	}
 	return out
 }

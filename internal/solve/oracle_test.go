@@ -15,7 +15,7 @@ import (
 // question — a rule and a ground example, or a conjunction to enumerate — at
 // any budget, every entry point must report what the seed engine reports
 // (refMachine, differential_test.go, which shares with the production
-// engine only the KB's candidate selection and the builtins): the answer,
+// engine only the KB's clause store and the builtins): the answer,
 // the inferences charged and whether the query was cut off. The entry
 // points are CoversQuery on a held query, CoversExample, the exact re-proof
 // proveExact, ProveExample and ProveQuery (whose proof must be rooted at the

@@ -7,10 +7,11 @@ import (
 // This file is the bytecode VM, the engine's one prover: the dispatch loop
 // that resolves a goal against the compiled program from compile.go. What it
 // must reproduce is the seed engine's (refMachine, differential_test.go) —
-// the candidates KB.lookup selects, in their order, one charge() per
-// candidate tried and per goal step, the same budget cutoffs and the same
-// solutions in the same order — with the per-candidate decisions (index
-// merge, head shape dispatch, groundness probing) moved to compile time.
+// the candidates its argument indexes select, in their order, one charge()
+// per candidate tried and per goal step, the same budget cutoffs and the
+// same solutions in the same order — with the per-candidate decisions
+// (index merge, head shape dispatch, groundness probing) moved to compile
+// time.
 //
 // Beyond compiled dispatch, the VM's data-movement win is the goal-argument
 // walk cache: within one resolution step every candidate sees the goal's
@@ -151,9 +152,9 @@ func (m *Machine) fillWalkCache(st *stepState, goal logic.Term, off int) bool {
 
 // resolveVM resolves goal against its compiled predicate (statically patched
 // into the goal frame for compiled body literals, dynamically dispatched via
-// program.predFor otherwise): select the candidate list KB.lookup's index
-// selection would scan, then per candidate charge the budget, match the head
-// (equality stream for ground-fact/ground-goal pairs, head stream
+// program.predFor otherwise): select the candidate list the seed engine's
+// index selection would scan, then per candidate charge the budget, match
+// the head (equality stream for ground-fact/ground-goal pairs, head stream
 // otherwise), push the precompiled body frames and recurse.
 func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalFrame, k func() bool) bool {
 	var st stepState
@@ -163,11 +164,10 @@ func (m *Machine) resolveVM(cp *compiledPred, atom logic.Term, off int, fr goalF
 		st.mode = 2
 		return m.runCands(list, atom, off, fr, &st, k)
 	}
-	// Index selection, replicating pred.selectIndex over the compiled
-	// switches: prefer the smaller of the two applicable buckets, probing the
+	// Index selection, the seed engine's over the compiled switches: prefer
+	// the list with fewer facts of the two applicable switches, probing the
 	// second argument only when the first didn't already reduce to at most
-	// one candidate; arg1 wins ties. The argument walks are identical to
-	// selectIndex's and seed the walk cache.
+	// one fact; arg1 wins ties. The argument walks seed the walk cache.
 	var s0, s1 logic.Term
 	w0, w0o := m.bs.WalkRef(&atom.Args[0], off, &s0)
 	filled := 1
