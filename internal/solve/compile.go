@@ -316,7 +316,7 @@ type compiler struct {
 func compileKB(kb *KB) *program {
 	n := len(kb.bySym)
 	pr := &program{direct: make([]*compiledPred, n), bySym: make([][]progEntry, n)}
-	var c compiler
+	c := compiler{numAt: make(map[float64]int32)}
 	for s, entries := range kb.bySym {
 		if len(entries) == 1 {
 			pr.direct[s] = compilePred(&c, entries[0].p, entries[0].arity)
@@ -382,9 +382,6 @@ func compilePred(c *compiler, p *pred, arity int32) *compiledPred {
 // Float 1.0 are one numeric key, and so are 0.0 and -0.0; a NaN argument
 // equals no goal constant, so its fact is in no list of the switch.
 func (c *compiler) compileSwitch(facts []*compiledClause, rules []vmCand, src []storedClause, pos int) vmSwitch {
-	if c.numAt == nil {
-		c.numAt = make(map[float64]int32)
-	}
 	if len(src) > 0 && pos >= len(src[0].clause.Head.Args) {
 		src = nil // every fact of a predicate has its arity
 	}

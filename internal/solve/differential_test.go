@@ -80,13 +80,14 @@ func seedIndexFor(kb *KB) *seedIndex {
 	}
 	ix := &seedIndex{size: kb.Size(), args: make(map[*pred]*[2]argIndex, len(kb.preds))}
 	for _, p := range kb.preds {
-		var args [2]argIndex
+		var idx [2]argIndex
 		for i := range p.facts {
-			for pos, a := range p.facts[i].clause.Head.Args[:min(2, len(p.facts[i].clause.Head.Args))] {
-				args[pos].add(a, int32(i))
+			args := p.facts[i].clause.Head.Args
+			for pos := range min(2, len(args)) {
+				idx[pos].add(args[pos], int32(i))
 			}
 		}
-		ix.args[p] = &args
+		ix.args[p] = &idx
 	}
 	if _, had := seedIndexes.Swap(key, ix); !had {
 		runtime.AddCleanup(kb, func(k weak.Pointer[KB]) { seedIndexes.Delete(k) }, key)
