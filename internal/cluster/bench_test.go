@@ -40,7 +40,7 @@ func BenchmarkSendReceiveRoundTrip(b *testing.B) {
 		if err := nw.Node(0).Send(1, 1, payload); err != nil {
 			b.Fatal(err)
 		}
-		msg, ok := nw.Node(1).Receive()
+		msg, ok := receive(nw.Node(1))
 		if !ok {
 			b.Fatal("receive failed")
 		}
@@ -60,7 +60,7 @@ func BenchmarkBroadcast8(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, t := range targets {
-			if _, ok := nw.Node(t).Receive(); !ok {
+			if _, ok := receive(nw.Node(t)); !ok {
 				b.Fatal("receive failed")
 			}
 		}

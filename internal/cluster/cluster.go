@@ -1,6 +1,6 @@
 // Package cluster simulates a distributed-memory message-passing machine
 // (the paper's LAM/MPI Beowulf cluster) inside one process: one goroutine
-// per node, unbounded mailboxes, non-blocking send/broadcast and blocking
+// per node, unbounded inboxes, non-blocking send/broadcast and blocking
 // receive — exactly the communication model of the paper's §2.2.
 //
 // Two things make the simulation quantitative rather than just structural:
@@ -12,7 +12,7 @@
 //
 //   - each node carries a virtual clock in the spirit of Lamport: Compute
 //     advances it by measured work (SLD inferences × a calibrated cost),
-//     and Receive advances it to the message arrival time, which is the
+//     and ReceiveCtx advances it to the message arrival time, which is the
 //     sender's clock at send plus latency plus bytes/bandwidth. The maximum
 //     clock at termination is the simulated makespan of the run on a
 //     cluster with one CPU per node, independent of how many host cores
@@ -103,74 +103,6 @@ func (m *Message) Decode(v any) error {
 	return DecodePayload(m.Payload, v)
 }
 
-// mailbox is an unbounded FIFO queue: sends never block (the paper's
-// non-blocking send/broadcast), receives block until a message is present.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	mb := &mailbox{}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-func (mb *mailbox) put(m Message) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
-		return
-	}
-	mb.queue = append(mb.queue, m)
-	mb.cond.Signal()
-}
-
-func (mb *mailbox) take() (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 && !mb.closed {
-		mb.cond.Wait()
-	}
-	if len(mb.queue) == 0 {
-		return Message{}, false
-	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	return m, true
-}
-
-// takeCtx is take with a failure path: it returns ErrClosed when the
-// mailbox is closed with nothing queued, and the context error when ctx
-// expires first. A queued message always wins over an expired context, so
-// no delivered message is lost to a deadline race.
-func (mb *mailbox) takeCtx(ctx context.Context) (Message, error) {
-	defer WakeOnDone(ctx, mb.cond)()
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 && !mb.closed && ctx.Err() == nil {
-		mb.cond.Wait()
-	}
-	if len(mb.queue) == 0 {
-		if err := ctx.Err(); err != nil {
-			return Message{}, err
-		}
-		return Message{}, ErrClosed
-	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	return m, nil
-}
-
-func (mb *mailbox) close() {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	mb.closed = true
-	mb.cond.Broadcast()
-}
-
 // Network is a set of simulated nodes plus traffic accounting. The node
 // set can grow mid-run (Spawn), modelling machines that join a running
 // cluster; it never shrinks — Kill marks nodes dead but keeps their ids.
@@ -200,7 +132,7 @@ func NewNetwork(n int, model CostModel) *Network {
 	nw := &Network{model: model.withDefaults(), tr: NewTraffic(n)}
 	nw.nodes = make([]*Node, n)
 	for i := range nw.nodes {
-		nw.nodes[i] = &Node{id: i, nw: nw, mbox: newMailbox()}
+		nw.nodes[i] = &Node{id: i, nw: nw, inbox: NewInbox()}
 	}
 	return nw
 }
@@ -224,15 +156,15 @@ func (nw *Network) Model() CostModel { return nw.model }
 
 // Spawn adds one fresh node to a running network — the simulated analogue
 // of a machine joining the cluster mid-run. The node starts with a zero
-// clock and an empty mailbox; every live node that opted into
-// NotifyFailures receives a synthetic KindPeerUp event naming it, which is
-// how a protocol master learns a joiner is available. The traffic table
+// clock and an empty inbox; every live node receives a synthetic KindPeerUp
+// event naming it, which is how a protocol master learns a joiner is
+// available. The traffic table
 // grows to cover the new links. The returned node must be driven by
 // exactly one goroutine, like every other node.
 func (nw *Network) Spawn() *Node {
 	nw.mu.Lock()
 	id := len(nw.nodes)
-	n := &Node{id: id, nw: nw, mbox: newMailbox()}
+	n := &Node{id: id, nw: nw, inbox: NewInbox()}
 	nw.nodes = append(nw.nodes, n)
 	// Grown before the write lock is released, so no delivery can see the
 	// new node without its links.
@@ -242,12 +174,12 @@ func (nw *Network) Spawn() *Node {
 	peers := append([]*Node(nil), nw.nodes[:id]...)
 	nw.mu.Unlock()
 	for _, p := range peers {
-		if nw.isDead(p.id) || !p.notify.Load() {
+		if nw.isDead(p.id) {
 			continue
 		}
 		// Synthetic event, mirroring Kill's KindPeerDown: no payload, no
 		// traffic accounting, no clock advance.
-		p.mbox.put(Message{From: id, To: p.id, Kind: KindPeerUp})
+		p.inbox.Put(Message{From: id, To: p.id, Kind: KindPeerUp})
 	}
 	return n
 }
@@ -261,23 +193,22 @@ func (nw *Network) SetSpeed(id int, factor float64) {
 	nw.Node(id).speed.Store(math.Float64bits(factor))
 }
 
-// Shutdown closes every mailbox, releasing any blocked receiver.
+// Shutdown closes every inbox, releasing any blocked receiver.
 func (nw *Network) Shutdown() {
 	nw.mu.RLock()
 	nodes := append([]*Node(nil), nw.nodes...)
 	nw.mu.RUnlock()
 	for _, n := range nodes {
-		n.mbox.close()
+		n.inbox.Fail(ErrClosed)
 	}
 }
 
-// Kill simulates the crash of node id: its mailbox closes (a goroutine
-// blocked in its ReceiveCtx unblocks with ErrClosed, and messages sent to
-// it disappear, as they would on a dead machine) and every surviving node
-// that opted into NotifyFailures receives a synthetic KindPeerDown event.
-// Nodes that did not opt in simply never hear from the dead peer again —
-// the silent-death behaviour a non-fault-tolerant protocol must already
-// guard against with timeouts. Killing a node twice is a no-op.
+// Kill simulates the crash of node id: its inbox closes (a goroutine
+// blocked in its ReceiveCtx unblocks with ErrClosed), sends to it fail
+// with ErrPeerDown, and every surviving node receives a synthetic
+// KindPeerDown event — the failure contract of the TCP transport, whose
+// failure detector reports a death the same way. Killing a node twice is
+// a no-op.
 func (nw *Network) Kill(id int) {
 	nw.deadMu.Lock()
 	if nw.dead == nil {
@@ -292,14 +223,14 @@ func (nw *Network) Kill(id int) {
 	nw.mu.RLock()
 	nodes := append([]*Node(nil), nw.nodes...)
 	nw.mu.RUnlock()
-	nodes[id].mbox.close()
+	nodes[id].inbox.Fail(ErrClosed)
 	for _, n := range nodes {
-		if n.id == id || nw.isDead(n.id) || !n.notify.Load() {
+		if n.id == id || nw.isDead(n.id) {
 			continue
 		}
 		// Synthetic event: no payload, no traffic accounting, no clock
 		// advance (Arrive zero never moves a receiver's clock forward).
-		n.mbox.put(Message{From: id, To: n.id, Kind: KindPeerDown})
+		n.inbox.Put(Message{From: id, To: n.id, Kind: KindPeerDown})
 	}
 }
 
@@ -397,12 +328,11 @@ func (e Event) String() string {
 // Node is one simulated cluster node. All methods must be called from the
 // single goroutine that owns the node.
 type Node struct {
-	id     int
-	nw     *Network
-	mbox   *mailbox
-	clock  atomic.Int64  // VTime; atomic so Makespan can read cross-goroutine
-	notify atomic.Bool   // deliver KindPeerDown/KindPeerUp events on Kill/Spawn
-	speed  atomic.Uint64 // float64 bits: per-node compute cost factor (0 = 1.0)
+	id    int
+	nw    *Network
+	inbox *Inbox
+	clock atomic.Int64  // VTime; atomic so Makespan can read cross-goroutine
+	speed atomic.Uint64 // float64 bits: per-node compute cost factor (0 = 1.0)
 }
 
 // Node implements the Transport abstraction over the simulated machine.
@@ -429,9 +359,8 @@ func (n *Node) Members() []int {
 	return out
 }
 
-// NotifyFailures opts this node into synthetic KindPeerDown events when a
-// peer is removed by Kill.
-func (n *Node) NotifyFailures(on bool) { n.notify.Store(on) }
+// NotifyFailures has no effect (see Transport.NotifyFailures).
+func (n *Node) NotifyFailures(bool) {}
 
 // Clock returns the node's current virtual time.
 func (n *Node) Clock() VTime { return VTime(n.clock.Load()) }
@@ -464,49 +393,41 @@ func (n *Node) Compute(units int64) {
 
 // Send encodes v and delivers it to node `to` without blocking.
 // The sender is charged no compute time (sends are asynchronous); the
-// receiver cannot observe the message before its arrival time. A
-// failure-notifying sender (NotifyFailures) gets ErrPeerDown for a
-// Kill-ed destination — the same contract as the TCP transport — while a
-// non-notifying sender keeps the lost-datagram model: the send silently
-// vanishes, as it would on a real network before the failure detector
-// fires.
+// receiver cannot observe the message before its arrival time. A Kill-ed
+// destination fails the send with ErrPeerDown, as on the TCP transport.
 func (n *Node) Send(to int, kind int, v any) error {
-	if n.notify.Load() && n.nw.isDead(to) {
-		return fmt.Errorf("cluster: send from %d to %d kind %d: %w", n.id, to, kind, ErrPeerDown)
-	}
 	payload, err := EncodePayload(v)
+	if err == nil {
+		err = n.deliver(to, kind, payload)
+	}
 	if err != nil {
 		return fmt.Errorf("cluster: send from %d to %d kind %d: %w", n.id, to, kind, err)
 	}
-	n.deliver(to, kind, payload)
 	return nil
 }
 
 // Broadcast sends v to every node in targets (encoded once). Like
-// Send, a failure-notifying sender gets ErrPeerDown on the first dead
-// target (the live targets before it are delivered).
+// Send, it fails with ErrPeerDown on the first dead target (the live
+// targets before it are delivered).
 func (n *Node) Broadcast(targets []int, kind int, v any) error {
 	payload, err := EncodePayload(v)
 	if err != nil {
 		return fmt.Errorf("cluster: broadcast from %d kind %d: %w", n.id, kind, err)
 	}
 	for _, to := range targets {
-		if n.notify.Load() && n.nw.isDead(to) {
-			return fmt.Errorf("cluster: broadcast from %d to %d kind %d: %w", n.id, to, kind, ErrPeerDown)
+		if err := n.deliver(to, kind, payload); err != nil {
+			return fmt.Errorf("cluster: broadcast from %d to %d kind %d: %w", n.id, to, kind, err)
 		}
-		n.deliver(to, kind, payload)
 	}
 	return nil
 }
 
-func (n *Node) deliver(to int, kind int, payload []byte) {
+// deliver queues one message for node to, or fails with ErrPeerDown when
+// to is dead: a dead machine neither receives nor accounts traffic.
+func (n *Node) deliver(to int, kind int, payload []byte) error {
 	nw := n.nw
 	if nw.isDead(to) {
-		// A dead machine neither receives nor accounts traffic; the send
-		// itself stays non-blocking and error-free, exactly like a lost
-		// datagram. Fault-aware callers learn of the death via the
-		// KindPeerDown event, not the send.
-		return
+		return ErrPeerDown
 	}
 	seq := nw.seq.Add(1)
 	sendTime := n.Clock()
@@ -524,28 +445,16 @@ func (n *Node) deliver(to int, kind int, payload []byte) {
 	nw.trMu.Unlock()
 	dst := nw.Node(to)
 	nw.emit(Event{Type: EvSend, Node: n.id, Peer: to, Kind: kind, Bytes: len(payload), Clock: sendTime, Seq: seq})
-	dst.mbox.put(msg)
+	dst.inbox.Put(msg)
+	return nil
 }
 
-// Receive blocks until a message is available, advances the node's clock to
-// the arrival time, and returns it. ok is false when the network was shut
-// down with no pending messages.
-func (n *Node) Receive() (Message, bool) {
-	msg, ok := n.mbox.take()
-	if !ok {
-		return Message{}, false
-	}
-	n.advanceTo(msg.Arrive)
-	n.nw.emit(Event{Type: EvReceive, Node: n.id, Peer: msg.From, Kind: msg.Kind, Bytes: len(msg.Payload), Clock: n.Clock(), Seq: msg.Seq})
-	return msg, true
-}
-
-// ReceiveCtx is Receive with a failure path: it unblocks with ErrClosed
-// after Shutdown, or with the context error when ctx expires first — so a
-// crashed peer (whose failure handler shuts the network down) or a deadline
-// surfaces as an error instead of a deadlock.
+// ReceiveCtx blocks until a message is available, advances the node's
+// clock to its arrival time and returns it. It unblocks with ErrClosed
+// after Shutdown (or this node's Kill), or with the context error when ctx
+// expires first, so a deadline surfaces as an error instead of a deadlock.
 func (n *Node) ReceiveCtx(ctx context.Context) (Message, error) {
-	msg, err := n.mbox.takeCtx(ctx)
+	msg, err := n.inbox.Take(ctx)
 	if err != nil {
 		return Message{}, err
 	}

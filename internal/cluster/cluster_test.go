@@ -1,12 +1,20 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/wire"
 )
+
+// receive is ReceiveCtx without a deadline; ok is false once n's inbox
+// has closed with nothing queued.
+func receive(n *Node) (Message, bool) {
+	msg, err := n.ReceiveCtx(context.Background())
+	return msg, err == nil
+}
 
 // advance moves n's clock forward by a raw virtual duration.
 func advance(n *Node, d time.Duration) { n.clock.Add(int64(d)) }
@@ -31,7 +39,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 	nw := NewNetwork(2, CostModel{})
 	done := make(chan ping, 1)
 	go func() {
-		msg, ok := nw.Node(1).Receive()
+		msg, ok := receive(nw.Node(1))
 		if !ok {
 			t.Error("receive failed")
 			done <- ping{}
@@ -62,7 +70,7 @@ func TestPayloadIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Text = "mutated"
-	msg, _ := nw.Node(1).Receive()
+	msg, _ := receive(nw.Node(1))
 	var got ping
 	if err := msg.Decode(&got); err != nil {
 		t.Fatal(err)
@@ -78,7 +86,7 @@ func TestBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		msg, ok := nw.Node(i).Receive()
+		msg, ok := receive(nw.Node(i))
 		if !ok || msg.Kind != 5 {
 			t.Fatalf("node %d: %+v ok=%v", i, msg, ok)
 		}
@@ -100,7 +108,7 @@ func TestFIFOOrderPerLink(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		msg, ok := nw.Node(1).Receive()
+		msg, ok := receive(nw.Node(1))
 		if !ok || msg.Kind != i {
 			t.Fatalf("message %d out of order: kind=%d", i, msg.Kind)
 		}
@@ -128,7 +136,7 @@ func TestVirtualClockAdvancesOnReceive(t *testing.T) {
 	if err := sender.Send(1, 0, ping{Text: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	msg, _ := nw.Node(1).Receive()
+	msg, _ := receive(nw.Node(1))
 	// Arrival = 10ms + 1ms latency + bytes/1e6 seconds.
 	wantMin := VTime(11 * time.Millisecond)
 	if msg.Arrive < wantMin {
@@ -144,7 +152,7 @@ func TestVirtualClockAdvancesOnReceive(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := nw2.Node(1).Clock()
-	nw2.Node(1).Receive()
+	receive(nw2.Node(1))
 	if nw2.Node(1).Clock() != before {
 		t.Fatal("receiver clock moved backwards")
 	}
@@ -194,7 +202,7 @@ func TestReceiveBlocksUntilSend(t *testing.T) {
 	nw := NewNetwork(2, CostModel{})
 	received := make(chan struct{})
 	go func() {
-		nw.Node(1).Receive()
+		receive(nw.Node(1))
 		close(received)
 	}()
 	select {
@@ -216,7 +224,7 @@ func TestShutdownReleasesReceivers(t *testing.T) {
 	nw := NewNetwork(2, CostModel{})
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := nw.Node(1).Receive()
+		_, ok := receive(nw.Node(1))
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -253,7 +261,7 @@ func TestTraceEvents(t *testing.T) {
 	if err := nw.Node(0).Send(1, 3, ping{}); err != nil {
 		t.Fatal(err)
 	}
-	nw.Node(1).Receive()
+	receive(nw.Node(1))
 	nw.Node(1).Compute(10)
 	mu.Lock()
 	defer mu.Unlock()
@@ -284,7 +292,7 @@ func TestRingTokenStress(t *testing.T) {
 				}
 			}
 			for {
-				msg, ok := node.Receive()
+				msg, ok := receive(node)
 				if !ok {
 					return
 				}
@@ -315,18 +323,17 @@ func TestRingTokenStress(t *testing.T) {
 }
 
 // TestSpawnDeliversPeerUpAndGrowsAccounting pins the elastic join surface
-// of the simulated machine: a node spawned mid-run is announced to
-// failure-notifying peers as a KindPeerUp event, its links are accounted,
-// and nodes that did not opt in hear nothing.
+// of the simulated machine: a node spawned mid-run is announced to every
+// live peer as a KindPeerUp event, queued ahead of anything sent after the
+// spawn, and its links are accounted.
 func TestSpawnDeliversPeerUpAndGrowsAccounting(t *testing.T) {
 	nw := NewNetwork(2, CostModel{})
-	nw.Node(0).NotifyFailures(true) // the master opts in; node 1 does not
 
 	joiner := nw.Spawn()
 	if joiner.ID() != 2 || nw.Size() != 3 || nw.Node(2) != joiner {
 		t.Fatalf("spawned node id=%d size=%d", joiner.ID(), nw.Size())
 	}
-	msg, ok := nw.Node(0).Receive()
+	msg, ok := receive(nw.Node(0))
 	if !ok || msg.Kind != KindPeerUp || msg.From != 2 {
 		t.Fatalf("master got %+v, want KindPeerUp from 2", msg)
 	}
@@ -334,7 +341,7 @@ func TestSpawnDeliversPeerUpAndGrowsAccounting(t *testing.T) {
 	if err := nw.Node(0).Send(2, 7, ping{Text: "welcome"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := joiner.Receive(); !ok {
+	if _, ok := receive(joiner); !ok {
 		t.Fatal("joiner did not receive")
 	}
 	if err := joiner.Send(0, 8, ping{Text: "ack"}); err != nil {
@@ -344,12 +351,15 @@ func TestSpawnDeliversPeerUpAndGrowsAccounting(t *testing.T) {
 	if tr.N != 3 || tr.LinkMsgs(0, 2) != 1 || tr.LinkMsgs(2, 0) != 1 {
 		t.Fatalf("joiner links not accounted: %v", tr.Links())
 	}
-	// Node 1 never opted in: its mailbox holds no membership event.
+	// Node 1 hears of the joiner too, before the data sent after it.
 	if err := nw.Node(0).Send(1, 9, ping{Text: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, ok := nw.Node(1).Receive(); !ok || msg.Kind != 9 {
-		t.Fatalf("non-notifying node saw %+v, want only the data message", msg)
+	if msg, ok := receive(nw.Node(1)); !ok || msg.Kind != KindPeerUp || msg.From != 2 {
+		t.Fatalf("node 1 got %+v, want KindPeerUp from 2", msg)
+	}
+	if msg, ok := receive(nw.Node(1)); !ok || msg.Kind != 9 {
+		t.Fatalf("node 1 got %+v, want the data message", msg)
 	}
 	// Members on every node includes the joiner.
 	if got := nw.Node(1).Members(); len(got) != 2 || got[0] != 0 || got[1] != 2 {

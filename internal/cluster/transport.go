@@ -5,29 +5,26 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // ErrClosed is returned by ReceiveCtx when the transport has been shut down
 // and no pending message remains. Node loops treat it as a clean exit.
 var ErrClosed = errors.New("cluster: transport closed")
 
-// ErrPeerDown is returned (wrapped) by Send/Broadcast on a
-// failure-notifying transport when the destination has been declared dead.
-// Protocol code that can recover from peer loss treats it as "message
-// dropped": the corresponding KindPeerDown event carries the failure.
+// ErrPeerDown is returned (wrapped) by Send/Broadcast when the destination
+// has been declared dead. Protocol code treats it as "message dropped":
+// the corresponding KindPeerDown event carries the failure.
 var ErrPeerDown = errors.New("cluster: peer down")
 
-// KindPeerDown is the kind of the synthetic membership event a
-// failure-notifying transport delivers when it declares a peer dead: the
-// Message's From field names the dead peer and the payload is empty. The
+// KindPeerDown is the kind of the synthetic membership event a transport
+// delivers when it declares a peer dead: the Message's From field names
+// the dead peer and the payload is empty. The
 // kind is negative so it can never collide with an application protocol
 // kind (those are small non-negative constants).
 const KindPeerDown = -1
 
 // KindPeerUp is the join-side counterpart of KindPeerDown: a synthetic
-// membership event delivered to a failure-notifying node when a new peer
-// joins the cluster mid-run. The Message's From field names the joiner and
+// membership event delivered when a new peer joins the cluster mid-run. The Message's From field names the joiner and
 // the payload is empty. The simulated machine emits it from Network.Spawn;
 // netcluster emits it on the master when a late worker completes the join
 // handshake. Protocol code that cannot use joiners simply ignores it.
@@ -54,10 +51,12 @@ type Transport interface {
 	// Broadcast sends v to every node in targets (encoded once).
 	Broadcast(targets []int, kind int, v any) error
 	// ReceiveCtx blocks until a message is available, the context is done,
-	// or the transport fails. It returns ErrClosed after an orderly
+	// or the transport closes. It returns ErrClosed after an orderly
 	// shutdown, the context error on expiry, and a transport-specific
-	// error when a peer is unreachable — a crashed peer surfaces here
-	// instead of hanging the caller forever.
+	// error for a fatal handshake or framing fault. A crashed peer is not
+	// an error: it arrives in-band as Message{Kind: KindPeerDown, From:
+	// peer}, sends to it fail with ErrPeerDown from then on, and the
+	// transport stays usable towards the survivors.
 	ReceiveCtx(ctx context.Context) (Message, error)
 	// Compute advances the node's virtual clock by units of work (SLD
 	// inferences) under the transport's cost model.
@@ -68,35 +67,10 @@ type Transport interface {
 	// (this node excluded), in ascending order. On a transport that has
 	// detected no failures this is every other node.
 	Members() []int
-	// NotifyFailures selects the failure-notification regime. Off (the
-	// default), a detected peer failure poisons the transport: every
-	// subsequent ReceiveCtx returns an error, which is the right contract
-	// for a protocol that cannot survive peer loss. On, a detected failure
-	// is delivered in-band as a synthetic Message{Kind: KindPeerDown,
-	// From: peer}, sends to the dead peer fail with ErrPeerDown, and the
-	// transport stays fully usable towards the survivors — the contract
-	// the fault-tolerant epoch engine builds on.
+	// NotifyFailures has no effect: every transport reports peer deaths
+	// in-band (see ReceiveCtx). It remains only because the bench module's
+	// TimedTransport forwards it (ROADMAP item 3(j) deletes both).
 	NotifyFailures(on bool)
-}
-
-// WakeOnDone bridges context cancellation into a sync.Cond wait loop: when
-// ctx fires, cond is broadcast under its own locker, so a loop of the form
-//
-//	for <no progress> && ctx.Err() == nil { cond.Wait() }
-//
-// observes the expiry. The returned stop releases the watcher (defer it).
-// Both transports' receive queues use this; they also share the guarantee
-// that a queued message wins over an expired context, which their wait
-// loops implement by checking the queue before the error states on exit.
-func WakeOnDone(ctx context.Context, cond *sync.Cond) (stop func() bool) {
-	if ctx.Done() == nil {
-		return func() bool { return false }
-	}
-	return context.AfterFunc(ctx, func() {
-		cond.L.Lock()
-		cond.Broadcast()
-		cond.L.Unlock()
-	})
 }
 
 // TrafficReporter is implemented by transports that keep per-link traffic

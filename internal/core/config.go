@@ -67,15 +67,16 @@ type Config struct {
 	JoinEpochs []int
 	// RecvTimeout bounds every blocking protocol receive (master and
 	// workers). 0 means no deadline: the transport's own failure paths —
-	// shutdown in the simulation, link errors and heartbeat timeouts on
-	// TCP — already unblock a receiver whose peer died; a timeout adds a
+	// Kill or shutdown in the simulation, link errors and heartbeat
+	// timeouts on TCP — already unblock a receiver whose peer died (a
+	// KindPeerDown event, or ErrClosed after a shutdown); a timeout adds a
 	// guard against protocol-level stalls where all peers stay healthy
 	// but none ever sends.
 	RecvTimeout time.Duration
-	// Recover enables worker-failure recovery: the transport delivers
-	// peer deaths as membership events, and the master — instead of
-	// aborting the run — excludes the dead worker, redistributes its
-	// assigned examples over the survivors (a merge redeal), re-issues the
+	// Recover enables worker-failure recovery: on a peer death, which the
+	// transport always delivers as a membership event, the master —
+	// instead of aborting the run — excludes the dead worker, redistributes
+	// its assigned examples over the survivors (a merge redeal), re-issues the
 	// in-flight epoch and continues on p−1 pipelines. Off, a worker
 	// failure fails the run (the original fail-stop contract). Failure-
 	// free runs are byte-identical with either setting. See DESIGN.md §6.

@@ -159,14 +159,22 @@ func TestDispatchErrorPaths(t *testing.T) {
 			wantLost: true,
 		},
 		{
+			// The transport announces the death; without recovery the
+			// announcement fails the run at once, naming the dead worker
+			// and what the phase was owed.
 			name: "worker death without recovery",
-			// NotifyFailures is off, so Kill is silent; the dispatch loop
-			// must still fail via the receive deadline instead of hanging.
 			inject: func(t *testing.T, r *dispatchRig) {
-				r.ma.cfg.RecvTimeout = 50 * time.Millisecond
 				r.nw.Kill(2)
 			},
-			wantErr: "gather after 0 completed epochs, wire epoch 3: waiting for rules from origins [1 2]",
+			wantErr: "worker 2 failed and recovery is disabled (run with Recover to continue on survivors): gather after 0 completed epochs, wire epoch 3: waiting for rules from origins [1 2]",
+		},
+		{
+			// A sibling's report is a death like the master's own event.
+			name: "sibling suspicion without recovery",
+			inject: func(t *testing.T, r *dispatchRig) {
+				r.sendAs(t, 1, kindSuspect, suspectMsg{tag: tag{Epoch: 1}, Worker: 1, Peer: 2})
+			},
+			wantErr: "worker 2 failed and recovery is disabled",
 		},
 	}
 	for _, tc := range cases {

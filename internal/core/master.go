@@ -314,6 +314,10 @@ func (ma *master) noteLost(id int) error {
 		// so treat this as a protocol error rather than guessing.
 		return fmt.Errorf("core: master: failure event for unknown worker %d", id)
 	}
+	var stop error
+	if !ma.cfg.Recover && !ma.draining {
+		stop = fmt.Errorf("core: master: worker %d failed and recovery is disabled (run with Recover to continue on survivors): %s", id, ma.waitingFor())
+	}
 	ma.targets = slices.DeleteFunc(ma.targets, func(k int) bool { return k == id })
 	ma.metrics.LostWorkers++
 	ma.bal.Forget(id)
@@ -323,11 +327,8 @@ func (ma *master) noteLost(id int) error {
 	for _, l := range ma.ledgers {
 		delete(l.pending, id)
 	}
-	if ma.draining {
-		return nil
-	}
-	if !ma.cfg.Recover {
-		return fmt.Errorf("core: master: worker %d failed and recovery is disabled (run with Recover to continue on survivors)", id)
+	if ma.draining || stop != nil {
+		return stop
 	}
 	if len(ma.targets) == 0 {
 		return fmt.Errorf("core: master: worker %d failed and no workers survive", id)
@@ -384,8 +385,10 @@ func (ma *master) acceptStale(msg cluster.Message) error {
 //   - kindSuspect: a sibling saw a peer die. Link failures are per-link, so
 //     a one-sided break (possibly having swallowed an in-flight kindStage)
 //     may be visible only to the reporter; ignoring it, the master would
-//     wait forever for a pipeline nobody owns. Epoch-independent: it is
-//     about link state now. While the resume ledger is open it is residue.
+//     wait forever for a pipeline nobody owns. So a live member's report
+//     about a live peer goes through noteLost like the master's own event
+//     (fail-stop without Recover). Epoch-independent: it is about link
+//     state now. While the resume ledger is open it is residue.
 //   - kindFenced: a worker has seen a newer master generation. If it really
 //     is above ours, we are the zombie side of a healed partition — stand
 //     down. (Our own or an older one is a race settled in our favour.)
@@ -405,7 +408,7 @@ func (ma *master) onEvent(msg cluster.Message) (bool, error) {
 		if err := msg.Decode(&sm); err != nil {
 			return true, fmt.Errorf("core: master: garbled suspicion from node %d: %w", msg.From, err)
 		}
-		if ma.cfg.Recover && !ma.draining && ma.isLive(sm.Worker) && ma.isLive(sm.Peer) {
+		if !ma.draining && ma.isLive(sm.Worker) && ma.isLive(sm.Peer) {
 			return true, ma.noteLost(sm.Peer)
 		} // else moot, or from an excluded (untrusted) reporter
 	case kindFenced:
@@ -428,7 +431,7 @@ func (ma *master) onEvent(msg cluster.Message) (bool, error) {
 // ledger of its kind, checked against that ledger's epoch and pending set.
 // Along the way it drops stale-epoch traffic (acceptStale); while the
 // resume ledger is open, counts every frame no ledger owes as pre-crash
-// residue — the simulated master inherits its predecessor's mailbox, and
+// residue — the simulated master inherits its predecessor's inbox, and
 // the rollback un-does a late adoption's retraction; and fails on
 // same-epoch violations (a kind no ledger is open for, duplicates, unknown
 // members, garbled payloads) and on a receive failure, naming who owes.
@@ -1146,7 +1149,6 @@ func (ma *master) maybePublish() error {
 // run executes the epochs until every positive is covered (Fig. 5),
 // recovering from worker failures when configured.
 func (ma *master) run() error {
-	ma.node.NotifyFailures(ma.cfg.Recover)
 	if ma.resumed {
 		// Crash-restart: the cluster already holds (post-crash) state; the
 		// resume handshake rolls everyone back to the checkpoint boundary

@@ -184,10 +184,10 @@ type loadDataMsg struct {
 	Search search.Settings
 	Bottom bottom.Options
 	Budget solve.Budget
-	// Recover mirrors the master's Config.Recover so the whole cluster
-	// runs one failure regime: a worker that poisoned its transport on a
-	// sibling's death while the master recovered around it would abort a
-	// salvageable run.
+	// Recover carries the master's Config.Recover. Workers no longer read
+	// it — every transport reports a death in-band and only the master
+	// decides between recovery and fail-stop — but kindLoad's bytes are
+	// pinned, and a checkpoint's copy restores a resumed master's setting.
 	Recover bool
 	// Balance mirrors the master's Config.Balance: workers attach their
 	// measured throughput to kindGathered replies only when the master

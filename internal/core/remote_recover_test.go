@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +74,45 @@ func TestRemoteRecoverFromWorkerCrash(t *testing.T) {
 	theoryCoversAll(t, kb, met.Theory, pos)
 	if met.VirtualTime <= 0 {
 		t.Fatalf("virtual time not accounted: %v", met.VirtualTime)
+	}
+}
+
+// TestRemoteFailStopOnWorkerCrash is the fail-stop twin of
+// TestRemoteRecoverFromWorkerCrash: without Recover, the crash arrives as
+// a membership event and fails the run at once, naming the dead worker —
+// not after RecvTimeout, and without leaving any worker behind.
+func TestRemoteFailStopOnWorkerCrash(t *testing.T) {
+	kb, pos, neg, ms := makeTask(t)
+	cfg := testConfig(3, 10)
+	cfg.RecvTimeout = 60 * time.Second
+	ncfg := netcluster.Config{
+		Fingerprint:    Fingerprint(kb, pos, neg),
+		HeartbeatEvery: 20 * time.Millisecond,
+		PeerTimeout:    500 * time.Millisecond,
+	}
+	master, errCh := startNetCluster(t, 3, ncfg, func(node *netcluster.Node) error {
+		if node.ID() == 2 {
+			return RunWorker(&crashOn{Node: node, kind: kindEvaluate}, kb, ms, Config{})
+		}
+		return RunWorker(node, kb, ms, Config{})
+	})
+	start := time.Now()
+	_, err := RunMaster(master, pos, neg, cfg)
+	if err == nil || !strings.Contains(err.Error(), "worker 2 failed and recovery is disabled") {
+		t.Fatalf("err = %v, want worker 2's fail-stop error", err)
+	}
+	if took := time.Since(start); took > cfg.RecvTimeout/4 {
+		t.Fatalf("fail-stop took %s: the death was not announced", took)
+	}
+	t.Log(err)
+	master.Abort() // as p2mdie does on a failed run
+	deadline := time.After(30 * time.Second)
+	for k := 0; k < 3; k++ {
+		select {
+		case <-errCh:
+		case <-deadline:
+			t.Fatalf("%d of 3 workers still running after the master failed", 3-k)
+		}
 	}
 }
 

@@ -167,7 +167,6 @@ func newWorker(id, p int, node cluster.Transport, kb *solve.KB, ex *search.Examp
 		snapsOn: cfg.CheckpointDir != "",
 		snaps:   make(map[int]boundarySnap),
 	}
-	node.NotifyFailures(cfg.Recover)
 	w.m = solve.NewMachine(w.kb, w.cfg.Budget)
 	w.install(ex)
 	return w
@@ -178,13 +177,6 @@ func newWorker(id, p int, node cluster.Transport, kb *solve.KB, ex *search.Examp
 // master, so only the background knowledge and the language bias (the
 // paper's shared-filesystem data) are needed up front.
 func newRemoteWorker(node cluster.Transport, kb *solve.KB, ms *mode.Set, cfg Config) *worker {
-	// Until kindLoad says which failure regime the master runs (loadRemote
-	// installs it), a sibling's death must not poison this transport: the
-	// sibling may have loaded, forwarded a stage here and crashed before
-	// this worker got to its own kindLoad, and under recovery that worker
-	// is one the run has to keep. Without recovery the event costs nothing
-	// — the master's own link to the dead peer fails the run.
-	node.NotifyFailures(true)
 	return &worker{
 		id:     node.ID(),
 		ring:   fullRing(node.Size() - 1),
@@ -208,11 +200,6 @@ func (w *worker) loadRemote(lm *loadDataMsg) error {
 	w.snapsOn = lm.Checkpoint
 	w.orphanTimeout = lm.OrphanTimeout
 	w.cfg = w.cfg.withDefaults()
-	// The failure regime is cluster-wide and master-decided: under
-	// recovery a sibling's death must arrive as a membership event, not
-	// poison this worker's transport — and the orphan regime needs the
-	// master's own death delivered the same way.
-	w.node.NotifyFailures(w.cfg.Recover || w.orphanTimeout > 0)
 	if w.m != nil {
 		w.retiredInf += w.m.TotalInferences() // the old machine goes too
 	}

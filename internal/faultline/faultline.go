@@ -211,12 +211,12 @@ func (t *Transport) partActive(side string) bool {
 	}
 }
 
-func (t *Transport) ID() int                { return t.inner.ID() }
-func (t *Transport) Size() int              { return t.inner.Size() }
-func (t *Transport) Compute(units int64)    { t.inner.Compute(units) }
-func (t *Transport) Clock() cluster.VTime   { return t.inner.Clock() }
-func (t *Transport) Members() []int         { return t.inner.Members() }
-func (t *Transport) NotifyFailures(on bool) { t.inner.NotifyFailures(on) }
+func (t *Transport) ID() int              { return t.inner.ID() }
+func (t *Transport) Size() int            { return t.inner.Size() }
+func (t *Transport) Compute(units int64)  { t.inner.Compute(units) }
+func (t *Transport) Clock() cluster.VTime { return t.inner.Clock() }
+func (t *Transport) Members() []int       { return t.inner.Members() }
+func (t *Transport) NotifyFailures(bool)  {}
 
 // Traffic satisfies cluster.TrafficReporter when the inner transport does.
 func (t *Transport) Traffic() cluster.Traffic {

@@ -24,8 +24,8 @@ func TestSimTCPByteParity(t *testing.T) {
 		if err := nw.Node(0).Send(1, 7, pl); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := nw.Node(1).Receive(); !ok {
-			t.Fatal("sim receive failed")
+		if _, err := nw.Node(1).ReceiveCtx(context.Background()); err != nil {
+			t.Fatalf("sim receive failed: %v", err)
 		}
 		simBytes := nw.Traffic().LinkBytes(0, 1)
 

@@ -9,11 +9,11 @@ import (
 	"repro/internal/cluster"
 )
 
-// The failure-notifying regime (Transport.NotifyFailures): a peer death
+// The failure contract (cluster.Transport.ReceiveCtx): a peer death
 // must arrive as an in-band KindPeerDown membership event, leave the
 // transport usable towards the survivors, and make sends to the dead peer
-// fail with cluster.ErrPeerDown — the contract core's fault-tolerant
-// epoch engine is built on.
+// fail with cluster.ErrPeerDown — the contract core's epoch engine is
+// built on.
 
 func receiveKind(t *testing.T, n *Node, timeout time.Duration) cluster.Message {
 	t.Helper()
@@ -120,23 +120,5 @@ func TestSilentPeerBecomesMembershipEvent(t *testing.T) {
 	msg := receiveKind(t, master, 10*time.Second)
 	if msg.Kind != cluster.KindPeerDown || msg.From != 1 {
 		t.Fatalf("got %+v, want KindPeerDown from 1", msg)
-	}
-}
-
-// TestWithoutNotifyDeathStillPoisons pins the historical default: with
-// failure notification off, a peer death fails every ReceiveCtx.
-func TestWithoutNotifyDeathStillPoisons(t *testing.T) {
-	cfg := Config{
-		Fingerprint:    7,
-		HeartbeatEvery: 20 * time.Millisecond,
-		PeerTimeout:    200 * time.Millisecond,
-	}
-	master, workers := startCluster(t, 1, cfg)
-	workers[1].Abort()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, err := master.ReceiveCtx(ctx)
-	if err == nil || errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want link failure", err)
 	}
 }

@@ -245,7 +245,7 @@ func (n *Node) acceptPeer(conn net.Conn, f *frame) {
 		}
 		if err := n.check(f); err != nil {
 			conn.Close()
-			n.inbox.fail(fmt.Errorf("netcluster: node %d: peer %d: %w", n.id, f.From, err))
+			n.inbox.Fail(fmt.Errorf("netcluster: node %d: peer %d: %w", n.id, f.From, err))
 			return
 		}
 		// Receive-only: data to this peer goes out on a link we dial ourselves.
@@ -316,7 +316,7 @@ func (n *Node) acceptJoin(conn net.Conn, f *frame) {
 		upd := &frame{Ctrl: ctrlPeerUpdate, Nodes: int32(id + 1), Peers: peers}
 		n.sendSequenced(l, upd)
 	}
-	n.inbox.put(cluster.Message{From: id, To: n.id, Kind: cluster.KindPeerUp})
+	n.inbox.Put(cluster.Message{From: id, To: n.id, Kind: cluster.KindPeerUp})
 }
 
 // The admission exchange. Initial join, late join and rejoin differ only

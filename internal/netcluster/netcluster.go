@@ -37,10 +37,10 @@
 //
 // Failure model: every connection runs a heartbeater, so a dead or
 // partitioned peer is noticed within PeerTimeout even while both sides are
-// deep in computation; link errors and timeouts fail the node's inbox, so
-// a blocked ReceiveCtx surfaces the failure as an error instead of
-// deadlocking — satisfying the same contract as the simulated transport's
-// shutdown path.
+// deep in computation; a link error or timeout declares the peer dead
+// (peerDown), which a blocked ReceiveCtx returns as a KindPeerDown event
+// instead of deadlocking — the contract the simulated transport's Kill
+// keeps too.
 package netcluster
 
 import (
@@ -122,66 +122,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// inbox is the unbounded receive queue shared by all of a node's links,
-// mirroring the simulated mailbox plus a terminal failure state.
-type inbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []cluster.Message
-	err   error
-}
-
-func newInbox() *inbox {
-	ib := &inbox{}
-	ib.cond = sync.NewCond(&ib.mu)
-	return ib
-}
-
-func (ib *inbox) put(m cluster.Message) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	ib.queue = append(ib.queue, m)
-	ib.cond.Signal()
-}
-
-// fail records the first terminal error and wakes all waiters. Later
-// failures are ignored, so an orderly Close after a peer error does not
-// mask the root cause.
-func (ib *inbox) fail(err error) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.err == nil {
-		ib.err = err
-	}
-	ib.cond.Broadcast()
-}
-
-func (ib *inbox) failed() error {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.err
-}
-
-// take returns the next queued message; queued messages win over both a
-// recorded failure and an expired context, so nothing delivered is lost.
-func (ib *inbox) take(ctx context.Context) (cluster.Message, error) {
-	defer cluster.WakeOnDone(ctx, ib.cond)()
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for len(ib.queue) == 0 && ib.err == nil && ctx.Err() == nil {
-		ib.cond.Wait()
-	}
-	if len(ib.queue) > 0 {
-		m := ib.queue[0]
-		ib.queue = ib.queue[1:]
-		return m, nil
-	}
-	if ib.err != nil {
-		return cluster.Message{}, ib.err
-	}
-	return cluster.Message{}, ctx.Err()
-}
-
 // Node is one process's endpoint on a TCP cluster. It implements
 // cluster.Transport; all Transport methods must be called from the single
 // goroutine driving the protocol, as with the simulated *cluster.Node.
@@ -192,7 +132,7 @@ type Node struct {
 	clock atomic.Int64 // cluster.VTime
 
 	ln    net.Listener // accepts peer dials, joins, rejoins and link resumes
-	inbox *inbox
+	inbox *cluster.Inbox
 
 	mu       sync.Mutex
 	links    map[int]*link         // send links by peer id
@@ -200,7 +140,7 @@ type Node struct {
 	pending  map[net.Conn]struct{} // accepted conns mid-handshake
 	peers    []string              // worker listen addresses by node id ("" for 0)
 	departed map[int]bool          // peers that said an orderly goodbye
-	down     map[int]bool          // peers declared dead (failure-notifying mode)
+	down     map[int]bool          // peers declared dead
 	closing  bool
 
 	// joinMu serialises late-join admissions on the master: one joiner's
@@ -215,10 +155,6 @@ type Node struct {
 	// the membership it has been told about, not what the accept goroutine
 	// has got to (guarded by mu).
 	unannounced int
-
-	// notify switches peer-failure handling from poisoning the inbox to
-	// delivering in-band KindPeerDown events (see Transport.NotifyFailures).
-	notify atomic.Bool
 
 	// Link-resilience counters (see LinkStats): suspensions entered and
 	// retained frames replayed by successful resumes.
@@ -251,7 +187,7 @@ func newNode(id, size int, peers []string, ln net.Listener, cfg Config) (*Node, 
 		size:    size,
 		cfg:     cfg,
 		ln:      ln,
-		inbox:   newInbox(),
+		inbox:   cluster.NewInbox(),
 		links:   make(map[int]*link),
 		pending: make(map[net.Conn]struct{}),
 		peers:   peers,
@@ -290,15 +226,14 @@ func (n *Node) Members() []int {
 	return out
 }
 
-// NotifyFailures selects in-band KindPeerDown delivery over inbox
-// poisoning for detected peer failures (heartbeat timeout, link error,
-// failed dial). Enable it before the failure can happen — typically right
-// after the join, before the protocol starts.
-func (n *Node) NotifyFailures(on bool) { n.notify.Store(on) }
+// NotifyFailures has no effect (see cluster.Transport.NotifyFailures).
+func (n *Node) NotifyFailures(bool) {}
 
-// peerDown declares peer dead: its links close, sends to it start failing
-// with cluster.ErrPeerDown, and one synthetic KindPeerDown event joins the
-// inbox. Idempotent; a no-op once the node itself is closing.
+// peerDown declares peer dead — a heartbeat timeout, a link error, a
+// failed dial or send, an unhealed grace window: its links close, sends to
+// it start failing with cluster.ErrPeerDown, and one synthetic
+// KindPeerDown event joins the inbox. Idempotent; a no-op once the node
+// itself is closing.
 func (n *Node) peerDown(peer int) {
 	n.mu.Lock()
 	if n.closing || n.down[peer] {
@@ -319,24 +254,13 @@ func (n *Node) peerDown(peer int) {
 	for _, l := range dead {
 		l.close()
 	}
-	n.inbox.put(cluster.Message{From: peer, To: n.id, Kind: cluster.KindPeerDown})
+	n.inbox.Put(cluster.Message{From: peer, To: n.id, Kind: cluster.KindPeerDown})
 }
 
 func (n *Node) isDown(peer int) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.down[peer]
-}
-
-// linkFailed routes a detected failure of the link to peer: an in-band
-// membership event when failure notification is on, a poisoned inbox (the
-// historical contract) when off.
-func (n *Node) linkFailed(peer int, err error) {
-	if n.notify.Load() {
-		n.peerDown(peer)
-		return
-	}
-	n.inbox.fail(err)
 }
 
 // Model returns the cost model in force (the master's, cluster-wide).
@@ -430,41 +354,32 @@ func (n *Node) sendPayload(to, kind int, payload []byte) error {
 	sendTime := n.Clock()
 	n.account(to, len(payload))
 	if to == n.id {
-		n.inbox.put(cluster.Message{
+		n.inbox.Put(cluster.Message{
 			From: n.id, To: to, Kind: kind, Payload: payload,
 			SendTime: sendTime, Arrive: sendTime + n.cfg.Model.TransferTime(len(payload)),
 		})
 		return nil
 	}
 	l, err := n.linkTo(to)
+	if err == nil {
+		err = n.sendSequenced(l, &frame{
+			Ctrl: ctrlData, From: int32(n.id), To: int32(to), Kind: int32(kind),
+			SendTime: int64(sendTime), Payload: payload,
+		})
+	}
 	if err != nil {
-		if n.notify.Load() {
-			n.peerDown(to)
-			return fmt.Errorf("netcluster: send from %d to %d kind %d: %v: %w", n.id, to, kind, err, cluster.ErrPeerDown)
-		}
-		return err
-	}
-	f := &frame{
-		Ctrl: ctrlData, From: int32(n.id), To: int32(to), Kind: int32(kind),
-		SendTime: int64(sendTime), Payload: payload,
-	}
-	if err := n.sendSequenced(l, f); err != nil {
-		if n.notify.Load() {
-			n.peerDown(to)
-			return fmt.Errorf("netcluster: send from %d to %d kind %d: %v: %w", n.id, to, kind, err, cluster.ErrPeerDown)
-		}
-		err = fmt.Errorf("netcluster: send from %d to %d kind %d: %w", n.id, to, kind, err)
-		n.inbox.fail(err)
-		return err
+		n.peerDown(to)
+		return fmt.Errorf("netcluster: send from %d to %d kind %d: %v: %w", n.id, to, kind, err, cluster.ErrPeerDown)
 	}
 	return nil
 }
 
-// ReceiveCtx blocks until a protocol message arrives, the context is done,
-// or the transport fails (peer death, link error, Close). The receiver's
-// clock advances to the message's virtual arrival time.
+// ReceiveCtx blocks until a protocol message or membership event arrives,
+// the context is done, or the node closes (Close, the run's orderly end,
+// a fatal handshake or ctrl frame). The receiver's clock advances to the
+// message's virtual arrival time.
 func (n *Node) ReceiveCtx(ctx context.Context) (cluster.Message, error) {
-	msg, err := n.inbox.take(ctx)
+	msg, err := n.inbox.Take(ctx)
 	if err != nil {
 		return cluster.Message{}, err
 	}
@@ -514,7 +429,7 @@ func (n *Node) shutdown(orderly bool) error {
 		c.Close() // unblock handshakes so wg.Wait below returns promptly
 	}
 
-	n.inbox.fail(cluster.ErrClosed)
+	n.inbox.Fail(cluster.ErrClosed)
 	if ln != nil {
 		ln.Close()
 	}
@@ -648,7 +563,7 @@ func (n *Node) readLoop(l *link, conn net.Conn) {
 		f, err := readFrame(conn, maxFrameBytes)
 		if err != nil {
 			if !n.isClosing() && !l.isClosed() {
-				n.linkTrouble(l, conn, fmt.Errorf("netcluster: node %d: link to node %d failed: %w", n.id, l.peer, err))
+				n.linkTrouble(l, conn)
 			}
 			return
 		}
@@ -662,7 +577,7 @@ func (n *Node) readLoop(l *link, conn net.Conn) {
 				continue // replay duplicate, already delivered
 			}
 			sendTime := cluster.VTime(f.SendTime)
-			n.inbox.put(cluster.Message{
+			n.inbox.Put(cluster.Message{
 				From: int(f.From), To: int(f.To), Kind: int(f.Kind), Payload: f.Payload,
 				SendTime: sendTime, Arrive: sendTime + n.cfg.Model.TransferTime(len(f.Payload)),
 			})
@@ -682,11 +597,11 @@ func (n *Node) readLoop(l *link, conn net.Conn) {
 			// delivered first (the inbox drains before reporting closure).
 			l.close()
 			if n.noteDeparture(l.peer) {
-				n.inbox.fail(cluster.ErrClosed)
+				n.inbox.Fail(cluster.ErrClosed)
 			}
 			return
 		default:
-			n.inbox.fail(fmt.Errorf("netcluster: node %d: unexpected ctrl frame %d from node %d", n.id, f.Ctrl, l.peer))
+			n.inbox.Fail(fmt.Errorf("netcluster: node %d: unexpected ctrl frame %d from node %d", n.id, f.Ctrl, l.peer))
 			return
 		}
 	}
@@ -714,8 +629,7 @@ func (n *Node) heartbeatLoop(l *link, conn net.Conn) {
 			return // suspended or resumed onto a fresh conn; its loops took over
 		}
 		if l.sinceSeen() > n.cfg.PeerTimeout {
-			err := fmt.Errorf("netcluster: node %d: peer %d unresponsive for %s", n.id, l.peer, n.cfg.PeerTimeout)
-			if !n.linkTrouble(l, conn, err) {
+			if !n.linkTrouble(l, conn) {
 				l.close()
 			}
 			return
@@ -723,7 +637,7 @@ func (n *Node) heartbeatLoop(l *link, conn net.Conn) {
 		hb := &frame{Ctrl: ctrlHeartbeat, From: int32(n.id), Ack: l.loadRecvSeq()}
 		if err := l.write(hb); err != nil {
 			if !n.isClosing() && !l.isClosed() {
-				n.linkTrouble(l, conn, fmt.Errorf("netcluster: node %d: heartbeat to node %d: %w", n.id, l.peer, err))
+				n.linkTrouble(l, conn)
 			}
 			return
 		}

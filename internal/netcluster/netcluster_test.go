@@ -218,17 +218,22 @@ func TestMasterGoodbyeClosesWorkerCleanly(t *testing.T) {
 	}
 }
 
-func TestPeerDeathSurfacesAsReceiveError(t *testing.T) {
+// TestPeerDeathSurfacesAsReceiveEvent: an abrupt worker death (no
+// goodbye) must not hang a blocked master; it returns as the dead peer's
+// KindPeerDown event, and the transport stays open.
+func TestPeerDeathSurfacesAsReceiveEvent(t *testing.T) {
 	cfg := Config{HeartbeatEvery: 30 * time.Millisecond, PeerTimeout: 200 * time.Millisecond}
 	master, workers := startCluster(t, 2, cfg)
-	workers[2].Abort() // abrupt worker death (no goodbye): master must not hang
+	workers[2].Abort()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := master.ReceiveCtx(ctx)
-	if err == nil || errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want link-failure error", err)
+	msg, err := master.ReceiveCtx(ctx)
+	if err != nil || msg.Kind != cluster.KindPeerDown || msg.From != 2 {
+		t.Fatalf("got %+v, %v; want KindPeerDown from 2", msg, err)
 	}
-	_ = master
+	if err := master.Send(1, 5, payload{N: 1}); err != nil {
+		t.Fatalf("send to survivor after the death: %v", err)
+	}
 }
 
 func TestSilentPeerTimesOut(t *testing.T) {

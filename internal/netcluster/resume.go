@@ -83,7 +83,7 @@ func (n *Node) acceptRejoin(conn net.Conn, f *frame) {
 	if _, err := n.registerLink(id, conn, true, n.acceptedSession(f)); err != nil {
 		return
 	}
-	n.inbox.put(cluster.Message{From: id, To: n.id, Kind: cluster.KindPeerUp})
+	n.inbox.Put(cluster.Message{From: id, To: n.id, Kind: cluster.KindPeerUp})
 }
 
 // RejoinMaster re-establishes this worker's master link after the master

@@ -140,11 +140,11 @@ func (n *Node) sendSequenced(l *link, f *frame) error {
 }
 
 // linkTrouble routes a detected link failure: absorbed into a suspension
-// when the grace window applies, escalated through the historical
-// linkFailed path otherwise. Returns true when absorbed.
-func (n *Node) linkTrouble(l *link, conn net.Conn, err error) bool {
+// when the grace window applies, a peer death otherwise. Returns true when
+// absorbed.
+func (n *Node) linkTrouble(l *link, conn net.Conn) bool {
 	if l.sess.sid == 0 || !n.graceOn() {
-		n.linkFailed(l.peer, err)
+		n.peerDown(l.peer)
 		return false
 	}
 	return n.suspendLink(l, conn)
@@ -184,14 +184,10 @@ func (n *Node) suspendLink(l *link, conn net.Conn) bool {
 }
 
 // escalateLink ends a grace window that failed to heal: the link closes
-// for good and the failure surfaces through the historical path —
-// KindPeerDown under NotifyFailures, a poisoned inbox otherwise.
-func (n *Node) escalateLink(l *link, err error) {
+// for good and the peer is declared dead.
+func (n *Node) escalateLink(l *link) {
 	l.close()
-	if n.isClosing() || n.isDown(l.peer) {
-		return
-	}
-	n.linkFailed(l.peer, err)
+	n.peerDown(l.peer)
 }
 
 // reconnectLoop is the dialer side of a suspended link: redial the peer's
@@ -204,8 +200,7 @@ func (n *Node) reconnectLoop(l *link, flap int) {
 		return n.tryLinkResume(l, flap, conn)
 	})
 	if err != nil && n.stillSuspended(l, flap) {
-		n.escalateLink(l, fmt.Errorf("netcluster: node %d: link to node %d not resumed within LinkGrace %s: %w",
-			n.id, l.peer, n.cfg.LinkGrace, err))
+		n.escalateLink(l)
 	}
 }
 
@@ -226,8 +221,7 @@ func (n *Node) graceWatch(l *link, flap int) {
 	case <-time.After(n.cfg.LinkGrace):
 	}
 	if n.stillSuspended(l, flap) {
-		n.escalateLink(l, fmt.Errorf("netcluster: node %d: link to node %d did not resume within LinkGrace %s",
-			n.id, l.peer, n.cfg.LinkGrace))
+		n.escalateLink(l)
 	}
 }
 

@@ -210,8 +210,9 @@ func (w *pcWorker) run() error {
 	}
 }
 
-// distCoverer satisfies search.Coverer by broadcasting each rule to the
-// workers and stitching their local bitsets into the global index space.
+// distCoverer satisfies search.BatchCoverer by broadcasting each frontier
+// (one kindEvalBatch per worker) and stitching the workers' local bitsets
+// into the global index space.
 // Its receive loop is event-driven in the same style as core's master:
 // each query carries a fresh Seq, replies are matched to the current query
 // and deduplicated per worker, and replies to superseded queries are

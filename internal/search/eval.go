@@ -33,8 +33,10 @@ type CoverResult struct {
 // BatchCoverer extends Coverer with whole-frontier evaluation: all candidate
 // rules of one search-node expansion scored in a single call, so a parallel
 // implementation pays one pool synchronisation per node instead of one
-// goroutine fan-out per candidate. Coverers that cannot batch (the
-// distributed parcov coverer) are adapted via CoverageBatchOf.
+// goroutine fan-out per candidate, and parcov's distributed coverer one
+// message per worker instead of one per candidate. Every coverer in the
+// tree batches; CoverageBatchOf adapts a plain Coverer (the tests' wrappers
+// that hide CoverageBatch) with a per-rule loop.
 type BatchCoverer interface {
 	Coverer
 	// CoverageBatch evaluates rules[i] under posCands[i]/negCands[i]
@@ -48,8 +50,7 @@ type BatchCoverer interface {
 
 // CoverageBatchOf evaluates a batch through ev, using its native
 // CoverageBatch when available and falling back to a per-rule Coverage loop
-// otherwise. This keeps interface growth compatible: plain Coverers (such as
-// parcov's distributed coverer) work unchanged.
+// otherwise, so a plain Coverer works unchanged.
 func CoverageBatchOf(ev Coverer, rules []*logic.Clause, posCands, negCands []Bitset) []CoverResult {
 	if bc, ok := ev.(BatchCoverer); ok {
 		return bc.CoverageBatch(rules, posCands, negCands)

@@ -61,7 +61,7 @@ type RuleAnswer struct {
 // ClassifyResult is one example's classification: Covered is the theory
 // answer (any rule covers), Rules the per-rule answers in acceptance order,
 // and Proof the SLD proof tree behind the first covering rule
-// (trace.ProofJSON shape, version trace.ProofJSONVersion).
+// (trace.AppendProofJSON shape, version trace.ProofJSONVersion).
 type ClassifyResult struct {
 	Example string           `json:"example"`
 	Covered bool             `json:"covered"`

@@ -43,12 +43,6 @@ func NewProofNode(p *solve.ProofStep) ProofNode {
 	return n
 }
 
-// ProofJSON renders a proof tree as its stable JSON encoding. The error is
-// always nil; the signature predates the append encoder.
-func ProofJSON(p *solve.ProofStep) ([]byte, error) {
-	return AppendProofJSON(nil, p, 0), nil
-}
-
 // AppendProofJSON appends the stable JSON encoding of p — byte for byte what
 // json.MarshalIndent(NewProofNode(p), "", "  ") produces — for an object
 // whose closing brace sits at indent level depth, so a caller can embed the
