@@ -158,9 +158,8 @@ func (nw *Network) Model() CostModel { return nw.model }
 // of a machine joining the cluster mid-run. The node starts with a zero
 // clock and an empty inbox; every live node receives a synthetic KindPeerUp
 // event naming it, which is how a protocol master learns a joiner is
-// available. The traffic table
-// grows to cover the new links. The returned node must be driven by
-// exactly one goroutine, like every other node.
+// available. The traffic table grows to cover the new links. The returned
+// node must be driven by exactly one goroutine, like every other node.
 func (nw *Network) Spawn() *Node {
 	nw.mu.Lock()
 	id := len(nw.nodes)
