@@ -256,3 +256,33 @@ func TestFingerprintMismatchFailsFast(t *testing.T) {
 	}
 	w.cmd.Wait() // worker exits (join rejected)
 }
+
+// TestFingerprintMismatchAmongWorkersFailsFast is its sibling with the
+// mismatched worker first and a good one beside it: the workers are
+// admitted concurrently, so the refusal must fail the master, naming the
+// fingerprint, and leave neither worker process behind — the mismatched
+// one refuses the welcome, the good one sees its master link die. (Were
+// the admissions made one after another, the refusal would end the join
+// before the good worker was dialed, and it would wait out its 60 s
+// JoinTimeout.)
+func TestFingerprintMismatchAmongWorkersFailsFast(t *testing.T) {
+	bin := binary(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	bad := startWorker(t, ctx, bin, []string{"-dataset", "mesh", "-scale", "0.05", "-seed", "1"})
+	good := startWorker(t, ctx, bin, []string{"-dataset", "trains", "-seed", "1"})
+	out, err := exec.CommandContext(ctx, bin,
+		"-dataset", "trains", "-seed", "1",
+		"-master", "-workers", bad.addr+","+good.addr, "-q").CombinedOutput()
+	if err == nil {
+		t.Fatalf("master accepted a worker loaded with a different dataset:\n%s", out)
+	}
+	if !strings.Contains(string(out), "fingerprint") {
+		t.Fatalf("error does not mention the fingerprint:\n%s", out)
+	}
+	for name, w := range map[string]*workerProc{"mismatched": bad, "good": good} {
+		if werr := w.cmd.Wait(); ctx.Err() != nil {
+			t.Fatalf("the %s worker was still running when the test timed out (%v); stderr:\n%s", name, werr, w.out.String())
+		}
+	}
+}

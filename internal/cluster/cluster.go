@@ -96,6 +96,11 @@ type Message struct {
 	Arrive VTime
 	// Seq is a global sequence number (diagnostics, deterministic traces).
 	Seq int64
+	// Cause is what the transport detected on a KindPeerDown event — a
+	// read EOF, a heartbeat expiry, a failed dial or send, an unhealed
+	// grace window, a Kill — and nil on every other message. It is local
+	// to the receiving node and never crosses a wire.
+	Cause error
 }
 
 // Decode unmarshals the payload into v (a pointer).
@@ -205,9 +210,9 @@ func (nw *Network) Shutdown() {
 // Kill simulates the crash of node id: its inbox closes (a goroutine
 // blocked in its ReceiveCtx unblocks with ErrClosed), sends to it fail
 // with ErrPeerDown, and every surviving node receives a synthetic
-// KindPeerDown event — the failure contract of the TCP transport, whose
-// failure detector reports a death the same way. Killing a node twice is
-// a no-op.
+// KindPeerDown event whose Cause is ErrKilled — the failure contract of
+// the TCP transport, whose failure detector reports a death the same way.
+// Killing a node twice is a no-op.
 func (nw *Network) Kill(id int) {
 	nw.deadMu.Lock()
 	if nw.dead == nil {
@@ -229,7 +234,7 @@ func (nw *Network) Kill(id int) {
 		}
 		// Synthetic event: no payload, no traffic accounting, no clock
 		// advance (Arrive zero never moves a receiver's clock forward).
-		n.inbox.Put(Message{From: id, To: n.id, Kind: KindPeerDown})
+		n.inbox.Put(Message{From: id, To: n.id, Kind: KindPeerDown, Cause: ErrKilled})
 	}
 }
 

@@ -16,11 +16,15 @@ var ErrClosed = errors.New("cluster: transport closed")
 // the corresponding KindPeerDown event carries the failure.
 var ErrPeerDown = errors.New("cluster: peer down")
 
+// ErrKilled is the Cause of the KindPeerDown events the simulated
+// machine's Kill delivers.
+var ErrKilled = errors.New("cluster: node killed")
+
 // KindPeerDown is the kind of the synthetic membership event a transport
 // delivers when it declares a peer dead: the Message's From field names
-// the dead peer and the payload is empty. The
-// kind is negative so it can never collide with an application protocol
-// kind (those are small non-negative constants).
+// the dead peer, its Cause says what the transport detected, and the
+// payload is empty. The kind is negative so it can never collide with an
+// application protocol kind (those are small non-negative constants).
 const KindPeerDown = -1
 
 // KindPeerUp is the join-side counterpart of KindPeerDown: a synthetic
@@ -55,8 +59,8 @@ type Transport interface {
 	// shutdown, the context error on expiry, and a transport-specific
 	// error for a fatal handshake or framing fault. A crashed peer is not
 	// an error: it arrives in-band as Message{Kind: KindPeerDown, From:
-	// peer}, sends to it fail with ErrPeerDown from then on, and the
-	// transport stays usable towards the survivors.
+	// peer, Cause: what was detected}, sends to it fail with ErrPeerDown
+	// from then on, and the transport stays usable towards the survivors.
 	ReceiveCtx(ctx context.Context) (Message, error)
 	// Compute advances the node's virtual clock by units of work (SLD
 	// inferences) under the transport's cost model.

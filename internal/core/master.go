@@ -301,14 +301,14 @@ func (ma *master) dropPendingJoin(id int) bool {
 	return i >= 0
 }
 
-// noteLost removes a failed worker from the membership, strikes it off
-// every open ledger (a lost worker owes nothing) and queues its assignment
-// for redistribution. It returns the workerLostError that aborts the
-// awaiting phase — none during the drain, whose result is complete, or the
-// resume, whose rollback barrier deals the casualty's assignment — or a
-// fatal error when the run cannot continue: recovery disabled, or no
-// survivors left.
-func (ma *master) noteLost(id int) error {
+// noteLost removes a worker that failed for cause from the membership,
+// strikes it off every open ledger (a lost worker owes nothing) and queues
+// its assignment for redistribution. It returns the workerLostError that
+// aborts the awaiting phase — none during the drain, whose result is
+// complete, or the resume, whose rollback barrier deals the casualty's
+// assignment — or a fatal error ending with the cause when the run cannot
+// continue: recovery disabled, or no survivors left.
+func (ma *master) noteLost(id int, cause error) error {
 	if id < 1 || id >= len(ma.assignedPos) || !ma.isLive(id) {
 		// Duplicate or out-of-range event; both transports deduplicate,
 		// so treat this as a protocol error rather than guessing.
@@ -316,7 +316,7 @@ func (ma *master) noteLost(id int) error {
 	}
 	var stop error
 	if !ma.cfg.Recover && !ma.draining {
-		stop = fmt.Errorf("core: master: worker %d failed and recovery is disabled (run with Recover to continue on survivors): %s", id, ma.waitingFor())
+		stop = fmt.Errorf("core: master: worker %d failed and recovery is disabled (run with Recover to continue on survivors): %s: %v", id, ma.waitingFor(), cause)
 	}
 	ma.targets = slices.DeleteFunc(ma.targets, func(k int) bool { return k == id })
 	ma.metrics.LostWorkers++
@@ -331,7 +331,7 @@ func (ma *master) noteLost(id int) error {
 		return stop
 	}
 	if len(ma.targets) == 0 {
-		return fmt.Errorf("core: master: worker %d failed and no workers survive", id)
+		return fmt.Errorf("core: master: worker %d failed and no workers survive: %v", id, cause)
 	}
 	if ma.ledgerOf(kindResumeInfo) != nil {
 		return nil
@@ -398,7 +398,7 @@ func (ma *master) onEvent(msg cluster.Message) (bool, error) {
 		ma.noteJoin(msg.From)
 	case cluster.KindPeerDown:
 		if !ma.dropPendingJoin(msg.From) && ma.isLive(msg.From) {
-			return true, ma.noteLost(msg.From)
+			return true, ma.noteLost(msg.From, msg.Cause)
 		}
 	case kindSuspect:
 		if ma.ledgerOf(kindResumeInfo) != nil {
@@ -409,7 +409,7 @@ func (ma *master) onEvent(msg cluster.Message) (bool, error) {
 			return true, fmt.Errorf("core: master: garbled suspicion from node %d: %w", msg.From, err)
 		}
 		if !ma.draining && ma.isLive(sm.Worker) && ma.isLive(sm.Peer) {
-			return true, ma.noteLost(sm.Peer)
+			return true, ma.noteLost(sm.Peer, fmt.Errorf("worker %d reports its link to worker %d failed", sm.Worker, sm.Peer))
 		} // else moot, or from an excluded (untrusted) reporter
 	case kindFenced:
 		var fm fencedMsg
@@ -908,7 +908,7 @@ func (ma *master) awaitRejoins() error {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			for _, k := range absent {
-				if err := ma.noteLost(k); err != nil {
+				if err := ma.noteLost(k, fmt.Errorf("no rejoin within %s", wait)); err != nil {
 					return fmt.Errorf("core: master: resume: worker %d never rejoined: %w", k, err)
 				}
 			}

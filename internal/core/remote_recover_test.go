@@ -101,6 +101,14 @@ func TestRemoteFailStopOnWorkerCrash(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "worker 2 failed and recovery is disabled") {
 		t.Fatalf("err = %v, want worker 2's fail-stop error", err)
 	}
+	// The error ends with the cause of the death: what the master's own
+	// link to the crashed worker detected (EOF here; a heartbeat expiry,
+	// had the crash hung instead of closing the sockets), or, when a
+	// sibling's suspicion arrives first, that sibling's report.
+	if msg := err.Error(); !strings.Contains(msg, ": netcluster: node 0: link to node 2 failed: ") &&
+		!strings.Contains(msg, " reports its link to worker 2 failed") {
+		t.Fatalf("err = %v, want it to end with the cause of worker 2's death", err)
+	}
 	if took := time.Since(start); took > cfg.RecvTimeout/4 {
 		t.Fatalf("fail-stop took %s: the death was not announced", took)
 	}

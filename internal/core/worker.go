@@ -583,7 +583,7 @@ func (w *worker) run() error {
 						continue
 					}
 				}
-				return fmt.Errorf("core: worker %d at epoch %d: master failed: %w", w.id, w.epoch, cluster.ErrPeerDown)
+				return fmt.Errorf("core: worker %d at epoch %d: master failed: %w: %v", w.id, w.epoch, cluster.ErrPeerDown, msg.Cause)
 			}
 			// A dead sibling: remember it so pipeline forwards stop
 			// targeting it, and report the observation — link failures

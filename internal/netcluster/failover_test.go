@@ -3,6 +3,7 @@ package netcluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +46,9 @@ func TestPeerDeathBecomesMembershipEvent(t *testing.T) {
 	msg := receiveKind(t, master, 10*time.Second)
 	if msg.Kind != cluster.KindPeerDown || msg.From != 2 {
 		t.Fatalf("got %+v, want KindPeerDown from 2", msg)
+	}
+	if msg.Cause == nil || !strings.Contains(msg.Cause.Error(), "link to node 2 failed") {
+		t.Fatalf("cause = %v, want the failure the master's link to node 2 detected", msg.Cause)
 	}
 	if got := master.Members(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("members after death = %v", got)
@@ -120,5 +124,8 @@ func TestSilentPeerBecomesMembershipEvent(t *testing.T) {
 	msg := receiveKind(t, master, 10*time.Second)
 	if msg.Kind != cluster.KindPeerDown || msg.From != 1 {
 		t.Fatalf("got %+v, want KindPeerDown from 1", msg)
+	}
+	if msg.Cause == nil || !strings.Contains(msg.Cause.Error(), "PeerTimeout") {
+		t.Fatalf("cause = %v, want the heartbeat expiry", msg.Cause)
 	}
 }

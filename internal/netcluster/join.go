@@ -12,19 +12,26 @@ import (
 
 // Connect dials the given worker addresses and assembles the cluster: the
 // caller becomes the master (node 0) and workerAddrs[k-1] becomes node k.
-// Each worker is redialed until JoinTimeout so workers may still be
-// starting. The welcome exchange assigns ids, distributes the address book
-// and the cost model, and cross-checks dataset fingerprints.
+// The workers are admitted concurrently, so assembling the cluster costs
+// the slowest single exchange rather than the sum of them; ids stay
+// positional whatever order the acks arrive in, and every worker is sent
+// the same address book. Each worker is redialed until JoinTimeout so
+// workers may still be starting. The welcome exchange assigns ids,
+// distributes the address book and the cost model, and cross-checks
+// dataset fingerprints. The first failed admission cuts the others short
+// and aborts the node; the error reported is the lowest-numbered worker's
+// own. A worker already dialed then still gets its welcome, and sees its
+// master link die instead of waiting out its JoinTimeout.
 func Connect(workerAddrs []string, cfg Config) (*Node, error) {
 	return ConnectOn(nil, workerAddrs, cfg)
 }
 
 // ConnectOn is Connect with a pre-bound master listener: joins and worker
-// rejoins are accepted on it from the start, and — crucially for
-// crash-restart — its address becomes the master's own entry in the
-// distributed address book, so every worker knows where to find a restarted
-// master. A master run with checkpointing must use a stable listen address
-// for the orphan-reconnect loop to work.
+// rejoins are accepted on it once every initial worker has acked, and —
+// crucially for crash-restart — its address becomes the master's own entry
+// in the distributed address book, so every worker knows where to find a
+// restarted master. A master run with checkpointing must use a stable
+// listen address for the orphan-reconnect loop to work.
 func ConnectOn(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error) {
 	p := len(workerAddrs)
 	if p < 1 {
@@ -34,24 +41,53 @@ func ConnectOn(ln net.Listener, workerAddrs []string, cfg Config) (*Node, error)
 	if ln != nil {
 		masterAddr = ln.Addr().String()
 	}
-	n, err := newNode(0, p+1, append([]string{masterAddr}, workerAddrs...), ln, cfg)
+	peers := append([]string{masterAddr}, workerAddrs...)
+	n, err := newNode(0, p+1, peers, ln, cfg)
 	if err != nil {
 		return nil, err
 	}
+	type admission struct {
+		k   int
+		err error
+	}
+	admitted := make(chan admission, p)
+	// halt ends the admissions once one has failed (see redial): the
+	// retries stop, the acks still awaited are cut short, and a worker
+	// dialed after the failure still gets its welcome, so every worker
+	// the master reached learns of the failure on its master link instead
+	// of waiting out its JoinTimeout for a welcome that never comes.
+	halt := make(chan struct{})
 	for k := 1; k <= p; k++ {
 		addr := workerAddrs[k-1]
-		_, err := n.redial(addr, n.cfg.JoinTimeout, func(conn net.Conn) error {
-			sess := n.newSession(addr)
-			if err := n.offerWelcome(conn, k, p+1, n.peers, sess.sid); err != nil {
+		go func() {
+			_, err := n.redial(addr, n.cfg.JoinTimeout, halt, func(conn net.Conn) error {
+				sess := n.newSession(addr)
+				if err := n.offerWelcome(conn, k, p+1, peers, sess.sid); err != nil {
+					return err
+				}
+				_, err := n.registerLink(k, conn, true, sess)
 				return err
-			}
-			_, err := n.registerLink(k, conn, true, sess)
-			return err
-		})
-		if err != nil {
-			n.Abort() // a failed join is a failure, not an orderly departure
-			return nil, fmt.Errorf("netcluster: worker %d at %s: %w", k, addr, err)
+			})
+			admitted <- admission{k, err}
+		}()
+	}
+	var failed *admission
+	for range p {
+		a := <-admitted
+		if a.err == nil {
+			continue
 		}
+		if failed == nil {
+			close(halt)
+			n.expireHandshakes()
+			failed = &a
+		} else if a.k < failed.k && !errors.Is(a.err, cluster.ErrClosed) {
+			failed = &a // a halted admission's ErrClosed is no cause
+		}
+	}
+	if failed != nil {
+		n.Abort() // a failed join is a failure, not an orderly departure
+		return nil, fmt.Errorf("netcluster: worker %d at %s: %w", failed.k, workerAddrs[failed.k-1], failed.err)
 	}
 	if ln != nil {
 		n.wg.Add(1)
@@ -150,7 +186,7 @@ func Join(masterAddr, listenAddr string, cfg Config) (*Node, error) {
 	}
 	sess := n.newSession(masterAddr)
 	req := &frame{Ctrl: ctrlJoinReq, Addr: ln.Addr().String(), Fingerprint: n.cfg.Fingerprint, Session: sess.sid}
-	_, err = n.redial(masterAddr, n.cfg.JoinTimeout, func(conn net.Conn) error {
+	_, err = n.redial(masterAddr, n.cfg.JoinTimeout, nil, func(conn net.Conn) error {
 		f, err := n.ask(conn, req)
 		if err == nil {
 			err = n.takeWelcome(conn, f)
@@ -457,11 +493,14 @@ func (n *Node) dial(addr string, timeout time.Duration) (net.Conn, error) {
 // redial is every retried admission — the master's initial dials, a
 // joiner's, an orphan's rejoin, a suspended link's resume: dial addr and
 // run try over the fresh conn until try succeeds, the window closes, try
-// returns a refusal or the node closes. Each try's dial and handshake
-// reads are bounded by min(JoinTimeout, the window's end), so a peer that
-// accepts and never answers costs at most the window, and its conn is
-// tracked so Close cuts it off. It returns the number of tries made.
-func (n *Node) redial(addr string, window time.Duration, try func(net.Conn) error) (int, error) {
+// returns a refusal, the node closes or halt (nil for none) closes. Each
+// try's dial and handshake reads are bounded by min(JoinTimeout, the
+// window's end), so a peer that accepts and never answers costs at most
+// the window, and its conn is tracked so Close cuts it off. A try begun
+// after halt still makes its opening write, so the peer it dialed hears
+// from this node, but waits for no answer. It returns the number of tries
+// made.
+func (n *Node) redial(addr string, window time.Duration, halt <-chan struct{}, try func(net.Conn) error) (int, error) {
 	end := time.Now().Add(window)
 	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(n.id)))
 	err := errors.New("timed out")
@@ -469,6 +508,8 @@ func (n *Node) redial(addr string, window time.Duration, try func(net.Conn) erro
 		if tries > 0 {
 			select {
 			case <-n.done:
+				return tries, cluster.ErrClosed
+			case <-halt:
 				return tries, cluster.ErrClosed
 			case <-time.After(min(backoffDelay(tries-1, dialBackoffBase, dialBackoffCap, rng), time.Until(end))):
 			}
@@ -490,6 +531,13 @@ func (n *Node) redial(addr string, window time.Duration, try func(net.Conn) erro
 			return tries + 1, cluster.ErrClosed
 		}
 		conn.SetReadDeadline(stop)
+		select {
+		case <-halt:
+			// After the deadline above: expireHandshakes may have run
+			// before it.
+			conn.SetReadDeadline(time.Now())
+		default:
+		}
 		err = try(conn)
 		n.untrack(conn)
 		if err == nil {
@@ -499,6 +547,16 @@ func (n *Node) redial(addr string, window time.Duration, try func(net.Conn) erro
 		if errors.As(err, new(refusal)) || errors.Is(err, cluster.ErrClosed) {
 			return tries + 1, err
 		}
+	}
+}
+
+// expireHandshakes cuts short every handshake read in flight on a conn
+// this node tracks: its read deadline passes now.
+func (n *Node) expireHandshakes() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for c := range n.pending {
+		c.SetReadDeadline(time.Now())
 	}
 }
 

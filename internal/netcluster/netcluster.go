@@ -5,8 +5,9 @@
 // exchanges in memory (the paper's LAM/MPI Beowulf run, §5).
 //
 // Topology and admission: every worker listens (`p2mdie -serve`); the
-// master dials each worker and welcomes it with its node id (1..p), the
-// cluster size, the worker address book and the cost model. A late joiner
+// master dials all workers at once and welcomes each with its node id
+// (1..p), the cluster size, the worker address book and the cost model,
+// so the cluster assembles in one round trip. A late joiner
 // (Join, against a master started with ConnectOn) and an orphaned worker
 // rejoining a restarted master (RejoinMaster, against Resume) run the same
 // exchange: whatever request opens it, the master's side is one function
@@ -22,7 +23,8 @@
 // Redials: every dial that may meet a peer not up yet — the master's
 // initial dials, a joiner's, an orphan's rejoin, a suspended link's
 // resume — runs in one loop with jittered exponential backoff that stops
-// at a refusal, at Close, or when its window (JoinTimeout, the orphan
+// at a refusal, at Close, at the initial join's halt after another
+// worker's admission failed, or when its window (JoinTimeout, the orphan
 // timeout, LinkGrace) closes; no single try's dial or handshake read
 // outlives the window.
 //
@@ -39,8 +41,8 @@
 // partitioned peer is noticed within PeerTimeout even while both sides are
 // deep in computation; a link error or timeout declares the peer dead
 // (peerDown), which a blocked ReceiveCtx returns as a KindPeerDown event
-// instead of deadlocking — the contract the simulated transport's Kill
-// keeps too.
+// carrying what was detected instead of deadlocking — the contract the
+// simulated transport's Kill keeps too.
 package netcluster
 
 import (
@@ -229,12 +231,12 @@ func (n *Node) Members() []int {
 // NotifyFailures has no effect (see cluster.Transport.NotifyFailures).
 func (n *Node) NotifyFailures(bool) {}
 
-// peerDown declares peer dead — a heartbeat timeout, a link error, a
-// failed dial or send, an unhealed grace window: its links close, sends to
-// it start failing with cluster.ErrPeerDown, and one synthetic
-// KindPeerDown event joins the inbox. Idempotent; a no-op once the node
-// itself is closing.
-func (n *Node) peerDown(peer int) {
+// peerDown declares peer dead for cause — a heartbeat timeout, a link
+// error, a failed dial or send, an unhealed grace window: its links close,
+// sends to it start failing with cluster.ErrPeerDown, and one synthetic
+// KindPeerDown event carrying the cause joins the inbox. Idempotent; a
+// no-op once the node itself is closing.
+func (n *Node) peerDown(peer int, cause error) {
 	n.mu.Lock()
 	if n.closing || n.down[peer] {
 		n.mu.Unlock()
@@ -254,7 +256,8 @@ func (n *Node) peerDown(peer int) {
 	for _, l := range dead {
 		l.close()
 	}
-	n.inbox.Put(cluster.Message{From: peer, To: n.id, Kind: cluster.KindPeerDown})
+	n.inbox.Put(cluster.Message{From: peer, To: n.id, Kind: cluster.KindPeerDown,
+		Cause: fmt.Errorf("netcluster: node %d: link to node %d failed: %w", n.id, peer, cause)})
 }
 
 func (n *Node) isDown(peer int) bool {
@@ -368,7 +371,7 @@ func (n *Node) sendPayload(to, kind int, payload []byte) error {
 		})
 	}
 	if err != nil {
-		n.peerDown(to)
+		n.peerDown(to, err)
 		return fmt.Errorf("netcluster: send from %d to %d kind %d: %v: %w", n.id, to, kind, err, cluster.ErrPeerDown)
 	}
 	return nil
@@ -563,7 +566,7 @@ func (n *Node) readLoop(l *link, conn net.Conn) {
 		f, err := readFrame(conn, maxFrameBytes)
 		if err != nil {
 			if !n.isClosing() && !l.isClosed() {
-				n.linkTrouble(l, conn)
+				n.linkTrouble(l, conn, fmt.Errorf("read: %w", err))
 			}
 			return
 		}
@@ -628,8 +631,8 @@ func (n *Node) heartbeatLoop(l *link, conn net.Conn) {
 		if l.currentConn() != conn {
 			return // suspended or resumed onto a fresh conn; its loops took over
 		}
-		if l.sinceSeen() > n.cfg.PeerTimeout {
-			if !n.linkTrouble(l, conn) {
+		if silent := l.sinceSeen(); silent > n.cfg.PeerTimeout {
+			if !n.linkTrouble(l, conn, fmt.Errorf("silent for %s, over the %s PeerTimeout", silent.Round(time.Millisecond), n.cfg.PeerTimeout)) {
 				l.close()
 			}
 			return
@@ -637,7 +640,7 @@ func (n *Node) heartbeatLoop(l *link, conn net.Conn) {
 		hb := &frame{Ctrl: ctrlHeartbeat, From: int32(n.id), Ack: l.loadRecvSeq()}
 		if err := l.write(hb); err != nil {
 			if !n.isClosing() && !l.isClosed() {
-				n.linkTrouble(l, conn)
+				n.linkTrouble(l, conn, fmt.Errorf("heartbeat: %w", err))
 			}
 			return
 		}

@@ -284,7 +284,8 @@ func TestSilentPeerNeedsWrongSize(t *testing.T) {
 // TestNoGoroutineLeakAfterClose is the teardown leak check: nodes built by
 // every entry point — ConnectOn, ServeOn, Join, and Resume with a worker
 // rejoining it — taken through a healed link flap and then closed, with
-// Close or with Abort, leave no goroutine behind.
+// Close or with Abort, leave no goroutine behind; nor does a ConnectOn
+// that a refusal aborts while another admission hangs.
 func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	for _, orderly := range []bool{true, false} {
 		t.Run(fmt.Sprintf("orderly=%v", orderly), func(t *testing.T) {
@@ -338,6 +339,19 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 			for _, n := range []*Node{resumed, worker, joiner} {
 				stop(n)
 			}
+
+			mute, mismatched := hung(t, "127.0.0.1:0"), listen(t)
+			refused := make(chan error, 1)
+			go func() {
+				_, err := ServeOn(mismatched, Config{Fingerprint: 8, JoinTimeout: 5 * time.Second})
+				refused <- err
+			}()
+			if n, err := ConnectOn(listen(t), []string{mute.Addr().String(), mismatched.Addr().String()}, cfg); err == nil {
+				n.Close()
+				t.Fatal("ConnectOn admitted a mismatched worker")
+			}
+			<-refused
+			mute.Close()
 
 			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
 				if time.Now().After(deadline) {

@@ -105,7 +105,7 @@ func (n *Node) RejoinMaster(timeout time.Duration) (int, error) {
 	if addr == "" {
 		return 0, fmt.Errorf("netcluster: node %d: master address unknown (master did not listen); cannot rejoin", n.id)
 	}
-	tries, err := n.redial(addr, timeout, func(conn net.Conn) error { return n.tryRejoin(conn, addr) })
+	tries, err := n.redial(addr, timeout, nil, func(conn net.Conn) error { return n.tryRejoin(conn, addr) })
 	if err != nil {
 		return tries, fmt.Errorf("netcluster: node %d: rejoin master at %s: %w", n.id, addr, err)
 	}

@@ -139,12 +139,12 @@ func (n *Node) sendSequenced(l *link, f *frame) error {
 	return nil
 }
 
-// linkTrouble routes a detected link failure: absorbed into a suspension
-// when the grace window applies, a peer death otherwise. Returns true when
-// absorbed.
-func (n *Node) linkTrouble(l *link, conn net.Conn) bool {
+// linkTrouble routes a link failure detected as cause: absorbed into a
+// suspension when the grace window applies, a peer death otherwise.
+// Returns true when absorbed.
+func (n *Node) linkTrouble(l *link, conn net.Conn, cause error) bool {
 	if l.sess.sid == 0 || !n.graceOn() {
-		n.peerDown(l.peer)
+		n.peerDown(l.peer, cause)
 		return false
 	}
 	return n.suspendLink(l, conn)
@@ -187,7 +187,7 @@ func (n *Node) suspendLink(l *link, conn net.Conn) bool {
 // for good and the peer is declared dead.
 func (n *Node) escalateLink(l *link) {
 	l.close()
-	n.peerDown(l.peer)
+	n.peerDown(l.peer, fmt.Errorf("not resumed within the %s LinkGrace window", n.cfg.LinkGrace))
 }
 
 // reconnectLoop is the dialer side of a suspended link: redial the peer's
@@ -196,7 +196,7 @@ func (n *Node) escalateLink(l *link) {
 // link closed, the node shut down).
 func (n *Node) reconnectLoop(l *link, flap int) {
 	defer n.wg.Done()
-	_, err := n.redial(l.sess.addr, n.cfg.LinkGrace, func(conn net.Conn) error {
+	_, err := n.redial(l.sess.addr, n.cfg.LinkGrace, nil, func(conn net.Conn) error {
 		return n.tryLinkResume(l, flap, conn)
 	})
 	if err != nil && n.stillSuspended(l, flap) {

@@ -259,6 +259,9 @@ func TestGraceExpiryEscalatesToPeerDown(t *testing.T) {
 	if msg.Kind != -1 || msg.From != 1 { // cluster.KindPeerDown
 		t.Fatalf("got kind %d from %d, want KindPeerDown from worker 1", msg.Kind, msg.From)
 	}
+	if msg.Cause == nil || !strings.Contains(msg.Cause.Error(), "LinkGrace") {
+		t.Fatalf("cause = %v, want the unhealed grace window", msg.Cause)
+	}
 }
 
 // TestLinkGraceBoundedWhenPeerHangs pins the grace window as an upper

@@ -296,7 +296,7 @@ func (d *distCoverer) CoverageBatch(rules []*logic.Clause, posCands, negCands []
 			// Fail-stop kept deliberately (p²-mdie is the recovering
 			// engine); share-dealing policy moved to sched, not the
 			// failure model.
-			d.err = fmt.Errorf("parcov: master: worker %d failed", msg.From)
+			d.err = fmt.Errorf("parcov: master: worker %d failed: %v", msg.From, msg.Cause)
 			return out
 		}
 		if msg.Kind != kindEvalBatchResult {
