@@ -1,8 +1,6 @@
 package datasets
 
 import (
-	"strconv"
-
 	"repro/internal/bottom"
 	"repro/internal/logic"
 	"repro/internal/mode"
@@ -41,24 +39,30 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 	bondWeights := []float64{0.60, 0.25, 0.15} // single, double, aromatic
 	bondTypes := []int{1, 2, 7}
 
+	var facts factBatch
+	exampleF, atm, bond := facts.atom("active"), facts.atom("atm"), facts.atom("bond")
+	elementArgs := facts.atoms(elements...)
+	type edge struct{ a, b, t int }
+	var (
+		atoms   []factArg
+		elems   []int // indexes into elements
+		charges []float64
+		edges   []edge
+	)
 	molID := 0
 	gen := func(facts *factBatch) (logic.Term, bool) {
 		molID++
-		mol := "d" + strconv.Itoa(molID)
+		mol := facts.numbered("d", molID)
 		nAtoms := 8 + r.Intn(8)
-		atoms := make([]string, nAtoms)
-		elems := make([]string, nAtoms)
-		charges := make([]float64, nAtoms)
+		atoms, elems, charges, edges = atoms[:0], elems[:0], charges[:0], edges[:0]
 		for i := 0; i < nAtoms; i++ {
-			atoms[i] = mol + "_a" + strconv.Itoa(i)
-			elems[i] = r.pick(elements)
+			atoms = append(atoms, facts.suffixed(mol, "_a", i))
+			elems = append(elems, r.Intn(len(elements)))
 			// Charges on a 0.05 grid in [-0.8, 0.8].
-			charges[i] = float64(r.Intn(33)-16) * 0.05
-			facts.add("atm", atomArg(mol), atomArg(atoms[i]), atomArg(elems[i]),
+			charges = append(charges, float64(r.Intn(33)-16)*0.05)
+			facts.add(atm, mol, atoms[i], elementArgs[elems[i]],
 				intArg(atomTypes[r.Intn(len(atomTypes))]), decimalArg(charges[i], 2))
 		}
-		type edge struct{ a, b, t int }
-		var edges []edge
 		for i := 1; i < nAtoms; i++ {
 			edges = append(edges, edge{i - 1, i, r.weighted(bondWeights)})
 		}
@@ -69,24 +73,24 @@ func CarcinogenesisSized(nPos, nNeg int, seed int64) *Dataset {
 			}
 		}
 		for _, e := range edges {
-			facts.add("bond", atomArg(mol), atomArg(atoms[e.a]), atomArg(atoms[e.b]), intArg(bondTypes[e.t]))
+			facts.add(bond, mol, atoms[e.a], atoms[e.b], intArg(bondTypes[e.t]))
 		}
 		// Hidden concept: nitro-like nitrogen OR aromatic chlorine.
 		label := false
 		for i := 0; i < nAtoms; i++ {
-			if elems[i] == "n" && charges[i] <= -0.4 {
+			if elements[elems[i]] == "n" && charges[i] <= -0.4 {
 				label = true
 			}
 		}
 		for _, e := range edges {
-			if bondTypes[e.t] == 7 && (elems[e.a] == "cl" || elems[e.b] == "cl") {
+			if bondTypes[e.t] == 7 && (elements[elems[e.a]] == "cl" || elements[elems[e.b]] == "cl") {
 				label = true
 			}
 		}
-		return logic.Comp("active", logic.A(mol)), label
+		return facts.example(exampleF, mol), label
 	}
 
-	pos, neg := fill(r, kb, nPos, nNeg, noise, gen)
+	pos, neg := fill(r, kb, &facts, nPos, nNeg, noise, gen)
 	return &Dataset{
 		Name:  "carcinogenesis",
 		KB:    kb,

@@ -145,9 +145,6 @@ func newRng(seed int64) rnd { return rnd{rng.New(seed)} }
 // bool reports true with probability p.
 func (r rnd) bool(p float64) bool { return r.Float64() < p }
 
-// pick returns a random element of xs.
-func (r rnd) pick(xs []string) string { return xs[r.Intn(len(xs))] }
-
 // weighted picks an index with the given weights.
 func (r rnd) weighted(weights []float64) int {
 	total := 0.0
@@ -167,13 +164,17 @@ func (r rnd) weighted(weights []float64) int {
 // fill distributes generated items into pos/neg lists with label noise
 // until both quotas are met. gen produces one candidate per call: it
 // describes the candidate's background facts into facts and returns its
-// example atom and true label. fill adds the facts to kb only when it keeps
-// the candidate, so the KB holds facts exactly for the emitted examples.
-func fill(r rnd, kb *solve.KB, nPos, nNeg int, noise float64, gen func(facts *factBatch) (logic.Term, bool)) (pos, neg []logic.Term) {
-	var facts factBatch
+// example atom and true label. fill keeps the facts only when it keeps the
+// candidate, and adds all it kept to kb at the end, so the KB holds facts
+// exactly for the emitted examples. The names facts holds when fill starts
+// are the generator's vocabulary, kept from candidate to candidate.
+func fill(r rnd, kb *solve.KB, facts *factBatch, nPos, nNeg int, noise float64, gen func(facts *factBatch) (logic.Term, bool)) (pos, neg []logic.Term) {
+	facts.fix()
+	facts.exArgs = make([]logic.Term, nPos+nNeg)
+	pos, neg = make([]logic.Term, 0, nPos), make([]logic.Term, 0, nNeg)
 	for len(pos) < nPos || len(neg) < nNeg {
 		facts.reset()
-		e, label := gen(&facts)
+		e, label := gen(facts)
 		if r.bool(noise) {
 			label = !label
 		}
@@ -184,99 +185,291 @@ func fill(r rnd, kb *solve.KB, nPos, nNeg int, noise float64, gen func(facts *fa
 		} else {
 			continue
 		}
-		facts.addTo(kb)
+		facts.more = nPos + nNeg - len(pos) - len(neg)
+		facts.keep()
 	}
+	facts.addTo(kb)
 	return pos, neg
 }
 
 // factBatch is a batch of generated ground facts on their way into a KB. A
-// generator describes each fact with add as it draws; addTo builds the terms
-// and adds them in the order their printed text sorts, so the generators'
-// maps and draw order never leak into the KB. Building waits for addTo and
-// interns each fact's atoms left to right, then its functor — the order in
-// which the facts' sorted text would parse. Symbol ids follow interning
-// order and wire payloads carry them raw, so that order is part of the
-// generated data.
+// generator describes each fact with add as it draws; keep builds the
+// described facts and holds them, in the order their printed text sorts, so
+// the generators' maps and draw order never leak into the KB; addTo adds
+// every held fact to a KB at once.
+//
+// Building interns each fact's atoms left to right, then its functor — the
+// order in which the facts' sorted text would parse — but interns a name
+// entry only at its first use and keeps the symbol with the entry. Interning
+// a known name changes nothing, so the symbol ids are the ones interning
+// every use would give. Symbol ids follow interning order and wire payloads
+// carry them raw, so that order is part of the generated data.
 type factBatch struct {
-	text  []byte    // every fact's printed text, back to back: the sort keys
-	args  []factArg // every fact's arguments, back to back
-	facts []fact
+	// names is the name table: every atom and functor the described facts
+	// use, their bytes back to back in nameText. The first fixed entries are
+	// the vocabulary, kept by reset.
+	names    []batchName
+	nameText []byte
+	fixed    int
+	args     []factArg // every fact's arguments, back to back
+	facts    []fact
+
+	text     []byte // the sort keys of the facts being kept
+	decs     map[decKey]int32
+	decimals []decimal // by decs: each decimal's text and value
+	decText  []byte
+
+	// heads holds the kept facts until addTo. Their arguments come from
+	// free, the rest of a block sized to what the candidates still to keep
+	// (more) need at the average so far (kept candidates, keptArgs and
+	// keptFacts arguments and facts).
+	heads                     []logic.Term
+	free                      []logic.Term
+	more                      int
+	kept, keptArgs, keptFacts int
+	// exArgs are the arguments of the examples fill still has to keep, one
+	// each: a candidate's example takes the first, keep moves past it.
+	exArgs []logic.Term
 }
 
-// fact is one described fact: its functor, and the spans of its text and
-// its arguments in the batch.
+// batchName is one entry of the name table: its text in nameText and its
+// symbol, or unresolved until it is interned.
+type batchName struct {
+	from, to int32
+	sym      logic.Symbol
+}
+
+const unresolved logic.Symbol = -1
+
+// fact is one described fact: its functor's name entry, and the spans of its
+// text and its arguments in the batch.
 type fact struct {
-	functor          string
-	textFrom, textTo int
-	argFrom, argTo   int
+	functor          int32
+	textFrom, textTo int32
+	argFrom, argTo   int32
 }
 
-// factArg is one argument of a described fact: an atom, an integer, or a
-// decimal printed with prec digits after the point.
+// factArg is one argument of a described fact: an atom (an entry of the
+// name table), an integer, or a decimal printed with prec digits after the
+// point.
 type factArg struct {
 	kind logic.Kind // Atom, Int or Float
-	name string
+	prec int8
+	name int32
 	num  float64
-	prec int
 }
 
-func atomArg(name string) factArg { return factArg{kind: logic.Atom, name: name} }
+// decKey is a decimal as the batch formats it: the float's bits and the
+// digits after the point. -0.0 and 0.0 differ ("-0.00", "0.00").
+type decKey struct {
+	bits uint64
+	prec int8
+}
+
+// decimal is a formatted decimal: its text in decText and the float that
+// text reads back as.
+type decimal struct {
+	from, to int32
+	val      float64
+}
 
 func intArg(v int) factArg { return factArg{kind: logic.Int, num: float64(v)} }
 
 // decimalArg is v printed with prec digits after the point; the fact holds
 // the float that text reads back as (3×0.05 is stored as 0.15), not v.
 func decimalArg(v float64, prec int) factArg {
-	return factArg{kind: logic.Float, num: v, prec: prec}
+	return factArg{kind: logic.Float, num: v, prec: int8(prec)}
 }
 
-// add describes the fact functor(args...).
-func (b *factBatch) add(functor string, args ...factArg) {
-	f := fact{functor: functor, textFrom: len(b.text), argFrom: len(b.args)}
-	b.text = append(b.text, functor...)
-	b.text = append(b.text, '(')
-	for i, a := range args {
-		if i > 0 {
-			b.text = append(b.text, ", "...)
-		}
-		switch a.kind {
-		case logic.Atom:
-			b.text = append(b.text, a.name...)
-		case logic.Int:
-			b.text = strconv.AppendInt(b.text, int64(a.num), 10)
-		case logic.Float:
-			from := len(b.text)
-			b.text = strconv.AppendFloat(b.text, a.num, 'f', a.prec, 64)
-			a.num, _ = strconv.ParseFloat(string(b.text[from:]), 64) // AppendFloat's text always parses
-		}
-		b.args = append(b.args, a)
+// atom enters name in the name table and returns it as an argument.
+func (b *factBatch) atom(name string) factArg {
+	from := len(b.nameText)
+	b.nameText = append(b.nameText, name...)
+	return b.enter(from)
+}
+
+// atoms is atom for each of names.
+func (b *factBatch) atoms(names ...string) []factArg {
+	out := make([]factArg, len(names))
+	for i, n := range names {
+		out[i] = b.atom(n)
 	}
-	b.text = append(b.text, ')')
-	f.textTo, f.argTo = len(b.text), len(b.args)
-	b.facts = append(b.facts, f)
+	return out
 }
 
-// addTo builds the described facts and adds them to kb in the order of
-// their text.
-func (b *factBatch) addTo(kb *solve.KB) {
+// numbered enters the name prefix followed by n in decimal ("d12").
+func (b *factBatch) numbered(prefix string, n int) factArg {
+	from := len(b.nameText)
+	b.nameText = strconv.AppendInt(append(b.nameText, prefix...), int64(n), 10)
+	return b.enter(from)
+}
+
+// suffixed enters the name of the atom base followed by infix and n in
+// decimal ("d12_a3").
+func (b *factBatch) suffixed(base factArg, infix string, n int) factArg {
+	e, from := b.names[base.name], len(b.nameText)
+	b.nameText = append(b.nameText, b.nameText[e.from:e.to]...)
+	b.nameText = strconv.AppendInt(append(b.nameText, infix...), int64(n), 10)
+	return b.enter(from)
+}
+
+// enter adds nameText[from:] to the name table.
+func (b *factBatch) enter(from int) factArg {
+	b.names = append(b.names, batchName{from: int32(from), to: int32(len(b.nameText)), sym: unresolved})
+	return factArg{kind: logic.Atom, name: int32(len(b.names) - 1)}
+}
+
+// sym returns the symbol of name entry i, interning it at its first use.
+func (b *factBatch) sym(i int32) logic.Symbol {
+	e := &b.names[i]
+	if e.sym == unresolved {
+		e.sym = logic.InternBytes(b.nameText[e.from:e.to])
+	}
+	return e.sym
+}
+
+// term returns the atom a as a term, interning its name now if it was not.
+func (b *factBatch) term(a factArg) logic.Term {
+	return logic.Term{Kind: logic.Atom, Sym: b.sym(a.name)}
+}
+
+// example returns the example functor(a). It interns a's name, then the
+// functor, as logic.Comp(functor, logic.A(name)) would; inside fill its
+// argument is the next of exArgs, so a rejected candidate's example costs
+// nothing.
+func (b *factBatch) example(functor, a factArg) logic.Term {
+	arg := b.term(a)
+	f := b.sym(functor.name)
+	if len(b.exArgs) == 0 {
+		return logic.CompSym(f, arg)
+	}
+	b.exArgs[0] = arg
+	return logic.CompSym(f, b.exArgs[:1:1]...)
+}
+
+// add describes the fact functor(args...); functor is an atom of the batch.
+func (b *factBatch) add(functor factArg, args ...factArg) {
+	b.facts = append(b.facts, fact{functor: functor.name, argFrom: int32(len(b.args)), argTo: int32(len(b.args) + len(args))})
+	b.args = append(b.args, args...)
+}
+
+// decimal returns the text and value of v printed with prec digits after
+// the point, formatting each distinct decKey once.
+func (b *factBatch) decimal(v float64, prec int8) decimal {
+	k := decKey{math.Float64bits(v), prec}
+	if i, ok := b.decs[k]; ok {
+		return b.decimals[i]
+	}
+	from := len(b.decText)
+	b.decText = strconv.AppendFloat(b.decText, v, 'f', int(prec), 64)
+	d := decimal{from: int32(from), to: int32(len(b.decText))}
+	d.val, _ = strconv.ParseFloat(string(b.decText[from:]), 64) // AppendFloat's text always parses
+	if b.decs == nil {
+		b.decs = make(map[decKey]int32)
+	}
+	b.decs[k] = int32(len(b.decimals))
+	b.decimals = append(b.decimals, d)
+	return d
+}
+
+// keep builds the described facts, in the order of their text, holds them
+// for addTo and empties the batch.
+func (b *factBatch) keep() {
+	b.text = b.text[:0]
+	for i := range b.facts {
+		f := &b.facts[i]
+		f.textFrom = int32(len(b.text))
+		e := b.names[f.functor]
+		b.text = append(append(b.text, b.nameText[e.from:e.to]...), '(')
+		for j := f.argFrom; j < f.argTo; j++ {
+			if j > f.argFrom {
+				b.text = append(b.text, ", "...)
+			}
+			switch a := &b.args[j]; a.kind {
+			case logic.Atom:
+				e := b.names[a.name]
+				b.text = append(b.text, b.nameText[e.from:e.to]...)
+			case logic.Int:
+				b.text = strconv.AppendInt(b.text, int64(a.num), 10)
+			case logic.Float:
+				d := b.decimal(a.num, a.prec)
+				b.text = append(b.text, b.decText[d.from:d.to]...)
+				a.num = d.val
+			}
+		}
+		b.text = append(b.text, ')')
+		f.textTo = int32(len(b.text))
+	}
 	slices.SortFunc(b.facts, func(x, y fact) int {
 		return bytes.Compare(b.text[x.textFrom:x.textTo], b.text[y.textFrom:y.textTo])
 	})
-	terms := make([]logic.Term, len(b.args))
+	if len(b.facts) > cap(b.heads)-len(b.heads) {
+		b.heads = slices.Grow(b.heads, len(b.facts)+b.expected(b.keptFacts, len(b.facts)))
+	}
+	terms := b.block(len(b.args))
 	for _, f := range b.facts {
-		for i := f.argFrom; i < f.argTo; i++ {
-			switch a := b.args[i]; a.kind {
+		args := terms[f.argFrom:f.argTo:f.argTo]
+		for i := range args {
+			switch a := &b.args[int(f.argFrom)+i]; a.kind {
 			case logic.Atom:
-				terms[i] = logic.A(a.name)
+				args[i] = logic.Term{Kind: logic.Atom, Sym: b.sym(a.name)}
 			case logic.Int:
-				terms[i] = logic.IntTerm(int64(a.num))
+				args[i] = logic.IntTerm(int64(a.num))
 			default:
-				terms[i] = logic.FloatTerm(a.num)
+				args[i] = logic.FloatTerm(a.num)
 			}
 		}
-		kb.Add(logic.Fact(logic.Comp(f.functor, terms[f.argFrom:f.argTo:f.argTo]...)))
+		b.heads = append(b.heads, logic.CompSym(b.sym(f.functor), args...))
 	}
+	if len(b.exArgs) > 0 {
+		b.exArgs = b.exArgs[1:]
+	}
+	b.kept++
+	b.keptArgs += len(b.args)
+	b.keptFacts += len(b.facts)
+	b.reset()
 }
 
-// reset empties the batch.
-func (b *factBatch) reset() { b.text, b.args, b.facts = b.text[:0], b.args[:0], b.facts[:0] }
+// expected is what the candidates still to keep need of something the kept
+// ones used total of, at their average (n a candidate before any is kept).
+func (b *factBatch) expected(total, n int) int {
+	if b.kept > 0 {
+		n = total / b.kept
+	}
+	return n * b.more
+}
+
+// block returns n fresh argument terms. A new block holds them plus half of
+// what the candidates still to keep are expected to need, so a dataset's
+// arguments take a few allocations and the last block wastes little.
+func (b *factBatch) block(n int) []logic.Term {
+	if len(b.free) < n {
+		b.free = make([]logic.Term, n+b.expected(b.keptArgs, n)/2)
+	}
+	terms := b.free[:n:n]
+	b.free = b.free[n:]
+	return terms
+}
+
+// addTo keeps what the batch describes and adds every held fact to kb.
+func (b *factBatch) addTo(kb *solve.KB) {
+	if len(b.facts) > 0 {
+		b.keep()
+	}
+	kb.AddFacts(b.heads)
+	b.heads, b.free = nil, nil
+	b.kept, b.keptArgs, b.keptFacts = 0, 0, 0
+}
+
+// fix makes every name entered so far vocabulary, which reset keeps.
+func (b *factBatch) fix() { b.fixed = len(b.names) }
+
+// reset empties the batch of all but its vocabulary.
+func (b *factBatch) reset() {
+	text := 0
+	if b.fixed > 0 {
+		text = int(b.names[b.fixed-1].to)
+	}
+	b.names, b.nameText = b.names[:b.fixed], b.nameText[:text]
+	b.args, b.facts = b.args[:0], b.facts[:0]
+}

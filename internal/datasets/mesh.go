@@ -1,8 +1,6 @@
 package datasets
 
 import (
-	"strconv"
-
 	"repro/internal/bottom"
 	"repro/internal/logic"
 	"repro/internal/mode"
@@ -41,27 +39,31 @@ func MeshSized(nPos, nNeg int, seed int64) *Dataset {
 	loads := []string{"noload", "cont_loaded", "point_loaded"}
 	loadW := []float64{0.35, 0.40, 0.25}
 
+	var facts factBatch
+	exampleF := facts.atom("fine_mesh")
+	etypeF, supportF, loadingF, elenF := facts.atom("etype"), facts.atom("support"), facts.atom("loading"), facts.atom("elen")
+	typeArgs, supportArgs, loadArgs := facts.atoms(types...), facts.atoms(supports...), facts.atoms(loads...)
 	edgeID := 0
 	gen := func(facts *factBatch) (logic.Term, bool) {
 		edgeID++
-		edge := "e" + strconv.Itoa(edgeID)
-		etype := types[r.weighted(typeW)]
-		support := supports[r.weighted(supportW)]
-		load := loads[r.weighted(loadW)]
+		edge := facts.numbered("e", edgeID)
+		etype := r.weighted(typeW)
+		support := r.weighted(supportW)
+		load := r.weighted(loadW)
 		length := float64(1+r.Intn(40)) * 0.5 // 0.5 .. 20.0
-		facts.add("etype", atomArg(edge), atomArg(etype))
-		facts.add("support", atomArg(edge), atomArg(support))
-		facts.add("loading", atomArg(edge), atomArg(load))
-		facts.add("elen", atomArg(edge), decimalArg(length, 1))
+		facts.add(etypeF, edge, typeArgs[etype])
+		facts.add(supportF, edge, supportArgs[support])
+		facts.add(loadingF, edge, loadArgs[load])
+		facts.add(elenF, edge, decimalArg(length, 1))
 		// Hidden concept: fine mesh needed for continuously loaded long
 		// edges, point-loaded fixed edges, and full circuits.
-		label := (etype == "long" && load == "cont_loaded") ||
-			(support == "fixed" && load == "point_loaded") ||
-			etype == "circuit"
-		return logic.Comp("fine_mesh", logic.A(edge)), label
+		label := (types[etype] == "long" && loads[load] == "cont_loaded") ||
+			(supports[support] == "fixed" && loads[load] == "point_loaded") ||
+			types[etype] == "circuit"
+		return facts.example(exampleF, edge), label
 	}
 
-	pos, neg := fill(r, kb, nPos, nNeg, noise, gen)
+	pos, neg := fill(r, kb, &facts, nPos, nNeg, noise, gen)
 	return &Dataset{
 		Name:  "mesh",
 		KB:    kb,

@@ -1,8 +1,6 @@
 package datasets
 
 import (
-	"strconv"
-
 	"repro/internal/bottom"
 	"repro/internal/logic"
 	"repro/internal/mode"
@@ -47,44 +45,48 @@ func PyrimidinesNoisy(nPos, nNeg int, noise float64, seed int64) *Dataset {
 		panic(err)
 	}
 
-	// Shared group-property table.
+	// Shared group-property table. The group names and the functors are the
+	// vocabulary of the drugs that follow.
 	polar := make([]int, nGroups)
 	gsize := make([]int, nGroups)
 	flex := make([]int, nGroups)
 	hdon := make([]bool, nGroups)
-	names := make([]string, nGroups)
-	var table factBatch
+	names := make([]factArg, nGroups)
+	var facts factBatch
+	polarF, gsizeF, flexF, hdonorF := facts.atom("polar"), facts.atom("gsize"), facts.atom("flex"), facts.atom("hdonor")
+	exampleF, substF, positions := facts.atom("active"), facts.atom("subst"), facts.atoms("p1", "p2", "p3")
 	for g := 0; g < nGroups; g++ {
 		polar[g] = r.Intn(6)
 		gsize[g] = r.Intn(6)
 		flex[g] = r.Intn(4)
 		hdon[g] = r.bool(0.4)
-		names[g] = "g" + strconv.Itoa(g)
-		table.add("polar", atomArg(names[g]), intArg(polar[g]))
-		table.add("gsize", atomArg(names[g]), intArg(gsize[g]))
-		table.add("flex", atomArg(names[g]), intArg(flex[g]))
+		names[g] = facts.numbered("g", g)
+		facts.add(polarF, names[g], intArg(polar[g]))
+		facts.add(gsizeF, names[g], intArg(gsize[g]))
+		facts.add(flexF, names[g], intArg(flex[g]))
 		if hdon[g] {
-			table.add("hdonor", atomArg(names[g]))
+			facts.add(hdonorF, names[g])
 		}
 	}
-	table.addTo(kb)
+	facts.fix()
+	facts.addTo(kb)
 
 	drugID := 0
 	gen := func(facts *factBatch) (logic.Term, bool) {
 		drugID++
-		drug := "d" + strconv.Itoa(drugID)
+		drug := facts.numbered("d", drugID)
 		groups := [3]int{r.Intn(nGroups), r.Intn(nGroups), r.Intn(nGroups)}
-		facts.add("subst", atomArg(drug), atomArg("p1"), atomArg(names[groups[0]]))
-		facts.add("subst", atomArg(drug), atomArg("p2"), atomArg(names[groups[1]]))
-		facts.add("subst", atomArg(drug), atomArg("p3"), atomArg(names[groups[2]]))
+		for p, g := range groups {
+			facts.add(substF, drug, positions[p], names[g])
+		}
 		// Hidden concept: a polar-but-small group at position 3, or a
 		// flexible hydrogen donor at position 1.
 		g3, g1 := groups[2], groups[0]
 		label := (polar[g3] >= 3 && gsize[g3] <= 2) || (hdon[g1] && flex[g1] >= 2)
-		return logic.Comp("active", logic.A(drug)), label
+		return facts.example(exampleF, drug), label
 	}
 
-	pos, neg := fill(r, kb, nPos, nNeg, noise, gen)
+	pos, neg := fill(r, kb, &facts, nPos, nNeg, noise, gen)
 	return &Dataset{
 		Name:  "pyrimidines",
 		KB:    kb,

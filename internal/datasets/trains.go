@@ -1,8 +1,6 @@
 package datasets
 
 import (
-	"strconv"
-
 	"repro/internal/bottom"
 	"repro/internal/logic"
 	"repro/internal/mode"
@@ -83,10 +81,11 @@ func Trains() *Dataset {
 	var pos, neg []logic.Term
 	var facts factBatch
 	for _, t := range trains {
+		train := facts.atom(t.name)
 		for i, c := range t.cars {
-			addCar(&facts, t.name, t.name+"_c"+strconv.Itoa(i+1), c)
+			addCar(&facts, train, facts.suffixed(train, "_c", i+1), c)
 		}
-		e := logic.Comp("eastbound", logic.A(t.name))
+		e := logic.Comp("eastbound", facts.term(train))
 		if t.east {
 			pos = append(pos, e)
 		} else {
@@ -136,12 +135,14 @@ type trainCar struct {
 	nload  int
 }
 
-// addCar describes the six facts of train's car c, named name.
-func addCar(facts *factBatch, train, name string, c trainCar) {
-	facts.add("has_car", atomArg(train), atomArg(name))
-	facts.add("car_len", atomArg(name), atomArg(c.len))
-	facts.add("roof", atomArg(name), atomArg(c.roof))
-	facts.add("car_shape", atomArg(name), atomArg(c.shape))
-	facts.add("wheels", atomArg(name), intArg(c.wheels))
-	facts.add("load", atomArg(name), atomArg(c.load), intArg(c.nload))
+// addCar describes the six facts of train's car c, named name. It enters
+// the functors and c's attribute names afresh for each car: a name entered
+// twice is looked up twice, which costs a trains-sized set nothing.
+func addCar(facts *factBatch, train, name factArg, c trainCar) {
+	facts.add(facts.atom("has_car"), train, name)
+	facts.add(facts.atom("car_len"), name, facts.atom(c.len))
+	facts.add(facts.atom("roof"), name, facts.atom(c.roof))
+	facts.add(facts.atom("car_shape"), name, facts.atom(c.shape))
+	facts.add(facts.atom("wheels"), name, intArg(c.wheels))
+	facts.add(facts.atom("load"), name, facts.atom(c.load), intArg(c.nload))
 }

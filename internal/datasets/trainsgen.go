@@ -1,8 +1,6 @@
 package datasets
 
 import (
-	"strconv"
-
 	"repro/internal/bottom"
 	"repro/internal/logic"
 	"repro/internal/search"
@@ -56,9 +54,11 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 	nPos := n / 2
 	nNeg := n - nPos
 	safeLoads := []string{"circle", "rectangle", "hexagon"}
+	var facts factBatch
+	exampleF := facts.atom("eastbound")
 	gen := func(facts *factBatch) (logic.Term, bool) {
 		id := r.Intn(1 << 30)
-		name := "t" + strconv.Itoa(id)
+		train := facts.numbered("t", id)
 		nCars := 1 + r.Intn(4)
 		// A heavy train carries 12–17 cars, exactly one of which satisfies
 		// a cause; every rule for the *other* causes must enumerate the
@@ -101,9 +101,9 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 					east = true
 				}
 			}
-			addCar(facts, name, name+"_c"+strconv.Itoa(c), trainCar{length, roof, shape, nWheels, loadShape, loadCount})
+			addCar(facts, train, facts.suffixed(train, "_c", c), trainCar{length, roof, shape, nWheels, loadShape, loadCount})
 		}
-		return logic.Comp("eastbound", logic.A(name)), east
+		return facts.example(exampleF, train), east
 	}
 
 	dsName := "trains-gen"
@@ -117,7 +117,7 @@ func trainsGen(n int, seed int64, skew float64) *Dataset {
 			logic.MustParseClause("eastbound(T) :- has_car(T, C), load(C, triangle, 3)."),
 		}
 	}
-	pos, neg := fill(r, kb, nPos, nNeg, 0, gen)
+	pos, neg := fill(r, kb, &facts, nPos, nNeg, 0, gen)
 	return &Dataset{
 		Name:  dsName,
 		KB:    kb,

@@ -40,6 +40,18 @@ func Intern(name string) Symbol {
 	return s
 }
 
+// InternBytes is Intern for a name held as bytes. A name already interned
+// is looked up without allocating; only a new name is copied into a string.
+func InternBytes(name []byte) Symbol {
+	symtab.mu.RLock()
+	s, ok := symtab.index[string(name)]
+	symtab.mu.RUnlock()
+	if ok {
+		return s
+	}
+	return Intern(string(name))
+}
+
 // Name returns the string this symbol interns.
 func (s Symbol) Name() string {
 	symtab.mu.RLock()

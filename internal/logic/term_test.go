@@ -22,6 +22,25 @@ func TestInternStability(t *testing.T) {
 	}
 }
 
+// TestInternBytes checks that InternBytes hands out Intern's symbols, that
+// it copies a new name out of the caller's buffer, and that looking up a
+// known name allocates nothing.
+func TestInternBytes(t *testing.T) {
+	buf := []byte("intern_bytes_new")
+	s := InternBytes(buf)
+	copy(buf, "XXXXXX")
+	if s.Name() != "intern_bytes_new" || Intern("intern_bytes_new") != s {
+		t.Fatalf("InternBytes gave %v named %q", s, s.Name())
+	}
+	if InternBytes([]byte("foo")) != Intern("foo") {
+		t.Fatal("InternBytes and Intern disagree on a known name")
+	}
+	known := []byte("intern_bytes_new")
+	if n := testing.AllocsPerRun(100, func() { InternBytes(known) }); n != 0 {
+		t.Fatalf("looking up a known name allocates %v times", n)
+	}
+}
+
 func TestInternConcurrent(t *testing.T) {
 	done := make(chan Symbol, 64)
 	for i := 0; i < 64; i++ {

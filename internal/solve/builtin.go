@@ -27,7 +27,7 @@ func builtinFor(t logic.Term) builtinFn {
 	if t.Kind != logic.Atom && t.Kind != logic.Compound {
 		return nil
 	}
-	if s := int(t.Sym); s < len(builtinBySym) {
+	if s := int(t.Sym); s >= 0 && s < len(builtinBySym) {
 		for _, e := range builtinBySym[s] {
 			if int(e.arity) == len(t.Args) {
 				return e.fn
@@ -102,10 +102,14 @@ const (
 // every machine shares, so each machine reads a symbol's name once and keeps
 // the answer. Interning the four names at start-up instead would shift every
 // symbol interned after this package's initialisation, and with them the
-// wire goldens.
+// wire goldens. A symbol outside the symbol table (negative, or never
+// interned) names no operator, and the cache does not grow for it.
 func (m *Machine) arithFor(s logic.Symbol) arithOp {
-	if int(s) < len(m.arith) && m.arith[s] != arithUnseen {
+	if s >= 0 && int(s) < len(m.arith) && m.arith[s] != arithUnseen {
 		return m.arith[s]
+	}
+	if s < 0 || int(s) >= logic.NumSymbols() {
+		return arithNone
 	}
 	op := arithNone
 	switch s.Name() {

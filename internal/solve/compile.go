@@ -145,23 +145,34 @@ func numKey(f float64) uint32 {
 	return uint32(math.Float64bits(f)*0x9E3779B97F4A7C15>>33)<<1 | 1
 }
 
-// buildKeys derives the list's keys from the head streams its candidates
-// will run (the instruction at the skipped position, where a stream has one,
-// is not needed, see candList.keys).
-func (l *candList) buildKeys() {
-	n, skip := len(l.cands), int(l.skip)
-	if n < filterMinCands {
-		return
-	}
-	arity := len(l.cands[0].head)
+// keyCount is how many keys a list of n candidates of the given arity,
+// selected with skip, carries if any of its candidates holds a constant.
+func keyCount(n, arity, skip int) int {
 	cols := arity
 	if skip >= 0 {
 		cols--
 	}
-	if arity > maxCachedArity || cols <= 0 {
+	if n < filterMinCands || arity > maxCachedArity || cols <= 0 {
+		return 0
+	}
+	return cols * n
+}
+
+// buildKeys derives the list's keys from the head streams its candidates
+// will run (the instruction at the skipped position, where a stream has one,
+// is not needed, see candList.keys). The keys take the front of arena, which
+// holds at least keyCount of them, all zero; a list without a constant to
+// compare leaves it untouched.
+func (l *candList) buildKeys(arena *[]uint32) {
+	n, skip := len(l.cands), int(l.skip)
+	if n == 0 {
 		return
 	}
-	keys := make([]uint32, cols*n)
+	size := keyCount(n, len(l.cands[0].head), skip)
+	if size == 0 {
+		return
+	}
+	keys := (*arena)[:size:size]
 	constant := false
 	for i := range l.cands {
 		for _, ins := range l.cands[i].head {
@@ -181,7 +192,7 @@ func (l *candList) buildKeys() {
 		}
 	}
 	if constant {
-		l.keys = keys
+		l.keys, *arena = keys, (*arena)[size:]
 	}
 }
 
@@ -196,12 +207,12 @@ type vmSwitch struct {
 }
 
 // lookup selects the list for a dereferenced goal argument: a constant
-// always selects some list (possibly the miss list); anything else reports
-// no index.
+// always selects some list (possibly the miss list, as for a symbol outside
+// the dense table); anything else reports no index.
 func (sw *vmSwitch) lookup(t *logic.Term) (*candList, bool) {
 	switch t.Kind {
 	case logic.Atom:
-		if s := int(t.Sym); s < len(sw.dense) {
+		if s := int(t.Sym); s >= 0 && s < len(sw.dense) {
 			if l := sw.dense[s]; l != nil {
 				return l, true
 			}
@@ -247,9 +258,13 @@ type progEntry struct {
 	cp    *compiledPred
 }
 
-// predFor resolves the compiled predicate for a callable goal, or nil.
+// predFor resolves the compiled predicate for a callable goal, or nil. A
+// symbol outside the tables (negative, or past them) is unknown.
 func (pr *program) predFor(goal logic.Term) *compiledPred {
 	s := int(goal.Sym)
+	if s < 0 {
+		return nil
+	}
 	if s < len(pr.direct) {
 		if cp := pr.direct[s]; cp != nil && int(cp.arity) == len(goal.Args) {
 			return cp
@@ -293,13 +308,24 @@ var unknownPred = &compiledPred{
 	arg2: vmSwitch{miss: &candList{}},
 }
 
-// compiler accumulates every compiled clause so the second compilation phase
-// can patch cross-predicate references into the body frames. The rest is
-// compileSwitch's scratch, reused from switch to switch.
+// compiler lays the program out in a few arenas, each allocated at its
+// exact size before it is filled: one array each of compiled clauses, head
+// instructions, body frames and compiled predicates for the whole KB, and
+// for every candidate-list set (a predicate's full list, each of its
+// switches) one array of lists, one of candidates and one of keys. The rest
+// is scratch, reused from predicate to predicate and switch to switch.
 type compiler struct {
-	clauses []*compiledClause
-	preds   int32
+	clauses []compiledClause // the clause arena's unused rest
+	code    []instr          // the head-instruction arena's unused rest
+	frames  []goalFrame      // the body-frame arena's unused rest
+	preds   []compiledPred   // the predicate arena
+	npreds  int32
 
+	cands []vmCand // the current list set's candidate arena, unused rest
+	keys  []uint32 // the current list set's key arena, unused rest
+
+	rules  []vmCand          // the current predicate's rules
+	seen   []bool            // appendHead's first-occurrence scratch
 	atomAt []int32           // by symbol id: a switch key's fact count, then its end in at
 	numAt  map[float64]int32 // the same for numeric keys
 	atoms  []logic.Symbol    // the switch's symbol keys, first seen first
@@ -308,8 +334,9 @@ type compiler struct {
 	un     []int32           // positions of the facts holding no constant
 }
 
-// compileKB translates every predicate of kb into compiled form. It runs in
-// two phases: first every clause is compiled, then each body literal is
+// compileKB translates every predicate of kb into compiled form. A first
+// pass sizes the program-wide arenas; then it runs in two phases: first
+// every clause is compiled, then each body literal is
 // statically resolved to its compiled predicate (frame.cp), letting the VM's
 // step skip the negation/variable/builtin dispatch whose outcome is already
 // known at compile time.
@@ -317,19 +344,29 @@ func compileKB(kb *KB) *program {
 	n := len(kb.bySym)
 	pr := &program{direct: make([]*compiledPred, n), bySym: make([][]progEntry, n)}
 	c := compiler{numAt: make(map[float64]int32)}
+	var ncode, nframes int
+	for _, p := range kb.preds {
+		for _, cs := range [][]storedClause{p.facts, p.rules} {
+			for i := range cs {
+				ncode += len(cs[i].clause.Head.Args)
+				nframes += len(cs[i].clause.Body)
+			}
+		}
+	}
+	frames := make([]goalFrame, nframes)
+	c.clauses, c.code, c.frames = make([]compiledClause, kb.size), make([]instr, ncode), frames
+	c.preds = make([]compiledPred, len(kb.preds))
 	for s, entries := range kb.bySym {
 		if len(entries) == 1 {
-			pr.direct[s] = compilePred(&c, entries[0].p, entries[0].arity)
+			pr.direct[s] = c.compilePred(entries[0].p, entries[0].arity)
 			continue
 		}
 		for _, e := range entries {
-			pr.bySym[s] = append(pr.bySym[s], progEntry{arity: e.arity, cp: compilePred(&c, e.p, e.arity)})
+			pr.bySym[s] = append(pr.bySym[s], progEntry{arity: e.arity, cp: c.compilePred(e.p, e.arity)})
 		}
 	}
-	for _, cc := range c.clauses {
-		for i := range cc.frames {
-			cc.frames[i].cp = pr.staticPred(cc.frames[i].lit)
-		}
+	for i := range frames {
+		frames[i].cp = pr.staticPred(frames[i].lit)
 	}
 	return pr
 }
@@ -349,28 +386,35 @@ func (pr *program) staticPred(lit logic.Literal) *compiledPred {
 	return unknownPred
 }
 
-func compilePred(c *compiler, p *pred, arity int32) *compiledPred {
-	facts := make([]*compiledClause, len(p.facts))
+// compilePred compiles one predicate's clauses, facts first, into the
+// clause arena, then builds its full candidate list and its two switches.
+func (c *compiler) compilePred(p *pred, arity int32) *compiledPred {
+	facts := c.clauses[:len(p.facts)]
 	for i := range p.facts {
-		facts[i] = compileClause(c, &p.facts[i])
+		c.compileClause(&facts[i], &p.facts[i])
 	}
-	rules := make([]vmCand, len(p.rules))
+	c.clauses = c.clauses[len(p.facts):]
+	c.rules = c.rules[:0]
 	for i := range p.rules {
-		cc := compileClause(c, &p.rules[i])
-		rules[i] = vmCand{cc: cc, head: cc.head, skip: -1}
+		cc := &c.clauses[i]
+		c.compileClause(cc, &p.rules[i])
+		c.rules = append(c.rules, vmCand{cc: cc, head: cc.head, skip: -1})
 	}
-	cp := &compiledPred{arity: arity, memo: len(rules) > 0 && arity >= 1 && arity <= memoMaxArity, id: c.preds}
-	c.preds++
-	var allIdx []int32
-	if len(facts) > 0 {
-		allIdx = make([]int32, len(facts))
-		for i := range allIdx {
-			allIdx[i] = int32(i)
-		}
+	c.clauses = c.clauses[len(p.rules):]
+	cp := &c.preds[c.npreds]
+	*cp = compiledPred{arity: arity, memo: len(p.rules) > 0 && arity >= 1 && arity <= memoMaxArity, id: c.npreds}
+	c.npreds++
+	nall := len(facts) + len(c.rules)
+	c.cands = make([]vmCand, nall)
+	c.keys = make([]uint32, keyCount(nall, int(arity), -1))
+	c.at = c.at[:0]
+	for i := range facts {
+		c.at = append(c.at, int32(i))
 	}
-	cp.all = mergeList(facts, rules, allIdx, nil, -1)
-	cp.arg1 = c.compileSwitch(facts, rules, p.facts, 0)
-	cp.arg2 = c.compileSwitch(facts, rules, p.facts, 1)
+	cp.all = &candList{}
+	c.mergeList(cp.all, facts, c.at, nil, -1)
+	cp.arg1 = c.compileSwitch(facts, p.facts, arity, 0)
+	cp.arg2 = c.compileSwitch(facts, p.facts, arity, 1)
 	return cp
 }
 
@@ -378,12 +422,13 @@ func compilePred(c *compiler, p *pred, arity int32) *compiledPred {
 // constant there, the facts holding it (which pass over pos, proved equal)
 // merged in insertion order with the unindexed facts, then the rules. It
 // counts the facts per key, lays their positions out in one array by prefix
-// sums — each key's run in insertion order — and merges every run. Int 1 and
-// Float 1.0 are one numeric key, and so are 0.0 and -0.0; a NaN argument
-// equals no goal constant, so its fact is in no list of the switch.
-func (c *compiler) compileSwitch(facts []*compiledClause, rules []vmCand, src []storedClause, pos int) vmSwitch {
-	if len(src) > 0 && pos >= len(src[0].clause.Head.Args) {
-		src = nil // every fact of a predicate has its arity
+// sums — each key's run in insertion order — sizes the switch's arenas from
+// the counts and merges every run. Int 1 and Float 1.0 are one numeric key,
+// and so are 0.0 and -0.0; a NaN argument equals no goal constant, so its
+// fact is in no list of the switch.
+func (c *compiler) compileSwitch(facts []compiledClause, src []storedClause, arity int32, pos int) vmSwitch {
+	if pos >= int(arity) {
+		src = nil
 	}
 	c.atoms, c.nums, c.un = c.atoms[:0], c.nums[:0], c.un[:0]
 	n := 0
@@ -412,13 +457,21 @@ func (c *compiler) compileSwitch(facts []*compiledClause, rules []vmCand, src []
 		}
 		n++
 	}
-	// Prefix sums: each key's count becomes the start of its run.
+	// Prefix sums: each key's count becomes the start of its run. The arenas
+	// hold the miss list (the unindexed facts and the rules) and, for every
+	// key, its run, the unindexed facts and the rules.
+	shared := len(c.un) + len(c.rules)
+	ncands, nkeys := shared, keyCount(shared, int(arity), pos)
 	off, maxSym := int32(0), logic.Symbol(0)
 	for _, s := range c.atoms {
+		ncands += int(c.atomAt[s]) + shared
+		nkeys += keyCount(int(c.atomAt[s])+shared, int(arity), pos)
 		off, c.atomAt[s] = off+c.atomAt[s], off
 		maxSym = max(maxSym, s)
 	}
 	for _, f := range c.nums {
+		ncands += int(c.numAt[f]) + shared
+		nkeys += keyCount(int(c.numAt[f])+shared, int(arity), pos)
 		off, c.numAt[f] = off+c.numAt[f], off
 	}
 	// Fill: each start advances to its run's end.
@@ -435,21 +488,28 @@ func (c *compiler) compileSwitch(facts []*compiledClause, rules []vmCand, src []
 			}
 		}
 	}
-	sw := vmSwitch{miss: mergeList(facts, rules, nil, c.un, pos)}
+	lists := make([]candList, 1+len(c.atoms)+len(c.nums))
+	c.cands, c.keys = make([]vmCand, ncands), make([]uint32, nkeys)
+	sw := vmSwitch{miss: &lists[0]}
+	c.mergeList(sw.miss, facts, nil, c.un, pos)
+	lists = lists[1:]
 	start := int32(0)
 	if len(c.atoms) > 0 {
 		sw.dense = make([]*candList, int(maxSym)+1)
-		for _, s := range c.atoms {
+		for i, s := range c.atoms {
 			end := c.atomAt[s]
-			sw.dense[s] = mergeList(facts, rules, c.at[start:end], c.un, pos)
+			sw.dense[s] = &lists[i]
+			c.mergeList(&lists[i], facts, c.at[start:end], c.un, pos)
 			start, c.atomAt[s] = end, 0
 		}
+		lists = lists[len(c.atoms):]
 	}
 	if len(c.nums) > 0 {
 		sw.byNum = make(map[float64]*candList, len(c.nums))
-		for _, f := range c.nums {
+		for i, f := range c.nums {
 			end := c.numAt[f]
-			sw.byNum[f] = mergeList(facts, rules, c.at[start:end], c.un, pos)
+			sw.byNum[f] = &lists[i]
+			c.mergeList(&lists[i], facts, c.at[start:end], c.un, pos)
 			start = end
 		}
 		clear(c.numAt)
@@ -457,29 +517,29 @@ func (c *compiler) compileSwitch(facts []*compiledClause, rules []vmCand, src []
 	return sw
 }
 
-// mergeList interleaves an index bucket with the unindexed facts in
-// insertion order, then appends the rules. Bucket entries skip the indexed
-// argument (the index proved it equal); unindexed entries and rules must
-// match in full.
-func mergeList(facts []*compiledClause, rules []vmCand, idx, un []int32, skip int) *candList {
-	l := &candList{nFacts: len(idx) + len(un), skip: int8(skip)}
-	if l.nFacts+len(rules) == 0 {
-		return l
+// mergeList fills l: an index bucket interleaved with the unindexed facts in
+// insertion order, then the rules. Bucket entries skip the indexed argument
+// (the index proved it equal); unindexed entries and rules must match in
+// full. The candidates and keys take the front of the list set's arenas.
+func (c *compiler) mergeList(l *candList, facts []compiledClause, idx, un []int32, skip int) {
+	l.nFacts, l.skip = len(idx)+len(un), int8(skip)
+	n := l.nFacts + len(c.rules)
+	if n == 0 {
+		return
 	}
-	l.cands = make([]vmCand, 0, l.nFacts+len(rules))
+	l.cands, c.cands = c.cands[:0:n], c.cands[n:]
 	i, j := 0, 0
 	for i < len(idx) || j < len(un) {
 		if j >= len(un) || (i < len(idx) && idx[i] < un[j]) {
-			l.cands = append(l.cands, candFor(facts[idx[i]], skip))
+			l.cands = append(l.cands, candFor(&facts[idx[i]], skip))
 			i++
 		} else {
-			l.cands = append(l.cands, candFor(facts[un[j]], -1))
+			l.cands = append(l.cands, candFor(&facts[un[j]], -1))
 			j++
 		}
 	}
-	l.cands = append(l.cands, rules...)
-	l.buildKeys()
-	return l
+	l.cands = append(l.cands, c.rules...)
+	l.buildKeys(&c.keys)
 }
 
 // candFor is a fact's entry in a list selected with skip. A fact without
@@ -488,31 +548,26 @@ func candFor(cc *compiledClause, skip int) vmCand {
 	return vmCand{cc: cc, head: cc.head, skip: int8(skip), ground: cc.numVars == 0}
 }
 
-func compileClause(c *compiler, sc *storedClause) *compiledClause {
-	cc := &compiledClause{src: &sc.clause, numVars: sc.numVars}
-	c.clauses = append(c.clauses, cc)
-	body := sc.clause.Body
-	if len(body) > 0 {
-		cc.frames = make([]goalFrame, 0, len(body))
+// compileClause compiles sc into cc, its head stream and body frames taking
+// the front of their arenas.
+func (c *compiler) compileClause(cc *compiledClause, sc *storedClause) {
+	*cc = compiledClause{src: &sc.clause, numVars: sc.numVars}
+	if body := sc.clause.Body; len(body) > 0 {
+		cc.frames, c.frames = c.frames[:0:len(body)], c.frames[len(body):]
 		for i := len(body) - 1; i >= 0; i-- {
 			cc.frames = append(cc.frames, goalFrame{lit: body[i], ground: body[i].Atom.IsGround()})
 		}
 	}
-	cc.head = compileHead(sc)
-	return cc
-}
-
-// compileHead builds the head-matching stream of a stored clause.
-func compileHead(sc *storedClause) []instr {
 	head := &sc.clause.Head
 	if len(head.Args) == 0 {
-		return nil
+		return
 	}
-	var seen []bool
-	if sc.numVars > 0 {
-		seen = make([]bool, sc.numVars)
+	if cap(c.seen) < sc.numVars {
+		c.seen = make([]bool, sc.numVars)
 	}
-	return appendHead(make([]instr, 0, len(head.Args)), head, seen)
+	seen := c.seen[:sc.numVars]
+	clear(seen)
+	cc.head, c.code = appendHead(c.code[:0:len(head.Args)], head, seen), c.code[len(head.Args):]
 }
 
 // appendHead appends one instruction per head argument, in argument order.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
@@ -61,6 +62,34 @@ func TestFootprintPinned(t *testing.T) {
 		if sum != tc.sum || got != tc.hash {
 			t.Errorf("%s: footprints sum to %d, hash %s; want %d, %s", tc.ds.Name, sum, got, tc.sum, tc.hash)
 		}
+	}
+}
+
+// TestCompileAllocBudget pins what compiling the carcinogenesis KB at scale
+// 1 allocates: the program is laid out in a few exactly sized arenas (95
+// allocations, 3.47 MB measured), where a clause, a head stream, a candidate
+// list and its keys each used to be an allocation of their own (30 192
+// allocations, 3.81 MB). A compiler step that allocates per clause or per
+// list again crosses the 1 000 allocations; the bytes may not exceed what
+// the per-object layout took.
+func TestCompileAllocBudget(t *testing.T) {
+	kb := datasets.Carcinogenesis(1).KB
+	allocs := testing.AllocsPerRun(3, func() { solve.CompileKB(kb) })
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		solve.CompileKB(kb)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("compiling %d clauses: %.0f allocations, %d bytes", kb.Size(), allocs, bytes)
+	if allocs > 1000 {
+		t.Errorf("compile allocates %.0f times, budget 1000", allocs)
+	}
+	const budget = 3_811_010
+	if bytes > budget {
+		t.Errorf("compile allocates %d bytes, budget %d", bytes, budget)
 	}
 }
 

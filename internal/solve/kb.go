@@ -11,6 +11,7 @@
 package solve
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,9 @@ type storedClause struct {
 type pred struct {
 	facts []storedClause
 	rules []storedClause
+	// adding counts the facts an AddFacts call brings, between its two
+	// passes.
+	adding int
 }
 
 // predEntry pairs an arity with its clause store for by-symbol dispatch.
@@ -72,10 +76,10 @@ func (kb *KB) register(key logic.PredKey, p *pred) {
 	kb.bySym[s] = append(kb.bySym[s], predEntry{arity: int32(key.Arity), p: p})
 }
 
-// predFor resolves the clause store for a callable goal, or nil.
+// predFor resolves the clause store for a callable goal, or nil. A symbol
+// outside the table (negative, or never used as a functor here) is unknown.
 func (kb *KB) predFor(goal logic.Term) *pred {
-	s := int(goal.Sym)
-	if s < len(kb.bySym) {
+	if s := int(goal.Sym); s >= 0 && s < len(kb.bySym) {
 		for _, e := range kb.bySym[s] {
 			if int(e.arity) == len(goal.Args) {
 				return e.p
@@ -117,13 +121,7 @@ func (kb *KB) Add(c logic.Clause) {
 	if kb.prog.Load() != nil {
 		kb.prog.Store(nil) // mutation invalidates the compiled program
 	}
-	key := c.Head.Pred()
-	p := kb.preds[key]
-	if p == nil {
-		p = &pred{}
-		kb.preds[key] = p
-		kb.register(key, p)
-	}
+	p := kb.predOf(c.Head)
 	sc := storedClause{clause: c, numVars: c.NumVars()}
 	kb.size++
 	if c.IsFact() {
@@ -133,8 +131,47 @@ func (kb *KB) Add(c logic.Clause) {
 	}
 }
 
+// predOf returns the clause store of head's predicate, creating it if new.
+func (kb *KB) predOf(head logic.Term) *pred {
+	if p := kb.predFor(head); p != nil {
+		return p
+	}
+	key := head.Pred()
+	p := &pred{}
+	kb.preds[key] = p
+	kb.register(key, p)
+	return p
+}
+
 // AddFact inserts head as a fact.
 func (kb *KB) AddFact(head logic.Term) { kb.Add(logic.Fact(head)) }
+
+// AddFacts inserts every head as a fact, in order, as AddFact one by one
+// would, but counts each predicate's new facts first and grows its storage
+// once: a generated dataset adds thousands of facts to a few predicates.
+func (kb *KB) AddFacts(heads []logic.Term) {
+	if kb.prog.Load() != nil {
+		kb.prog.Store(nil)
+	}
+	var grown []*pred
+	for i := range heads {
+		p := kb.predOf(heads[i])
+		if p.adding == 0 {
+			grown = append(grown, p)
+		}
+		p.adding++
+	}
+	for _, p := range grown {
+		p.facts = slices.Grow(p.facts, p.adding)
+		p.adding = 0
+	}
+	for i := range heads {
+		c := logic.Fact(heads[i])
+		p := kb.predFor(c.Head)
+		p.facts = append(p.facts, storedClause{clause: c, numVars: c.NumVars()})
+	}
+	kb.size += len(heads)
+}
 
 // AddProgram inserts every clause of a parsed program.
 func (kb *KB) AddProgram(cs []logic.Clause) {

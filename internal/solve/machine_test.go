@@ -362,3 +362,64 @@ func TestQuickSolutionCounts(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAddFactsMatchesAddFact adds one sequence of facts — to predicates the
+// KB already holds and to new ones, a symbol at two arities, facts with
+// variables — once through AddFacts and once through AddFact one by one,
+// and requires the same clauses in the same order, the same size and
+// variable counts, and a recompile after AddFacts on a compiled KB.
+func TestAddFactsMatchesAddFact(t *testing.T) {
+	base := `p(a, b). r(X) :- p(X, b).`
+	heads := []logic.Term{
+		logic.MustParseTerm("p(c, d)"),
+		logic.MustParseTerm("q(1)"),
+		logic.MustParseTerm("p(e)"),
+		logic.MustParseTerm("q(2.5)"),
+		logic.MustParseTerm("p(X, X)"),
+		logic.MustParseTerm("s"),
+		logic.MustParseTerm("p(f, g)"),
+	}
+	one, all := NewKB(), NewKB()
+	for _, kb := range []*KB{one, all} {
+		if err := kb.AddSource(base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range heads {
+		one.AddFact(h)
+	}
+	m := NewMachine(all, DefaultBudget)
+	if !m.ProveAtom(logic.MustParseTerm("r(a)")) {
+		t.Fatal("r(a) not proved before AddFacts")
+	}
+	all.AddFacts(heads)
+	if !m.ProveAtom(logic.MustParseTerm("p(X, X)")) || !m.ProveAtom(logic.MustParseTerm("p(e)")) {
+		t.Error("a fact AddFacts added is not proved")
+	}
+	if n := all.Compilations(); n != 2 {
+		t.Errorf("%d compilations, want 2 (AddFacts must invalidate the program)", n)
+	}
+	if one.Size() != all.Size() {
+		t.Errorf("size %d, want %d", all.Size(), one.Size())
+	}
+	a, b := one.AllClauses(), all.AllClauses()
+	if len(a) != len(b) {
+		t.Fatalf("%d clauses, want %d", len(b), len(a))
+	}
+	for i := range a {
+		if a[i].String() != b[i].String() {
+			t.Errorf("clause %d: %s, want %s", i, b[i], a[i])
+		}
+	}
+	for _, key := range one.Predicates() {
+		pa, pb := one.preds[key], all.preds[key]
+		if pb == nil || len(pa.facts) != len(pb.facts) {
+			t.Fatalf("%s: facts differ", key)
+		}
+		for i := range pa.facts {
+			if pa.facts[i].numVars != pb.facts[i].numVars {
+				t.Errorf("%s fact %d: %d variables, want %d", key, i, pb.facts[i].numVars, pa.facts[i].numVars)
+			}
+		}
+	}
+}
