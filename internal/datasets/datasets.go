@@ -412,7 +412,7 @@ func (b *factBatch) keep() {
 		for i := range args {
 			switch a := &b.args[int(f.argFrom)+i]; a.kind {
 			case logic.Atom:
-				args[i] = logic.Term{Kind: logic.Atom, Sym: b.sym(a.name)}
+				args[i] = b.term(*a)
 			case logic.Int:
 				args[i] = logic.IntTerm(int64(a.num))
 			default:
@@ -430,8 +430,10 @@ func (b *factBatch) keep() {
 	b.reset()
 }
 
-// expected is what the candidates still to keep need of something the kept
-// ones used total of, at their average (n a candidate before any is kept).
+// expected estimates how many of something (arguments, facts) the
+// candidates still to keep will use: the kept candidates used total, and
+// each further one is expected to use their average, or n while none is
+// kept.
 func (b *factBatch) expected(total, n int) int {
 	if b.kept > 0 {
 		n = total / b.kept

@@ -136,8 +136,9 @@ type trainCar struct {
 }
 
 // addCar describes the six facts of train's car c, named name. It enters
-// the functors and c's attribute names afresh for each car: a name entered
-// twice is looked up twice, which costs a trains-sized set nothing.
+// the functors and c's attribute names afresh for each car, so each costs
+// one symbol lookup per car; the trains sets are small enough not to keep
+// them as vocabulary.
 func addCar(facts *factBatch, train, name factArg, c trainCar) {
 	facts.add(facts.atom("has_car"), train, name)
 	facts.add(facts.atom("car_len"), name, facts.atom(c.len))
