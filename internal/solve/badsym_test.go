@@ -9,10 +9,10 @@ import (
 // TestSymbolsOutsideTablesAreUnknown asks goals that carry a symbol id no
 // table holds — negative, or 1<<20 past the symbol table — as a functor, as
 // an indexed argument (first and second position) and as an arithmetic
-// functor. Every per-symbol table (a switch's dense array, the program's
-// and the KB's predicate tables, the machine's operator cache) must treat
-// such an id as unknown: the goal fails, nothing panics, and the operator
-// cache does not grow for it.
+// functor. Every per-symbol table (a switch's dense array, the symTab of
+// the builtins, of the program's and of the KB's predicates, the machine's
+// operator cache) must treat such an id as unknown: the goal fails,
+// nothing panics, and the operator cache does not grow for it.
 func TestSymbolsOutsideTablesAreUnknown(t *testing.T) {
 	kb := NewKB()
 	if err := kb.AddSource(`

@@ -9,43 +9,21 @@ import (
 // clean up after itself on failure.
 type builtinFn func(m *Machine, goal logic.Term) bool
 
-var builtins map[logic.PredKey]builtinFn
-
-// builtinBySym dispatches builtins by interned functor symbol without
-// hashing: builtin names are interned at init, so their symbols are small
-// and the table stays tiny. Each symbol holds a slice so one name may carry
-// several arities.
-var builtinBySym [][]builtinEntry
-
-type builtinEntry struct {
-	arity int32
-	fn    builtinFn
-}
+// builtins holds the engine's own predicates. Their names are interned at
+// init, so their symbols are small and the table stays tiny.
+var builtins symTab[builtinFn]
 
 // builtinFor returns the builtin implementing the goal's predicate, or nil.
 func builtinFor(t logic.Term) builtinFn {
 	if t.Kind != logic.Atom && t.Kind != logic.Compound {
 		return nil
 	}
-	if s := int(t.Sym); s >= 0 && s < len(builtinBySym) {
-		for _, e := range builtinBySym[s] {
-			if int(e.arity) == len(t.Args) {
-				return e.fn
-			}
-		}
-	}
-	return nil
+	return builtins.get(t.Sym, len(t.Args))
 }
 
 func init() {
-	builtins = make(map[logic.PredKey]builtinFn)
 	reg := func(name string, arity int, fn builtinFn) {
-		sym := logic.Intern(name)
-		builtins[logic.PredKey{Sym: sym, Arity: arity}] = fn
-		for int(sym) >= len(builtinBySym) {
-			builtinBySym = append(builtinBySym, nil)
-		}
-		builtinBySym[sym] = append(builtinBySym[sym], builtinEntry{arity: int32(arity), fn: fn})
+		builtins.add(logic.Intern(name), arity, fn)
 	}
 	reg("true", 0, func(*Machine, logic.Term) bool { return true })
 	reg("fail", 0, func(*Machine, logic.Term) bool { return false })
@@ -76,13 +54,6 @@ func init() {
 		}
 		return m.bs.Unify(g.Args[0], logic.FloatTerm(v))
 	})
-}
-
-// IsBuiltin reports whether a predicate key is handled by the engine itself
-// rather than by KB clauses.
-func IsBuiltin(key logic.PredKey) bool {
-	_, ok := builtins[key]
-	return ok
 }
 
 // arithOp is what a functor symbol names in an arithmetic expression.

@@ -110,26 +110,56 @@ func TestNestedNegation(t *testing.T) {
 	}
 }
 
+// TestIsBuiltinRegistry asks builtinFor for each builtin at its arity, and
+// for a user predicate and builtin names at arities the engine does not
+// define.
 func TestIsBuiltinRegistry(t *testing.T) {
+	goal := func(name string, arity int) logic.Term {
+		g := logic.Term{Kind: logic.Atom, Sym: logic.Intern(name)}
+		if arity > 0 {
+			g.Kind, g.Args = logic.Compound, make([]logic.Term, arity)
+		}
+		return g
+	}
 	for _, name := range []string{"=", "\\=", "<", "=<", ">", ">=", "is"} {
-		if !IsBuiltin(logic.PredKey{Sym: logic.Intern(name), Arity: 2}) {
+		if builtinFor(goal(name, 2)) == nil {
 			t.Errorf("%s/2 not registered", name)
 		}
+		for _, arity := range []int{0, 1, 3} {
+			if builtinFor(goal(name, arity)) != nil {
+				t.Errorf("%s/%d reported as builtin", name, arity)
+			}
+		}
 	}
-	if !IsBuiltin(logic.PredKey{Sym: logic.Intern("true"), Arity: 0}) {
-		t.Error("true/0 not registered")
+	for _, name := range []string{"true", "fail"} {
+		if builtinFor(goal(name, 0)) == nil {
+			t.Errorf("%s/0 not registered", name)
+		}
+		if builtinFor(goal(name, 1)) != nil {
+			t.Errorf("%s/1 reported as builtin", name)
+		}
 	}
-	if IsBuiltin(logic.PredKey{Sym: logic.Intern("atm"), Arity: 5}) {
+	if builtinFor(goal("atm", 5)) != nil {
 		t.Error("user predicate reported as builtin")
 	}
 }
 
 func TestBuiltinDoesNotShadowUserFacts(t *testing.T) {
-	// A user predicate sharing a name but not arity with a builtin.
+	// User predicates sharing a name but not arity with a builtin.
 	kb := NewKB()
 	kb.AddFact(logic.MustParseTerm("'='(special)"))
+	kb.AddFact(logic.MustParseTerm("is(a, b, c)"))
+	kb.AddFact(logic.MustParseTerm("true(x)"))
 	m := NewMachine(kb, DefaultBudget)
-	if !m.ProveAtom(logic.MustParseTerm("'='(special)")) {
-		t.Fatal("=/1 user fact should be provable (builtin is =/2)")
+	for _, g := range []string{"'='(special)", "is(a, b, c)", "true(x)"} {
+		if !m.ProveAtom(logic.MustParseTerm(g)) {
+			t.Errorf("%s: user fact should be provable beside the builtin", g)
+		}
+	}
+	// Nor do they shadow the builtins.
+	for _, body := range []string{"ok :- X = special.", "ok :- X is 1 + 2, X = 3.", "ok :- true."} {
+		if !proveBody(t, kb, body) {
+			t.Errorf("%s: builtin shadowed by a user predicate", body)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"iter"
 	"math"
 	"slices"
 
@@ -36,8 +35,8 @@ import (
 //     sequence the seed engine's index scan visits at run time. Symbol keys
 //     dispatch through a dense array (symbols are small interned integers)
 //     instead of a hash map.
-//   - Predicate dispatch likewise compiles to a direct symbol-indexed table
-//     for the common case of one arity per functor symbol.
+//   - Predicate dispatch likewise goes through a symbol-indexed table
+//     (symTab), the KB's own shape with compiled predicates for values.
 //   - Clause bodies become pre-built goal frames (literal + static
 //     groundness) that are block-copied onto the goal stack with only the
 //     renaming offset and depth patched in.
@@ -244,58 +243,12 @@ type compiledPred struct {
 // program is an immutable compiled KB. It is built once per KB and shared
 // read-only across machines; it holds no mutable state.
 type program struct {
-	// direct is the fast dispatch path: symbol id → compiled predicate, for
-	// symbols used at exactly one arity (the overwhelmingly common case).
-	direct []*compiledPred
-	// bySym is the fallback for symbols overloaded at several arities.
-	bySym [][]progEntry
+	preds symTab[*compiledPred]
 }
 
-// progEntry pairs an arity with its compiled predicate for the fallback
-// dispatch, mirroring KB.predEntry.
-type progEntry struct {
-	arity int32
-	cp    *compiledPred
-}
-
-// predFor resolves the compiled predicate for a callable goal, or nil. A
-// symbol outside the tables (negative, or past them) is unknown.
+// predFor resolves the compiled predicate for a callable goal, or nil.
 func (pr *program) predFor(goal logic.Term) *compiledPred {
-	s := int(goal.Sym)
-	if s < 0 {
-		return nil
-	}
-	if s < len(pr.direct) {
-		if cp := pr.direct[s]; cp != nil && int(cp.arity) == len(goal.Args) {
-			return cp
-		}
-	}
-	if s < len(pr.bySym) {
-		for _, e := range pr.bySym[s] {
-			if int(e.arity) == len(goal.Args) {
-				return e.cp
-			}
-		}
-	}
-	return nil
-}
-
-// preds yields every compiled predicate of the program.
-func (pr *program) preds() iter.Seq[*compiledPred] {
-	return func(yield func(*compiledPred) bool) {
-		for _, cp := range pr.direct {
-			if cp != nil && !yield(cp) {
-				return
-			}
-		}
-		for _, es := range pr.bySym {
-			for _, e := range es {
-				if !yield(e.cp) {
-					return
-				}
-			}
-		}
-	}
+	return pr.preds.get(goal.Sym, len(goal.Args))
 }
 
 // unknownPred is the compiled predicate for body goals that reference no KB
@@ -341,11 +294,9 @@ type compiler struct {
 // step skip the negation/variable/builtin dispatch whose outcome is already
 // known at compile time.
 func compileKB(kb *KB) *program {
-	n := len(kb.bySym)
-	pr := &program{direct: make([]*compiledPred, n), bySym: make([][]progEntry, n)}
 	c := compiler{numAt: make(map[float64]int32)}
 	var ncode, nframes int
-	for _, p := range kb.preds {
+	for _, p := range kb.preds.all() {
 		for _, cs := range [][]storedClause{p.facts, p.rules} {
 			for i := range cs {
 				ncode += len(cs[i].clause.Head.Args)
@@ -355,16 +306,10 @@ func compileKB(kb *KB) *program {
 	}
 	frames := make([]goalFrame, nframes)
 	c.clauses, c.code, c.frames = make([]compiledClause, kb.size), make([]instr, ncode), frames
-	c.preds = make([]compiledPred, len(kb.preds))
-	for s, entries := range kb.bySym {
-		if len(entries) == 1 {
-			pr.direct[s] = c.compilePred(entries[0].p, entries[0].arity)
-			continue
-		}
-		for _, e := range entries {
-			pr.bySym[s] = append(pr.bySym[s], progEntry{arity: e.arity, cp: c.compilePred(e.p, e.arity)})
-		}
-	}
+	c.preds = make([]compiledPred, kb.preds.len())
+	pr := &program{preds: mapTab(&kb.preds, func(k logic.PredKey, p *pred) *compiledPred {
+		return c.compilePred(p, int32(k.Arity))
+	})}
 	for i := range frames {
 		frames[i].cp = pr.staticPred(frames[i].lit)
 	}

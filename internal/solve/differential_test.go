@@ -78,8 +78,8 @@ func seedIndexFor(kb *KB) *seedIndex {
 	if v, ok := seedIndexes.Load(key); ok && v.(*seedIndex).size == kb.Size() {
 		return v.(*seedIndex)
 	}
-	ix := &seedIndex{size: kb.Size(), args: make(map[*pred]*[2]argIndex, len(kb.preds))}
-	for _, p := range kb.preds {
+	ix := &seedIndex{size: kb.Size(), args: make(map[*pred]*[2]argIndex, kb.preds.len())}
+	for _, p := range kb.preds.all() {
 		var idx [2]argIndex
 		for i := range p.facts {
 			args := p.facts[i].clause.Head.Args
@@ -653,7 +653,7 @@ func switchesMatchSeedIndex(t testing.TB, name string, kb *KB) {
 	ix, pr := seedIndexFor(kb), kb.program()
 	absent := []logic.Term{logic.A("no such constant"), logic.FloatTerm(-12345.5), logic.FloatTerm(math.NaN())}
 	for _, key := range kb.Predicates() {
-		p := kb.preds[key]
+		p := kb.preds.get(key.Sym, key.Arity)
 		goal := logic.Term{Kind: logic.Atom, Sym: key.Sym}
 		if key.Arity > 0 {
 			goal = logic.Term{Kind: logic.Compound, Sym: key.Sym, Args: make([]logic.Term, key.Arity)}

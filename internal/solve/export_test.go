@@ -74,7 +74,7 @@ func CompileKB(kb *KB) { compileKB(kb) }
 // KB, so it pins the program's layout where a heap delta would drift.
 func CompiledFootprint(kb *KB) int {
 	lists := map[*candList]bool{}
-	for cp := range kb.program().preds() {
+	for _, cp := range kb.program().preds.all() {
 		lists[cp.all] = true
 		for _, sw := range []*vmSwitch{&cp.arg1, &cp.arg2} {
 			lists[sw.miss] = true

@@ -18,7 +18,7 @@ import (
 // eachList visits every candidate list of a compiled program with its
 // predicate's arity.
 func eachList(pr *program, visit func(l *candList, arity int)) {
-	pred := func(cp *compiledPred) {
+	for _, cp := range pr.preds.all() {
 		arity := int(cp.arity)
 		visit(cp.all, arity)
 		for _, sw := range []*vmSwitch{&cp.arg1, &cp.arg2} {
@@ -31,16 +31,6 @@ func eachList(pr *program, visit func(l *candList, arity int)) {
 			for _, l := range sw.byNum {
 				visit(l, arity)
 			}
-		}
-	}
-	for _, cp := range pr.direct {
-		if cp != nil {
-			pred(cp)
-		}
-	}
-	for _, entries := range pr.bySym {
-		for _, e := range entries {
-			pred(e.cp)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package solve
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -36,22 +35,12 @@ type pred struct {
 	adding int
 }
 
-// predEntry pairs an arity with its clause store for by-symbol dispatch.
-type predEntry struct {
-	arity int32
-	p     *pred
-}
-
 // KB is a knowledge base of definite clauses, stored per predicate in
 // insertion order. Its compiled program indexes the facts by their first and
 // second argument constants. Adding clauses is not goroutine-safe; reading
 // (solving) is.
 type KB struct {
-	preds map[logic.PredKey]*pred
-	// bySym resolves a goal's predicate without hashing: functor symbols are
-	// small interned integers, so a slice lookup plus a short arity scan
-	// replaces a map access on the hottest dispatch in the engine.
-	bySym [][]predEntry
+	preds symTab[*pred]
 	size  int
 
 	// prog caches the compiled bytecode program (compile.go). It is built
@@ -65,28 +54,12 @@ type KB struct {
 
 // NewKB returns an empty knowledge base.
 func NewKB() *KB {
-	return &KB{preds: make(map[logic.PredKey]*pred)}
+	return &KB{}
 }
 
-func (kb *KB) register(key logic.PredKey, p *pred) {
-	s := int(key.Sym)
-	for s >= len(kb.bySym) {
-		kb.bySym = append(kb.bySym, nil)
-	}
-	kb.bySym[s] = append(kb.bySym[s], predEntry{arity: int32(key.Arity), p: p})
-}
-
-// predFor resolves the clause store for a callable goal, or nil. A symbol
-// outside the table (negative, or never used as a functor here) is unknown.
+// predFor resolves the clause store for a callable goal, or nil.
 func (kb *KB) predFor(goal logic.Term) *pred {
-	if s := int(goal.Sym); s >= 0 && s < len(kb.bySym) {
-		for _, e := range kb.bySym[s] {
-			if int(e.arity) == len(goal.Args) {
-				return e.p
-			}
-		}
-	}
-	return nil
+	return kb.preds.get(goal.Sym, len(goal.Args))
 }
 
 // program returns the compiled form of the KB, building it on first use.
@@ -136,10 +109,8 @@ func (kb *KB) predOf(head logic.Term) *pred {
 	if p := kb.predFor(head); p != nil {
 		return p
 	}
-	key := head.Pred()
 	p := &pred{}
-	kb.preds[key] = p
-	kb.register(key, p)
+	kb.preds.add(head.Sym, len(head.Args), p)
 	return p
 }
 
@@ -193,18 +164,12 @@ func (kb *KB) AddSource(src string) error {
 // Size reports the number of stored clauses.
 func (kb *KB) Size() int { return kb.size }
 
-// Predicates returns the predicate keys in a deterministic order.
+// Predicates returns the predicate keys in ascending (symbol, arity) order.
 func (kb *KB) Predicates() []logic.PredKey {
-	out := make([]logic.PredKey, 0, len(kb.preds))
-	for k := range kb.preds {
+	out := make([]logic.PredKey, 0, kb.preds.len())
+	for k := range kb.preds.all() {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sym != out[j].Sym {
-			return out[i].Sym < out[j].Sym
-		}
-		return out[i].Arity < out[j].Arity
-	})
 	return out
 }
 
@@ -212,20 +177,15 @@ func (kb *KB) Predicates() []logic.PredKey {
 // independently (clause storage is shared copy-on-write style: slices are
 // duplicated, clause structures are immutable and shared).
 func (kb *KB) Clone() *KB {
-	out := &KB{
-		preds: make(map[logic.PredKey]*pred, len(kb.preds)),
-		bySym: make([][]predEntry, len(kb.bySym)),
-		size:  kb.size,
+	return &KB{
+		preds: mapTab(&kb.preds, func(_ logic.PredKey, p *pred) *pred {
+			return &pred{
+				facts: append([]storedClause(nil), p.facts...),
+				rules: append([]storedClause(nil), p.rules...),
+			}
+		}),
+		size: kb.size,
 	}
-	for k, p := range kb.preds {
-		np := &pred{
-			facts: append([]storedClause(nil), p.facts...),
-			rules: append([]storedClause(nil), p.rules...),
-		}
-		out.preds[k] = np
-		out.register(k, np)
-	}
-	return out
 }
 
 // AllClauses returns every stored clause grouped by predicate in
@@ -233,8 +193,7 @@ func (kb *KB) Clone() *KB {
 // dataset export tooling.
 func (kb *KB) AllClauses() []logic.Clause {
 	var out []logic.Clause
-	for _, key := range kb.Predicates() {
-		p := kb.preds[key]
+	for _, p := range kb.preds.all() {
 		for _, sc := range p.facts {
 			out = append(out, sc.clause)
 		}
@@ -258,7 +217,7 @@ func (kb *KB) Footprint(c logic.Term) int {
 		return 0
 	}
 	n := 0
-	for cp := range kb.program().preds() {
+	for _, cp := range kb.program().preds.all() {
 		for _, sw := range []*vmSwitch{&cp.arg1, &cp.arg2} {
 			l, _ := sw.lookup(&c)
 			n += l.nFacts - sw.miss.nFacts

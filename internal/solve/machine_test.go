@@ -258,34 +258,67 @@ func TestUnindexedFactsStillFound(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence extends a clone with a fact of an existing
+// predicate, new arities of an existing functor (below, between and above
+// the original's) and new functors (one already a constant of the original,
+// one never seen): none of it may show in the original's predicates or
+// proofs.
 func TestCloneIndependence(t *testing.T) {
-	kb := kbFrom(t, `f(a).`)
+	kb := kbFrom(t, `f(a). f(a, h, c).`)
+	before := kb.Predicates()
 	clone := kb.Clone()
-	clone.AddFact(logic.MustParseTerm("f(b)"))
+	for _, fact := range []string{"f(b)", "f", "f(a, b)", "f(a, b, c, d)", "h(x)", "clone_only_functor(x)"} {
+		clone.AddFact(logic.MustParseTerm(fact))
+	}
 	m1 := NewMachine(kb, DefaultBudget)
 	m2 := NewMachine(clone, DefaultBudget)
-	if m1.ProveAtom(logic.MustParseTerm("f(b)")) {
-		t.Fatal("clone mutation leaked into original")
+	for _, g := range []string{"f(b)", "f", "f(a, b)", "f(a, b, c, d)", "h(x)", "clone_only_functor(x)"} {
+		if m1.ProveAtom(logic.MustParseTerm(g)) {
+			t.Errorf("clone mutation leaked into original: %s", g)
+		}
+		if !m2.ProveAtom(logic.MustParseTerm(g)) {
+			t.Errorf("clone lost its own fact %s", g)
+		}
 	}
-	if !m2.ProveAtom(logic.MustParseTerm("f(b)")) {
-		t.Fatal("clone lost its own fact")
+	for _, g := range []string{"f(a)", "f(a, h, c)"} {
+		if !m1.ProveAtom(logic.MustParseTerm(g)) || !m2.ProveAtom(logic.MustParseTerm(g)) {
+			t.Errorf("%s lost", g)
+		}
 	}
-	if !m2.ProveAtom(logic.MustParseTerm("f(a)")) {
-		t.Fatal("clone lost the original fact")
+	if after := kb.Predicates(); fmt.Sprint(after) != fmt.Sprint(before) || kb.Size() != 2 {
+		t.Errorf("original's predicates %v (%d clauses), want %v (2)", after, kb.Size(), before)
+	}
+	if n := len(clone.Predicates()); n != 7 {
+		t.Errorf("clone has %d predicates, want 7", n)
 	}
 }
 
+// TestPredicatesDeterministicOrder: Predicates lists each predicate once,
+// in ascending (symbol, arity) order, whatever order the clauses came in;
+// AllClauses groups clauses in that order.
 func TestPredicatesDeterministicOrder(t *testing.T) {
-	kb := kbFrom(t, `b(1). a(1). c(1, 2). a(1, 2).`)
+	kb := kbFrom(t, `b(1). a(1). c(1, 2). a(1, 2). b(1, 2, 3). b. b(2).`)
 	p1 := kb.Predicates()
 	p2 := kb.Predicates()
-	if len(p1) != 4 {
+	if len(p1) != 6 {
 		t.Fatalf("predicates: %v", p1)
 	}
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatal("Predicates order not deterministic")
 		}
+		if i > 0 && (p1[i-1].Sym > p1[i].Sym || p1[i-1].Sym == p1[i].Sym && p1[i-1].Arity >= p1[i].Arity) {
+			t.Errorf("Predicates: %v before %v", p1[i-1], p1[i])
+		}
+	}
+	var heads []logic.PredKey
+	for _, c := range kb.AllClauses() {
+		if k := c.Head.Pred(); len(heads) == 0 || heads[len(heads)-1] != k {
+			heads = append(heads, k)
+		}
+	}
+	if fmt.Sprint(heads) != fmt.Sprint(p1) {
+		t.Errorf("AllClauses groups %v, want %v", heads, p1)
 	}
 }
 
@@ -412,7 +445,7 @@ func TestAddFactsMatchesAddFact(t *testing.T) {
 		}
 	}
 	for _, key := range one.Predicates() {
-		pa, pb := one.preds[key], all.preds[key]
+		pa, pb := one.preds.get(key.Sym, key.Arity), all.preds.get(key.Sym, key.Arity)
 		if pb == nil || len(pa.facts) != len(pb.facts) {
 			t.Fatalf("%s: facts differ", key)
 		}

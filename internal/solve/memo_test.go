@@ -91,7 +91,7 @@ func memoEntries(m *Machine) map[memoKey]memoEntry {
 // programPreds lists every compiled predicate of a program.
 func programPreds(pr *program) map[*compiledPred]bool {
 	out := map[*compiledPred]bool{}
-	for cp := range pr.preds() {
+	for _, cp := range pr.preds.all() {
 		out[cp] = true
 	}
 	return out
