@@ -81,7 +81,11 @@ func BenchmarkTable1_DatasetGeneration(b *testing.B) {
 		"pyrimidines":    {848, 764},
 	}
 	for i := 0; i < b.N; i++ {
-		for _, ds := range datasets.Paper(int64(i + 1)) {
+		paper, err := datasets.PaperScaled(1, int64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ds := range paper {
 			name, pos, neg := ds.Characterize()
 			if w := want[name]; pos != w[0] || neg != w[1] {
 				b.Fatalf("%s: %d/%d, want %d/%d", name, pos, neg, w[0], w[1])

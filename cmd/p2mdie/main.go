@@ -118,69 +118,70 @@ func main() {
 		publishDir:    *pubDir,
 	}
 
-	if *resume {
+	var theory []ilp.Clause
+	switch {
+	case *joinAddr != "" || *serve != "":
+		runWorker(ds, *joinAddr, *serve, opts, *quiet)
+		return
+	case *resume:
 		if *ckptDir == "" {
 			fail(fmt.Errorf("-resume needs -checkpoint DIR (the crashed master's snapshot directory)"))
 		}
-		runResume(ds, *traffic, opts, *verbose, *quiet)
-		return
-	}
-	if *joinAddr != "" || *serve != "" {
-		runWorker(ds, *joinAddr, *serve, opts, *quiet)
-		return
-	}
-	if *masterMd {
-		runTCPMaster(ds, *workers, *width, *seed, *traffic, opts, *verbose, *quiet)
-		return
-	}
-
-	workerCount, err := parseWorkers(*workers)
-	if err != nil {
-		fail(err)
-	}
-	if !*quiet {
-		fmt.Println(ds.String())
-	}
-
-	var theory []ilp.Clause
-	if workerCount <= 0 {
-		res, err := ilp.LearnSequential(ds)
-		if err != nil {
-			fail(err)
-		}
-		theory = res.Theory
-		fmt.Printf("sequential: %d rules (%d adopted facts), %d searches, %d generated rules, %d inferences, %.2fs wall\n",
-			res.RulesLearned, res.GroundFactsAdopted, res.Searches, res.GeneratedRules,
-			res.Inferences, res.Duration.Seconds())
-		// The sequential baseline has no epoch boundaries: publish the final
-		// theory once so -publish works in every learning mode.
-		if hook := publishHook(ds, opts.publishDir); hook != nil {
-			if err := hook(1, theory); err != nil {
-				fail(err)
-			}
-		}
-	} else {
-		met, err := ilp.LearnParallel(ds, workerCount, *width, ilp.ParallelOptions{
-			Seed:          *seed,
-			Cost:          shapeCostModel(shp),
-			Recover:       opts.recover,
-			RecvTimeout:   opts.recvTimeout,
-			Balance:       opts.balance,
-			CheckpointDir: opts.checkpointDir,
-			PublishDir:    opts.publishDir,
-		})
-		if err != nil {
-			fail(err)
-		}
-		theory = met.Theory
-		printParallelMetrics("sim", met, *width)
-		dumpTraffic(*traffic, "sim", met.Traffic)
+		theory = runResume(ds, *traffic, opts, *quiet)
+	case *masterMd:
+		theory = runTCPMaster(ds, *workers, *width, *seed, *traffic, opts, *quiet)
+	default:
+		theory = runLocal(ds, *workers, *width, *seed, *traffic, opts, *quiet)
 	}
 	fmt.Printf("training accuracy: %.2f%%\n", 100*ilp.Accuracy(ds, theory, ds.Pos, ds.Neg))
 	if *verbose {
 		fmt.Println("theory:")
 		fmt.Print(ilp.TheoryString(theory))
 	}
+}
+
+// runLocal learns in this process: the sequential baseline with no workers,
+// p²-mdie on the simulated cluster otherwise.
+func runLocal(ds *ilp.Dataset, workerList string, width int, seed int64, trafficMode string, opts runOptions, quiet bool) []ilp.Clause {
+	workerCount, err := parseWorkers(workerList)
+	if err != nil {
+		fail(err)
+	}
+	if !quiet {
+		fmt.Println(ds.String())
+	}
+	if workerCount <= 0 {
+		res, err := ilp.LearnSequential(ds)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("sequential: %d rules (%d adopted facts), %d searches, %d generated rules, %d inferences, %.2fs wall\n",
+			res.RulesLearned, res.GroundFactsAdopted, res.Searches, res.GeneratedRules,
+			res.Inferences, res.Duration.Seconds())
+		// The sequential baseline has no epoch boundaries: publish the final
+		// theory once so -publish works in every learning mode.
+		if hook := publishHook(ds, opts.publishDir); hook != nil {
+			if err := hook(1, res.Theory); err != nil {
+				fail(err)
+			}
+		}
+		return res.Theory
+	}
+	met, err := ilp.LearnParallel(ds, workerCount, width, ilp.ParallelOptions{
+		Seed:          seed,
+		Cost:          shapeCostModel(opts.shape),
+		Recover:       opts.recover,
+		RecvTimeout:   opts.recvTimeout,
+		Balance:       opts.balance,
+		CheckpointDir: opts.checkpointDir,
+		PublishDir:    opts.publishDir,
+	})
+	if err != nil {
+		fail(err)
+	}
+	printParallelMetrics("sim", met)
+	dumpTraffic(trafficMode, "sim", met.Traffic)
+	return met.Theory
 }
 
 // flagReaders names, for every flag that not every mode reads, the modes
@@ -342,14 +343,25 @@ func masterTransport(node *netcluster.Node, opts runOptions) cluster.Transport {
 	return faultline.Wrap(node, plan)
 }
 
-// dieIfCrashed turns the faultline's scheduled crash into a process death:
-// exit immediately, no link teardown, no checkpoint flush — the peers see
-// exactly what a kill -9 leaves behind.
-func dieIfCrashed(err error) {
-	if errors.Is(err, faultline.ErrCrashed) {
-		fmt.Fprintf(os.Stderr, "p2mdie: crashed by -crashat schedule\n")
-		os.Exit(crashExitCode)
+// finishMaster ends a TCP master run and returns its theory. The
+// faultline's scheduled crash becomes a process death: exit immediately, no
+// link teardown, no checkpoint flush — the peers see exactly what a kill -9
+// leaves behind. Any other error slams the links shut so peers see a
+// failure, not an orderly exit. A finished run prints its metrics and
+// traffic.
+func finishMaster(node *netcluster.Node, met *ilp.ParallelMetrics, err error, trafficMode string) []ilp.Clause {
+	if err != nil {
+		if errors.Is(err, faultline.ErrCrashed) {
+			fmt.Fprintf(os.Stderr, "p2mdie: crashed by -crashat schedule\n")
+			os.Exit(crashExitCode)
+		}
+		node.Abort()
+		fail(err)
 	}
+	node.Close()
+	printParallelMetrics("tcp", met)
+	dumpTraffic(trafficMode, "tcp", met.Traffic)
+	return met.Theory
 }
 
 // runWorker is the TCP worker mode. With -serve alone it listens on
@@ -395,7 +407,7 @@ func runWorker(ds *ilp.Dataset, masterAddr, listenAddr string, opts runOptions, 
 }
 
 // runTCPMaster drives a multi-process run over the given worker addresses.
-func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, trafficMode string, opts runOptions, verbose, quiet bool) {
+func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, trafficMode string, opts runOptions, quiet bool) []ilp.Clause {
 	if _, err := strconv.Atoi(addrList); err == nil {
 		fail(fmt.Errorf("-master needs -workers host:port,... (got the count %q)", addrList))
 	}
@@ -446,19 +458,7 @@ func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, traff
 		Fingerprint:   opts.fingerprint,
 		Publish:       publishHook(ds, opts.publishDir),
 	})
-	if err != nil {
-		dieIfCrashed(err)
-		node.Abort()
-		fail(err)
-	}
-	node.Close()
-	printParallelMetrics("tcp", met, width)
-	dumpTraffic(trafficMode, "tcp", met.Traffic)
-	fmt.Printf("training accuracy: %.2f%%\n", 100*ilp.Accuracy(ds, met.Theory, ds.Pos, ds.Neg))
-	if verbose {
-		fmt.Println("theory:")
-		fmt.Print(ilp.TheoryString(met.Theory))
-	}
+	return finishMaster(node, met, err, trafficMode)
 }
 
 // runResume restarts a crashed TCP master from its latest checkpoint: the
@@ -466,7 +466,7 @@ func runTCPMaster(ds *ilp.Dataset, addrList string, width int, seed int64, traff
 // snapshot's terms reference), the snapshot's own address book supplies the
 // listen address to re-bind and the workers to wait for, and the resume
 // handshake rolls the cluster back to the boundary before continuing.
-func runResume(ds *ilp.Dataset, trafficMode string, opts runOptions, verbose, quiet bool) {
+func runResume(ds *ilp.Dataset, trafficMode string, opts runOptions, quiet bool) []ilp.Clause {
 	fp := opts.fingerprint
 	ck, err := core.LoadCheckpoint(opts.checkpointDir)
 	if err != nil {
@@ -494,24 +494,12 @@ func runResume(ds *ilp.Dataset, trafficMode string, opts runOptions, verbose, qu
 		Fingerprint:   fp,
 		Publish:       publishHook(ds, opts.publishDir),
 	})
-	if err != nil {
-		dieIfCrashed(err)
-		node.Abort()
-		fail(err)
-	}
-	node.Close()
-	printParallelMetrics("tcp", met, met.Width)
-	dumpTraffic(trafficMode, "tcp", met.Traffic)
-	fmt.Printf("training accuracy: %.2f%%\n", 100*ilp.Accuracy(ds, met.Theory, ds.Pos, ds.Neg))
-	if verbose {
-		fmt.Println("theory:")
-		fmt.Print(ilp.TheoryString(met.Theory))
-	}
+	return finishMaster(node, met, err, trafficMode)
 }
 
-func printParallelMetrics(transport string, met *ilp.ParallelMetrics, width int) {
+func printParallelMetrics(transport string, met *ilp.ParallelMetrics) {
 	line := fmt.Sprintf("p2-mdie[%s] p=%d w=%s: %d rules (%d adopted facts), %d epochs, %.2fs simulated (%.2fs wall), %.2f MB / %d msgs",
-		transport, met.Workers, widthLabel(width), met.RulesLearned, met.GroundFactsAdopted, met.Epochs,
+		transport, met.Workers, widthLabel(met.Width), met.RulesLearned, met.GroundFactsAdopted, met.Epochs,
 		met.VirtualTime.Seconds(), met.WallTime.Seconds(),
 		float64(met.CommBytes)/1e6, met.CommMessages)
 	if met.LostWorkers > 0 || met.Recoveries > 0 {

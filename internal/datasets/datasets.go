@@ -67,32 +67,12 @@ func (d *Dataset) String() string {
 // ByName returns a paper dataset (or a trains variant) by name at its
 // default size.
 func ByName(name string, seed int64) (*Dataset, error) {
-	switch name {
-	case "carcinogenesis":
-		return Carcinogenesis(seed), nil
-	case "mesh":
-		return Mesh(seed), nil
-	case "pyrimidines":
-		return Pyrimidines(seed), nil
-	case "trains":
-		return Trains(), nil
-	case "trains-gen":
-		return TrainsSized(100, seed), nil
-	case "trains-skew":
-		// The cost-skewed elastic-scheduling workload: a quarter of the
-		// trains are heavy, so a static random partition leaves stragglers.
-		return TrainsSkewed(200, seed, 0.25), nil
-	}
-	return nil, fmt.Errorf("datasets: unknown dataset %q (have carcinogenesis, mesh, pyrimidines, trains, trains-gen, trains-skew)", name)
-}
-
-// Paper returns the three evaluation datasets at paper size (Table 1).
-func Paper(seed int64) []*Dataset {
-	return []*Dataset{Carcinogenesis(seed), Mesh(seed), Pyrimidines(seed)}
+	return ByNameScaled(name, 1, seed)
 }
 
 // PaperScaled returns the three evaluation datasets with example counts
-// scaled by the given factor (≥ ~0.05), used by fast benchmark variants.
+// scaled by the given factor (≥ ~0.05), used by fast benchmark variants;
+// at scale 1 they are the paper's sizes (Table 1).
 func PaperScaled(scale float64, seed int64) ([]*Dataset, error) {
 	n, err := scaler(scale)
 	if err != nil {
@@ -105,8 +85,8 @@ func PaperScaled(scale float64, seed int64) ([]*Dataset, error) {
 	}, nil
 }
 
-// ByNameScaled is ByName with the example counts scaled by scale:
-// int(count × scale) of ByName's counts, but at least 8. It refuses a scale
+// ByNameScaled returns a dataset by name with its example counts scaled by
+// scale: int(count × scale) of the default counts, but at least 8. It refuses a scale
 // that is not a positive finite number; trains has one size and ignores it.
 func ByNameScaled(name string, scale float64, seed int64) (*Dataset, error) {
 	n, err := scaler(scale)
@@ -120,12 +100,16 @@ func ByNameScaled(name string, scale float64, seed int64) (*Dataset, error) {
 		return MeshSized(n(2840), n(278), seed), nil
 	case "pyrimidines":
 		return PyrimidinesSized(n(848), n(764), seed), nil
+	case "trains":
+		return Trains(), nil
 	case "trains-gen":
 		return TrainsSized(n(100), seed), nil
 	case "trains-skew":
+		// The cost-skewed elastic-scheduling workload: a quarter of the
+		// trains are heavy, so a static random partition leaves stragglers.
 		return TrainsSkewed(n(200), seed, 0.25), nil
 	}
-	return ByName(name, seed) // trains, or the unknown-dataset error
+	return nil, fmt.Errorf("datasets: unknown dataset %q (have carcinogenesis, mesh, pyrimidines, trains, trains-gen, trains-skew)", name)
 }
 
 // scaler returns the example count of a scaled dataset as a function of its
